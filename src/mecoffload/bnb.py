@@ -2,9 +2,12 @@
 
 The search keeps a FIFO node list (breadth-first), solves the node
 relaxation on every pop, branches on the first fractional indicator, and
-prunes by bound against the incumbent.  Every popped node is appended to
-the trace, which later becomes classifier training data, so the records
-carry the full relaxation point and the bound that was active at pop time.
+prunes by bound against the incumbent.  One relaxation LP serves the whole
+search: each pop only resets its indicator bounds, and every child LP is
+warm-started from its parent's optimal basis.  Every popped node is
+appended to the trace, which later becomes classifier training data, so
+the records carry the full relaxation point and the bound that was active
+at pop time.
 
 An exhaustive enumerator over channel-to-device maps provides the
 ground-truth optimum for desk-scale instances.
@@ -14,18 +17,20 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .lp import LpStatus, solve_lp
+from .lp import Basis, LpStatus, solve_lp
 from .relax import (
     INTEGRALITY_TOL,
     NodeConstraints,
     RelaxationSolution,
     build_relaxation,
     extract_solution,
+    set_node_bounds,
     solve_split,
 )
 from .scenario import Scenario
@@ -76,14 +81,14 @@ class SolveOptions:
 
 @dataclass
 class Node:
-    """One search-tree node; the relaxation is attached when it is popped."""
+    """One search-tree node; ``start`` is its parent's optimal LP basis, the
+    warm start of its own relaxation (None at the root: a cold solve)."""
 
     node_id: int
     depth: int
     parent_id: int | None
     constraints: NodeConstraints
-    relaxation: RelaxationSolution | None = None
-    feasible_flag: int = 1
+    start: Basis | None = None
 
 
 @dataclass
@@ -159,8 +164,9 @@ def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveRepo
     t0 = time.perf_counter()
     n = scenario.num_mds * scenario.num_channels
 
-    queue: list[Node] = [Node(0, 0, None, {})]
-    head = 0
+    lp = build_relaxation(scenario, {})
+    # Popped nodes are dropped with their bases; only the trace keeps rows.
+    queue: deque[Node] = deque([Node(0, 0, None, {})])
     next_id = 1
     z_ub = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
@@ -168,17 +174,16 @@ def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveRepo
     trace: list[NodeRecord] = []
     exhausted = False
 
-    while head < len(queue):
+    while queue:
         if len(trace) >= opts.max_nodes:
             exhausted = True
             break
-        node = queue[head]
-        head += 1
+        node = queue.popleft()
         zub_at_pop = z_ub
 
-        result = solve_lp(build_relaxation(scenario, node.constraints))
+        set_node_bounds(lp, node.constraints)
+        result = solve_lp(lp, node.start)
         if result.status is not LpStatus.OPTIMAL:
-            node.feasible_flag = 0
             trace.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id, 0,
                 NodeAction.PRUNED_INFEASIBLE, float("nan"), zub_at_pop,
@@ -187,7 +192,6 @@ def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveRepo
             continue
 
         sol = extract_solution(scenario, result, opts.integrality_tol)
-        node.relaxation = sol
         if sol.integral:
             if sol.psi < z_ub:
                 z_ub = sol.psi
@@ -203,6 +207,7 @@ def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveRepo
                     next_id, opts.integrality_tol,
                 )
                 next_id += 2
+                child_down.start = child_up.start = result.basis
                 queue.append(child_down)
                 queue.append(child_up)
                 action = NodeAction.BRANCHED

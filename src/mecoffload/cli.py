@@ -35,7 +35,14 @@ from .bnb import (
 )
 from .dataset import Dataset, label_trace, read_dataset, write_dataset
 from .ibnb import IbnbReport, ThresholdPolicy, solve_ibnb
-from .mlp import TrainConfig, init_model, load_model, save_model, train
+from .mlp import (
+    TrainConfig,
+    init_model,
+    load_model,
+    model_fingerprint,
+    save_model,
+    train,
+)
 from .scenario import ScenarioConfig, generate_frame, read_config_file
 
 __all__ = [
@@ -287,7 +294,7 @@ def cmd_solve(args) -> int:
         )
         thetas = ";".join(_fmt(t) for t in report.thresholds_tried)
         extra = (f"{report.restarts},{int(report.fell_back_to_exact)},"
-                 f"{thetas},{report.model_id}")
+                 f"{thetas},{model_fingerprint(model)}")
 
     header = _REPORT_HEADER + ",x,l"
     row = _report_row(exp.solver, report, extra) + "," + _solution_columns(report)
@@ -328,14 +335,14 @@ def cmd_bench(args) -> int:
     model = load_model(exp.model_path)
     opts = SolveOptions(max_nodes=args.max_nodes)
 
-    def run_frame(frame):
+    def run_frame(frame, frame_thetas):
         bnb_report = solve_bnb(frame, opts)
         if bnb_report.status is not SolveStatus.OPTIMAL:
             raise InfeasibleInstanceError(
                 f"frame seed {frame.config.rng_seed}: {bnb_report.status.value}"
             )
         ibnb_reports = []
-        for theta in thetas:
+        for theta in frame_thetas:
             policy = ThresholdPolicy(theta0=theta, delta_theta=args.delta_theta)
             rep = solve_ibnb(frame, model, policy, opts)
             if rep.status is not SolveStatus.OPTIMAL:
@@ -348,12 +355,15 @@ def cmd_bench(args) -> int:
     # Held-out frames: per-frame node counts and the node-count CDFs.
     bnb_nodes: list[int] = []
     ibnb_nodes: dict[float, list[int]] = {t: [] for t in thetas}
+    # (bnb psi, first-theta ibnb psi) per frame, reused by the weight sweep.
+    held_out_psi: list[tuple[float, float]] = []
     for i in range(exp.frames):
         frame = generate_frame(replace(cfg, rng_seed=eval_seed(seed_base, i)))
-        bnb_report, ibnb_reports = run_frame(frame)
+        bnb_report, ibnb_reports = run_frame(frame, thetas)
         bnb_nodes.append(bnb_report.nodes_searched)
         for theta, rep in zip(thetas, ibnb_reports):
             ibnb_nodes[theta].append(rep.nodes_searched)
+        held_out_psi.append((bnb_report.best_psi, ibnb_reports[0].best_psi))
 
     os.makedirs(args.out, exist_ok=True)
     rows = [
@@ -376,16 +386,23 @@ def cmd_bench(args) -> int:
                "nodes,cdf,solver,theta", cdf_rows)
 
     # Objective comparison across latency/energy weightings, first theta.
+    # The held-out frames above are the sweep's frames at the config's own
+    # weights, so that pair is not solved again.
     sweep_rows: list[str] = []
     for lambda_t, lambda_e in WEIGHT_SWEEP:
-        weighted = replace(cfg, lambda_t=lambda_t, lambda_e=lambda_e)
+        if (lambda_t, lambda_e) == (cfg.lambda_t, cfg.lambda_e):
+            frame_psi = held_out_psi
+        else:
+            weighted = replace(cfg, lambda_t=lambda_t, lambda_e=lambda_e)
+            frame_psi = []
+            for i in range(exp.frames):
+                frame = generate_frame(replace(weighted, rng_seed=eval_seed(seed_base, i)))
+                bnb_report, (ibnb_report,) = run_frame(frame, thetas[:1])
+                frame_psi.append((bnb_report.best_psi, ibnb_report.best_psi))
         psi_bnb, psi_ibnb = 0.0, 0.0
-        for i in range(exp.frames):
-            frame = generate_frame(replace(weighted, rng_seed=eval_seed(seed_base, i)))
-            bnb_report, ibnb_report = run_frame_weights(frame, model, thetas[0],
-                                                        args.delta_theta, opts)
-            psi_bnb += bnb_report.best_psi
-            psi_ibnb += ibnb_report.best_psi
+        for frame_bnb, frame_ibnb in frame_psi:
+            psi_bnb += frame_bnb
+            psi_ibnb += frame_ibnb
         psi_bnb /= exp.frames
         psi_ibnb /= exp.frames
         sweep_rows.append(
@@ -402,21 +419,6 @@ def cmd_bench(args) -> int:
               f"bnb={mean_bnb:.1f} ratio={mean_ibnb / mean_bnb:.3f}")
     print(f"wrote 3 CSVs under {args.out}")
     return EXIT_OK
-
-
-def run_frame_weights(frame, model, theta, delta_theta, opts):
-    bnb_report = solve_bnb(frame, opts)
-    if bnb_report.status is not SolveStatus.OPTIMAL:
-        raise InfeasibleInstanceError(
-            f"frame seed {frame.config.rng_seed}: {bnb_report.status.value}"
-        )
-    policy = ThresholdPolicy(theta0=theta, delta_theta=delta_theta)
-    rep = solve_ibnb(frame, model, policy, opts)
-    if rep.status is not SolveStatus.OPTIMAL:
-        raise InfeasibleInstanceError(
-            f"frame seed {frame.config.rng_seed}: {rep.status.value}"
-        )
-    return bnb_report, rep
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ solve plus a classifier evaluation) and accumulate across restarts.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ from .bnb import (
 )
 from .dataset import featurize
 from .lp import LpStatus, solve_lp
-from .mlp import MlpModel, forward, model_fingerprint
-from .relax import build_relaxation, extract_solution
+from .mlp import MlpModel, forward
+from .relax import build_relaxation, extract_solution, set_node_bounds
 from .scenario import Scenario
 
 __all__ = [
@@ -88,7 +89,6 @@ class IbnbReport:
     thresholds_tried: list[float]
     restarts: int
     fell_back_to_exact: bool
-    model_id: str
 
     @property
     def trace(self) -> list[NodeRecord]:
@@ -105,8 +105,8 @@ def _run_pass(
     """One threshold's search.  Returns (records, best, best_psi,
     model_pruned_any, budget_hit)."""
     n = scenario.num_mds * scenario.num_channels
-    queue: list[Node] = [Node(0, 0, None, {})]
-    head = 0
+    lp = build_relaxation(scenario, {})
+    queue: deque[Node] = deque([Node(0, 0, None, {})])
     next_id = 1
     z_ub = np.inf
     best = None
@@ -115,14 +115,14 @@ def _run_pass(
     root_psi: float | None = None
     model_pruned_any = False
 
-    while head < len(queue):
+    while queue:
         if len(records) >= node_budget:
             return records, best, best_psi, model_pruned_any, True
-        node = queue[head]
-        head += 1
+        node = queue.popleft()
         zub_at_pop = z_ub
 
-        result = solve_lp(build_relaxation(scenario, node.constraints))
+        set_node_bounds(lp, node.constraints)
+        result = solve_lp(lp, node.start)
         if result.status is not LpStatus.OPTIMAL:
             records.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id, 0,
@@ -132,7 +132,6 @@ def _run_pass(
             continue
 
         sol = extract_solution(scenario, result, opts.integrality_tol)
-        node.relaxation = sol
         if root_psi is None:
             root_psi = sol.psi
 
@@ -161,6 +160,7 @@ def _run_pass(
                     next_id, opts.integrality_tol,
                 )
                 next_id += 2
+                child_down.start = child_up.start = result.basis
                 queue.append(child_down)
                 queue.append(child_up)
                 action = NodeAction.BRANCHED
@@ -198,7 +198,6 @@ def solve_ibnb(
         )
 
     t0 = time.perf_counter()
-    model_id = model_fingerprint(model)
     theta = policy.theta0
     thresholds: list[float] = []
     passes: list[SearchPass] = []
@@ -257,5 +256,4 @@ def solve_ibnb(
         thresholds_tried=thresholds,
         restarts=max(0, len(thresholds) - 1),
         fell_back_to_exact=fell_back,
-        model_id=model_id,
     )

@@ -1,4 +1,5 @@
-"""Dense linear programming with a bounded-variable two-phase primal simplex.
+"""Dense linear programming with a bounded-variable simplex: a cold
+two-phase primal solve, or a warm-started dual solve.
 
 Node relaxations in the tree search are small (a few dozen variables), so a
 dense tableau-free simplex with an explicitly maintained basis inverse is
@@ -6,10 +7,21 @@ both simple and fast enough.  Branching constraints arrive as variable-bound
 tightenings, which the bounded-variable method absorbs without growing the
 constraint matrix.
 
+An optimal solve returns its basis.  A child node differs from its
+parent only in tightened bounds, so the parent's optimal basis is still
+dual feasible for it: :func:`solve_lp` given that basis as ``start``
+refactorises it once and re-optimises with a few bounded dual simplex
+pivots instead of a cold phase 1 and phase 2, then confirms optimality with
+the same primal pricing the cold solve ends with.
+
 The solver is deterministic: pricing and ratio-test ties always break toward
 the smallest variable index, and a Bland's-rule fallback engages when no
 objective progress is made for a full pass, so degenerate instances
-terminate.
+terminate.  The dual pivots leave on the row of largest bound violation
+(smallest row on ties) and enter by the bounded dual ratio test (ties to
+the largest pivot magnitude, then the smallest column); they have no
+anti-cycling fallback, so a stalled dual solve ends in an error at the
+iteration cap rather than looping.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ __all__ = [
     "LpStatus",
     "LinearProgram",
     "LpResult",
+    "Basis",
     "solve_lp",
     "format_lp",
     "FEASIBILITY_TOL",
@@ -110,15 +123,40 @@ class LinearProgram:
         return self.c.size
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the structural columns of a program followed by
+    one slack column per inequality row.
+
+    ``indices[i]`` is the column basic in row ``i`` (equality rows first);
+    ``at_upper[j]`` is True when nonbasic column ``j`` rests on its upper
+    bound.
+    """
+
+    indices: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class LpResult:
     status: LpStatus
     x: np.ndarray | None = None
     value: float | None = None
+    #: Optimal basis; None unless OPTIMAL, or when a redundant row keeps an
+    #: artificial basic.
+    basis: Basis | None = None
+    #: Basis changes plus bound flips, over all phases of this solve.
+    pivots: int = 0
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve ``lp`` to a vertex optimum; Infeasible/Unbounded are statuses."""
+def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
+    """Solve ``lp`` to a vertex optimum; Infeasible/Unbounded are statuses.
+
+    Without ``start`` this is the cold two-phase primal simplex.  ``start``
+    must be an optimal basis (``LpResult.basis``) of a program with the same
+    objective and rows whose bounds contain those of ``lp``, such as a
+    parent node's; the solve then runs dual simplex pivots from it.
+    """
     n = lp.num_vars
     m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
     m = m_eq + m_ub
@@ -135,18 +173,23 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     lower = np.concatenate([lp.lower, np.zeros(m_ub)])
     upper = np.concatenate([lp.upper, np.full(m_ub, np.inf)])
 
-    slack_of_row = np.full(m, -1)
-    slack_of_row[m_eq:] = n + np.arange(m_ub)
-    sim = _BoundedSimplex(a, b, lower, upper, slack_of_row)
-    if not sim.phase1():
-        return LpResult(LpStatus.INFEASIBLE)
+    if start is None:
+        slack_of_row = np.full(m, -1)
+        slack_of_row[m_eq:] = n + np.arange(m_ub)
+        sim = _BoundedSimplex.cold(a, b, lower, upper, slack_of_row)
+    else:
+        sim = _BoundedSimplex.warm(a, b, lower, upper, start)
     c_full = np.zeros(sim.num_cols)
     c_full[:n] = lp.c
+    feasible = sim.phase1() if start is None else sim.dual(c_full)
+    if not feasible:
+        return LpResult(LpStatus.INFEASIBLE, pivots=sim.pivots)
     status = sim.phase2(c_full)
     if status is LpStatus.UNBOUNDED:
-        return LpResult(LpStatus.UNBOUNDED)
+        return LpResult(LpStatus.UNBOUNDED, pivots=sim.pivots)
     x = sim.solution()[:n]
-    return LpResult(LpStatus.OPTIMAL, x, float(lp.c @ x))
+    return LpResult(LpStatus.OPTIMAL, x, float(lp.c @ x),
+                    sim.optimal_basis(), sim.pivots)
 
 
 def _solve_bounds_only(lp: LinearProgram) -> LpResult:
@@ -166,17 +209,37 @@ def _solve_bounds_only(lp: LinearProgram) -> LpResult:
 
 
 class _BoundedSimplex:
-    """Primal simplex over ``a.x = b`` with two-sided variable bounds.
+    """Primal and dual simplex over ``a.x = b`` with two-sided variable bounds.
 
     Nonbasic variables rest exactly on a bound (free ones at zero); the
     values of basic variables are maintained incrementally and refreshed
-    from the basis inverse every :data:`_REFACTOR_EVERY` pivots.
+    from the basis inverse every :data:`_REFACTOR_EVERY` pivots.  Columns
+    from ``art_start`` on are phase-1 artificials.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, lower: np.ndarray,
-                 upper: np.ndarray, slack_of_row: np.ndarray) -> None:
-        self.m = a.shape[0]
-        n_real = a.shape[1]
+                 upper: np.ndarray, basis: np.ndarray, at_upper: np.ndarray,
+                 art_start: int) -> None:
+        self.m, self.num_cols = a.shape
+        self.a = a
+        self.b = b
+        self.lower = lower
+        self.upper = upper
+        self.art_start = art_start
+        self.basis = basis
+        self.in_basis = np.zeros(self.num_cols, dtype=bool)
+        self.in_basis[basis] = True
+        # Nonbasic resting position: True means at the upper bound.
+        self.at_upper = at_upper
+        self.at_upper[basis] = False
+        self.pivots = 0
+        self.pivots_since_refactor = 0
+
+    @classmethod
+    def cold(cls, a: np.ndarray, b: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray, slack_of_row: np.ndarray) -> "_BoundedSimplex":
+        """Phase-1 start: artificials and feasible slacks form the basis."""
+        m, n_real = a.shape
 
         # Nonbasic starting point: finite lower bound, else finite upper,
         # else zero (free).
@@ -186,30 +249,42 @@ class _BoundedSimplex:
 
         # One artificial per row, signed so it starts nonnegative.
         art_sign = np.where(residual >= 0, 1.0, -1.0)
-        self.a = np.hstack([a, np.diag(art_sign)])
-        self.b = b
-        self.lower = np.concatenate([lower, np.zeros(self.m)])
-        self.upper = np.concatenate([upper, np.full(self.m, np.inf)])
-        self.num_cols = n_real + self.m
-        self.art_start = n_real
 
         # Crash basis: an inequality row whose slack starts feasible is
         # covered by that slack; only the rest need their artificial.
-        self.basis = np.arange(n_real, n_real + self.m)
+        basis = np.arange(n_real, n_real + m)
         diag = art_sign.copy()
-        for i in range(self.m):
+        for i in range(m):
             col = slack_of_row[i]
             if col >= 0 and residual[i] >= 0.0 and x0[col] == 0.0:
-                self.basis[i] = col
+                basis[i] = col
                 diag[i] = 1.0
-        self.in_basis = np.zeros(self.num_cols, dtype=bool)
-        self.in_basis[self.basis] = True
-        # Nonbasic resting position: True means at the upper bound.
-        self.at_upper = np.isfinite(self.upper) & ~np.isfinite(self.lower)
-        self.at_upper[self.basis] = False
-        self.binv = np.diag(diag)  # inverse of a diagonal of +-1
-        self.xb = np.abs(residual)
-        self.pivots_since_refactor = 0
+        lower = np.concatenate([lower, np.zeros(m)])
+        upper = np.concatenate([upper, np.full(m, np.inf)])
+        sim = cls(np.hstack([a, np.diag(art_sign)]), b, lower, upper, basis,
+                  np.isfinite(upper) & ~np.isfinite(lower), n_real)
+        sim.binv = np.diag(diag)  # inverse of a diagonal of +-1
+        sim.xb = np.abs(residual)
+        return sim
+
+    @classmethod
+    def warm(cls, a: np.ndarray, b: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray, start: Basis) -> "_BoundedSimplex":
+        """Start from a given basis, factorised once; no artificials."""
+        m, num_cols = a.shape
+        basis = np.asarray(start.indices, dtype=int).copy()
+        at_upper = np.asarray(start.at_upper, dtype=bool).copy()
+        if (basis.shape != (m,) or at_upper.shape != (num_cols,)
+                or basis.min(initial=0) < 0 or basis.max(initial=0) >= num_cols
+                or np.unique(basis).size != m):
+            raise ValueError("start basis does not fit the program's rows and columns")
+        # A variable rests on its upper bound only if that bound is finite,
+        # and on it necessarily if only that bound is finite.
+        has_upper = np.isfinite(upper)
+        at_upper = has_upper & (at_upper | ~np.isfinite(lower))
+        sim = cls(a, b, lower, upper, basis, at_upper, num_cols)
+        sim._refresh()
+        return sim
 
     # -- current point ----------------------------------------------------
 
@@ -232,6 +307,12 @@ class _BoundedSimplex:
         x = self._nonbasic_values()
         x[self.basis] = self.xb
         return x
+
+    def optimal_basis(self) -> Basis | None:
+        """The current basis over the non-artificial columns, if it is one."""
+        if self.basis.max() >= self.art_start:
+            return None
+        return Basis(self.basis.copy(), self.at_upper[:self.art_start].copy())
 
     def _refresh(self) -> None:
         bmat = self.a[:, self.basis]
@@ -259,6 +340,58 @@ class _BoundedSimplex:
 
     def phase2(self, c: np.ndarray) -> LpStatus:
         return self._iterate(c)
+
+    def dual(self, c: np.ndarray) -> bool:
+        """Dual simplex from a dual feasible basis; True once the basis is
+        primal feasible, False iff the program is infeasible.
+
+        Leaves on the row with the largest bound violation (smallest row on
+        ties).  The entering column is the bounded dual ratio test's minimum
+        over the columns that move the leaving variable toward its violated
+        bound; ties go to the largest pivot magnitude, then the smallest
+        column.  When no column qualifies, the leaving variable cannot reach
+        its bound anywhere in the box of the nonbasic variables.
+        """
+        fixed = self.lower == self.upper  # pinned variables never enter
+        free = ~np.isfinite(self.lower) & ~np.isfinite(self.upper)
+        max_iter = 10_000 + 200 * (self.num_cols + self.m)
+
+        for _ in range(max_iter):
+            below = self.lower[self.basis] - self.xb
+            above = self.xb - self.upper[self.basis]
+            violation = np.maximum(below, above)
+            pos = int(np.argmax(violation))
+            if violation[pos] <= FEASIBILITY_TOL:
+                return True
+            to_upper = bool(above[pos] > 0.0)
+
+            # Row ``pos`` reads x_B = beta - alpha.x_N: a column helps when
+            # its feasible move shifts x_B toward the violated bound.
+            alpha = self.binv[pos] @ self.a
+            toward = alpha if to_upper else -alpha
+            eligible = ~self.in_basis & ~fixed & np.where(
+                free, np.abs(toward) > _PIVOT_TOL,
+                np.where(self.at_upper, toward < -_PIVOT_TOL, toward > _PIVOT_TOL))
+            idx = np.where(eligible)[0]
+            if idx.size == 0:
+                return False
+
+            reduced = c - (c[self.basis] @ self.binv) @ self.a
+            dual_slack = np.where(self.at_upper[idx], -reduced[idx], reduced[idx])
+            dual_slack = np.where(free[idx], np.abs(reduced[idx]), dual_slack)
+            ratios = np.maximum(dual_slack, 0.0) / np.abs(alpha[idx])
+            tie = idx[ratios <= ratios.min() + 1e-12]
+            entering = int(tie[np.argmax(np.abs(alpha[tie]))])
+
+            w = self.binv @ self.a[:, entering]
+            target = self.upper if to_upper else self.lower
+            step = (self.xb[pos] - target[self.basis[pos]]) / w[pos]
+            start = self._value_of(entering)
+            self.xb -= step * w
+            self._pivot(pos, entering, w, entering_value=start + step,
+                        leave_to_upper=to_upper)
+
+        raise ArithmeticError("dual simplex iteration limit exceeded")
 
     def _basic_artificial_positions(self) -> np.ndarray:
         return np.where(self.basis >= self.art_start)[0]
@@ -328,6 +461,7 @@ class _BoundedSimplex:
                 # Bound flip: the entering variable crosses to its other bound.
                 self.xb -= direction * step * w
                 self.at_upper[entering] = direction > 0
+                self.pivots += 1
                 self.pivots_since_refactor += 1
                 if self.pivots_since_refactor >= _REFACTOR_EVERY:
                     self._refresh()
@@ -400,6 +534,7 @@ class _BoundedSimplex:
         # The leaving variable's value is now derived from its resting
         # status, which lands it exactly on the bound it hit.
         self.xb[pos] = entering_value
+        self.pivots += 1
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= _REFACTOR_EVERY:
             self._refresh()

@@ -28,6 +28,7 @@ __all__ = [
     "SplitSolution",
     "build_relaxation",
     "extract_solution",
+    "set_node_bounds",
     "solve_split",
     "validate_node_constraints",
 ]
@@ -75,11 +76,12 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
     Constraints: per-channel exclusivity over x, per-device flow
     conservation over y, the coupling cuts y <= L*x, and the epigraph rows
     that pin tau above every channel's transmission time.  ``nc`` tightens
-    individual x bounds; everything else is shared across the tree.
+    individual x bounds; everything else is shared across the tree, so a
+    search builds this once and moves between nodes with
+    :func:`set_node_bounds`.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
-    validate_node_constraints(nc, n)
 
     scale = float(scenario.task_bits.max())
     tasks = scenario.task_bits / scale            # (S,)
@@ -115,10 +117,21 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
 
     lower = np.zeros(num_vars)
     upper = np.concatenate([np.ones(n), np.full(n + 1, np.inf)])
-    for i, (lo, hi) in nc.items():
-        lower[i], upper[i] = float(lo), float(hi)
+    lp = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
+    set_node_bounds(lp, nc)
+    return lp
 
-    return LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
+
+def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
+    """Turn a relaxation made by :func:`build_relaxation` into that of the
+    node ``nc``, in place: every indicator gets [0, 1] unless ``nc``
+    overrides it."""
+    n = (lp.num_vars - 1) // 2
+    validate_node_constraints(nc, n)
+    lp.lower[:n] = 0.0
+    lp.upper[:n] = 1.0
+    for i, (lo, hi) in nc.items():
+        lp.lower[i], lp.upper[i] = float(lo), float(hi)
 
 
 def extract_solution(

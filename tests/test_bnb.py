@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mecoffload import bnb as bnb_module
 from mecoffload.bnb import (
     BudgetExceededError,
     Node,
@@ -12,10 +13,11 @@ from mecoffload.bnb import (
     solve_exhaustive,
     write_trace_csv,
 )
+from mecoffload.lp import solve_lp
 from mecoffload.relax import solve_split
 from mecoffload.scenario import Assignment, check_feasible, objective
 
-from conftest import make_frame
+from conftest import make_frame, make_uniform_frame
 
 
 class TestBranch:
@@ -63,12 +65,21 @@ class TestSolveBnb:
         assert report.status is SolveStatus.INFEASIBLE
         assert report.best_x is None
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_exhaustive_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        s_n = int(rng.integers(2, 4))
-        k_n = int(rng.integers(3, 6))
-        frame = make_frame(num_mds=s_n, num_channels=k_n, seed=1000 + seed)
+    @pytest.mark.parametrize("case", [
+        *range(30),
+        # Identical rates everywhere: ties in every bound and branching choice.
+        *(pytest.param(c, id=f"uniform-{c[0]}x{c[1]}")
+          for c in [(2, 3, 1.0), (3, 3, 1.0), (2, 5, 1.0), (3, 4, 0.5), (3, 5, 1.0)]),
+    ])
+    def test_matches_exhaustive_oracle(self, case):
+        if isinstance(case, int):
+            rng = np.random.default_rng(case)
+            s_n = int(rng.integers(2, 4))
+            k_n = int(rng.integers(3, 6))
+            frame = make_frame(num_mds=s_n, num_channels=k_n, seed=1000 + case)
+        else:
+            s_n, k_n, gain = case
+            frame = make_uniform_frame(s_n, k_n, gain=gain)
         bnb = solve_bnb(frame)
         oracle = solve_exhaustive(frame)
         assert bnb.status is SolveStatus.OPTIMAL
@@ -80,6 +91,23 @@ class TestSolveBnb:
         a = Assignment(report.best_x.astype(float), report.best_split)
         assert check_feasible(frame, a) == []
         assert report.best_psi == pytest.approx(objective(frame, a), rel=1e-8)
+
+    def test_warm_children_need_few_pivots(self, monkeypatch):
+        # A cold node solve takes about 50 pivots at 4x6; a child started
+        # from its parent's basis should take a handful of dual pivots.
+        calls = []
+
+        def recording_solve_lp(lp, start=None):
+            result = solve_lp(lp, start)
+            calls.append((start is not None, result.pivots))
+            return result
+
+        monkeypatch.setattr(bnb_module, "solve_lp", recording_solve_lp)
+        report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=6))
+        warm = [pivots for started, pivots in calls if started]
+        assert len(calls) == report.nodes_searched
+        assert len(warm) == report.nodes_searched - 1
+        assert np.mean(warm) < 10
 
     def test_node_budget_is_explicit(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=6)

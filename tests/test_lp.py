@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mecoffload.lp import (
     FEASIBILITY_TOL,
+    Basis,
     LinearProgram,
     LpStatus,
     format_lp,
@@ -196,14 +197,40 @@ class TestDegenerate:
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
+def tightened_bounds(lower, upper, point, rng):
+    """Bounds of a child program: one variable's range cut to exclude its
+    value at ``point``, or pinned; the cut may leave nothing feasible."""
+    lower, upper = lower.copy(), upper.copy()
+    j = int(rng.integers(lower.size))
+    kind = rng.integers(3)
+    if kind == 0:
+        upper[j] = max(lower[j], point[j] - rng.uniform(0, 2))
+    elif kind == 1:
+        lower[j] = min(upper[j], point[j] + rng.uniform(0, 2))
+    else:
+        lower[j] = upper[j] = np.clip(point[j] + rng.uniform(-1, 1), lower[j], upper[j])
+    return lower, upper
+
+
 class TestAgainstScipy:
     """Random cross-check against an independent solver."""
 
     def test_random_instances(self):
         from scipy.optimize import linprog
 
+        def highs(c, a_eq, b_eq, a_ub, b_ub, lower, upper):
+            bounds = list(zip(np.where(np.isfinite(lower), lower, None),
+                              np.where(np.isfinite(upper), upper, None)))
+            return linprog(c, A_ub=a_ub if a_ub.size else None,
+                           b_ub=b_ub if a_ub.size else None,
+                           A_eq=a_eq if a_eq.size else None,
+                           b_eq=b_eq if a_eq.size else None,
+                           bounds=bounds, method="highs")
+
         rng = np.random.default_rng(123)
+        warm_rng = np.random.default_rng(321)
         checked = 0
+        warm_statuses = []
         for _ in range(150):
             n = int(rng.integers(1, 7))
             m_eq = int(rng.integers(0, 3))
@@ -222,13 +249,7 @@ class TestAgainstScipy:
             )
             lp = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
             mine = solve_lp(lp)
-            bounds = list(zip(np.where(np.isfinite(lower), lower, None),
-                              np.where(np.isfinite(upper), upper, None)))
-            ref = linprog(c, A_ub=a_ub if m_ub else None,
-                          b_ub=b_ub if m_ub else None,
-                          A_eq=a_eq if m_eq else None,
-                          b_eq=b_eq if m_eq else None,
-                          bounds=bounds, method="highs")
+            ref = highs(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
             if ref.status == 0:
                 assert mine.status is LpStatus.OPTIMAL
                 assert mine.value == pytest.approx(ref.fun, abs=1e-7 * max(1, abs(ref.fun)))
@@ -236,18 +257,41 @@ class TestAgainstScipy:
                 # HiGHS presolve may fold unbounded into "infeasible"; a
                 # zero-objective solve disambiguates.
                 if mine.status is LpStatus.UNBOUNDED and ref.status == 2:
-                    feas = linprog(np.zeros(n), A_ub=a_ub if m_ub else None,
-                                   b_ub=b_ub if m_ub else None,
-                                   A_eq=a_eq if m_eq else None,
-                                   b_eq=b_eq if m_eq else None,
-                                   bounds=bounds, method="highs")
+                    feas = highs(np.zeros(n), a_eq, b_eq, a_ub, b_ub, lower, upper)
                     assert feas.status == 0, "claimed unbounded on infeasible input"
                 else:
                     expected = (LpStatus.INFEASIBLE if ref.status == 2
                                 else LpStatus.UNBOUNDED)
                     assert mine.status is expected
             checked += 1
+
+            # Warm cases: tighten one bound of a solved program and
+            # re-solve from its optimal basis, as a child node does.
+            if mine.status is not LpStatus.OPTIMAL or mine.basis is None:
+                continue
+            for _ in range(3):
+                lo, hi = tightened_bounds(lower, upper, mine.x, warm_rng)
+                child = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lo, hi)
+                warm = solve_lp(child, start=mine.basis)
+                cold = solve_lp(child)
+                ref = highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi)
+                assert warm.status is cold.status
+                assert ref.status == (0 if warm.status is LpStatus.OPTIMAL else 2)
+                if warm.status is LpStatus.OPTIMAL:
+                    tol = 1e-7 * max(1, abs(ref.fun))
+                    assert warm.value == pytest.approx(cold.value, abs=tol)
+                    assert warm.value == pytest.approx(ref.fun, abs=tol)
+                warm_statuses.append(warm.status)
         assert checked == 150
+        # Both exits of the dual simplex ran.
+        assert warm_statuses.count(LpStatus.OPTIMAL) > 50
+        assert warm_statuses.count(LpStatus.INFEASIBLE) > 10
+
+    def test_start_basis_of_wrong_shape_rejected(self):
+        lp = transportation_lp()
+        basis = solve_lp(lp).basis
+        with pytest.raises(ValueError):
+            solve_lp(lp, start=Basis(basis.indices[:1], basis.at_upper))
 
 
 class TestFormatDump:

@@ -6,6 +6,7 @@ from mecoffload.lp import LpResult, LpStatus, solve_lp
 from mecoffload.relax import (
     build_relaxation,
     extract_solution,
+    set_node_bounds,
     solve_split,
     validate_node_constraints,
 )
@@ -75,6 +76,41 @@ class TestBuildRelaxation:
             build_relaxation(frame, {99: (0, 0)})
         with pytest.raises(ValueError):
             validate_node_constraints({0: (1, 0)}, 6)
+
+
+class TestWarmStart:
+    def test_set_node_bounds_matches_a_fresh_build(self):
+        frame = make_frame(num_mds=2, num_channels=3, seed=3)
+        lp = build_relaxation(frame, {0: (1, 1), 4: (0, 0)})
+        set_node_bounds(lp, {2: (0, 0)})
+        fresh = build_relaxation(frame, {2: (0, 0)})
+        assert np.array_equal(lp.lower, fresh.lower)
+        assert np.array_equal(lp.upper, fresh.upper)
+
+    def test_children_of_the_root_match_cold_solves(self):
+        frame = make_frame(num_mds=3, num_channels=4, seed=13)
+        lp = build_relaxation(frame, {})
+        root = solve_lp(lp)
+        for i in range(12):
+            for value in (0, 1):
+                set_node_bounds(lp, {i: (value, value)})
+                warm = solve_lp(lp, start=root.basis)
+                cold = solve_lp(build_relaxation(frame, {i: (value, value)}))
+                assert warm.status is cold.status
+                if cold.status is LpStatus.OPTIMAL:
+                    assert warm.value == pytest.approx(cold.value, rel=1e-9)
+
+    def test_device_with_all_channels_off_is_infeasible_from_root_basis(self):
+        # The search itself rarely meets an infeasible child, so this is
+        # where the dual simplex's infeasibility exit is exercised on a
+        # node LP.
+        frame = make_frame(num_mds=3, num_channels=4, seed=4)
+        lp = build_relaxation(frame, {})
+        root = solve_lp(lp)
+        set_node_bounds(lp, {i: (0, 0) for i in range(4)})  # device 0 fully disabled
+        warm = solve_lp(lp, start=root.basis)
+        assert warm.status is LpStatus.INFEASIBLE
+        assert warm.pivots > 0
 
 
 class TestExtractSolution:
