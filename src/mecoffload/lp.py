@@ -37,7 +37,6 @@ __all__ = [
     "LpResult",
     "Basis",
     "solve_lp",
-    "format_lp",
     "FEASIBILITY_TOL",
     "OPTIMALITY_TOL",
 ]
@@ -539,18 +538,3 @@ class _BoundedSimplex:
         if self.pivots_since_refactor >= _REFACTOR_EVERY:
             self._refresh()
 
-
-def format_lp(lp: LinearProgram) -> str:
-    """Debug dump: ``min`` / ``eq`` / ``ub`` / ``bnd`` sections, one row per line."""
-
-    def nums(values) -> str:
-        return " ".join(format(float(v), ".17g") for v in values)
-
-    lines = [f"min {nums(lp.c)}"]
-    for row, rhs in zip(lp.a_eq, lp.b_eq):
-        lines.append(f"eq {nums(row)} | {format(float(rhs), '.17g')}")
-    for row, rhs in zip(lp.a_ub, lp.b_ub):
-        lines.append(f"ub {nums(row)} | {format(float(rhs), '.17g')}")
-    for lo, hi in zip(lp.lower, lp.upper):
-        lines.append(f"bnd {format(float(lo), '.17g')} {format(float(hi), '.17g')}")
-    return "\n".join(lines) + "\n"

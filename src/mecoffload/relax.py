@@ -1,4 +1,5 @@
-"""Node relaxations of the offloading problem as linear programs.
+"""Node relaxations of the offloading problem as linear programs, and the
+closed-form optimal split of a fixed channel map.
 
 The objective couples the binary indicators x with the continuous splits l
 through products x*l.  Each product is replaced by a flow variable
@@ -10,6 +11,11 @@ LP variables are ordered [x (S*K), y (S*K), tau], flat index i = s*K + k.
 Internally the bit quantities are rescaled by the largest task size so the
 constraint matrix stays O(1); the optimal value is unaffected and the
 splits are mapped back to bits on extraction.
+
+Once x is binary the split problem needs no LP.  :func:`solve_split`, the
+leaf oracle of the exhaustive search, fills each device's channels fastest
+first and minimises the resulting convex, piecewise linear cost over the
+frame time tau by costing each of its breakpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpResult, LpStatus, solve_lp
+from .lp import LinearProgram, LpResult, LpStatus
 from .scenario import Scenario
 
 __all__ = [
@@ -164,8 +170,24 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | Non
     """Best splits for a fixed feasible indicator matrix; None if a device
     has no active channel.
 
-    This is an independent formulation over the splits and tau only, used
-    as the leaf oracle: it never goes through the product reformulation.
+    The leaf oracle, solved in closed form rather than as an LP, and never
+    through the product reformulation of the node relaxations.
+
+    Fix the frame time tau.  Energy per bit on channel k is p_s / R_sk, so
+    each device fills its active channels fastest first: with its active
+    rates sorted r_1 >= ... >= r_m (ties by channel index) and prefix sums
+    C_j = r_1 + ... + r_j, channels 1..j-1 carry tau*r_i, channel j the
+    rest, and later channels nothing, where j is the first with
+    tau*C_j >= L_s.  The device's energy is then
+    p_s * ((j-1)*tau + (L_s - tau*C_{j-1}) / r_j), linear in tau between
+    the breakpoints L_s / C_j with slope p_s * ((j-1) - C_{j-1}/r_j) <= 0.
+    As tau grows j falls, and since r_{j-1} >= r_j that slope can only
+    rise, so the cost psi(tau) = lambda_t*tau + lambda_e*sum_s E_s(tau) is
+    convex and piecewise linear on tau >= tau_min = max_s L_s / C_{s,m},
+    with slope lambda_t >= 0 beyond the last breakpoint.  Its minimum is
+    therefore attained at a breakpoint no smaller than tau_min (which is
+    itself one); every such breakpoint is costed and the smallest tau of
+    least cost wins.
     """
     x = np.asarray(x_binary)
     s_n, k_n = scenario.num_mds, scenario.num_channels
@@ -175,37 +197,34 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | Non
         raise ValueError("indicator matrix must be binary")
     if np.any(x.sum(axis=0) > 1):
         raise ValueError("indicator matrix assigns a channel to several devices")
-    if np.any(x.sum(axis=1) == 0):
+    held = x.sum(axis=1).astype(int)
+    if np.any(held == 0):
         return None
 
-    active = [(s, k) for s in range(s_n) for k in range(k_n) if x[s, k] == 1]
-    n_act = len(active)
-    scale = float(scenario.task_bits.max())
+    rows = np.arange(s_n)
+    # Row s lists device s's channels fastest first, its idle ones (rate 0)
+    # after them; a stable sort keeps ties in channel order.
+    rates = np.where(x == 1, scenario.rates_bps, 0.0)
+    order = np.argsort(-rates, axis=1, kind="stable")
+    r = rates[rows[:, None], order]
+    c = r.cumsum(axis=1)                           # C_j, constant past m
+    tasks = scenario.task_bits
+
+    kinks = tasks[:, None] / c                     # past m: repeats of L_s/C_m
+    tau = np.sort(kinks[kinks >= kinks[:, -1].max()])
+    # j (from 0) of every device at every candidate tau: its partly filled
+    # channel.  Capped at m-1 in case tau_min*C_m rounds below L_s.
+    j = np.minimum((tau[:, None, None] * c < tasks[:, None]).sum(axis=2), held - 1)
+    c_before = np.where(j > 0, c[rows, j - 1], 0.0)
+    part = tasks - tau[:, None] * c_before
+    energy = scenario.powers_w * (j * tau[:, None] + part / r[rows, j])
     cfg = scenario.config
+    psi = cfg.lambda_t * tau + cfg.lambda_e * energy.sum(axis=1)
+    best = int(np.argmin(psi))
 
-    num_vars = n_act + 1  # splits for active pairs, then tau
-    c = np.zeros(num_vars)
-    for j, (s, k) in enumerate(active):
-        c[j] = cfg.lambda_e * scenario.powers_w[s] * scale / scenario.rates_bps[s, k]
-    c[-1] = cfg.lambda_t
-
-    a_eq = np.zeros((s_n, num_vars))
-    for j, (s, _) in enumerate(active):
-        a_eq[s, j] = 1.0
-    b_eq = scenario.task_bits / scale
-
-    # Every channel carries at most one device, so each active pair gets
-    # its own epigraph row.
-    a_ub = np.zeros((n_act, num_vars))
-    for j, (s, k) in enumerate(active):
-        a_ub[j, j] = scale / scenario.rates_bps[s, k]
-        a_ub[j, -1] = -1.0
-    b_ub = np.zeros(n_act)
-
-    result = solve_lp(LinearProgram(c, a_eq, b_eq, a_ub, b_ub))
-    if result.status is not LpStatus.OPTIMAL:
-        raise ArithmeticError(f"split program unexpectedly returned {result.status}")
+    partial = j[best]
+    sorted_split = np.where(np.arange(k_n) < partial[:, None], tau[best] * r, 0.0)
+    sorted_split[rows, partial] = part[best]
     split_bits = np.zeros((s_n, k_n))
-    for j, (s, k) in enumerate(active):
-        split_bits[s, k] = result.x[j] * scale
-    return SplitSolution(split_bits=split_bits, psi=float(result.value))
+    split_bits[rows[:, None], order] = sorted_split
+    return SplitSolution(split_bits=split_bits, psi=float(psi[best]))

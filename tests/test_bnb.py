@@ -49,6 +49,13 @@ class TestBranch:
         assert parent.constraints.items() <= down.constraints.items()
 
 
+def random_small_frame(case):
+    rng = np.random.default_rng(case)
+    s_n = int(rng.integers(2, 4))
+    k_n = int(rng.integers(3, 6))
+    return make_frame(num_mds=s_n, num_channels=k_n, seed=1000 + case)
+
+
 class TestSolveBnb:
     def test_single_pair_closed_form(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=3)
@@ -65,21 +72,17 @@ class TestSolveBnb:
         assert report.status is SolveStatus.INFEASIBLE
         assert report.best_x is None
 
-    @pytest.mark.parametrize("case", [
-        *range(30),
+    @pytest.mark.parametrize("frame", [
+        *(pytest.param(random_small_frame(case), id=str(case)) for case in range(30)),
         # Identical rates everywhere: ties in every bound and branching choice.
-        *(pytest.param(c, id=f"uniform-{c[0]}x{c[1]}")
-          for c in [(2, 3, 1.0), (3, 3, 1.0), (2, 5, 1.0), (3, 4, 0.5), (3, 5, 1.0)]),
+        *(pytest.param(make_uniform_frame(s_n, k_n, gain=gain), id=f"uniform-{s_n}x{k_n}")
+          for s_n, k_n, gain in [(2, 3, 1.0), (3, 3, 1.0), (2, 5, 1.0), (3, 4, 0.5),
+                                 (3, 5, 1.0)]),
+        # The size of the benchmark's bnb frames: 3360 covering maps.
+        *(pytest.param(make_frame(num_mds=4, num_channels=6, seed=1000 + case),
+                       id=f"4x6-{case}") for case in (30, 31)),
     ])
-    def test_matches_exhaustive_oracle(self, case):
-        if isinstance(case, int):
-            rng = np.random.default_rng(case)
-            s_n = int(rng.integers(2, 4))
-            k_n = int(rng.integers(3, 6))
-            frame = make_frame(num_mds=s_n, num_channels=k_n, seed=1000 + case)
-        else:
-            s_n, k_n, gain = case
-            frame = make_uniform_frame(s_n, k_n, gain=gain)
+    def test_matches_exhaustive_oracle(self, frame):
         bnb = solve_bnb(frame)
         oracle = solve_exhaustive(frame)
         assert bnb.status is SolveStatus.OPTIMAL

@@ -10,7 +10,6 @@ from mecoffload.lp import (
     Basis,
     LinearProgram,
     LpStatus,
-    format_lp,
     solve_lp,
 )
 
@@ -293,17 +292,3 @@ class TestAgainstScipy:
         with pytest.raises(ValueError):
             solve_lp(lp, start=Basis(basis.indices[:1], basis.at_upper))
 
-
-class TestFormatDump:
-    def test_sections_present(self):
-        text = format_lp(transportation_lp())
-        lines = text.splitlines()
-        assert lines[0].startswith("min ")
-        assert sum(1 for l in lines if l.startswith("eq ")) == 2
-        assert sum(1 for l in lines if l.startswith("bnd ")) == 3
-
-    def test_numbers_round_trip(self):
-        lp = transportation_lp()
-        text = format_lp(lp)
-        first = text.splitlines()[0].split()[1:]
-        assert [float(v) for v in first] == list(lp.c)

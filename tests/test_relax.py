@@ -10,6 +10,7 @@ from mecoffload.relax import (
     solve_split,
     validate_node_constraints,
 )
+from mecoffload.scenario import Assignment, energy, objective
 
 from conftest import make_frame, make_uniform_frame
 
@@ -35,6 +36,70 @@ def random_feasible_indicator(frame, rng):
     return x
 
 
+def highs_split_psi(frame, x):
+    """Optimal cost at a fixed binary ``x`` from HiGHS, with the split
+    problem written as an LP over the active pairs' splits and tau: each
+    device sends its task in full, and each channel's time is at most tau.
+    Splits are in units of the largest task and times in units of that
+    task's time on the fastest rate, so every coefficient is O(1)."""
+    from scipy.optimize import linprog
+
+    active = np.argwhere(x == 1)
+    scale = float(frame.task_bits.max())
+    time_unit = scale / float(frame.rates_bps.max())
+    per_unit = scale / frame.rates_bps / time_unit   # time units per split unit
+    cfg = frame.config
+    n_act = len(active)
+    c = np.zeros(n_act + 1)
+    a_eq = np.zeros((frame.num_mds, n_act + 1))
+    a_ub = np.zeros((n_act, n_act + 1))
+    for j, (s, k) in enumerate(active):
+        c[j] = cfg.lambda_e * frame.powers_w[s] * per_unit[s, k]
+        a_eq[s, j] = 1.0
+        a_ub[j, j] = per_unit[s, k]
+        a_ub[j, -1] = -1.0
+    c[-1] = cfg.lambda_t
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_act), A_eq=a_eq,
+                  b_eq=frame.task_bits / scale, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun * time_unit
+
+
+def assert_split_invariants(frame, x, sol):
+    """A returned split sends every task in full, only over active pairs,
+    never below zero, and costs exactly the reported psi; when latency is
+    priced, the time psi charges covers every channel."""
+    split = sol.split_bits
+    assert np.allclose(split.sum(axis=1), frame.task_bits, rtol=1e-12, atol=0.0)
+    assert np.all(split[x == 0] == 0.0)
+    assert np.all(split >= 0.0)
+    a = Assignment(x.astype(float), split)
+    assert objective(frame, a) == pytest.approx(sol.psi, rel=1e-12)
+    cfg = frame.config
+    if cfg.lambda_t > 0:
+        tau = (sol.psi - cfg.lambda_e * energy(frame, a)) / cfg.lambda_t
+        assert np.all(split / frame.rates_bps <= tau * (1 + 1e-9))
+
+
+def split_cases():
+    """(frame, map seed) pairs: six 2x3 frames, random frames up to
+    4x6 under latency-only, energy-only and mixed weights, and frames whose
+    rates all tie."""
+    for seed in range(6):
+        yield pytest.param(make_frame(num_mds=2, num_channels=3, seed=seed), seed + 100,
+                           id=str(seed))
+    weights = [(1.0, 0.25), (0.0, 1.0), (1.0, 0.0), (1.0, 5.0), (0.01, 1.0)]
+    for s_n, k_n in [(1, 4), (3, 5), (4, 6)]:
+        for lt, le in weights:
+            frame = make_frame(num_mds=s_n, num_channels=k_n, seed=40 + s_n * k_n,
+                               lambda_t=lt, lambda_e=le)
+            yield pytest.param(frame, s_n * k_n, id=f"{s_n}x{k_n}-weights-{lt}-{le}")
+    for s_n, k_n, lt, le in [(2, 5, 1.0, 0.25), (3, 5, 0.0, 1.0), (4, 6, 1.0, 0.0),
+                             (4, 6, 1.0, 0.25)]:
+        frame = make_uniform_frame(s_n, k_n, gain=0.5, lambda_t=lt, lambda_e=le)
+        yield pytest.param(frame, 7, id=f"uniform-{s_n}x{k_n}-weights-{lt}-{le}")
+
+
 class TestBuildRelaxation:
     def test_fully_determined_instance(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=2)
@@ -48,15 +113,19 @@ class TestBuildRelaxation:
         assert sol.first_fractional is None
         assert sol.split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fixed_binary_matches_split_oracle(self, seed):
-        frame = make_frame(num_mds=2, num_channels=3, seed=seed)
-        rng = np.random.default_rng(seed + 100)
-        x = random_feasible_indicator(frame, rng)
-        nc = {i: (int(v), int(v)) for i, v in enumerate(x.ravel())}
-        lp_value = solve_lp(build_relaxation(frame, nc)).value
-        oracle = solve_split(frame, x)
-        assert lp_value == pytest.approx(oracle.psi, rel=1e-8)
+    @pytest.mark.parametrize("frame, map_seed", split_cases())
+    def test_fixed_binary_matches_split_oracle(self, frame, map_seed):
+        # The node LP at pinned x and HiGHS on the split LP are two
+        # references independent of the closed form.
+        rng = np.random.default_rng(map_seed)
+        for _ in range(4):
+            x = random_feasible_indicator(frame, rng)
+            nc = {i: (int(v), int(v)) for i, v in enumerate(x.ravel())}
+            lp_value = solve_lp(build_relaxation(frame, nc)).value
+            oracle = solve_split(frame, x)
+            assert lp_value == pytest.approx(oracle.psi, rel=1e-9)
+            assert highs_split_psi(frame, x) == pytest.approx(oracle.psi, rel=1e-9)
+            assert_split_invariants(frame, x, oracle)
 
     def test_device_with_all_channels_off_is_infeasible(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=4)
@@ -143,6 +212,18 @@ class TestSolveSplit:
         assert np.allclose(sol.split_bits, task / 2, rtol=1e-8)
         expected = 1.0 * task / (2 * r) + 0.25 * p * task / r
         assert sol.psi == pytest.approx(expected, rel=1e-9)
+
+    def test_tied_rates_fill_lowest_channel_first(self):
+        # Device 0's lone channel sets tau = L/r, at which device 1's first
+        # channel alone carries its task: of four tied channels, the one
+        # with the smallest index.
+        frame = make_uniform_frame(2, 5)
+        x = np.zeros((2, 5), dtype=int)
+        x[0, 0] = 1
+        x[1, 1:] = 1
+        sol = solve_split(frame, x)
+        assert sol.split_bits[1, 1] == pytest.approx(frame.task_bits[1], rel=1e-12)
+        assert np.all(sol.split_bits[1, 2:] <= 1e-12 * frame.task_bits[1])
 
     def test_uncovered_device_infeasible(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=8)
