@@ -1,13 +1,21 @@
-"""Exact branch-and-bound over the channel indicators, with trace recording.
+"""Branch-and-bound over the channel indicators, with trace recording.
 
 The search keeps a FIFO node list (breadth-first), solves the node
 relaxation on every pop, branches on the first fractional indicator, and
-prunes by bound against the incumbent.  One relaxation LP serves the whole
-search: each pop only resets its indicator bounds, and every child LP is
-warm-started from its parent's optimal basis.  Every popped node is
-appended to the trace, which later becomes classifier training data, so
-the records carry the full relaxation point and the bound that was active
-at pop time.
+prunes by bound against the incumbent.  The bound test is strict: a node
+is kept only if its relaxation is strictly below the incumbent, since a
+node tied with it has no descendant that could improve on it.  One
+relaxation LP serves the whole search: each pop only resets its indicator
+bounds, and every child LP is warm-started from its parent's optimal
+basis.  Every popped node is appended to the trace, which later becomes
+classifier training data, so the records carry the full relaxation point
+and the bound that was active at pop time.
+
+This is the only search loop.  It takes an optional pruning gate that is
+asked, for every fractional node surviving the bound test, whether to
+branch it; without a gate the search is exact, and the learned-pruning
+solver (``ibnb``) runs each of its passes through it with a gate built
+from its classifier.
 
 An exhaustive enumerator over channel-to-device maps provides the
 ground-truth optimum for desk-scale instances.
@@ -18,6 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,7 +81,6 @@ class BudgetExceededError(RuntimeError):
 class SolveOptions:
     max_nodes: int = 500_000
     enum_budget: int = 1_000_000
-    integrality_tol: float = INTEGRALITY_TOL
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1 or self.enum_budget < 1:
@@ -153,12 +161,20 @@ def _incumbent_from(scenario: Scenario, sol: RelaxationSolution):
     return x, split
 
 
-def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveReport:
-    """Exact search for the optimal offloading assignment.
+def solve_bnb(
+    scenario: Scenario,
+    opts: SolveOptions | None = None,
+    gate: Callable[[NodeRecord, float], bool] | None = None,
+) -> SolveReport:
+    """Branch-and-bound search for the optimal offloading assignment.
 
-    Returns the global optimum whenever one exists (enough channels for
-    the devices); otherwise the infeasible status.  Exceeding the node
-    budget is reported explicitly, never as a silent incumbent.
+    Without a ``gate`` the search is exact: it returns the global optimum
+    whenever one exists (enough channels for the devices), otherwise the
+    infeasible status.  A ``gate(record, root_psi)`` is asked about every
+    fractional node that survives the bound check; a node it rejects is
+    recorded as model-pruned instead of branched, so the search may miss
+    the optimum or end with no incumbent.  Exceeding the node budget is
+    reported explicitly, never as a silent incumbent.
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
@@ -171,6 +187,7 @@ def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveRepo
     z_ub = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
     best_psi: float | None = None
+    root_psi: float | None = None
     trace: list[NodeRecord] = []
     exhausted = False
 
@@ -191,32 +208,36 @@ def solve_bnb(scenario: Scenario, opts: SolveOptions | None = None) -> SolveRepo
             ))
             continue
 
-        sol = extract_solution(scenario, result, opts.integrality_tol)
+        sol = extract_solution(scenario, result)
+        if root_psi is None:
+            root_psi = sol.psi
+        # The gate sees the record as it would be kept if branched.
+        record = NodeRecord(
+            node.node_id, node.depth, node.parent_id, 1, NodeAction.BRANCHED,
+            sol.psi, zub_at_pop, sol.x.copy(), sol.split_bits.copy(),
+        )
         if sol.integral:
             if sol.psi < z_ub:
                 z_ub = sol.psi
                 best = _incumbent_from(scenario, sol)
                 best_psi = sol.psi
-                action = NodeAction.NEW_INCUMBENT
+                record.action = NodeAction.NEW_INCUMBENT
             else:
-                action = NodeAction.PRUNED_BY_BOUND
+                record.action = NodeAction.PRUNED_BY_BOUND
+        elif sol.psi >= z_ub:
+            # No descendant of a tied node can strictly improve the incumbent.
+            record.action = NodeAction.PRUNED_BY_BOUND
+        elif gate is not None and not gate(record, root_psi):
+            record.action = NodeAction.PRUNED_BY_MODEL
         else:
-            if sol.psi <= z_ub:
-                child_down, child_up = branch(
-                    node, sol.first_fractional, sol.x[sol.first_fractional],
-                    next_id, opts.integrality_tol,
-                )
-                next_id += 2
-                child_down.start = child_up.start = result.basis
-                queue.append(child_down)
-                queue.append(child_up)
-                action = NodeAction.BRANCHED
-            else:
-                action = NodeAction.PRUNED_BY_BOUND
-        trace.append(NodeRecord(
-            node.node_id, node.depth, node.parent_id, 1, action,
-            sol.psi, zub_at_pop, sol.x.copy(), sol.split_bits.copy(),
-        ))
+            child_down, child_up = branch(
+                node, sol.first_fractional, sol.x[sol.first_fractional], next_id,
+            )
+            next_id += 2
+            child_down.start = child_up.start = result.basis
+            queue.append(child_down)
+            queue.append(child_up)
+        trace.append(record)
 
     if exhausted:
         status = SolveStatus.BUDGET_EXHAUSTED

@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .mlp import (
 from .scenario import ScenarioConfig, generate_frame, read_config_file
 
 __all__ = [
-    "ExperimentConfig",
     "UsageError",
     "InfeasibleInstanceError",
     "main",
@@ -72,27 +71,6 @@ class UsageError(Exception):
 
 class InfeasibleInstanceError(Exception):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved parameters of a solve/bench invocation."""
-
-    scenario: ScenarioConfig
-    frames: int
-    solver: str
-    model_path: str | None
-    policy: ThresholdPolicy
-    out_dir: str
-    seed_base: int
-
-    def __post_init__(self) -> None:
-        if self.frames < 1:
-            raise UsageError(f"--frames must be >= 1, got {self.frames}")
-        if self.solver not in ("bnb", "ibnb", "exhaustive"):
-            raise UsageError(f"unknown solver {self.solver!r}")
-        if self.solver == "ibnb" and not self.model_path:
-            raise UsageError("solver 'ibnb' requires --model")
 
 
 def train_seed(base: int, index: int) -> int:
@@ -258,14 +236,15 @@ def _solution_columns(report) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.solver == "ibnb" and not args.model:
+        raise UsageError("solver 'ibnb' requires --model")
     cfg = read_config_file(args.config)
     seed = args.seed if args.seed is not None else cfg.rng_seed
     policy = ThresholdPolicy(theta0=args.theta[0] if args.theta else 1e-7,
                              delta_theta=args.delta_theta)
-    exp = ExperimentConfig(cfg, 1, args.solver, args.model, policy, args.out, seed)
     meta = _echo([
         ("command", "solve"), *_config_pairs(cfg),
-        ("solver", exp.solver), ("frame_seed", seed),
+        ("solver", args.solver), ("frame_seed", seed),
         ("theta0", _fmt(policy.theta0)), ("delta_theta", _fmt(policy.delta_theta)),
         ("model", args.model or ""),
     ])
@@ -275,16 +254,16 @@ def cmd_solve(args) -> int:
     n = cfg.num_mds * cfg.num_channels
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
-    if exp.solver == "bnb":
+    if args.solver == "bnb":
         report = solve_bnb(frame, opts)
         write_trace_csv(trace_path, [(None, 0, report.trace)], n)
         extra = ",,,"
-    elif exp.solver == "exhaustive":
+    elif args.solver == "exhaustive":
         report = solve_exhaustive(frame, opts)
         write_trace_csv(trace_path, [], n)
         extra = ",,,"
     else:
-        model = load_model(exp.model_path)
+        model = load_model(args.model)
         report = solve_ibnb(frame, model, policy, opts)
         write_trace_csv(
             trace_path,
@@ -297,7 +276,7 @@ def cmd_solve(args) -> int:
                  f"{thetas},{model_fingerprint(model)}")
 
     header = _REPORT_HEADER + ",x,l"
-    row = _report_row(exp.solver, report, extra) + "," + _solution_columns(report)
+    row = _report_row(args.solver, report, extra) + "," + _solution_columns(report)
     _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])
     print(f"status={report.status.value} psi={report.best_psi} "
           f"nodes={report.nodes_searched} wall_time_s={report.wall_time:.3f}")
@@ -322,28 +301,26 @@ def cmd_bench(args) -> int:
     cfg = read_config_file(args.config)
     seed_base = args.seed if args.seed is not None else cfg.rng_seed
     thetas = tuple(args.theta) if args.theta else DEFAULT_BENCH_THETAS
-    policy0 = ThresholdPolicy(theta0=thetas[0], delta_theta=args.delta_theta)
-    exp = ExperimentConfig(cfg, args.frames, "ibnb", args.model, policy0,
-                           args.out, seed_base)
+    # Built before any output, so a bad threshold is a usage error up front.
+    policies = [ThresholdPolicy(theta0=t, delta_theta=args.delta_theta) for t in thetas]
     meta = _echo([
         ("command", "bench"), *_config_pairs(cfg),
-        ("frames", exp.frames), ("seed_base", seed_base),
+        ("frames", args.frames), ("seed_base", seed_base),
         ("thetas", ";".join(_fmt(t) for t in thetas)),
         ("delta_theta", _fmt(args.delta_theta)),
         ("model", args.model),
     ])
-    model = load_model(exp.model_path)
+    model = load_model(args.model)
     opts = SolveOptions(max_nodes=args.max_nodes)
 
-    def run_frame(frame, frame_thetas):
+    def run_frame(frame, frame_policies):
         bnb_report = solve_bnb(frame, opts)
         if bnb_report.status is not SolveStatus.OPTIMAL:
             raise InfeasibleInstanceError(
                 f"frame seed {frame.config.rng_seed}: {bnb_report.status.value}"
             )
         ibnb_reports = []
-        for theta in frame_thetas:
-            policy = ThresholdPolicy(theta0=theta, delta_theta=args.delta_theta)
+        for policy in frame_policies:
             rep = solve_ibnb(frame, model, policy, opts)
             if rep.status is not SolveStatus.OPTIMAL:
                 raise InfeasibleInstanceError(
@@ -357,9 +334,9 @@ def cmd_bench(args) -> int:
     ibnb_nodes: dict[float, list[int]] = {t: [] for t in thetas}
     # (bnb psi, first-theta ibnb psi) per frame, reused by the weight sweep.
     held_out_psi: list[tuple[float, float]] = []
-    for i in range(exp.frames):
+    for i in range(args.frames):
         frame = generate_frame(replace(cfg, rng_seed=eval_seed(seed_base, i)))
-        bnb_report, ibnb_reports = run_frame(frame, thetas)
+        bnb_report, ibnb_reports = run_frame(frame, policies)
         bnb_nodes.append(bnb_report.nodes_searched)
         for theta, rep in zip(thetas, ibnb_reports):
             ibnb_nodes[theta].append(rep.nodes_searched)
@@ -368,7 +345,7 @@ def cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = [
         f"{i},{bnb_nodes[i]},{ibnb_nodes[thetas[0]][i]}"
-        for i in range(exp.frames)
+        for i in range(args.frames)
     ]
     _write_csv(os.path.join(args.out, "nodes_per_frame.csv"), meta,
                "frame,bnb_nodes,ibnb_nodes", rows)
@@ -395,16 +372,16 @@ def cmd_bench(args) -> int:
         else:
             weighted = replace(cfg, lambda_t=lambda_t, lambda_e=lambda_e)
             frame_psi = []
-            for i in range(exp.frames):
+            for i in range(args.frames):
                 frame = generate_frame(replace(weighted, rng_seed=eval_seed(seed_base, i)))
-                bnb_report, (ibnb_report,) = run_frame(frame, thetas[:1])
+                bnb_report, (ibnb_report,) = run_frame(frame, policies[:1])
                 frame_psi.append((bnb_report.best_psi, ibnb_report.best_psi))
         psi_bnb, psi_ibnb = 0.0, 0.0
         for frame_bnb, frame_ibnb in frame_psi:
             psi_bnb += frame_bnb
             psi_ibnb += frame_ibnb
-        psi_bnb /= exp.frames
-        psi_ibnb /= exp.frames
+        psi_bnb /= args.frames
+        psi_ibnb /= args.frames
         sweep_rows.append(
             f"{_fmt(lambda_t)},{_fmt(lambda_e)},{_fmt(psi_bnb)},{_fmt(psi_ibnb)},"
             f"{_fmt(psi_ibnb / psi_bnb)}"
@@ -431,24 +408,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mecoffload",
                      description="MEC offloading solvers and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, frames=False, solver=False, model=False, theta=False,
+    def common(p, *, frames=False, solver=False, theta=False,
                dataset=False, training=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed (base) overriding the config file")
         p.add_argument("--max-nodes", type=int, default=500_000)
         if frames:
-            p.add_argument("--frames", type=int, default=100)
+            p.add_argument("--frames", type=positive_int, default=100)
         if solver:
             p.add_argument("--solver", default="bnb",
                            choices=("bnb", "ibnb", "exhaustive"))
-        if model:
-            p.add_argument("--model", default=None, help="trained model file")
         if theta:
             p.add_argument("--theta", type=float, action="append", default=None,
                            help="initial pruning threshold (repeatable)")
@@ -473,12 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one frame and dump report + trace")
     p.add_argument("--config", required=True)
-    common(p, solver=True, model=True, theta=True)
+    p.add_argument("--model", default=None, help="trained model file")
+    common(p, solver=True, theta=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="compare exact and learned-pruning searches")
     p.add_argument("--config", required=True)
-    common(p, frames=True, model=True, theta=True)
+    p.add_argument("--model", required=True, help="trained model file")
+    common(p, frames=True, theta=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

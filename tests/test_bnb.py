@@ -153,6 +153,17 @@ class TestTraceInvariants:
                 assert seen[rec.parent_id] is NodeAction.BRANCHED
             seen[rec.node_id] = rec.action
 
+    def test_tied_fractional_node_is_not_branched(self):
+        # This frame pops a fractional node whose bound equals the incumbent;
+        # no descendant of it could strictly improve the incumbent.
+        report = solve_bnb(make_frame(num_mds=3, num_channels=5, seed=217))
+        tied = [rec for rec in report.trace
+                if rec.feasible_flag and rec.psi == rec.zub_at_pop]
+        assert tied, "frame no longer has a tie"
+        for rec in report.trace:
+            if rec.action is NodeAction.BRANCHED:
+                assert rec.psi < rec.zub_at_pop
+
     def test_deterministic_trace(self):
         frame = make_frame(num_mds=2, num_channels=4, seed=16)
         a, b = solve_bnb(frame), solve_bnb(frame)

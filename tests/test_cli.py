@@ -68,6 +68,13 @@ class TestGenData:
         assert rc == 2
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
+    def test_zero_frames_is_usage_error(self, tmp_path, config_path, capsys):
+        rc = main(["gen-data", "--config", config_path, "--frames", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--frames" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
     def test_training_seeds_are_even(self, tmp_path, config_path, capsys):
         rc = main(["gen-data", "--config", config_path, "--frames", "1",
                    "--out", str(tmp_path / "out"), "--seed", "9"])
@@ -219,6 +226,13 @@ class TestBench:
         for line in sweep[1:]:
             ratio = float(line.split(",")[-1])
             assert ratio >= 1.0 - 1e-9
+
+    def test_zero_frames_is_usage_error(self, tmp_path, config_path, model_path):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--config", config_path, "--model", model_path,
+                   "--frames", "0", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
 
     def test_bench_deterministic_bytes(self, tmp_path, config_path, model_path):
         outs = [tmp_path / "b1", tmp_path / "b2"]

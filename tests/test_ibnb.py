@@ -56,9 +56,14 @@ class TestPolicy:
 
 
 class TestDegenerateModels:
-    @pytest.mark.parametrize("seed", [31, 32, 33])
-    def test_confident_model_replays_exact_search(self, seed):
-        frame = make_frame(num_mds=2, num_channels=3, seed=seed)
+    @pytest.mark.parametrize("frame", [
+        *(pytest.param(make_frame(num_mds=2, num_channels=3, seed=seed), id=str(seed))
+          for seed in (31, 32, 33)),
+        # Node 128 is fractional with a bound exactly equal to the incumbent:
+        # both searches must treat the tie alike.
+        pytest.param(make_frame(num_mds=3, num_channels=5, seed=217), id="3x5-217"),
+    ])
+    def test_confident_model_replays_exact_search(self, frame):
         exact = solve_bnb(frame)
         report = solve_ibnb(frame, model_for(frame, 0.99),
                             ThresholdPolicy(theta0=1e-7))
@@ -187,6 +192,18 @@ class TestReportShape:
         text = path.read_text()
         assert text.count("# theta=") == len(report.passes)
         assert "PrunedByModel" in text
+
+    def test_budget_spent_before_fallback_is_not_exceeded(self):
+        # The only pass prunes the root and uses the whole budget; the exact
+        # fallback must not pop another node.
+        frame = make_frame(num_mds=2, num_channels=3, seed=42)
+        report = solve_ibnb(frame, model_for(frame, 1e-9),
+                            ThresholdPolicy(theta0=1e-7, delta_theta=1e-5,
+                                            theta_min=1e-8),
+                            SolveOptions(max_nodes=1))
+        assert report.status is SolveStatus.BUDGET_EXHAUSTED
+        assert report.nodes_searched == 1
+        assert report.best_x is None
 
     def test_budget_exhaustion_is_explicit(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=62)
