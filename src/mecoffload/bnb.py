@@ -90,7 +90,8 @@ class SolveOptions:
 @dataclass
 class Node:
     """One search-tree node; ``start`` is its parent's optimal LP basis, the
-    warm start of its own relaxation (None at the root: a cold solve)."""
+    warm start of its own relaxation (None at the root, which starts from
+    the all-slack basis)."""
 
     node_id: int
     depth: int

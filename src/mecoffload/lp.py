@@ -1,5 +1,5 @@
-"""Dense linear programming with a bounded-variable simplex: a cold
-two-phase primal solve, or a warm-started dual solve.
+"""Dense linear programming with one bounded-variable simplex: dual pivots
+to a feasible basis, then a primal closing check.
 
 Node relaxations in the tree search are small (a few dozen variables), so a
 dense tableau-free simplex with an explicitly maintained basis inverse is
@@ -7,21 +7,23 @@ both simple and fast enough.  Branching constraints arrive as variable-bound
 tightenings, which the bounded-variable method absorbs without growing the
 constraint matrix.
 
-An optimal solve returns its basis.  A child node differs from its
-parent only in tightened bounds, so the parent's optimal basis is still
-dual feasible for it: :func:`solve_lp` given that basis as ``start``
-refactorises it once and re-optimises with a few bounded dual simplex
-pivots instead of a cold phase 1 and phase 2, then confirms optimality with
-the same primal pricing the cold solve ends with.
+Every row gets a slack column, fixed at zero on an equality row.  Node
+relaxations have nonnegative costs and finite lower bounds, which
+:func:`solve_lp` requires; then the all-slack basis, with every structural
+variable at its lower bound, is dual feasible, and a solve from scratch
+starts there.  An optimal solve returns its basis.  A child node differs
+from its parent only in tightened bounds, so the parent's optimal basis is
+still dual feasible for it: given as ``start``, it is refactorised once and
+re-optimised with a few dual pivots.  Either way, primal pricing then
+confirms optimality.
 
-The solver is deterministic: pricing and ratio-test ties always break toward
-the smallest variable index, and a Bland's-rule fallback engages when no
-objective progress is made for a full pass, so degenerate instances
-terminate.  The dual pivots leave on the row of largest bound violation
-(smallest row on ties) and enter by the bounded dual ratio test (ties to
-the largest pivot magnitude, then the smallest column); they have no
-anti-cycling fallback, so a stalled dual solve ends in an error at the
-iteration cap rather than looping.
+The solver is deterministic.  The dual pivots leave on the row of largest
+bound violation (smallest row on ties) and enter by the bounded dual ratio
+test (ties to the largest pivot magnitude, then the smallest column); they
+have no anti-cycling fallback, so a stalled dual solve ends in an error at
+the iteration cap rather than looping.  Primal pricing and ratio-test ties
+break toward the smallest variable index, and a Bland's-rule fallback
+engages when no objective progress is made for a full pass.
 """
 
 from __future__ import annotations
@@ -54,15 +56,15 @@ _REFACTOR_EVERY = 64
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass
 class LinearProgram:
     """min c.v  s.t.  a_eq.v = b_eq,  a_ub.v <= b_ub,  lower <= v <= upper.
 
-    ``upper`` entries may be ``+inf`` and ``lower`` entries ``-inf``.
-    Dimension mismatches and inverted bounds are construction-time errors.
+    ``upper`` entries may be ``+inf`` and ``lower`` entries ``-inf``, though
+    :func:`solve_lp` takes only finite lower bounds.  Dimension mismatches
+    and inverted bounds are construction-time errors.
     """
 
     c: np.ndarray
@@ -125,7 +127,7 @@ class LinearProgram:
 @dataclass(frozen=True)
 class Basis:
     """A simplex basis over the structural columns of a program followed by
-    one slack column per inequality row.
+    one slack column per row.
 
     ``indices[i]`` is the column basic in row ``i`` (equality rows first);
     ``at_upper[j]`` is True when nonbasic column ``j`` rests on its upper
@@ -141,177 +143,93 @@ class LpResult:
     status: LpStatus
     x: np.ndarray | None = None
     value: float | None = None
-    #: Optimal basis; None unless OPTIMAL, or when a redundant row keeps an
-    #: artificial basic.
+    #: Optimal basis; None unless OPTIMAL.
     basis: Basis | None = None
-    #: Basis changes plus bound flips, over all phases of this solve.
+    #: Basis changes plus bound flips, dual and primal, of this solve.
     pivots: int = 0
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
-    """Solve ``lp`` to a vertex optimum; Infeasible/Unbounded are statuses.
+    """Solve ``lp`` to a vertex optimum; infeasibility is a status.
 
-    Without ``start`` this is the cold two-phase primal simplex.  ``start``
-    must be an optimal basis (``LpResult.basis``) of a program with the same
-    objective and rows whose bounds contain those of ``lp``, such as a
-    parent node's; the solve then runs dual simplex pivots from it.
+    ``lp`` must have nonnegative costs and finite lower bounds, as every node
+    relaxation does; it is then bounded below, and its all-slack basis with
+    every structural variable at its lower bound is dual feasible.  Without
+    ``start`` the dual simplex begins there.  ``start`` may instead be an
+    optimal basis (``LpResult.basis``) of a program with the same objective
+    and rows whose bounds contain those of ``lp``, such as a parent node's.
     """
+    if np.any(lp.c < 0.0):
+        raise ValueError("solve_lp needs nonnegative costs")
+    if not np.all(np.isfinite(lp.lower)):
+        raise ValueError("solve_lp needs finite lower bounds")
     n = lp.num_vars
     m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
     m = m_eq + m_ub
 
-    if m == 0:
-        return _solve_bounds_only(lp)
-
-    # Rows: equalities first, then inequalities with one slack column each.
-    a = np.zeros((m, n + m_ub))
-    a[:m_eq, :n] = lp.a_eq
-    a[m_eq:, :n] = lp.a_ub
-    a[m_eq:, n:] = np.eye(m_ub)
+    # Rows: equalities first, then inequalities; one slack column per row,
+    # fixed at zero on an equality row.
+    a = np.hstack([np.vstack([lp.a_eq, lp.a_ub]), np.eye(m)])
     b = np.concatenate([lp.b_eq, lp.b_ub])
-    lower = np.concatenate([lp.lower, np.zeros(m_ub)])
-    upper = np.concatenate([lp.upper, np.full(m_ub, np.inf)])
-
+    lower = np.concatenate([lp.lower, np.zeros(m)])
+    upper = np.concatenate([lp.upper, np.zeros(m_eq), np.full(m_ub, np.inf)])
     if start is None:
-        slack_of_row = np.full(m, -1)
-        slack_of_row[m_eq:] = n + np.arange(m_ub)
-        sim = _BoundedSimplex.cold(a, b, lower, upper, slack_of_row)
-    else:
-        sim = _BoundedSimplex.warm(a, b, lower, upper, start)
-    c_full = np.zeros(sim.num_cols)
-    c_full[:n] = lp.c
-    feasible = sim.phase1() if start is None else sim.dual(c_full)
-    if not feasible:
+        start = Basis(n + np.arange(m), np.zeros(n + m, dtype=bool))
+
+    sim = _BoundedSimplex(a, b, lower, upper, start)
+    c_full = np.concatenate([lp.c, np.zeros(m)])
+    if not sim.dual(c_full):
         return LpResult(LpStatus.INFEASIBLE, pivots=sim.pivots)
-    status = sim.phase2(c_full)
-    if status is LpStatus.UNBOUNDED:
-        return LpResult(LpStatus.UNBOUNDED, pivots=sim.pivots)
+    sim.primal(c_full)
     x = sim.solution()[:n]
     return LpResult(LpStatus.OPTIMAL, x, float(lp.c @ x),
-                    sim.optimal_basis(), sim.pivots)
-
-
-def _solve_bounds_only(lp: LinearProgram) -> LpResult:
-    """No rows: each variable independently sits at its cheaper bound."""
-    x = np.where(np.isfinite(lp.lower), lp.lower,
-                 np.where(np.isfinite(lp.upper), lp.upper, 0.0))
-    for j in range(lp.num_vars):
-        if lp.c[j] > 0:
-            if not np.isfinite(lp.lower[j]):
-                return LpResult(LpStatus.UNBOUNDED)
-            x[j] = lp.lower[j]
-        elif lp.c[j] < 0:
-            if not np.isfinite(lp.upper[j]):
-                return LpResult(LpStatus.UNBOUNDED)
-            x[j] = lp.upper[j]
-    return LpResult(LpStatus.OPTIMAL, x, float(lp.c @ x))
+                    Basis(sim.basis.copy(), sim.at_upper.copy()), sim.pivots)
 
 
 class _BoundedSimplex:
-    """Primal and dual simplex over ``a.x = b`` with two-sided variable bounds.
+    """Dual and primal simplex over ``a.x = b`` with bounds ``lower <= x <=
+    upper``, every lower bound finite.
 
-    Nonbasic variables rest exactly on a bound (free ones at zero); the
-    values of basic variables are maintained incrementally and refreshed
-    from the basis inverse every :data:`_REFACTOR_EVERY` pivots.  Columns
-    from ``art_start`` on are phase-1 artificials.
+    Nonbasic variables rest exactly on a bound; the values of basic
+    variables are maintained incrementally and refreshed from the basis
+    inverse every :data:`_REFACTOR_EVERY` pivots.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, lower: np.ndarray,
-                 upper: np.ndarray, basis: np.ndarray, at_upper: np.ndarray,
-                 art_start: int) -> None:
+                 upper: np.ndarray, start: Basis) -> None:
         self.m, self.num_cols = a.shape
+        basis = np.asarray(start.indices, dtype=int).copy()
+        at_upper = np.asarray(start.at_upper, dtype=bool).copy()
+        if (basis.shape != (self.m,) or at_upper.shape != (self.num_cols,)
+                or basis.min(initial=0) < 0 or basis.max(initial=0) >= self.num_cols
+                or np.unique(basis).size != self.m):
+            raise ValueError("start basis does not fit the program's rows and columns")
         self.a = a
         self.b = b
         self.lower = lower
         self.upper = upper
-        self.art_start = art_start
         self.basis = basis
         self.in_basis = np.zeros(self.num_cols, dtype=bool)
         self.in_basis[basis] = True
-        # Nonbasic resting position: True means at the upper bound.
-        self.at_upper = at_upper
+        # Nonbasic resting position: True means at the upper bound, which
+        # must then be finite.
+        self.at_upper = at_upper & np.isfinite(upper)
         self.at_upper[basis] = False
         self.pivots = 0
-        self.pivots_since_refactor = 0
-
-    @classmethod
-    def cold(cls, a: np.ndarray, b: np.ndarray, lower: np.ndarray,
-             upper: np.ndarray, slack_of_row: np.ndarray) -> "_BoundedSimplex":
-        """Phase-1 start: artificials and feasible slacks form the basis."""
-        m, n_real = a.shape
-
-        # Nonbasic starting point: finite lower bound, else finite upper,
-        # else zero (free).
-        x0 = np.where(np.isfinite(lower), lower,
-                      np.where(np.isfinite(upper), upper, 0.0))
-        residual = b - a @ x0
-
-        # One artificial per row, signed so it starts nonnegative.
-        art_sign = np.where(residual >= 0, 1.0, -1.0)
-
-        # Crash basis: an inequality row whose slack starts feasible is
-        # covered by that slack; only the rest need their artificial.
-        basis = np.arange(n_real, n_real + m)
-        diag = art_sign.copy()
-        for i in range(m):
-            col = slack_of_row[i]
-            if col >= 0 and residual[i] >= 0.0 and x0[col] == 0.0:
-                basis[i] = col
-                diag[i] = 1.0
-        lower = np.concatenate([lower, np.zeros(m)])
-        upper = np.concatenate([upper, np.full(m, np.inf)])
-        sim = cls(np.hstack([a, np.diag(art_sign)]), b, lower, upper, basis,
-                  np.isfinite(upper) & ~np.isfinite(lower), n_real)
-        sim.binv = np.diag(diag)  # inverse of a diagonal of +-1
-        sim.xb = np.abs(residual)
-        return sim
-
-    @classmethod
-    def warm(cls, a: np.ndarray, b: np.ndarray, lower: np.ndarray,
-             upper: np.ndarray, start: Basis) -> "_BoundedSimplex":
-        """Start from a given basis, factorised once; no artificials."""
-        m, num_cols = a.shape
-        basis = np.asarray(start.indices, dtype=int).copy()
-        at_upper = np.asarray(start.at_upper, dtype=bool).copy()
-        if (basis.shape != (m,) or at_upper.shape != (num_cols,)
-                or basis.min(initial=0) < 0 or basis.max(initial=0) >= num_cols
-                or np.unique(basis).size != m):
-            raise ValueError("start basis does not fit the program's rows and columns")
-        # A variable rests on its upper bound only if that bound is finite,
-        # and on it necessarily if only that bound is finite.
-        has_upper = np.isfinite(upper)
-        at_upper = has_upper & (at_upper | ~np.isfinite(lower))
-        sim = cls(a, b, lower, upper, basis, at_upper, num_cols)
-        sim._refresh()
-        return sim
+        self._refresh()
 
     # -- current point ----------------------------------------------------
 
     def _nonbasic_values(self) -> np.ndarray:
-        vals = np.where(np.isfinite(self.lower), self.lower,
-                        np.where(np.isfinite(self.upper), self.upper, 0.0))
-        vals = np.where(self.at_upper, self.upper, vals)
-        return vals
+        return np.where(self.at_upper, self.upper, self.lower)
 
     def _value_of(self, j: int) -> float:
-        if self.at_upper[j]:
-            return float(self.upper[j])
-        if np.isfinite(self.lower[j]):
-            return float(self.lower[j])
-        if np.isfinite(self.upper[j]):
-            return float(self.upper[j])
-        return 0.0
+        return float(self.upper[j] if self.at_upper[j] else self.lower[j])
 
     def solution(self) -> np.ndarray:
         x = self._nonbasic_values()
         x[self.basis] = self.xb
         return x
-
-    def optimal_basis(self) -> Basis | None:
-        """The current basis over the non-artificial columns, if it is one."""
-        if self.basis.max() >= self.art_start:
-            return None
-        return Basis(self.basis.copy(), self.at_upper[:self.art_start].copy())
 
     def _refresh(self) -> None:
         bmat = self.a[:, self.basis]
@@ -321,24 +239,7 @@ class _BoundedSimplex:
         self.xb = self.binv @ (self.b - self.a @ x)
         self.pivots_since_refactor = 0
 
-    # -- phases ------------------------------------------------------------
-
-    def phase1(self) -> bool:
-        """Minimize the artificial sum; True iff a feasible point exists."""
-        c = np.zeros(self.num_cols)
-        c[self.art_start:] = 1.0
-        status = self._iterate(c)
-        if status is not LpStatus.OPTIMAL:
-            raise ArithmeticError("phase-1 objective is bounded below by zero")
-        infeas = float(self.xb[self._basic_artificial_positions()].sum())
-        scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        if infeas > FEASIBILITY_TOL * scale:
-            return False
-        self._fix_artificials()
-        return True
-
-    def phase2(self, c: np.ndarray) -> LpStatus:
-        return self._iterate(c)
+    # -- dual simplex -----------------------------------------------------
 
     def dual(self, c: np.ndarray) -> bool:
         """Dual simplex from a dual feasible basis; True once the basis is
@@ -352,16 +253,15 @@ class _BoundedSimplex:
         its bound anywhere in the box of the nonbasic variables.
         """
         fixed = self.lower == self.upper  # pinned variables never enter
-        free = ~np.isfinite(self.lower) & ~np.isfinite(self.upper)
         max_iter = 10_000 + 200 * (self.num_cols + self.m)
 
         for _ in range(max_iter):
             below = self.lower[self.basis] - self.xb
             above = self.xb - self.upper[self.basis]
             violation = np.maximum(below, above)
-            pos = int(np.argmax(violation))
-            if violation[pos] <= FEASIBILITY_TOL:
+            if violation.max(initial=0.0) <= FEASIBILITY_TOL:
                 return True
+            pos = int(np.argmax(violation))
             to_upper = bool(above[pos] > 0.0)
 
             # Row ``pos`` reads x_B = beta - alpha.x_N: a column helps when
@@ -369,15 +269,13 @@ class _BoundedSimplex:
             alpha = self.binv[pos] @ self.a
             toward = alpha if to_upper else -alpha
             eligible = ~self.in_basis & ~fixed & np.where(
-                free, np.abs(toward) > _PIVOT_TOL,
-                np.where(self.at_upper, toward < -_PIVOT_TOL, toward > _PIVOT_TOL))
+                self.at_upper, toward < -_PIVOT_TOL, toward > _PIVOT_TOL)
             idx = np.where(eligible)[0]
             if idx.size == 0:
                 return False
 
             reduced = c - (c[self.basis] @ self.binv) @ self.a
             dual_slack = np.where(self.at_upper[idx], -reduced[idx], reduced[idx])
-            dual_slack = np.where(free[idx], np.abs(reduced[idx]), dual_slack)
             ratios = np.maximum(dual_slack, 0.0) / np.abs(alpha[idx])
             tie = idx[ratios <= ratios.min() + 1e-12]
             entering = int(tie[np.argmax(np.abs(alpha[tie]))])
@@ -392,30 +290,16 @@ class _BoundedSimplex:
 
         raise ArithmeticError("dual simplex iteration limit exceeded")
 
-    def _basic_artificial_positions(self) -> np.ndarray:
-        return np.where(self.basis >= self.art_start)[0]
+    # -- primal simplex ---------------------------------------------------
 
-    def _fix_artificials(self) -> None:
-        """Clamp artificials to zero; pivot basic ones out where possible."""
-        self.upper[self.art_start:] = 0.0
-        for pos in self._basic_artificial_positions():
-            row = self.binv[pos] @ self.a
-            candidates = np.where(
-                (~self.in_basis)
-                & (np.arange(self.num_cols) < self.art_start)
-                & (np.abs(row) > 1e-7)
-            )[0]
-            if candidates.size == 0:
-                continue  # redundant row; the artificial stays basic at 0
-            entering = int(candidates[0])
-            w = self.binv @ self.a[:, entering]
-            self._pivot(pos, entering, w, entering_value=self._value_of(entering))
+    def primal(self, c: np.ndarray) -> None:
+        """Primal simplex from a primal feasible basis to an optimal one.
 
-    # -- simplex core -------------------------------------------------------
-
-    def _iterate(self, c: np.ndarray) -> LpStatus:
+        After :meth:`dual` this is the closing optimality check and normally
+        makes no pivot.  Dantzig pricing gives way to Bland's rule once no
+        objective progress is made for a full pass.
+        """
         fixed = self.lower == self.upper  # pinned variables never enter
-        free = ~np.isfinite(self.lower) & ~np.isfinite(self.upper)
         bland = False
         stall = 0
         stall_limit = self.num_cols + self.m
@@ -427,29 +311,24 @@ class _BoundedSimplex:
 
             nonbasic = ~self.in_basis
             at_hi = nonbasic & self.at_upper
-            is_free = nonbasic & free
-            at_lo = nonbasic & ~self.at_upper & ~free
-
+            at_lo = nonbasic & ~self.at_upper
             eligible = (~fixed) & (
                 (at_lo & (reduced < -OPTIMALITY_TOL))
                 | (at_hi & (reduced > OPTIMALITY_TOL))
-                | (is_free & (np.abs(reduced) > OPTIMALITY_TOL))
             )
             idx = np.where(eligible)[0]
             if idx.size == 0:
-                return LpStatus.OPTIMAL
+                return
 
             if bland:
                 entering = int(idx[0])
             else:
                 entering = int(idx[np.argmax(np.abs(reduced[idx]))])
             d_enter = reduced[entering]
-            direction = 1.0 if (at_lo[entering] or (is_free[entering] and d_enter < 0)) else -1.0
+            direction = 1.0 if at_lo[entering] else -1.0
 
             w = self.binv @ self.a[:, entering]
-            step, leave_pos, leave_to_upper = self._ratio_test(entering, direction, w, bland)
-            if step is None:
-                return LpStatus.UNBOUNDED
+            step, leave_pos, leave_to_upper = self._ratio_test(entering, direction, w)
 
             improvement = abs(d_enter) * step
             stall = 0 if improvement > 1e-12 else stall + 1
@@ -474,13 +353,13 @@ class _BoundedSimplex:
 
         raise ArithmeticError("simplex iteration limit exceeded")
 
-    def _ratio_test(self, entering: int, direction: float, w: np.ndarray,
-                    bland: bool):
+    def _ratio_test(self, entering: int, direction: float, w: np.ndarray):
         """Largest step for the entering variable; smallest-index tie-break.
 
-        Returns (step, leaving_position_or_None, leaving_hits_upper).  A
-        ``None`` position with finite step means a bound flip; a ``None``
-        step means the problem is unbounded in this direction.
+        Returns (step, leaving_position_or_None, leaving_hits_upper); a
+        ``None`` position means a bound flip.  Nonnegative costs over finite
+        lower bounds keep the program bounded below, so a step without limit
+        is a numerical failure.
         """
         lo_b = self.lower[self.basis]
         hi_b = self.upper[self.basis]
@@ -495,16 +374,12 @@ class _BoundedSimplex:
         ratios = np.where(np.isnan(ratios), np.inf, ratios)
         ratios = np.maximum(ratios, 0.0)  # clip tiny negative fp residue
 
-        span = self.upper[entering] - self.lower[entering]
-        flip = span if np.isfinite(span) else np.inf
-
+        flip = self.upper[entering] - self.lower[entering]
         best = float(ratios.min(initial=np.inf))
         if flip < best - 1e-12:
             return flip, None, False
         if not np.isfinite(best):
-            if np.isfinite(flip):
-                return flip, None, False
-            return None, None, False
+            raise ArithmeticError("primal ratio test found no limit")
 
         tie = np.where(ratios <= best + 1e-12)[0]
         # Deterministic: leave the candidate with the smallest variable index.
@@ -513,7 +388,7 @@ class _BoundedSimplex:
         return best, leave_pos, leave_to_upper
 
     def _pivot(self, pos: int, entering: int, w: np.ndarray,
-               entering_value: float, leave_to_upper: bool = False) -> None:
+               entering_value: float, leave_to_upper: bool) -> None:
         leaving = int(self.basis[pos])
         self.in_basis[leaving] = False
         self.at_upper[leaving] = leave_to_upper

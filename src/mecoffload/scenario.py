@@ -11,8 +11,7 @@ the same rates.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "objective",
     "check_feasible",
     "read_config_file",
-    "write_scenario_csv",
-    "read_scenario_csv",
 ]
 
 #: Relative tolerance for the precomputed-rate consistency check.
@@ -286,96 +283,3 @@ def read_config_file(path) -> ScenarioConfig:
         lambda_e=float(values["lambda_e"]),
         rng_seed=int(values["seed"]),
     )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def write_scenario_csv(scenario: Scenario, path) -> None:
-    """Dump a frame as CSV: ``# key=value`` scalars, then ``s,k,h,R`` rows."""
-    cfg = scenario.config
-    lines = [
-        f"# num_mds={cfg.num_mds}",
-        f"# num_channels={cfg.num_channels}",
-        f"# bandwidth_hz={_fmt(cfg.bandwidth_hz)}",
-        f"# noise_power_w={_fmt(cfg.noise_power_w)}",
-        f"# power_min_w={_fmt(cfg.power_range_w[0])}",
-        f"# power_max_w={_fmt(cfg.power_range_w[1])}",
-        f"# task_min_bits={_fmt(cfg.task_size_range_bits[0])}",
-        f"# task_max_bits={_fmt(cfg.task_size_range_bits[1])}",
-        f"# mean_channel_gain={_fmt(cfg.mean_channel_gain)}",
-        f"# lambda_t={_fmt(cfg.lambda_t)}",
-        f"# lambda_e={_fmt(cfg.lambda_e)}",
-        f"# rng_seed={cfg.rng_seed}",
-    ]
-    for s in range(cfg.num_mds):
-        lines.append(f"# power_w_{s}={_fmt(scenario.powers_w[s])}")
-        lines.append(f"# task_bits_{s}={_fmt(scenario.task_bits[s])}")
-    lines.append("s,k,h,R")
-    for s in range(cfg.num_mds):
-        for k in range(cfg.num_channels):
-            lines.append(
-                f"{s},{k},{_fmt(scenario.gains[s, k])},{_fmt(scenario.rates_bps[s, k])}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_scenario_csv(path) -> Scenario:
-    """Load a frame written by :func:`write_scenario_csv`."""
-    scalars: dict[str, str] = {}
-    rows: list[tuple[int, int, float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise ValueError(f"{path}:{lineno}: bad preamble line {raw!r}")
-                key, value = body.split("=", 1)
-                scalars[key.strip()] = value.strip()
-            elif line == "s,k,h,R":
-                continue
-            else:
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
-    try:
-        config = ScenarioConfig(
-            num_mds=int(scalars["num_mds"]),
-            num_channels=int(scalars["num_channels"]),
-            bandwidth_hz=float(scalars["bandwidth_hz"]),
-            noise_power_w=float(scalars["noise_power_w"]),
-            power_range_w=(float(scalars["power_min_w"]), float(scalars["power_max_w"])),
-            task_size_range_bits=(
-                float(scalars["task_min_bits"]),
-                float(scalars["task_max_bits"]),
-            ),
-            mean_channel_gain=float(scalars["mean_channel_gain"]),
-            lambda_t=float(scalars["lambda_t"]),
-            lambda_e=float(scalars["lambda_e"]),
-            rng_seed=int(scalars["rng_seed"]),
-        )
-        powers = np.array(
-            [float(scalars[f"power_w_{s}"]) for s in range(config.num_mds)]
-        )
-        tasks = np.array(
-            [float(scalars[f"task_bits_{s}"]) for s in range(config.num_mds)]
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing preamble key {exc.args[0]!r}") from None
-    gains = np.zeros((config.num_mds, config.num_channels))
-    rates = np.zeros_like(gains)
-    seen = np.zeros(gains.shape, dtype=bool)
-    for s, k, h, r in rows:
-        if not (0 <= s < config.num_mds and 0 <= k < config.num_channels):
-            raise ValueError(f"{path}: row index ({s},{k}) out of range")
-        gains[s, k], rates[s, k] = h, r
-        seen[s, k] = True
-    if not seen.all():
-        raise ValueError(f"{path}: missing (s,k) rows")
-    return Scenario(config, gains, powers, tasks, rates)

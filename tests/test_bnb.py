@@ -96,8 +96,8 @@ class TestSolveBnb:
         assert report.best_psi == pytest.approx(objective(frame, a), rel=1e-8)
 
     def test_warm_children_need_few_pivots(self, monkeypatch):
-        # A cold node solve takes about 50 pivots at 4x6; a child started
-        # from its parent's basis should take a handful of dual pivots.
+        # A node solve from the slack basis takes about 75 pivots at 4x6; a
+        # child started from its parent's basis should take a handful.
         calls = []
 
         def recording_solve_lp(lp, start=None):

@@ -36,6 +36,19 @@ def random_feasible_indicator(frame, rng):
     return x
 
 
+def highs_lp(lp):
+    """The optimal value of a :class:`LinearProgram` by HiGHS, or None if it
+    is infeasible: an oracle independent of the hand-written simplex."""
+    from scipy.optimize import linprog
+
+    ref = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                  bounds=list(zip(lp.lower, np.where(np.isfinite(lp.upper),
+                                                     lp.upper, None))),
+                  method="highs")
+    assert ref.status in (0, 2)
+    return ref.fun if ref.status == 0 else None
+
+
 def highs_split_psi(frame, x):
     """Optimal cost at a fixed binary ``x`` from HiGHS, with the split
     problem written as an LP over the active pairs' splits and tau: each
@@ -157,6 +170,8 @@ class TestWarmStart:
         assert np.array_equal(lp.upper, fresh.upper)
 
     def test_children_of_the_root_match_cold_solves(self):
+        # A solve from the parent's basis against one from the slack basis
+        # (the same simplex) and against HiGHS (an independent one).
         frame = make_frame(num_mds=3, num_channels=4, seed=13)
         lp = build_relaxation(frame, {})
         root = solve_lp(lp)
@@ -165,9 +180,12 @@ class TestWarmStart:
                 set_node_bounds(lp, {i: (value, value)})
                 warm = solve_lp(lp, start=root.basis)
                 cold = solve_lp(build_relaxation(frame, {i: (value, value)}))
+                ref = highs_lp(lp)
                 assert warm.status is cold.status
+                assert (ref is None) == (warm.status is LpStatus.INFEASIBLE)
                 if cold.status is LpStatus.OPTIMAL:
                     assert warm.value == pytest.approx(cold.value, rel=1e-9)
+                    assert warm.value == pytest.approx(ref, rel=1e-9)
 
     def test_device_with_all_channels_off_is_infeasible_from_root_basis(self):
         # The search itself rarely meets an infeasible child, so this is
@@ -180,6 +198,7 @@ class TestWarmStart:
         warm = solve_lp(lp, start=root.basis)
         assert warm.status is LpStatus.INFEASIBLE
         assert warm.pivots > 0
+        assert highs_lp(lp) is None
 
 
 class TestExtractSolution:

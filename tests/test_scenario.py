@@ -16,8 +16,6 @@ from mecoffload.scenario import (
     objective,
     rate,
     read_config_file,
-    read_scenario_csv,
-    write_scenario_csv,
 )
 
 from conftest import make_frame, make_uniform_frame
@@ -295,22 +293,3 @@ seed = 7
         with pytest.raises(ValueError, match="duplicate"):
             read_config_file(path)
 
-
-class TestScenarioCsv:
-    def test_round_trip(self, tmp_path, small_frame):
-        path = tmp_path / "frame.csv"
-        write_scenario_csv(small_frame, path)
-        loaded = read_scenario_csv(path)
-        assert loaded.config == small_frame.config
-        assert np.array_equal(loaded.gains, small_frame.gains)
-        assert np.array_equal(loaded.powers_w, small_frame.powers_w)
-        assert np.array_equal(loaded.task_bits, small_frame.task_bits)
-        assert np.array_equal(loaded.rates_bps, small_frame.rates_bps)
-
-    def test_missing_rows_rejected(self, tmp_path, small_frame):
-        path = tmp_path / "frame.csv"
-        write_scenario_csv(small_frame, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="missing"):
-            read_scenario_csv(path)
