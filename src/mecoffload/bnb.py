@@ -131,7 +131,6 @@ def branch(
     index: int,
     value: float,
     first_child_id: int,
-    tol: float = INTEGRALITY_TOL,
 ) -> tuple[Node, Node]:
     """Split a node on indicator ``index`` at fractional ``value``.
 
@@ -140,8 +139,8 @@ def branch(
     (1,1).  Branching on an integral value or an already-pinned index is a
     contract violation.
     """
-    if abs(value - round(value)) <= tol:
-        raise ValueError(f"value {value!r} is integral at tolerance {tol}")
+    if abs(value - round(value)) <= INTEGRALITY_TOL:
+        raise ValueError(f"value {value!r} is integral at tolerance {INTEGRALITY_TOL}")
     existing = parent.constraints.get(index)
     if existing is not None and existing[0] == existing[1]:
         raise ValueError(f"indicator {index} is already fixed to {existing[0]}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bnb import NodeAction, NodeRecord, SolveOptions, SolveStatus, solve_bnb
-from .dataset import featurize
+from .dataset import feature_length, featurize
 from .mlp import MlpModel, forward
 from .scenario import Scenario
 
@@ -75,13 +75,22 @@ class IbnbReport:
     nodes_searched: int
     passes: list[SearchPass]
     wall_time: float
-    thresholds_tried: list[float]
-    restarts: int
-    fell_back_to_exact: bool
 
     @property
     def trace(self) -> list[NodeRecord]:
         return [rec for p in self.passes for rec in p.records]
+
+    @property
+    def thresholds_tried(self) -> list[float]:
+        return [p.theta for p in self.passes if p.theta is not None]
+
+    @property
+    def restarts(self) -> int:
+        return max(0, len(self.thresholds_tried) - 1)
+
+    @property
+    def fell_back_to_exact(self) -> bool:
+        return bool(self.passes) and self.passes[-1].theta is None
 
 
 def solve_ibnb(
@@ -98,7 +107,7 @@ def solve_ibnb(
     """
     policy = policy or ThresholdPolicy()
     opts = opts or SolveOptions()
-    expected_m = 4 + 2 * scenario.num_mds * scenario.num_channels
+    expected_m = feature_length(scenario.num_mds, scenario.num_channels)
     if model.num_features != expected_m:
         raise ValueError(
             f"model expects {model.num_features} features, scenario needs {expected_m}"
@@ -111,11 +120,9 @@ def solve_ibnb(
 
     t0 = time.perf_counter()
     theta = policy.theta0
-    thresholds: list[float] = []
     passes: list[SearchPass] = []
     best = None
     best_psi = None
-    fell_back = False
     nodes_total = 0
 
     while True:
@@ -125,8 +132,6 @@ def solve_ibnb(
         # Below the floor the exact search takes over, which guarantees
         # termination with a feasible answer.
         fell_back = theta < policy.theta_min
-        if not fell_back:
-            thresholds.append(theta)
         report = solve_bnb(
             scenario,
             replace(opts, max_nodes=opts.max_nodes - nodes_total),
@@ -155,7 +160,4 @@ def solve_ibnb(
         nodes_searched=nodes_total,
         passes=passes,
         wall_time=time.perf_counter() - t0,
-        thresholds_tried=thresholds,
-        restarts=max(0, len(thresholds) - 1),
-        fell_back_to_exact=fell_back,
     )

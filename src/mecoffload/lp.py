@@ -1,5 +1,5 @@
 """Dense linear programming with one bounded-variable simplex: dual pivots
-to a feasible basis, then a primal closing check.
+to a feasible basis, then an optimality check.
 
 Node relaxations in the tree search are small (a few dozen variables), so a
 dense tableau-free simplex with an explicitly maintained basis inverse is
@@ -14,16 +14,15 @@ variable at its lower bound, is dual feasible, and a solve from scratch
 starts there.  An optimal solve returns its basis.  A child node differs
 from its parent only in tightened bounds, so the parent's optimal basis is
 still dual feasible for it: given as ``start``, it is refactorised once and
-re-optimised with a few dual pivots.  Either way, primal pricing then
-confirms optimality.
+re-optimised with a few dual pivots.  Dual pivots keep the basis dual
+feasible, so the first primal feasible basis is optimal; one pricing pass
+over the final basis certifies it, and a basis that fails is an error.
 
 The solver is deterministic.  The dual pivots leave on the row of largest
 bound violation (smallest row on ties) and enter by the bounded dual ratio
 test (ties to the largest pivot magnitude, then the smallest column); they
 have no anti-cycling fallback, so a stalled dual solve ends in an error at
-the iteration cap rather than looping.  Primal pricing and ratio-test ties
-break toward the smallest variable index, and a Bland's-rule fallback
-engages when no objective progress is made for a full pass.
+the iteration cap rather than looping.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ class LpResult:
     value: float | None = None
     #: Optimal basis; None unless OPTIMAL.
     basis: Basis | None = None
-    #: Basis changes plus bound flips, dual and primal, of this solve.
+    #: Dual simplex basis changes of this solve.
     pivots: int = 0
 
 
@@ -158,6 +157,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     ``start`` the dual simplex begins there.  ``start`` may instead be an
     optimal basis (``LpResult.basis``) of a program with the same objective
     and rows whose bounds contain those of ``lp``, such as a parent node's.
+    A ``start`` that breaks this contract may end in ``ArithmeticError``, as
+    do an exhausted iteration cap and a singular pivot.
     """
     if np.any(lp.c < 0.0):
         raise ValueError("solve_lp needs nonnegative costs")
@@ -180,15 +181,15 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     c_full = np.concatenate([lp.c, np.zeros(m)])
     if not sim.dual(c_full):
         return LpResult(LpStatus.INFEASIBLE, pivots=sim.pivots)
-    sim.primal(c_full)
+    sim.check_optimal(c_full)
     x = sim.solution()[:n]
     return LpResult(LpStatus.OPTIMAL, x, float(lp.c @ x),
                     Basis(sim.basis.copy(), sim.at_upper.copy()), sim.pivots)
 
 
 class _BoundedSimplex:
-    """Dual and primal simplex over ``a.x = b`` with bounds ``lower <= x <=
-    upper``, every lower bound finite.
+    """Dual simplex over ``a.x = b`` with bounds ``lower <= x <= upper``,
+    every lower bound finite.
 
     Nonbasic variables rest exactly on a bound; the values of basic
     variables are maintained incrementally and refreshed from the basis
@@ -222,9 +223,6 @@ class _BoundedSimplex:
 
     def _nonbasic_values(self) -> np.ndarray:
         return np.where(self.at_upper, self.upper, self.lower)
-
-    def _value_of(self, j: int) -> float:
-        return float(self.upper[j] if self.at_upper[j] else self.lower[j])
 
     def solution(self) -> np.ndarray:
         x = self._nonbasic_values()
@@ -283,109 +281,26 @@ class _BoundedSimplex:
             w = self.binv @ self.a[:, entering]
             target = self.upper if to_upper else self.lower
             step = (self.xb[pos] - target[self.basis[pos]]) / w[pos]
-            start = self._value_of(entering)
+            start = (self.upper if self.at_upper[entering] else self.lower)[entering]
             self.xb -= step * w
             self._pivot(pos, entering, w, entering_value=start + step,
                         leave_to_upper=to_upper)
 
         raise ArithmeticError("dual simplex iteration limit exceeded")
 
-    # -- primal simplex ---------------------------------------------------
+    def check_optimal(self, c: np.ndarray) -> None:
+        """Raise ``ArithmeticError`` if a nonbasic column that is not fixed
+        has a reduced cost of the wrong sign beyond :data:`OPTIMALITY_TOL`.
 
-    def primal(self, c: np.ndarray) -> None:
-        """Primal simplex from a primal feasible basis to an optimal one.
-
-        After :meth:`dual` this is the closing optimality check and normally
-        makes no pivot.  Dantzig pricing gives way to Bland's rule once no
-        objective progress is made for a full pass.
+        Run after :meth:`dual` returns True: the basis is then primal
+        feasible, so passing proves it optimal.  It fails when the start
+        basis was not dual feasible for ``c``.
         """
-        fixed = self.lower == self.upper  # pinned variables never enter
-        bland = False
-        stall = 0
-        stall_limit = self.num_cols + self.m
-        max_iter = 10_000 + 200 * (self.num_cols + self.m)
-
-        for _ in range(max_iter):
-            y = c[self.basis] @ self.binv
-            reduced = c - y @ self.a
-
-            nonbasic = ~self.in_basis
-            at_hi = nonbasic & self.at_upper
-            at_lo = nonbasic & ~self.at_upper
-            eligible = (~fixed) & (
-                (at_lo & (reduced < -OPTIMALITY_TOL))
-                | (at_hi & (reduced > OPTIMALITY_TOL))
-            )
-            idx = np.where(eligible)[0]
-            if idx.size == 0:
-                return
-
-            if bland:
-                entering = int(idx[0])
-            else:
-                entering = int(idx[np.argmax(np.abs(reduced[idx]))])
-            d_enter = reduced[entering]
-            direction = 1.0 if at_lo[entering] else -1.0
-
-            w = self.binv @ self.a[:, entering]
-            step, leave_pos, leave_to_upper = self._ratio_test(entering, direction, w)
-
-            improvement = abs(d_enter) * step
-            stall = 0 if improvement > 1e-12 else stall + 1
-            if stall > stall_limit:
-                bland = True
-
-            if leave_pos is None:
-                # Bound flip: the entering variable crosses to its other bound.
-                self.xb -= direction * step * w
-                self.at_upper[entering] = direction > 0
-                self.pivots += 1
-                self.pivots_since_refactor += 1
-                if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                    self._refresh()
-                continue
-
-            start = self._value_of(entering)
-            self.xb -= direction * step * w
-            self._pivot(leave_pos, entering, w,
-                        entering_value=start + direction * step,
-                        leave_to_upper=leave_to_upper)
-
-        raise ArithmeticError("simplex iteration limit exceeded")
-
-    def _ratio_test(self, entering: int, direction: float, w: np.ndarray):
-        """Largest step for the entering variable; smallest-index tie-break.
-
-        Returns (step, leaving_position_or_None, leaving_hits_upper); a
-        ``None`` position means a bound flip.  Nonnegative costs over finite
-        lower bounds keep the program bounded below, so a step without limit
-        is a numerical failure.
-        """
-        lo_b = self.lower[self.basis]
-        hi_b = self.upper[self.basis]
-        rate = direction * w
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dec = rate > _PIVOT_TOL   # basic value moves down toward its lower bound
-            inc = rate < -_PIVOT_TOL  # basic value moves up toward its upper bound
-            ratios = np.full(self.m, np.inf)
-            ratios[dec] = (self.xb[dec] - lo_b[dec]) / rate[dec]
-            ratios[inc] = (self.xb[inc] - hi_b[inc]) / rate[inc]
-        ratios = np.where(np.isnan(ratios), np.inf, ratios)
-        ratios = np.maximum(ratios, 0.0)  # clip tiny negative fp residue
-
-        flip = self.upper[entering] - self.lower[entering]
-        best = float(ratios.min(initial=np.inf))
-        if flip < best - 1e-12:
-            return flip, None, False
-        if not np.isfinite(best):
-            raise ArithmeticError("primal ratio test found no limit")
-
-        tie = np.where(ratios <= best + 1e-12)[0]
-        # Deterministic: leave the candidate with the smallest variable index.
-        leave_pos = int(tie[np.argmin(self.basis[tie])])
-        leave_to_upper = bool(inc[leave_pos])
-        return best, leave_pos, leave_to_upper
+        reduced = c - (c[self.basis] @ self.binv) @ self.a
+        wrong_sign = np.where(self.at_upper, reduced > OPTIMALITY_TOL,
+                              reduced < -OPTIMALITY_TOL)
+        if np.any(wrong_sign & ~self.in_basis & (self.lower < self.upper)):
+            raise ArithmeticError("final basis is not dual feasible")
 
     def _pivot(self, pos: int, entering: int, w: np.ndarray,
                entering_value: float, leave_to_upper: bool) -> None:

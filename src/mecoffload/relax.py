@@ -140,9 +140,7 @@ def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
         lp.lower[i], lp.upper[i] = float(lo), float(hi)
 
 
-def extract_solution(
-    scenario: Scenario, lp_result: LpResult, tol: float = INTEGRALITY_TOL
-) -> RelaxationSolution:
+def extract_solution(scenario: Scenario, lp_result: LpResult) -> RelaxationSolution:
     """Map an optimal node LP back to (x, l, psi) and test integrality.
 
     Splits are read off the flow variables: l = y wherever x is active,
@@ -154,8 +152,8 @@ def extract_solution(
     scale = float(scenario.task_bits.max())
     x = lp_result.x[:n].copy()
     y = lp_result.x[n:2 * n]
-    split_bits = np.where(x >= tol, y * scale, 0.0)
-    fractional = np.abs(x - np.round(x)) > tol
+    split_bits = np.where(x >= INTEGRALITY_TOL, y * scale, 0.0)
+    fractional = np.abs(x - np.round(x)) > INTEGRALITY_TOL
     first = int(np.argmax(fractional)) if fractional.any() else None
     return RelaxationSolution(
         x=x,

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from mecoffload.lp import (
     FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
     Basis,
     LinearProgram,
+    LpResult,
     LpStatus,
     solve_lp,
 )
@@ -55,6 +57,35 @@ def transportation_lp() -> LinearProgram:
     b_eq = np.array([3.0, 2.0])
     upper = np.array([5.0, 1.5, 5.0])
     return LinearProgram(c, a_eq, b_eq, None, None, np.zeros(3), upper)
+
+
+def assert_certified(lp: LinearProgram, res: LpResult) -> None:
+    """Check an optimal result against its own basis, independently of the
+    solver: rebuild ``[A | I]`` (equality rows first, one slack per row),
+    solve for the basic values and the reduced costs, and require ``x`` to
+    be that basic solution and every nonbasic reduced cost to have the
+    sign of its resting bound, within :data:`OPTIMALITY_TOL`."""
+    n = lp.num_vars
+    m_eq, m = lp.a_eq.shape[0], lp.a_eq.shape[0] + lp.a_ub.shape[0]
+    a = np.hstack([np.vstack([lp.a_eq, lp.a_ub]), np.eye(m)])
+    b = np.concatenate([lp.b_eq, lp.b_ub])
+    c = np.concatenate([lp.c, np.zeros(m)])
+    lower = np.concatenate([lp.lower, np.zeros(m)])
+    upper = np.concatenate([lp.upper, np.zeros(m_eq), np.full(m - m_eq, np.inf)])
+    basic = res.basis.indices
+    nonbasic = np.setdiff1d(np.arange(n + m), basic)
+    at_upper = res.basis.at_upper[nonbasic]
+
+    x = np.zeros(n + m)
+    x[nonbasic] = np.where(at_upper, upper[nonbasic], lower[nonbasic])
+    x[basic] = np.linalg.solve(a[:, basic], b - a[:, nonbasic] @ x[nonbasic])
+    assert np.allclose(res.x, x[:n], rtol=0.0, atol=1e-9)
+
+    duals = np.linalg.solve(a[:, basic].T, c[basic])
+    reduced = c[nonbasic] - duals @ a[:, nonbasic]
+    free = lower[nonbasic] < upper[nonbasic]
+    assert np.all(reduced[free & ~at_upper] >= -OPTIMALITY_TOL)
+    assert np.all(reduced[free & at_upper] <= OPTIMALITY_TOL)
 
 
 class TestBasics:
@@ -206,6 +237,17 @@ class TestContract:
         with pytest.raises(ValueError):
             solve_lp(lp)
 
+    def test_start_basis_of_another_objective_is_an_error(self):
+        # The basis is optimal for costs (4, 1, 2.5) but not dual feasible
+        # for (1, 4, 2.5); a start must be an optimal basis of the same
+        # objective, so the final optimality check refuses the result.
+        lp = transportation_lp()
+        basis = solve_lp(lp).basis
+        other = LinearProgram(np.array([1.0, 4.0, 2.5]), lp.a_eq, lp.b_eq,
+                              None, None, lp.lower, lp.upper)
+        with pytest.raises(ArithmeticError):
+            solve_lp(other, start=basis)
+
 
 def tightened_bounds(lower, upper, point, rng):
     """Bounds of a child program: one variable's range cut to exclude its
@@ -264,6 +306,7 @@ class TestAgainstScipy:
             if ref.status == 0:
                 assert mine.status is LpStatus.OPTIMAL
                 assert mine.value == pytest.approx(ref.fun, abs=1e-7 * max(1, abs(ref.fun)))
+                assert_certified(lp, mine)
             else:
                 assert mine.status is LpStatus.INFEASIBLE
             checked += 1
@@ -284,6 +327,8 @@ class TestAgainstScipy:
                     tol = 1e-7 * max(1, abs(ref.fun))
                     assert warm.value == pytest.approx(cold.value, abs=tol)
                     assert warm.value == pytest.approx(ref.fun, abs=tol)
+                    assert_certified(child, warm)
+                    assert_certified(child, cold)
                 warm_statuses.append(warm.status)
         assert checked == 150
         # Both exits of the dual simplex ran.
