@@ -1,15 +1,20 @@
 """Branch-and-bound over the channel indicators, with trace recording.
 
-The search keeps a FIFO node list (breadth-first), solves the node
-relaxation on every pop, branches on the first fractional indicator, and
-prunes by bound against the incumbent.  The bound test is strict: a node
-is kept only if its relaxation is strictly below the incumbent, since a
+The search is best-first: open nodes sit in a heap keyed on their
+parent's relaxation value (the root's key is ``-inf``), with the node id
+breaking ties so the order is deterministic.  A popped node whose key has
+reached the incumbent is dropped unsolved, and so is everything still
+open, since no key in the heap is lower.  Otherwise the node relaxation
+is solved, the node branches on its first fractional indicator, and it is
+pruned by bound against the incumbent.  Both bound tests are strict: a
+node is kept only if its bound is strictly below the incumbent, since a
 node tied with it has no descendant that could improve on it.  One
 relaxation LP serves the whole search: each pop only resets its indicator
 bounds, and every child LP is warm-started from its parent's optimal
-basis.  Every popped node is appended to the trace, which later becomes
+basis.  Every solved node is appended to the trace, which later becomes
 classifier training data, so the records carry the full relaxation point
-and the bound that was active at pop time.
+and the bound that was active at pop time; a node dropped at pop time
+costs no LP, has no trace row and is not counted.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -23,9 +28,9 @@ ground-truth optimum for desk-scale instances.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -181,8 +186,9 @@ def solve_bnb(
     n = scenario.num_mds * scenario.num_channels
 
     lp = build_relaxation(scenario, {})
-    # Popped nodes are dropped with their bases; only the trace keeps rows.
-    queue: deque[Node] = deque([Node(0, 0, None, {})])
+    # Open nodes keyed (parent bound, node_id); popped nodes are dropped with
+    # their bases, and only the trace keeps rows.
+    queue: list[tuple[float, int, Node]] = [(-np.inf, 0, Node(0, 0, None, {}))]
     next_id = 1
     z_ub = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
@@ -192,10 +198,12 @@ def solve_bnb(
     exhausted = False
 
     while queue:
+        parent_psi, _, node = heapq.heappop(queue)
+        if parent_psi >= z_ub:
+            break  # every open bound has reached the incumbent
         if len(trace) >= opts.max_nodes:
             exhausted = True
             break
-        node = queue.popleft()
         zub_at_pop = z_ub
 
         set_node_bounds(lp, node.constraints)
@@ -235,8 +243,8 @@ def solve_bnb(
             )
             next_id += 2
             child_down.start = child_up.start = result.basis
-            queue.append(child_down)
-            queue.append(child_up)
+            heapq.heappush(queue, (sol.psi, child_down.node_id, child_down))
+            heapq.heappush(queue, (sol.psi, child_up.node_id, child_up))
         trace.append(record)
 
     if exhausted:

@@ -119,6 +119,16 @@ def _write_csv(path: str, meta: list[str], header: str, rows: list[str]) -> None
     _atomic_write(path, "\n".join([*meta, header, *rows]) + "\n")
 
 
+def _require_optimal(report, seed: int):
+    """Return ``report`` if it is optimal; otherwise raise the error whose
+    exit code matches its status."""
+    if report.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleInstanceError(f"frame with seed {seed} is infeasible")
+    if report.status is SolveStatus.BUDGET_EXHAUSTED:
+        raise BudgetExceededError(f"frame with seed {seed} exhausted the node budget")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -141,11 +151,7 @@ def cmd_gen_data(args) -> int:
     for i in range(args.frames):
         seed = train_seed(seed_base, i)
         frame = generate_frame(replace(cfg, rng_seed=seed))
-        report = solve_bnb(frame, opts)
-        if report.status is SolveStatus.INFEASIBLE:
-            raise InfeasibleInstanceError(f"frame with seed {seed} is infeasible")
-        if report.status is SolveStatus.BUDGET_EXHAUSTED:
-            raise BudgetExceededError(f"frame with seed {seed} exhausted the node budget")
+        report = _require_optimal(solve_bnb(frame, opts), seed)
         samples.extend(label_trace(report, frame, frame_id=i))
 
     ds = Dataset(samples, cfg.num_mds, cfg.num_channels, config_hash=config_hash)
@@ -314,19 +320,10 @@ def cmd_bench(args) -> int:
     opts = SolveOptions(max_nodes=args.max_nodes)
 
     def run_frame(frame, frame_policies):
-        bnb_report = solve_bnb(frame, opts)
-        if bnb_report.status is not SolveStatus.OPTIMAL:
-            raise InfeasibleInstanceError(
-                f"frame seed {frame.config.rng_seed}: {bnb_report.status.value}"
-            )
-        ibnb_reports = []
-        for policy in frame_policies:
-            rep = solve_ibnb(frame, model, policy, opts)
-            if rep.status is not SolveStatus.OPTIMAL:
-                raise InfeasibleInstanceError(
-                    f"frame seed {frame.config.rng_seed}: {rep.status.value}"
-                )
-            ibnb_reports.append(rep)
+        seed = frame.config.rng_seed
+        bnb_report = _require_optimal(solve_bnb(frame, opts), seed)
+        ibnb_reports = [_require_optimal(solve_ibnb(frame, model, policy, opts), seed)
+                        for policy in frame_policies]
         return bnb_report, ibnb_reports
 
     # Held-out frames: per-frame node counts and the node-count CDFs.

@@ -118,6 +118,16 @@ class TestSolveBnb:
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 3
 
+    def test_budget_of_exactly_the_solved_nodes_suffices(self):
+        # Open nodes left at the end are dropped unsolved, so they need no
+        # budget: the search is complete once its last LP is solved.
+        frame = make_frame(num_mds=3, num_channels=5, seed=14)
+        full = solve_bnb(frame)
+        report = solve_bnb(frame, SolveOptions(max_nodes=full.nodes_searched))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.best_psi == full.best_psi
+        assert report.nodes_searched == full.nodes_searched
+
 
 class TestTraceInvariants:
     @pytest.fixture(scope="class")
@@ -154,15 +164,49 @@ class TestTraceInvariants:
             seen[rec.node_id] = rec.action
 
     def test_tied_fractional_node_is_not_branched(self):
-        # This frame pops a fractional node whose bound equals the incumbent;
-        # no descendant of it could strictly improve the incumbent.
-        report = solve_bnb(make_frame(num_mds=3, num_channels=5, seed=217))
-        tied = [rec for rec in report.trace
-                if rec.feasible_flag and rec.psi == rec.zub_at_pop]
-        assert tied, "frame no longer has a tie"
-        for rec in report.trace:
-            if rec.action is NodeAction.BRANCHED:
+        # On these frames a branched node's bound equals the final incumbent,
+        # so its children that were still open when that incumbent arrived
+        # are tied with it: they are dropped at pop time, unsolved and
+        # untraced, since no descendant of theirs could strictly improve it.
+        # Children are numbered in branching order: the i-th branched node's
+        # children are 2i+1 and 2i+2.
+        for frame, dropped_ties in [
+            (make_uniform_frame(2, 4), set(range(27, 37))),
+            (make_frame(num_mds=3, num_channels=5, seed=14), {36}),
+        ]:
+            report = solve_bnb(frame)
+            assert report.status is SolveStatus.OPTIMAL
+            traced = {rec.node_id for rec in report.trace}
+            branched = [rec for rec in report.trace
+                        if rec.action is NodeAction.BRANCHED]
+            tied = {2 * i + child
+                    for i, rec in enumerate(branched) if rec.psi == report.best_psi
+                    for child in (1, 2)} - traced
+            assert tied == dropped_ties
+            for rec in branched:
                 assert rec.psi < rec.zub_at_pop
+
+    # LP round-off lets a child's relaxation value sit up to ~2.5e-15
+    # (relative) below its parent's, so a child can pop with a key a few
+    # ulps below the key popped before it.
+    BOUND_ORDER_RTOL = 1e-12
+
+    @pytest.mark.parametrize("frame", [
+        *(pytest.param(make_frame(num_mds=3, num_channels=5, seed=seed), id=f"3x5-{seed}")
+          for seed in (14, 201, 217)),
+        *(pytest.param(make_frame(num_mds=4, num_channels=6, seed=seed), id=f"4x6-{seed}")
+          for seed in (1030, 203)),
+    ])
+    def test_best_first_order(self, frame):
+        report = solve_bnb(frame)
+        assert report.status is SolveStatus.OPTIMAL
+        psi = {rec.node_id: rec.psi for rec in report.trace}
+        keys = [psi[rec.parent_id] for rec in report.trace[1:]]
+        for rec, key in zip(report.trace[1:], keys):
+            # Every solved node had a parent bound below the incumbent.
+            assert key < rec.zub_at_pop
+        for a, b in zip(keys, keys[1:]):
+            assert b >= a - self.BOUND_ORDER_RTOL * abs(a)
 
     def test_deterministic_trace(self):
         frame = make_frame(num_mds=2, num_channels=4, seed=16)

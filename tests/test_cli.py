@@ -234,6 +234,14 @@ class TestBench:
         assert rc == 1
         assert not out.exists()
 
+    def test_budget_exhausted_exit_code(self, tmp_path, config_path, model_path, capsys):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--config", config_path, "--model", model_path,
+                   "--frames", "1", "--out", str(out), "--max-nodes", "1"])
+        assert rc == 3
+        assert "budget exhausted" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_deterministic_bytes(self, tmp_path, config_path, model_path):
         outs = [tmp_path / "b1", tmp_path / "b2"]
         for out in outs:

@@ -11,7 +11,7 @@ from mecoffload.ibnb import IbnbReport, ThresholdPolicy, prune_decision, solve_i
 from mecoffload.mlp import MlpModel, default_dims, forward
 from mecoffload.scenario import Assignment, check_feasible
 
-from conftest import make_frame
+from conftest import make_frame, make_uniform_frame
 
 
 def constant_model(num_features: int, p: float) -> MlpModel:
@@ -59,9 +59,11 @@ class TestDegenerateModels:
     @pytest.mark.parametrize("frame", [
         *(pytest.param(make_frame(num_mds=2, num_channels=3, seed=seed), id=str(seed))
           for seed in (31, 32, 33)),
-        # Node 128 is fractional with a bound exactly equal to the incumbent:
-        # both searches must treat the tie alike.
         pytest.param(make_frame(num_mds=3, num_channels=5, seed=217), id="3x5-217"),
+        # Open nodes tied with the final incumbent are dropped unsolved:
+        # both searches must treat the tie alike.
+        pytest.param(make_frame(num_mds=3, num_channels=5, seed=14), id="3x5-14"),
+        pytest.param(make_uniform_frame(2, 4), id="uniform-2x4"),
     ])
     def test_confident_model_replays_exact_search(self, frame):
         exact = solve_bnb(frame)
