@@ -5,16 +5,17 @@ parent's relaxation value (the root's key is ``-inf``), with the node id
 breaking ties so the order is deterministic.  A popped node whose key has
 reached the incumbent is dropped unsolved, and so is everything still
 open, since no key in the heap is lower.  Otherwise the node relaxation
-is solved, the node branches on its first fractional indicator, and it is
-pruned by bound against the incumbent.  Both bound tests are strict: a
-node is kept only if its bound is strictly below the incumbent, since a
-node tied with it has no descendant that could improve on it.  One
-relaxation LP serves the whole search: each pop only resets its indicator
-bounds, and every child LP is warm-started from its parent's optimal
-basis.  Every solved node is appended to the trace, which later becomes
-classifier training data, so the records carry the full relaxation point
-and the bound that was active at pop time; a node dropped at pop time
-costs no LP, has no trace row and is not counted.
+is solved, the node branches on its first fractional indicator (the first
+index carrying flow on a channel two devices share), and it is pruned by
+bound against the incumbent.  Both bound tests are strict: a node is kept
+only if its bound is strictly below the incumbent, since a node tied with
+it has no descendant that could improve on it.  One relaxation LP serves
+the whole search: each pop only resets its flow bounds, and every child
+LP is warm-started from its parent's optimal basis.  Every solved node is
+appended to the trace, which later becomes classifier training data, so
+the records carry the full relaxation point and the bound that was active
+at pop time; a node dropped at pop time costs no LP, has no trace row and
+is not counted.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -129,6 +130,7 @@ class SolveReport:
     nodes_searched: int
     trace: list[NodeRecord]
     wall_time: float
+    lp_pivots: int                # dual simplex pivots over every node LP
 
 
 def branch(
@@ -161,7 +163,7 @@ def branch(
 
 def _incumbent_from(scenario: Scenario, sol: RelaxationSolution):
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    x = np.round(sol.x).astype(int).reshape(s_n, k_n)
+    x = sol.x.astype(int).reshape(s_n, k_n)
     split = sol.split_bits.reshape(s_n, k_n).copy()
     return x, split
 
@@ -195,6 +197,7 @@ def solve_bnb(
     best_psi: float | None = None
     root_psi: float | None = None
     trace: list[NodeRecord] = []
+    lp_pivots = 0
     exhausted = False
 
     while queue:
@@ -208,6 +211,7 @@ def solve_bnb(
 
         set_node_bounds(lp, node.constraints)
         result = solve_lp(lp, node.start)
+        lp_pivots += result.pivots
         if result.status is not LpStatus.OPTIMAL:
             trace.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id, 0,
@@ -216,7 +220,7 @@ def solve_bnb(
             ))
             continue
 
-        sol = extract_solution(scenario, result)
+        sol = extract_solution(scenario, result, node.constraints)
         if root_psi is None:
             root_psi = sol.psi
         # The gate sees the record as it would be kept if branched.
@@ -261,6 +265,7 @@ def solve_bnb(
         nodes_searched=len(trace),
         trace=trace,
         wall_time=time.perf_counter() - t0,
+        lp_pivots=lp_pivots,
     )
 
 
@@ -306,6 +311,7 @@ def solve_exhaustive(scenario: Scenario, opts: SolveOptions | None = None) -> So
         nodes_searched=evaluated,
         trace=[],
         wall_time=time.perf_counter() - t0,
+        lp_pivots=0,
     )
 
 

@@ -285,7 +285,8 @@ def cmd_solve(args) -> int:
     row = _report_row(args.solver, report, extra) + "," + _solution_columns(report)
     _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])
     print(f"status={report.status.value} psi={report.best_psi} "
-          f"nodes={report.nodes_searched} wall_time_s={report.wall_time:.3f}")
+          f"nodes={report.nodes_searched} lp_pivots={report.lp_pivots} "
+          f"wall_time_s={report.wall_time:.3f}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")
 
     if report.status is SolveStatus.INFEASIBLE:

@@ -8,6 +8,12 @@ that a network with saturating activations can digest them:
 
   [log2(1+j)/(S*K), g/(S*K), f, psi/root_psi, x (S*K), l/L_s (S*K)]
 
+The x entries are the indicators the relaxation reads off its flows: at a
+leaf the binary channel map, elsewhere the flow share min(l/L_s, 1), and 1
+wherever the node fixes an indicator to 1.  Away from leaves and such
+fixings they duplicate the l/L_s entries, but for shares too small to
+count as carried flow, which x keeps and l drops.
+
 Infeasible nodes keep f=0, a fixed sentinel in place of the cost ratio, and
 zeroed solution entries.
 """

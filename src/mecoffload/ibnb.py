@@ -75,6 +75,7 @@ class IbnbReport:
     nodes_searched: int
     passes: list[SearchPass]
     wall_time: float
+    lp_pivots: int                # dual simplex pivots over every pass
 
     @property
     def trace(self) -> list[NodeRecord]:
@@ -124,6 +125,7 @@ def solve_ibnb(
     best = None
     best_psi = None
     nodes_total = 0
+    lp_pivots = 0
 
     while True:
         if nodes_total >= opts.max_nodes:
@@ -139,6 +141,7 @@ def solve_ibnb(
         )
         passes.append(SearchPass(None if fell_back else theta, report.trace))
         nodes_total += report.nodes_searched
+        lp_pivots += report.lp_pivots
         status = report.status
         if status is SolveStatus.OPTIMAL:
             best = (report.best_x, report.best_split)
@@ -160,4 +163,5 @@ def solve_ibnb(
         nodes_searched=nodes_total,
         passes=passes,
         wall_time=time.perf_counter() - t0,
+        lp_pivots=lp_pivots,
     )

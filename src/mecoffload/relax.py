@@ -3,14 +3,25 @@ closed-form optimal split of a fixed channel map.
 
 The objective couples the binary indicators x with the continuous splits l
 through products x*l.  Each product is replaced by a flow variable
-y = x*l together with the cut y <= L*x, which is exact whenever x is
-binary: leaf evaluations in the tree search therefore equal the original
-cost, while fractional points still give a valid lower bound.
+y = x*l, which is exact whenever x is binary.  The indicators then carry no
+cost, so at a node optimum they sit at the smallest value y allows,
+x = y/L, and they are projected out of the LP: channel exclusivity
+sum_s x_sk <= 1 becomes sum_s y_sk / L_s <= 1, and a branching fixing
+becomes an upper bound on flows, x_sk = 0 as y_sk <= 0 and x_sk = 1 as
+y_s'k <= 0 for every other device s'.  Every node bound is unchanged by
+the projection, and children still differ from their parent only in
+bounds.
 
-LP variables are ordered [x (S*K), y (S*K), tau], flat index i = s*K + k.
-Internally the bit quantities are rescaled by the largest task size so the
-constraint matrix stays O(1); the optimal value is unaffected and the
-splits are mapped back to bits on extraction.
+LP variables are ordered [y (S*K), tau], flat index i = s*K + k, the same
+index a :data:`NodeConstraints` fixing names.  Internally the bit
+quantities are rescaled by the largest task size so the constraint matrix
+stays O(1); the optimal value is unaffected and the splits are mapped back
+to bits on extraction.
+
+A node point is a leaf when every channel carries flow from at most one
+device: its x is that support, a feasible channel map, and the LP value
+is that map's cost.  Elsewhere x is read off as y/L clipped to [0, 1], and
+the search branches on the first index carrying flow on a shared channel.
 
 Once x is binary the split problem needs no LP.  :func:`solve_split`, the
 leaf oracle of the exhaustive search, fills each device's channels fastest
@@ -39,7 +50,8 @@ __all__ = [
     "validate_node_constraints",
 ]
 
-#: An indicator within this distance of 0/1 counts as integral.
+#: A flow above this share of its device's task counts as carried, and an
+#: indicator within this distance of 0/1 counts as integral.
 INTEGRALITY_TOL = 1e-6
 
 #: Branching overrides: flat x index -> (lo, hi) with values in
@@ -61,11 +73,11 @@ def validate_node_constraints(nc: NodeConstraints, num_vars: int) -> None:
 class RelaxationSolution:
     """Point recovered from a node LP: indicators, splits and the bound."""
 
-    x: np.ndarray            # (S*K,) indicator values in [0, 1]
+    x: np.ndarray            # (S*K,) indicator values in [0, 1], binary at a leaf
     split_bits: np.ndarray   # (S*K,) recovered splits, bits
     psi: float               # relaxation objective value
-    integral: bool
-    first_fractional: int | None  # smallest fractional flat index, None iff integral
+    integral: bool           # a leaf: no channel carries flow from two devices
+    first_fractional: int | None  # smallest index on a shared channel, None iff integral
 
 
 @dataclass
@@ -77,14 +89,14 @@ class SplitSolution:
 
 
 def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
-    """Assemble the LP of one search node.
+    """Assemble the LP of one search node, over the flows y and tau.
 
-    Constraints: per-channel exclusivity over x, per-device flow
-    conservation over y, the coupling cuts y <= L*x, and the epigraph rows
-    that pin tau above every channel's transmission time.  ``nc`` tightens
-    individual x bounds; everything else is shared across the tree, so a
-    search builds this once and moves between nodes with
-    :func:`set_node_bounds`.
+    Constraints: per-device flow conservation sum_k y_sk = L_s, per-channel
+    exclusivity sum_s y_sk / L_s <= 1, and the epigraph rows that pin tau
+    above every channel's transmission time.  ``nc`` fixes indicators,
+    which :func:`set_node_bounds` turns into flow bounds; everything else
+    is shared across the tree, so a search builds this once and moves
+    between nodes with :func:`set_node_bounds`.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
@@ -95,72 +107,87 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
     inv_rates = 1.0 / rates
 
     cfg = scenario.config
-    num_vars = 2 * n + 1
-    c = np.zeros(num_vars)
-    c[n:2 * n] = (cfg.lambda_e * scenario.powers_w[:, None] * inv_rates).ravel()
+    c = np.zeros(n + 1)
+    c[:n] = (cfg.lambda_e * scenario.powers_w[:, None] * inv_rates).ravel()
     c[-1] = cfg.lambda_t
 
     # Flow conservation: sum_k y[s,k] = L_s.
-    a_eq = np.zeros((s_n, num_vars))
+    a_eq = np.zeros((s_n, n + 1))
     for s in range(s_n):
-        a_eq[s, n + s * k_n: n + (s + 1) * k_n] = 1.0
+        a_eq[s, s * k_n:(s + 1) * k_n] = 1.0
     b_eq = tasks.copy()
 
-    # Channel exclusivity, coupling cuts, then epigraph rows.
-    a_ub = np.zeros((k_n + n + k_n, num_vars))
-    b_ub = np.zeros(k_n + n + k_n)
+    # Channel exclusivity, then epigraph rows.
+    a_ub = np.zeros((2 * k_n, n + 1))
+    b_ub = np.zeros(2 * k_n)
     for k in range(k_n):
-        a_ub[k, [s * k_n + k for s in range(s_n)]] = 1.0
-        b_ub[k] = 1.0
-    for i in range(n):
-        a_ub[k_n + i, i] = -tasks[i // k_n]
-        a_ub[k_n + i, n + i] = 1.0
-    for k in range(k_n):
-        row = k_n + n + k
         for s in range(s_n):
-            a_ub[row, n + s * k_n + k] = inv_rates[s, k]
-        a_ub[row, -1] = -1.0
+            a_ub[k, s * k_n + k] = 1.0 / tasks[s]
+            a_ub[k_n + k, s * k_n + k] = inv_rates[s, k]
+        a_ub[k_n + k, -1] = -1.0
+        b_ub[k] = 1.0
 
-    lower = np.zeros(num_vars)
-    upper = np.concatenate([np.ones(n), np.full(n + 1, np.inf)])
-    lp = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
+    lp = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, np.zeros(n + 1), np.full(n + 1, np.inf))
     set_node_bounds(lp, nc)
     return lp
 
 
 def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
     """Turn a relaxation made by :func:`build_relaxation` into that of the
-    node ``nc``, in place: every indicator gets [0, 1] unless ``nc``
-    overrides it."""
-    n = (lp.num_vars - 1) // 2
+    node ``nc``, in place: every flow is free above zero except where a
+    fixing bounds it, x_sk = 0 by y_sk <= 0 and x_sk = 1 by y_s'k <= 0 for
+    every other device s'.  Two devices fixed to one channel is a contract
+    violation: the search never branches on a channel it has given away."""
+    n = lp.num_vars - 1
     validate_node_constraints(nc, n)
-    lp.lower[:n] = 0.0
-    lp.upper[:n] = 1.0
+    s_n = lp.a_eq.shape[0]
+    k_n = n // s_n
+    lp.upper[:n] = np.inf
+    owner: dict[int, int] = {}
     for i, (lo, hi) in nc.items():
-        lp.lower[i], lp.upper[i] = float(lo), float(hi)
+        if hi == 0:
+            lp.upper[i] = 0.0
+        elif lo == 1:
+            k = i % k_n
+            if k in owner:
+                raise ValueError(f"indicators {owner[k]} and {i} both claim channel {k}")
+            owner[k] = i
+            lp.upper[k:n:k_n] = 0.0
+            lp.upper[i] = np.inf
 
 
-def extract_solution(scenario: Scenario, lp_result: LpResult) -> RelaxationSolution:
-    """Map an optimal node LP back to (x, l, psi) and test integrality.
+def extract_solution(
+    scenario: Scenario, lp_result: LpResult, nc: NodeConstraints,
+) -> RelaxationSolution:
+    """Map an optimal node LP of the node ``nc`` back to (x, l, psi).
 
-    Splits are read off the flow variables: l = y wherever x is active,
-    which is exact at binary x because there y = x*l.
+    A flow counts when it exceeds :data:`INTEGRALITY_TOL` of its device's
+    task, and only counted flows become splits.  A point whose channels
+    each carry counted flow from at most one device is a leaf, and x is
+    that support; otherwise x = y/L clipped to [0, 1], and the first fractional
+    index is the smallest one with counted flow on a channel that two or
+    more devices share.  An indicator that ``nc`` fixes to 1 reads 1.
     """
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
-    n = scenario.num_mds * scenario.num_channels
+    s_n, k_n = scenario.num_mds, scenario.num_channels
     scale = float(scenario.task_bits.max())
-    x = lp_result.x[:n].copy()
-    y = lp_result.x[n:2 * n]
-    split_bits = np.where(x >= INTEGRALITY_TOL, y * scale, 0.0)
-    fractional = np.abs(x - np.round(x)) > INTEGRALITY_TOL
-    first = int(np.argmax(fractional)) if fractional.any() else None
+    y = lp_result.x[:s_n * k_n]
+    share = y.reshape(s_n, k_n) / (scenario.task_bits / scale)[:, None]
+    support = share > INTEGRALITY_TOL
+    shared = (support & (support.sum(axis=0) > 1)).ravel()
+    first = int(shared.argmax())
+    integral = not shared[first]
+    x = support.ravel().astype(float) if integral else share.ravel().clip(0.0, 1.0)
+    for i, (lo, _) in nc.items():
+        if lo == 1:
+            x[i] = 1.0
     return RelaxationSolution(
         x=x,
-        split_bits=split_bits,
+        split_bits=np.where(support.ravel(), y * scale, 0.0),
         psi=float(lp_result.value),
-        integral=first is None,
-        first_fractional=first,
+        integral=integral,
+        first_fractional=None if integral else first,
     )
 
 

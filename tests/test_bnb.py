@@ -96,7 +96,7 @@ class TestSolveBnb:
         assert report.best_psi == pytest.approx(objective(frame, a), rel=1e-8)
 
     def test_warm_children_need_few_pivots(self, monkeypatch):
-        # A node solve from the slack basis takes about 75 pivots at 4x6; a
+        # A node solve from the slack basis takes about 35 pivots at 4x6; a
         # child started from its parent's basis should take a handful.
         calls = []
 
@@ -111,6 +111,7 @@ class TestSolveBnb:
         assert len(calls) == report.nodes_searched
         assert len(warm) == report.nodes_searched - 1
         assert np.mean(warm) < 10
+        assert report.lp_pivots == sum(pivots for _, pivots in calls)
 
     def test_node_budget_is_explicit(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=6)
@@ -127,6 +128,15 @@ class TestSolveBnb:
         assert report.status is SolveStatus.OPTIMAL
         assert report.best_psi == full.best_psi
         assert report.nodes_searched == full.nodes_searched
+
+
+#: Frames of the sizes the benchmark solves, with deep enough trees.
+SEARCH_FRAMES = [
+    *(pytest.param(make_frame(num_mds=3, num_channels=5, seed=seed), id=f"3x5-{seed}")
+      for seed in (14, 201, 217)),
+    *(pytest.param(make_frame(num_mds=4, num_channels=6, seed=seed), id=f"4x6-{seed}")
+      for seed in (1030, 203)),
+]
 
 
 class TestTraceInvariants:
@@ -164,15 +174,17 @@ class TestTraceInvariants:
             seen[rec.node_id] = rec.action
 
     def test_tied_fractional_node_is_not_branched(self):
-        # On these frames a branched node's bound equals the final incumbent,
-        # so its children that were still open when that incumbent arrived
-        # are tied with it: they are dropped at pop time, unsolved and
-        # untraced, since no descendant of theirs could strictly improve it.
-        # Children are numbered in branching order: the i-th branched node's
-        # children are 2i+1 and 2i+2.
+        # With latency alone priced the cost is the frame time, which many
+        # node optima share bit for bit.  On these frames a branched node's
+        # bound equals the final incumbent, so its children that were still
+        # open when that incumbent arrived are tied with it: they are
+        # dropped at pop time, unsolved and untraced, since no descendant of
+        # theirs could strictly improve it.  Children are numbered in
+        # branching order: the i-th branched node's children are 2i+1 and
+        # 2i+2.
         for frame, dropped_ties in [
-            (make_uniform_frame(2, 4), set(range(27, 37))),
-            (make_frame(num_mds=3, num_channels=5, seed=14), {36}),
+            (make_frame(num_mds=3, num_channels=5, seed=15, lambda_e=0.0), {50}),
+            (make_frame(num_mds=3, num_channels=4, seed=5, lambda_e=0.0), {41, 42}),
         ]:
             report = solve_bnb(frame)
             assert report.status is SolveStatus.OPTIMAL
@@ -191,12 +203,7 @@ class TestTraceInvariants:
     # ulps below the key popped before it.
     BOUND_ORDER_RTOL = 1e-12
 
-    @pytest.mark.parametrize("frame", [
-        *(pytest.param(make_frame(num_mds=3, num_channels=5, seed=seed), id=f"3x5-{seed}")
-          for seed in (14, 201, 217)),
-        *(pytest.param(make_frame(num_mds=4, num_channels=6, seed=seed), id=f"4x6-{seed}")
-          for seed in (1030, 203)),
-    ])
+    @pytest.mark.parametrize("frame", SEARCH_FRAMES)
     def test_best_first_order(self, frame):
         report = solve_bnb(frame)
         assert report.status is SolveStatus.OPTIMAL
@@ -207,6 +214,36 @@ class TestTraceInvariants:
             assert key < rec.zub_at_pop
         for a, b in zip(keys, keys[1:]):
             assert b >= a - self.BOUND_ORDER_RTOL * abs(a)
+
+    @pytest.mark.parametrize("frame", SEARCH_FRAMES)
+    def test_incumbents_are_leaves_and_branching_splits_a_shared_channel(
+            self, frame, monkeypatch):
+        branched_on = {}
+
+        def recording_branch(parent, index, value, first_child_id):
+            branched_on[parent.node_id] = index
+            return branch(parent, index, value, first_child_id)
+
+        monkeypatch.setattr(bnb_module, "branch", recording_branch)
+        report = solve_bnb(frame)
+        shape = (frame.num_mds, frame.num_channels)
+        incumbents = [rec for rec in report.trace
+                      if rec.action is NodeAction.NEW_INCUMBENT]
+        assert incumbents
+        for rec in incumbents:
+            x, split = rec.x.reshape(shape), rec.split_bits.reshape(shape)
+            assert np.all((x == 0) | (x == 1))
+            assert np.all(x[split != 0] == 1)
+            assert np.allclose(split.sum(axis=1), frame.task_bits, rtol=1e-12, atol=0.0)
+            a = Assignment(x, split)
+            assert check_feasible(frame, a) == []
+            assert objective(frame, a) == pytest.approx(rec.psi, rel=1e-12)
+        branched = [rec for rec in report.trace if rec.action is NodeAction.BRANCHED]
+        assert len(branched) == len(branched_on)
+        for rec in branched:
+            s, k = divmod(branched_on[rec.node_id], frame.num_channels)
+            carriers = rec.split_bits.reshape(shape)[:, k] > 0
+            assert carriers[s] and carriers.sum() >= 2
 
     def test_deterministic_trace(self):
         frame = make_frame(num_mds=2, num_channels=4, seed=16)

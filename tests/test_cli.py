@@ -81,6 +81,17 @@ class TestGenData:
         assert rc == 0
         assert "seed_base=9" in capsys.readouterr().out
 
+    def test_deterministic_dataset_bytes(self, tmp_path, config_path):
+        # Same paths both times, since the echoed parameters name them.
+        out = tmp_path / "out"
+        first = tmp_path / "first.csv"
+        for _ in range(2):
+            assert main(["gen-data", "--config", config_path, "--frames", "3",
+                         "--out", str(out), "--seed", "4"]) == 0
+            if not first.exists():
+                (out / "dataset.csv").rename(first)
+        assert (out / "dataset.csv").read_bytes() == first.read_bytes()
+
 
 class TestTrain:
     @pytest.fixture
@@ -142,19 +153,25 @@ class TestSolve:
         trace = (out_b / "trace.csv").read_text().splitlines()
         assert trace[0] == "# trace-v1"
 
-    def test_confident_stub_model_matches_bnb_node_count(self, tmp_path, config_path):
+    def test_confident_stub_model_matches_bnb_node_count(self, tmp_path, config_path,
+                                                         capsys):
         model_path = tmp_path / "stub.txt"
         write_constant_model(model_path)
         out_b, out_i = tmp_path / "b", tmp_path / "i"
-        assert main(["solve", "--config", config_path, "--solver", "bnb",
-                     "--out", str(out_b), "--seed", "21"]) == 0
-        assert main(["solve", "--config", config_path, "--solver", "ibnb",
-                     "--model", str(model_path), "--out", str(out_i),
-                     "--seed", "21"]) == 0
+        summaries = []
+        for argv in (["--solver", "bnb", "--out", str(out_b)],
+                     ["--solver", "ibnb", "--model", str(model_path),
+                      "--out", str(out_i)]):
+            assert main(["solve", "--config", config_path, "--seed", "21", *argv]) == 0
+            summaries += [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("status=")]
         rb = read_report(out_b / "report.csv")
         ri = read_report(out_i / "report.csv")
         assert rb["nodes_searched"] == ri["nodes_searched"]
         assert ri["model_id"]
+        pivots = [dict(f.split("=") for f in line.split())["lp_pivots"]
+                  for line in summaries]
+        assert pivots[0] == pivots[1] and int(pivots[0]) > 0
 
     def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -60,10 +60,14 @@ class TestDegenerateModels:
         *(pytest.param(make_frame(num_mds=2, num_channels=3, seed=seed), id=str(seed))
           for seed in (31, 32, 33)),
         pytest.param(make_frame(num_mds=3, num_channels=5, seed=217), id="3x5-217"),
-        # Open nodes tied with the final incumbent are dropped unsolved:
-        # both searches must treat the tie alike.
         pytest.param(make_frame(num_mds=3, num_channels=5, seed=14), id="3x5-14"),
         pytest.param(make_uniform_frame(2, 4), id="uniform-2x4"),
+        # Open nodes tied with the final incumbent are dropped unsolved:
+        # both searches must treat the tie alike.
+        pytest.param(make_frame(num_mds=3, num_channels=5, seed=15, lambda_e=0.0),
+                     id="3x5-15-latency"),
+        pytest.param(make_frame(num_mds=3, num_channels=4, seed=5, lambda_e=0.0),
+                     id="3x4-5-latency"),
     ])
     def test_confident_model_replays_exact_search(self, frame):
         exact = solve_bnb(frame)
@@ -72,6 +76,7 @@ class TestDegenerateModels:
         assert report.status is SolveStatus.OPTIMAL
         assert report.restarts == 0
         assert report.best_psi == exact.best_psi
+        assert report.lp_pivots == exact.lp_pivots
         assert len(report.trace) == len(exact.trace)
         for mine, ref in zip(report.trace, exact.trace):
             assert (mine.node_id, mine.depth, mine.parent_id, mine.action) == \

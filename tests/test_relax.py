@@ -78,6 +78,53 @@ def highs_split_psi(frame, x):
     return res.fun * time_unit
 
 
+def highs_lifted_psi(frame, nc):
+    """Optimal value of the node ``nc`` by HiGHS on the lifted formulation
+    that the node LP projects, or None if it is infeasible.  Its variables
+    are [x, y, tau]: indicators next to the flows, exclusivity over x, the
+    coupling cuts y <= L*x, and fixings as bounds on x.  Units as in
+    :func:`build_relaxation`."""
+    from scipy.optimize import linprog
+
+    s_n, k_n = frame.num_mds, frame.num_channels
+    n = s_n * k_n
+    scale = float(frame.task_bits.max())
+    tasks = frame.task_bits / scale
+    inv_rates = (scale / frame.rates_bps).ravel()
+    cfg = frame.config
+    energy = cfg.lambda_e * np.repeat(frame.powers_w, k_n) * inv_rates
+    c = np.concatenate([np.zeros(n), energy, [cfg.lambda_t]])
+    a_eq = np.hstack([np.zeros((s_n, n)), np.kron(np.eye(s_n), np.ones(k_n)),
+                      np.zeros((s_n, 1))])
+    per_channel = np.tile(np.eye(k_n), s_n)     # row k sums the column s*K + k
+    a_ub = np.vstack([
+        np.hstack([per_channel, np.zeros((k_n, n + 1))]),
+        np.hstack([-np.diag(np.repeat(tasks, k_n)), np.eye(n), np.zeros((n, 1))]),
+        np.hstack([np.zeros((k_n, n)), per_channel * inv_rates, -np.ones((k_n, 1))]),
+    ])
+    b_ub = np.concatenate([np.ones(k_n), np.zeros(n + k_n)])
+    bounds = [nc.get(i, (0, 1)) for i in range(n)] + [(0, None)] * (n + 1)
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=tasks, bounds=bounds,
+                  method="highs")
+    assert ref.status in (0, 2)
+    return ref.fun if ref.status == 0 else None
+
+
+def random_node(rng, s_n, k_n):
+    """Fixings of a random number of indicators, each channel fixed to at
+    most one device as in the search; some leave a device no channel."""
+    n = s_n * k_n
+    nc = {}
+    owned = set()
+    for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+        k = int(i) % k_n
+        up = k not in owned and rng.random() < 0.4
+        if up:
+            owned.add(k)
+        nc[int(i)] = (1, 1) if up else (0, 0)
+    return nc
+
+
 def assert_split_invariants(frame, x, sol):
     """A returned split sends every task in full, only over active pairs,
     never below zero, and costs exactly the reported psi; when latency is
@@ -117,11 +164,11 @@ class TestBuildRelaxation:
     def test_fully_determined_instance(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=2)
         lp = build_relaxation(frame, {})
-        assert lp.num_vars == 3  # one indicator, one flow, one epigraph var
+        assert lp.num_vars == 2  # one flow and one epigraph variable
         result = solve_lp(lp)
         assert result.status is LpStatus.OPTIMAL
         assert result.value == pytest.approx(closed_form_single_pair(frame), rel=1e-9)
-        sol = extract_solution(frame, result)
+        sol = extract_solution(frame, result, {})
         assert sol.integral
         assert sol.first_fractional is None
         assert sol.split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
@@ -201,17 +248,86 @@ class TestWarmStart:
         assert highs_lp(lp) is None
 
 
+class TestAgainstLiftedLp:
+    @pytest.mark.parametrize("s_n, k_n, seed", [(3, 5, 201), (3, 5, 14), (4, 6, 203),
+                                                 (4, 6, 1030)])
+    def test_projection_keeps_every_node_bound(self, s_n, k_n, seed):
+        # The projected node LP, solved cold and from the root's basis by
+        # the hand-written simplex, against HiGHS on the lifted one.
+        frame = make_frame(num_mds=s_n, num_channels=k_n, seed=seed)
+        rng = np.random.default_rng(seed)
+        lp = build_relaxation(frame, {})
+        root = solve_lp(lp)
+        assert root.value == pytest.approx(highs_lifted_psi(frame, {}), rel=1e-9)
+        infeasible = 0
+        for _ in range(40):
+            nc = random_node(rng, s_n, k_n)
+            set_node_bounds(lp, nc)
+            cold, warm = solve_lp(lp), solve_lp(lp, start=root.basis)
+            ref = highs_lifted_psi(frame, nc)
+            assert cold.status is warm.status
+            assert (ref is None) == (cold.status is LpStatus.INFEASIBLE)
+            if ref is None:
+                infeasible += 1
+            else:
+                assert cold.value == pytest.approx(ref, rel=1e-9)
+                assert warm.value == pytest.approx(ref, rel=1e-9)
+        assert 0 < infeasible < 40
+
+    def test_two_devices_fixed_to_one_channel_rejected(self):
+        frame = make_frame(num_mds=2, num_channels=3, seed=3)
+        with pytest.raises(ValueError, match="channel 1"):
+            build_relaxation(frame, {1: (1, 1), 4: (1, 1)})
+
+
 class TestExtractSolution:
     def test_requires_optimal_status(self, small_frame):
         with pytest.raises(ValueError):
-            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE))
+            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE), {})
+
+    @staticmethod
+    def point(frame, shares):
+        """An LP point [y, tau] whose flows send the given shares of each
+        device's task, in the LP's units (the largest task is 1)."""
+        tasks = frame.task_bits / frame.task_bits.max()
+        return np.append((np.asarray(shares) * tasks[:, None]).ravel(), 0.0)
 
     def test_first_fractional_is_smallest_index(self, small_frame):
-        n = small_frame.num_mds * small_frame.num_channels
-        v = np.concatenate([np.full(n, 0.5), np.zeros(n), [0.0]])
-        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5))
+        # Channel 0 is device 0's alone, channel 1 carries both devices and
+        # channel 2 device 1 alone: index 0 is fractional but private, so
+        # the first device with flow on channel 1 is branched.
+        shares = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
+        v = self.point(small_frame, shares)
+        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), {})
         assert not sol.integral
+        assert sol.first_fractional == 1
+        assert np.allclose(sol.x, np.ravel(shares), rtol=1e-12)
+
+    def test_single_owner_channels_are_a_leaf(self, small_frame):
+        # Device 0 splits its task over channels 0 and 1, device 1 sends all
+        # of its task on channel 2: no channel is shared, so the point is
+        # a leaf whose indicators are its support.
+        shares = [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
+        v = self.point(small_frame, shares)
+        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), {})
+        assert sol.integral
+        assert sol.first_fractional is None
+        assert np.array_equal(sol.x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(sol.split_bits.reshape(2, 3).sum(axis=1),
+                           small_frame.task_bits, rtol=1e-12)
+
+    def test_up_fixed_indicator_reads_one(self):
+        # Device 1 holds channel 3 by a fixing but sends nothing on it.
+        frame = make_frame(num_mds=2, num_channels=4, seed=11)
+        leaf = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), {7: (1, 1)})
+        assert sol.integral
+        assert np.array_equal(sol.x, [1, 1, 0, 0, 0, 0, 1, 1])
+        # Off a leaf too: channel 0 is shared, device 1 holds channel 3.
+        inner = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
+        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), {7: (1, 1)})
         assert sol.first_fractional == 0
+        assert sol.x[7] == 1.0
 
     def test_root_bound_below_exhaustive_optimum(self):
         for seed in range(5):
