@@ -11,7 +11,7 @@ bound against the incumbent.  Both bound tests are strict: a node is kept
 only if its bound is strictly below the incumbent, since a node tied with
 it has no descendant that could improve on it.  One relaxation LP serves
 the whole search: each pop only resets its flow bounds, and every child
-LP is warm-started from its parent's optimal basis.  Every solved node is
+LP is warm-started from its parent's optimal basis and factor.  Every solved node is
 appended to the trace, which later becomes classifier training data, so
 the records carry the full relaxation point and the bound that was active
 at pop time; a node dropped at pop time costs no LP, has no trace row and
@@ -95,9 +95,9 @@ class SolveOptions:
 
 @dataclass
 class Node:
-    """One search-tree node; ``start`` is its parent's optimal LP basis, the
-    warm start of its own relaxation (None at the root, which starts from
-    the all-slack basis)."""
+    """One search-tree node; ``start`` is its parent's optimal LP basis with
+    its factor, the warm start of its own relaxation (None at the root,
+    which starts from the all-slack basis)."""
 
     node_id: int
     depth: int
@@ -131,6 +131,7 @@ class SolveReport:
     trace: list[NodeRecord]
     wall_time: float
     lp_pivots: int                # dual simplex pivots over every node LP
+    lp_refactors: int             # basis inversions over every node LP
 
 
 def branch(
@@ -197,7 +198,7 @@ def solve_bnb(
     best_psi: float | None = None
     root_psi: float | None = None
     trace: list[NodeRecord] = []
-    lp_pivots = 0
+    lp_pivots = lp_refactors = 0
     exhausted = False
 
     while queue:
@@ -212,6 +213,7 @@ def solve_bnb(
         set_node_bounds(lp, node.constraints)
         result = solve_lp(lp, node.start)
         lp_pivots += result.pivots
+        lp_refactors += result.refactors
         if result.status is not LpStatus.OPTIMAL:
             trace.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id, 0,
@@ -266,6 +268,7 @@ def solve_bnb(
         trace=trace,
         wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,
+        lp_refactors=lp_refactors,
     )
 
 
@@ -312,6 +315,7 @@ def solve_exhaustive(scenario: Scenario, opts: SolveOptions | None = None) -> So
         trace=[],
         wall_time=time.perf_counter() - t0,
         lp_pivots=0,
+        lp_refactors=0,
     )
 
 

@@ -286,6 +286,7 @@ def cmd_solve(args) -> int:
     _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])
     print(f"status={report.status.value} psi={report.best_psi} "
           f"nodes={report.nodes_searched} lp_pivots={report.lp_pivots} "
+          f"lp_refactors={report.lp_refactors} "
           f"wall_time_s={report.wall_time:.3f}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")
 

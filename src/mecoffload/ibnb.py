@@ -76,6 +76,7 @@ class IbnbReport:
     passes: list[SearchPass]
     wall_time: float
     lp_pivots: int                # dual simplex pivots over every pass
+    lp_refactors: int             # basis inversions over every pass
 
     @property
     def trace(self) -> list[NodeRecord]:
@@ -125,7 +126,7 @@ def solve_ibnb(
     best = None
     best_psi = None
     nodes_total = 0
-    lp_pivots = 0
+    lp_pivots = lp_refactors = 0
 
     while True:
         if nodes_total >= opts.max_nodes:
@@ -142,6 +143,7 @@ def solve_ibnb(
         passes.append(SearchPass(None if fell_back else theta, report.trace))
         nodes_total += report.nodes_searched
         lp_pivots += report.lp_pivots
+        lp_refactors += report.lp_refactors
         status = report.status
         if status is SolveStatus.OPTIMAL:
             best = (report.best_x, report.best_split)
@@ -164,4 +166,5 @@ def solve_ibnb(
         passes=passes,
         wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,
+        lp_refactors=lp_refactors,
     )

@@ -13,7 +13,7 @@ from mecoffload.bnb import (
     solve_exhaustive,
     write_trace_csv,
 )
-from mecoffload.lp import solve_lp
+from mecoffload.lp import _REFACTOR_EVERY, solve_lp
 from mecoffload.relax import solve_split
 from mecoffload.scenario import Assignment, check_feasible, objective
 
@@ -97,21 +97,29 @@ class TestSolveBnb:
 
     def test_warm_children_need_few_pivots(self, monkeypatch):
         # A node solve from the slack basis takes about 35 pivots at 4x6; a
-        # child started from its parent's basis should take a handful.
+        # child started from its parent's basis should take a handful.  The
+        # children resume from the parent's factor, so the basis is inverted
+        # only when the updates carried down a path reach the refactoring
+        # period: on this deep tree (861 nodes) some dozens of times, far
+        # fewer than there are solves.
         calls = []
 
         def recording_solve_lp(lp, start=None):
             result = solve_lp(lp, start)
-            calls.append((start is not None, result.pivots))
+            carried = 0 if start is None else start.updates
+            assert result.refactors == (carried + result.pivots) // _REFACTOR_EVERY
+            calls.append((start is not None, result.pivots, result.refactors))
             return result
 
         monkeypatch.setattr(bnb_module, "solve_lp", recording_solve_lp)
-        report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=6))
-        warm = [pivots for started, pivots in calls if started]
+        report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=1030))
+        warm = [pivots for started, pivots, _ in calls if started]
         assert len(calls) == report.nodes_searched
         assert len(warm) == report.nodes_searched - 1
         assert np.mean(warm) < 10
-        assert report.lp_pivots == sum(pivots for _, pivots in calls)
+        assert report.lp_pivots == sum(pivots for _, pivots, _ in calls)
+        assert report.lp_refactors == sum(refactors for *_, refactors in calls)
+        assert 1 <= report.lp_refactors <= len(calls) // 5
 
     def test_node_budget_is_explicit(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=6)
@@ -181,10 +189,12 @@ class TestTraceInvariants:
         # dropped at pop time, unsolved and untraced, since no descendant of
         # theirs could strictly improve it.  Children are numbered in
         # branching order: the i-th branched node's children are 2i+1 and
-        # 2i+2.
+        # 2i+2.  Which optima tie to the bit depends on the simplex's pivot
+        # path, so the frames are the latency-only seeds that drop a tie
+        # under the current arithmetic.
         for frame, dropped_ties in [
-            (make_frame(num_mds=3, num_channels=5, seed=15, lambda_e=0.0), {50}),
-            (make_frame(num_mds=3, num_channels=4, seed=5, lambda_e=0.0), {41, 42}),
+            (make_frame(num_mds=3, num_channels=5, seed=94, lambda_e=0.0), {24}),
+            (make_frame(num_mds=3, num_channels=4, seed=52, lambda_e=0.0), {39, 40}),
         ]:
             report = solve_bnb(frame)
             assert report.status is SolveStatus.OPTIMAL

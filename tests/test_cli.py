@@ -169,9 +169,10 @@ class TestSolve:
         ri = read_report(out_i / "report.csv")
         assert rb["nodes_searched"] == ri["nodes_searched"]
         assert ri["model_id"]
-        pivots = [dict(f.split("=") for f in line.split())["lp_pivots"]
-                  for line in summaries]
-        assert pivots[0] == pivots[1] and int(pivots[0]) > 0
+        fields = [dict(f.split("=") for f in line.split()) for line in summaries]
+        for counter in ("lp_pivots", "lp_refactors"):
+            assert fields[0][counter] == fields[1][counter]
+        assert int(fields[0]["lp_pivots"]) > 0
 
     def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

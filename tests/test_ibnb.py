@@ -62,12 +62,17 @@ class TestDegenerateModels:
         pytest.param(make_frame(num_mds=3, num_channels=5, seed=217), id="3x5-217"),
         pytest.param(make_frame(num_mds=3, num_channels=5, seed=14), id="3x5-14"),
         pytest.param(make_uniform_frame(2, 4), id="uniform-2x4"),
-        # Open nodes tied with the final incumbent are dropped unsolved:
-        # both searches must treat the tie alike.
+        # Latency-only frames, whose node optima tie bit for bit; on the
+        # last two, open nodes tied with the final incumbent are dropped
+        # unsolved: both searches must treat the tie alike.
         pytest.param(make_frame(num_mds=3, num_channels=5, seed=15, lambda_e=0.0),
                      id="3x5-15-latency"),
         pytest.param(make_frame(num_mds=3, num_channels=4, seed=5, lambda_e=0.0),
                      id="3x4-5-latency"),
+        pytest.param(make_frame(num_mds=3, num_channels=5, seed=94, lambda_e=0.0),
+                     id="3x5-94-latency"),
+        pytest.param(make_frame(num_mds=3, num_channels=4, seed=52, lambda_e=0.0),
+                     id="3x4-52-latency"),
     ])
     def test_confident_model_replays_exact_search(self, frame):
         exact = solve_bnb(frame)
@@ -77,6 +82,7 @@ class TestDegenerateModels:
         assert report.restarts == 0
         assert report.best_psi == exact.best_psi
         assert report.lp_pivots == exact.lp_pivots
+        assert report.lp_refactors == exact.lp_refactors
         assert len(report.trace) == len(exact.trace)
         for mine, ref in zip(report.trace, exact.trace):
             assert (mine.node_id, mine.depth, mine.parent_id, mine.action) == \

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoffload.lp import (
+    _REFACTOR_EVERY,
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     Basis,
@@ -264,21 +265,23 @@ def tightened_bounds(lower, upper, point, rng):
     return lower, upper
 
 
+def highs(lp: LinearProgram):
+    """``lp`` solved by HiGHS through scipy, the independent oracle."""
+    from scipy.optimize import linprog
+
+    bounds = list(zip(np.where(np.isfinite(lp.lower), lp.lower, None),
+                      np.where(np.isfinite(lp.upper), lp.upper, None)))
+    return linprog(lp.c, A_ub=lp.a_ub if lp.a_ub.size else None,
+                   b_ub=lp.b_ub if lp.a_ub.size else None,
+                   A_eq=lp.a_eq if lp.a_eq.size else None,
+                   b_eq=lp.b_eq if lp.a_eq.size else None,
+                   bounds=bounds, method="highs")
+
+
 class TestAgainstScipy:
     """Random cross-check against an independent solver."""
 
     def test_random_instances(self):
-        from scipy.optimize import linprog
-
-        def highs(c, a_eq, b_eq, a_ub, b_ub, lower, upper):
-            bounds = list(zip(np.where(np.isfinite(lower), lower, None),
-                              np.where(np.isfinite(upper), upper, None)))
-            return linprog(c, A_ub=a_ub if a_ub.size else None,
-                           b_ub=b_ub if a_ub.size else None,
-                           A_eq=a_eq if a_eq.size else None,
-                           b_eq=b_eq if a_eq.size else None,
-                           bounds=bounds, method="highs")
-
         rng = np.random.default_rng(123)
         warm_rng = np.random.default_rng(321)
         checked = 0
@@ -300,7 +303,7 @@ class TestAgainstScipy:
             )
             lp = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
             mine = solve_lp(lp)
-            ref = highs(c, a_eq, b_eq, a_ub, b_ub, lower, upper)
+            ref = highs(lp)
             # Nonnegative costs over finite lower bounds: never unbounded.
             assert ref.status in (0, 2)
             if ref.status == 0:
@@ -320,7 +323,7 @@ class TestAgainstScipy:
                 child = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, lo, hi)
                 warm = solve_lp(child, start=mine.basis)
                 cold = solve_lp(child)
-                ref = highs(c, a_eq, b_eq, a_ub, b_ub, lo, hi)
+                ref = highs(child)
                 assert warm.status is cold.status
                 assert ref.status == (0 if warm.status is LpStatus.OPTIMAL else 2)
                 if warm.status is LpStatus.OPTIMAL:
@@ -341,3 +344,160 @@ class TestAgainstScipy:
         with pytest.raises(ValueError):
             solve_lp(lp, start=Basis(basis.indices[:1], basis.at_upper))
 
+
+def interior_lp(seed: int, n: int = 20, m_eq: int = 4, m_ub: int = 12):
+    """A random program with nonnegative costs and a known feasible point
+    ``p`` strictly inside every inequality and bound."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(1.0, 3.0, n)
+    a_eq = rng.normal(size=(m_eq, n)).round(3)
+    a_ub = rng.normal(size=(m_ub, n)).round(3)
+    upper = np.where(rng.random(n) < 0.7, p + rng.uniform(1.0, 3.0, n), np.inf)
+    lp = LinearProgram(np.abs(rng.normal(size=n)).round(3), a_eq, a_eq @ p,
+                       a_ub, a_ub @ p + rng.uniform(0.5, 2.0, m_ub),
+                       np.zeros(n), upper)
+    return lp, p
+
+
+def cut_toward(lp: LinearProgram, x: np.ndarray, p: np.ndarray) -> LinearProgram:
+    """A child program: the variable farthest from ``p`` at ``x`` gets a
+    bound halfway to ``p``, which cuts ``x`` off and keeps ``p`` feasible."""
+    j = int(np.argmax(np.abs(x - p)))
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    if x[j] < p[j]:
+        lower[j] = (x[j] + p[j]) / 2
+    else:
+        upper[j] = (x[j] + p[j]) / 2
+    return LinearProgram(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, lower, upper)
+
+
+class TestCarriedFactor:
+    """Warm starts resume from the factor an optimal solve hands over."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chain_of_warm_solves_matches_cold_and_highs(self, seed):
+        # Each link cuts off the previous optimum and re-solves from its
+        # basis, as a path down the search tree does, until more than
+        # _REFACTOR_EVERY updates have been carried down the chain.  The
+        # update count wraps at _REFACTOR_EVERY, and the inverse is
+        # recomputed exactly once per wrap.
+        lp, p = interior_lp(seed)
+        res = solve_lp(lp)
+        assert res.refactors == res.pivots // _REFACTOR_EVERY
+        carried, refactors = res.pivots, res.refactors
+        while carried <= _REFACTOR_EVERY + 10:
+            assert np.abs(res.x - p).max() > 1e-6, "chain converged before a refactor"
+            child = cut_toward(lp, res.x, p)
+            warm = solve_lp(child, start=res.basis)
+            cold = solve_lp(child)
+            assert warm.status is cold.status is LpStatus.OPTIMAL
+            tol = 1e-7 * max(1.0, abs(cold.value))
+            assert warm.value == pytest.approx(cold.value, abs=tol)
+            ref = highs(child)
+            assert ref.status == 0
+            assert warm.value == pytest.approx(ref.fun, abs=tol)
+            assert_certified(child, warm)
+            total = res.basis.updates + warm.pivots
+            assert warm.refactors == total // _REFACTOR_EVERY
+            assert warm.basis.updates == total % _REFACTOR_EVERY
+            carried += warm.pivots
+            refactors += warm.refactors
+            lp, res = child, warm
+        assert refactors >= 1
+
+    def test_root_and_warm_children_do_not_invert(self, monkeypatch):
+        # The root starts from the identity; a child from its parent's
+        # factor.  Neither inverts while its update count stays below
+        # _REFACTOR_EVERY.
+        import mecoffload.lp as lp_module
+
+        inversions = []
+        real_inv = np.linalg.inv
+
+        def counting_inv(matrix):
+            inversions.append(matrix.shape)
+            return real_inv(matrix)
+
+        monkeypatch.setattr(lp_module.np.linalg, "inv", counting_inv)
+        lp, p = interior_lp(4)
+        root = solve_lp(lp)
+        child = solve_lp(cut_toward(lp, root.x, p), start=root.basis)
+        assert root.pivots + child.pivots < _REFACTOR_EVERY
+        assert root.refactors == child.refactors == 0
+        assert inversions == []
+
+    def test_basis_without_factor_is_accepted(self):
+        lp, p = interior_lp(5)
+        root = solve_lp(lp)
+        child = cut_toward(lp, root.x, p)
+        bare = solve_lp(child, start=Basis(root.basis.indices, root.basis.at_upper))
+        warm = solve_lp(child, start=root.basis)
+        assert bare.status is LpStatus.OPTIMAL
+        assert bare.refactors == 1
+        assert bare.value == pytest.approx(warm.value, abs=1e-9)
+        assert_certified(child, bare)
+
+    @pytest.mark.parametrize("corruption", ["scaled", "one-entry", "transposed", "foreign"])
+    def test_wrong_factor_is_an_error(self, corruption):
+        # The final point misses the rows, or, on a program the start's
+        # bounds make infeasible, the row that would prove it is not a row
+        # of B^-1 A.  (The foreign inverse's violating row happens to be a
+        # true row of this basis's inverse, a valid proof, so it is not
+        # tried there.)
+        lp, p = interior_lp(6)
+        basis = solve_lp(lp).basis
+        if corruption == "scaled":
+            binv = 1.5 * basis.binv
+        elif corruption == "one-entry":
+            binv = basis.binv.copy()
+            binv[0, -1] += 0.25
+        elif corruption == "transposed":
+            binv = basis.binv.T
+        else:
+            # The inverse of the same basis in a program with other rows.
+            a_ub = lp.a_ub.copy()
+            a_ub[0] *= 2.0
+            other = LinearProgram(lp.c, lp.a_eq, lp.b_eq, a_ub, lp.b_ub,
+                                  lp.lower, lp.upper)
+            binv = np.linalg.inv(other.rows[:, basis.indices])
+        assert not np.allclose(binv, basis.binv)
+        bad = Basis(basis.indices, basis.at_upper, binv, basis.reduced_costs,
+                    basis.updates)
+        for program in (lp, cut_toward(lp, solve_lp(lp).x, p)):
+            with pytest.raises(ArithmeticError, match="rows"):
+                solve_lp(program, start=bad)
+        # With every variable pinned at zero, A_eq x = A_eq p cannot hold.
+        empty = LinearProgram(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub,
+                              lp.lower, np.zeros(lp.num_vars))
+        assert solve_lp(empty, start=basis).status is LpStatus.INFEASIBLE
+        if corruption != "foreign":
+            with pytest.raises(ArithmeticError, match="invert"):
+                solve_lp(empty, start=bad)
+
+    def test_wrong_factor_that_keeps_the_point_is_an_error(self):
+        # Off by a term that vanishes on b - N x_N, the inverse still gives
+        # the right basic values, and no pivot is needed; the duals it
+        # gives do not price the basic columns to zero.
+        lp, p = interior_lp(6)
+        basis = solve_lp(lp).basis
+        m = lp.rhs.size
+        lower = np.concatenate([lp.lower, np.zeros(m)])
+        upper = np.concatenate([lp.upper, lp.slack_upper])
+        x = np.where(basis.at_upper, upper, lower)
+        x[basis.indices] = 0.0
+        r = lp.rhs - lp.rows @ x
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=m)
+        v -= (v @ r) / (r @ r) * r
+        bad = Basis(basis.indices, basis.at_upper,
+                    basis.binv + 0.1 * np.outer(rng.normal(size=m), v),
+                    basis.reduced_costs, basis.updates)
+        with pytest.raises(ArithmeticError, match="price"):
+            solve_lp(lp, start=bad)
+
+    def test_factor_of_other_dimensions_is_rejected(self):
+        lp, p = interior_lp(7)
+        basis = solve_lp(lp).basis
+        with pytest.raises(ValueError):
+            solve_lp(lp, start=Basis(basis.indices, basis.at_upper,
+                                     basis.binv[:-1, :-1], basis.reduced_costs))
