@@ -35,6 +35,22 @@ pass from scratch over the final basis certifies it.  An infeasible verdict
 rests on a row checked to be a row of ``B^-1 A``.  A solve that fails a
 check, such as one started from a stale or foreign factor, is an error.
 
+A solve reuses what does not change between the nodes of a search and
+re-checks what could be wrong.  It reads the program's rows, right-hand
+side, padded costs and column bounds in place, and the cost sign test made
+at construction.  It never writes into its start: the basis and resting
+positions are copied, and each pivot replaces the inverse and the reduced
+costs instead of updating them in place, so both children of a node resume
+from one ``result.basis``.  Within a solve, a pivot writes the few entries
+it changes (the bounds of the basic variables, the nonbasic values and the
+sign of each column's dual slack) rather than rebuilding them.  Every solve
+re-checks the finite lower bounds, the start's shapes, index range and
+repeated columns, the rows at the final point, and a fresh pricing of the
+final basis.  On arrays this small the cost of a NumPy call, not its
+arithmetic, is what a node pays, so the hot paths use array methods
+(``ndarray.dot``, ``argmax``, ``nonzero``) and as few calls as the same
+arithmetic allows.
+
 The solver is deterministic.  The dual pivots leave on the row of largest
 bound violation (smallest row on ties) and enter by the bounded dual ratio
 test (ties to the largest pivot magnitude, then the smallest column); they
@@ -68,6 +84,8 @@ _PIVOT_TOL = 1e-10
 #: Recompute the basis inverse after this many product-form updates, counted
 #: across warm starts, to cap drift.
 _REFACTOR_EVERY = 64
+#: The sign of a column's dual slack, indexed by its at-upper flag.
+_SIGNS = np.array([1.0, -1.0])
 
 
 class LpStatus(Enum):
@@ -75,46 +93,36 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass
 class LinearProgram:
     """min c.v  s.t.  a_eq.v = b_eq,  a_ub.v <= b_ub,  lower <= v <= upper.
 
     ``upper`` entries may be ``+inf`` and ``lower`` entries ``-inf``, though
     :func:`solve_lp` takes only finite lower bounds.  Dimension mismatches
     and inverted bounds are construction-time errors.  The costs and rows
-    are read once, at construction; only ``lower`` and ``upper`` may change
-    afterwards.
+    are read once, at construction, into the simplex form: ``rows`` is
+    ``[A | I]`` (equality rows first, one slack column per row), ``rhs`` its
+    right-hand side and ``costs`` the costs padded with zeros for the
+    slacks.  Only the bounds may change afterwards, written in place:
+    ``lower`` and ``upper`` are views of the first ``num_vars`` entries of
+    ``col_lower`` and ``col_upper``, the bounds of every column (a slack is
+    nonnegative, and fixed at zero on an equality row), so a solve reads
+    them without copying.  The views cannot be replaced by assignment.
     """
 
-    c: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.c = np.asarray(self.c, dtype=float).ravel()
+    def __init__(self, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
+                 lower=None, upper=None) -> None:
+        self.c = np.asarray(c, dtype=float).ravel()
         n = self.c.size
-        if self.a_eq is None:
-            self.a_eq = np.zeros((0, n))
-            self.b_eq = np.zeros(0)
-        if self.a_ub is None:
-            self.a_ub = np.zeros((0, n))
-            self.b_ub = np.zeros(0)
-        self.a_eq = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-        self.a_ub = np.atleast_2d(np.asarray(self.a_ub, dtype=float))
-        self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-        self.b_ub = np.asarray(self.b_ub, dtype=float).ravel()
-        self.lower = (
-            np.zeros(n) if self.lower is None
-            else np.asarray(self.lower, dtype=float).ravel()
-        )
-        self.upper = (
-            np.full(n, np.inf) if self.upper is None
-            else np.asarray(self.upper, dtype=float).ravel()
-        )
+        if a_eq is None:
+            a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+        if a_ub is None:
+            a_ub, b_ub = np.zeros((0, n)), np.zeros(0)
+        self.a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+        self.a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        self.b_eq = np.asarray(b_eq, dtype=float).ravel()
+        self.b_ub = np.asarray(b_ub, dtype=float).ravel()
+        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).ravel()
+        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).ravel()
         if self.a_eq.shape[1] != n and self.a_eq.shape[0] > 0:
             raise ValueError("a_eq column count does not match c")
         if self.a_ub.shape[1] != n and self.a_ub.shape[0] > 0:
@@ -127,7 +135,7 @@ class LinearProgram:
             raise ValueError("b_eq length does not match a_eq rows")
         if self.b_ub.size != self.a_ub.shape[0]:
             raise ValueError("b_ub length does not match a_ub rows")
-        if self.lower.size != n or self.upper.size != n:
+        if lower.size != n or upper.size != n:
             raise ValueError("bound vectors must match c in length")
         if not (np.all(np.isfinite(self.c))
                 and np.all(np.isfinite(self.a_eq))
@@ -135,15 +143,29 @@ class LinearProgram:
                 and np.all(np.isfinite(self.b_eq))
                 and np.all(np.isfinite(self.b_ub))):
             raise ValueError("objective and constraint data must be finite")
-        if np.any(self.lower > self.upper):
+        if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
-        # The simplex form: equality rows first, then inequalities, one
-        # slack column per row, fixed at zero on an equality row.
         m_eq, m = self.a_eq.shape[0], self.a_eq.shape[0] + self.a_ub.shape[0]
         self.rows = np.hstack([np.vstack([self.a_eq, self.a_ub]), np.eye(m)])
         self.rhs = np.concatenate([self.b_eq, self.b_ub])
         self.costs = np.concatenate([self.c, np.zeros(m)])
-        self.slack_upper = np.concatenate([np.zeros(m_eq), np.full(m - m_eq, np.inf)])
+        #: :func:`solve_lp` refuses a negative cost; the costs are read once.
+        self.nonnegative_costs = not np.any(self.c < 0.0)
+        self.col_lower = np.concatenate([lower, np.zeros(m)])
+        self.col_upper = np.concatenate([upper, np.zeros(m_eq), np.full(m - m_eq, np.inf)])
+        self._lower = self.col_lower[:n]
+        self._upper = self.col_upper[:n]
+        self.slack_upper = self.col_upper[n:]
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Structural lower bounds, a view of ``col_lower``."""
+        return self._lower
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Structural upper bounds, a view of ``col_upper``."""
+        return self._upper
 
     @property
     def num_vars(self) -> int:
@@ -199,11 +221,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     its basis in ``lp``, may end in ``ArithmeticError``, as do an exhausted
     iteration cap and a singular pivot; it never yields OPTIMAL.
     """
-    if np.any(lp.c < 0.0):
+    if not lp.nonnegative_costs:
         raise ValueError("solve_lp needs nonnegative costs")
-    if not np.all(np.isfinite(lp.lower)):
-        raise ValueError("solve_lp needs finite lower bounds")
     n, m = lp.num_vars, lp.rhs.size
+    if np.count_nonzero(np.isfinite(lp.lower)) != n:
+        raise ValueError("solve_lp needs finite lower bounds")
     if start is None:
         start = Basis(n + np.arange(m), np.zeros(n + m, dtype=bool),
                       np.eye(m), lp.costs)
@@ -212,11 +234,8 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     if not sim.dual():
         return LpResult(LpStatus.INFEASIBLE, pivots=sim.pivots,
                         refactors=sim.refactors)
-    x = sim.solution()
-    if np.abs(lp.rows @ x - lp.rhs).max(initial=0.0) > FEASIBILITY_TOL:
-        raise ArithmeticError("final point does not satisfy the rows")
-    sim.check_optimal()
-    return LpResult(LpStatus.OPTIMAL, x[:n], float(lp.c @ x[:n]),
+    x = sim.check_optimal()
+    return LpResult(LpStatus.OPTIMAL, x[:n], float(lp.c.dot(x[:n])),
                     Basis(sim.basis, sim.at_upper, sim.binv, sim.reduced,
                           sim.updates),
                     sim.pivots, sim.refactors)
@@ -228,57 +247,74 @@ class _BoundedSimplex:
 
     Nonbasic variables rest exactly on a bound.  The basis inverse, the
     basic values and the reduced costs are maintained incrementally and
-    recomputed after :data:`_REFACTOR_EVERY` updates.  The solver owns
-    copies of the start's arrays, so a start can serve several solves.
+    recomputed after :data:`_REFACTOR_EVERY` updates.
+
+    A solve reads the program's arrays (``rows``, ``rhs``, ``costs`` and the
+    column bounds) without copying them, and it never writes into the
+    start's arrays: the basis and resting positions are copied, and the
+    inverse and reduced costs are replaced, not updated in place, so a
+    start can serve several solves.  What a pivot changes in the rest of
+    the state (the resting side and value of each nonbasic column, the sign
+    of its dual slack, and in :meth:`dual` the bounds of the basic
+    variables) is written entry by entry rather than rebuilt.  The start itself is
+    checked afresh on every solve (shapes, range, no repeated column), and
+    so is the end: the final point must satisfy the rows, and the reduced
+    costs are priced again from the inverse, not read from the ones the
+    pivots maintained.
     """
 
     def __init__(self, lp: LinearProgram, start: Basis) -> None:
         self.a, self.b, self.c = lp.rows, lp.rhs, lp.costs
-        self.m, self.num_cols = self.a.shape
-        self.lower = np.concatenate([lp.lower, np.zeros(self.m)])
-        self.upper = np.concatenate([lp.upper, lp.slack_upper])
+        self.m, self.num_cols = m, num_cols = self.a.shape
+        self.lower, self.upper = lower, upper = lp.col_lower, lp.col_upper
         basis = np.array(start.indices, dtype=int)
-        at_upper = np.array(start.at_upper, dtype=bool)
+        at_upper = np.asarray(start.at_upper, dtype=bool)
         factored = start.binv is not None and start.reduced_costs is not None
-        self.in_basis = np.zeros(self.num_cols, dtype=bool)
-        if (basis.shape != (self.m,) or at_upper.shape != (self.num_cols,)
-                or basis.min(initial=0) < 0 or basis.max(initial=0) >= self.num_cols
-                or factored and (np.shape(start.binv) != (self.m, self.m)
-                                 or np.shape(start.reduced_costs) != (self.num_cols,))):
+        if factored:
+            binv = np.asarray(start.binv, dtype=float)
+            reduced = np.asarray(start.reduced_costs, dtype=float)
+        if (basis.shape != (m,) or at_upper.shape != (num_cols,)
+                or factored and (binv.shape != (m, m) or reduced.shape != (num_cols,))):
             raise ValueError("start basis does not fit the program's rows and columns")
-        self.in_basis[basis] = True
-        if np.count_nonzero(self.in_basis) != self.m:
+        try:
+            uses = np.bincount(basis, minlength=num_cols)  # refuses a negative index
+        except ValueError:
+            uses = None
+        if uses is None or uses.size != num_cols:
+            raise ValueError("start basis does not fit the program's rows and columns")
+        if m and uses[uses.argmax()] > 1:
             raise ValueError("start basis repeats a column")
         self.basis = basis
         # Nonbasic resting position: True means at the upper bound, which
         # must then be finite.
-        self.at_upper = at_upper & np.isfinite(self.upper)
+        self.at_upper = at_upper & np.isfinite(upper)
         self.at_upper[basis] = False
+        # The sign that turns a reduced cost into the dual slack of its
+        # column's resting bound: +1 at the lower bound, -1 at the upper
+        # one, and 0 for the columns that may not enter, the basic and the
+        # pinned ones, so that no test on a signed entry selects them.
+        self.sign = _SIGNS[self.at_upper.astype(np.intp)]
+        self.sign *= (lower < upper).astype(float)
+        self.sign[basis] = 0.0
         self.pivots = 0
         self.refactors = 0
         if factored and start.updates < _REFACTOR_EVERY:
-            self.binv = np.array(start.binv, dtype=float)
-            self.reduced = np.array(start.reduced_costs, dtype=float)
-            self.updates = start.updates
+            self.binv, self.reduced, self.updates = binv, reduced, start.updates
             self._basic_values()
         else:
             self._refresh()
 
     # -- current point ----------------------------------------------------
 
-    def _nonbasic_values(self) -> np.ndarray:
-        return np.where(self.at_upper, self.upper, self.lower)
-
-    def solution(self) -> np.ndarray:
-        x = self._nonbasic_values()
-        x[self.basis] = self.xb
-        return x
-
     def _basic_values(self) -> None:
-        """x_B = B^-1 (b - N x_N) for the nonbasic variables at rest."""
-        x = self._nonbasic_values()
-        x[self.basis] = 0.0
-        self.xb = self.binv @ (self.b - self.a @ x)
+        """x_B = B^-1 (b - N x_N) for the nonbasic variables at rest.
+
+        ``x`` keeps the nonbasic values, zero on the basic columns; a pivot
+        writes the entries of the two columns it moves.
+        """
+        self.x = np.where(self.at_upper, self.upper, self.lower)
+        self.x[self.basis] = 0.0
+        self.xb = self.binv.dot(self.b - self.a.dot(self.x))
 
     def _refresh(self) -> None:
         """Invert the basis matrix and recompute what depends on it."""
@@ -290,7 +326,7 @@ class _BoundedSimplex:
 
     def _price(self) -> np.ndarray:
         """Reduced costs c - c_B B^-1 A from the current inverse."""
-        return self.c - (self.c[self.basis] @ self.binv) @ self.a
+        return self.c - self.c[self.basis].dot(self.binv).dot(self.a)
 
     # -- dual simplex -----------------------------------------------------
 
@@ -305,94 +341,115 @@ class _BoundedSimplex:
         column.  When no column qualifies, the leaving variable cannot reach
         its bound anywhere in the box of the nonbasic variables.
         """
-        fixed = self.lower == self.upper  # pinned variables never enter
+        if not self.m:
+            return True
+        a, basis, sign, lower, upper = self.a, self.basis, self.sign, self.lower, self.upper
+        # Bounds of the basic variables, kept in step with the basis.
+        lower_b, upper_b = lower[basis], upper[basis]
         max_iter = 10_000 + 200 * (self.num_cols + self.m)
 
         for _ in range(max_iter):
-            below = self.lower[self.basis] - self.xb
-            above = self.xb - self.upper[self.basis]
-            violation = np.maximum(below, above)
-            if violation.max(initial=0.0) <= FEASIBILITY_TOL:
+            # A refactorisation replaces these four.
+            xb, binv, reduced, x = self.xb, self.binv, self.reduced, self.x
+            violation = np.maximum(lower_b - xb, xb - upper_b)
+            pos = int(violation.argmax())
+            if violation[pos] <= FEASIBILITY_TOL:
                 return True
-            pos = int(np.argmax(violation))
-            to_upper = bool(above[pos] > 0.0)
+            to_upper = bool(xb[pos] > upper_b[pos])
 
             # Row ``pos`` reads x_B = beta - alpha.x_N: a column helps when
-            # its feasible move shifts x_B toward the violated bound.
-            alpha = self.binv[pos] @ self.a
-            toward = alpha if to_upper else -alpha
-            eligible = ~self.in_basis & ~fixed & np.where(
-                self.at_upper, toward < -_PIVOT_TOL, toward > _PIVOT_TOL)
-            idx = np.where(eligible)[0]
-            if idx.size == 0:
+            # its feasible move shifts x_B toward the violated bound, that
+            # is when its signed entry is positive (to the upper bound) or
+            # negative (to the lower one).
+            alpha = binv[pos].dot(a)
+            signed = alpha * sign
+            idx = (signed > _PIVOT_TOL if to_upper else signed < -_PIVOT_TOL).nonzero()[0]
+            if not idx.size:
                 # The row proves infeasibility only if it is a row of
                 # B^-1 A, which is the unit vector on the basic columns.
-                unit = alpha[self.basis]
+                unit = alpha[basis]
                 unit[pos] -= 1.0
                 if np.abs(unit).max() > FEASIBILITY_TOL:
                     raise ArithmeticError("basis inverse does not invert the basis")
                 return False
 
-            reduced = self.reduced
-            dual_slack = np.where(self.at_upper[idx], -reduced[idx], reduced[idx])
-            ratios = np.maximum(dual_slack, 0.0) / np.abs(alpha[idx])
-            tie = idx[ratios <= ratios.min() + 1e-12]
-            entering = int(tie[np.argmax(np.abs(alpha[tie]))])
+            if idx.size == 1:
+                entering = int(idx[0])
+            else:
+                # Ratios below zero, from dual slacks a round-off below
+                # zero, count as zero.
+                magnitude = np.abs(alpha[idx])
+                ratios = (reduced * sign)[idx] / magnitude
+                first = ratios.argmin()
+                least = ratios[first]
+                tie = ratios <= (least if least > 0.0 else 0.0) + 1e-12
+                if np.count_nonzero(tie) == 1:
+                    entering = int(idx[first])
+                else:
+                    entering = int(idx[(magnitude * tie).argmax()])
 
-            w = self.binv @ self.a[:, entering]
-            target = self.upper if to_upper else self.lower
-            step = (self.xb[pos] - target[self.basis[pos]]) / w[pos]
-            start = (self.upper if self.at_upper[entering] else self.lower)[entering]
-            self.xb -= step * w
+            w = binv.dot(a[:, entering])
+            pivot = w[pos]
+            if abs(pivot) < _PIVOT_TOL:
+                raise ArithmeticError("numerically singular pivot")
+            step = (xb[pos] - (upper_b[pos] if to_upper else lower_b[pos])) / pivot
+            xb -= step * w
+            # The leaving variable's value is now derived from its resting
+            # status, which lands it exactly on the bound it hit.
+            xb[pos] = x[entering] + step
             # The pivot row prices the new basis: d <- d - (d_q / alpha_q) alpha.
-            reduced -= (reduced[entering] / alpha[entering]) * alpha
+            reduced = reduced - (reduced[entering] / alpha[entering]) * alpha
             reduced[entering] = 0.0
-            self._pivot(pos, entering, w, entering_value=start + step,
-                        leave_to_upper=to_upper)
+            self.reduced = reduced
+
+            leaving = int(basis[pos])
+            basis[pos] = entering
+            self.at_upper[leaving] = to_upper
+            x[leaving] = upper[leaving] if to_upper else lower[leaving]
+            if lower[leaving] < upper[leaving]:
+                sign[leaving] = -1.0 if to_upper else 1.0
+            self.at_upper[entering] = False
+            x[entering] = 0.0
+            sign[entering] = 0.0
+            lower_b[pos] = lower[entering]
+            upper_b[pos] = upper[entering]
+            # Product-form update of the inverse, into a new array: the
+            # start's inverse may be shared.
+            row = binv[pos] / pivot
+            binv = binv - w[:, None] * row
+            binv[pos] = row
+            self.binv = binv
+            self.pivots += 1
+            self.updates += 1
+            if self.updates >= _REFACTOR_EVERY:
+                self._refresh()
 
         raise ArithmeticError("dual simplex iteration limit exceeded")
 
-    def check_optimal(self) -> None:
-        """Raise ``ArithmeticError`` if a nonbasic column that is not fixed
-        has a reduced cost of the wrong sign, or a basic column a nonzero
-        one, beyond :data:`OPTIMALITY_TOL`.
+    def check_optimal(self) -> np.ndarray:
+        """The final point, once it is shown to satisfy the rows and the
+        basis is shown optimal; raise ``ArithmeticError`` otherwise.
 
-        The reduced costs are priced afresh from the inverse, not read from
-        the ones :meth:`dual` maintains; the basic columns price to zero
-        only if the inverse is that of the basis.  Run after :meth:`dual`
-        returns True: the basis is then primal feasible, so passing proves
-        it optimal.  It fails when the start basis was not dual feasible.
+        Run after :meth:`dual` returns True.  The reduced costs are priced
+        afresh from the inverse, not read from the ones :meth:`dual`
+        maintains: every basic column must price to zero, which holds only
+        if the inverse is that of the basis, and no nonbasic column free to
+        move may have a reduced cost of the wrong sign for its resting
+        bound, beyond :data:`OPTIMALITY_TOL`.  The basis is then primal and
+        dual feasible, hence optimal.  This fails when the start basis was
+        not dual feasible.
         """
+        x = self.x
+        x[self.basis] = self.xb
+        # Each test reads the extreme entry, found by one arg-reduction.
+        residual = np.abs(self.a.dot(x) - self.b)
+        if self.m and residual[residual.argmax()] > FEASIBILITY_TOL:
+            raise ArithmeticError("final point does not satisfy the rows")
         reduced = self._price()
-        if np.abs(reduced[self.basis]).max(initial=0.0) > OPTIMALITY_TOL:
+        basic = np.abs(reduced[self.basis])
+        if self.m and basic[basic.argmax()] > OPTIMALITY_TOL:
             raise ArithmeticError("basis inverse does not price the basis")
-        wrong_sign = np.where(self.at_upper, reduced > OPTIMALITY_TOL,
-                              reduced < -OPTIMALITY_TOL)
-        if np.any(wrong_sign & ~self.in_basis & (self.lower < self.upper)):
+        slack = reduced * self.sign
+        if self.num_cols and slack[slack.argmin()] < -OPTIMALITY_TOL:
             raise ArithmeticError("final basis is not dual feasible")
-
-    def _pivot(self, pos: int, entering: int, w: np.ndarray,
-               entering_value: float, leave_to_upper: bool) -> None:
-        leaving = int(self.basis[pos])
-        self.in_basis[leaving] = False
-        self.at_upper[leaving] = leave_to_upper
-        self.in_basis[entering] = True
-        self.at_upper[entering] = False
-        self.basis[pos] = entering
-
-        pivot = w[pos]
-        if abs(pivot) < _PIVOT_TOL:
-            raise ArithmeticError("numerically singular pivot")
-        row = self.binv[pos] / pivot
-        scale = w.copy()
-        scale[pos] = 0.0
-        self.binv -= np.outer(scale, row)
-        self.binv[pos] = row
-
-        # The leaving variable's value is now derived from its resting
-        # status, which lands it exactly on the bound it hit.
-        self.xb[pos] = entering_value
-        self.pivots += 1
-        self.updates += 1
-        if self.updates >= _REFACTOR_EVERY:
-            self._refresh()
+        return x

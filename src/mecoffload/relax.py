@@ -54,19 +54,20 @@ __all__ = [
 #: indicator within this distance of 0/1 counts as integral.
 INTEGRALITY_TOL = 1e-6
 
-#: Branching overrides: flat x index -> (lo, hi) with values in
-#: {(0, 0), (1, 1), (0, 1)}.
+#: Branching fixings: flat x index -> (lo, hi), either (0, 0) or (1, 1).
 NodeConstraints = dict[int, tuple[int, int]]
 
-_ALLOWED_OVERRIDES = {(0, 0), (1, 1), (0, 1)}
+_ALLOWED_OVERRIDES = {(0, 0), (1, 1)}
 
 
 def validate_node_constraints(nc: NodeConstraints, num_vars: int) -> None:
+    """Raise ``ValueError`` unless every fixing of ``nc`` names an index in
+    ``[0, num_vars)`` and fixes it to 0, as (0, 0), or to 1, as (1, 1)."""
     for i, bounds in nc.items():
         if not 0 <= i < num_vars:
             raise ValueError(f"constraint index {i} out of range [0, {num_vars})")
         if tuple(bounds) not in _ALLOWED_OVERRIDES:
-            raise ValueError(f"constraint bounds {bounds!r} must be (0,0), (1,1) or (0,1)")
+            raise ValueError(f"constraint bounds {bounds!r} must be (0,0) or (1,1)")
 
 
 @dataclass
@@ -140,20 +141,20 @@ def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
     violation: the search never branches on a channel it has given away."""
     n = lp.num_vars - 1
     validate_node_constraints(nc, n)
-    s_n = lp.a_eq.shape[0]
-    k_n = n // s_n
-    lp.upper[:n] = np.inf
+    k_n = n // lp.a_eq.shape[0]
+    upper = lp.upper
+    upper[:n] = np.inf
     owner: dict[int, int] = {}
-    for i, (lo, hi) in nc.items():
-        if hi == 0:
-            lp.upper[i] = 0.0
-        elif lo == 1:
+    for i, (lo, _) in nc.items():
+        if lo == 0:
+            upper[i] = 0.0
+        else:
             k = i % k_n
             if k in owner:
                 raise ValueError(f"indicators {owner[k]} and {i} both claim channel {k}")
             owner[k] = i
-            lp.upper[k:n:k_n] = 0.0
-            lp.upper[i] = np.inf
+            upper[k:n:k_n] = 0.0
+            upper[i] = np.inf
 
 
 def extract_solution(
@@ -171,23 +172,29 @@ def extract_solution(
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    scale = float(scenario.task_bits.max())
+    tasks = scenario.task_bits
+    scale = float(tasks[tasks.argmax()])
     y = lp_result.x[:s_n * k_n]
-    share = y.reshape(s_n, k_n) / (scenario.task_bits / scale)[:, None]
+    # Support and sharing are found once, on the (S, K) view of the flows;
+    # the rest reads their flat views.
+    share = y.reshape(s_n, k_n) / (tasks / scale)[:, None]
     support = share > INTEGRALITY_TOL
-    shared = (support & (support.sum(axis=0) > 1)).ravel()
-    first = int(shared.argmax())
-    integral = not shared[first]
-    x = support.ravel().astype(float) if integral else share.ravel().clip(0.0, 1.0)
+    contested = support.sum(axis=0) > 1
+    integral = not contested[contested.argmax()]
+    first = None if integral else int((support & contested).argmax())
+    support = support.ravel()
+    x = support.astype(float) if integral else share.ravel().clip(0.0, 1.0)
     for i, (lo, _) in nc.items():
         if lo == 1:
             x[i] = 1.0
+    split_bits = y * scale
+    split_bits[~support] = 0.0
     return RelaxationSolution(
         x=x,
-        split_bits=np.where(support.ravel(), y * scale, 0.0),
+        split_bits=split_bits,
         psi=float(lp_result.value),
         integral=integral,
-        first_fractional=None if integral else first,
+        first_fractional=first,
     )
 
 

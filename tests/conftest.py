@@ -13,7 +13,10 @@ def make_frame(num_mds=2, num_channels=3, seed=1, **overrides) -> Scenario:
 
 def make_uniform_frame(num_mds, num_channels, gain=1.0, power=1.2, task=4.0e6,
                        **overrides) -> Scenario:
-    """Frame with identical gains (hence identical rates) everywhere."""
+    """Frame with identical devices: one power and one task size for all.
+
+    A scalar ``gain`` makes every channel identical too; a per-channel
+    vector gives each channel its own gain, the same for every device."""
     cfg = ScenarioConfig(num_mds=num_mds, num_channels=num_channels, **overrides)
     gains = np.full((num_mds, num_channels), gain)
     powers = np.full(num_mds, power)

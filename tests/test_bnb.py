@@ -182,20 +182,22 @@ class TestTraceInvariants:
             seen[rec.node_id] = rec.action
 
     def test_tied_fractional_node_is_not_branched(self):
-        # With latency alone priced the cost is the frame time, which many
-        # node optima share bit for bit.  On these frames a branched node's
-        # bound equals the final incumbent, so its children that were still
-        # open when that incumbent arrived are tied with it: they are
-        # dropped at pop time, unsolved and untraced, since no descendant of
-        # theirs could strictly improve it.  Children are numbered in
-        # branching order: the i-th branched node's children are 2i+1 and
-        # 2i+2.  Which optima tie to the bit depends on the simplex's pivot
-        # path, so the frames are the latency-only seeds that drop a tie
-        # under the current arithmetic.
-        for frame, dropped_ties in [
-            (make_frame(num_mds=3, num_channels=5, seed=94, lambda_e=0.0), {24}),
-            (make_frame(num_mds=3, num_channels=4, seed=52, lambda_e=0.0), {39, 40}),
+        # With latency alone priced the cost is the frame time.  On these
+        # frames the three devices are identical (same power, task and gain
+        # on each channel), so device permutations of one channel map cost
+        # the same and node optima tie structurally with the optimum.  A
+        # branched node's bound equals the final incumbent, so its children
+        # that were still open when that incumbent arrived are tied with it:
+        # they are dropped at pop time, unsolved and untraced, since no
+        # descendant of theirs could strictly improve it.  Children are
+        # numbered in branching order: the i-th branched node's children
+        # are 2i+1 and 2i+2.  Which tied optima agree to the last bit still
+        # follows the simplex's pivot path, and so do the node numbers.
+        for gains, dropped_ties in [
+            ([0.59, 1.99, 1.83, 1.87], {19, 20}),
+            ([1.79, 1.23, 0.78, 1.5], {31, 32}),
         ]:
+            frame = make_uniform_frame(3, 4, gain=np.array(gains), lambda_e=0.0)
             report = solve_bnb(frame)
             assert report.status is SolveStatus.OPTIMAL
             traced = {rec.node_id for rec in report.trace}

@@ -148,6 +148,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LinearProgram(np.array([np.nan]))
 
+    def test_bounds_are_views_of_the_column_bounds(self):
+        # A bound written in place reaches the solver; replacing the array
+        # would leave the solver reading the old one, so it is refused.
+        lp = transportation_lp()
+        lp.upper[1] = 0.5
+        assert lp.col_upper[1] == 0.5
+        assert solve_lp(lp).x[1] == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(AttributeError):
+            lp.upper = np.full(3, 5.0)
+        with pytest.raises(AttributeError):
+            lp.lower = np.zeros(3)
+
 
 class TestProperties:
     def test_weak_duality_on_sampled_feasible_points(self):
@@ -246,7 +258,7 @@ class TestContract:
         basis = solve_lp(lp).basis
         other = LinearProgram(np.array([1.0, 4.0, 2.5]), lp.a_eq, lp.b_eq,
                               None, None, lp.lower, lp.upper)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="dual feasible"):
             solve_lp(other, start=basis)
 
 
@@ -343,6 +355,23 @@ class TestAgainstScipy:
         basis = solve_lp(lp).basis
         with pytest.raises(ValueError):
             solve_lp(lp, start=Basis(basis.indices[:1], basis.at_upper))
+
+    @pytest.mark.parametrize("column", [-1, 5])
+    def test_start_basis_out_of_range_rejected(self, column):
+        lp = transportation_lp()
+        basis = solve_lp(lp).basis
+        indices = basis.indices.copy()
+        indices[0] = column
+        with pytest.raises(ValueError, match="does not fit"):
+            solve_lp(lp, start=Basis(indices, basis.at_upper, basis.binv,
+                                     basis.reduced_costs))
+
+    def test_start_basis_repeating_a_column_rejected(self):
+        lp = transportation_lp()
+        basis = solve_lp(lp).basis
+        indices = np.full_like(basis.indices, basis.indices[0])
+        with pytest.raises(ValueError, match="repeats"):
+            solve_lp(lp, start=Basis(indices, basis.at_upper))
 
 
 def interior_lp(seed: int, n: int = 20, m_eq: int = 4, m_ub: int = 12):
@@ -501,3 +530,81 @@ class TestCarriedFactor:
         with pytest.raises(ValueError):
             solve_lp(lp, start=Basis(basis.indices, basis.at_upper,
                                      basis.binv[:-1, :-1], basis.reduced_costs))
+
+
+def basis_bytes(basis: Basis) -> list[bytes]:
+    return [np.asarray(a).tobytes() for a in
+            (basis.indices, basis.at_upper, basis.binv, basis.reduced_costs)]
+
+
+def result_bytes(res: LpResult) -> list:
+    if res.status is not LpStatus.OPTIMAL:
+        return [res.status, res.pivots]
+    return [res.status, res.x.tobytes(), res.value, res.pivots,
+            res.basis.updates, *basis_bytes(res.basis)]
+
+
+def children(lp: LinearProgram, x: np.ndarray, p: np.ndarray):
+    """Both children of a branching on the variable farthest from ``p`` at
+    ``x``: one cut toward ``p`` (feasible), one cut away from it, down to
+    half of its value (possibly infeasible)."""
+    toward = cut_toward(lp, x, p)
+    j = int(np.argmax(np.abs(x - p)))
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    if x[j] < p[j]:
+        upper[j] = x[j] / 2
+    else:
+        lower[j] = 2 * x[j] if np.isinf(upper[j]) else (x[j] + upper[j]) / 2
+    away = LinearProgram(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, lower, upper)
+    return toward, away
+
+
+class TestSharedStart:
+    """Both children of a node resume from the same ``result.basis``; no
+    solve writes into a start, so the order of the solves does not matter."""
+
+    # Seeds on which both children pivot away from the shared start.
+    @pytest.mark.parametrize("seed", [3, 7, 8, 10])
+    def test_both_children_from_one_start_in_either_order(self, seed):
+        lp, p = interior_lp(seed)
+        parent = solve_lp(lp)
+        start = parent.basis
+        before = basis_bytes(start)
+        kids = children(lp, parent.x, p)
+        runs = {}
+        for order in ((0, 1), (1, 0)):
+            for k in order:
+                runs[order, k] = solve_lp(kids[k], start=start)
+                assert basis_bytes(start) == before
+        for k, child in enumerate(kids):
+            first, second = runs[(0, 1), k], runs[(1, 0), k]
+            assert result_bytes(first) == result_bytes(second)
+            cold = solve_lp(child)
+            assert first.status is cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                assert first.value == pytest.approx(cold.value, abs=1e-7 * max(1.0, abs(cold.value)))
+                assert_certified(child, first)
+        assert all(runs[(0, 1), k].pivots for k in (0, 1))
+
+    def test_interleaved_programs(self):
+        # Two chains of warm solves down two programs, interleaved, give
+        # the same results bit for bit as each chain run alone, and leave
+        # every start as it was.
+        def chain(seed, links=6):
+            lp, p = interior_lp(seed)
+            res = solve_lp(lp)
+            yield res
+            for _ in range(links):
+                lp = cut_toward(lp, res.x, p)
+                start, before = res.basis, basis_bytes(res.basis)
+                res = solve_lp(lp, start=start)
+                assert basis_bytes(start) == before
+                yield res
+
+        alone = [[result_bytes(r) for r in chain(seed)] for seed in (8, 9)]
+        mixed = [[], []]
+        for a, b in zip(chain(8), chain(9)):
+            mixed[0].append(result_bytes(a))
+            mixed[1].append(result_bytes(b))
+        assert mixed == alone
+
