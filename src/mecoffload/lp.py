@@ -155,7 +155,6 @@ class LinearProgram:
         self.col_upper = np.concatenate([upper, np.zeros(m_eq), np.full(m - m_eq, np.inf)])
         self._lower = self.col_lower[:n]
         self._upper = self.col_upper[:n]
-        self.slack_upper = self.col_upper[n:]
 
     @property
     def lower(self) -> np.ndarray:
@@ -279,8 +278,8 @@ class _BoundedSimplex:
         try:
             uses = np.bincount(basis, minlength=num_cols)  # refuses a negative index
         except ValueError:
-            uses = None
-        if uses is None or uses.size != num_cols:
+            raise ValueError("start basis does not fit the program's rows and columns") from None
+        if uses.size != num_cols:
             raise ValueError("start basis does not fit the program's rows and columns")
         if m and uses[uses.argmax()] > 1:
             raise ValueError("start basis repeats a column")
@@ -373,6 +372,8 @@ class _BoundedSimplex:
                     raise ArithmeticError("basis inverse does not invert the basis")
                 return False
 
+            # Nearly every choice has one candidate or a unique minimum
+            # ratio; both skip the steps that only break a tie.
             if idx.size == 1:
                 entering = int(idx[0])
             else:

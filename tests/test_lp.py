@@ -510,9 +510,7 @@ class TestCarriedFactor:
         lp, p = interior_lp(6)
         basis = solve_lp(lp).basis
         m = lp.rhs.size
-        lower = np.concatenate([lp.lower, np.zeros(m)])
-        upper = np.concatenate([lp.upper, lp.slack_upper])
-        x = np.where(basis.at_upper, upper, lower)
+        x = np.where(basis.at_upper, lp.col_upper, lp.col_lower)
         x[basis.indices] = 0.0
         r = lp.rhs - lp.rows @ x
         rng = np.random.default_rng(0)
