@@ -1,21 +1,25 @@
 """Branch-and-bound over the channel indicators, with trace recording.
 
-The search is best-first: open nodes sit in a heap keyed on their
-parent's relaxation value (the root's key is ``-inf``), with the node id
-breaking ties so the order is deterministic.  A popped node whose key has
-reached the incumbent is dropped unsolved, and so is everything still
-open, since no key in the heap is lower.  Otherwise the node relaxation
-is solved, the node branches on its first fractional indicator (the first
-index carrying flow on a channel two devices share), and it is pruned by
-bound against the incumbent.  Both bound tests are strict: a node is kept
-only if its bound is strictly below the incumbent, since a node tied with
-it has no descendant that could improve on it.  One relaxation LP serves
-the whole search: each pop only resets its flow bounds, and every child
-LP is warm-started from its parent's optimal basis and factor.  Every solved node is
-appended to the trace, which later becomes classifier training data, so
-the records carry the full relaxation point and the bound that was active
-at pop time; a node dropped at pop time costs no LP, has no trace row and
-is not counted.
+The search is best-first: open nodes sit in a heap keyed on a lower bound
+on their relaxation value (the root's key is ``-inf``), with the node id
+breaking ties so the order is deterministic.  A child's key is read off its
+parent's optimal LP without solving it: the parent's value raised by one
+bounded dual ratio test on each basic flow the child's fixing pins
+(:func:`lp.pinned_bounds`), so it never falls below its parent's value, and
+keys never decrease along a path.  A popped node whose key has reached the
+incumbent is dropped unsolved, and so is everything still open, since no
+key in the heap is lower.  Otherwise the node relaxation is solved, the
+node branches on its first fractional indicator (the first index carrying
+flow on a channel two devices share), and it is pruned by bound against
+the incumbent.  Both bound tests are strict: a node is kept only if its
+bound is strictly below the incumbent, since a node tied with it has no
+descendant that could improve on it.  One relaxation LP serves the whole
+search: each pop only resets its flow bounds, and every child LP is
+warm-started from its parent's optimal basis and factor.  Every solved
+node is appended to the trace, which later becomes classifier training
+data, so the records carry the full relaxation point and the bound that
+was active at pop time; a node dropped at pop time costs no LP, has no
+trace row, and is counted only as unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -38,13 +42,14 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import Basis, LpStatus, solve_lp
+from .lp import Basis, LpStatus, pinned_bounds, solve_lp
 from .relax import (
     INTEGRALITY_TOL,
     NodeConstraints,
     RelaxationSolution,
     build_relaxation,
     extract_solution,
+    pinned_flows,
     set_node_bounds,
     solve_split,
 )
@@ -97,7 +102,8 @@ class SolveOptions:
 class Node:
     """One search-tree node; ``start`` is its parent's optimal LP basis with
     its factor, the warm start of its own relaxation (None at the root,
-    which starts from the all-slack basis)."""
+    which starts from the all-slack basis).  Its heap key is not kept here:
+    it is the bound :func:`lp.pinned_bounds` reads off the parent's LP."""
 
     node_id: int
     depth: int
@@ -113,8 +119,7 @@ class NodeRecord:
     node_id: int
     depth: int
     parent_id: int | None
-    feasible_flag: int            # 0 iff the node relaxation was infeasible
-    action: NodeAction
+    action: NodeAction            # PRUNED_INFEASIBLE iff the relaxation was infeasible
     psi: float                    # nan when infeasible
     zub_at_pop: float             # incumbent bound when the node was popped
     x: np.ndarray                 # (S*K,) zeros when infeasible
@@ -128,6 +133,7 @@ class SolveReport:
     best_split: np.ndarray | None  # (S, K) bits
     best_psi: float | None
     nodes_searched: int
+    nodes_unsolved: int           # nodes made but never solved: dropped or left open
     trace: list[NodeRecord]
     wall_time: float
     lp_pivots: int                # dual simplex pivots over every node LP
@@ -189,8 +195,8 @@ def solve_bnb(
     n = scenario.num_mds * scenario.num_channels
 
     lp = build_relaxation(scenario, {})
-    # Open nodes keyed (parent bound, node_id); popped nodes are dropped with
-    # their bases, and only the trace keeps rows.
+    # Open nodes keyed (bound, node_id); popped nodes are dropped with their
+    # bases, and only the trace keeps rows.
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, Node(0, 0, None, {}))]
     next_id = 1
     z_ub = np.inf
@@ -202,8 +208,8 @@ def solve_bnb(
     exhausted = False
 
     while queue:
-        parent_psi, _, node = heapq.heappop(queue)
-        if parent_psi >= z_ub:
+        key, _, node = heapq.heappop(queue)
+        if key >= z_ub:
             break  # every open bound has reached the incumbent
         if len(trace) >= opts.max_nodes:
             exhausted = True
@@ -216,7 +222,7 @@ def solve_bnb(
         lp_refactors += result.refactors
         if result.status is not LpStatus.OPTIMAL:
             trace.append(NodeRecord(
-                node.node_id, node.depth, node.parent_id, 0,
+                node.node_id, node.depth, node.parent_id,
                 NodeAction.PRUNED_INFEASIBLE, float("nan"), zub_at_pop,
                 np.zeros(n), np.zeros(n),
             ))
@@ -227,7 +233,7 @@ def solve_bnb(
             root_psi = sol.psi
         # The gate sees the record as it would be kept if branched.
         record = NodeRecord(
-            node.node_id, node.depth, node.parent_id, 1, NodeAction.BRANCHED,
+            node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
             sol.psi, zub_at_pop, sol.x.copy(), sol.split_bits.copy(),
         )
         if sol.integral:
@@ -244,13 +250,15 @@ def solve_bnb(
         elif gate is not None and not gate(record, root_psi):
             record.action = NodeAction.PRUNED_BY_MODEL
         else:
-            child_down, child_up = branch(
-                node, sol.first_fractional, sol.x[sol.first_fractional], next_id,
-            )
+            index = sol.first_fractional
+            children = branch(node, index, sol.x[index], next_id)
             next_id += 2
-            child_down.start = child_up.start = result.basis
-            heapq.heappush(queue, (sol.psi, child_down.node_id, child_down))
-            heapq.heappush(queue, (sol.psi, child_up.node_id, child_up))
+            keys = pinned_bounds(lp, result, [
+                pinned_flows(index, child.constraints[index][0], scenario.num_channels, n)
+                for child in children])
+            for key, child in zip(keys, children):
+                child.start = result.basis
+                heapq.heappush(queue, (key, child.node_id, child))
         trace.append(record)
 
     if exhausted:
@@ -265,6 +273,7 @@ def solve_bnb(
         best_split=best[1] if best else None,
         best_psi=best_psi,
         nodes_searched=len(trace),
+        nodes_unsolved=next_id - len(trace),
         trace=trace,
         wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,
@@ -312,6 +321,7 @@ def solve_exhaustive(scenario: Scenario, opts: SolveOptions | None = None) -> So
         best_split=best[1] if best else None,
         best_psi=best_psi if best is not None else None,
         nodes_searched=evaluated,
+        nodes_unsolved=0,
         trace=[],
         wall_time=time.perf_counter() - t0,
         lp_pivots=0,
@@ -341,7 +351,8 @@ def write_trace_csv(path, passes, num_indicators: int) -> None:
             parent = -1 if rec.parent_id is None else rec.parent_id
             row = [
                 str(rec.node_id), str(rec.depth), str(parent),
-                str(rec.feasible_flag), rec.action.value,
+                "0" if rec.action is NodeAction.PRUNED_INFEASIBLE else "1",
+                rec.action.value,
                 _csv_float(rec.psi), _csv_float(rec.zub_at_pop),
             ]
             row += [_csv_float(v) for v in rec.x]

@@ -1,6 +1,6 @@
 """Search traces to labeled training samples.
 
-Each popped node becomes one sample whose label says whether the node lies
+Each solved node becomes one sample whose label says whether the node lies
 on the ancestor chain of the final incumbent, i.e. whether an oracle would
 have kept it.  Features are the node attributes the pruning classifier will
 see during a live search (never anything about descendants), normalized so
@@ -105,8 +105,8 @@ def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.
     features = np.zeros(feature_length(task_bits.size, k_n))
     features[0] = np.log2(1.0 + record.node_id) / n
     features[1] = record.depth / n
-    features[2] = record.feasible_flag
-    if record.feasible_flag:
+    if record.action is not NodeAction.PRUNED_INFEASIBLE:
+        features[2] = 1.0
         features[3] = record.psi / root_psi
         features[4:4 + n] = record.x
         features[4 + n:] = record.split_bits / np.repeat(task_bits, k_n)

@@ -73,6 +73,7 @@ class IbnbReport:
     best_split: np.ndarray | None
     best_psi: float | None
     nodes_searched: int
+    nodes_unsolved: int           # nodes made but never solved, over every pass
     passes: list[SearchPass]
     wall_time: float
     lp_pivots: int                # dual simplex pivots over every pass
@@ -125,7 +126,7 @@ def solve_ibnb(
     passes: list[SearchPass] = []
     best = None
     best_psi = None
-    nodes_total = 0
+    nodes_total = unsolved_total = 0
     lp_pivots = lp_refactors = 0
 
     while True:
@@ -142,6 +143,7 @@ def solve_ibnb(
         )
         passes.append(SearchPass(None if fell_back else theta, report.trace))
         nodes_total += report.nodes_searched
+        unsolved_total += report.nodes_unsolved
         lp_pivots += report.lp_pivots
         lp_refactors += report.lp_refactors
         status = report.status
@@ -163,6 +165,7 @@ def solve_ibnb(
         best_split=best[1] if best else None,
         best_psi=best_psi,
         nodes_searched=nodes_total,
+        nodes_unsolved=unsolved_total,
         passes=passes,
         wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,

@@ -29,6 +29,12 @@ updates carries down the tree, and the inverse is recomputed from the basis
 columns (with the reduced costs and basic values) once it reaches
 :data:`_REFACTOR_EVERY`, or at once for a start without a factor.
 
+An optimal result also carries the sign of each column's dual slack, and
+:func:`pinned_bounds` reads off it, without a solve, a lower bound on the
+value of a child that pins some columns at their lower bounds: the dual
+objective after one ratio test on a row the pins cut off, the first pivot
+the child's own solve would make there.
+
 Dual pivots keep the basis dual feasible, so the first primal feasible
 basis is optimal; the final point must satisfy the rows, and one pricing
 pass from scratch over the final basis certifies it.  An infeasible verdict
@@ -55,11 +61,13 @@ The solver is deterministic.  The dual pivots leave on the row of largest
 bound violation (smallest row on ties) and enter by the bounded dual ratio
 test (ties to the largest pivot magnitude, then the smallest column); they
 have no anti-cycling fallback, so a stalled dual solve ends in an error at
-the iteration cap rather than looping.
+the iteration cap (:func:`_pivot_cap`) rather than looping.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +79,7 @@ __all__ = [
     "LpResult",
     "Basis",
     "solve_lp",
+    "pinned_bounds",
     "FEASIBILITY_TOL",
     "OPTIMALITY_TOL",
 ]
@@ -86,6 +95,12 @@ _PIVOT_TOL = 1e-10
 _REFACTOR_EVERY = 64
 #: The sign of a column's dual slack, indexed by its at-upper flag.
 _SIGNS = np.array([1.0, -1.0])
+
+
+def _pivot_cap(num_rows: int, num_cols: int) -> int:
+    """Most pivots one dual solve may make: the dual rule has no anti-cycling
+    fallback, so a solve that needs more ends in ``ArithmeticError``."""
+    return 10_000 + 200 * (num_rows + num_cols)
 
 
 class LpStatus(Enum):
@@ -205,6 +220,10 @@ class LpResult:
     pivots: int = 0
     #: Basis inversions of this solve.
     refactors: int = 0
+    #: The sign of each column's dual slack at the optimum: +1 resting at
+    #: its lower bound, -1 at its upper one, 0 basic or fixed.  None unless
+    #: OPTIMAL.
+    slack_signs: np.ndarray | None = None
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
@@ -237,7 +256,69 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     return LpResult(LpStatus.OPTIMAL, x[:n], float(lp.c.dot(x[:n])),
                     Basis(sim.basis, sim.at_upper, sim.binv, sim.reduced,
                           sim.updates),
-                    sim.pivots, sim.refactors)
+                    sim.pivots, sim.refactors, sim.sign)
+
+
+def pinned_bounds(lp: LinearProgram, result: LpResult,
+                  pin_sets: Sequence[np.ndarray]) -> list[float]:
+    """For each integer array of structural columns in ``pin_sets``, a lower
+    bound on the value of ``lp`` once those columns are fixed at their lower
+    bounds, read off its optimal ``result`` without a solve.
+
+    ``lp`` must still hold the bounds ``result`` was solved under.  Pinning
+    a column that rests at its lower bound moves nothing, and every other
+    pinned column must be basic: the optimal basis then stays dual feasible,
+    and each basic column more than :data:`FEASIBILITY_TOL` above its lower
+    bound is cut off.  On each cut-off row, the bounded dual ratio test of
+    :meth:`_BoundedSimplex.dual`, with the set's pinned columns barred from
+    entering since their dual slacks are free, gives the longest dual step
+    that keeps the basis dual feasible.  The dual objective after it is
+    ``result.value`` plus the row's violation times the least ratio (none
+    below zero), a lower bound on the pinned program's value.  A set's bound
+    is the largest of these, and ``result.value`` when it cuts off no row.
+    A row no column can enter adds nothing: it proves the pinned program
+    infeasible, which is left to its own solve.  The rows of every set are
+    priced together.
+    """
+    basis = result.basis
+    sign = result.slack_signs
+    # The few entries read one by one are read from lists.
+    x, lower = result.x.tolist(), lp.lower.tolist()
+    indices, movable = basis.indices.tolist(), sign.tolist()
+    rows: list[int] = []
+    violations: list[float] = []
+    spans: list[tuple[int, int, list[int]]] = []
+    for pinned in pin_sets:
+        first, barred = len(rows), []
+        for j in pinned.tolist():
+            violation = x[j] - lower[j]
+            if violation > FEASIBILITY_TOL:
+                if j not in indices:
+                    raise ValueError(f"pinned column {j} rests above its lower bound")
+                rows.append(indices.index(j))
+                violations.append(violation)
+            elif movable[j]:
+                # At rest and free to move: barred from this set's rows.
+                barred.append(j)
+        spans.append((first, len(rows), barred))
+    if not rows:
+        return [result.value] * len(spans)
+    # Every row falls toward its bound from above, so a column may enter
+    # when its signed entry is positive; its ratio (d_q s_q) / (alpha_q s_q)
+    # is then d_q / alpha_q, as the sign is +-1.
+    alpha = basis.binv.take(rows, axis=0).dot(lp.rows)
+    eligible = alpha * sign > _PIVOT_TOL
+    width = alpha.shape[1]
+    for first, last, barred in spans:
+        if last > first and barred:
+            eligible.put([r * width + j for r in range(first, last) for j in barred], False)
+    ratios = np.empty(alpha.shape)
+    ratios.fill(np.inf)
+    np.divide(basis.reduced_costs, alpha, out=ratios, where=eligible)
+    steps = np.minimum.reduce(ratios, axis=1).tolist()
+    return [result.value + max([v * t for v, t in zip(violations[first:last], steps[first:last])
+                                if 0.0 < t < math.inf], default=0.0)
+            for first, last, _ in spans]
 
 
 class _BoundedSimplex:
@@ -345,9 +426,8 @@ class _BoundedSimplex:
         a, basis, sign, lower, upper = self.a, self.basis, self.sign, self.lower, self.upper
         # Bounds of the basic variables, kept in step with the basis.
         lower_b, upper_b = lower[basis], upper[basis]
-        max_iter = 10_000 + 200 * (self.num_cols + self.m)
-
-        for _ in range(max_iter):
+        # One pass more than the cap, to see the point the last pivot left.
+        for _ in range(_pivot_cap(self.m, self.num_cols) + 1):
             # A refactorisation replaces these four.
             xb, binv, reduced, x = self.xb, self.binv, self.reduced, self.x
             violation = np.maximum(lower_b - xb, xb - upper_b)

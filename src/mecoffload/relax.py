@@ -31,6 +31,7 @@ frame time tau by costing each of its breakpoints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "SplitSolution",
     "build_relaxation",
     "extract_solution",
+    "pinned_flows",
     "set_node_bounds",
     "solve_split",
     "validate_node_constraints",
@@ -133,12 +135,27 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
     return lp
 
 
+@functools.lru_cache(maxsize=None)
+def pinned_flows(index: int, value: int, num_channels: int, num_flows: int) -> np.ndarray:
+    """Flat indices of the flows that fixing indicator ``index`` to
+    ``value`` pins at zero, in increasing order: x_sk = 0 pins y_sk, and
+    x_sk = 1 pins y_s'k for every other device s'.  The array is shared
+    between calls and read-only."""
+    if value == 0:
+        flows = np.array([index])
+    else:
+        flows = np.arange(index % num_channels, num_flows, num_channels)
+        flows = flows[flows != index]
+    flows.setflags(write=False)
+    return flows
+
+
 def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
     """Turn a relaxation made by :func:`build_relaxation` into that of the
-    node ``nc``, in place: every flow is free above zero except where a
-    fixing bounds it, x_sk = 0 by y_sk <= 0 and x_sk = 1 by y_s'k <= 0 for
-    every other device s'.  Two devices fixed to one channel is a contract
-    violation: the search never branches on a channel it has given away."""
+    node ``nc``, in place: every flow is free above zero except those its
+    fixings pin at zero, by :func:`pinned_flows`.  Two devices fixed to one
+    channel is a contract violation: the search never branches on a channel
+    it has given away."""
     n = lp.num_vars - 1
     validate_node_constraints(nc, n)
     k_n = n // lp.a_eq.shape[0]
@@ -146,15 +163,12 @@ def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
     upper[:n] = np.inf
     owner: dict[int, int] = {}
     for i, (lo, _) in nc.items():
-        if lo == 0:
-            upper[i] = 0.0
-        else:
+        if lo == 1:
             k = i % k_n
             if k in owner:
                 raise ValueError(f"indicators {owner[k]} and {i} both claim channel {k}")
             owner[k] = i
-            upper[k:n:k_n] = 0.0
-            upper[i] = np.inf
+        upper[pinned_flows(i, lo, k_n, n)] = 0.0
 
 
 def extract_solution(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mecoffload.lp as lp_module
 from mecoffload.scenario import Scenario, ScenarioConfig, generate_frame, rate
 
 
@@ -23,6 +24,23 @@ def make_uniform_frame(num_mds, num_channels, gain=1.0, power=1.2, task=4.0e6,
     tasks = np.full(num_mds, task)
     rates = rate(powers[:, None], gains, cfg.bandwidth_hz, cfg.noise_power_w)
     return Scenario(cfg, gains, powers, tasks, rates)
+
+
+def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,
+                          monkeypatch) -> float:
+    """The objective of ``lp``'s dual simplex from ``start`` after one
+    pivot.  The basic values are solved afresh from the basis the pivot
+    reached: those the pivots maintain drift, by up to ~1.6e-12 (relative)
+    in the objective on the 4x6 search frames of the tests."""
+    sim = lp_module._BoundedSimplex(lp, start)
+    with monkeypatch.context() as m:
+        m.setattr(lp_module, "_pivot_cap", lambda rows, cols: 0)
+        with pytest.raises(ArithmeticError, match="iteration limit"):
+            sim.dual()
+    assert sim.pivots == 1
+    x = sim.x.copy()
+    x[sim.basis] = np.linalg.solve(sim.a[:, sim.basis], sim.b - sim.a.dot(x))
+    return float(sim.c.dot(x))
 
 
 @pytest.fixture

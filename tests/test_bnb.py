@@ -1,3 +1,6 @@
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,11 +16,11 @@ from mecoffload.bnb import (
     solve_exhaustive,
     write_trace_csv,
 )
-from mecoffload.lp import _REFACTOR_EVERY, solve_lp
+from mecoffload.lp import _REFACTOR_EVERY, FEASIBILITY_TOL, pinned_bounds, solve_lp
 from mecoffload.relax import solve_split
 from mecoffload.scenario import Assignment, check_feasible, objective
 
-from conftest import make_frame, make_uniform_frame
+from conftest import first_pivot_objective, make_frame, make_uniform_frame
 
 
 class TestBranch:
@@ -88,6 +91,17 @@ class TestSolveBnb:
         assert bnb.status is SolveStatus.OPTIMAL
         assert bnb.best_psi == pytest.approx(oracle.best_psi, rel=1e-6)
 
+    # Frames no other test solves, at the sizes of the learned search's
+    # training and benchmark frames.
+    @pytest.mark.parametrize("num_channels,seed", [
+        (k_n, seed) for k_n in (4, 5) for seed in range(3000, 3030)])
+    def test_matches_exhaustive_on_fresh_frames(self, num_channels, seed):
+        frame = make_frame(num_mds=3, num_channels=num_channels, seed=seed)
+        bnb = solve_bnb(frame)
+        oracle = solve_exhaustive(frame)
+        assert bnb.status is oracle.status is SolveStatus.OPTIMAL
+        assert bnb.best_psi == pytest.approx(oracle.best_psi, rel=1e-12)
+
     def test_solution_feasible_and_priced_consistently(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=77)
         report = solve_bnb(frame)
@@ -147,6 +161,25 @@ SEARCH_FRAMES = [
 ]
 
 
+def search_with_keys(frame, monkeypatch):
+    """Solve ``frame`` recording the heap: the key each node was pushed
+    with, by node id, and every key popped, in order."""
+    keys, popped = {}, []
+
+    def heappush(queue, item):
+        keys[item[1]] = item[0]
+        heapq.heappush(queue, item)
+
+    def heappop(queue):
+        item = heapq.heappop(queue)
+        popped.append(item[0])
+        return item
+
+    monkeypatch.setattr(bnb_module, "heapq",
+                        SimpleNamespace(heappush=heappush, heappop=heappop))
+    return solve_bnb(frame), keys, popped
+
+
 class TestTraceInvariants:
     @pytest.fixture(scope="class")
     def report(self):
@@ -187,14 +220,15 @@ class TestTraceInvariants:
         # on each channel), so device permutations of one channel map cost
         # the same and node optima tie structurally with the optimum.  A
         # branched node's bound equals the final incumbent, so its children
-        # that were still open when that incumbent arrived are tied with it:
-        # they are dropped at pop time, unsolved and untraced, since no
+        # that were still open when that incumbent arrived have keys tied
+        # with it, since a child's key is at least its parent's bound: they
+        # are dropped at pop time, unsolved and untraced, since no
         # descendant of theirs could strictly improve it.  Children are
         # numbered in branching order: the i-th branched node's children
         # are 2i+1 and 2i+2.  Which tied optima agree to the last bit still
         # follows the simplex's pivot path, and so do the node numbers.
         for gains, dropped_ties in [
-            ([0.59, 1.99, 1.83, 1.87], {19, 20}),
+            ([1.84, 1.79, 0.5, 1.31], {30, 31, 34}),
             ([1.79, 1.23, 0.78, 1.5], {31, 32}),
         ]:
             frame = make_uniform_frame(3, 4, gain=np.array(gains), lambda_e=0.0)
@@ -210,22 +244,74 @@ class TestTraceInvariants:
             for rec in branched:
                 assert rec.psi < rec.zub_at_pop
 
-    # LP round-off lets a child's relaxation value sit up to ~2.5e-15
-    # (relative) below its parent's, so a child can pop with a key a few
-    # ulps below the key popped before it.
+    # LP round-off lets a node's relaxation value sit up to ~1.4e-14
+    # (relative) below its key, and so below its children's keys, so a
+    # child can pop with a key a few ulps below the key popped before it.
     BOUND_ORDER_RTOL = 1e-12
 
     @pytest.mark.parametrize("frame", SEARCH_FRAMES)
-    def test_best_first_order(self, frame):
-        report = solve_bnb(frame)
+    def test_best_first_order(self, frame, monkeypatch):
+        report, keys, popped = search_with_keys(frame, monkeypatch)
         assert report.status is SolveStatus.OPTIMAL
-        psi = {rec.node_id: rec.psi for rec in report.trace}
-        keys = [psi[rec.parent_id] for rec in report.trace[1:]]
-        for rec, key in zip(report.trace[1:], keys):
-            # Every solved node had a parent bound below the incumbent.
-            assert key < rec.zub_at_pop
-        for a, b in zip(keys, keys[1:]):
+        for rec in report.trace[1:]:
+            # Every solved node had a key below the incumbent.
+            assert keys[rec.node_id] < rec.zub_at_pop
+        # Keys pop in nondecreasing order, the one that ends the search too.
+        for a, b in zip(popped, popped[1:]):
             assert b >= a - self.BOUND_ORDER_RTOL * abs(a)
+
+    @pytest.mark.parametrize("frame", SEARCH_FRAMES)
+    def test_child_key_bounds_its_relaxation(self, frame, monkeypatch):
+        # A child's key is read off its parent's optimal LP: no lower than
+        # the parent's value, and no higher than the child's own.
+        report, keys, _ = search_with_keys(frame, monkeypatch)
+        psi = {rec.node_id: rec.psi for rec in report.trace}
+        solved = [rec for rec in report.trace[1:]
+                  if rec.action is not NodeAction.PRUNED_INFEASIBLE]
+        assert solved
+        for rec in solved:
+            key = keys[rec.node_id]
+            assert key >= psi[rec.parent_id]
+            assert rec.psi >= key - self.BOUND_ORDER_RTOL * abs(key)
+        # The keys do prune: some children are dropped with a key above
+        # their parent's value.  The i-th branched node's children are
+        # 2i+1 and 2i+2.
+        branched = [rec for rec in report.trace if rec.action is NodeAction.BRANCHED]
+        assert any(keys[2 * i + child] > rec.psi
+                   for i, rec in enumerate(branched) for child in (1, 2)
+                   if 2 * i + child not in psi)
+
+    @pytest.mark.parametrize("frame", SEARCH_FRAMES)
+    def test_single_cut_row_key_is_the_first_pivot_objective(self, frame, monkeypatch):
+        # When a child's fixing cuts off one basic flow, its key is the
+        # objective of its own dual simplex after the first pivot.  The
+        # search's own bounds are replaced for the check and put back.
+        checked = []
+
+        def checking_bounds(lp, result, pin_sets):
+            keys = pinned_bounds(lp, result, pin_sets)
+            upper = lp.col_upper.copy()
+            for key, pinned in zip(keys, pin_sets):
+                if np.count_nonzero(result.x[pinned] > FEASIBILITY_TOL) != 1:
+                    continue
+                lp.col_upper[pinned] = 0.0
+                objective = first_pivot_objective(lp, result.basis, monkeypatch)
+                lp.col_upper[:] = upper
+                assert key == pytest.approx(objective, rel=1e-12, abs=0.0)
+                checked.append(key > result.value)
+            return keys
+
+        monkeypatch.setattr(bnb_module, "pinned_bounds", checking_bounds)
+        assert solve_bnb(frame).status is SolveStatus.OPTIMAL
+        assert len(checked) >= 10 and any(checked)
+
+    def test_unsolved_nodes_are_counted(self):
+        for frame in (make_frame(num_mds=3, num_channels=5, seed=14),
+                      make_frame(num_mds=4, num_channels=6, seed=203)):
+            report = solve_bnb(frame)
+            branched = sum(rec.action is NodeAction.BRANCHED for rec in report.trace)
+            assert report.nodes_unsolved > 0
+            assert report.nodes_searched + report.nodes_unsolved == 1 + 2 * branched
 
     @pytest.mark.parametrize("frame", SEARCH_FRAMES)
     def test_incumbents_are_leaves_and_branching_splits_a_shared_channel(

@@ -170,7 +170,7 @@ class TestSolve:
         assert rb["nodes_searched"] == ri["nodes_searched"]
         assert ri["model_id"]
         fields = [dict(f.split("=") for f in line.split()) for line in summaries]
-        for counter in ("lp_pivots", "lp_refactors"):
+        for counter in ("nodes_unsolved", "lp_pivots", "lp_refactors"):
             assert fields[0][counter] == fields[1][counter]
         assert int(fields[0]["lp_pivots"]) > 0
 

@@ -81,6 +81,7 @@ class TestDegenerateModels:
         assert report.status is SolveStatus.OPTIMAL
         assert report.restarts == 0
         assert report.best_psi == exact.best_psi
+        assert report.nodes_unsolved == exact.nodes_unsolved
         assert report.lp_pivots == exact.lp_pivots
         assert report.lp_refactors == exact.lp_refactors
         assert len(report.trace) == len(exact.trace)
@@ -115,6 +116,11 @@ class TestDegenerateModels:
         assert report.restarts == 1
         assert report.nodes_searched == 1 + len(report.passes[1].records)
         assert report.nodes_searched == len(report.trace)
+        # Each pass ran to its end: it made the root and two children per
+        # branched node, and solved the rest.
+        assert report.nodes_unsolved == sum(
+            1 + 2 * sum(rec.action is NodeAction.BRANCHED for rec in p.records)
+            - len(p.records) for p in report.passes)
 
     def test_fallback_to_exact_search(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=43)
@@ -175,7 +181,8 @@ class TestSoundness:
         root_psi = exact.trace[0].psi
         scores = [
             forward(model, featurize(rec, root_psi, frame.task_bits))
-            for rec in exact.trace if rec.feasible_flag
+            for rec in exact.trace
+            if rec.action is not NodeAction.PRUNED_INFEASIBLE
         ]
         for big, small in [(1e-2, 1e-4), (0.5, 1e-7), (1e-7, 1e-12)]:
             kept_big = {i for i, s in enumerate(scores) if prune_decision(s, big)}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,8 +14,11 @@ from mecoffload.lp import (
     LinearProgram,
     LpResult,
     LpStatus,
+    pinned_bounds,
     solve_lp,
 )
+
+from conftest import first_pivot_objective
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[np.ndarray]:
@@ -539,7 +543,7 @@ def result_bytes(res: LpResult) -> list:
     if res.status is not LpStatus.OPTIMAL:
         return [res.status, res.pivots]
     return [res.status, res.x.tobytes(), res.value, res.pivots,
-            res.basis.updates, *basis_bytes(res.basis)]
+            res.basis.updates, res.slack_signs.tobytes(), *basis_bytes(res.basis)]
 
 
 def children(lp: LinearProgram, x: np.ndarray, p: np.ndarray):
@@ -606,3 +610,140 @@ class TestSharedStart:
             mixed[1].append(result_bytes(b))
         assert mixed == alone
 
+
+
+class TestIterationCap:
+    def test_a_solve_needing_more_pivots_than_the_cap_is_an_error(self, monkeypatch):
+        import mecoffload.lp as lp_module
+
+        lp, _ = interior_lp(1)
+        needed = solve_lp(lp).pivots
+        assert needed >= 2
+        monkeypatch.setattr(lp_module, "_pivot_cap", lambda rows, cols: needed - 1)
+        with pytest.raises(ArithmeticError, match="iteration limit"):
+            solve_lp(lp)
+        # The cap counts pivots: exactly as many as the solve needs pass.
+        monkeypatch.setattr(lp_module, "_pivot_cap", lambda rows, cols: needed)
+        res = solve_lp(lp)
+        assert res.status is LpStatus.OPTIMAL
+        assert res.pivots == needed
+
+
+def pinned(lp: LinearProgram, columns) -> LinearProgram:
+    """``lp`` with ``columns`` fixed at their lower bounds."""
+    upper = lp.upper.copy()
+    upper[columns] = lp.lower[columns]
+    return LinearProgram(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, lp.lower, upper)
+
+
+class TestPinnedBounds:
+    """A lower bound on a program with some columns pinned, read off the
+    optimal result of the program without the pins."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_one_cut_row_gives_the_first_pivot_objective(self, seed, monkeypatch):
+        lp, _ = interior_lp(seed)
+        res = solve_lp(lp)
+        n = lp.num_vars
+        basic = [j for j in res.basis.indices if j < n
+                 and res.x[j] - lp.lower[j] > FEASIBILITY_TOL]
+        raised = 0
+        for j in basic:
+            bound, = pinned_bounds(lp, res, [np.array([j])])
+            child = pinned(lp, [j])
+            if bound > res.value:
+                raised += 1
+                assert bound == pytest.approx(
+                    first_pivot_objective(child, res.basis, monkeypatch), rel=1e-12, abs=0.0)
+        assert raised >= len(basic) // 2
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_bound_lies_between_the_value_and_the_pinned_optimum(self, seed):
+        lp, _ = interior_lp(seed)
+        res = solve_lp(lp)
+        rng = np.random.default_rng(seed)
+        n = lp.num_vars
+        # Pinnable: every structural column but those resting at an upper
+        # bound above their lower one.
+        free = lp.lower < lp.upper
+        pinnable = [j for j in range(n) if not (res.basis.at_upper[j] and free[j])]
+        sets = [np.sort(rng.choice(pinnable, size=int(rng.integers(1, 4)), replace=False))
+                for _ in range(12)]
+        bounds = pinned_bounds(lp, res, sets)
+        # Each set is priced apart from the others (to the last bits, which
+        # follow how many rows one product takes).
+        assert bounds == pytest.approx([pinned_bounds(lp, res, [pins])[0] for pins in sets],
+                                       rel=1e-14, abs=0.0)
+        for pins, bound in zip(sets, bounds):
+            assert bound >= res.value
+            child = solve_lp(pinned(lp, pins))
+            if child.status is LpStatus.OPTIMAL:
+                assert bound <= child.value + 1e-12 * abs(child.value)
+        assert any(bound > res.value for bound in bounds)
+
+    def test_pinned_columns_may_not_enter(self):
+        # Pinning the column the ratio test of a cut-off row would enter as
+        # well bars it, so the bound can only rise.
+        lp, _ = interior_lp(2)
+        res = solve_lp(lp)
+        n = lp.num_vars
+        rises = 0
+        for pos, j in enumerate(res.basis.indices):
+            if j >= n or res.x[j] - lp.lower[j] <= FEASIBILITY_TOL:
+                continue
+            alpha = res.basis.binv[pos].dot(lp.rows)
+            movable = res.slack_signs * alpha > 0
+            movable[n:] = False
+            if not movable.any():
+                continue
+            ratios = np.where(movable, res.basis.reduced_costs / np.where(movable, alpha, 1.0),
+                              np.inf)
+            entering = int(ratios.argmin())
+            alone, barred = pinned_bounds(lp, res, [np.array([j]),
+                                                    np.array(sorted([j, entering]))])
+            assert barred >= alone
+            child = solve_lp(pinned(lp, [j, entering]))
+            if child.status is LpStatus.OPTIMAL:
+                assert barred <= child.value + 1e-12 * abs(child.value)
+            rises += barred > alone
+        assert rises
+
+    def test_ratio_below_zero_counts_as_zero(self):
+        # A dual slack a round-off below zero on the column that would
+        # enter gives a step of zero, never a bound below the value.
+        lp, _ = interior_lp(2)
+        res = solve_lp(lp)
+        n = lp.num_vars
+        j = next(j for j in res.basis.indices
+                 if j < n and res.x[j] - lp.lower[j] > FEASIBILITY_TOL
+                 and pinned_bounds(lp, res, [np.array([j])])[0] > res.value)
+        alpha = res.basis.binv[list(res.basis.indices).index(j)].dot(lp.rows)
+        eligible = res.slack_signs * alpha > 0
+        entering = int(np.where(eligible, res.basis.reduced_costs
+                                / np.where(eligible, alpha, 1.0), np.inf).argmin())
+        reduced = res.basis.reduced_costs.copy()
+        reduced[entering] = -1e-13 * np.sign(alpha[entering])
+        skewed = dataclasses.replace(res, basis=dataclasses.replace(res.basis,
+                                                                    reduced_costs=reduced))
+        assert pinned_bounds(lp, skewed, [np.array([j])]) == [res.value]
+
+    def test_set_that_cuts_nothing_keeps_the_value(self):
+        lp, _ = interior_lp(3)
+        res = solve_lp(lp)
+        at_lower = [j for j in range(lp.num_vars)
+                    if j not in res.basis.indices and not res.basis.at_upper[j]]
+        assert at_lower
+        assert pinned_bounds(lp, res, [np.array(at_lower), np.array([], dtype=int)]) \
+            == [res.value, res.value]
+
+    def test_nonbasic_column_above_its_lower_bound_is_refused(self):
+        for seed in range(1, 9):
+            lp, _ = interior_lp(seed)
+            res = solve_lp(lp)
+            at_upper = [j for j in range(lp.num_vars)
+                        if res.basis.at_upper[j] and lp.lower[j] < lp.upper[j]]
+            if at_upper:
+                with pytest.raises(ValueError, match="above its lower bound"):
+                    pinned_bounds(lp, res, [np.array(at_upper[:1])])
+                return
+        pytest.fail("no program rests a column at its upper bound")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecoffload.bnb import solve_bnb, solve_exhaustive
+from mecoffload.bnb import NodeAction, solve_bnb, solve_exhaustive
 from mecoffload.lp import LpResult, LpStatus, solve_lp
 from mecoffload.relax import (
     build_relaxation,
@@ -398,7 +398,7 @@ class TestTreeBoundProperties:
         report = solve_bnb(frame)
         by_id = {rec.node_id: rec for rec in report.trace}
         for rec in report.trace:
-            if rec.parent_id is None or not rec.feasible_flag:
+            if rec.parent_id is None or rec.action is NodeAction.PRUNED_INFEASIBLE:
                 continue
             parent = by_id[rec.parent_id]
             assert rec.psi >= parent.psi - 1e-9
