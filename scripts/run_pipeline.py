@@ -4,12 +4,15 @@ benchmark the learned search against the exact one.
 
 Writes everything under results/ (dataset, model, training history, and the
 three benchmark CSVs).  Frame counts and epochs are sized so the whole run
-finishes in minutes on a laptop; pass --frames/--epochs to scale up.
+finishes in minutes on a laptop; pass --frames/--epochs to scale up.  Each
+step's wall time, and the whole pipeline's, go to stdout only, so the
+written files stay byte-identical between identically seeded runs.
 """
 
 import argparse
 import os
 import sys
+import time
 
 from mecoffload.cli import main as cli
 
@@ -40,12 +43,18 @@ def run(argv) -> int:
          os.path.join(model_dir, "model.txt"), "--frames", str(args.frames),
          "--out", bench_dir, "--seed", str(args.seed)],
     ]
+    total = 0.0
     for step in steps:
         print(f"\n=== mecoffload {' '.join(step)}")
+        start = time.perf_counter()
         rc = cli(step)
+        wall = time.perf_counter() - start
+        total += wall
+        print(f"=== {step[0]}: {wall:.3f} s wall")
         if rc != 0:
             return rc
-    print(f"\nall outputs under {args.out}/")
+    print(f"\npipeline: {total:.3f} s wall")
+    print(f"all outputs under {args.out}/")
     return 0
 
 

@@ -14,12 +14,13 @@ flow on a channel two devices share), and it is pruned by bound against
 the incumbent.  Both bound tests are strict: a node is kept only if its
 bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
-search: each pop only resets its flow bounds, and every child LP is
-warm-started from its parent's optimal basis and factor.  Every solved
-node is appended to the trace, which later becomes classifier training
-data, so the records carry the full relaxation point and the bound that
-was active at pop time; a node dropped at pop time costs no LP, has no
-trace row, and is counted only as unsolved.
+search: each node carries its flow upper bounds, which a pop copies into
+the LP in one write, and every child LP is warm-started from its parent's
+optimal basis and factor.  Every solved node is appended to the trace,
+which later becomes classifier training data, so the records carry the
+full relaxation point and the bound that was active at pop time; a node
+dropped at pop time costs no LP, has no trace row, and is counted only as
+unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -44,13 +45,11 @@ import numpy as np
 
 from .lp import Basis, LpStatus, pinned_bounds, solve_lp
 from .relax import (
-    INTEGRALITY_TOL,
     NodeConstraints,
     RelaxationSolution,
     build_relaxation,
     extract_solution,
     pinned_flows,
-    set_node_bounds,
     solve_split,
 )
 from .scenario import Scenario
@@ -100,15 +99,19 @@ class SolveOptions:
 
 @dataclass
 class Node:
-    """One search-tree node; ``start`` is its parent's optimal LP basis with
-    its factor, the warm start of its own relaxation (None at the root,
-    which starts from the all-slack basis).  Its heap key is not kept here:
-    it is the bound :func:`lp.pinned_bounds` reads off the parent's LP."""
+    """One search-tree node.  ``upper`` holds the upper bounds of its flows
+    as an (S, K) array: 0 where a fixing pins the flow, inf elsewhere, the
+    bounds :func:`relax.set_node_bounds` would write for ``constraints``.
+    ``start`` is its parent's optimal LP basis with its factor, the warm
+    start of its own relaxation (None at the root, which starts from the
+    all-slack basis).  Its heap key is not kept here: it is the bound
+    :func:`lp.pinned_bounds` reads off the parent's LP."""
 
     node_id: int
     depth: int
     parent_id: int | None
     constraints: NodeConstraints
+    upper: np.ndarray
     start: Basis | None = None
 
 
@@ -140,31 +143,36 @@ class SolveReport:
     lp_refactors: int             # basis inversions over every node LP
 
 
-def branch(
-    parent: Node,
-    index: int,
-    value: float,
-    first_child_id: int,
-) -> tuple[Node, Node]:
-    """Split a node on indicator ``index`` at fractional ``value``.
+def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
+    """Split a node on binary indicator ``index`` = s*K + k.
 
-    The children pin the indicator below floor(value) and above
-    floor(value)+1 respectively; for a binary variable that is (0,0) and
-    (1,1).  Branching on an integral value or an already-pinned index is a
-    contract violation.
+    The down child fixes it to 0, which pins flow y_sk; the up child fixes
+    it to 1, giving device s channel k, which pins the flows of every other
+    device on k.  Each child gets its parent's flow bounds with those pins
+    added.  Branching on an index out of range, an index already fixed, or
+    a channel another device already owns is a contract violation.
     """
-    if abs(value - round(value)) <= INTEGRALITY_TOL:
-        raise ValueError(f"value {value!r} is integral at tolerance {INTEGRALITY_TOL}")
+    s_n, k_n = parent.upper.shape
+    if not 0 <= index < s_n * k_n:
+        raise ValueError(f"indicator {index} out of range [0, {s_n * k_n})")
     existing = parent.constraints.get(index)
-    if existing is not None and existing[0] == existing[1]:
+    if existing is not None:
         raise ValueError(f"indicator {index} is already fixed to {existing[0]}")
-    floor = int(np.floor(value))
+    s, k = divmod(index, k_n)
+    if parent.upper[s, k] == 0.0:
+        # Unfixed yet pinned: another device was given channel k.
+        raise ValueError(f"channel {k} of indicator {index} is already owned")
     down = dict(parent.constraints)
-    down[index] = (floor, floor)
+    down[index] = (0, 0)
+    down_upper = parent.upper.copy()
+    down_upper[s, k] = 0.0
     up = dict(parent.constraints)
-    up[index] = (floor + 1, floor + 1)
-    child_down = Node(first_child_id, parent.depth + 1, parent.node_id, down)
-    child_up = Node(first_child_id + 1, parent.depth + 1, parent.node_id, up)
+    up[index] = (1, 1)
+    up_upper = parent.upper.copy()
+    up_upper[:, k] = 0.0
+    up_upper[s, k] = np.inf
+    child_down = Node(first_child_id, parent.depth + 1, parent.node_id, down, down_upper)
+    child_up = Node(first_child_id + 1, parent.depth + 1, parent.node_id, up, up_upper)
     return child_down, child_up
 
 
@@ -192,12 +200,15 @@ def solve_bnb(
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
-    n = scenario.num_mds * scenario.num_channels
+    s_n, k_n = scenario.num_mds, scenario.num_channels
+    n = s_n * k_n
 
     lp = build_relaxation(scenario, {})
+    flow_upper = lp.upper[:n].reshape(s_n, k_n)   # a view: writes reach the LP
+    root = Node(0, 0, None, {}, np.full((s_n, k_n), np.inf))
     # Open nodes keyed (bound, node_id); popped nodes are dropped with their
     # bases, and only the trace keeps rows.
-    queue: list[tuple[float, int, Node]] = [(-np.inf, 0, Node(0, 0, None, {}))]
+    queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
     next_id = 1
     z_ub = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
@@ -216,7 +227,7 @@ def solve_bnb(
             break
         zub_at_pop = z_ub
 
-        set_node_bounds(lp, node.constraints)
+        np.copyto(flow_upper, node.upper)
         result = solve_lp(lp, node.start)
         lp_pivots += result.pivots
         lp_refactors += result.refactors
@@ -251,11 +262,10 @@ def solve_bnb(
             record.action = NodeAction.PRUNED_BY_MODEL
         else:
             index = sol.first_fractional
-            children = branch(node, index, sol.x[index], next_id)
+            children = branch(node, index, next_id)
             next_id += 2
             keys = pinned_bounds(lp, result, [
-                pinned_flows(index, child.constraints[index][0], scenario.num_channels, n)
-                for child in children])
+                pinned_flows(index, value, k_n, n) for value in (0, 1)])
             for key, child in zip(keys, children):
                 child.start = result.basis
                 heapq.heappush(queue, (key, child.node_id, child))

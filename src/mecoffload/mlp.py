@@ -5,10 +5,18 @@ sigmoid output, optimized with Adam on class-weighted binary cross-entropy.
 Everything runs in double precision: at this scale reproducibility and
 verifiable gradients matter more than speed, and the whole training loop is
 a page of numpy.
+
+A trained model is stored as ``mlp-v2`` text: a header line naming the
+layer dims and the encoding, then one base64 line per weight matrix and
+one per bias vector, each holding the little-endian float64 bytes of the
+array in row-major order, so every weight round-trips bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,8 +205,8 @@ def backward(
     # d(mean loss)/d(output logit), folded with the sigmoid derivative.
     delta = ((-w * y * (1.0 - y_hat) + (1.0 - y) * y_hat) / batch)[:, None]
 
-    grad_w = [np.zeros_like(p) for p in model.weights]
-    grad_b = [np.zeros_like(p) for p in model.biases]
+    grad_w = [None] * len(model.weights)
+    grad_b = [None] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
         grad_w[layer] = delta.T @ hidden[layer]
         grad_b[layer] = delta.sum(axis=0)
@@ -251,10 +259,10 @@ def train(
         [p.copy() for p in model.weights],
         [p.copy() for p in model.biases],
     )
-    m_w = [np.zeros_like(p) for p in out.weights]
-    v_w = [np.zeros_like(p) for p in out.weights]
-    m_b = [np.zeros_like(p) for p in out.biases]
-    v_b = [np.zeros_like(p) for p in out.biases]
+    params = out.weights + out.biases
+    # Adam's moments, and two scratch buffers per parameter that take every
+    # temporary of an update, so a step allocates nothing.
+    m_acc, v_acc, tmp_a, tmp_b = ([np.zeros_like(p) for p in params] for _ in range(4))
     step = 0
     history = TrainHistory()
 
@@ -268,18 +276,23 @@ def train(
             step += 1
             corr1 = 1.0 - cfg.beta1 ** step
             corr2 = 1.0 - cfg.beta2 ** step
-            for params, grads, ms, vs in (
-                (out.weights, grad_w, m_w, v_w),
-                (out.biases, grad_b, m_b, v_b),
-            ):
-                for p, g, m_acc, v_acc in zip(params, grads, ms, vs):
-                    m_acc *= cfg.beta1
-                    m_acc += (1.0 - cfg.beta1) * g
-                    v_acc *= cfg.beta2
-                    v_acc += (1.0 - cfg.beta2) * g * g
-                    p -= cfg.learning_rate * (m_acc / corr1) / (
-                        np.sqrt(v_acc / corr2) + cfg.epsilon
-                    )
+            # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), operation for
+            # operation, so the weights match the textbook form bit for bit.
+            for p, g, m, v, a, b in zip(params, grad_w + grad_b, m_acc, v_acc, tmp_a, tmp_b):
+                m *= cfg.beta1
+                np.multiply(1.0 - cfg.beta1, g, out=a)
+                m += a
+                v *= cfg.beta2
+                np.multiply(1.0 - cfg.beta2, g, out=a)
+                a *= g
+                v += a
+                np.divide(m, corr1, out=a)
+                np.multiply(cfg.learning_rate, a, out=a)
+                np.divide(v, corr2, out=b)
+                np.sqrt(b, out=b)
+                b += cfg.epsilon
+                a /= b
+                p -= a
         history.train_loss.append(float(np.mean(batch_losses)))
         if y_val.size:
             history.val_loss.append(
@@ -296,67 +309,97 @@ def train(
 
 
 class ModelFormatError(ValueError):
-    """Malformed or truncated model file."""
+    """Malformed, truncated or outdated model file."""
+
+
+_FORMAT = "mlp-v2"
+_ENCODING = "base64-f8le"
+#: Little-endian float64, the byte layout of every stored array.
+_DTYPE = np.dtype("<f8")
+
+
+def _encode(array: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(array, dtype=_DTYPE).tobytes()).decode("ascii")
 
 
 def _serialize(model: MlpModel) -> str:
-    lines = [f"# mlp-v1 dims={','.join(str(d) for d in model.layer_dims)}"]
-    for i, (w, b) in enumerate(zip(model.weights, model.biases), start=1):
-        lines.append(f"# layer {i} weights")
-        for row in w:
-            lines.append(" ".join(format(v, ".17g") for v in row))
-        lines.append(f"# layer {i} biases")
-        lines.append(" ".join(format(v, ".17g") for v in b))
+    dims = ",".join(str(d) for d in model.layer_dims)
+    lines = [f"# {_FORMAT} dims={dims} encoding={_ENCODING}"]
+    for w, b in zip(model.weights, model.biases):
+        lines += [_encode(w), _encode(b)]
     return "\n".join(lines) + "\n"
 
 
 def save_model(model: MlpModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``model`` as ``mlp-v2`` text.
+
+    The first line is ``# mlp-v2 dims=<d0>,...,<dL> encoding=base64-f8le``.
+    Layer by layer, one line holds the weight matrix, shape
+    ``(dims[i+1], dims[i])``, and the next one the bias vector: each is the
+    standard base64 of the array's little-endian float64 bytes in row-major
+    order, so :func:`load_model` returns every parameter bit for bit.
+    """
+    with open(path, "w", encoding="ascii") as fh:
         fh.write(_serialize(model))
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# mlp-v1 dims="):
-        raise ModelFormatError(f"{path}: missing '# mlp-v1' header")
-    try:
-        dims = tuple(int(d) for d in lines[0].split("dims=", 1)[1].split(","))
-    except ValueError:
-        raise ModelFormatError(f"{path}: unparsable dims in header") from None
+    """Read a model written by :func:`save_model`, with writable arrays.
 
-    values: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("#") or not line.strip():
-            continue
+    Raises :class:`ModelFormatError`, naming ``path``, on a wrong header
+    (an ``mlp-v1`` decimal file among them: retrain it), on dims that are
+    not positive integers ending in 1, on a wrong number of lines, on text
+    that is not strict base64, on a block of the wrong byte length, and on
+    a parameter that is not finite.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path}: not an {_FORMAT} model file (non-ASCII bytes)") from None
+    header = lines[0] if lines else ""
+    if header.startswith("# mlp-v1 "):
+        raise ModelFormatError(
+            f"{path}: mlp-v1 model files are no longer read; "
+            f"retrain with 'mecoffload train' to write {_FORMAT}"
+        )
+    prefix = f"# {_FORMAT} dims="
+    suffix = f" encoding={_ENCODING}"
+    if not (header.startswith(prefix) and header.endswith(suffix)):
+        raise ModelFormatError(f"{path}: missing '# {_FORMAT} dims=... encoding={_ENCODING}' header")
+    fields = header[len(prefix):-len(suffix)].split(",")
+    if not all(f.isdigit() and int(f) > 0 for f in fields):
+        raise ModelFormatError(f"{path}: unparsable dims in header")
+    dims = tuple(int(f) for f in fields)
+    if len(dims) < 2 or dims[-1] != 1:
+        raise ModelFormatError(f"{path}: dims {dims} must name two or more layers and end in 1")
+    shapes = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        shapes += [(fan_out, fan_in), (fan_out,)]
+    if len(lines) - 1 != len(shapes):
+        raise ModelFormatError(
+            f"{path}: {len(lines) - 1} data lines, expected {len(shapes)} for dims {dims}"
+        )
+
+    arrays = []
+    for lineno, (line, shape) in enumerate(zip(lines[1:], shapes), start=2):
         try:
-            values.append([float(v) for v in line.split()])
-        except ValueError:
-            raise ModelFormatError(f"{path}:{lineno}: unparsable numbers") from None
-
-    weights, biases = [], []
-    cursor = 0
+            raw = base64.b64decode(line, validate=True)
+        except binascii.Error:
+            raise ModelFormatError(f"{path}:{lineno}: invalid base64") from None
+        size = _DTYPE.itemsize * int(np.prod(shape))
+        if len(raw) != size:
+            raise ModelFormatError(
+                f"{path}:{lineno}: {len(raw)} bytes, expected {size} for shape {shape}"
+            )
+        # astype copies out of the read-only bytes into a native, writable array.
+        arrays.append(np.frombuffer(raw, dtype=_DTYPE).reshape(shape).astype(np.float64))
     try:
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            rows = values[cursor:cursor + fan_out]
-            cursor += fan_out
-            if len(rows) != fan_out or any(len(r) != fan_in for r in rows):
-                raise ModelFormatError(f"{path}: truncated weight block")
-            weights.append(np.array(rows))
-            bias_row = values[cursor]
-            cursor += 1
-            if len(bias_row) != fan_out:
-                raise ModelFormatError(f"{path}: truncated bias block")
-            biases.append(np.array(bias_row))
-    except IndexError:
-        raise ModelFormatError(f"{path}: file ends mid-layer") from None
-    if cursor != len(values):
-        raise ModelFormatError(f"{path}: trailing unexpected data")
-    return MlpModel(dims, weights, biases)
+        return MlpModel(dims, arrays[0::2], arrays[1::2])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def model_fingerprint(model: MlpModel) -> str:
     """Stable hash of the canonical serialization, for provenance columns."""
-    import hashlib
-
-    return hashlib.sha256(_serialize(model).encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_serialize(model).encode("ascii")).hexdigest()[:16]

@@ -99,7 +99,7 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
     above every channel's transmission time.  ``nc`` fixes indicators,
     which :func:`set_node_bounds` turns into flow bounds; everything else
     is shared across the tree, so a search builds this once and moves
-    between nodes with :func:`set_node_bounds`.
+    between nodes by rewriting the flow upper bounds alone.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
@@ -155,7 +155,8 @@ def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
     node ``nc``, in place: every flow is free above zero except those its
     fixings pin at zero, by :func:`pinned_flows`.  Two devices fixed to one
     channel is a contract violation: the search never branches on a channel
-    it has given away."""
+    it has given away.  The search itself does not call this per node: each
+    node carries these bounds, extended by one fixing in :func:`bnb.branch`."""
     n = lp.num_vars - 1
     validate_node_constraints(nc, n)
     k_n = n // lp.a_eq.shape[0]

@@ -17,39 +17,68 @@ from mecoffload.bnb import (
     write_trace_csv,
 )
 from mecoffload.lp import _REFACTOR_EVERY, FEASIBILITY_TOL, pinned_bounds, solve_lp
-from mecoffload.relax import solve_split
+from mecoffload.relax import build_relaxation, set_node_bounds, solve_split
 from mecoffload.scenario import Assignment, check_feasible, objective
 
 from conftest import first_pivot_objective, make_frame, make_uniform_frame
 
 
 class TestBranch:
-    def _root(self):
-        return Node(0, 0, None, {})
+    def _root(self, s_n=3, k_n=4):
+        return Node(0, 0, None, {}, np.full((s_n, k_n), np.inf))
 
     def test_fractional_value_splits_to_unit_bounds(self):
-        down, up = branch(self._root(), 3, 0.4, first_child_id=1)
+        down, up = branch(self._root(), 3, first_child_id=1)
         assert down.constraints == {3: (0, 0)}
         assert up.constraints == {3: (1, 1)}
         assert down.depth == up.depth == 1
         assert (down.node_id, up.node_id) == (1, 2)
         assert down.parent_id == up.parent_id == 0
 
-    def test_integral_value_rejected(self):
-        # 0.9999995 sits within the 1e-6 integrality tolerance of 1.
-        with pytest.raises(ValueError, match="integral"):
-            branch(self._root(), 0, 1.0 - 5e-7, first_child_id=1)
-
     def test_fixed_index_rejected(self):
-        parent = Node(4, 2, 1, {2: (1, 1)})
-        with pytest.raises(ValueError, match="already fixed"):
-            branch(parent, 2, 0.5, first_child_id=9)
+        for parent in branch(self._root(), 2, first_child_id=1):
+            with pytest.raises(ValueError, match="already fixed"):
+                branch(parent, 2, first_child_id=9)
+
+    def test_owned_channel_rejected(self):
+        # Device 0 holds channel 1, so device 2 may not branch on it.
+        _, up = branch(self._root(), 1, first_child_id=1)
+        with pytest.raises(ValueError, match="already owned"):
+            branch(up, 2 * 4 + 1, first_child_id=3)
+
+    def test_out_of_range_index_rejected(self):
+        for index in (-1, 12):
+            with pytest.raises(ValueError, match="out of range"):
+                branch(self._root(), index, first_child_id=1)
 
     def test_children_extend_parent_by_one_override(self):
-        parent = Node(1, 1, 0, {0: (0, 0)})
-        down, up = branch(parent, 4, 0.3, first_child_id=5)
+        parent, _ = branch(self._root(), 0, first_child_id=1)
+        down, up = branch(parent, 4, first_child_id=5)
         assert len(down.constraints) == len(parent.constraints) + 1
         assert parent.constraints.items() <= down.constraints.items()
+
+    @pytest.mark.parametrize("s_n, k_n, seed", [(2, 3, 3), (3, 5, 14), (4, 6, 203)])
+    def test_child_bounds_match_set_node_bounds(self, s_n, k_n, seed):
+        # Bounds carried down a random path equal those set_node_bounds
+        # writes for the path's fixings, and the parent's are untouched.
+        frame = make_frame(num_mds=s_n, num_channels=k_n, seed=seed)
+        lp = build_relaxation(frame, {})
+        rng = np.random.default_rng(seed)
+        node, next_id = self._root(s_n, k_n), 1
+        while True:
+            free = [i for i in range(s_n * k_n)
+                    if i not in node.constraints and node.upper.flat[i] != 0.0]
+            if not free:
+                break
+            before = node.upper.copy()
+            children = branch(node, int(rng.choice(free)), next_id)
+            assert np.array_equal(node.upper, before)
+            next_id += 2
+            for child in children:
+                set_node_bounds(lp, child.constraints)
+                assert np.array_equal(lp.upper[:-1], child.upper.ravel())
+            node = children[int(rng.integers(2))]
+        assert next_id > 3
 
 
 def random_small_frame(case):
@@ -318,9 +347,9 @@ class TestTraceInvariants:
             self, frame, monkeypatch):
         branched_on = {}
 
-        def recording_branch(parent, index, value, first_child_id):
+        def recording_branch(parent, index, first_child_id):
             branched_on[parent.node_id] = index
-            return branch(parent, index, value, first_child_id)
+            return branch(parent, index, first_child_id)
 
         monkeypatch.setattr(bnb_module, "branch", recording_branch)
         report = solve_bnb(frame)

@@ -1,4 +1,6 @@
+import base64
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +276,86 @@ class TestPersistence:
             assert np.array_equal(a, b)
         assert model_fingerprint(loaded) == model_fingerprint(model)
 
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        # Signed zero, the smallest subnormal and the extremes of float64
+        # survive alongside random weights, byte for byte.
+        model = narrow_model(m=3, width=5, seed=8)
+        rng = np.random.default_rng(8)
+        model.weights[0].flat[:5] = [-0.0, 5e-324, 1.7976931348623157e308,
+                                     -1.7976931348623157e308, -5e-324]
+        model.weights[1][:] = rng.normal(size=model.weights[1].shape) * 1e-300
+        model.biases[2][:] = rng.normal(size=model.biases[2].shape) * 1e300
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert path.read_text().splitlines()[0] == (
+            "# mlp-v2 dims=3,5,5,5,5,1 encoding=base64-f8le")
+        loaded = load_model(path)
+        for a, b in zip(model.weights + model.biases,
+                        loaded.weights + loaded.biases):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+        assert np.signbit(loaded.weights[0].flat[0])
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(init_model(2, rng_seed=1), path)
+        loaded = load_model(path)
+        for p in loaded.weights + loaded.biases:
+            assert p.flags.writeable and p.flags.c_contiguous
+            p[...] = 0.0
+        assert forward(loaded, np.zeros(2)) == 0.5
+
+    def _saved_lines(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(narrow_model(m=2, width=3, seed=1), path)
+        return path, path.read_text().splitlines()
+
+    def _assert_refused(self, path, lines, match):
+        # The message names the file first; ``match`` is sought after it,
+        # since the test's own name is part of the path.
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        message = str(err.value)
+        assert message.startswith(str(path))
+        assert re.search(match, message[len(str(path)):])
+
+    def test_mlp_v1_file_rejected(self, tmp_path):
+        v1 = ["# mlp-v1 dims=1,1", "# layer 1 weights", "0.5", "# layer 1 biases", "0"]
+        self._assert_refused(tmp_path / "model.txt", v1, "mlp-v1 .*retrain")
+
+    def test_bad_base64_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        for bad in ("*" + lines[1][1:], lines[1][:-1], lines[1] + " "):
+            self._assert_refused(path, [lines[0], bad, *lines[2:]], "base64")
+
+    def test_short_or_long_block_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        block = base64.b64decode(lines[2])                # the first bias, 3 floats
+        for raw in (block[:-8], block + block[:8]):
+            wrong = base64.b64encode(raw).decode("ascii")
+            self._assert_refused(path, [*lines[:2], wrong, *lines[3:]], "bytes")
+
+    def test_missing_or_extra_line_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        self._assert_refused(path, lines[:-1], "data lines")
+        self._assert_refused(path, [*lines, lines[-1]], "data lines")
+        self._assert_refused(path, [*lines, ""], "data lines")
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        weights = np.frombuffer(base64.b64decode(lines[3]), dtype="<f8").copy()
+        for value in (np.nan, np.inf):
+            weights[4] = value
+            bad = base64.b64encode(weights.tobytes()).decode("ascii")
+            self._assert_refused(path, [*lines[:3], bad, *lines[4:]], "finite")
+
+    def test_bad_dims_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        for dims in ("2,3,x,3,3,1", "2,3,0,3,3,1", "2,3,3,3,3,2", "1"):
+            header = f"# mlp-v2 dims={dims} encoding=base64-f8le"
+            self._assert_refused(path, [header, *lines[1:]], "dims in header|dims \\(")
+
     def test_truncated_file_rejected(self, tmp_path):
         model = init_model(2, rng_seed=1)
         path = tmp_path / "model.txt"
@@ -287,6 +369,9 @@ class TestPersistence:
         path = tmp_path / "model.txt"
         path.write_text("1 2 3\n")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+        path.write_bytes(b"\xff\xfe# mlp-v2\n")
+        with pytest.raises(ModelFormatError, match="non-ASCII"):
             load_model(path)
 
     def test_loaded_model_feature_mismatch_surfaces_at_use(self, tmp_path):
