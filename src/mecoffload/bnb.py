@@ -242,10 +242,11 @@ def solve_bnb(
         sol = extract_solution(scenario, result, node.constraints)
         if root_psi is None:
             root_psi = sol.psi
-        # The gate sees the record as it would be kept if branched.
+        # The gate sees the record as it would be kept if branched.  The
+        # record takes the arrays extract_solution made for this node.
         record = NodeRecord(
             node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
-            sol.psi, zub_at_pop, sol.x.copy(), sol.split_bits.copy(),
+            sol.psi, zub_at_pop, sol.x, sol.split_bits,
         )
         if sol.integral:
             if sol.psi < z_ub:
@@ -262,13 +263,13 @@ def solve_bnb(
             record.action = NodeAction.PRUNED_BY_MODEL
         else:
             index = sol.first_fractional
-            children = branch(node, index, next_id)
+            down, up = branch(node, index, next_id)
             next_id += 2
-            keys = pinned_bounds(lp, result, [
-                pinned_flows(index, value, k_n, n) for value in (0, 1)])
-            for key, child in zip(keys, children):
-                child.start = result.basis
-                heapq.heappush(queue, (key, child.node_id, child))
+            key_down, key_up = pinned_bounds(lp, result, (
+                pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)))
+            down.start = up.start = result.basis
+            heapq.heappush(queue, (key_down, down.node_id, down))
+            heapq.heappush(queue, (key_up, up.node_id, up))
         trace.append(record)
 
     if exhausted:

@@ -109,7 +109,7 @@ def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.
         features[2] = 1.0
         features[3] = record.psi / root_psi
         features[4:4 + n] = record.x
-        features[4 + n:] = record.split_bits / np.repeat(task_bits, k_n)
+        features[4 + n:] = record.split_bits / task_bits.repeat(k_n)
     else:
         features[3] = PSI_SENTINEL
     return features

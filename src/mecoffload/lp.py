@@ -282,22 +282,22 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
     """
     basis = result.basis
     sign = result.slack_signs
-    # The few entries read one by one are read from lists.
-    x, lower = result.x.tolist(), lp.lower.tolist()
-    indices, movable = basis.indices.tolist(), sign.tolist()
+    # Only the pinned entries are read, one by one, as Python floats.
+    x, lower = result.x, lp.lower
+    indices = basis.indices.tolist()
     rows: list[int] = []
     violations: list[float] = []
     spans: list[tuple[int, int, list[int]]] = []
     for pinned in pin_sets:
         first, barred = len(rows), []
         for j in pinned.tolist():
-            violation = x[j] - lower[j]
+            violation = x.item(j) - lower.item(j)
             if violation > FEASIBILITY_TOL:
                 if j not in indices:
                     raise ValueError(f"pinned column {j} rests above its lower bound")
                 rows.append(indices.index(j))
                 violations.append(violation)
-            elif movable[j]:
+            elif sign.item(j):
                 # At rest and free to move: barred from this set's rows.
                 barred.append(j)
         spans.append((first, len(rows), barred))
@@ -316,9 +316,14 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
     ratios.fill(np.inf)
     np.divide(basis.reduced_costs, alpha, out=ratios, where=eligible)
     steps = np.minimum.reduce(ratios, axis=1).tolist()
-    return [result.value + max([v * t for v, t in zip(violations[first:last], steps[first:last])
-                                if 0.0 < t < math.inf], default=0.0)
-            for first, last, _ in spans]
+    bounds = []
+    for first, last, _ in spans:
+        gain = 0.0
+        for v, t in zip(violations[first:last], steps[first:last]):
+            if 0.0 < t < math.inf and v * t > gain:
+                gain = v * t
+        bounds.append(result.value + gain)
+    return bounds
 
 
 class _BoundedSimplex:

@@ -4,7 +4,10 @@ Architecture is fixed at four tanh hidden layers of width 256 and a single
 sigmoid output, optimized with Adam on class-weighted binary cross-entropy.
 Everything runs in double precision: at this scale reproducibility and
 verifiable gradients matter more than speed, and the whole training loop is
-a page of numpy.
+a page of numpy.  Training and evaluation run batches through
+:func:`forward_batch`; the search scores one node at a time through
+:func:`forward`, a 1-D pass with the same arithmetic, so a node's score is
+the same bits either way.
 
 A trained model is stored as ``mlp-v2`` text: a header line naming the
 layer dims and the encoding, then one base64 line per weight matrix and
@@ -163,8 +166,31 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MlpModel, features: np.ndarray) -> float:
-    """Single-sample prediction, strictly inside (0, 1)."""
-    return float(forward_batch(model, np.asarray(features, dtype=float)[None, :])[0])
+    """Single-sample prediction, strictly inside (0, 1).
+
+    The 1-D form of :func:`forward_batch`, which a search calls once per
+    gated node: one matrix-vector product per layer and :func:`_sigmoid`'s
+    arithmetic on the one logit, with no 2-D reshape and no mask, so the
+    score equals ``forward_batch(model, features[None, :])[0]`` bit for bit.
+    ``features`` must be a vector of the model's input length.
+    """
+    h = np.asarray(features, dtype=float)
+    if h.shape != (model.num_features,):
+        raise ValueError(
+            f"feature vector of shape {h.shape} != model input ({model.num_features},)"
+        )
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = w.dot(h)
+        h += b
+        np.tanh(h, out=h)
+    z = model.weights[-1].dot(h)
+    z += model.biases[-1]
+    if z[0] >= 0:
+        y = 1.0 / (1.0 + np.exp(-z))
+    else:
+        ez = np.exp(z)
+        y = ez / (1.0 + ez)
+    return min(max(y.item(), _SIGMOID_FLOOR), _SIGMOID_CEIL)
 
 
 def loss(y_hat, label, positive_class_weight: float = 1.0) -> float:

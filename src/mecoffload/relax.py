@@ -14,7 +14,8 @@ bounds.
 
 LP variables are ordered [y (S*K), tau], flat index i = s*K + k, the same
 index a :data:`NodeConstraints` fixing names.  Internally the bit
-quantities are rescaled by the largest task size so the constraint matrix
+quantities are rescaled by the largest task size
+(:attr:`Scenario.task_scale`, cached on the frame) so the constraint matrix
 stays O(1); the optimal value is unaffected and the splits are mapped back
 to bits on extraction.
 
@@ -104,8 +105,8 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
 
-    scale = float(scenario.task_bits.max())
-    tasks = scenario.task_bits / scale            # (S,)
+    scale = scenario.task_scale
+    tasks = scenario.scaled_tasks                 # (S,)
     rates = scenario.rates_bps / scale            # (S, K) in bits-per-scale
     inv_rates = 1.0 / rates
 
@@ -187,12 +188,11 @@ def extract_solution(
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    tasks = scenario.task_bits
-    scale = float(tasks[tasks.argmax()])
+    scale = scenario.task_scale
     y = lp_result.x[:s_n * k_n]
     # Support and sharing are found once, on the (S, K) view of the flows;
     # the rest reads their flat views.
-    share = y.reshape(s_n, k_n) / (tasks / scale)[:, None]
+    share = y.reshape(s_n, k_n) / scenario.scaled_tasks[:, None]
     support = share > INTEGRALITY_TOL
     contested = support.sum(axis=0) > 1
     integral = not contested[contested.argmax()]

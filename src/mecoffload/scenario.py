@@ -11,6 +11,7 @@ the same rates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,19 @@ class Scenario:
     @property
     def num_channels(self) -> int:
         return self.config.num_channels
+
+    @functools.cached_property
+    def task_scale(self) -> float:
+        """The largest task size in bits, the unit in which the node
+        relaxations of :mod:`relax` count bits."""
+        return float(self.task_bits.max())
+
+    @functools.cached_property
+    def scaled_tasks(self) -> np.ndarray:
+        """Each task size over :attr:`task_scale`, read-only."""
+        tasks = self.task_bits / self.task_scale
+        tasks.setflags(write=False)
+        return tasks
 
 
 @dataclass

@@ -1,0 +1,163 @@
+"""Acceptance gate: the learned pipeline end to end, through ``cli.main``.
+
+A short ``gen-data`` and ``train`` on the desk configuration (3 devices, 5
+channels), then ``solve`` with the exact, learned and exhaustive solvers
+on held-out frames (the odd seeds ``cli.eval_seed`` gives, which training
+never sees), all as a user would run them.  The whole pipeline runs twice,
+in two working directories with the same relative paths, since the CSV
+headers echo their input paths.
+
+The learned search may end above the optimum; its gap is printed, never
+asserted, while its answers must be feasible and never beat the optimum.
+"""
+
+import shutil
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mecoffload.cli import eval_seed, main
+from mecoffload.dataset import feature_length
+from mecoffload.ibnb import ThresholdPolicy
+from mecoffload.mlp import MlpModel, default_dims, save_model
+from mecoffload.scenario import (
+    Assignment,
+    check_feasible,
+    generate_frame,
+    objective,
+    read_config_file,
+)
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "desk_config.txt"
+SEED_BASE = 100
+TRAIN_FRAMES = 3
+EPOCHS = 5
+HELD_OUT = 4
+#: High enough that the short-trained model prunes: on these frames the
+#: learned search saves nodes and ends above the optimum on some.
+THETA0 = "0.2"
+SOLVERS = ("bnb", "exhaustive", "ibnb")
+
+
+def held_out_seeds():
+    return [eval_seed(SEED_BASE, i) for i in range(HELD_OUT)]
+
+
+def read_report(path: Path) -> dict[str, str]:
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+
+def run_pipeline(workdir: Path) -> None:
+    """gen-data, train, then every solver on every held-out frame, with
+    paths relative to ``workdir``."""
+    workdir.mkdir()
+    shutil.copy(DESK_CONFIG, workdir / "desk.cfg")
+    steps = [
+        ["gen-data", "--config", "desk.cfg", "--frames", str(TRAIN_FRAMES),
+         "--out", "data", "--seed", str(SEED_BASE)],
+        ["train", "--dataset", "data/dataset.csv", "--out", "model",
+         "--epochs", str(EPOCHS), "--batch-size", "512", "--learning-rate", "2e-3",
+         "--pos-weight", "5.0", "--seed", str(SEED_BASE)],
+    ]
+    for seed in held_out_seeds():
+        for solver in SOLVERS:
+            argv = ["solve", "--config", "desk.cfg", "--solver", solver,
+                    "--seed", str(seed), "--out", f"solve/{solver}-{seed}"]
+            if solver == "ibnb":
+                argv += ["--model", "model/model.txt", "--theta", THETA0]
+            steps.append(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        for argv in steps:
+            assert main(argv) == 0, argv
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("acceptance")
+    for name in ("run1", "run2"):
+        run_pipeline(root / name)
+    return root / "run1", root / "run2"
+
+
+def frame(seed):
+    return generate_frame(replace(read_config_file(DESK_CONFIG), rng_seed=seed))
+
+
+def test_bnb_equals_the_exhaustive_optimum(runs):
+    run, _ = runs
+    for seed in held_out_seeds():
+        bnb = read_report(run / f"solve/bnb-{seed}/report.csv")
+        oracle = read_report(run / f"solve/exhaustive-{seed}/report.csv")
+        assert bnb["status"] == oracle["status"] == "Optimal"
+        assert float(bnb["psi"]) == pytest.approx(float(oracle["psi"]), rel=1e-12)
+
+
+def test_ibnb_answers_are_feasible_and_never_beat_the_optimum(runs):
+    run, _ = runs
+    for seed in held_out_seeds():
+        scenario = frame(seed)
+        shape = (scenario.num_mds, scenario.num_channels)
+        report = read_report(run / f"solve/ibnb-{seed}/report.csv")
+        assert report["status"] == "Optimal"
+        x = np.array([float(v) for v in report["x"].split(";")]).reshape(shape)
+        split = np.array([float(v) for v in report["l"].split(";")]).reshape(shape)
+        answer = Assignment(x, split)
+        assert check_feasible(scenario, answer) == []
+        psi = float(report["psi"])
+        assert objective(scenario, answer) == pytest.approx(psi, rel=1e-9)
+        optimum = float(read_report(run / f"solve/exhaustive-{seed}/report.csv")["psi"])
+        assert psi >= optimum * (1 - 1e-12)
+        bnb_nodes = read_report(run / f"solve/bnb-{seed}/report.csv")["nodes_searched"]
+        print(f"frame seed {seed}: ibnb gap {(psi - optimum) / optimum:.3e}, "
+              f"nodes ibnb {report['nodes_searched']} against bnb {bnb_nodes}")
+
+
+def test_identically_seeded_runs_write_identical_bytes(runs):
+    first, second = runs
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file()) == files
+    # The config copy, the dataset, model and history, and a report and a
+    # trace per solve.
+    assert len(files) == 1 + 3 + 2 * len(SOLVERS) * HELD_OUT
+    for rel in files:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+def test_model_that_prunes_every_node_falls_back_to_the_exact_answer(runs, tmp_path):
+    run, _ = runs
+    cfg = read_config_file(DESK_CONFIG)
+    dims = default_dims(feature_length(cfg.num_mds, cfg.num_channels))
+    weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
+    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    biases[-1][0] = -1e3    # every score sits at the sigmoid's floor
+    stub = tmp_path / "prune-all.txt"
+    save_model(MlpModel(dims, weights, biases), stub)
+    for seed in held_out_seeds():
+        out = tmp_path / f"ibnb-{seed}"
+        assert main(["solve", "--config", str(DESK_CONFIG), "--solver", "ibnb",
+                     "--seed", str(seed), "--model", str(stub), "--out", str(out)]) == 0
+        report = read_report(out / "report.csv")
+        exact = read_report(run / f"solve/bnb-{seed}/report.csv")
+        assert int(exact["nodes_searched"]) > 1    # the root is fractional
+        assert report["fell_back_to_exact"] == "1"
+        assert report["psi"] == exact["psi"]
+        # Every threshold down to the floor was tried, each pass pruned.
+        policy = ThresholdPolicy()
+        thetas = [float(t) for t in report["thresholds_tried"].split(";")]
+        assert thetas[0] == policy.theta0
+        assert thetas[-1] * policy.delta_theta < policy.theta_min <= thetas[-1]
+
+
+def test_infeasible_config_exits_2_and_spent_budget_exits_3(tmp_path):
+    cfg = tmp_path / "crowded.cfg"
+    cfg.write_text(DESK_CONFIG.read_text().replace("num_mds = 3", "num_mds = 6"))
+    assert main(["gen-data", "--config", str(cfg), "--frames", "1",
+                 "--out", str(tmp_path / "data")]) == 2
+    assert not (tmp_path / "data" / "dataset.csv").exists()
+    assert main(["solve", "--config", str(DESK_CONFIG), "--solver", "bnb",
+                 "--seed", str(held_out_seeds()[0]), "--max-nodes", "1",
+                 "--out", str(tmp_path / "budget")]) == 3

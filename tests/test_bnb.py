@@ -382,6 +382,19 @@ class TestTraceInvariants:
             assert ra.psi == rb.psi or (np.isnan(ra.psi) and np.isnan(rb.psi))
             assert np.array_equal(ra.x, rb.x)
 
+    def test_records_own_their_arrays(self):
+        # A record keeps the arrays extraction made for its node, with no
+        # second copy, so no two records, and no record and the returned
+        # incumbent, may share a buffer.
+        report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=203))
+        assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 100
+        arrays = [a for rec in report.trace for a in (rec.x, rec.split_bits)]
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, report.best_x)
+            assert not np.shares_memory(a, report.best_split)
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
 
 class TestSolveExhaustive:
     def test_single_pair(self):

@@ -96,9 +96,33 @@ class TestForward:
         assert forward(model, np.array(x)) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
+        # A vector of the wrong length, or any 2-D input.
         model = init_model(4, rng_seed=1)
-        with pytest.raises(ValueError):
-            forward(model, np.zeros(5))
+        for bad in (np.zeros(3), np.zeros(5), np.zeros((1, 4)), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="model input"):
+                forward(model, bad)
+
+    @pytest.mark.parametrize("num_features, seed, last_gain", [
+        (34, 0, 1.0),     # the benchmark's shape, 34 -> 256 x 4 -> 1
+        (34, 5, 1.0),
+        (34, 2, 1e3),     # logits far past the sigmoid's clamps
+        (3, 7, 1.0),
+        (3, 8, 1e3),
+    ])
+    def test_single_sample_equals_batch_of_one_bit_for_bit(self, num_features, seed,
+                                                          last_gain):
+        model = init_model(num_features, rng_seed=seed)
+        model.weights[-1] *= last_gain
+        model.biases[-1] += 0.1 * seed - 0.3
+        rng = np.random.default_rng(seed)
+        scores = []
+        for scale in (1e-2, 1e-1, 1.0, 1e1, 1e2):
+            for _ in range(40):
+                x = rng.normal(size=num_features) * scale
+                score = forward(model, x)
+                assert score.hex() == float(forward_batch(model, x[None, :])[0]).hex()
+                scores.append(score)
+        assert min(scores) < 0.5 < max(scores)
 
 
 class TestLoss:
