@@ -13,7 +13,6 @@ from .scenario import (
 )
 from .lp import LinearProgram, LpResult, LpStatus, solve_lp
 from .relax import (
-    NodeConstraints,
     RelaxationSolution,
     build_relaxation,
     extract_solution,

@@ -45,7 +45,6 @@ import numpy as np
 
 from .lp import Basis, LpStatus, pinned_bounds, solve_lp
 from .relax import (
-    NodeConstraints,
     RelaxationSolution,
     build_relaxation,
     extract_solution,
@@ -99,25 +98,28 @@ class SolveOptions:
 
 @dataclass
 class Node:
-    """One search-tree node.  ``upper`` holds the upper bounds of its flows
-    as an (S, K) array: 0 where a fixing pins the flow, inf elsewhere, the
-    bounds :func:`relax.set_node_bounds` would write for ``constraints``.
-    ``start`` is its parent's optimal LP basis with its factor, the warm
-    start of its own relaxation (None at the root, which starts from the
-    all-slack basis).  Its heap key is not kept here: it is the bound
-    :func:`lp.pinned_bounds` reads off the parent's LP."""
+    """One search-tree node.  ``fixed`` is its fixing vector over the S*K
+    indicators (int8: -1 free, 0 or 1 fixed), and ``upper`` the upper bounds
+    of its flows as an (S, K) array: 0 where a fixing pins the flow
+    (:func:`relax.pinned_flows`), inf elsewhere, kept so that a pop writes
+    the LP's bounds in one copy.  ``start`` is its parent's optimal LP basis
+    with its factor, the warm start of its own relaxation (None at the root,
+    which starts from the all-slack basis).  Its heap key is not kept here:
+    it is the bound :func:`lp.pinned_bounds` reads off the parent's LP."""
 
     node_id: int
     depth: int
     parent_id: int | None
-    constraints: NodeConstraints
+    fixed: np.ndarray
     upper: np.ndarray
     start: Basis | None = None
 
 
 @dataclass
 class NodeRecord:
-    """Trace row: node attributes plus the processing outcome."""
+    """Trace row: node attributes plus the processing outcome.  ``fixed`` is
+    the node's own fixing vector, not a copy (nothing writes it after
+    :func:`branch`); neither the trace CSV nor the dataset writes it."""
 
     node_id: int
     depth: int
@@ -127,6 +129,7 @@ class NodeRecord:
     zub_at_pop: float             # incumbent bound when the node was popped
     x: np.ndarray                 # (S*K,) zeros when infeasible
     split_bits: np.ndarray        # (S*K,) zeros when infeasible
+    fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
 
 
 @dataclass
@@ -148,26 +151,27 @@ def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
 
     The down child fixes it to 0, which pins flow y_sk; the up child fixes
     it to 1, giving device s channel k, which pins the flows of every other
-    device on k.  Each child gets its parent's flow bounds with those pins
-    added.  Branching on an index out of range, an index already fixed, or
+    device on k.  Each child gets a copy of its parent's fixing vector with
+    ``index`` set, and its parent's flow bounds with those pins added.
+    Branching on an index out of range, an index already fixed, or
     a channel another device already owns is a contract violation.
     """
     s_n, k_n = parent.upper.shape
     if not 0 <= index < s_n * k_n:
         raise ValueError(f"indicator {index} out of range [0, {s_n * k_n})")
-    existing = parent.constraints.get(index)
-    if existing is not None:
-        raise ValueError(f"indicator {index} is already fixed to {existing[0]}")
+    existing = parent.fixed[index]
+    if existing >= 0:
+        raise ValueError(f"indicator {index} is already fixed to {existing}")
     s, k = divmod(index, k_n)
     if parent.upper[s, k] == 0.0:
         # Unfixed yet pinned: another device was given channel k.
         raise ValueError(f"channel {k} of indicator {index} is already owned")
-    down = dict(parent.constraints)
-    down[index] = (0, 0)
+    down = parent.fixed.copy()
+    down[index] = 0
     down_upper = parent.upper.copy()
     down_upper[s, k] = 0.0
-    up = dict(parent.constraints)
-    up[index] = (1, 1)
+    up = parent.fixed.copy()
+    up[index] = 1
     up_upper = parent.upper.copy()
     up_upper[:, k] = 0.0
     up_upper[s, k] = np.inf
@@ -203,9 +207,9 @@ def solve_bnb(
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
 
-    lp = build_relaxation(scenario, {})
+    lp = build_relaxation(scenario)
     flow_upper = lp.upper[:n].reshape(s_n, k_n)   # a view: writes reach the LP
-    root = Node(0, 0, None, {}, np.full((s_n, k_n), np.inf))
+    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.full((s_n, k_n), np.inf))
     # Open nodes keyed (bound, node_id); popped nodes are dropped with their
     # bases, and only the trace keeps rows.
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
@@ -235,18 +239,19 @@ def solve_bnb(
             trace.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id,
                 NodeAction.PRUNED_INFEASIBLE, float("nan"), zub_at_pop,
-                np.zeros(n), np.zeros(n),
+                np.zeros(n), np.zeros(n), node.fixed,
             ))
             continue
 
-        sol = extract_solution(scenario, result, node.constraints)
+        sol = extract_solution(scenario, result, node.fixed)
         if root_psi is None:
             root_psi = sol.psi
         # The gate sees the record as it would be kept if branched.  The
-        # record takes the arrays extract_solution made for this node.
+        # record takes the arrays extract_solution made for this node, and
+        # the node's fixing vector.
         record = NodeRecord(
             node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
-            sol.psi, zub_at_pop, sol.x, sol.split_bits,
+            sol.psi, zub_at_pop, sol.x, sol.split_bits, node.fixed,
         )
         if sol.integral:
             if sol.psi < z_ub:

@@ -20,7 +20,9 @@ import argparse
 import hashlib
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -108,15 +110,17 @@ def _config_pairs(cfg: ScenarioConfig) -> list[tuple[str, object]]:
     ]
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write: Callable[[str], None]) -> None:
+    """Write ``path`` through ``write(tmp_path)``, then move the file into
+    place, so no reader sees it half written."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write(tmp)
     os.replace(tmp, path)
 
 
 def _write_csv(path: str, meta: list[str], header: str, rows: list[str]) -> None:
-    _atomic_write(path, "\n".join([*meta, header, *rows]) + "\n")
+    text = "\n".join([*meta, header, *rows]) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def _require_optimal(report, seed: int):
@@ -157,9 +161,7 @@ def cmd_gen_data(args) -> int:
     ds = Dataset(samples, cfg.num_mds, cfg.num_channels, config_hash=config_hash)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "dataset.csv")
-    tmp = f"{out_path}.tmp"
-    write_dataset(ds, tmp)
-    os.replace(tmp, out_path)
+    _atomic_write(out_path, lambda tmp: write_dataset(ds, tmp))
     ratio = ds.positives / len(ds.samples)
     print(f"samples={len(ds.samples)} positives={ds.positives} "
           f"negatives={ds.negatives} positive_ratio={ratio:.4f}")
@@ -202,9 +204,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.txt")
-    tmp = f"{model_path}.tmp"
-    save_model(trained, tmp)
-    os.replace(tmp, model_path)
+    _atomic_write(model_path, lambda tmp: save_model(trained, tmp))
     rows = [
         f"{epoch},{_fmt(tr)},{_fmt(va)}"
         for epoch, (tr, va) in enumerate(zip(history.train_loss, history.val_loss))
@@ -228,7 +228,7 @@ _REPORT_HEADER = (
 )
 
 
-def _report_row(solver: str, report: SolveReport | IbnbReport, extra: str = ",,,") -> str:
+def _report_row(solver: str, report: SolveReport | IbnbReport, extra: str) -> str:
     psi = "" if report.best_psi is None else _fmt(report.best_psi)
     return f"{solver},{report.status.value},{psi},{report.nodes_searched},{extra}"
 
@@ -260,14 +260,13 @@ def cmd_solve(args) -> int:
     n = cfg.num_mds * cfg.num_channels
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
+    extra = ",,,"
     if args.solver == "bnb":
         report = solve_bnb(frame, opts)
         write_trace_csv(trace_path, [(None, 0, report.trace)], n)
-        extra = ",,,"
     elif args.solver == "exhaustive":
         report = solve_exhaustive(frame, opts)
         write_trace_csv(trace_path, [], n)
-        extra = ",,,"
     else:
         model = load_model(args.model)
         report = solve_ibnb(frame, model, policy, opts)
@@ -472,10 +471,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleInstanceError as exc:

@@ -10,7 +10,7 @@ that a network with saturating activations can digest them:
 
 The x entries are the indicators the relaxation reads off its flows: at a
 leaf the binary channel map, elsewhere the flow share min(l/L_s, 1), and 1
-wherever the node fixes an indicator to 1.  Away from leaves and such
+wherever the node's fixing vector holds a 1.  Away from leaves and such
 fixings they duplicate the l/L_s entries, but for shares too small to
 count as carried flow, which x keeps and l drops.
 

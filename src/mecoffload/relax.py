@@ -13,7 +13,7 @@ the projection, and children still differ from their parent only in
 bounds.
 
 LP variables are ordered [y (S*K), tau], flat index i = s*K + k, the same
-index a :data:`NodeConstraints` fixing names.  Internally the bit
+index as a node's fixing vector (:attr:`bnb.Node.fixed`).  Internally the bit
 quantities are rescaled by the largest task size
 (:attr:`Scenario.task_scale`, cached on the frame) so the constraint matrix
 stays O(1); the optimal value is unaffected and the splits are mapped back
@@ -42,35 +42,17 @@ from .scenario import Scenario
 
 __all__ = [
     "INTEGRALITY_TOL",
-    "NodeConstraints",
     "RelaxationSolution",
     "SplitSolution",
     "build_relaxation",
     "extract_solution",
     "pinned_flows",
-    "set_node_bounds",
     "solve_split",
-    "validate_node_constraints",
 ]
 
 #: A flow above this share of its device's task counts as carried, and an
 #: indicator within this distance of 0/1 counts as integral.
 INTEGRALITY_TOL = 1e-6
-
-#: Branching fixings: flat x index -> (lo, hi), either (0, 0) or (1, 1).
-NodeConstraints = dict[int, tuple[int, int]]
-
-_ALLOWED_OVERRIDES = {(0, 0), (1, 1)}
-
-
-def validate_node_constraints(nc: NodeConstraints, num_vars: int) -> None:
-    """Raise ``ValueError`` unless every fixing of ``nc`` names an index in
-    ``[0, num_vars)`` and fixes it to 0, as (0, 0), or to 1, as (1, 1)."""
-    for i, bounds in nc.items():
-        if not 0 <= i < num_vars:
-            raise ValueError(f"constraint index {i} out of range [0, {num_vars})")
-        if tuple(bounds) not in _ALLOWED_OVERRIDES:
-            raise ValueError(f"constraint bounds {bounds!r} must be (0,0) or (1,1)")
 
 
 @dataclass
@@ -92,15 +74,15 @@ class SplitSolution:
     psi: float
 
 
-def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
-    """Assemble the LP of one search node, over the flows y and tau.
+def build_relaxation(scenario: Scenario) -> LinearProgram:
+    """Assemble the LP of the root node, over the flows y and tau.
 
     Constraints: per-device flow conservation sum_k y_sk = L_s, per-channel
     exclusivity sum_s y_sk / L_s <= 1, and the epigraph rows that pin tau
-    above every channel's transmission time.  ``nc`` fixes indicators,
-    which :func:`set_node_bounds` turns into flow bounds; everything else
-    is shared across the tree, so a search builds this once and moves
-    between nodes by rewriting the flow upper bounds alone.
+    above every channel's transmission time.  Every flow is free above
+    zero.  A node's fixings only pin flows at zero (:func:`pinned_flows`),
+    so a search builds this once and moves between nodes by rewriting the
+    flow upper bounds alone.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
@@ -131,9 +113,7 @@ def build_relaxation(scenario: Scenario, nc: NodeConstraints) -> LinearProgram:
         a_ub[k_n + k, -1] = -1.0
         b_ub[k] = 1.0
 
-    lp = LinearProgram(c, a_eq, b_eq, a_ub, b_ub, np.zeros(n + 1), np.full(n + 1, np.inf))
-    set_node_bounds(lp, nc)
-    return lp
+    return LinearProgram(c, a_eq, b_eq, a_ub, b_ub, np.zeros(n + 1), np.full(n + 1, np.inf))
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,39 +131,18 @@ def pinned_flows(index: int, value: int, num_channels: int, num_flows: int) -> n
     return flows
 
 
-def set_node_bounds(lp: LinearProgram, nc: NodeConstraints) -> None:
-    """Turn a relaxation made by :func:`build_relaxation` into that of the
-    node ``nc``, in place: every flow is free above zero except those its
-    fixings pin at zero, by :func:`pinned_flows`.  Two devices fixed to one
-    channel is a contract violation: the search never branches on a channel
-    it has given away.  The search itself does not call this per node: each
-    node carries these bounds, extended by one fixing in :func:`bnb.branch`."""
-    n = lp.num_vars - 1
-    validate_node_constraints(nc, n)
-    k_n = n // lp.a_eq.shape[0]
-    upper = lp.upper
-    upper[:n] = np.inf
-    owner: dict[int, int] = {}
-    for i, (lo, _) in nc.items():
-        if lo == 1:
-            k = i % k_n
-            if k in owner:
-                raise ValueError(f"indicators {owner[k]} and {i} both claim channel {k}")
-            owner[k] = i
-        upper[pinned_flows(i, lo, k_n, n)] = 0.0
-
-
 def extract_solution(
-    scenario: Scenario, lp_result: LpResult, nc: NodeConstraints,
+    scenario: Scenario, lp_result: LpResult, fixed: np.ndarray,
 ) -> RelaxationSolution:
-    """Map an optimal node LP of the node ``nc`` back to (x, l, psi).
+    """Map the optimal LP of the node with fixing vector ``fixed`` (S*K
+    entries: -1 free, 0 or 1 fixed) back to (x, l, psi).
 
     A flow counts when it exceeds :data:`INTEGRALITY_TOL` of its device's
     task, and only counted flows become splits.  A point whose channels
     each carry counted flow from at most one device is a leaf, and x is
     that support; otherwise x = y/L clipped to [0, 1], and the first fractional
     index is the smallest one with counted flow on a channel that two or
-    more devices share.  An indicator that ``nc`` fixes to 1 reads 1.
+    more devices share.  An indicator that ``fixed`` sets to 1 reads 1.
     """
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
@@ -199,9 +158,7 @@ def extract_solution(
     first = None if integral else int((support & contested).argmax())
     support = support.ravel()
     x = support.astype(float) if integral else share.ravel().clip(0.0, 1.0)
-    for i, (lo, _) in nc.items():
-        if lo == 1:
-            x[i] = 1.0
+    x[fixed == 1] = 1.0
     split_bits = y * scale
     split_bits[~support] = 0.0
     return RelaxationSolution(

@@ -26,6 +26,22 @@ def make_uniform_frame(num_mds, num_channels, gain=1.0, power=1.2, task=4.0e6,
     return Scenario(cfg, gains, powers, tasks, rates)
 
 
+def node_upper(fixed, s_n, k_n) -> np.ndarray:
+    """The flow upper bounds of the node with fixing vector ``fixed`` (-1
+    free, 0 or 1 fixed), written from the model's definition: x_sk = 0 pins
+    y_sk, and x_sk = 1 pins y_s'k for every other device s'.  An (S, K)
+    array, 0 where a flow is pinned and inf elsewhere."""
+    x = np.asarray(fixed).reshape(s_n, k_n)
+    upper = np.full((s_n, k_n), np.inf)
+    for s, k in zip(*np.nonzero(x == 0)):
+        upper[s, k] = 0.0
+    for s, k in zip(*np.nonzero(x == 1)):
+        for other in range(s_n):
+            if other != s:
+                upper[other, k] = 0.0
+    return upper
+
+
 def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,
                           monkeypatch) -> float:
     """The objective of ``lp``'s dual simplex from ``start`` after one

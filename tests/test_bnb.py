@@ -17,20 +17,22 @@ from mecoffload.bnb import (
     write_trace_csv,
 )
 from mecoffload.lp import _REFACTOR_EVERY, FEASIBILITY_TOL, pinned_bounds, solve_lp
-from mecoffload.relax import build_relaxation, set_node_bounds, solve_split
+from mecoffload.relax import solve_split
 from mecoffload.scenario import Assignment, check_feasible, objective
 
-from conftest import first_pivot_objective, make_frame, make_uniform_frame
+from conftest import first_pivot_objective, make_frame, make_uniform_frame, node_upper
 
 
 class TestBranch:
     def _root(self, s_n=3, k_n=4):
-        return Node(0, 0, None, {}, np.full((s_n, k_n), np.inf))
+        return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8),
+                    np.full((s_n, k_n), np.inf))
 
     def test_fractional_value_splits_to_unit_bounds(self):
         down, up = branch(self._root(), 3, first_child_id=1)
-        assert down.constraints == {3: (0, 0)}
-        assert up.constraints == {3: (1, 1)}
+        assert down.fixed.dtype == up.fixed.dtype == np.int8
+        assert down.fixed.tolist() == [-1, -1, -1, 0] + [-1] * 8
+        assert up.fixed.tolist() == [-1, -1, -1, 1] + [-1] * 8
         assert down.depth == up.depth == 1
         assert (down.node_id, up.node_id) == (1, 2)
         assert down.parent_id == up.parent_id == 0
@@ -54,29 +56,31 @@ class TestBranch:
     def test_children_extend_parent_by_one_override(self):
         parent, _ = branch(self._root(), 0, first_child_id=1)
         down, up = branch(parent, 4, first_child_id=5)
-        assert len(down.constraints) == len(parent.constraints) + 1
-        assert parent.constraints.items() <= down.constraints.items()
+        assert parent.fixed.tolist() == [0] + [-1] * 11
+        for child, value in ((down, 0), (up, 1)):
+            assert np.flatnonzero(child.fixed != parent.fixed).tolist() == [4]
+            assert child.fixed[4] == value
+            assert not np.shares_memory(child.fixed, parent.fixed)
 
     @pytest.mark.parametrize("s_n, k_n, seed", [(2, 3, 3), (3, 5, 14), (4, 6, 203)])
-    def test_child_bounds_match_set_node_bounds(self, s_n, k_n, seed):
-        # Bounds carried down a random path equal those set_node_bounds
-        # writes for the path's fixings, and the parent's are untouched.
-        frame = make_frame(num_mds=s_n, num_channels=k_n, seed=seed)
-        lp = build_relaxation(frame, {})
+    def test_child_bounds_match_node_upper(self, s_n, k_n, seed):
+        # Bounds carried down a random path equal those the model's
+        # definition gives the path's fixings, and the parent's are
+        # untouched.
         rng = np.random.default_rng(seed)
         node, next_id = self._root(s_n, k_n), 1
         while True:
             free = [i for i in range(s_n * k_n)
-                    if i not in node.constraints and node.upper.flat[i] != 0.0]
+                    if node.fixed[i] < 0 and node.upper.flat[i] != 0.0]
             if not free:
                 break
-            before = node.upper.copy()
+            upper, fixed = node.upper.copy(), node.fixed.copy()
             children = branch(node, int(rng.choice(free)), next_id)
-            assert np.array_equal(node.upper, before)
+            assert np.array_equal(node.upper, upper)
+            assert np.array_equal(node.fixed, fixed)
             next_id += 2
             for child in children:
-                set_node_bounds(lp, child.constraints)
-                assert np.array_equal(lp.upper[:-1], child.upper.ravel())
+                assert np.array_equal(child.upper, node_upper(child.fixed, s_n, k_n))
             node = children[int(rng.integers(2))]
         assert next_id > 3
 
@@ -372,6 +376,27 @@ class TestTraceInvariants:
             carriers = rec.split_bits.reshape(shape)[:, k] > 0
             assert carriers[s] and carriers.sum() >= 2
 
+    @pytest.mark.parametrize("frame", SEARCH_FRAMES)
+    def test_fixings_extend_the_parents_by_one(self, frame):
+        # The root fixes nothing; every other record fixes exactly one
+        # indicator more than its parent's record, and an indicator fixed
+        # to 1 reads 1 wherever the relaxation was solved.
+        report = solve_bnb(frame)
+        n = frame.num_mds * frame.num_channels
+        by_id = {rec.node_id: rec for rec in report.trace}
+        root = report.trace[0]
+        assert root.parent_id is None
+        assert root.fixed.dtype == np.int8
+        assert root.fixed.tolist() == [-1] * n
+        for rec in report.trace[1:]:
+            parent = by_id[rec.parent_id].fixed
+            changed = np.flatnonzero(rec.fixed != parent)
+            assert changed.size == 1
+            assert parent[changed[0]] == -1 and rec.fixed[changed[0]] in (0, 1)
+            assert np.count_nonzero(rec.fixed >= 0) == rec.depth
+            if rec.action is not NodeAction.PRUNED_INFEASIBLE:
+                assert np.all(rec.x[rec.fixed == 1] == 1.0)
+
     def test_deterministic_trace(self):
         frame = make_frame(num_mds=2, num_channels=4, seed=16)
         a, b = solve_bnb(frame), solve_bnb(frame)
@@ -383,17 +408,37 @@ class TestTraceInvariants:
             assert np.array_equal(ra.x, rb.x)
 
     def test_records_own_their_arrays(self):
-        # A record keeps the arrays extraction made for its node, with no
-        # second copy, so no two records, and no record and the returned
-        # incumbent, may share a buffer.
+        # A record keeps the arrays extraction made for its node and the
+        # node's fixing vector, with no second copy, so no two records, and
+        # no record and the returned incumbent, may share a buffer.
         report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=203))
         assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 100
-        arrays = [a for rec in report.trace for a in (rec.x, rec.split_bits)]
+        arrays = [a for rec in report.trace for a in (rec.x, rec.split_bits, rec.fixed)]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, report.best_x)
             assert not np.shares_memory(a, report.best_split)
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+class TestOracleGate:
+    # The oracle policy of He, Daume & Eisner (NeurIPS 2014): branch only
+    # the nodes whose fixings agree with the optimal channel map, read off
+    # each record's fixing vector.  It is the ceiling of any pruning gate.
+    @pytest.mark.parametrize("s_n, k_n, frames", [(3, 5, 16), (4, 6, 6)])
+    def test_oracle_gate_is_exact_and_prunes(self, s_n, k_n, frames):
+        fewer = []
+        for seed in range(201, 201 + 2 * frames, 2):
+            frame = make_frame(num_mds=s_n, num_channels=k_n, seed=seed)
+            exact = solve_bnb(frame)
+            target = exact.best_x.ravel()
+            gate = lambda rec, _: np.all((rec.fixed < 0) | (rec.fixed == target))
+            oracle = solve_bnb(frame, gate=gate)
+            assert oracle.status is SolveStatus.OPTIMAL
+            assert oracle.best_psi == pytest.approx(exact.best_psi, rel=1e-12)
+            assert oracle.nodes_searched <= exact.nodes_searched
+            fewer.append(oracle.nodes_searched < exact.nodes_searched)
+        assert any(fewer)
 
 
 class TestSolveExhaustive:

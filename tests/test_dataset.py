@@ -35,6 +35,7 @@ class TestFeaturize:
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
             x=np.full(6, 0.5), split_bits=np.full(6, 1e6),
+            fixed=np.full(6, -1, dtype=np.int8),
         )
         defaults.update(overrides)
         return NodeRecord(**defaults)

@@ -3,22 +3,28 @@ import pytest
 
 from mecoffload.bnb import NodeAction, solve_bnb, solve_exhaustive
 from mecoffload.lp import LpResult, LpStatus, solve_lp
-from mecoffload.relax import (
-    build_relaxation,
-    extract_solution,
-    set_node_bounds,
-    solve_split,
-    validate_node_constraints,
-)
+from mecoffload.relax import build_relaxation, extract_solution, solve_split
 from mecoffload.scenario import Assignment, energy, objective
 
-from conftest import make_frame, make_uniform_frame
+from conftest import make_frame, make_uniform_frame, node_upper
 
 
 def closed_form_single_pair(frame):
     task, p, r = frame.task_bits[0], frame.powers_w[0], frame.rates_bps[0, 0]
     cfg = frame.config
     return cfg.lambda_t * task / r + cfg.lambda_e * p * task / r
+
+
+def free_node(n):
+    """The fixing vector of the root: all ``n`` indicators free."""
+    return np.full(n, -1, dtype=np.int8)
+
+
+def set_node(lp, frame, fixed):
+    """Give ``lp``, a relaxation of ``frame`` from :func:`build_relaxation`,
+    the flow bounds of the node with fixing vector ``fixed``; returns it."""
+    lp.upper[:-1] = node_upper(fixed, frame.num_mds, frame.num_channels).ravel()
+    return lp
 
 
 def random_feasible_indicator(frame, rng):
@@ -78,12 +84,12 @@ def highs_split_psi(frame, x):
     return res.fun * time_unit
 
 
-def highs_lifted_psi(frame, nc):
-    """Optimal value of the node ``nc`` by HiGHS on the lifted formulation
-    that the node LP projects, or None if it is infeasible.  Its variables
-    are [x, y, tau]: indicators next to the flows, exclusivity over x, the
-    coupling cuts y <= L*x, and fixings as bounds on x.  Units as in
-    :func:`build_relaxation`."""
+def highs_lifted_psi(frame, fixed):
+    """Optimal value of the node with fixing vector ``fixed`` by HiGHS on
+    the lifted formulation that the node LP projects, or None if it is
+    infeasible.  Its variables are [x, y, tau]: indicators next to the
+    flows, exclusivity over x, the coupling cuts y <= L*x, and fixings as
+    bounds on x.  Units as in :func:`build_relaxation`."""
     from scipy.optimize import linprog
 
     s_n, k_n = frame.num_mds, frame.num_channels
@@ -103,7 +109,8 @@ def highs_lifted_psi(frame, nc):
         np.hstack([np.zeros((k_n, n)), per_channel * inv_rates, -np.ones((k_n, 1))]),
     ])
     b_ub = np.concatenate([np.ones(k_n), np.zeros(n + k_n)])
-    bounds = [nc.get(i, (0, 1)) for i in range(n)] + [(0, None)] * (n + 1)
+    bounds = [(0, 1) if v < 0 else (int(v), int(v)) for v in fixed]
+    bounds += [(0, None)] * (n + 1)
     ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=tasks, bounds=bounds,
                   method="highs")
     assert ref.status in (0, 2)
@@ -111,18 +118,19 @@ def highs_lifted_psi(frame, nc):
 
 
 def random_node(rng, s_n, k_n):
-    """Fixings of a random number of indicators, each channel fixed to at
-    most one device as in the search; some leave a device no channel."""
+    """The fixing vector of a node fixing a random number of indicators,
+    each channel fixed to at most one device as in the search; some leave a
+    device no channel."""
     n = s_n * k_n
-    nc = {}
+    fixed = free_node(n)
     owned = set()
     for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
         k = int(i) % k_n
         up = k not in owned and rng.random() < 0.4
         if up:
             owned.add(k)
-        nc[int(i)] = (1, 1) if up else (0, 0)
-    return nc
+        fixed[i] = 1 if up else 0
+    return fixed
 
 
 def assert_split_invariants(frame, x, sol):
@@ -163,12 +171,12 @@ def split_cases():
 class TestBuildRelaxation:
     def test_fully_determined_instance(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=2)
-        lp = build_relaxation(frame, {})
+        lp = build_relaxation(frame)
         assert lp.num_vars == 2  # one flow and one epigraph variable
         result = solve_lp(lp)
         assert result.status is LpStatus.OPTIMAL
         assert result.value == pytest.approx(closed_form_single_pair(frame), rel=1e-9)
-        sol = extract_solution(frame, result, {})
+        sol = extract_solution(frame, result, free_node(1))
         assert sol.integral
         assert sol.first_fractional is None
         assert sol.split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
@@ -180,8 +188,8 @@ class TestBuildRelaxation:
         rng = np.random.default_rng(map_seed)
         for _ in range(4):
             x = random_feasible_indicator(frame, rng)
-            nc = {i: (int(v), int(v)) for i, v in enumerate(x.ravel())}
-            lp_value = solve_lp(build_relaxation(frame, nc)).value
+            fixed = x.ravel().astype(np.int8)
+            lp_value = solve_lp(set_node(build_relaxation(frame), frame, fixed)).value
             oracle = solve_split(frame, x)
             assert lp_value == pytest.approx(oracle.psi, rel=1e-9)
             assert highs_split_psi(frame, x) == pytest.approx(oracle.psi, rel=1e-9)
@@ -189,44 +197,31 @@ class TestBuildRelaxation:
 
     def test_device_with_all_channels_off_is_infeasible(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=4)
-        nc = {i: (0, 0) for i in range(3)}  # device 0 fully disabled
-        assert solve_lp(build_relaxation(frame, nc)).status is LpStatus.INFEASIBLE
+        fixed = np.array([0, 0, 0, -1, -1, -1], dtype=np.int8)  # device 0 fully disabled
+        lp = set_node(build_relaxation(frame), frame, fixed)
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     def test_root_feasibility_matches_pigeonhole(self):
         # Feasible iff there are at least as many channels as devices.
         feasible = make_frame(num_mds=3, num_channels=3, seed=5)
         infeasible = make_frame(num_mds=3, num_channels=2, seed=5)
-        assert solve_lp(build_relaxation(feasible, {})).status is LpStatus.OPTIMAL
-        assert solve_lp(build_relaxation(infeasible, {})).status is LpStatus.INFEASIBLE
-
-    def test_constraint_validation(self):
-        frame = make_frame(seed=1)
-        with pytest.raises(ValueError):
-            build_relaxation(frame, {99: (0, 0)})
-        with pytest.raises(ValueError):
-            validate_node_constraints({0: (1, 0)}, 6)
+        assert solve_lp(build_relaxation(feasible)).status is LpStatus.OPTIMAL
+        assert solve_lp(build_relaxation(infeasible)).status is LpStatus.INFEASIBLE
 
 
 class TestWarmStart:
-    def test_set_node_bounds_matches_a_fresh_build(self):
-        frame = make_frame(num_mds=2, num_channels=3, seed=3)
-        lp = build_relaxation(frame, {0: (1, 1), 4: (0, 0)})
-        set_node_bounds(lp, {2: (0, 0)})
-        fresh = build_relaxation(frame, {2: (0, 0)})
-        assert np.array_equal(lp.lower, fresh.lower)
-        assert np.array_equal(lp.upper, fresh.upper)
-
     def test_children_of_the_root_match_cold_solves(self):
         # A solve from the parent's basis against one from the slack basis
         # (the same simplex) and against HiGHS (an independent one).
         frame = make_frame(num_mds=3, num_channels=4, seed=13)
-        lp = build_relaxation(frame, {})
+        lp = build_relaxation(frame)
         root = solve_lp(lp)
         for i in range(12):
             for value in (0, 1):
-                set_node_bounds(lp, {i: (value, value)})
-                warm = solve_lp(lp, start=root.basis)
-                cold = solve_lp(build_relaxation(frame, {i: (value, value)}))
+                fixed = free_node(12)
+                fixed[i] = value
+                warm = solve_lp(set_node(lp, frame, fixed), start=root.basis)
+                cold = solve_lp(set_node(build_relaxation(frame), frame, fixed))
                 ref = highs_lp(lp)
                 assert warm.status is cold.status
                 assert (ref is None) == (warm.status is LpStatus.INFEASIBLE)
@@ -239,9 +234,11 @@ class TestWarmStart:
         # where the dual simplex's infeasibility exit is exercised on a
         # node LP.
         frame = make_frame(num_mds=3, num_channels=4, seed=4)
-        lp = build_relaxation(frame, {})
+        lp = build_relaxation(frame)
         root = solve_lp(lp)
-        set_node_bounds(lp, {i: (0, 0) for i in range(4)})  # device 0 fully disabled
+        fixed = free_node(12)
+        fixed[:4] = 0  # device 0 fully disabled
+        set_node(lp, frame, fixed)
         warm = solve_lp(lp, start=root.basis)
         assert warm.status is LpStatus.INFEASIBLE
         assert warm.pivots > 0
@@ -256,15 +253,16 @@ class TestAgainstLiftedLp:
         # the hand-written simplex, against HiGHS on the lifted one.
         frame = make_frame(num_mds=s_n, num_channels=k_n, seed=seed)
         rng = np.random.default_rng(seed)
-        lp = build_relaxation(frame, {})
+        lp = build_relaxation(frame)
         root = solve_lp(lp)
-        assert root.value == pytest.approx(highs_lifted_psi(frame, {}), rel=1e-9)
+        assert root.value == pytest.approx(highs_lifted_psi(frame, free_node(s_n * k_n)),
+                                           rel=1e-9)
         infeasible = 0
         for _ in range(40):
-            nc = random_node(rng, s_n, k_n)
-            set_node_bounds(lp, nc)
+            fixed = random_node(rng, s_n, k_n)
+            set_node(lp, frame, fixed)
             cold, warm = solve_lp(lp), solve_lp(lp, start=root.basis)
-            ref = highs_lifted_psi(frame, nc)
+            ref = highs_lifted_psi(frame, fixed)
             assert cold.status is warm.status
             assert (ref is None) == (cold.status is LpStatus.INFEASIBLE)
             if ref is None:
@@ -274,16 +272,11 @@ class TestAgainstLiftedLp:
                 assert warm.value == pytest.approx(ref, rel=1e-9)
         assert 0 < infeasible < 40
 
-    def test_two_devices_fixed_to_one_channel_rejected(self):
-        frame = make_frame(num_mds=2, num_channels=3, seed=3)
-        with pytest.raises(ValueError, match="channel 1"):
-            build_relaxation(frame, {1: (1, 1), 4: (1, 1)})
-
 
 class TestExtractSolution:
     def test_requires_optimal_status(self, small_frame):
         with pytest.raises(ValueError):
-            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE), {})
+            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE), free_node(6))
 
     @staticmethod
     def point(frame, shares):
@@ -298,7 +291,7 @@ class TestExtractSolution:
         # the first device with flow on channel 1 is branched.
         shares = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
         v = self.point(small_frame, shares)
-        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), {})
+        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
         assert not sol.integral
         assert sol.first_fractional == 1
         assert np.allclose(sol.x, np.ravel(shares), rtol=1e-12)
@@ -309,7 +302,7 @@ class TestExtractSolution:
         # a leaf whose indicators are its support.
         shares = [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
         v = self.point(small_frame, shares)
-        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), {})
+        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
         assert sol.integral
         assert sol.first_fractional is None
         assert np.array_equal(sol.x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
@@ -319,20 +312,22 @@ class TestExtractSolution:
     def test_up_fixed_indicator_reads_one(self):
         # Device 1 holds channel 3 by a fixing but sends nothing on it.
         frame = make_frame(num_mds=2, num_channels=4, seed=11)
+        fixed = free_node(8)
+        fixed[7] = 1
         leaf = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), {7: (1, 1)})
+        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), fixed)
         assert sol.integral
         assert np.array_equal(sol.x, [1, 1, 0, 0, 0, 0, 1, 1])
         # Off a leaf too: channel 0 is shared, device 1 holds channel 3.
         inner = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
-        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), {7: (1, 1)})
+        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), fixed)
         assert sol.first_fractional == 0
         assert sol.x[7] == 1.0
 
     def test_root_bound_below_exhaustive_optimum(self):
         for seed in range(5):
             frame = make_frame(num_mds=2, num_channels=3, seed=seed)
-            root = solve_lp(build_relaxation(frame, {}))
+            root = solve_lp(build_relaxation(frame))
             best = solve_exhaustive(frame)
             assert root.value <= best.best_psi + 1e-9
 
