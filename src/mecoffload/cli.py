@@ -184,12 +184,14 @@ def cmd_train(args) -> int:
         validation_fraction=args.val_fraction,
         rng_seed=args.seed if args.seed is not None else 0,
     )
+    model = init_model(ds.feature_len, tc.rng_seed)
     meta = _echo([
         ("command", "train"),
         ("dataset", args.dataset),
         ("samples", len(ds.samples)),
         ("positives", ds.positives),
         ("m", ds.feature_len),
+        ("dims", ",".join(map(str, model.layer_dims))),
         ("learning_rate", _fmt(tc.learning_rate)),
         ("epochs", tc.epochs),
         ("batch_size", tc.batch_size),
@@ -199,7 +201,6 @@ def cmd_train(args) -> int:
         ("seed", tc.rng_seed),
     ])
 
-    model = init_model(ds.feature_len, tc.rng_seed)
     trained, history = train(model, ds.feature_matrix(), ds.labels(), tc)
 
     os.makedirs(args.out, exist_ok=True)

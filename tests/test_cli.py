@@ -108,8 +108,10 @@ class TestTrain:
         assert rc == 0
         model = load_model(out / "model.txt")
         assert model.layer_dims == default_dims(16)
-        history = [l for l in (out / "history.csv").read_text().splitlines()
-                   if not l.startswith("#")]
+        lines = (out / "history.csv").read_text().splitlines()
+        # The net's shape is echoed with the other parameters.
+        assert f"# dims={','.join(map(str, default_dims(16)))}" in lines
+        history = [l for l in lines if not l.startswith("#")]
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) == 1 + 2
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mecoffload.bnb import NodeAction, SolveOptions, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
 from mecoffload.ibnb import IbnbReport, ThresholdPolicy, prune_decision, solve_ibnb
-from mecoffload.mlp import MlpModel, default_dims, forward
+from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
 from mecoffload.scenario import Assignment, check_feasible
 
 from conftest import make_frame, make_uniform_frame
@@ -163,6 +163,28 @@ class TestSoundness:
         report = solve_ibnb(frame, model, ThresholdPolicy(theta0=0.5))
         assert report.status is SolveStatus.OPTIMAL
         assert report.best_psi >= exact.best_psi
+        a = Assignment(report.best_x.astype(float), report.best_split)
+        assert check_feasible(frame, a) == []
+
+    def test_former_default_width_file_gates(self, tmp_path):
+        # A 4 x 256 model file, the default width before 128, still gates a
+        # 3x5 frame: neither loading nor the gate assumes a width.
+        frame = make_frame(num_mds=3, num_channels=5, seed=62)
+        dims = (34, 256, 256, 256, 256, 1)
+        assert dims != default_dims(34)
+        rng = np.random.default_rng(62)
+        path = tmp_path / "model.txt"
+        save_model(MlpModel(
+            dims,
+            [rng.normal(0, dims[i] ** -0.5, size=(dims[i + 1], dims[i]))
+             for i in range(len(dims) - 1)],
+            [rng.normal(0, 0.1, size=dims[i + 1]) for i in range(len(dims) - 1)],
+        ), path)
+        report = solve_ibnb(frame, load_model(path), ThresholdPolicy(theta0=0.5))
+        assert report.status is SolveStatus.OPTIMAL
+        assert not report.fell_back_to_exact
+        assert any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
+        assert report.best_psi >= solve_bnb(frame).best_psi
         a = Assignment(report.best_x.astype(float), report.best_split)
         assert check_feasible(frame, a) == []
 

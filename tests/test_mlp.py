@@ -102,16 +102,24 @@ class TestForward:
             with pytest.raises(ValueError, match="model input"):
                 forward(model, bad)
 
-    @pytest.mark.parametrize("num_features, seed, last_gain", [
-        (34, 0, 1.0),     # the benchmark's shape, 34 -> 256 x 4 -> 1
-        (34, 5, 1.0),
-        (34, 2, 1e3),     # logits far past the sigmoid's clamps
-        (3, 7, 1.0),
-        (3, 8, 1e3),
+    @pytest.mark.parametrize("num_features, seed, last_gain, width", [
+        # The benchmark's shape, 34 -> HIDDEN_WIDTH x 4 -> 1.
+        pytest.param(34, 0, 1.0, None, id="34-0-1.0"),
+        pytest.param(34, 5, 1.0, None, id="34-5-1.0"),
+        # Logits far past the sigmoid's clamps.
+        pytest.param(34, 2, 1e3, None, id="34-2-1000.0"),
+        # The former default width, 34 -> 256 x 4 -> 1, built explicitly.
+        pytest.param(34, 4, 1.0, 256, id="34x256-4-1.0"),
+        pytest.param(34, 6, 1e3, 256, id="34x256-6-1000.0"),
+        pytest.param(3, 7, 1.0, None, id="3-7-1.0"),
+        pytest.param(3, 8, 1e3, None, id="3-8-1000.0"),
     ])
     def test_single_sample_equals_batch_of_one_bit_for_bit(self, num_features, seed,
-                                                          last_gain):
-        model = init_model(num_features, rng_seed=seed)
+                                                          last_gain, width):
+        if width is None:
+            model = init_model(num_features, rng_seed=seed)
+        else:
+            model = narrow_model(m=num_features, width=width, seed=seed)
         model.weights[-1] *= last_gain
         model.biases[-1] += 0.1 * seed - 0.3
         rng = np.random.default_rng(seed)
@@ -295,6 +303,22 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.layer_dims == model.layer_dims
+        for a, b in zip(model.weights + model.biases,
+                        loaded.weights + loaded.biases):
+            assert np.array_equal(a, b)
+        assert model_fingerprint(loaded) == model_fingerprint(model)
+
+    def test_former_default_width_round_trips(self, tmp_path):
+        # The header names the dims, so a 4 x 256 file, the default width
+        # before 128, loads as saved: no width is assumed in loading.
+        model = narrow_model(m=34, width=256, seed=12)
+        assert model.layer_dims != default_dims(34)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert path.read_text().splitlines()[0] == (
+            "# mlp-v2 dims=34,256,256,256,256,1 encoding=base64-f8le")
+        loaded = load_model(path)
+        assert loaded.layer_dims == (34, 256, 256, 256, 256, 1)
         for a, b in zip(model.weights + model.biases,
                         loaded.weights + loaded.biases):
             assert np.array_equal(a, b)
