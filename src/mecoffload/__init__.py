@@ -22,7 +22,6 @@ from .bnb import (
     Node,
     NodeAction,
     NodeRecord,
-    SolveOptions,
     SolveReport,
     SolveStatus,
     branch,

@@ -54,9 +54,10 @@ from .relax import (
 from .scenario import Scenario
 
 __all__ = [
+    "MAX_NODES",
+    "ENUM_BUDGET",
     "SolveStatus",
     "NodeAction",
-    "SolveOptions",
     "Node",
     "NodeRecord",
     "SolveReport",
@@ -66,6 +67,12 @@ __all__ = [
     "solve_exhaustive",
     "write_trace_csv",
 ]
+
+
+#: Default node budget of a search: solved nodes, over every pass of ``ibnb``.
+MAX_NODES = 500_000
+#: Largest number of channel-to-device maps :func:`solve_exhaustive` enumerates.
+ENUM_BUDGET = 1_000_000
 
 
 class SolveStatus(Enum):
@@ -87,20 +94,10 @@ class BudgetExceededError(RuntimeError):
 
 
 @dataclass
-class SolveOptions:
-    max_nodes: int = 500_000
-    enum_budget: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.enum_budget < 1:
-            raise ValueError("budgets must be positive")
-
-
-@dataclass
 class Node:
     """One search-tree node.  ``fixed`` is its fixing vector over the S*K
     indicators (int8: -1 free, 0 or 1 fixed), and ``upper`` the upper bounds
-    of its flows as an (S, K) array: 0 where a fixing pins the flow
+    of its S*K flows, in the same order: 0 where a fixing pins the flow
     (:func:`relax.pinned_flows`), inf elsewhere, kept so that a pop writes
     the LP's bounds in one copy.  ``start`` is its parent's optimal LP basis
     with its factor, the warm start of its own relaxation (None at the root,
@@ -146,38 +143,33 @@ class SolveReport:
     lp_refactors: int             # basis inversions over every node LP
 
 
-def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
-    """Split a node on binary indicator ``index`` = s*K + k.
+def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Node, Node]:
+    """Split a node on binary indicator ``index`` = s*K + k of a frame with
+    ``k_n`` = K channels.
 
-    The down child fixes it to 0, which pins flow y_sk; the up child fixes
-    it to 1, giving device s channel k, which pins the flows of every other
-    device on k.  Each child gets a copy of its parent's fixing vector with
-    ``index`` set, and its parent's flow bounds with those pins added.
-    Branching on an index out of range, an index already fixed, or
-    a channel another device already owns is a contract violation.
+    The down child fixes it to 0 and the up child to 1.  Each child gets a
+    copy of its parent's fixing vector with ``index`` set, and its parent's
+    flow bounds with the flows that fixing pins (:func:`relax.pinned_flows`)
+    set to 0.  Branching on an index out of range, an index already fixed,
+    or a channel another device already owns is a contract violation.
     """
-    s_n, k_n = parent.upper.shape
-    if not 0 <= index < s_n * k_n:
-        raise ValueError(f"indicator {index} out of range [0, {s_n * k_n})")
+    n = parent.upper.size
+    if not 0 <= index < n:
+        raise ValueError(f"indicator {index} out of range [0, {n})")
     existing = parent.fixed[index]
     if existing >= 0:
         raise ValueError(f"indicator {index} is already fixed to {existing}")
-    s, k = divmod(index, k_n)
-    if parent.upper[s, k] == 0.0:
-        # Unfixed yet pinned: another device was given channel k.
-        raise ValueError(f"channel {k} of indicator {index} is already owned")
-    down = parent.fixed.copy()
-    down[index] = 0
-    down_upper = parent.upper.copy()
-    down_upper[s, k] = 0.0
-    up = parent.fixed.copy()
-    up[index] = 1
-    up_upper = parent.upper.copy()
-    up_upper[:, k] = 0.0
-    up_upper[s, k] = np.inf
-    child_down = Node(first_child_id, parent.depth + 1, parent.node_id, down, down_upper)
-    child_up = Node(first_child_id + 1, parent.depth + 1, parent.node_id, up, up_upper)
-    return child_down, child_up
+    if parent.upper[index] == 0.0:
+        # Unfixed yet pinned: another device was given its channel.
+        raise ValueError(f"channel {index % k_n} of indicator {index} is already owned")
+    down, up = parent.fixed.copy(), parent.fixed.copy()
+    down[index], up[index] = 0, 1
+    down_upper, up_upper = parent.upper.copy(), parent.upper.copy()
+    down_upper[pinned_flows(index, 0, k_n, n)] = 0.0
+    up_upper[pinned_flows(index, 1, k_n, n)] = 0.0
+    depth = parent.depth + 1
+    return (Node(first_child_id, depth, parent.node_id, down, down_upper),
+            Node(first_child_id + 1, depth, parent.node_id, up, up_upper))
 
 
 def _incumbent_from(scenario: Scenario, sol: RelaxationSolution):
@@ -189,8 +181,9 @@ def _incumbent_from(scenario: Scenario, sol: RelaxationSolution):
 
 def solve_bnb(
     scenario: Scenario,
-    opts: SolveOptions | None = None,
     gate: Callable[[NodeRecord, float], bool] | None = None,
+    *,
+    max_nodes: int = MAX_NODES,
 ) -> SolveReport:
     """Branch-and-bound search for the optimal offloading assignment.
 
@@ -199,17 +192,18 @@ def solve_bnb(
     infeasible status.  A ``gate(record, root_psi)`` is asked about every
     fractional node that survives the bound check; a node it rejects is
     recorded as model-pruned instead of branched, so the search may miss
-    the optimum or end with no incumbent.  Exceeding the node budget is
-    reported explicitly, never as a silent incumbent.
+    the optimum or end with no incumbent.  Solving more than ``max_nodes``
+    nodes (at least 1) is reported explicitly, never as a silent incumbent.
     """
-    opts = opts or SolveOptions()
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
-    flow_upper = lp.upper[:n].reshape(s_n, k_n)   # a view: writes reach the LP
-    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.full((s_n, k_n), np.inf))
+    flow_upper = lp.upper[:n]   # a view: writes reach the LP
+    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.full(n, np.inf))
     # Open nodes keyed (bound, node_id); popped nodes are dropped with their
     # bases, and only the trace keeps rows.
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
@@ -226,7 +220,7 @@ def solve_bnb(
         key, _, node = heapq.heappop(queue)
         if key >= z_ub:
             break  # every open bound has reached the incumbent
-        if len(trace) >= opts.max_nodes:
+        if len(trace) >= max_nodes:
             exhausted = True
             break
         zub_at_pop = z_ub
@@ -268,7 +262,7 @@ def solve_bnb(
             record.action = NodeAction.PRUNED_BY_MODEL
         else:
             index = sol.first_fractional
-            down, up = branch(node, index, next_id)
+            down, up = branch(node, index, next_id, k_n)
             next_id += 2
             key_down, key_up = pinned_bounds(lp, result, (
                 pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)))
@@ -297,21 +291,21 @@ def solve_bnb(
     )
 
 
-def solve_exhaustive(scenario: Scenario, opts: SolveOptions | None = None) -> SolveReport:
+def solve_exhaustive(scenario: Scenario) -> SolveReport:
     """Ground-truth oracle: enumerate every channel-to-device map.
 
     Each channel is given to one device or left idle, which bakes in
     channel exclusivity; maps leaving some device with no channel are
     skipped.  ``nodes_searched`` counts the evaluated maps (the trace of a
-    tree search has no analogue here and is left empty).
+    tree search has no analogue here and is left empty).  A frame with more
+    than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
     """
-    opts = opts or SolveOptions()
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
     total = (s_n + 1) ** k_n
-    if total > opts.enum_budget:
+    if total > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"enumeration of {total} maps exceeds budget {opts.enum_budget}"
+            f"enumeration of {total} maps exceeds budget {ENUM_BUDGET}"
         )
 
     best_psi = np.inf
@@ -345,7 +339,8 @@ def solve_exhaustive(scenario: Scenario, opts: SolveOptions | None = None) -> So
     )
 
 
-def _csv_float(value: float) -> str:
+def csv_float(value: float) -> str:
+    """A float as CSV text that reads back to the same float; every writer uses it."""
     return format(float(value), ".17g")
 
 
@@ -362,17 +357,17 @@ def write_trace_csv(path, passes, num_indicators: int) -> None:
     lines = ["# trace-v1", ",".join(cols)]
     for theta, restart, records in passes:
         if theta is not None:
-            lines.append(f"# theta={_csv_float(theta)} restart={restart}")
+            lines.append(f"# theta={csv_float(theta)} restart={restart}")
         for rec in records:
             parent = -1 if rec.parent_id is None else rec.parent_id
             row = [
                 str(rec.node_id), str(rec.depth), str(parent),
                 "0" if rec.action is NodeAction.PRUNED_INFEASIBLE else "1",
                 rec.action.value,
-                _csv_float(rec.psi), _csv_float(rec.zub_at_pop),
+                csv_float(rec.psi), csv_float(rec.zub_at_pop),
             ]
-            row += [_csv_float(v) for v in rec.x]
-            row += [_csv_float(v) for v in rec.split_bits]
+            row += [csv_float(v) for v in rec.x]
+            row += [csv_float(v) for v in rec.split_bits]
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import (
+    MAX_NODES,
     BudgetExceededError,
-    SolveOptions,
     SolveReport,
     SolveStatus,
+    csv_float,
     solve_bnb,
     solve_exhaustive,
     write_trace_csv,
@@ -62,7 +63,7 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BENCH_THETAS = (1e-7, 1e-12)
+DEFAULT_BENCH_THETAS = (ThresholdPolicy.theta0, 1e-12)
 #: Latency/energy weight pairs swept by the benchmark.
 WEIGHT_SWEEP = ((1.0, 0.0), (1.0, 0.25), (1.0, 0.5), (1.0, 0.75), (1.0, 1.0))
 
@@ -83,10 +84,6 @@ def eval_seed(base: int, index: int) -> int:
     return 2 * (base + index) + 1
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _echo(pairs: list[tuple[str, object]]) -> list[str]:
     lines = [f"# {key}={value}" for key, value in pairs]
     for line in lines:
@@ -98,15 +95,15 @@ def _config_pairs(cfg: ScenarioConfig) -> list[tuple[str, object]]:
     return [
         ("num_mds", cfg.num_mds),
         ("num_channels", cfg.num_channels),
-        ("bandwidth_hz", _fmt(cfg.bandwidth_hz)),
-        ("noise_power_w", _fmt(cfg.noise_power_w)),
-        ("power_min_w", _fmt(cfg.power_range_w[0])),
-        ("power_max_w", _fmt(cfg.power_range_w[1])),
-        ("task_min_bits", _fmt(cfg.task_size_range_bits[0])),
-        ("task_max_bits", _fmt(cfg.task_size_range_bits[1])),
-        ("mean_gain", _fmt(cfg.mean_channel_gain)),
-        ("lambda_t", _fmt(cfg.lambda_t)),
-        ("lambda_e", _fmt(cfg.lambda_e)),
+        ("bandwidth_hz", csv_float(cfg.bandwidth_hz)),
+        ("noise_power_w", csv_float(cfg.noise_power_w)),
+        ("power_min_w", csv_float(cfg.power_range_w[0])),
+        ("power_max_w", csv_float(cfg.power_range_w[1])),
+        ("task_min_bits", csv_float(cfg.task_size_range_bits[0])),
+        ("task_max_bits", csv_float(cfg.task_size_range_bits[1])),
+        ("mean_gain", csv_float(cfg.mean_channel_gain)),
+        ("lambda_t", csv_float(cfg.lambda_t)),
+        ("lambda_e", csv_float(cfg.lambda_e)),
     ]
 
 
@@ -150,12 +147,11 @@ def cmd_gen_data(args) -> int:
     meta = _echo(pairs)
     config_hash = hashlib.sha256("\n".join(meta).encode()).hexdigest()[:16]
 
-    opts = SolveOptions(max_nodes=args.max_nodes)
     samples = []
     for i in range(args.frames):
         seed = train_seed(seed_base, i)
         frame = generate_frame(replace(cfg, rng_seed=seed))
-        report = _require_optimal(solve_bnb(frame, opts), seed)
+        report = _require_optimal(solve_bnb(frame, max_nodes=args.max_nodes), seed)
         samples.extend(label_trace(report, frame, frame_id=i))
 
     ds = Dataset(samples, cfg.num_mds, cfg.num_channels, config_hash=config_hash)
@@ -192,12 +188,12 @@ def cmd_train(args) -> int:
         ("positives", ds.positives),
         ("m", ds.feature_len),
         ("dims", ",".join(map(str, model.layer_dims))),
-        ("learning_rate", _fmt(tc.learning_rate)),
+        ("learning_rate", csv_float(tc.learning_rate)),
         ("epochs", tc.epochs),
         ("batch_size", tc.batch_size),
-        ("positive_class_weight",
-         "auto" if tc.positive_class_weight is None else _fmt(tc.positive_class_weight)),
-        ("validation_fraction", _fmt(tc.validation_fraction)),
+        ("positive_class_weight", "auto" if tc.positive_class_weight is None
+         else csv_float(tc.positive_class_weight)),
+        ("validation_fraction", csv_float(tc.validation_fraction)),
         ("seed", tc.rng_seed),
     ])
 
@@ -207,7 +203,7 @@ def cmd_train(args) -> int:
     model_path = os.path.join(args.out, "model.txt")
     _atomic_write(model_path, lambda tmp: save_model(trained, tmp))
     rows = [
-        f"{epoch},{_fmt(tr)},{_fmt(va)}"
+        f"{epoch},{csv_float(tr)},{csv_float(va)}"
         for epoch, (tr, va) in enumerate(zip(history.train_loss, history.val_loss))
     ]
     _write_csv(os.path.join(args.out, "history.csv"), meta,
@@ -230,7 +226,7 @@ _REPORT_HEADER = (
 
 
 def _report_row(solver: str, report: SolveReport | IbnbReport, extra: str) -> str:
-    psi = "" if report.best_psi is None else _fmt(report.best_psi)
+    psi = "" if report.best_psi is None else csv_float(report.best_psi)
     return f"{solver},{report.status.value},{psi},{report.nodes_searched},{extra}"
 
 
@@ -238,46 +234,48 @@ def _solution_columns(report) -> str:
     if report.best_x is None:
         return ","
     x = ";".join(str(int(v)) for v in report.best_x.ravel())
-    l = ";".join(_fmt(v) for v in report.best_split.ravel())
+    l = ";".join(csv_float(v) for v in report.best_split.ravel())
     return f"{x},{l}"
 
 
 def cmd_solve(args) -> int:
     if args.solver == "ibnb" and not args.model:
         raise UsageError("solver 'ibnb' requires --model")
+    theta0, *more = args.theta or [ThresholdPolicy.theta0]
+    if more:
+        raise UsageError(f"solve takes one --theta, got {len(args.theta)}")
     cfg = read_config_file(args.config)
     seed = args.seed if args.seed is not None else cfg.rng_seed
-    policy = ThresholdPolicy(theta0=args.theta[0] if args.theta else 1e-7,
-                             delta_theta=args.delta_theta)
+    policy = ThresholdPolicy(theta0=theta0, delta_theta=args.delta_theta)
     meta = _echo([
         ("command", "solve"), *_config_pairs(cfg),
         ("solver", args.solver), ("frame_seed", seed),
-        ("theta0", _fmt(policy.theta0)), ("delta_theta", _fmt(policy.delta_theta)),
+        ("theta0", csv_float(policy.theta0)),
+        ("delta_theta", csv_float(policy.delta_theta)),
         ("model", args.model or ""),
     ])
     frame = generate_frame(replace(cfg, rng_seed=seed))
-    opts = SolveOptions(max_nodes=args.max_nodes)
 
     n = cfg.num_mds * cfg.num_channels
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     extra = ",,,"
     if args.solver == "bnb":
-        report = solve_bnb(frame, opts)
+        report = solve_bnb(frame, max_nodes=args.max_nodes)
         write_trace_csv(trace_path, [(None, 0, report.trace)], n)
     elif args.solver == "exhaustive":
-        report = solve_exhaustive(frame, opts)
+        report = solve_exhaustive(frame)
         write_trace_csv(trace_path, [], n)
     else:
         model = load_model(args.model)
-        report = solve_ibnb(frame, model, policy, opts)
+        report = solve_ibnb(frame, model, policy, max_nodes=args.max_nodes)
         write_trace_csv(
             trace_path,
             [(p.theta if p.theta is not None else 0.0, i, p.records)
              for i, p in enumerate(report.passes)],
             n,
         )
-        thetas = ";".join(_fmt(t) for t in report.thresholds_tried)
+        thetas = ";".join(csv_float(t) for t in report.thresholds_tried)
         extra = (f"{report.restarts},{int(report.fell_back_to_exact)},"
                  f"{thetas},{model_fingerprint(model)}")
 
@@ -315,18 +313,20 @@ def cmd_bench(args) -> int:
     meta = _echo([
         ("command", "bench"), *_config_pairs(cfg),
         ("frames", args.frames), ("seed_base", seed_base),
-        ("thetas", ";".join(_fmt(t) for t in thetas)),
-        ("delta_theta", _fmt(args.delta_theta)),
+        ("thetas", ";".join(csv_float(t) for t in thetas)),
+        ("delta_theta", csv_float(args.delta_theta)),
         ("model", args.model),
     ])
     model = load_model(args.model)
-    opts = SolveOptions(max_nodes=args.max_nodes)
+    budget = args.max_nodes
 
     def run_frame(frame, frame_policies):
         seed = frame.config.rng_seed
-        bnb_report = _require_optimal(solve_bnb(frame, opts), seed)
-        ibnb_reports = [_require_optimal(solve_ibnb(frame, model, policy, opts), seed)
-                        for policy in frame_policies]
+        bnb_report = _require_optimal(solve_bnb(frame, max_nodes=budget), seed)
+        ibnb_reports = [
+            _require_optimal(solve_ibnb(frame, model, policy, max_nodes=budget), seed)
+            for policy in frame_policies
+        ]
         return bnb_report, ibnb_reports
 
     # Held-out frames: per-frame node counts and the node-count CDFs.
@@ -354,11 +354,12 @@ def cmd_bench(args) -> int:
 
     def cdf_series(counts: list[int], solver: str, theta_text: str) -> None:
         for rank, value in enumerate(sorted(counts), start=1):
-            cdf_rows.append(f"{value},{_fmt(rank / len(counts))},{solver},{theta_text}")
+            cdf = csv_float(rank / len(counts))
+            cdf_rows.append(f"{value},{cdf},{solver},{theta_text}")
 
     cdf_series(bnb_nodes, "bnb", "")
     for theta in thetas:
-        cdf_series(ibnb_nodes[theta], "ibnb", _fmt(theta))
+        cdf_series(ibnb_nodes[theta], "ibnb", csv_float(theta))
     _write_csv(os.path.join(args.out, "node_cdf.csv"), meta,
                "nodes,cdf,solver,theta", cdf_rows)
 
@@ -382,10 +383,8 @@ def cmd_bench(args) -> int:
             psi_ibnb += frame_ibnb
         psi_bnb /= args.frames
         psi_ibnb /= args.frames
-        sweep_rows.append(
-            f"{_fmt(lambda_t)},{_fmt(lambda_e)},{_fmt(psi_bnb)},{_fmt(psi_ibnb)},"
-            f"{_fmt(psi_ibnb / psi_bnb)}"
-        )
+        sweep_rows.append(",".join(csv_float(v) for v in (
+            lambda_t, lambda_e, psi_bnb, psi_ibnb, psi_ibnb / psi_bnb)))
     _write_csv(os.path.join(args.out, "weights_sweep.csv"), meta,
                "lambda_t,lambda_e,psi_bnb,psi_ibnb,ratio", sweep_rows)
 
@@ -420,20 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
                      description="MEC offloading solvers and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, frames=False, solver=False, theta=False,
+    def common(p, *, search=False, frames=False, solver=False, theta=False,
                dataset=False, training=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed (base) overriding the config file")
-        p.add_argument("--max-nodes", type=int, default=500_000)
+        if search:
+            p.add_argument("--max-nodes", type=positive_int, default=MAX_NODES,
+                           help="node budget of each solve")
         if frames:
             p.add_argument("--frames", type=positive_int, default=100)
         if solver:
             p.add_argument("--solver", default="bnb",
                            choices=("bnb", "ibnb", "exhaustive"))
         if theta:
-            p.add_argument("--theta", type=float, action="append", default=None,
-                           help="initial pruning threshold (repeatable)")
             p.add_argument("--delta-theta", type=float, default=1e-5)
         if dataset:
             p.add_argument("--dataset", required=True, help="dataset CSV path")
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="solve frames exactly and label the traces")
     p.add_argument("--config", required=True)
-    common(p, frames=True)
+    common(p, search=True, frames=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the pruning classifier")
@@ -456,13 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one frame and dump report + trace")
     p.add_argument("--config", required=True)
     p.add_argument("--model", default=None, help="trained model file")
-    common(p, solver=True, theta=True)
+    p.add_argument("--theta", type=float, action="append",
+                   help="initial pruning threshold (once)")
+    common(p, search=True, solver=True, theta=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="compare exact and learned-pruning searches")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True, help="trained model file")
-    common(p, frames=True, theta=True)
+    p.add_argument("--theta", type=float, action="append",
+                   help="initial pruning threshold (repeatable)")
+    common(p, search=True, frames=True, theta=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bnb import NodeAction, NodeRecord, SolveReport, SolveStatus
+from .bnb import NodeAction, NodeRecord, SolveReport, SolveStatus, csv_float
 from .scenario import Scenario
 
 __all__ = [
@@ -156,10 +156,6 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; the message carries the offending line."""
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_dataset(ds: Dataset, path) -> None:
     m = ds.feature_len
     header = f"# dataset-v1 m={m} S={ds.num_mds} K={ds.num_channels}"
@@ -169,7 +165,7 @@ def write_dataset(ds: Dataset, path) -> None:
     lines = [header, columns]
     for sample in ds.samples:
         row = [str(sample.frame_id), str(sample.node_id), str(sample.label)]
-        row += [_fmt(v) for v in sample.features]
+        row += [csv_float(v) for v in sample.features]
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

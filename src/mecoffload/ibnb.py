@@ -17,16 +17,17 @@ passes together never pop more than the node budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bnb import NodeAction, NodeRecord, SolveOptions, SolveStatus, solve_bnb
+from .bnb import MAX_NODES, NodeAction, NodeRecord, SolveStatus, solve_bnb
 from .dataset import feature_length, featurize
 from .mlp import MlpModel, forward
 from .scenario import Scenario
 
 __all__ = [
+    "THETA_MIN",
     "ThresholdPolicy",
     "SearchPass",
     "IbnbReport",
@@ -35,18 +36,21 @@ __all__ = [
 ]
 
 
+#: The threshold floor: below it, the next pass is the exact search.
+THETA_MIN = 1e-30
+
+
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Initial pruning threshold, multiplicative step, and fallback floor."""
+    """Initial pruning threshold and its multiplicative step."""
 
     theta0: float = 1e-7
     delta_theta: float = 1e-5
-    theta_min: float = 1e-30
 
     def __post_init__(self) -> None:
-        if not 0 < self.theta_min < self.theta0 < 1:
+        if not 0 < THETA_MIN < self.theta0 < 1:
             raise ValueError(
-                f"need 0 < theta_min < theta0 < 1, got {self.theta_min}, {self.theta0}"
+                f"need 0 < THETA_MIN < theta0 < 1, got {THETA_MIN}, {self.theta0}"
             )
         if not 0 < self.delta_theta < 1:
             raise ValueError(f"delta_theta must lie in (0, 1), got {self.delta_theta}")
@@ -100,16 +104,16 @@ def solve_ibnb(
     scenario: Scenario,
     model: MlpModel,
     policy: ThresholdPolicy | None = None,
-    opts: SolveOptions | None = None,
+    *,
+    max_nodes: int = MAX_NODES,
 ) -> IbnbReport:
     """Learned-pruning search with restart-on-overprune.
 
     Whenever the instance admits a solution, one is returned: either a pass
-    finds an incumbent, or the threshold decays below ``theta_min`` and the
-    exact search takes over.
+    finds an incumbent, or the threshold decays below :data:`THETA_MIN` and
+    the exact search takes over.
     """
     policy = policy or ThresholdPolicy()
-    opts = opts or SolveOptions()
     expected_m = feature_length(scenario.num_mds, scenario.num_channels)
     if model.num_features != expected_m:
         raise ValueError(
@@ -130,16 +134,13 @@ def solve_ibnb(
     lp_pivots = lp_refactors = 0
 
     while True:
-        if nodes_total >= opts.max_nodes:
-            status = SolveStatus.BUDGET_EXHAUSTED
-            break
         # Below the floor the exact search takes over, which guarantees
         # termination with a feasible answer.
-        fell_back = theta < policy.theta_min
+        fell_back = theta < THETA_MIN
         report = solve_bnb(
             scenario,
-            replace(opts, max_nodes=opts.max_nodes - nodes_total),
             None if fell_back else model_gate,
+            max_nodes=max_nodes - nodes_total,
         )
         passes.append(SearchPass(None if fell_back else theta, report.trace))
         nodes_total += report.nodes_searched
@@ -156,6 +157,9 @@ def solve_ibnb(
         if not any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace):
             # The model pruned nothing, so this pass was already an
             # unrestricted search; no smaller threshold can change it.
+            break
+        if nodes_total >= max_nodes:
+            status = SolveStatus.BUDGET_EXHAUSTED
             break
         theta *= policy.delta_theta
 

@@ -51,6 +51,12 @@ __all__ = [
 HIDDEN_WIDTH = 128
 _NUM_HIDDEN = 4
 
+#: Adam's decay rates of the first and second gradient moments, and the
+#: constant added to the root of the second (Kingma & Ba's defaults).
+_ADAM_B1 = 0.9
+_ADAM_B2 = 0.999
+_ADAM_EPS = 1e-8
+
 #: Predicted probabilities are clamped here before the logs in the loss.
 _LOSS_CLAMP = 1e-12
 
@@ -98,9 +104,6 @@ class MlpModel:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 100
     batch_size: int = 128
     positive_class_weight: float | None = None  # None: negatives/positives
@@ -110,10 +113,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
@@ -306,23 +305,23 @@ def train(
             batch_loss, grad_w, grad_b = backward(out, x_train[idx], y_train[idx], weight)
             batch_losses.append(batch_loss)
             step += 1
-            corr1 = 1.0 - cfg.beta1 ** step
-            corr2 = 1.0 - cfg.beta2 ** step
+            corr1 = 1.0 - _ADAM_B1 ** step
+            corr2 = 1.0 - _ADAM_B2 ** step
             # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), operation for
             # operation, so the weights match the textbook form bit for bit.
             for p, g, m, v, a, b in zip(params, grad_w + grad_b, m_acc, v_acc, tmp_a, tmp_b):
-                m *= cfg.beta1
-                np.multiply(1.0 - cfg.beta1, g, out=a)
+                m *= _ADAM_B1
+                np.multiply(1.0 - _ADAM_B1, g, out=a)
                 m += a
-                v *= cfg.beta2
-                np.multiply(1.0 - cfg.beta2, g, out=a)
+                v *= _ADAM_B2
+                np.multiply(1.0 - _ADAM_B2, g, out=a)
                 a *= g
                 v += a
                 np.divide(m, corr1, out=a)
                 np.multiply(cfg.learning_rate, a, out=a)
                 np.divide(v, corr2, out=b)
                 np.sqrt(b, out=b)
-                b += cfg.epsilon
+                b += _ADAM_EPS
                 a /= b
                 p -= a
         history.train_loss.append(float(np.mean(batch_losses)))

@@ -4,9 +4,10 @@ A frame holds everything the solvers need about one scheduling interval:
 channel power gains between each mobile device (MD) and the access point,
 per-device transmit powers and task sizes, and the precomputed uplink rate
 of every (device, subchannel) pair.  Latency, energy and the weighted cost
-of a candidate assignment are evaluated here; the solvers only ever see
-these numbers through :func:`objective` and the relaxation built on top of
-the same rates.
+of a candidate assignment are evaluated here, to check and score answers.
+No solver calls them: the solvers read the frame's rates, powers, task
+sizes and weights directly, in the node relaxations and the split oracle
+of :mod:`relax`, which minimise the same weighted cost.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 #: Relative tolerance for the precomputed-rate consistency check.
 RATE_CONSISTENCY_RTOL = 1e-12
 
-#: Default relative tolerance for assignment feasibility checks.
+#: Relative tolerance of the assignment feasibility check.
 FEASIBILITY_RTOL = 1e-6
 
 
@@ -192,14 +193,14 @@ def objective(scenario: Scenario, a: Assignment) -> float:
     return cfg.lambda_t * latency(scenario, a) + cfg.lambda_e * energy(scenario, a)
 
 
-def check_feasible(
-    scenario: Scenario, a: Assignment, tol: float = FEASIBILITY_RTOL
-) -> list[str]:
+def check_feasible(scenario: Scenario, a: Assignment) -> list[str]:
     """Return one message per violated constraint; empty list iff feasible.
 
-    ``tol`` is relative: indicator entries must be within ``tol`` of {0,1},
-    and split constraints are scaled by the device's task size.
+    The tolerance :data:`FEASIBILITY_RTOL` is relative: indicator entries
+    must be within it of {0,1}, and split constraints are scaled by the
+    device's task size.
     """
+    tol = FEASIBILITY_RTOL
     s_n, k_n = scenario.num_mds, scenario.num_channels
     if a.x.shape != (s_n, k_n):
         raise ValueError(

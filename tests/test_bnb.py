@@ -9,7 +9,6 @@ from mecoffload.bnb import (
     BudgetExceededError,
     Node,
     NodeAction,
-    SolveOptions,
     SolveStatus,
     branch,
     solve_bnb,
@@ -26,10 +25,10 @@ from conftest import first_pivot_objective, make_frame, make_uniform_frame, node
 class TestBranch:
     def _root(self, s_n=3, k_n=4):
         return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8),
-                    np.full((s_n, k_n), np.inf))
+                    np.full(s_n * k_n, np.inf))
 
     def test_fractional_value_splits_to_unit_bounds(self):
-        down, up = branch(self._root(), 3, first_child_id=1)
+        down, up = branch(self._root(), 3, first_child_id=1, k_n=4)
         assert down.fixed.dtype == up.fixed.dtype == np.int8
         assert down.fixed.tolist() == [-1, -1, -1, 0] + [-1] * 8
         assert up.fixed.tolist() == [-1, -1, -1, 1] + [-1] * 8
@@ -38,24 +37,24 @@ class TestBranch:
         assert down.parent_id == up.parent_id == 0
 
     def test_fixed_index_rejected(self):
-        for parent in branch(self._root(), 2, first_child_id=1):
+        for parent in branch(self._root(), 2, first_child_id=1, k_n=4):
             with pytest.raises(ValueError, match="already fixed"):
-                branch(parent, 2, first_child_id=9)
+                branch(parent, 2, first_child_id=9, k_n=4)
 
     def test_owned_channel_rejected(self):
         # Device 0 holds channel 1, so device 2 may not branch on it.
-        _, up = branch(self._root(), 1, first_child_id=1)
-        with pytest.raises(ValueError, match="already owned"):
-            branch(up, 2 * 4 + 1, first_child_id=3)
+        _, up = branch(self._root(), 1, first_child_id=1, k_n=4)
+        with pytest.raises(ValueError, match="channel 1 of indicator 9 is already owned"):
+            branch(up, 2 * 4 + 1, first_child_id=3, k_n=4)
 
     def test_out_of_range_index_rejected(self):
         for index in (-1, 12):
             with pytest.raises(ValueError, match="out of range"):
-                branch(self._root(), index, first_child_id=1)
+                branch(self._root(), index, first_child_id=1, k_n=4)
 
     def test_children_extend_parent_by_one_override(self):
-        parent, _ = branch(self._root(), 0, first_child_id=1)
-        down, up = branch(parent, 4, first_child_id=5)
+        parent, _ = branch(self._root(), 0, first_child_id=1, k_n=4)
+        down, up = branch(parent, 4, first_child_id=5, k_n=4)
         assert parent.fixed.tolist() == [0] + [-1] * 11
         for child, value in ((down, 0), (up, 1)):
             assert np.flatnonzero(child.fixed != parent.fixed).tolist() == [4]
@@ -71,16 +70,16 @@ class TestBranch:
         node, next_id = self._root(s_n, k_n), 1
         while True:
             free = [i for i in range(s_n * k_n)
-                    if node.fixed[i] < 0 and node.upper.flat[i] != 0.0]
+                    if node.fixed[i] < 0 and node.upper[i] != 0.0]
             if not free:
                 break
             upper, fixed = node.upper.copy(), node.fixed.copy()
-            children = branch(node, int(rng.choice(free)), next_id)
+            children = branch(node, int(rng.choice(free)), next_id, k_n)
             assert np.array_equal(node.upper, upper)
             assert np.array_equal(node.fixed, fixed)
             next_id += 2
             for child in children:
-                assert np.array_equal(child.upper, node_upper(child.fixed, s_n, k_n))
+                assert np.array_equal(child.upper, node_upper(child.fixed, s_n, k_n).ravel())
             node = children[int(rng.integers(2))]
         assert next_id > 3
 
@@ -170,16 +169,18 @@ class TestSolveBnb:
 
     def test_node_budget_is_explicit(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=6)
-        report = solve_bnb(frame, SolveOptions(max_nodes=3))
+        report = solve_bnb(frame, max_nodes=3)
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 3
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            solve_bnb(frame, max_nodes=0)
 
     def test_budget_of_exactly_the_solved_nodes_suffices(self):
         # Open nodes left at the end are dropped unsolved, so they need no
         # budget: the search is complete once its last LP is solved.
         frame = make_frame(num_mds=3, num_channels=5, seed=14)
         full = solve_bnb(frame)
-        report = solve_bnb(frame, SolveOptions(max_nodes=full.nodes_searched))
+        report = solve_bnb(frame, max_nodes=full.nodes_searched)
         assert report.status is SolveStatus.OPTIMAL
         assert report.best_psi == full.best_psi
         assert report.nodes_searched == full.nodes_searched
@@ -351,9 +352,9 @@ class TestTraceInvariants:
             self, frame, monkeypatch):
         branched_on = {}
 
-        def recording_branch(parent, index, first_child_id):
+        def recording_branch(parent, index, first_child_id, k_n):
             branched_on[parent.node_id] = index
-            return branch(parent, index, first_child_id)
+            return branch(parent, index, first_child_id, k_n)
 
         monkeypatch.setattr(bnb_module, "branch", recording_branch)
         report = solve_bnb(frame)
@@ -464,9 +465,10 @@ class TestSolveExhaustive:
         assert report.status is SolveStatus.INFEASIBLE
 
     def test_budget_error(self):
-        frame = make_frame(num_mds=3, num_channels=5, seed=7)
+        # 4**10 = 1 048 576 channel maps, above ENUM_BUDGET.
+        frame = make_frame(num_mds=3, num_channels=10, seed=7)
         with pytest.raises(BudgetExceededError):
-            solve_exhaustive(frame, SolveOptions(enum_budget=10))
+            solve_exhaustive(frame)
 
 
 class TestTraceCsv:

@@ -269,3 +269,48 @@ class TestBench:
                          "--frames", "2", "--out", str(out), "--seed", "2"]) == 0
         for name in ("nodes_per_frame.csv", "node_cdf.csv", "weights_sweep.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A config, a dataset and a model file that every command accepts."""
+    root = tmp_path_factory.mktemp("inputs")
+    config = root / "frame.cfg"
+    config.write_text(CONFIG)
+    assert main(["gen-data", "--config", str(config), "--frames", "2",
+                 "--out", str(root / "data")]) == 0
+    write_constant_model(root / "model.txt")
+    return {"config": str(config), "dataset": str(root / "data" / "dataset.csv"),
+            "model": str(root / "model.txt")}
+
+
+SOLVE = ["solve", "--config", "{config}"]
+TRAIN = ["train", "--dataset", "{dataset}"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["gen-data", "--config", "{config}", "--max-nodes", "0"], "--max-nodes",
+                 id="gen-data-max-nodes-0"),
+    pytest.param([*SOLVE, "--max-nodes", "0"], "--max-nodes", id="solve-max-nodes-0"),
+    pytest.param(["bench", "--config", "{config}", "--model", "{model}", "--max-nodes", "0"],
+                 "--max-nodes", id="bench-max-nodes-0"),
+    pytest.param([*TRAIN, "--batch-size", "0"], "batch_size", id="train-batch-size-0"),
+    pytest.param([*TRAIN, "--val-fraction", "1"], "validation_fraction",
+                 id="train-val-fraction-1"),
+    pytest.param([*TRAIN, "--pos-weight", "0"], "positive_class_weight", id="train-pos-weight-0"),
+    pytest.param([*TRAIN, "--epochs", "-1"], "epochs", id="train-epochs-negative"),
+    pytest.param([*TRAIN, "--learning-rate", "-1"], "learning_rate",
+                 id="train-learning-rate-negative"),
+    pytest.param([*TRAIN, "--max-nodes", "5"], "--max-nodes", id="train-takes-no-max-nodes"),
+    pytest.param([*SOLVE, "--theta", "1e-3", "--theta", "1e-5"], "--theta",
+                 id="solve-takes-one-theta"),
+])
+def test_bad_setting_exits_1_and_writes_nothing(tmp_path, inputs, argv, named, capsys):
+    # The message names the setting, so a check that some later step
+    # happens to trip instead does not pass for this one.
+    out = tmp_path / "out"
+    rc = main([arg.format(**inputs) for arg in argv] + ["--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()

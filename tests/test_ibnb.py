@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecoffload.bnb import NodeAction, SolveOptions, SolveStatus, solve_bnb, write_trace_csv
+from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
-from mecoffload.ibnb import IbnbReport, ThresholdPolicy, prune_decision, solve_ibnb
+from mecoffload.ibnb import THETA_MIN, IbnbReport, ThresholdPolicy, prune_decision, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
 from mecoffload.scenario import Assignment, check_feasible
 
@@ -50,7 +50,7 @@ class TestPolicy:
         with pytest.raises(ValueError):
             ThresholdPolicy(theta0=1.5)
         with pytest.raises(ValueError):
-            ThresholdPolicy(theta0=1e-7, theta_min=1e-3)
+            ThresholdPolicy(theta0=1e-31)   # below the floor THETA_MIN
         with pytest.raises(ValueError):
             ThresholdPolicy(delta_theta=1.0)
 
@@ -123,10 +123,13 @@ class TestDegenerateModels:
             - len(p.records) for p in report.passes)
 
     def test_fallback_to_exact_search(self):
+        # A model scoring below the floor prunes the root at every threshold
+        # down to it, and then the exact search takes over.
         frame = make_frame(num_mds=2, num_channels=3, seed=43)
-        policy = ThresholdPolicy(theta0=0.9, delta_theta=1e-5, theta_min=0.5)
-        report = solve_ibnb(frame, model_for(frame, 0.5), policy)
+        policy = ThresholdPolicy(theta0=0.9, delta_theta=1e-5)
+        report = solve_ibnb(frame, model_for(frame, 1e-35), policy)
         assert report.fell_back_to_exact
+        assert report.thresholds_tried[-1] >= THETA_MIN > report.thresholds_tried[-1] * 1e-5
         assert report.status is SolveStatus.OPTIMAL
         assert report.passes[-1].theta is None
         exact = solve_bnb(frame)
@@ -239,17 +242,18 @@ class TestReportShape:
         # The only pass prunes the root and uses the whole budget; the exact
         # fallback must not pop another node.
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
-        report = solve_ibnb(frame, model_for(frame, 1e-9),
-                            ThresholdPolicy(theta0=1e-7, delta_theta=1e-5,
-                                            theta_min=1e-8),
-                            SolveOptions(max_nodes=1))
+        # At 1e-26 the next threshold, 1e-31, is below the floor THETA_MIN.
+        report = solve_ibnb(frame, model_for(frame, 1e-28),
+                            ThresholdPolicy(theta0=1e-26, delta_theta=1e-5),
+                            max_nodes=1)
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 1
         assert report.best_x is None
 
     def test_budget_exhaustion_is_explicit(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=62)
-        report = solve_ibnb(frame, model_for(frame, 0.99),
-                            opts=SolveOptions(max_nodes=3))
+        report = solve_ibnb(frame, model_for(frame, 0.99), max_nodes=3)
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 3
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            solve_ibnb(frame, model_for(frame, 0.99), max_nodes=0)
