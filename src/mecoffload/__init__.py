@@ -40,6 +40,6 @@ from .mlp import (
     save_model,
     train,
 )
-from .ibnb import IbnbReport, ThresholdPolicy, prune_decision, solve_ibnb
+from .ibnb import ThresholdPolicy, prune_decision, solve_ibnb
 
 __version__ = "0.1.0"

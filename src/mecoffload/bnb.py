@@ -60,6 +60,7 @@ __all__ = [
     "NodeAction",
     "Node",
     "NodeRecord",
+    "SearchPass",
     "SolveReport",
     "BudgetExceededError",
     "branch",
@@ -130,17 +131,46 @@ class NodeRecord:
 
 
 @dataclass
+class SearchPass:
+    """One search of the tree: the pruning threshold its gate used (None
+    for an exact search) and the record of every node it solved."""
+
+    theta: float | None
+    records: list[NodeRecord]
+
+
+@dataclass
 class SolveReport:
+    """The answer of every solver.  ``passes`` holds one exact pass for
+    :func:`solve_bnb`, none for :func:`solve_exhaustive`, and one pass per
+    threshold for ``ibnb``, the last one exact if it fell back."""
+
     status: SolveStatus
     best_x: np.ndarray | None     # (S, K) binary, present iff OPTIMAL
     best_split: np.ndarray | None  # (S, K) bits
     best_psi: float | None
     nodes_searched: int
     nodes_unsolved: int           # nodes made but never solved: dropped or left open
-    trace: list[NodeRecord]
+    passes: list[SearchPass]
     wall_time: float
     lp_pivots: int                # dual simplex pivots over every node LP
     lp_refactors: int             # basis inversions over every node LP
+
+    @property
+    def trace(self) -> list[NodeRecord]:
+        return [rec for p in self.passes for rec in p.records]
+
+    @property
+    def thresholds_tried(self) -> list[float]:
+        return [p.theta for p in self.passes if p.theta is not None]
+
+    @property
+    def restarts(self) -> int:
+        return max(0, len(self.thresholds_tried) - 1)
+
+    @property
+    def fell_back_to_exact(self) -> bool:
+        return len(self.passes) > 1 and self.passes[-1].theta is None
 
 
 def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Node, Node]:
@@ -284,7 +314,7 @@ def solve_bnb(
         best_psi=best_psi,
         nodes_searched=len(trace),
         nodes_unsolved=next_id - len(trace),
-        trace=trace,
+        passes=[SearchPass(None, trace)],
         wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,
         lp_refactors=lp_refactors,
@@ -296,8 +326,8 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
 
     Each channel is given to one device or left idle, which bakes in
     channel exclusivity; maps leaving some device with no channel are
-    skipped.  ``nodes_searched`` counts the evaluated maps (the trace of a
-    tree search has no analogue here and is left empty).  A frame with more
+    skipped.  ``nodes_searched`` counts the evaluated maps (a tree search's
+    passes have no analogue here, so there are none).  A frame with more
     than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
     """
     t0 = time.perf_counter()
@@ -332,7 +362,7 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
         best_psi=best_psi if best is not None else None,
         nodes_searched=evaluated,
         nodes_unsolved=0,
-        trace=[],
+        passes=[],
         wall_time=time.perf_counter() - t0,
         lp_pivots=0,
         lp_refactors=0,
@@ -344,21 +374,22 @@ def csv_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_trace_csv(path, passes, num_indicators: int) -> None:
-    """Write trace records as versioned CSV.
+def write_trace_csv(path, report: SolveReport, num_indicators: int) -> None:
+    """Write the records of every pass of ``report`` as versioned CSV.
 
-    ``passes`` is a list of ``(theta, restart_index, records)`` tuples; the
-    exact search uses a single pass with ``theta=None``, learned-pruning
-    runs annotate each pass with its threshold.
+    When the report tried pruning thresholds, each pass is headed by its
+    threshold (0 for the exact fallback) and its index as the restart.
     """
     cols = ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
     cols += [f"x{i}" for i in range(num_indicators)]
     cols += [f"l{i}" for i in range(num_indicators)]
     lines = ["# trace-v1", ",".join(cols)]
-    for theta, restart, records in passes:
-        if theta is not None:
+    heads = bool(report.thresholds_tried)
+    for restart, search in enumerate(report.passes):
+        if heads:
+            theta = 0.0 if search.theta is None else search.theta
             lines.append(f"# theta={csv_float(theta)} restart={restart}")
-        for rec in records:
+        for rec in search.records:
             parent = -1 if rec.parent_id is None else rec.parent_id
             row = [
                 str(rec.node_id), str(rec.depth), str(parent),

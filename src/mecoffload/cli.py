@@ -37,7 +37,7 @@ from .bnb import (
     write_trace_csv,
 )
 from .dataset import Dataset, label_trace, read_dataset, write_dataset
-from .ibnb import IbnbReport, ThresholdPolicy, solve_ibnb
+from .ibnb import DELTA_THETA, ThresholdPolicy, solve_ibnb
 from .mlp import (
     TrainConfig,
     init_model,
@@ -46,7 +46,7 @@ from .mlp import (
     save_model,
     train,
 )
-from .scenario import ScenarioConfig, generate_frame, read_config_file
+from .scenario import Scenario, ScenarioConfig, generate_frame, read_config_file
 
 __all__ = [
     "UsageError",
@@ -120,11 +120,15 @@ def _write_csv(path: str, meta: list[str], header: str, rows: list[str]) -> None
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
 
 
-def _require_optimal(report, seed: int):
-    """Return ``report`` if it is optimal; otherwise raise the error whose
-    exit code matches its status."""
+def _require_optimal(report: SolveReport, frame: Scenario) -> SolveReport:
+    """Return ``report`` on ``frame`` if it is optimal; otherwise raise the
+    error whose exit code matches its status."""
+    seed = frame.config.rng_seed
     if report.status is SolveStatus.INFEASIBLE:
-        raise InfeasibleInstanceError(f"frame with seed {seed} is infeasible")
+        raise InfeasibleInstanceError(
+            f"frame with seed {seed} is infeasible "
+            f"({frame.num_mds} devices, {frame.num_channels} channels)"
+        )
     if report.status is SolveStatus.BUDGET_EXHAUSTED:
         raise BudgetExceededError(f"frame with seed {seed} exhausted the node budget")
     return report
@@ -151,7 +155,7 @@ def cmd_gen_data(args) -> int:
     for i in range(args.frames):
         seed = train_seed(seed_base, i)
         frame = generate_frame(replace(cfg, rng_seed=seed))
-        report = _require_optimal(solve_bnb(frame, max_nodes=args.max_nodes), seed)
+        report = _require_optimal(solve_bnb(frame, max_nodes=args.max_nodes), frame)
         samples.extend(label_trace(report, frame, frame_id=i))
 
     ds = Dataset(samples, cfg.num_mds, cfg.num_channels, config_hash=config_hash)
@@ -225,7 +229,7 @@ _REPORT_HEADER = (
 )
 
 
-def _report_row(solver: str, report: SolveReport | IbnbReport, extra: str) -> str:
+def _report_row(solver: str, report: SolveReport, extra: str) -> str:
     psi = "" if report.best_psi is None else csv_float(report.best_psi)
     return f"{solver},{report.status.value},{psi},{report.nodes_searched},{extra}"
 
@@ -239,46 +243,47 @@ def _solution_columns(report) -> str:
 
 
 def cmd_solve(args) -> int:
+    unread = [flag for flag, value, solvers in (
+        ("--theta", args.theta, ("ibnb",)),
+        ("--model", args.model, ("ibnb",)),
+        ("--max-nodes", args.max_nodes, ("bnb", "ibnb")),
+    ) if value is not None and args.solver not in solvers]
+    if unread:
+        raise UsageError(f"solver {args.solver!r} does not read {', '.join(unread)}")
     if args.solver == "ibnb" and not args.model:
         raise UsageError("solver 'ibnb' requires --model")
+    budget = args.max_nodes or MAX_NODES
     theta0, *more = args.theta or [ThresholdPolicy.theta0]
     if more:
         raise UsageError(f"solve takes one --theta, got {len(args.theta)}")
     cfg = read_config_file(args.config)
     seed = args.seed if args.seed is not None else cfg.rng_seed
-    policy = ThresholdPolicy(theta0=theta0, delta_theta=args.delta_theta)
+    policy = ThresholdPolicy(theta0=theta0)
     meta = _echo([
         ("command", "solve"), *_config_pairs(cfg),
         ("solver", args.solver), ("frame_seed", seed),
         ("theta0", csv_float(policy.theta0)),
-        ("delta_theta", csv_float(policy.delta_theta)),
+        ("delta_theta", csv_float(DELTA_THETA)),
         ("model", args.model or ""),
     ])
     frame = generate_frame(replace(cfg, rng_seed=seed))
 
     n = cfg.num_mds * cfg.num_channels
     os.makedirs(args.out, exist_ok=True)
-    trace_path = os.path.join(args.out, "trace.csv")
     extra = ",,,"
     if args.solver == "bnb":
-        report = solve_bnb(frame, max_nodes=args.max_nodes)
-        write_trace_csv(trace_path, [(None, 0, report.trace)], n)
+        report = solve_bnb(frame, max_nodes=budget)
     elif args.solver == "exhaustive":
         report = solve_exhaustive(frame)
-        write_trace_csv(trace_path, [], n)
     else:
         model = load_model(args.model)
-        report = solve_ibnb(frame, model, policy, max_nodes=args.max_nodes)
-        write_trace_csv(
-            trace_path,
-            [(p.theta if p.theta is not None else 0.0, i, p.records)
-             for i, p in enumerate(report.passes)],
-            n,
-        )
+        report = solve_ibnb(frame, model, policy, max_nodes=budget)
         thetas = ";".join(csv_float(t) for t in report.thresholds_tried)
         extra = (f"{report.restarts},{int(report.fell_back_to_exact)},"
                  f"{thetas},{model_fingerprint(model)}")
 
+    _atomic_write(os.path.join(args.out, "trace.csv"),
+                  lambda tmp: write_trace_csv(tmp, report, n))
     header = _REPORT_HEADER + ",x,l"
     row = _report_row(args.solver, report, extra) + "," + _solution_columns(report)
     _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])
@@ -288,14 +293,7 @@ def cmd_solve(args) -> int:
           f"lp_refactors={report.lp_refactors} "
           f"wall_time_s={report.wall_time:.3f}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")
-
-    if report.status is SolveStatus.INFEASIBLE:
-        raise InfeasibleInstanceError(
-            f"frame with seed {seed} is infeasible "
-            f"({cfg.num_mds} devices, {cfg.num_channels} channels)"
-        )
-    if report.status is SolveStatus.BUDGET_EXHAUSTED:
-        raise BudgetExceededError("node budget exhausted before optimality")
+    _require_optimal(report, frame)
     return EXIT_OK
 
 
@@ -309,22 +307,21 @@ def cmd_bench(args) -> int:
     seed_base = args.seed if args.seed is not None else cfg.rng_seed
     thetas = tuple(args.theta) if args.theta else DEFAULT_BENCH_THETAS
     # Built before any output, so a bad threshold is a usage error up front.
-    policies = [ThresholdPolicy(theta0=t, delta_theta=args.delta_theta) for t in thetas]
+    policies = [ThresholdPolicy(theta0=t) for t in thetas]
     meta = _echo([
         ("command", "bench"), *_config_pairs(cfg),
         ("frames", args.frames), ("seed_base", seed_base),
         ("thetas", ";".join(csv_float(t) for t in thetas)),
-        ("delta_theta", csv_float(args.delta_theta)),
+        ("delta_theta", csv_float(DELTA_THETA)),
         ("model", args.model),
     ])
     model = load_model(args.model)
     budget = args.max_nodes
 
     def run_frame(frame, frame_policies):
-        seed = frame.config.rng_seed
-        bnb_report = _require_optimal(solve_bnb(frame, max_nodes=budget), seed)
+        bnb_report = _require_optimal(solve_bnb(frame, max_nodes=budget), frame)
         ibnb_reports = [
-            _require_optimal(solve_ibnb(frame, model, policy, max_nodes=budget), seed)
+            _require_optimal(solve_ibnb(frame, model, policy, max_nodes=budget), frame)
             for policy in frame_policies
         ]
         return bnb_report, ibnb_reports
@@ -419,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="MEC offloading solvers and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, search=False, frames=False, solver=False, theta=False,
-               dataset=False, training=False):
+    def common(p, *, search=False, frames=False, solver=False, dataset=False,
+               training=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed (base) overriding the config file")
@@ -432,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--solver", default="bnb",
                            choices=("bnb", "ibnb", "exhaustive"))
-        if theta:
-            p.add_argument("--delta-theta", type=float, default=1e-5)
         if dataset:
             p.add_argument("--dataset", required=True, help="dataset CSV path")
         if training:
@@ -457,15 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="trained model file")
     p.add_argument("--theta", type=float, action="append",
                    help="initial pruning threshold (once)")
-    common(p, search=True, solver=True, theta=True)
-    p.set_defaults(func=cmd_solve)
+    common(p, search=True, solver=True)
+    # No default budget here, so that cmd_solve can tell a given one apart.
+    p.set_defaults(func=cmd_solve, max_nodes=None)
 
     p = sub.add_parser("bench", help="compare exact and learned-pruning searches")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--theta", type=float, action="append",
                    help="initial pruning threshold (repeatable)")
-    common(p, search=True, frames=True, theta=True)
+    common(p, search=True, frames=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

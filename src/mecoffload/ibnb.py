@@ -4,11 +4,12 @@ Each pass is ``bnb.solve_bnb`` with a gate: a fractional node that survives
 the (strict) bound check is branched only if the classifier's score
 exceeds the threshold; otherwise it is recorded as model-pruned.  If a
 pass over-prunes and drains the node list with no incumbent, the threshold
-is multiplied by the (sub-unit) step and the search restarts from the
-root.  Should the threshold fall below its floor, the solver falls back to
-``solve_bnb`` without a gate, the exact search, so a feasible instance
+is multiplied by the step :data:`DELTA_THETA` and the search restarts from
+the root.  Should the threshold fall below its floor, the solver falls back
+to ``solve_bnb`` without a gate, the exact search, so a feasible instance
 always yields a solution no matter how badly the model behaves.
 
+The answer is a ``bnb.SolveReport`` with one pass per threshold tried.
 Node counts include model-pruned pops (each one still costs a relaxation
 solve plus a classifier evaluation) and accumulate across restarts; all
 passes together never pop more than the node budget.
@@ -17,20 +18,25 @@ passes together never pop more than the node budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .bnb import MAX_NODES, NodeAction, NodeRecord, SolveStatus, solve_bnb
+from .bnb import (
+    MAX_NODES,
+    NodeAction,
+    NodeRecord,
+    SearchPass,
+    SolveReport,
+    SolveStatus,
+    solve_bnb,
+)
 from .dataset import feature_length, featurize
 from .mlp import MlpModel, forward
 from .scenario import Scenario
 
 __all__ = [
     "THETA_MIN",
+    "DELTA_THETA",
     "ThresholdPolicy",
-    "SearchPass",
-    "IbnbReport",
     "prune_decision",
     "solve_ibnb",
 ]
@@ -38,66 +44,26 @@ __all__ = [
 
 #: The threshold floor: below it, the next pass is the exact search.
 THETA_MIN = 1e-30
+#: The step: each restart multiplies the threshold by it.
+DELTA_THETA = 1e-5
 
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Initial pruning threshold and its multiplicative step."""
+    """Initial pruning threshold; each restart multiplies it by :data:`DELTA_THETA`."""
 
     theta0: float = 1e-7
-    delta_theta: float = 1e-5
 
     def __post_init__(self) -> None:
         if not 0 < THETA_MIN < self.theta0 < 1:
             raise ValueError(
                 f"need 0 < THETA_MIN < theta0 < 1, got {THETA_MIN}, {self.theta0}"
             )
-        if not 0 < self.delta_theta < 1:
-            raise ValueError(f"delta_theta must lie in (0, 1), got {self.delta_theta}")
 
 
 def prune_decision(y_hat: float, theta: float) -> int:
     """1 keeps the node for branching, 0 prunes it; the comparison is strict."""
     return 1 if y_hat > theta else 0
-
-
-@dataclass
-class SearchPass:
-    """One inner search: the threshold used (None for the exact fallback)
-    and the records of every popped node."""
-
-    theta: float | None
-    records: list[NodeRecord] = field(default_factory=list)
-
-
-@dataclass
-class IbnbReport:
-    status: SolveStatus
-    best_x: np.ndarray | None
-    best_split: np.ndarray | None
-    best_psi: float | None
-    nodes_searched: int
-    nodes_unsolved: int           # nodes made but never solved, over every pass
-    passes: list[SearchPass]
-    wall_time: float
-    lp_pivots: int                # dual simplex pivots over every pass
-    lp_refactors: int             # basis inversions over every pass
-
-    @property
-    def trace(self) -> list[NodeRecord]:
-        return [rec for p in self.passes for rec in p.records]
-
-    @property
-    def thresholds_tried(self) -> list[float]:
-        return [p.theta for p in self.passes if p.theta is not None]
-
-    @property
-    def restarts(self) -> int:
-        return max(0, len(self.thresholds_tried) - 1)
-
-    @property
-    def fell_back_to_exact(self) -> bool:
-        return bool(self.passes) and self.passes[-1].theta is None
 
 
 def solve_ibnb(
@@ -106,7 +72,7 @@ def solve_ibnb(
     policy: ThresholdPolicy | None = None,
     *,
     max_nodes: int = MAX_NODES,
-) -> IbnbReport:
+) -> SolveReport:
     """Learned-pruning search with restart-on-overprune.
 
     Whenever the instance admits a solution, one is returned: either a pass
@@ -142,7 +108,8 @@ def solve_ibnb(
             None if fell_back else model_gate,
             max_nodes=max_nodes - nodes_total,
         )
-        passes.append(SearchPass(None if fell_back else theta, report.trace))
+        records = report.trace
+        passes.append(SearchPass(None if fell_back else theta, records))
         nodes_total += report.nodes_searched
         unsolved_total += report.nodes_unsolved
         lp_pivots += report.lp_pivots
@@ -154,16 +121,16 @@ def solve_ibnb(
             break
         if fell_back or status is SolveStatus.BUDGET_EXHAUSTED:
             break
-        if not any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace):
+        if not any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in records):
             # The model pruned nothing, so this pass was already an
             # unrestricted search; no smaller threshold can change it.
             break
         if nodes_total >= max_nodes:
             status = SolveStatus.BUDGET_EXHAUSTED
             break
-        theta *= policy.delta_theta
+        theta *= DELTA_THETA
 
-    return IbnbReport(
+    return SolveReport(
         status=status,
         best_x=best[0] if best else None,
         best_split=best[1] if best else None,

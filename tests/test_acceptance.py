@@ -20,7 +20,7 @@ import pytest
 
 from mecoffload.cli import eval_seed, main
 from mecoffload.dataset import feature_length
-from mecoffload.ibnb import THETA_MIN, ThresholdPolicy
+from mecoffload.ibnb import DELTA_THETA, THETA_MIN, ThresholdPolicy
 from mecoffload.mlp import MlpModel, default_dims, save_model
 from mecoffload.scenario import (
     Assignment,
@@ -149,7 +149,7 @@ def test_model_that_prunes_every_node_falls_back_to_the_exact_answer(runs, tmp_p
         policy = ThresholdPolicy()
         thetas = [float(t) for t in report["thresholds_tried"].split(";")]
         assert thetas[0] == policy.theta0
-        assert thetas[-1] * policy.delta_theta < THETA_MIN <= thetas[-1]
+        assert thetas[-1] * DELTA_THETA < THETA_MIN <= thetas[-1]
 
 
 def test_infeasible_config_exits_2_and_spent_budget_exits_3(tmp_path):

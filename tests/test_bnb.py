@@ -1,4 +1,5 @@
 import heapq
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from mecoffload.bnb import (
     BudgetExceededError,
     Node,
     NodeAction,
+    SearchPass,
     SolveStatus,
     branch,
     solve_bnb,
@@ -476,13 +478,14 @@ class TestTraceCsv:
         frame = make_frame(num_mds=2, num_channels=3, seed=19)
         report = solve_bnb(frame)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, [(None, 0, report.trace)], 6)
+        write_trace_csv(path, report, 6)
         lines = path.read_text().splitlines()
         assert lines[0] == "# trace-v1"
         header = lines[1].split(",")
         assert header[:7] == ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
         assert len(header) == 7 + 2 * 6
-        data = [l for l in lines[2:] if not l.startswith("#")]
+        data = lines[2:]
+        assert not any(l.startswith("#") for l in data)   # an exact pass has no head
         assert len(data) == len(report.trace)
         first = data[0].split(",")
         assert first[0] == "0" and first[2] == "-1"
@@ -492,7 +495,30 @@ class TestTraceCsv:
         frame = make_frame(num_mds=2, num_channels=3, seed=19)
         report = solve_bnb(frame)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, [(1e-7, 0, report.trace), (1e-12, 1, report.trace)], 6)
+        passes = [SearchPass(1e-7, report.trace), SearchPass(1e-12, report.trace)]
+        write_trace_csv(path, replace(report, passes=passes), 6)
         text = path.read_text()
         assert "# theta=9.9999999999999995e-08 restart=0" in text
         assert "restart=1" in text
+
+
+class TestReportShape:
+    def test_bnb_reports_one_exact_pass(self):
+        report = solve_bnb(make_frame(num_mds=2, num_channels=3, seed=19))
+        [search] = report.passes
+        assert search.theta is None
+        assert report.trace == search.records
+        assert report.thresholds_tried == []
+        assert report.restarts == 0
+        assert not report.fell_back_to_exact
+
+    def test_exhaustive_reports_no_pass(self, tmp_path):
+        report = solve_exhaustive(make_frame(num_mds=2, num_channels=3, seed=19))
+        assert report.passes == []
+        assert report.trace == []
+        assert report.restarts == 0
+        assert not report.fell_back_to_exact
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, report, 6)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# trace-v1" and len(lines) == 2   # the column header only

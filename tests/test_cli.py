@@ -182,7 +182,9 @@ class TestSolve:
         rc = main(["solve", "--config", str(cfg), "--solver", "bnb",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "infeasible" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "infeasible" in err.lower()
+        assert "(4 devices, 3 channels)" in err
 
     def test_budget_exit_code(self, tmp_path, config_path):
         rc = main(["solve", "--config", config_path, "--solver", "bnb",
@@ -302,8 +304,22 @@ TRAIN = ["train", "--dataset", "{dataset}"]
     pytest.param([*TRAIN, "--learning-rate", "-1"], "learning_rate",
                  id="train-learning-rate-negative"),
     pytest.param([*TRAIN, "--max-nodes", "5"], "--max-nodes", id="train-takes-no-max-nodes"),
-    pytest.param([*SOLVE, "--theta", "1e-3", "--theta", "1e-5"], "--theta",
-                 id="solve-takes-one-theta"),
+    pytest.param([*SOLVE, "--solver", "ibnb", "--model", "{model}",
+                  "--theta", "1e-3", "--theta", "1e-5"], "--theta", id="solve-takes-one-theta"),
+    pytest.param([*SOLVE, "--solver", "exhaustive", "--max-nodes", "1"], "--max-nodes",
+                 id="exhaustive-reads-no-max-nodes"),
+    pytest.param([*SOLVE, "--solver", "exhaustive", "--theta", "0.5"], "--theta",
+                 id="exhaustive-reads-no-theta"),
+    pytest.param([*SOLVE, "--solver", "bnb", "--theta", "0.3"], "--theta",
+                 id="bnb-reads-no-theta"),
+    pytest.param([*SOLVE, "--solver", "bnb", "--model", "/nonexistent"], "--model",
+                 id="bnb-reads-no-model"),
+    pytest.param([*SOLVE, "--solver", "exhaustive", "--model", "{model}"], "--model",
+                 id="exhaustive-reads-no-model"),
+    pytest.param([*SOLVE, "--delta-theta", "0.01"], "--delta-theta",
+                 id="solve-takes-no-delta-theta"),
+    pytest.param(["bench", "--config", "{config}", "--model", "{model}",
+                  "--delta-theta", "0.01"], "--delta-theta", id="bench-takes-no-delta-theta"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, inputs, argv, named, capsys):
     # The message names the setting, so a check that some later step

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
-from mecoffload.ibnb import THETA_MIN, IbnbReport, ThresholdPolicy, prune_decision, solve_ibnb
+from mecoffload.ibnb import THETA_MIN, ThresholdPolicy, prune_decision, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
 from mecoffload.scenario import Assignment, check_feasible
 
@@ -51,8 +51,6 @@ class TestPolicy:
             ThresholdPolicy(theta0=1.5)
         with pytest.raises(ValueError):
             ThresholdPolicy(theta0=1e-31)   # below the floor THETA_MIN
-        with pytest.raises(ValueError):
-            ThresholdPolicy(delta_theta=1.0)
 
 
 class TestDegenerateModels:
@@ -93,7 +91,7 @@ class TestDegenerateModels:
     def test_overpruning_model_recovers_by_restarting(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=41)
         report = solve_ibnb(frame, model_for(frame, 0.5),
-                            ThresholdPolicy(theta0=0.9, delta_theta=1e-5))
+                            ThresholdPolicy(theta0=0.9))
         assert report.status is SolveStatus.OPTIMAL
         assert report.restarts >= 1
         assert report.thresholds_tried[0] == 0.9
@@ -109,7 +107,7 @@ class TestDegenerateModels:
     def test_node_count_includes_model_pruned_pops(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
         report = solve_ibnb(frame, model_for(frame, 1e-9),
-                            ThresholdPolicy(theta0=1e-7, delta_theta=1e-5))
+                            ThresholdPolicy(theta0=1e-7))
         # Pass 1: the root is popped, scored 1e-9 <= 1e-7, pruned.  Pass 2
         # runs at 1e-12 where 1e-9 clears the bar.
         assert report.thresholds_tried == [1e-7, 1e-7 * 1e-5]
@@ -126,7 +124,7 @@ class TestDegenerateModels:
         # A model scoring below the floor prunes the root at every threshold
         # down to it, and then the exact search takes over.
         frame = make_frame(num_mds=2, num_channels=3, seed=43)
-        policy = ThresholdPolicy(theta0=0.9, delta_theta=1e-5)
+        policy = ThresholdPolicy(theta0=0.9)
         report = solve_ibnb(frame, model_for(frame, 1e-35), policy)
         assert report.fell_back_to_exact
         assert report.thresholds_tried[-1] >= THETA_MIN > report.thresholds_tried[-1] * 1e-5
@@ -228,15 +226,30 @@ class TestReportShape:
         report = solve_ibnb(frame, model_for(frame, 0.5),
                             ThresholdPolicy(theta0=0.9))
         path = tmp_path / "trace.csv"
-        write_trace_csv(
-            path,
-            [(p.theta if p.theta is not None else 0.0, i, p.records)
-             for i, p in enumerate(report.passes)],
-            6,
-        )
+        write_trace_csv(path, report, 6)
         text = path.read_text()
         assert text.count("# theta=") == len(report.passes)
         assert "PrunedByModel" in text
+
+    def test_prune_everything_falls_back_on_a_last_exact_pass(self, tmp_path):
+        # From the default 1e-7, five thresholds reach the floor; each pass
+        # prunes the root, and the sixth, exact, pass heads as theta 0.
+        frame = make_frame(num_mds=2, num_channels=3, seed=43)
+        report = solve_ibnb(frame, model_for(frame, 1e-35))
+        assert report.passes[-1].theta is None
+        assert report.fell_back_to_exact
+        assert report.restarts == len(report.passes) - 2 == 4
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, report, 6)
+        heads = [line for line in path.read_text().splitlines() if line.startswith("# theta=")]
+        assert heads == [
+            "# theta=9.9999999999999995e-08 restart=0",
+            "# theta=9.9999999999999998e-13 restart=1",
+            "# theta=1.0000000000000001e-17 restart=2",
+            "# theta=1.0000000000000002e-22 restart=3",
+            "# theta=1.0000000000000002e-27 restart=4",
+            "# theta=0 restart=5",
+        ]
 
     def test_budget_spent_before_fallback_is_not_exceeded(self):
         # The only pass prunes the root and uses the whole budget; the exact
@@ -244,7 +257,7 @@ class TestReportShape:
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
         # At 1e-26 the next threshold, 1e-31, is below the floor THETA_MIN.
         report = solve_ibnb(frame, model_for(frame, 1e-28),
-                            ThresholdPolicy(theta0=1e-26, delta_theta=1e-5),
+                            ThresholdPolicy(theta0=1e-26),
                             max_nodes=1)
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 1
