@@ -277,7 +277,7 @@ def solve_bnb(
             node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
             sol.psi, zub_at_pop, sol.x, sol.split_bits, node.fixed,
         )
-        if sol.integral:
+        if sol.first_fractional is None:
             if sol.psi < z_ub:
                 z_ub = sol.psi
                 best = _incumbent_from(scenario, sol)

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .bnb import (
-    MAX_NODES,
     BudgetExceededError,
     SolveReport,
     SolveStatus,
@@ -39,6 +38,7 @@ from .bnb import (
 from .dataset import Dataset, label_trace, read_dataset, write_dataset
 from .ibnb import DELTA_THETA, ThresholdPolicy, solve_ibnb
 from .mlp import (
+    VALIDATION_FRACTION,
     TrainConfig,
     init_model,
     load_model,
@@ -155,7 +155,7 @@ def cmd_gen_data(args) -> int:
     for i in range(args.frames):
         seed = train_seed(seed_base, i)
         frame = generate_frame(replace(cfg, rng_seed=seed))
-        report = _require_optimal(solve_bnb(frame, max_nodes=args.max_nodes), frame)
+        report = _require_optimal(solve_bnb(frame), frame)
         samples.extend(label_trace(report, frame, frame_id=i))
 
     ds = Dataset(samples, cfg.num_mds, cfg.num_channels, config_hash=config_hash)
@@ -181,7 +181,6 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
         positive_class_weight=args.pos_weight,
-        validation_fraction=args.val_fraction,
         rng_seed=args.seed if args.seed is not None else 0,
     )
     model = init_model(ds.feature_len, tc.rng_seed)
@@ -197,7 +196,7 @@ def cmd_train(args) -> int:
         ("batch_size", tc.batch_size),
         ("positive_class_weight", "auto" if tc.positive_class_weight is None
          else csv_float(tc.positive_class_weight)),
-        ("validation_fraction", csv_float(tc.validation_fraction)),
+        ("validation_fraction", csv_float(VALIDATION_FRACTION)),
         ("seed", tc.rng_seed),
     ])
 
@@ -246,13 +245,11 @@ def cmd_solve(args) -> int:
     unread = [flag for flag, value, solvers in (
         ("--theta", args.theta, ("ibnb",)),
         ("--model", args.model, ("ibnb",)),
-        ("--max-nodes", args.max_nodes, ("bnb", "ibnb")),
     ) if value is not None and args.solver not in solvers]
     if unread:
         raise UsageError(f"solver {args.solver!r} does not read {', '.join(unread)}")
     if args.solver == "ibnb" and not args.model:
         raise UsageError("solver 'ibnb' requires --model")
-    budget = args.max_nodes or MAX_NODES
     theta0, *more = args.theta or [ThresholdPolicy.theta0]
     if more:
         raise UsageError(f"solve takes one --theta, got {len(args.theta)}")
@@ -268,20 +265,20 @@ def cmd_solve(args) -> int:
     ])
     frame = generate_frame(replace(cfg, rng_seed=seed))
 
-    n = cfg.num_mds * cfg.num_channels
-    os.makedirs(args.out, exist_ok=True)
     extra = ",,,"
     if args.solver == "bnb":
-        report = solve_bnb(frame, max_nodes=budget)
+        report = solve_bnb(frame)
     elif args.solver == "exhaustive":
         report = solve_exhaustive(frame)
     else:
         model = load_model(args.model)
-        report = solve_ibnb(frame, model, policy, max_nodes=budget)
+        report = solve_ibnb(frame, model, policy)
         thetas = ";".join(csv_float(t) for t in report.thresholds_tried)
         extra = (f"{report.restarts},{int(report.fell_back_to_exact)},"
                  f"{thetas},{model_fingerprint(model)}")
 
+    n = cfg.num_mds * cfg.num_channels
+    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "trace.csv"),
                   lambda tmp: write_trace_csv(tmp, report, n))
     header = _REPORT_HEADER + ",x,l"
@@ -316,78 +313,63 @@ def cmd_bench(args) -> int:
         ("model", args.model),
     ])
     model = load_model(args.model)
-    budget = args.max_nodes
 
-    def run_frame(frame, frame_policies):
-        bnb_report = _require_optimal(solve_bnb(frame, max_nodes=budget), frame)
-        ibnb_reports = [
-            _require_optimal(solve_ibnb(frame, model, policy, max_nodes=budget), frame)
-            for policy in frame_policies
-        ]
-        return bnb_report, ibnb_reports
+    def solve_frames(weights, frame_policies):
+        """Node counts and objectives of the held-out frames at the
+        latency/energy ``weights``, one row per frame: the ``bnb`` solve
+        first, then one ``ibnb`` solve per policy.  Each frame's reports,
+        traces and all, are dropped once read."""
+        lambda_t, lambda_e = weights
+        weighted = replace(cfg, lambda_t=lambda_t, lambda_e=lambda_e)
+        nodes, psi = [], []
+        for i in range(args.frames):
+            frame = generate_frame(replace(weighted, rng_seed=eval_seed(seed_base, i)))
+            reports = [_require_optimal(solve_bnb(frame), frame)]
+            for policy in frame_policies:
+                reports.append(_require_optimal(solve_ibnb(frame, model, policy), frame))
+            nodes.append([r.nodes_searched for r in reports])
+            psi.append([r.best_psi for r in reports])
+        return nodes, psi
 
-    # Held-out frames: per-frame node counts and the node-count CDFs.
-    bnb_nodes: list[int] = []
-    ibnb_nodes: dict[float, list[int]] = {t: [] for t in thetas}
-    # (bnb psi, first-theta ibnb psi) per frame, reused by the weight sweep.
-    held_out_psi: list[tuple[float, float]] = []
-    for i in range(args.frames):
-        frame = generate_frame(replace(cfg, rng_seed=eval_seed(seed_base, i)))
-        bnb_report, ibnb_reports = run_frame(frame, policies)
-        bnb_nodes.append(bnb_report.nodes_searched)
-        for theta, rep in zip(thetas, ibnb_reports):
-            ibnb_nodes[theta].append(rep.nodes_searched)
-        held_out_psi.append((bnb_report.best_psi, ibnb_reports[0].best_psi))
+    own_weights = (cfg.lambda_t, cfg.lambda_e)
+    # Column 0 of a row is bnb, column c >= 1 the ibnb solve at thetas[c - 1].
+    nodes, psi = solve_frames(own_weights, policies)
 
     os.makedirs(args.out, exist_ok=True)
-    rows = [
-        f"{i},{bnb_nodes[i]},{ibnb_nodes[thetas[0]][i]}"
-        for i in range(args.frames)
-    ]
+    rows = [f"{i},{counts[0]},{counts[1]}" for i, counts in enumerate(nodes)]
     _write_csv(os.path.join(args.out, "nodes_per_frame.csv"), meta,
                "frame,bnb_nodes,ibnb_nodes", rows)
 
     cdf_rows: list[str] = []
-
-    def cdf_series(counts: list[int], solver: str, theta_text: str) -> None:
-        for rank, value in enumerate(sorted(counts), start=1):
+    series = [("bnb", ""), *(("ibnb", csv_float(t)) for t in thetas)]
+    for column, (solver, theta_text) in enumerate(series):
+        counts = sorted(frame_nodes[column] for frame_nodes in nodes)
+        for rank, value in enumerate(counts, start=1):
             cdf = csv_float(rank / len(counts))
             cdf_rows.append(f"{value},{cdf},{solver},{theta_text}")
-
-    cdf_series(bnb_nodes, "bnb", "")
-    for theta in thetas:
-        cdf_series(ibnb_nodes[theta], "ibnb", csv_float(theta))
     _write_csv(os.path.join(args.out, "node_cdf.csv"), meta,
                "nodes,cdf,solver,theta", cdf_rows)
 
     # Objective comparison across latency/energy weightings, first theta.
-    # The held-out frames above are the sweep's frames at the config's own
+    # The held-out frames are the sweep's frames at the config's own
     # weights, so that pair is not solved again.
     sweep_rows: list[str] = []
-    for lambda_t, lambda_e in WEIGHT_SWEEP:
-        if (lambda_t, lambda_e) == (cfg.lambda_t, cfg.lambda_e):
-            frame_psi = held_out_psi
-        else:
-            weighted = replace(cfg, lambda_t=lambda_t, lambda_e=lambda_e)
-            frame_psi = []
-            for i in range(args.frames):
-                frame = generate_frame(replace(weighted, rng_seed=eval_seed(seed_base, i)))
-                bnb_report, (ibnb_report,) = run_frame(frame, policies[:1])
-                frame_psi.append((bnb_report.best_psi, ibnb_report.best_psi))
+    for weights in WEIGHT_SWEEP:
+        frame_psi = psi if weights == own_weights else solve_frames(weights, policies[:1])[1]
         psi_bnb, psi_ibnb = 0.0, 0.0
-        for frame_bnb, frame_ibnb in frame_psi:
-            psi_bnb += frame_bnb
-            psi_ibnb += frame_ibnb
+        for row in frame_psi:
+            psi_bnb += row[0]
+            psi_ibnb += row[1]
         psi_bnb /= args.frames
         psi_ibnb /= args.frames
         sweep_rows.append(",".join(csv_float(v) for v in (
-            lambda_t, lambda_e, psi_bnb, psi_ibnb, psi_ibnb / psi_bnb)))
+            *weights, psi_bnb, psi_ibnb, psi_ibnb / psi_bnb)))
     _write_csv(os.path.join(args.out, "weights_sweep.csv"), meta,
                "lambda_t,lambda_e,psi_bnb,psi_ibnb,ratio", sweep_rows)
 
-    mean_bnb = float(np.mean(bnb_nodes))
-    for theta in thetas:
-        mean_ibnb = float(np.mean(ibnb_nodes[theta]))
+    mean_bnb = float(np.mean([counts[0] for counts in nodes]))
+    for column, theta in enumerate(thetas, start=1):
+        mean_ibnb = float(np.mean([counts[column] for counts in nodes]))
         print(f"theta={theta:g}: mean_nodes ibnb={mean_ibnb:.1f} "
               f"bnb={mean_bnb:.1f} ratio={mean_ibnb / mean_bnb:.3f}")
     print(f"wrote 3 CSVs under {args.out}")
@@ -416,35 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
                      description="MEC offloading solvers and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, search=False, frames=False, solver=False, dataset=False,
-               training=False):
+    def common(p, *, frames=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed (base) overriding the config file")
-        if search:
-            p.add_argument("--max-nodes", type=positive_int, default=MAX_NODES,
-                           help="node budget of each solve")
         if frames:
             p.add_argument("--frames", type=positive_int, default=100)
-        if solver:
-            p.add_argument("--solver", default="bnb",
-                           choices=("bnb", "ibnb", "exhaustive"))
-        if dataset:
-            p.add_argument("--dataset", required=True, help="dataset CSV path")
-        if training:
-            p.add_argument("--epochs", type=int, default=100)
-            p.add_argument("--learning-rate", type=float, default=1e-3)
-            p.add_argument("--batch-size", type=int, default=128)
-            p.add_argument("--pos-weight", type=float, default=None)
-            p.add_argument("--val-fraction", type=float, default=0.1)
 
     p = sub.add_parser("gen-data", help="solve frames exactly and label the traces")
     p.add_argument("--config", required=True)
-    common(p, search=True, frames=True)
+    common(p, frames=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the pruning classifier")
-    common(p, dataset=True, training=True)
+    common(p)
+    p.add_argument("--dataset", required=True, help="dataset CSV path")
+    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--pos-weight", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="solve one frame and dump report + trace")
@@ -452,16 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="trained model file")
     p.add_argument("--theta", type=float, action="append",
                    help="initial pruning threshold (once)")
-    common(p, search=True, solver=True)
-    # No default budget here, so that cmd_solve can tell a given one apart.
-    p.set_defaults(func=cmd_solve, max_nodes=None)
+    common(p)
+    p.add_argument("--solver", default="bnb", choices=("bnb", "ibnb", "exhaustive"))
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="compare exact and learned-pruning searches")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--theta", type=float, action="append",
                    help="initial pruning threshold (repeatable)")
-    common(p, search=True, frames=True)
+    common(p, frames=True)
     p.set_defaults(func=cmd_bench)
     return parser
 

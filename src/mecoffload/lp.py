@@ -27,7 +27,7 @@ re-optimises with a few dual pivots.  Each pivot updates the inverse in
 product form and the reduced costs from the pivot row.  The count of
 updates carries down the tree, and the inverse is recomputed from the basis
 columns (with the reduced costs and basic values) once it reaches
-:data:`_REFACTOR_EVERY`, or at once for a start without a factor.
+:data:`_REFACTOR_EVERY`.
 
 An optimal result also carries the sign of each column's dual slack, and
 :func:`pinned_bounds` reads off it, without a solve, a lower bound on the
@@ -197,15 +197,14 @@ class Basis:
     holds the reduced cost of every column, and ``updates`` counts the
     product-form updates ``binv`` has taken since it was last inverted.  A
     solve started here resumes from the factor and inverts again only once
-    ``updates`` reaches :data:`_REFACTOR_EVERY`; without a factor (``binv``
-    or ``reduced_costs`` None) it inverts first.  The arrays are shared by
+    ``updates`` reaches :data:`_REFACTOR_EVERY`.  The arrays are shared by
     every solve started from the basis and are never written.
     """
 
     indices: np.ndarray
     at_upper: np.ndarray
-    binv: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
+    binv: np.ndarray
+    reduced_costs: np.ndarray
     updates: int = 0
 
 
@@ -354,12 +353,10 @@ class _BoundedSimplex:
         self.lower, self.upper = lower, upper = lp.col_lower, lp.col_upper
         basis = np.array(start.indices, dtype=int)
         at_upper = np.asarray(start.at_upper, dtype=bool)
-        factored = start.binv is not None and start.reduced_costs is not None
-        if factored:
-            binv = np.asarray(start.binv, dtype=float)
-            reduced = np.asarray(start.reduced_costs, dtype=float)
+        binv = np.asarray(start.binv, dtype=float)
+        reduced = np.asarray(start.reduced_costs, dtype=float)
         if (basis.shape != (m,) or at_upper.shape != (num_cols,)
-                or factored and (binv.shape != (m, m) or reduced.shape != (num_cols,))):
+                or binv.shape != (m, m) or reduced.shape != (num_cols,)):
             raise ValueError("start basis does not fit the program's rows and columns")
         try:
             uses = np.bincount(basis, minlength=num_cols)  # refuses a negative index
@@ -383,7 +380,7 @@ class _BoundedSimplex:
         self.sign[basis] = 0.0
         self.pivots = 0
         self.refactors = 0
-        if factored and start.updates < _REFACTOR_EVERY:
+        if start.updates < _REFACTOR_EVERY:
             self.binv, self.reduced, self.updates = binv, reduced, start.updates
             self._basic_values()
         else:

@@ -32,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "HIDDEN_WIDTH",
+    "VALIDATION_FRACTION",
     "MlpModel",
     "TrainConfig",
     "TrainHistory",
@@ -50,6 +51,9 @@ __all__ = [
 
 HIDDEN_WIDTH = 128
 _NUM_HIDDEN = 4
+
+#: Share of the shuffled samples held out for the validation loss.
+VALIDATION_FRACTION = 0.1
 
 #: Adam's decay rates of the first and second gradient moments, and the
 #: constant added to the root of the second (Kingma & Ba's defaults).
@@ -107,7 +111,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     positive_class_weight: float | None = None  # None: negatives/positives
-    validation_fraction: float = 0.1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -117,8 +120,6 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0 <= self.validation_fraction < 1:
-            raise ValueError("validation_fraction must lie in [0, 1)")
         if self.positive_class_weight is not None and self.positive_class_weight <= 0:
             raise ValueError("positive_class_weight must be positive")
 
@@ -256,7 +257,8 @@ def train(
 
     The input model is left untouched.  The reported train loss is the mean
     of the epoch's mini-batch losses; validation loss is evaluated on the
-    held-out split after each epoch (nan when the split is empty).
+    :data:`VALIDATION_FRACTION` of samples held out, after each epoch (nan
+    when that split is empty).
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float).ravel()
@@ -272,7 +274,7 @@ def train(
 
     rng = np.random.default_rng(cfg.rng_seed)
     order = rng.permutation(y.size)
-    n_val = int(round(cfg.validation_fraction * y.size))
+    n_val = int(round(VALIDATION_FRACTION * y.size))
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]

@@ -62,8 +62,7 @@ class RelaxationSolution:
     x: np.ndarray            # (S*K,) indicator values in [0, 1], binary at a leaf
     split_bits: np.ndarray   # (S*K,) recovered splits, bits
     psi: float               # relaxation objective value
-    integral: bool           # a leaf: no channel carries flow from two devices
-    first_fractional: int | None  # smallest index on a shared channel, None iff integral
+    first_fractional: int | None  # smallest index on a shared channel, None at a leaf
 
 
 @dataclass
@@ -165,7 +164,6 @@ def extract_solution(
         x=x,
         split_bits=split_bits,
         psi=float(lp_result.value),
-        integral=integral,
         first_fractional=first,
     )
 

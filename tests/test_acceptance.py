@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mecoffload.bnb import ENUM_BUDGET
 from mecoffload.cli import eval_seed, main
 from mecoffload.dataset import feature_length
 from mecoffload.ibnb import DELTA_THETA, THETA_MIN, ThresholdPolicy
@@ -158,6 +159,9 @@ def test_infeasible_config_exits_2_and_spent_budget_exits_3(tmp_path):
     assert main(["gen-data", "--config", str(cfg), "--frames", "1",
                  "--out", str(tmp_path / "data")]) == 2
     assert not (tmp_path / "data" / "dataset.csv").exists()
-    assert main(["solve", "--config", str(DESK_CONFIG), "--solver", "bnb",
-                 "--seed", str(held_out_seeds()[0]), "--max-nodes", "1",
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(DESK_CONFIG.read_text().replace("num_channels = 5", "num_channels = 10"))
+    assert (3 + 1) ** 10 > ENUM_BUDGET
+    assert main(["solve", "--config", str(wide), "--solver", "exhaustive",
                  "--out", str(tmp_path / "budget")]) == 3
+    assert not (tmp_path / "budget").exists()

@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from mecoffload.cli import main
+from mecoffload import cli
+from mecoffload.bnb import ENUM_BUDGET, solve_bnb
+from mecoffload.cli import WEIGHT_SWEEP, main
 from mecoffload.dataset import read_dataset
 from mecoffload.mlp import MlpModel, default_dims, init_model, load_model, save_model
 
@@ -186,10 +189,17 @@ class TestSolve:
         assert "infeasible" in err.lower()
         assert "(4 devices, 3 channels)" in err
 
-    def test_budget_exit_code(self, tmp_path, config_path):
-        rc = main(["solve", "--config", config_path, "--solver", "bnb",
-                   "--out", str(tmp_path / "o"), "--max-nodes", "1"])
+    def test_budget_exit_code(self, tmp_path, capsys):
+        # 3 devices on 10 channels: 4**10 maps, more than ENUM_BUDGET.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(CONFIG.replace("num_mds = 2", "num_mds = 3")
+                       .replace("num_channels = 3", "num_channels = 10"))
+        assert (3 + 1) ** 10 > ENUM_BUDGET
+        rc = main(["solve", "--config", str(cfg), "--solver", "exhaustive",
+                   "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert "budget exhausted" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ibnb_without_model_is_usage_error(self, tmp_path, config_path):
         rc = main(["solve", "--config", config_path, "--solver", "ibnb",
@@ -249,6 +259,29 @@ class TestBench:
             ratio = float(line.split(",")[-1])
             assert ratio >= 1.0 - 1e-9
 
+    def test_weights_outside_the_sweep_solve_every_sweep_pair(self, tmp_path, config_path,
+                                                              model_path):
+        # At lambda_e = 0.3 no sweep pair is the config's own, so each of the
+        # five is solved again; at the config's 0.25 the held-out frames
+        # give that pair's row, and the two routes must agree on it.
+        off_sweep = tmp_path / "off.cfg"
+        off_sweep.write_text(CONFIG.replace("lambda_e = 0.25", "lambda_e = 0.3"))
+        rows = {}
+        for name, config in (("off", str(off_sweep)), ("own", config_path)):
+            out = tmp_path / name
+            assert main(["bench", "--config", config, "--model", model_path,
+                         "--frames", "2", "--out", str(out), "--seed", "2",
+                         "--theta", "0.75", "--theta", "1e-3"]) == 0
+            sweep = [l for l in (out / "weights_sweep.csv").read_text().splitlines()
+                     if not l.startswith("#")]
+            rows[name] = sweep[1:]
+            cdf_lines = [l for l in (out / "node_cdf.csv").read_text().splitlines()
+                         if not l.startswith("#")][1:]
+            series = {tuple(l.split(",")[2:]) for l in cdf_lines}
+            assert series == {("bnb", ""), ("ibnb", "0.75"), ("ibnb", "0.001")}
+        assert [tuple(map(float, r.split(",")[:2])) for r in rows["off"]] == list(WEIGHT_SWEEP)
+        assert rows["off"] == rows["own"]
+
     def test_zero_frames_is_usage_error(self, tmp_path, config_path, model_path):
         out = tmp_path / "bench"
         rc = main(["bench", "--config", config_path, "--model", model_path,
@@ -256,10 +289,12 @@ class TestBench:
         assert rc == 1
         assert not out.exists()
 
-    def test_budget_exhausted_exit_code(self, tmp_path, config_path, model_path, capsys):
+    def test_budget_exhausted_exit_code(self, tmp_path, config_path, model_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(cli, "solve_bnb", functools.partial(solve_bnb, max_nodes=1))
         out = tmp_path / "bench"
         rc = main(["bench", "--config", config_path, "--model", model_path,
-                   "--frames", "1", "--out", str(out), "--max-nodes", "1"])
+                   "--frames", "1", "--out", str(out)])
         assert rc == 3
         assert "budget exhausted" in capsys.readouterr().err
         assert not out.exists()
@@ -282,8 +317,9 @@ def inputs(tmp_path_factory):
     assert main(["gen-data", "--config", str(config), "--frames", "2",
                  "--out", str(root / "data")]) == 0
     write_constant_model(root / "model.txt")
+    write_constant_model(root / "narrow.txt", num_features=5)
     return {"config": str(config), "dataset": str(root / "data" / "dataset.csv"),
-            "model": str(root / "model.txt")}
+            "model": str(root / "model.txt"), "narrow_model": str(root / "narrow.txt")}
 
 
 SOLVE = ["solve", "--config", "{config}"]
@@ -292,12 +328,12 @@ TRAIN = ["train", "--dataset", "{dataset}"]
 
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["gen-data", "--config", "{config}", "--max-nodes", "0"], "--max-nodes",
-                 id="gen-data-max-nodes-0"),
-    pytest.param([*SOLVE, "--max-nodes", "0"], "--max-nodes", id="solve-max-nodes-0"),
+                 id="gen-data-takes-no-max-nodes"),
+    pytest.param([*SOLVE, "--max-nodes", "0"], "--max-nodes", id="solve-takes-no-max-nodes"),
     pytest.param(["bench", "--config", "{config}", "--model", "{model}", "--max-nodes", "0"],
-                 "--max-nodes", id="bench-max-nodes-0"),
+                 "--max-nodes", id="bench-takes-no-max-nodes"),
     pytest.param([*TRAIN, "--batch-size", "0"], "batch_size", id="train-batch-size-0"),
-    pytest.param([*TRAIN, "--val-fraction", "1"], "validation_fraction",
+    pytest.param([*TRAIN, "--val-fraction", "1"], "--val-fraction",
                  id="train-val-fraction-1"),
     pytest.param([*TRAIN, "--pos-weight", "0"], "positive_class_weight", id="train-pos-weight-0"),
     pytest.param([*TRAIN, "--epochs", "-1"], "epochs", id="train-epochs-negative"),
@@ -307,7 +343,7 @@ TRAIN = ["train", "--dataset", "{dataset}"]
     pytest.param([*SOLVE, "--solver", "ibnb", "--model", "{model}",
                   "--theta", "1e-3", "--theta", "1e-5"], "--theta", id="solve-takes-one-theta"),
     pytest.param([*SOLVE, "--solver", "exhaustive", "--max-nodes", "1"], "--max-nodes",
-                 id="exhaustive-reads-no-max-nodes"),
+                 id="exhaustive-takes-no-max-nodes"),
     pytest.param([*SOLVE, "--solver", "exhaustive", "--theta", "0.5"], "--theta",
                  id="exhaustive-reads-no-theta"),
     pytest.param([*SOLVE, "--solver", "bnb", "--theta", "0.3"], "--theta",
@@ -320,6 +356,11 @@ TRAIN = ["train", "--dataset", "{dataset}"]
                  id="solve-takes-no-delta-theta"),
     pytest.param(["bench", "--config", "{config}", "--model", "{model}",
                   "--delta-theta", "0.01"], "--delta-theta", id="bench-takes-no-delta-theta"),
+    # Failures found only once the solve starts leave no directory either.
+    pytest.param([*SOLVE, "--solver", "ibnb", "--model", "/nonexistent"], "/nonexistent",
+                 id="ibnb-model-missing"),
+    pytest.param([*SOLVE, "--solver", "ibnb", "--model", "{narrow_model}"],
+                 "model expects 5 features", id="ibnb-model-of-wrong-width"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, inputs, argv, named, capsys):
     # The message names the setting, so a check that some later step

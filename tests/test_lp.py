@@ -358,7 +358,8 @@ class TestAgainstScipy:
         lp = transportation_lp()
         basis = solve_lp(lp).basis
         with pytest.raises(ValueError):
-            solve_lp(lp, start=Basis(basis.indices[:1], basis.at_upper))
+            solve_lp(lp, start=Basis(basis.indices[:1], basis.at_upper, basis.binv,
+                                     basis.reduced_costs))
 
     @pytest.mark.parametrize("column", [-1, 5])
     def test_start_basis_out_of_range_rejected(self, column):
@@ -375,7 +376,8 @@ class TestAgainstScipy:
         basis = solve_lp(lp).basis
         indices = np.full_like(basis.indices, basis.indices[0])
         with pytest.raises(ValueError, match="repeats"):
-            solve_lp(lp, start=Basis(indices, basis.at_upper))
+            solve_lp(lp, start=Basis(indices, basis.at_upper, basis.binv,
+                                     basis.reduced_costs))
 
 
 def interior_lp(seed: int, n: int = 20, m_eq: int = 4, m_ub: int = 12):
@@ -460,10 +462,15 @@ class TestCarriedFactor:
         assert inversions == []
 
     def test_basis_without_factor_is_accepted(self):
+        # A start whose factor is due is inverted again from its columns
+        # before it is read, so a zeroed factor stands in for none.
         lp, p = interior_lp(5)
         root = solve_lp(lp)
         child = cut_toward(lp, root.x, p)
-        bare = solve_lp(child, start=Basis(root.basis.indices, root.basis.at_upper))
+        due = dataclasses.replace(root.basis, binv=np.zeros_like(root.basis.binv),
+                                  reduced_costs=np.zeros_like(root.basis.reduced_costs),
+                                  updates=_REFACTOR_EVERY)
+        bare = solve_lp(child, start=due)
         warm = solve_lp(child, start=root.basis)
         assert bare.status is LpStatus.OPTIMAL
         assert bare.refactors == 1

@@ -246,8 +246,7 @@ class TestTrain:
     def test_separable_set_learned(self):
         x, y = separable_toy_set()
         # Full-batch steps keep the descent strictly monotone.
-        cfg = TrainConfig(epochs=12, batch_size=len(y), validation_fraction=0.0,
-                          rng_seed=4)
+        cfg = TrainConfig(epochs=12, batch_size=len(y), rng_seed=4)
         model, history = train(init_model(2, rng_seed=4), x, y, cfg)
         first = history.train_loss[:10]
         assert all(b < a for a, b in zip(first, first[1:]))

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -5,6 +7,10 @@ import pkgutil
 import pytest
 
 import mecoffload
+from mecoffload.bnb import solve_bnb
+from mecoffload.cli import build_parser
+from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
+from mecoffload.mlp import TrainConfig
 
 #: Every module of the package but ``__main__``, which runs the command line.
 LAYERS = [importlib.import_module(f"mecoffload.{info.name}")
@@ -30,3 +36,22 @@ def test_package_exports_only_listed_names():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public
     assert public <= listed, sorted(public - listed)
+
+
+def test_settable_value_count():
+    # A setting with one value in use is a named constant, not an option.
+    # Settable values are every subcommand's flags, the fields of the two
+    # settings classes and the keywords of the search entry points; a new
+    # one must be counted in here on purpose.
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [option for sub in commands.choices.values() for action in sub._actions
+             if not isinstance(action, argparse._HelpAction)
+             for option in action.option_strings]
+    fields = [f.name for cls in (ThresholdPolicy, TrainConfig)
+              for f in dataclasses.fields(cls)]
+    keywords = {name for solve in (solve_bnb, solve_ibnb)
+                for name, p in inspect.signature(solve).parameters.items()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert keywords == {"max_nodes"}
+    assert (len(flags), len(fields), len(keywords)) == (23, 6, 1)

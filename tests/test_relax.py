@@ -177,7 +177,6 @@ class TestBuildRelaxation:
         assert result.status is LpStatus.OPTIMAL
         assert result.value == pytest.approx(closed_form_single_pair(frame), rel=1e-9)
         sol = extract_solution(frame, result, free_node(1))
-        assert sol.integral
         assert sol.first_fractional is None
         assert sol.split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
 
@@ -292,7 +291,6 @@ class TestExtractSolution:
         shares = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
         v = self.point(small_frame, shares)
         sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
-        assert not sol.integral
         assert sol.first_fractional == 1
         assert np.allclose(sol.x, np.ravel(shares), rtol=1e-12)
 
@@ -303,7 +301,6 @@ class TestExtractSolution:
         shares = [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
         v = self.point(small_frame, shares)
         sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
-        assert sol.integral
         assert sol.first_fractional is None
         assert np.array_equal(sol.x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
         assert np.allclose(sol.split_bits.reshape(2, 3).sum(axis=1),
@@ -316,7 +313,7 @@ class TestExtractSolution:
         fixed[7] = 1
         leaf = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), fixed)
-        assert sol.integral
+        assert sol.first_fractional is None
         assert np.array_equal(sol.x, [1, 1, 0, 0, 0, 0, 1, 1])
         # Off a leaf too: channel 0 is shared, device 1 holds channel 3.
         inner = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
