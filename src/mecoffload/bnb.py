@@ -28,7 +28,7 @@ branch it; without a gate the search is exact, and the learned-pruning
 solver (``ibnb``) runs each of its passes through it with a gate built
 from its classifier.
 
-An exhaustive enumerator over channel-to-device maps provides the
+An exhaustive enumerator over full channel-to-device maps provides the
 ground-truth optimum for desk-scale instances.
 """
 
@@ -72,7 +72,8 @@ __all__ = [
 
 #: Default node budget of a search: solved nodes, over every pass of ``ibnb``.
 MAX_NODES = 500_000
-#: Largest number of channel-to-device maps :func:`solve_exhaustive` enumerates.
+#: Largest number of full channel-to-device maps (S**K) :func:`solve_exhaustive`
+#: enumerates.
 ENUM_BUDGET = 1_000_000
 
 
@@ -322,17 +323,21 @@ def solve_bnb(
 
 
 def solve_exhaustive(scenario: Scenario) -> SolveReport:
-    """Ground-truth oracle: enumerate every channel-to-device map.
+    """Ground-truth oracle: enumerate every full channel-to-device map.
 
-    Each channel is given to one device or left idle, which bakes in
-    channel exclusivity; maps leaving some device with no channel are
-    skipped.  ``nodes_searched`` counts the evaluated maps (a tree search's
-    passes have no analogue here, so there are none).  A frame with more
-    than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
+    Each channel is given to exactly one device, which bakes in channel
+    exclusivity; maps leaving some device with no channel are skipped.
+    Maps that leave a channel idle are never priced: an assigned channel
+    costs nothing until it carries bits, so giving an idle channel to any
+    device never raises the optimal cost.  Maps are priced in lexicographic
+    order of their owners, and the first of least cost wins.
+    ``nodes_searched`` counts the priced maps (a tree search's passes have
+    no analogue here, so there are none).  A frame with more than
+    :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
     """
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    total = (s_n + 1) ** k_n
+    total = s_n ** k_n
     if total > ENUM_BUDGET:
         raise BudgetExceededError(
             f"enumeration of {total} maps exceeds budget {ENUM_BUDGET}"
@@ -341,16 +346,14 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     best_psi = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
     evaluated = 0
-    for owners in itertools.product(range(s_n + 1), repeat=k_n):
-        if len(set(owners) - {0}) < s_n:
+    for owners in itertools.product(range(s_n), repeat=k_n):
+        if len(set(owners)) < s_n:
             continue  # some device got no channel
         x = np.zeros((s_n, k_n), dtype=int)
-        for k, owner in enumerate(owners):
-            if owner > 0:
-                x[owner - 1, k] = 1
+        x[owners, range(k_n)] = 1
         split = solve_split(scenario, x)
         evaluated += 1
-        if split is not None and split.psi < best_psi:
+        if split.psi < best_psi:
             best_psi = split.psi
             best = (x, split.split_bits)
 

@@ -268,8 +268,7 @@ def train(
         raise ValueError(
             f"dataset feature length {x.shape[1]} != model input {model.num_features}"
         )
-    classes = np.unique(y)
-    if classes.size < 2:
+    if y.size == 0 or y.min() == y.max():
         raise ValueError("training requires both classes to be present")
 
     rng = np.random.default_rng(cfg.rng_seed)

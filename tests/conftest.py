@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,69 @@ def node_upper(fixed, s_n, k_n) -> np.ndarray:
             if other != s:
                 upper[other, k] = 0.0
     return upper
+
+
+def covering_maps(num_mds, num_channels):
+    """Every channel-to-device map, idle channels allowed, that leaves no
+    device without a channel: each an (S, K) 0/1 matrix.  Owner 0 of a
+    channel is idle and owner s + 1 is device s."""
+    for owners in itertools.product(range(num_mds + 1), repeat=num_channels):
+        if len(set(owners) - {0}) < num_mds:
+            continue  # some device got no channel
+        x = np.zeros((num_mds, num_channels), dtype=int)
+        for k, owner in enumerate(owners):
+            if owner > 0:
+                x[owner - 1, k] = 1
+        yield x
+
+
+def milp_psi(frame: Scenario) -> float | None:
+    """The frame's optimal cost from HiGHS (``scipy.optimize.milp``), a
+    model that shares no code with the package's solvers; None when
+    infeasible.
+
+    Variables are ``[x (S*K) binary, l (S*K) splits, tau]``, flat index
+    ``s*K + k``.  Rows: channel exclusivity ``sum_s x[s,k] <= 1``, task
+    conservation ``sum_k l[s,k] = L_s``, coupling ``l[s,k] <= L_s x[s,k]``,
+    and one epigraph row per channel ``sum_s l[s,k]/R[s,k] <= tau``.  Splits
+    are in units of the largest task and times in units of that task's time
+    on the fastest channel, so every coefficient and ``tau`` are O(1) and
+    HiGHS's absolute tolerances act as relative ones.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    s_n, k_n = frame.rates_bps.shape
+    n = s_n * k_n
+    scale = float(frame.task_bits.max())
+    time_unit = scale / float(frame.rates_bps.max())
+    tasks = frame.task_bits / scale
+    per_unit = (scale / frame.rates_bps / time_unit).ravel()   # time units per split unit
+    cfg = frame.config
+
+    by_channel = np.kron(np.ones(s_n), np.eye(k_n))   # row k sums channel k's entries
+    by_device = np.kron(np.eye(s_n), np.ones(k_n))    # row s sums device s's entries
+    zero = np.zeros
+    a = np.block([
+        [by_channel, zero((k_n, n)), zero((k_n, 1))],
+        [zero((s_n, n)), by_device, zero((s_n, 1))],
+        [-np.diag(np.repeat(tasks, k_n)), np.eye(n), zero((n, 1))],
+        [zero((k_n, n)), by_channel * per_unit, -np.ones((k_n, 1))],
+    ])
+    lower = np.concatenate([np.full(k_n, -np.inf), tasks, np.full(n + k_n, -np.inf)])
+    upper = np.concatenate([np.ones(k_n), tasks, zero(n + k_n)])
+    cost = np.concatenate([
+        zero(n), cfg.lambda_e * np.repeat(frame.powers_w, k_n) * per_unit, [cfg.lambda_t]])
+    res = milp(
+        cost,
+        constraints=LinearConstraint(a, lower, upper),
+        integrality=np.concatenate([np.ones(n), zero(n + 1)]),
+        bounds=Bounds(zero(2 * n + 1), np.concatenate([np.ones(n), np.full(n + 1, np.inf)])),
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status == 2:   # proven infeasible
+        return None
+    assert res.status == 0, res.message
+    return float(res.fun) * time_unit
 
 
 def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,

@@ -160,8 +160,9 @@ def test_infeasible_config_exits_2_and_spent_budget_exits_3(tmp_path):
                  "--out", str(tmp_path / "data")]) == 2
     assert not (tmp_path / "data" / "dataset.csv").exists()
     wide = tmp_path / "wide.cfg"
-    wide.write_text(DESK_CONFIG.read_text().replace("num_channels = 5", "num_channels = 10"))
-    assert (3 + 1) ** 10 > ENUM_BUDGET
+    wide.write_text(DESK_CONFIG.read_text().replace("num_mds = 3", "num_mds = 4")
+                    .replace("num_channels = 5", "num_channels = 10"))
+    assert 4 ** 10 > ENUM_BUDGET
     assert main(["solve", "--config", str(wide), "--solver", "exhaustive",
                  "--out", str(tmp_path / "budget")]) == 3
     assert not (tmp_path / "budget").exists()

@@ -21,7 +21,14 @@ from mecoffload.lp import _REFACTOR_EVERY, FEASIBILITY_TOL, pinned_bounds, solve
 from mecoffload.relax import solve_split
 from mecoffload.scenario import Assignment, check_feasible, objective
 
-from conftest import first_pivot_objective, make_frame, make_uniform_frame, node_upper
+from conftest import (
+    covering_maps,
+    first_pivot_objective,
+    make_frame,
+    make_uniform_frame,
+    milp_psi,
+    node_upper,
+)
 
 
 class TestBranch:
@@ -86,6 +93,11 @@ class TestBranch:
         assert next_id > 3
 
 
+#: Sizes and gains of frames whose devices and channels are all identical:
+#: ties in every bound, branching choice and channel map.
+TIE_FRAMES = [(2, 3, 1.0), (3, 3, 1.0), (2, 5, 1.0), (3, 4, 0.5), (3, 5, 1.0)]
+
+
 def random_small_frame(case):
     rng = np.random.default_rng(case)
     s_n = int(rng.integers(2, 4))
@@ -113,9 +125,8 @@ class TestSolveBnb:
         *(pytest.param(random_small_frame(case), id=str(case)) for case in range(30)),
         # Identical rates everywhere: ties in every bound and branching choice.
         *(pytest.param(make_uniform_frame(s_n, k_n, gain=gain), id=f"uniform-{s_n}x{k_n}")
-          for s_n, k_n, gain in [(2, 3, 1.0), (3, 3, 1.0), (2, 5, 1.0), (3, 4, 0.5),
-                                 (3, 5, 1.0)]),
-        # The size of the benchmark's bnb frames: 3360 covering maps.
+          for s_n, k_n, gain in TIE_FRAMES),
+        # The size of the benchmark's bnb frames: 1 560 full maps.
         *(pytest.param(make_frame(num_mds=4, num_channels=6, seed=1000 + case),
                        id=f"4x6-{case}") for case in (30, 31)),
     ])
@@ -444,33 +455,88 @@ class TestOracleGate:
         assert any(fewer)
 
 
+#: Latency/energy weightings the oracle is checked at: the default, energy
+#: only and latency only.
+ORACLE_WEIGHTS = [(1.0, 0.25), (0.0, 1.0), (1.0, 0.0)]
+#: Frames on which the oracle is checked against references that share no
+#: enumeration with it: ten random frames at each of three sizes, taking the
+#: weightings in turn, and the tie frames of identical devices at every
+#: weighting.
+ORACLE_FRAMES = [
+    *(pytest.param(make_frame(num_mds=s_n, num_channels=k_n, seed=4000 + case,
+                              lambda_t=lt, lambda_e=le),
+                   id=f"{s_n}x{k_n}-{case}-{lt:g},{le:g}")
+      for s_n, k_n in [(2, 3), (3, 4), (3, 5)] for case in range(10)
+      for lt, le in [ORACLE_WEIGHTS[case % 3]]),
+    *(pytest.param(make_uniform_frame(s_n, k_n, gain=gain, lambda_t=lt, lambda_e=le),
+                   id=f"uniform-{s_n}x{k_n}-{lt:g},{le:g}")
+      for s_n, k_n, gain in TIE_FRAMES for lt, le in ORACLE_WEIGHTS),
+]
+
+
 class TestSolveExhaustive:
     def test_single_pair(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=3)
         report = solve_exhaustive(frame)
-        # Two maps exist (idle channel or assigned); only one covers the MD.
         assert report.nodes_searched == 1
         assert report.best_psi == pytest.approx(solve_bnb(frame).best_psi, rel=1e-9)
 
     def test_two_by_two_perfect_matchings(self):
         frame = make_frame(num_mds=2, num_channels=2, seed=21)
         report = solve_exhaustive(frame)
-        # 9 maps in total; only the two perfect matchings cover both MDs.
+        # 4 full maps; only the two perfect matchings cover both MDs.
         assert report.nodes_searched == 2
         values = []
         for x in (np.eye(2, dtype=int), np.eye(2, dtype=int)[::-1]):
             values.append(solve_split(frame, x).psi)
         assert report.best_psi == pytest.approx(min(values), rel=1e-9)
 
+    @pytest.mark.parametrize("s_n, k_n, maps", [(1, 1, 1), (2, 2, 2), (3, 5, 150),
+                                                (4, 6, 1560)])
+    def test_prices_every_full_map_that_covers(self, s_n, k_n, maps):
+        # The maps onto all S devices among the S**K full maps.
+        report = solve_exhaustive(make_frame(num_mds=s_n, num_channels=k_n, seed=8))
+        assert report.nodes_searched == maps
+
     def test_infeasible_when_channels_short(self):
         report = solve_exhaustive(make_frame(num_mds=3, num_channels=2, seed=5))
         assert report.status is SolveStatus.INFEASIBLE
 
     def test_budget_error(self):
-        # 4**10 = 1 048 576 channel maps, above ENUM_BUDGET.
-        frame = make_frame(num_mds=3, num_channels=10, seed=7)
+        # 4**10 = 1 048 576 full channel maps, above ENUM_BUDGET.
+        assert 4 ** 10 > bnb_module.ENUM_BUDGET
+        frame = make_frame(num_mds=4, num_channels=10, seed=7)
         with pytest.raises(BudgetExceededError):
             solve_exhaustive(frame)
+
+    @pytest.mark.parametrize("frame", ORACLE_FRAMES)
+    def test_equals_the_best_covering_map_and_the_milp(self, frame):
+        # Full maps only, against every covering map (idle channels
+        # allowed) and against HiGHS; the answer is feasible and priced
+        # as the scenario prices it.
+        report = solve_exhaustive(frame)
+        assert report.status is SolveStatus.OPTIMAL
+        covering = min(solve_split(frame, x).psi
+                       for x in covering_maps(frame.num_mds, frame.num_channels))
+        assert report.best_psi == pytest.approx(covering, rel=1e-12)
+        assert report.best_psi == pytest.approx(milp_psi(frame), rel=1e-6)
+        answer = Assignment(report.best_x, report.best_split)
+        assert check_feasible(frame, answer) == []
+        assert objective(frame, answer) == pytest.approx(report.best_psi, rel=1e-9)
+
+    @pytest.mark.parametrize("frame", ORACLE_FRAMES)
+    def test_giving_an_idle_channel_away_never_raises_the_cost(self, frame):
+        s_n = frame.num_mds
+        for x in covering_maps(s_n, frame.num_channels):
+            idle = np.flatnonzero(x.sum(axis=0) == 0)
+            if idle.size == 0:
+                continue
+            psi = solve_split(frame, x).psi
+            for k in idle:
+                for s in range(s_n):
+                    given = x.copy()
+                    given[s, k] = 1
+                    assert solve_split(frame, given).psi <= psi * (1 + 1e-12)
 
 
 class TestTraceCsv:

@@ -1,14 +1,17 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mecoffload import cli
 from mecoffload.bnb import ENUM_BUDGET, solve_bnb
-from mecoffload.cli import WEIGHT_SWEEP, main
+from mecoffload.cli import WEIGHT_SWEEP, eval_seed, main
 from mecoffload.dataset import read_dataset
+from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, init_model, load_model, save_model
+from mecoffload.scenario import generate_frame, read_config_file
 
 CONFIG = """\
 num_mds = 2
@@ -40,6 +43,21 @@ def write_constant_model(path, num_features=16, p=0.99):
     weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     biases[-1][0] = math.log(p / (1.0 - p))
+    save_model(MlpModel(dims, weights, biases), path)
+
+
+def write_depth_model(path, num_features=16):
+    """A stub whose score falls with the node's depth feature: about 0.88 at
+    the root and 0.49 one level down, so a threshold of 0.75 prunes every
+    node below the root and one of 1e-3 prunes none."""
+    dims = default_dims(num_features)
+    weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
+    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    weights[0][0, 1] = 6.0          # feature 1 is depth / (S*K)
+    for w in weights[1:-1]:
+        w[0, 0] = 1.0
+    weights[-1][0, 0] = -4.0
+    biases[-1][0] = 2.0
     save_model(MlpModel(dims, weights, biases), path)
 
 
@@ -190,11 +208,11 @@ class TestSolve:
         assert "(4 devices, 3 channels)" in err
 
     def test_budget_exit_code(self, tmp_path, capsys):
-        # 3 devices on 10 channels: 4**10 maps, more than ENUM_BUDGET.
+        # 4 devices on 10 channels: 4**10 full maps, more than ENUM_BUDGET.
         cfg = tmp_path / "wide.cfg"
-        cfg.write_text(CONFIG.replace("num_mds = 2", "num_mds = 3")
+        cfg.write_text(CONFIG.replace("num_mds = 2", "num_mds = 4")
                        .replace("num_channels = 3", "num_channels = 10"))
-        assert (3 + 1) ** 10 > ENUM_BUDGET
+        assert 4 ** 10 > ENUM_BUDGET
         rc = main(["solve", "--config", str(cfg), "--solver", "exhaustive",
                    "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -281,6 +299,30 @@ class TestBench:
             assert series == {("bnb", ""), ("ibnb", "0.75"), ("ibnb", "0.001")}
         assert [tuple(map(float, r.split(",")[:2])) for r in rows["off"]] == list(WEIGHT_SWEEP)
         assert rows["off"] == rows["own"]
+
+    def test_sweep_at_own_weights_reads_the_first_threshold(self, tmp_path, config_path):
+        # With a score that depends on the node, the two thresholds end at
+        # different mean psi, so a sweep reading the wrong one shows.
+        model_path = tmp_path / "depth.txt"
+        write_depth_model(model_path)
+        model = load_model(model_path)
+        cfg = read_config_file(config_path)
+        frames = [generate_frame(replace(cfg, rng_seed=eval_seed(2, i))) for i in range(2)]
+        mean_psi = {}
+        for theta in (0.75, 1e-3):
+            psi = [solve_ibnb(frame, model, ThresholdPolicy(theta0=theta)).best_psi
+                   for frame in frames]
+            mean_psi[theta] = sum(psi) / len(psi)
+        assert mean_psi[0.75] != pytest.approx(mean_psi[1e-3], rel=1e-6)
+        for thetas in ((0.75, 1e-3), (1e-3, 0.75)):
+            out = tmp_path / f"bench-{thetas[0]:g}"
+            assert main(["bench", "--config", config_path, "--model", str(model_path),
+                         "--frames", "2", "--out", str(out), "--seed", "2",
+                         "--theta", str(thetas[0]), "--theta", str(thetas[1])]) == 0
+            rows = [l.split(",") for l in (out / "weights_sweep.csv").read_text().splitlines()
+                    if not l.startswith("#")][1:]
+            [own] = [r for r in rows if (float(r[0]), float(r[1])) == (cfg.lambda_t, cfg.lambda_e)]
+            assert float(own[3]) == pytest.approx(mean_psi[thetas[0]], rel=1e-12)
 
     def test_zero_frames_is_usage_error(self, tmp_path, config_path, model_path):
         out = tmp_path / "bench"

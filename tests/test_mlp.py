@@ -1,12 +1,17 @@
 import base64
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mecoffload
 from mecoffload.mlp import (
     MlpModel,
     ModelFormatError,
@@ -286,6 +291,27 @@ class TestTrain:
         y = np.ones(10)
         with pytest.raises(ValueError, match="both classes"):
             train(init_model(2, rng_seed=0), x, y, TrainConfig(epochs=1))
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="both classes"):
+            train(init_model(2, rng_seed=0), np.zeros((0, 2)), np.zeros(0),
+                  TrainConfig(epochs=1))
+
+    def test_training_imports_no_masked_arrays(self):
+        # numpy.ma costs a fresh train process tens of milliseconds to import.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from mecoffload.mlp import TrainConfig, init_model, train\n"
+            "train(init_model(2, rng_seed=0), np.eye(4, 2), np.array([0.0, 1.0, 0.0, 1.0]),\n"
+            "      TrainConfig(epochs=1))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(mecoffload.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_feature_width_mismatch_rejected(self):
         x, y = separable_toy_set(20)
