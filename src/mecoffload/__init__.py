@@ -1,16 +1,6 @@
 """Exact and learned-pruning solvers for multiuser MEC task offloading."""
 
-from .scenario import (
-    Assignment,
-    Scenario,
-    ScenarioConfig,
-    check_feasible,
-    energy,
-    generate_frame,
-    latency,
-    objective,
-    rate,
-)
+from .scenario import Scenario, ScenarioConfig, generate_frame, rate
 from .lp import LinearProgram, LpResult, LpStatus, solve_lp
 from .relax import (
     RelaxationSolution,

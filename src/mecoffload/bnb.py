@@ -332,21 +332,25 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     device never raises the optimal cost.  Maps are priced in lexicographic
     order of their owners, and the first of least cost wins.
     ``nodes_searched`` counts the priced maps (a tree search's passes have
-    no analogue here, so there are none).  A frame with more than
-    :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
+    no analogue here, so there are none).  A frame with more devices than
+    channels is infeasible, with no map priced; any other frame with more
+    than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
     """
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    total = s_n ** k_n
-    if total > ENUM_BUDGET:
+    if s_n > k_n:
+        maps = ()   # no map covers every device
+    elif s_n ** k_n > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"enumeration of {total} maps exceeds budget {ENUM_BUDGET}"
+            f"enumeration of {s_n ** k_n} maps exceeds budget {ENUM_BUDGET}"
         )
+    else:
+        maps = itertools.product(range(s_n), repeat=k_n)
 
     best_psi = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
     evaluated = 0
-    for owners in itertools.product(range(s_n), repeat=k_n):
+    for owners in maps:
         if len(set(owners)) < s_n:
             continue  # some device got no channel
         x = np.zeros((s_n, k_n), dtype=int)

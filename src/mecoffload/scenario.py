@@ -1,13 +1,13 @@
-"""Random MEC offloading frames and the physical-layer cost model.
+"""Random MEC offloading frames and their uplink rates.
 
 A frame holds everything the solvers need about one scheduling interval:
 channel power gains between each mobile device (MD) and the access point,
 per-device transmit powers and task sizes, and the precomputed uplink rate
-of every (device, subchannel) pair.  Latency, energy and the weighted cost
-of a candidate assignment are evaluated here, to check and score answers.
-No solver calls them: the solvers read the frame's rates, powers, task
-sizes and weights directly, in the node relaxations and the split oracle
-of :mod:`relax`, which minimise the same weighted cost.
+of every (device, subchannel) pair.  The weighted latency + energy cost of
+an assignment is not computed here.  The solvers minimise it in the node
+relaxations and the split oracle of :mod:`relax`; answers are checked
+against ``perfbench/oracle.py``, which prices them from the frame's raw
+arrays and shares no code with this package.
 """
 
 from __future__ import annotations
@@ -20,22 +20,14 @@ import numpy as np
 __all__ = [
     "ScenarioConfig",
     "Scenario",
-    "Assignment",
     "dbm_to_watts",
     "generate_frame",
     "rate",
-    "latency",
-    "energy",
-    "objective",
-    "check_feasible",
     "read_config_file",
 ]
 
 #: Relative tolerance for the precomputed-rate consistency check.
 RATE_CONSISTENCY_RTOL = 1e-12
-
-#: Relative tolerance of the assignment feasibility check.
-FEASIBILITY_RTOL = 1e-6
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -137,20 +129,6 @@ class Scenario:
         return tasks
 
 
-@dataclass
-class Assignment:
-    """A candidate solution: binary channel indicators and bit splits."""
-
-    x: np.ndarray           # (S, K) 0/1 indicators
-    split_bits: np.ndarray  # (S, K) bits routed through each subchannel
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.split_bits = np.asarray(self.split_bits, dtype=float)
-        if self.x.shape != self.split_bits.shape or self.x.ndim != 2:
-            raise ValueError("x and split_bits must be 2-D arrays of equal shape")
-
-
 def generate_frame(config: ScenarioConfig) -> Scenario:
     """Draw one frame. Deterministic function of ``config.rng_seed``.
 
@@ -169,76 +147,6 @@ def generate_frame(config: ScenarioConfig) -> Scenario:
 def rate(power_w, gain, bandwidth_hz, noise_power_w):
     """Uplink rate in bits/sec: B * log2(1 + P*h/N0).  Accepts arrays."""
     return bandwidth_hz * np.log2(1.0 + power_w * gain / noise_power_w)
-
-
-def latency(scenario: Scenario, a: Assignment) -> float:
-    """Frame latency: the slowest subchannel's transmission time.
-
-    Defined for infeasible assignments too; feasibility is checked
-    separately so diagnostics can score partial or fractional points.
-    """
-    per_channel = (a.x * a.split_bits / scenario.rates_bps).sum(axis=0)
-    return float(per_channel.max(initial=0.0))
-
-
-def energy(scenario: Scenario, a: Assignment) -> float:
-    """Total transmit energy in joules over all devices and subchannels."""
-    terms = scenario.powers_w[:, None] * a.x * a.split_bits / scenario.rates_bps
-    return float(terms.sum())
-
-
-def objective(scenario: Scenario, a: Assignment) -> float:
-    """Weighted latency + energy cost."""
-    cfg = scenario.config
-    return cfg.lambda_t * latency(scenario, a) + cfg.lambda_e * energy(scenario, a)
-
-
-def check_feasible(scenario: Scenario, a: Assignment) -> list[str]:
-    """Return one message per violated constraint; empty list iff feasible.
-
-    The tolerance :data:`FEASIBILITY_RTOL` is relative: indicator entries
-    must be within it of {0,1}, and split constraints are scaled by the
-    device's task size.
-    """
-    tol = FEASIBILITY_RTOL
-    s_n, k_n = scenario.num_mds, scenario.num_channels
-    if a.x.shape != (s_n, k_n):
-        raise ValueError(
-            f"assignment shape {a.x.shape} does not match scenario ({s_n}, {k_n})"
-        )
-    violations: list[str] = []
-    x_round = np.round(a.x)
-
-    for s in range(s_n):
-        for k in range(k_n):
-            if abs(a.x[s, k] - x_round[s, k]) > tol:
-                violations.append(f"binary_indicator: x[{s},{k}]={a.x[s, k]!r} is not 0/1")
-
-    for k in range(k_n):
-        assigned = int(x_round[:, k].sum())
-        if assigned > 1:
-            violations.append(
-                f"channel_exclusivity: channel {k} carries {assigned} devices"
-            )
-
-    for s in range(s_n):
-        task = scenario.task_bits[s]
-        total = a.split_bits[s].sum()
-        if abs(total - task) > tol * task:
-            violations.append(
-                f"task_split: device {s} splits sum to {total!r}, task is {task!r}"
-            )
-        for k in range(k_n):
-            l_sk = a.split_bits[s, k]
-            if l_sk < -tol * task or l_sk > task * (1 + tol):
-                violations.append(
-                    f"split_bounds: l[{s},{k}]={l_sk!r} outside [0, {task!r}]"
-                )
-            if l_sk > tol * task and x_round[s, k] == 0:
-                violations.append(
-                    f"split_requires_assignment: l[{s},{k}]={l_sk!r} but x[{s},{k}]=0"
-                )
-    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,23 @@
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mecoffload.lp as lp_module
 from mecoffload.scenario import Scenario, ScenarioConfig, generate_frame, rate
+
+# Answers are checked by the benchmark's oracle, which shares no code with
+# the package: tests import it, and its self-test, from perfbench/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+
+def frame_args(frame: Scenario) -> tuple:
+    """The frame as the oracle's leading arguments: rates, powers, task
+    sizes and the two weights."""
+    cfg = frame.config
+    return frame.rates_bps, frame.powers_w, frame.task_bits, cfg.lambda_t, cfg.lambda_e
 
 
 def make_frame(num_mds=2, num_channels=3, seed=1, **overrides) -> Scenario:
@@ -56,55 +69,6 @@ def covering_maps(num_mds, num_channels):
             if owner > 0:
                 x[owner - 1, k] = 1
         yield x
-
-
-def milp_psi(frame: Scenario) -> float | None:
-    """The frame's optimal cost from HiGHS (``scipy.optimize.milp``), a
-    model that shares no code with the package's solvers; None when
-    infeasible.
-
-    Variables are ``[x (S*K) binary, l (S*K) splits, tau]``, flat index
-    ``s*K + k``.  Rows: channel exclusivity ``sum_s x[s,k] <= 1``, task
-    conservation ``sum_k l[s,k] = L_s``, coupling ``l[s,k] <= L_s x[s,k]``,
-    and one epigraph row per channel ``sum_s l[s,k]/R[s,k] <= tau``.  Splits
-    are in units of the largest task and times in units of that task's time
-    on the fastest channel, so every coefficient and ``tau`` are O(1) and
-    HiGHS's absolute tolerances act as relative ones.
-    """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    s_n, k_n = frame.rates_bps.shape
-    n = s_n * k_n
-    scale = float(frame.task_bits.max())
-    time_unit = scale / float(frame.rates_bps.max())
-    tasks = frame.task_bits / scale
-    per_unit = (scale / frame.rates_bps / time_unit).ravel()   # time units per split unit
-    cfg = frame.config
-
-    by_channel = np.kron(np.ones(s_n), np.eye(k_n))   # row k sums channel k's entries
-    by_device = np.kron(np.eye(s_n), np.ones(k_n))    # row s sums device s's entries
-    zero = np.zeros
-    a = np.block([
-        [by_channel, zero((k_n, n)), zero((k_n, 1))],
-        [zero((s_n, n)), by_device, zero((s_n, 1))],
-        [-np.diag(np.repeat(tasks, k_n)), np.eye(n), zero((n, 1))],
-        [zero((k_n, n)), by_channel * per_unit, -np.ones((k_n, 1))],
-    ])
-    lower = np.concatenate([np.full(k_n, -np.inf), tasks, np.full(n + k_n, -np.inf)])
-    upper = np.concatenate([np.ones(k_n), tasks, zero(n + k_n)])
-    cost = np.concatenate([
-        zero(n), cfg.lambda_e * np.repeat(frame.powers_w, k_n) * per_unit, [cfg.lambda_t]])
-    res = milp(
-        cost,
-        constraints=LinearConstraint(a, lower, upper),
-        integrality=np.concatenate([np.ones(n), zero(n + 1)]),
-        bounds=Bounds(zero(2 * n + 1), np.concatenate([np.ones(n), np.full(n + 1, np.inf)])),
-        options={"mip_rel_gap": 0.0},
-    )
-    if res.status == 2:   # proven infeasible
-        return None
-    assert res.status == 0, res.message
-    return float(res.fun) * time_unit
 
 
 def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,

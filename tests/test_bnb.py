@@ -19,14 +19,14 @@ from mecoffload.bnb import (
 )
 from mecoffload.lp import _REFACTOR_EVERY, FEASIBILITY_TOL, pinned_bounds, solve_lp
 from mecoffload.relax import solve_split
-from mecoffload.scenario import Assignment, check_feasible, objective
+from oracle import OBJECTIVE_RTOL, assignment_faults, milp_optimum, recompute_objective
 
 from conftest import (
     covering_maps,
     first_pivot_objective,
+    frame_args,
     make_frame,
     make_uniform_frame,
-    milp_psi,
     node_upper,
 )
 
@@ -143,16 +143,18 @@ class TestSolveBnb:
     def test_matches_exhaustive_on_fresh_frames(self, num_channels, seed):
         frame = make_frame(num_mds=3, num_channels=num_channels, seed=seed)
         bnb = solve_bnb(frame)
-        oracle = solve_exhaustive(frame)
-        assert bnb.status is oracle.status is SolveStatus.OPTIMAL
-        assert bnb.best_psi == pytest.approx(oracle.best_psi, rel=1e-12)
+        exact = solve_exhaustive(frame)
+        assert bnb.status is exact.status is SolveStatus.OPTIMAL
+        assert bnb.best_psi == pytest.approx(exact.best_psi, rel=1e-12)
+        for answer in (bnb, exact):
+            assert assignment_faults(*frame_args(frame), answer.best_x, answer.best_split,
+                                     answer.best_psi) == []
 
     def test_solution_feasible_and_priced_consistently(self):
         frame = make_frame(num_mds=3, num_channels=4, seed=77)
         report = solve_bnb(frame)
-        a = Assignment(report.best_x.astype(float), report.best_split)
-        assert check_feasible(frame, a) == []
-        assert report.best_psi == pytest.approx(objective(frame, a), rel=1e-8)
+        assert assignment_faults(*frame_args(frame), report.best_x, report.best_split,
+                                 report.best_psi) == []
 
     def test_warm_children_need_few_pivots(self, monkeypatch):
         # A node solve from the slack basis takes about 35 pivots at 4x6; a
@@ -372,6 +374,8 @@ class TestTraceInvariants:
         monkeypatch.setattr(bnb_module, "branch", recording_branch)
         report = solve_bnb(frame)
         shape = (frame.num_mds, frame.num_channels)
+        args = frame_args(frame)
+        rates, powers, _, lambda_t, lambda_e = args
         incumbents = [rec for rec in report.trace
                       if rec.action is NodeAction.NEW_INCUMBENT]
         assert incumbents
@@ -380,9 +384,9 @@ class TestTraceInvariants:
             assert np.all((x == 0) | (x == 1))
             assert np.all(x[split != 0] == 1)
             assert np.allclose(split.sum(axis=1), frame.task_bits, rtol=1e-12, atol=0.0)
-            a = Assignment(x, split)
-            assert check_feasible(frame, a) == []
-            assert objective(frame, a) == pytest.approx(rec.psi, rel=1e-12)
+            assert assignment_faults(*args, x, split, rec.psi) == []
+            assert recompute_objective(rates, powers, lambda_t, lambda_e, split) == \
+                pytest.approx(rec.psi, rel=1e-12)
         branched = [rec for rec in report.trace if rec.action is NodeAction.BRANCHED]
         assert len(branched) == len(branched_on)
         for rec in branched:
@@ -498,9 +502,13 @@ class TestSolveExhaustive:
         report = solve_exhaustive(make_frame(num_mds=s_n, num_channels=k_n, seed=8))
         assert report.nodes_searched == maps
 
-    def test_infeasible_when_channels_short(self):
-        report = solve_exhaustive(make_frame(num_mds=3, num_channels=2, seed=5))
+    # 8 devices on 7 channels: 8**7 full maps, more than ENUM_BUDGET, and
+    # none of them covers every device.
+    @pytest.mark.parametrize("s_n, k_n", [(3, 2), (8, 7)])
+    def test_infeasible_when_channels_short(self, s_n, k_n):
+        report = solve_exhaustive(make_frame(num_mds=s_n, num_channels=k_n, seed=5))
         assert report.status is SolveStatus.INFEASIBLE
+        assert report.nodes_searched == 0
 
     def test_budget_error(self):
         # 4**10 = 1 048 576 full channel maps, above ENUM_BUDGET.
@@ -513,16 +521,16 @@ class TestSolveExhaustive:
     def test_equals_the_best_covering_map_and_the_milp(self, frame):
         # Full maps only, against every covering map (idle channels
         # allowed) and against HiGHS; the answer is feasible and priced
-        # as the scenario prices it.
+        # as the oracle prices it.
         report = solve_exhaustive(frame)
         assert report.status is SolveStatus.OPTIMAL
         covering = min(solve_split(frame, x).psi
                        for x in covering_maps(frame.num_mds, frame.num_channels))
         assert report.best_psi == pytest.approx(covering, rel=1e-12)
-        assert report.best_psi == pytest.approx(milp_psi(frame), rel=1e-6)
-        answer = Assignment(report.best_x, report.best_split)
-        assert check_feasible(frame, answer) == []
-        assert objective(frame, answer) == pytest.approx(report.best_psi, rel=1e-9)
+        args = frame_args(frame)
+        assert report.best_psi == pytest.approx(milp_optimum(*args), rel=OBJECTIVE_RTOL)
+        assert assignment_faults(*args, report.best_x, report.best_split,
+                                 report.best_psi) == []
 
     @pytest.mark.parametrize("frame", ORACLE_FRAMES)
     def test_giving_an_idle_channel_away_never_raises_the_cost(self, frame):

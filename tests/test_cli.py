@@ -197,15 +197,24 @@ class TestSolve:
             assert fields[0][counter] == fields[1][counter]
         assert int(fields[0]["lp_pivots"]) > 0
 
-    def test_infeasible_exit_code_and_message(self, tmp_path, capsys):
+    # 8 devices on 7 channels have 8**7 full maps, more than ENUM_BUDGET:
+    # the exhaustive solver finds the frame infeasible before it counts them.
+    @pytest.mark.parametrize("solver, s_n, k_n, nodes", [("bnb", 4, 3, "1"),
+                                                         ("exhaustive", 8, 7, "0")])
+    def test_infeasible_exit_code_and_message(self, tmp_path, capsys, solver, s_n, k_n,
+                                              nodes):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(INFEASIBLE_CONFIG)
-        rc = main(["solve", "--config", str(cfg), "--solver", "bnb",
+        cfg.write_text(CONFIG.replace("num_mds = 2", f"num_mds = {s_n}")
+                       .replace("num_channels = 3", f"num_channels = {k_n}"))
+        rc = main(["solve", "--config", str(cfg), "--solver", solver,
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "infeasible" in err.lower()
-        assert "(4 devices, 3 channels)" in err
+        assert f"({s_n} devices, {k_n} channels)" in err
+        report = read_report(tmp_path / "o" / "report.csv")
+        assert report["status"] == "Infeasible"
+        assert report["nodes_searched"] == nodes
 
     def test_budget_exit_code(self, tmp_path, capsys):
         # 4 devices on 10 channels: 4**10 full maps, more than ENUM_BUDGET.

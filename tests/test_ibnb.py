@@ -9,9 +9,9 @@ from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
 from mecoffload.ibnb import THETA_MIN, ThresholdPolicy, prune_decision, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
-from mecoffload.scenario import Assignment, check_feasible
+from oracle import assignment_faults
 
-from conftest import make_frame, make_uniform_frame
+from conftest import frame_args, make_frame, make_uniform_frame
 
 
 def constant_model(num_features: int, p: float) -> MlpModel:
@@ -101,8 +101,8 @@ class TestDegenerateModels:
         first = report.passes[0].records
         assert len(first) == 1
         assert first[0].action is NodeAction.PRUNED_BY_MODEL
-        a = Assignment(report.best_x.astype(float), report.best_split)
-        assert check_feasible(frame, a) == []
+        assert assignment_faults(*frame_args(frame), report.best_x, report.best_split,
+                                 report.best_psi) == []
 
     def test_node_count_includes_model_pruned_pops(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
@@ -164,8 +164,8 @@ class TestSoundness:
         report = solve_ibnb(frame, model, ThresholdPolicy(theta0=0.5))
         assert report.status is SolveStatus.OPTIMAL
         assert report.best_psi >= exact.best_psi
-        a = Assignment(report.best_x.astype(float), report.best_split)
-        assert check_feasible(frame, a) == []
+        assert assignment_faults(*frame_args(frame), report.best_x, report.best_split,
+                                 report.best_psi) == []
 
     def test_former_default_width_file_gates(self, tmp_path):
         # A 4 x 256 model file, the default width before 128, still gates a
@@ -186,8 +186,8 @@ class TestSoundness:
         assert not report.fell_back_to_exact
         assert any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
         assert report.best_psi >= solve_bnb(frame).best_psi
-        a = Assignment(report.best_x.astype(float), report.best_split)
-        assert check_feasible(frame, a) == []
+        assert assignment_faults(*frame_args(frame), report.best_x, report.best_split,
+                                 report.best_psi) == []
 
     def test_reserved_set_monotone_in_threshold(self):
         # The kept set {score > theta} can only grow as theta shrinks.

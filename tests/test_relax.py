@@ -4,9 +4,9 @@ import pytest
 from mecoffload.bnb import NodeAction, solve_bnb, solve_exhaustive
 from mecoffload.lp import LpResult, LpStatus, solve_lp
 from mecoffload.relax import build_relaxation, extract_solution, solve_split
-from mecoffload.scenario import Assignment, energy, objective
+from oracle import recompute_objective
 
-from conftest import make_frame, make_uniform_frame, node_upper
+from conftest import frame_args, make_frame, make_uniform_frame, node_upper
 
 
 def closed_form_single_pair(frame):
@@ -141,11 +141,12 @@ def assert_split_invariants(frame, x, sol):
     assert np.allclose(split.sum(axis=1), frame.task_bits, rtol=1e-12, atol=0.0)
     assert np.all(split[x == 0] == 0.0)
     assert np.all(split >= 0.0)
-    a = Assignment(x.astype(float), split)
-    assert objective(frame, a) == pytest.approx(sol.psi, rel=1e-12)
-    cfg = frame.config
-    if cfg.lambda_t > 0:
-        tau = (sol.psi - cfg.lambda_e * energy(frame, a)) / cfg.lambda_t
+    rates, powers, _, lambda_t, lambda_e = frame_args(frame)
+    assert recompute_objective(rates, powers, lambda_t, lambda_e, split) == \
+        pytest.approx(sol.psi, rel=1e-12)
+    if lambda_t > 0:
+        energy = recompute_objective(rates, powers, 0.0, 1.0, split)
+        tau = (sol.psi - lambda_e * energy) / lambda_t
         assert np.all(split / frame.rates_bps <= tau * (1 + 1e-9))
 
 

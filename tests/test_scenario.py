@@ -2,23 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mecoffload.scenario import (
-    Assignment,
     ScenarioConfig,
-    check_feasible,
     dbm_to_watts,
-    energy,
     generate_frame,
-    latency,
-    objective,
     rate,
     read_config_file,
 )
 
-from conftest import make_frame, make_uniform_frame
+from conftest import make_frame
 
 
 class TestConfig:
@@ -110,151 +103,6 @@ class TestRate:
         expected = float(1e7 * mpmath.log(1001, 2))
         h = 1000 * 1e-14 / 1.2
         assert rate(1.2, h, 1e7, 1e-14) == pytest.approx(expected, rel=1e-13)
-
-
-class TestEvaluation:
-    def test_all_zero_assignment(self, small_frame):
-        a = Assignment(np.zeros((2, 3)), np.zeros((2, 3)))
-        assert latency(small_frame, a) == 0.0
-        assert energy(small_frame, a) == 0.0
-
-    def test_symmetric_split_single_device(self):
-        frame = make_uniform_frame(1, 2)
-        task = frame.task_bits[0]
-        r = frame.rates_bps[0, 0]
-        a = Assignment(np.ones((1, 2)), np.full((1, 2), task / 2))
-        assert latency(frame, a) == pytest.approx(task / 2 / r, rel=1e-12)
-
-    def test_single_term_energy(self):
-        frame = make_frame(num_mds=1, num_channels=1, seed=9)
-        task = frame.task_bits[0]
-        a = Assignment(np.ones((1, 1)), np.array([[task]]))
-        expected = frame.powers_w[0] * task / frame.rates_bps[0, 0]
-        assert energy(frame, a) == pytest.approx(expected, rel=1e-12)
-
-    def test_latency_and_energy_match_plain_loops(self):
-        frame = make_frame(num_mds=2, num_channels=3, seed=21)
-        rng = np.random.default_rng(0)
-        x = np.array([[1, 0, 0], [0, 1, 1]])
-        l = x * rng.uniform(0.2, 0.8, size=(2, 3)) * frame.task_bits[:, None]
-        a = Assignment(x, l)
-        t_by_hand = max(
-            sum(x[s][k] * l[s][k] / frame.rates_bps[s, k] for s in range(2))
-            for k in range(3)
-        )
-        e_by_hand = sum(
-            frame.powers_w[s] * x[s][k] * l[s][k] / frame.rates_bps[s, k]
-            for s in range(2) for k in range(3)
-        )
-        assert latency(frame, a) == pytest.approx(t_by_hand, rel=1e-12)
-        assert energy(frame, a) == pytest.approx(e_by_hand, rel=1e-12)
-
-    def test_objective_weight_extremes(self):
-        frame_t = make_frame(seed=3, lambda_t=1.0, lambda_e=0.0)
-        frame_e = make_frame(seed=3, lambda_t=0.0, lambda_e=1.0)
-        a = Assignment(
-            np.array([[1, 0, 0], [0, 1, 0]]),
-            np.array([[frame_t.task_bits[0], 0, 0], [0, frame_t.task_bits[1], 0]]),
-        )
-        assert objective(frame_t, a) == pytest.approx(latency(frame_t, a))
-        assert objective(frame_e, a) == pytest.approx(energy(frame_e, a))
-
-    def test_objective_closed_form_single_pair(self):
-        frame = make_frame(num_mds=1, num_channels=1, seed=13,
-                           lambda_t=1.0, lambda_e=0.25)
-        task, p, r = frame.task_bits[0], frame.powers_w[0], frame.rates_bps[0, 0]
-        a = Assignment(np.ones((1, 1)), np.array([[task]]))
-        expected = 1.0 * task / r + 0.25 * p * task / r
-        assert objective(frame, a) == pytest.approx(expected, rel=1e-12)
-
-    @given(factor=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 50))
-    @settings(max_examples=25, deadline=None)
-    def test_objective_linear_in_weights(self, factor, seed):
-        base = make_frame(seed=seed, lambda_t=1.0, lambda_e=0.25)
-        scaled = make_frame(seed=seed, lambda_t=factor, lambda_e=0.25 * factor)
-        rng = np.random.default_rng(seed)
-        x = (rng.random((2, 3)) < 0.5).astype(float)
-        l = rng.uniform(0, 1, (2, 3)) * base.task_bits[:, None]
-        a = Assignment(x, l)
-        assert objective(scaled, a) == pytest.approx(factor * objective(base, a),
-                                                     rel=1e-12)
-
-    @given(seed=st.integers(0, 50), ds=st.integers(0, 1), dk=st.integers(0, 2),
-           bump=st.floats(min_value=0.0, max_value=1e6))
-    @settings(max_examples=25, deadline=None)
-    def test_latency_monotone_in_active_splits(self, seed, ds, dk, bump):
-        frame = make_frame(seed=seed)
-        rng = np.random.default_rng(seed)
-        x = np.ones((2, 3))
-        l = rng.uniform(0, 1, (2, 3)) * frame.task_bits[:, None]
-        before = latency(frame, Assignment(x, l))
-        l2 = l.copy()
-        l2[ds, dk] += bump
-        assert latency(frame, Assignment(x, l2)) >= before - 1e-15
-
-    @given(seed=st.integers(0, 50))
-    @settings(max_examples=20, deadline=None)
-    def test_energy_summation_order_invariant(self, seed):
-        frame = make_frame(seed=seed)
-        rng = np.random.default_rng(seed)
-        x = (rng.random((2, 3)) < 0.7).astype(float)
-        l = rng.uniform(0, 1, (2, 3)) * frame.task_bits[:, None]
-        a = Assignment(x, l)
-        channel_first = sum(
-            sum(frame.powers_w[s] * x[s, k] * l[s, k] / frame.rates_bps[s, k]
-                for s in range(2))
-            for k in range(3)
-        )
-        md_first = sum(
-            sum(frame.powers_w[s] * x[s, k] * l[s, k] / frame.rates_bps[s, k]
-                for k in range(3))
-            for s in range(2)
-        )
-        e = energy(frame, a)
-        assert channel_first == pytest.approx(md_first, rel=1e-12)
-        assert e == pytest.approx(channel_first, rel=1e-12)
-
-
-class TestCheckFeasible:
-    def _valid_assignment(self, frame):
-        s_n, k_n = frame.num_mds, frame.num_channels
-        x = np.zeros((s_n, k_n))
-        l = np.zeros((s_n, k_n))
-        for s in range(s_n):
-            x[s, s] = 1.0
-            l[s, s] = frame.task_bits[s]
-        return Assignment(x, l)
-
-    def test_valid_assignment_passes(self, small_frame):
-        assert check_feasible(small_frame, self._valid_assignment(small_frame)) == []
-
-    def test_shared_channel_flagged(self, small_frame):
-        a = self._valid_assignment(small_frame)
-        a.x[1, 1] = 0.0
-        a.x[1, 0] = 1.0
-        a.split_bits[1, 1] = 0.0
-        a.split_bits[1, 0] = small_frame.task_bits[1]
-        messages = check_feasible(small_frame, a)
-        assert any("channel_exclusivity" in m and "channel 0" in m for m in messages)
-
-    def test_short_split_flagged(self, small_frame):
-        a = self._valid_assignment(small_frame)
-        a.split_bits[1, 1] *= 0.9
-        messages = check_feasible(small_frame, a)
-        assert any("task_split" in m and "device 1" in m for m in messages)
-
-    def test_fractional_indicator_flagged(self, small_frame):
-        a = self._valid_assignment(small_frame)
-        a.x[0, 0] = 0.5
-        messages = check_feasible(small_frame, a)
-        assert any("binary_indicator" in m for m in messages)
-
-    def test_split_without_assignment_flagged(self, small_frame):
-        a = self._valid_assignment(small_frame)
-        a.split_bits[0, 2] = small_frame.task_bits[0] * 0.5
-        a.split_bits[0, 0] *= 0.5
-        messages = check_feasible(small_frame, a)
-        assert any("split_requires_assignment" in m for m in messages)
 
 
 class TestConfigFile:
