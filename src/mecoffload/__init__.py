@@ -18,7 +18,7 @@ from .bnb import (
     solve_bnb,
     solve_exhaustive,
 )
-from .dataset import Dataset, NodeSample, featurize, label_trace, read_dataset, write_dataset
+from .dataset import Dataset, featurize, label_trace, read_dataset, write_dataset
 from .mlp import (
     MlpModel,
     TrainConfig,
@@ -30,6 +30,6 @@ from .mlp import (
     save_model,
     train,
 )
-from .ibnb import ThresholdPolicy, prune_decision, solve_ibnb
+from .ibnb import ThresholdPolicy, solve_ibnb
 
 __version__ = "0.1.0"

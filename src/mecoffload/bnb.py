@@ -144,10 +144,11 @@ class SearchPass:
 class SolveReport:
     """The answer of every solver.  ``passes`` holds one exact pass for
     :func:`solve_bnb`, none for :func:`solve_exhaustive`, and one pass per
-    threshold for ``ibnb``, the last one exact if it fell back."""
+    threshold for ``ibnb``, the last one exact if it fell back.  The
+    incumbent is the last pass's; a spent budget keeps it, unproven."""
 
     status: SolveStatus
-    best_x: np.ndarray | None     # (S, K) binary, present iff OPTIMAL
+    best_x: np.ndarray | None     # (S, K) binary, present iff an incumbent was found
     best_split: np.ndarray | None  # (S, K) bits
     best_psi: float | None
     nodes_searched: int
@@ -203,13 +204,6 @@ def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Nod
             Node(first_child_id + 1, depth, parent.node_id, up, up_upper))
 
 
-def _incumbent_from(scenario: Scenario, sol: RelaxationSolution):
-    s_n, k_n = scenario.num_mds, scenario.num_channels
-    x = sol.x.astype(int).reshape(s_n, k_n)
-    split = sol.split_bits.reshape(s_n, k_n).copy()
-    return x, split
-
-
 def solve_bnb(
     scenario: Scenario,
     gate: Callable[[NodeRecord, float], bool] | None = None,
@@ -224,7 +218,8 @@ def solve_bnb(
     fractional node that survives the bound check; a node it rejects is
     recorded as model-pruned instead of branched, so the search may miss
     the optimum or end with no incumbent.  Solving more than ``max_nodes``
-    nodes (at least 1) is reported explicitly, never as a silent incumbent.
+    nodes (at least 1) is reported explicitly, never as optimal; the report
+    keeps the incumbent found by then, if any.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -240,8 +235,7 @@ def solve_bnb(
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
     next_id = 1
     z_ub = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    best_psi: float | None = None
+    best: RelaxationSolution | None = None   # the incumbent leaf's solution
     root_psi: float | None = None
     trace: list[NodeRecord] = []
     lp_pivots = lp_refactors = 0
@@ -281,8 +275,7 @@ def solve_bnb(
         if sol.first_fractional is None:
             if sol.psi < z_ub:
                 z_ub = sol.psi
-                best = _incumbent_from(scenario, sol)
-                best_psi = sol.psi
+                best = sol
                 record.action = NodeAction.NEW_INCUMBENT
             else:
                 record.action = NodeAction.PRUNED_BY_BOUND
@@ -310,9 +303,10 @@ def solve_bnb(
         status = SolveStatus.OPTIMAL
     return SolveReport(
         status=status,
-        best_x=best[0] if best else None,
-        best_split=best[1] if best else None,
-        best_psi=best_psi,
+        # Copies: the trace record of the incumbent holds the same arrays.
+        best_x=None if best is None else best.x.astype(int).reshape(s_n, k_n),
+        best_split=None if best is None else best.split_bits.reshape(s_n, k_n).copy(),
+        best_psi=None if best is None else best.psi,
         nodes_searched=len(trace),
         nodes_unsolved=next_id - len(trace),
         passes=[SearchPass(None, trace)],

@@ -151,19 +151,22 @@ def cmd_gen_data(args) -> int:
     meta = _echo(pairs)
     config_hash = hashlib.sha256("\n".join(meta).encode()).hexdigest()[:16]
 
-    samples = []
+    blocks = []
     for i in range(args.frames):
         seed = train_seed(seed_base, i)
         frame = generate_frame(replace(cfg, rng_seed=seed))
         report = _require_optimal(solve_bnb(frame), frame)
-        samples.extend(label_trace(report, frame, frame_id=i))
+        features, labels = label_trace(report, frame)
+        blocks.append((features, labels, np.full(labels.size, i),
+                       [rec.node_id for rec in report.trace]))
 
-    ds = Dataset(samples, cfg.num_mds, cfg.num_channels, config_hash=config_hash)
+    ds = Dataset(*(np.concatenate(column) for column in zip(*blocks)),
+                 cfg.num_mds, cfg.num_channels, config_hash=config_hash)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "dataset.csv")
     _atomic_write(out_path, lambda tmp: write_dataset(ds, tmp))
-    ratio = ds.positives / len(ds.samples)
-    print(f"samples={len(ds.samples)} positives={ds.positives} "
+    ratio = ds.positives / ds.labels.size
+    print(f"samples={ds.labels.size} positives={ds.positives} "
           f"negatives={ds.negatives} positive_ratio={ratio:.4f}")
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -187,7 +190,7 @@ def cmd_train(args) -> int:
     meta = _echo([
         ("command", "train"),
         ("dataset", args.dataset),
-        ("samples", len(ds.samples)),
+        ("samples", ds.labels.size),
         ("positives", ds.positives),
         ("m", ds.feature_len),
         ("dims", ",".join(map(str, model.layer_dims))),
@@ -200,7 +203,7 @@ def cmd_train(args) -> int:
         ("seed", tc.rng_seed),
     ])
 
-    trained, history = train(model, ds.feature_matrix(), ds.labels(), tc)
+    trained, history = train(model, ds.features, ds.labels, tc)
 
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.txt")

@@ -16,11 +16,14 @@ count as carried flow, which x keeps and l drops.
 
 Infeasible nodes keep f=0, a fixed sentinel in place of the cost ratio, and
 zeroed solution entries.
+
+A :class:`Dataset` holds the samples of many frames as columns, the arrays
+training reads: one feature row per node, its label, frame id and node id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .scenario import Scenario
 
 __all__ = [
     "PSI_SENTINEL",
-    "NodeSample",
     "Dataset",
     "DatasetFormatError",
     "feature_length",
@@ -44,29 +46,24 @@ PSI_SENTINEL = 10.0
 
 
 @dataclass
-class NodeSample:
-    features: np.ndarray
-    label: int
-    frame_id: int
-    node_id: int
-
-
-@dataclass
 class Dataset:
-    samples: list[NodeSample]
+    features: np.ndarray    # (n, m): row i is node node_ids[i] of frame frame_ids[i]
+    labels: np.ndarray      # (n,) 0/1
+    frame_ids: np.ndarray   # (n,)
+    node_ids: np.ndarray    # (n,)
     num_mds: int
     num_channels: int
     config_hash: str = ""
 
     def __post_init__(self) -> None:
-        m = self.feature_len
-        for sample in self.samples:
-            if sample.features.size != m:
-                raise ValueError(
-                    f"sample feature length {sample.features.size} != expected {m}"
-                )
-            if sample.label not in (0, 1):
-                raise ValueError(f"label must be 0/1, got {sample.label!r}")
+        n, m = self.labels.size, self.feature_len
+        if self.features.shape != (n, m):
+            raise ValueError(f"features of shape {self.features.shape} != expected {(n, m)}")
+        if any(ids.shape != (n,) for ids in (self.labels, self.frame_ids, self.node_ids)):
+            raise ValueError(f"labels, frame ids and node ids must be ({n},) vectors")
+        bad = (self.labels != 0) & (self.labels != 1)
+        if bad.any():
+            raise ValueError(f"label must be 0/1, got {self.labels[bad][0]}")
 
     @property
     def feature_len(self) -> int:
@@ -74,17 +71,11 @@ class Dataset:
 
     @property
     def positives(self) -> int:
-        return sum(s.label for s in self.samples)
+        return int(self.labels.sum())
 
     @property
     def negatives(self) -> int:
-        return len(self.samples) - self.positives
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples], dtype=float)
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=float)
+        return self.labels.size - self.positives
 
 
 def feature_length(num_mds: int, num_channels: int) -> int:
@@ -115,8 +106,9 @@ def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.
     return features
 
 
-def label_trace(report: SolveReport, scenario: Scenario, frame_id: int = 0) -> list[NodeSample]:
-    """Label every trace node: 1 on the incumbent's ancestor chain, else 0."""
+def label_trace(report: SolveReport, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Features (one row per trace node) and labels: 1 on the incumbent's
+    ancestor chain, else 0."""
     if report.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"can only label optimal traces, got {report.status}")
     records = report.trace
@@ -136,15 +128,9 @@ def label_trace(report: SolveReport, scenario: Scenario, frame_id: int = 0) -> l
         chain.add(cursor)
         cursor = parents[cursor]
 
-    return [
-        NodeSample(
-            features=featurize(rec, root_psi, scenario.task_bits),
-            label=int(rec.node_id in chain),
-            frame_id=frame_id,
-            node_id=rec.node_id,
-        )
-        for rec in records
-    ]
+    features = np.array([featurize(rec, root_psi, scenario.task_bits) for rec in records])
+    labels = np.array([int(rec.node_id in chain) for rec in records])
+    return features, labels
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +149,8 @@ def write_dataset(ds: Dataset, path) -> None:
         header += f" cfg={ds.config_hash}"
     columns = "frame_id,node_id,label," + ",".join(f"f{i + 1}" for i in range(m))
     lines = [header, columns]
-    for sample in ds.samples:
-        row = [str(sample.frame_id), str(sample.node_id), str(sample.label)]
-        row += [csv_float(v) for v in sample.features]
-        lines.append(",".join(row))
+    for row in zip(ds.frame_ids, ds.node_ids, ds.labels, ds.features):
+        lines.append(",".join([*(str(int(v)) for v in row[:3]), *map(csv_float, row[3])]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -192,7 +176,7 @@ def read_dataset(path) -> Dataset:
     if len(lines) < 2:
         raise DatasetFormatError(f"{path}:2: missing column header")
 
-    samples: list[NodeSample] = []
+    features, labels, frame_ids, node_ids = [], [], [], []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -202,17 +186,14 @@ def read_dataset(path) -> Dataset:
                 f"{path}:{lineno}: expected {3 + m} columns, got {len(parts)}"
             )
         try:
-            samples.append(NodeSample(
-                features=np.array([float(v) for v in parts[3:]]),
-                label=int(parts[2]),
-                frame_id=int(parts[0]),
-                node_id=int(parts[1]),
-            ))
+            features.append([float(v) for v in parts[3:]])
+            labels.append(int(parts[2]))
+            frame_ids.append(int(parts[0]))
+            node_ids.append(int(parts[1]))
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
-    return Dataset(
-        samples=samples,
-        num_mds=s_n,
-        num_channels=k_n,
-        config_hash=fields.get("cfg", ""),
-    )
+        if labels[-1] not in (0, 1):
+            raise DatasetFormatError(f"{path}:{lineno}: label must be 0/1, got {labels[-1]!r}")
+    return Dataset(np.array(features, dtype=float).reshape(-1, m),
+                   *(np.array(column, dtype=int) for column in (labels, frame_ids, node_ids)),
+                   s_n, k_n, fields.get("cfg", ""))

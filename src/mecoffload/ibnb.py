@@ -9,7 +9,8 @@ the root.  Should the threshold fall below its floor, the solver falls back
 to ``solve_bnb`` without a gate, the exact search, so a feasible instance
 always yields a solution no matter how badly the model behaves.
 
-The answer is a ``bnb.SolveReport`` with one pass per threshold tried.
+The answer is a ``bnb.SolveReport`` with one pass per threshold tried,
+and the last pass's incumbent, which a spent budget keeps too.
 Node counts include model-pruned pops (each one still costs a relaxation
 solve plus a classifier evaluation) and accumulate across restarts; all
 passes together never pop more than the node budget.
@@ -37,7 +38,6 @@ __all__ = [
     "THETA_MIN",
     "DELTA_THETA",
     "ThresholdPolicy",
-    "prune_decision",
     "solve_ibnb",
 ]
 
@@ -61,11 +61,6 @@ class ThresholdPolicy:
             )
 
 
-def prune_decision(y_hat: float, theta: float) -> int:
-    """1 keeps the node for branching, 0 prunes it; the comparison is strict."""
-    return 1 if y_hat > theta else 0
-
-
 def solve_ibnb(
     scenario: Scenario,
     model: MlpModel,
@@ -87,15 +82,13 @@ def solve_ibnb(
         )
 
     def model_gate(record: NodeRecord, root_psi: float) -> bool:
-        # Reads the threshold of the pass it is called from.
-        score = forward(model, featurize(record, root_psi, scenario.task_bits))
-        return prune_decision(score, theta) == 1
+        # Branch only on a score strictly above the threshold of the pass
+        # it is called from.
+        return forward(model, featurize(record, root_psi, scenario.task_bits)) > theta
 
     t0 = time.perf_counter()
     theta = policy.theta0
     passes: list[SearchPass] = []
-    best = None
-    best_psi = None
     nodes_total = unsolved_total = 0
     lp_pivots = lp_refactors = 0
 
@@ -115,11 +108,7 @@ def solve_ibnb(
         lp_pivots += report.lp_pivots
         lp_refactors += report.lp_refactors
         status = report.status
-        if status is SolveStatus.OPTIMAL:
-            best = (report.best_x, report.best_split)
-            best_psi = report.best_psi
-            break
-        if fell_back or status is SolveStatus.BUDGET_EXHAUSTED:
+        if status is not SolveStatus.INFEASIBLE or fell_back:
             break
         if not any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in records):
             # The model pruned nothing, so this pass was already an
@@ -132,9 +121,9 @@ def solve_ibnb(
 
     return SolveReport(
         status=status,
-        best_x=best[0] if best else None,
-        best_split=best[1] if best else None,
-        best_psi=best_psi,
+        best_x=report.best_x,
+        best_split=report.best_split,
+        best_psi=report.best_psi,
         nodes_searched=nodes_total,
         nodes_unsolved=unsolved_total,
         passes=passes,

@@ -292,9 +292,8 @@ def train(
         [p.copy() for p in model.biases],
     )
     params = out.weights + out.biases
-    # Adam's moments, and two scratch buffers per parameter that take every
-    # temporary of an update, so a step allocates nothing.
-    m_acc, v_acc, tmp_a, tmp_b = ([np.zeros_like(p) for p in params] for _ in range(4))
+    m_acc = [np.zeros_like(p) for p in params]   # Adam's first moments
+    v_acc = [np.zeros_like(p) for p in params]   # and second moments
     step = 0
     history = TrainHistory()
 
@@ -308,23 +307,14 @@ def train(
             step += 1
             corr1 = 1.0 - _ADAM_B1 ** step
             corr2 = 1.0 - _ADAM_B2 ** step
-            # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), operation for
-            # operation, so the weights match the textbook form bit for bit.
-            for p, g, m, v, a, b in zip(params, grad_w + grad_b, m_acc, v_acc, tmp_a, tmp_b):
+            # Kingma & Ba's update in its textbook operation order, which
+            # fixes every bit of a trained model.
+            for p, g, m, v in zip(params, grad_w + grad_b, m_acc, v_acc):
                 m *= _ADAM_B1
-                np.multiply(1.0 - _ADAM_B1, g, out=a)
-                m += a
+                m += (1.0 - _ADAM_B1) * g
                 v *= _ADAM_B2
-                np.multiply(1.0 - _ADAM_B2, g, out=a)
-                a *= g
-                v += a
-                np.divide(m, corr1, out=a)
-                np.multiply(cfg.learning_rate, a, out=a)
-                np.divide(v, corr2, out=b)
-                np.sqrt(b, out=b)
-                b += _ADAM_EPS
-                a /= b
-                p -= a
+                v += (1.0 - _ADAM_B2) * g * g
+                p -= cfg.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + _ADAM_EPS)
         history.train_loss.append(float(np.mean(batch_losses)))
         if y_val.size:
             history.val_loss.append(

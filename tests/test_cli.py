@@ -1,6 +1,7 @@
 import functools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestGenData:
                    "--out", str(out)])
         assert rc == 0
         ds = read_dataset(out / "dataset.csv")
-        assert len(ds.samples) > 0
+        assert ds.labels.size > 0
         assert ds.config_hash
         stdout = capsys.readouterr().out
         assert "# command=gen-data" in stdout
@@ -161,6 +162,17 @@ class TestTrain:
         rc = main(["train", "--dataset", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "m")])
         assert rc == 1
+
+    def test_bad_label_is_a_format_error_naming_its_line(self, tmp_path, dataset_path,
+                                                          capsys):
+        lines = Path(dataset_path).read_text().splitlines()
+        frame_id, node_id, _, rest = lines[3].split(",", 3)
+        lines[3] = ",".join([frame_id, node_id, "2", rest])
+        Path(dataset_path).write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--dataset", dataset_path, "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert f"{dataset_path}:4: label must be 0/1, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestSolve:

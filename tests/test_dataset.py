@@ -6,7 +6,6 @@ from mecoffload.dataset import (
     PSI_SENTINEL,
     Dataset,
     DatasetFormatError,
-    NodeSample,
     feature_length,
     featurize,
     label_trace,
@@ -18,15 +17,15 @@ from conftest import make_frame
 
 
 def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
-    frames, reports, samples = [], [], []
+    frames, reports, labels = [], [], []
     for i in range(num_frames):
         frame = make_frame(num_mds=num_mds, num_channels=num_channels,
                            seed=seed0 + 2 * i)
         report = solve_bnb(frame)
         frames.append(frame)
         reports.append(report)
-        samples.extend(label_trace(report, frame, frame_id=i))
-    return frames, reports, samples
+        labels.append(label_trace(report, frame)[1])
+    return frames, reports, np.concatenate(labels)
 
 
 class TestFeaturize:
@@ -81,23 +80,32 @@ class TestLabelTrace:
     def test_root_only_trace(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=5)
         report = solve_bnb(frame)
-        samples = label_trace(report, frame)
-        assert len(samples) == len(report.trace)
-        assert samples[0].label == 1
+        features, labels = label_trace(report, frame)
+        assert features.shape == (len(report.trace), feature_length(1, 1))
+        assert labels.tolist() == [1] * len(report.trace)
+
+    def test_rows_are_the_featurized_trace(self):
+        frames, reports, _ = build_corpus(num_frames=3)
+        for frame, report in zip(frames, reports):
+            features, labels = label_trace(report, frame)
+            root_psi = report.trace[0].psi
+            assert features.shape == (len(report.trace), feature_length(2, 3))
+            assert labels.shape == (len(report.trace),)
+            for row, rec in zip(features, report.trace):
+                assert np.array_equal(row, featurize(rec, root_psi, frame.task_bits))
 
     def test_chain_length_matches_incumbent_depth(self):
         frames, reports, _ = build_corpus(num_frames=6)
         for frame, report in zip(frames, reports):
             incumbent = [r for r in report.trace
                          if r.action is NodeAction.NEW_INCUMBENT][-1]
-            samples = label_trace(report, frame)
-            assert sum(s.label for s in samples) == incumbent.depth + 1
+            assert label_trace(report, frame)[1].sum() == incumbent.depth + 1
 
     def test_positives_form_single_root_anchored_path(self):
         frames, reports, _ = build_corpus(num_frames=6)
         for frame, report in zip(frames, reports):
-            samples = label_trace(report, frame)
-            positive_ids = {s.node_id for s in samples if s.label}
+            labels = label_trace(report, frame)[1]
+            positive_ids = {r.node_id for r, label in zip(report.trace, labels) if label}
             parents = {r.node_id: r.parent_id for r in report.trace}
             assert 0 in positive_ids  # root anchored
             # Each positive except the deepest has exactly one positive child.
@@ -112,25 +120,23 @@ class TestLabelTrace:
     def test_infeasible_nodes_never_positive(self):
         frames, reports, _ = build_corpus(num_frames=6)
         for frame, report in zip(frames, reports):
-            for sample, rec in zip(label_trace(report, frame), report.trace):
+            for label, rec in zip(label_trace(report, frame)[1], report.trace):
                 if rec.action is NodeAction.PRUNED_INFEASIBLE:
-                    assert sample.label == 0
+                    assert label == 0
 
     def test_minority_positive_class(self):
         # At the desk size that gen-data trains on.  At 2x3 the search
         # solves about five nodes per frame, and once children whose key
         # reaches the incumbent go unsolved and untraced, the incumbent's
         # chain is most of them.
-        _, _, samples = build_corpus(num_frames=10, num_mds=3, num_channels=5)
-        positives = sum(s.label for s in samples)
-        assert 0 < positives < 0.5 * len(samples)
+        _, _, labels = build_corpus(num_frames=10, num_mds=3, num_channels=5)
+        assert 0 < labels.sum() < 0.5 * labels.size
 
     def test_label_determinism(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=404)
         report = solve_bnb(frame)
-        a = [s.label for s in label_trace(report, frame)]
-        b = [s.label for s in label_trace(report, frame)]
-        assert a == b
+        a, b = label_trace(report, frame), label_trace(report, frame)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_requires_optimal_report(self):
         frame = make_frame(num_mds=2, num_channels=1, seed=6)
@@ -139,45 +145,89 @@ class TestLabelTrace:
             label_trace(report, frame)
 
 
-class TestPersistence:
-    def _dataset(self, n=50):
-        rng = np.random.default_rng(0)
-        m = feature_length(2, 3)
-        samples = [
-            NodeSample(features=rng.uniform(0, 2, m), label=int(rng.random() < 0.3),
-                       frame_id=i // 7, node_id=i)
-            for i in range(n)
-        ]
-        return Dataset(samples, 2, 3, config_hash="abc123")
+def dataset(n=50, num_mds=2, num_channels=3, **overrides) -> Dataset:
+    rng = np.random.default_rng(0)
+    columns = dict(
+        features=rng.uniform(0, 2, (n, feature_length(num_mds, num_channels))),
+        labels=(rng.random(n) < 0.3).astype(int),
+        frame_ids=np.arange(n) // 7,
+        node_ids=np.arange(n),
+    )
+    columns.update(overrides)
+    return Dataset(**columns, num_mds=num_mds, num_channels=num_channels,
+                   config_hash="abc123")
 
+
+class TestDataset:
+    def test_counts(self):
+        ds = dataset(50)
+        assert ds.positives + ds.negatives == 50
+        assert ds.positives == int(np.count_nonzero(ds.labels == 1))
+
+    def test_wrong_feature_width_rejected(self):
+        with pytest.raises(ValueError, match="features of shape"):
+            dataset(5, features=np.zeros((5, feature_length(2, 3) - 1)))
+
+    @pytest.mark.parametrize("column, value", [
+        ("node_ids", np.arange(4)),
+        ("frame_ids", np.zeros((5, 1), dtype=int)),
+        ("labels", np.zeros((5, 1), dtype=int)),
+    ])
+    def test_columns_must_be_vectors_of_one_length(self, column, value):
+        with pytest.raises(ValueError, match=r"must be \(5,\) vectors"):
+            dataset(5, **{column: value})
+
+    def test_label_outside_zero_one_rejected(self):
+        with pytest.raises(ValueError, match="label must be 0/1, got 2"):
+            dataset(5, labels=np.array([0, 1, 2, 0, 1]))
+
+
+class TestPersistence:
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "ds.csv"
-        write_dataset(Dataset([], 2, 3), path)
+        write_dataset(dataset(0), path)
         loaded = read_dataset(path)
-        assert loaded.samples == []
+        assert loaded.labels.size == 0
+        assert loaded.features.shape == (0, feature_length(2, 3))
         assert (loaded.num_mds, loaded.num_channels) == (2, 3)
 
     def test_round_trip_identity(self, tmp_path):
-        ds = self._dataset(1000)
+        ds = dataset(1000)
         path = tmp_path / "ds.csv"
         write_dataset(ds, path)
         loaded = read_dataset(path)
-        assert len(loaded.samples) == 1000
+        assert loaded.labels.size == 1000
         assert loaded.config_hash == "abc123"
-        for a, b in zip(ds.samples, loaded.samples):
-            assert a.label == b.label
-            assert a.frame_id == b.frame_id
-            assert a.node_id == b.node_id
-            assert np.array_equal(a.features, b.features)
+        for column in ("features", "labels", "frame_ids", "node_ids"):
+            assert np.array_equal(getattr(loaded, column), getattr(ds, column))
+
+    def _rewrite_line(self, tmp_path, lineno, edit):
+        path = tmp_path / "ds.csv"
+        write_dataset(dataset(5), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+        return path
 
     def test_wrong_column_count_names_line(self, tmp_path):
-        ds = self._dataset(5)
-        path = tmp_path / "ds.csv"
-        write_dataset(ds, path)
-        lines = path.read_text().splitlines()
-        lines[4] += ",0.5"
-        path.write_text("\n".join(lines) + "\n")
+        path = self._rewrite_line(tmp_path, 5, lambda line: line + ",0.5")
         with pytest.raises(DatasetFormatError, match=":5:"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_bad_label_names_line(self, tmp_path, label):
+        def relabel(line):
+            frame_id, node_id, _, rest = line.split(",", 3)
+            return ",".join([frame_id, node_id, label, rest])
+
+        path = self._rewrite_line(tmp_path, 4, relabel)
+        with pytest.raises(DatasetFormatError,
+                           match=f":4: label must be 0/1, got {label}$"):
+            read_dataset(path)
+
+    def test_unparsable_value_names_line(self, tmp_path):
+        path = self._rewrite_line(tmp_path, 6, lambda line: line[:line.rindex(",")] + ",x")
+        with pytest.raises(DatasetFormatError, match=":6: could not convert"):
             read_dataset(path)
 
     def test_header_mismatch_rejected(self, tmp_path):
@@ -191,8 +241,3 @@ class TestPersistence:
         path.write_text("frame_id,node_id,label\n")
         with pytest.raises(DatasetFormatError, match="dataset-v1"):
             read_dataset(path)
-
-    def test_counts(self):
-        ds = self._dataset(50)
-        assert ds.positives + ds.negatives == 50
-        assert ds.positives == sum(s.label for s in ds.samples)

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
-from mecoffload.ibnb import THETA_MIN, ThresholdPolicy, prune_decision, solve_ibnb
+from mecoffload.ibnb import THETA_MIN, ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
-from oracle import assignment_faults
+from oracle import assignment_faults, milp_optimum
 
 from conftest import frame_args, make_frame, make_uniform_frame
 
@@ -27,22 +25,43 @@ def model_for(frame, p):
     return constant_model(4 + 2 * frame.num_mds * frame.num_channels, p)
 
 
-class TestPruneDecision:
-    def test_confident_score_branches(self):
-        assert prune_decision(0.9, 1e-7) == 1
+def constant_score(model: MlpModel) -> float:
+    """The one score of a :func:`constant_model`, whatever the node."""
+    return forward(model, np.zeros(model.num_features))
 
-    def test_tiny_score_prunes(self):
-        assert prune_decision(1e-9, 1e-7) == 0
 
-    def test_boundary_is_strict(self):
-        assert prune_decision(1e-7, 1e-7) == 0
-        assert prune_decision(0.5, 0.5) == 0
+class TestGate:
+    # The gate branches a node only on a score strictly above the threshold.
+    FRAME = make_frame(num_mds=3, num_channels=5, seed=217)
 
-    @given(st.floats(1e-12, 1 - 1e-12), st.floats(1e-12, 0.99))
-    @settings(max_examples=60, deadline=None)
-    def test_decision_monotone_in_threshold(self, y_hat, theta):
-        smaller = theta / 2
-        assert prune_decision(y_hat, smaller) >= prune_decision(y_hat, theta)
+    def test_score_at_the_threshold_prunes_every_gated_node(self):
+        frame = self.FRAME
+        exact = solve_bnb(frame)
+        assert exact.trace[0].action is NodeAction.BRANCHED   # the root is gated
+        model = model_for(frame, 0.5)
+        theta = constant_score(model)
+        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=theta))
+        first = report.passes[0]
+        assert first.theta == theta
+        assert [rec.action for rec in first.records] == [NodeAction.PRUNED_BY_MODEL]
+        # The next threshold is below the score, and that pass is exact.
+        assert report.restarts == 1
+        assert [rec.action for rec in report.passes[1].records] == \
+               [rec.action for rec in exact.trace]
+        assert report.best_psi == exact.best_psi
+
+    def test_score_just_above_the_threshold_replays_the_exact_search(self):
+        frame = self.FRAME
+        exact = solve_bnb(frame)
+        model = model_for(frame, 0.5)
+        score = constant_score(model)
+        theta = float(np.nextafter(score, 0.0))
+        assert score == np.nextafter(theta, 1.0)
+        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=theta))
+        assert report.thresholds_tried == [theta]
+        assert [rec.action for rec in report.trace] == [rec.action for rec in exact.trace]
+        assert sum(rec.action is NodeAction.BRANCHED for rec in report.trace) > 1
+        assert report.best_psi == exact.best_psi
 
 
 class TestPolicy:
@@ -208,8 +227,8 @@ class TestSoundness:
             if rec.action is not NodeAction.PRUNED_INFEASIBLE
         ]
         for big, small in [(1e-2, 1e-4), (0.5, 1e-7), (1e-7, 1e-12)]:
-            kept_big = {i for i, s in enumerate(scores) if prune_decision(s, big)}
-            kept_small = {i for i, s in enumerate(scores) if prune_decision(s, small)}
+            kept_big = {i for i, s in enumerate(scores) if s > big}
+            kept_small = {i for i, s in enumerate(scores) if s > small}
             assert kept_big <= kept_small
 
 
@@ -270,3 +289,22 @@ class TestReportShape:
         assert report.nodes_searched == 3
         with pytest.raises(ValueError, match="max_nodes must be >= 1"):
             solve_ibnb(frame, model_for(frame, 0.99), max_nodes=0)
+
+    def test_spent_budget_keeps_the_last_incumbent(self):
+        # Both solvers stop at the budget with the incumbent found so far,
+        # a feasible assignment above the optimum.  The command line never
+        # gets here: its budget is MAX_NODES.
+        frame = make_frame(num_mds=3, num_channels=5, seed=3)
+        args = frame_args(frame)
+        optimum = milp_optimum(*args)
+        exact = solve_bnb(frame, max_nodes=26)
+        learned = solve_ibnb(frame, model_for(frame, 0.99), ThresholdPolicy(theta0=1e-7),
+                             max_nodes=26)
+        for report in (exact, learned):
+            assert report.status is SolveStatus.BUDGET_EXHAUSTED
+            assert report.nodes_searched == 26
+            assert assignment_faults(*args, report.best_x, report.best_split,
+                                     report.best_psi) == []
+            assert report.best_psi >= optimum
+        assert learned.best_psi == exact.best_psi
+        assert np.array_equal(learned.best_x, exact.best_x)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mecoffload
 from mecoffload.mlp import (
+    VALIDATION_FRACTION,
     MlpModel,
     ModelFormatError,
     TrainConfig,
@@ -285,6 +286,42 @@ class TestTrain:
         assert h1.train_loss == h2.train_loss
         for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
             assert np.array_equal(a, b)
+
+    def test_three_steps_are_textbook_adam_bit_for_bit(self):
+        # Adam as Kingma & Ba write it, over the split and batches train
+        # draws from its seed: reordering the update would change every
+        # model file, so it must fail here.
+        x, y = separable_toy_set(40)
+        lr, b1, b2, eps, weight = 2e-3, 0.9, 0.999, 1e-8, 5.0
+        base = init_model(2, rng_seed=7)
+        trained, _ = train(base, x, y, TrainConfig(
+            learning_rate=lr, epochs=1, batch_size=12, positive_class_weight=weight,
+            rng_seed=3))
+
+        rng = np.random.default_rng(3)
+        train_idx = rng.permutation(y.size)[round(VALIDATION_FRACTION * y.size):]
+        perm = train_idx[rng.permutation(train_idx.size)]
+        batches = [perm[start:start + 12] for start in range(0, perm.size, 12)]
+        assert len(batches) == 3
+        params = [p.copy() for p in base.weights + base.biases]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        for t, idx in enumerate(batches, start=1):
+            model = MlpModel(base.layer_dims, params[:len(base.weights)],
+                             params[len(base.weights):])
+            _, grad_w, grad_b = backward(model, x[idx], y[idx], weight)
+            for i, g in enumerate(grad_w + grad_b):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1 ** t)
+                v_hat = v[i] / (1 - b2 ** t)
+                params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        def bits(arrays):
+            return [float.hex(float(value)) for a in arrays for value in a.ravel()]
+
+        assert bits(trained.weights + trained.biases) == bits(params)
+        assert bits(trained.weights + trained.biases) != bits(base.weights + base.biases)
 
     def test_single_class_rejected(self):
         x = np.zeros((10, 2))

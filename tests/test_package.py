@@ -3,11 +3,13 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import mecoffload
-from mecoffload.bnb import solve_bnb
+from mecoffload.bnb import SolveReport, solve_bnb
 from mecoffload.cli import build_parser
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import TrainConfig
@@ -36,6 +38,26 @@ def test_package_exports_only_listed_names():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public
     assert public <= listed, sorted(public - listed)
+
+
+def test_labels_the_traced_benchmark_reads_name_listed_functions():
+    # perfbench/run.py reads its per-layer metrics by span label
+    # ("<layer>.<function>") from defaultdicts, and its tracer wraps only
+    # the functions a layer lists in __all__; a label naming a function
+    # that was renamed or unlisted would silently read 0.
+    run = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    labels = set(re.findall(r'\b(?:calls|ms)\("([\w.]+)"\)', run))
+    labels |= set(re.findall(r'\b(?:spans|setup|tags)\["([\w.]+)"', run))
+    assert {"lp.solve_lp", "mlp.forward", "dataset.label_trace", "cli.cmd_gen_data"} <= labels
+    for label in sorted(labels):
+        layer, name = label.split(".")
+        module = importlib.import_module(f"mecoffload.{layer}")
+        assert name in module.__all__, f"{label}: {name!r} not in {module.__name__}.__all__"
+        fn = getattr(module, name)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, label
+    # It reads these two through getattr with a default.
+    for attribute in ("restarts", "fell_back_to_exact"):
+        assert isinstance(getattr(SolveReport, attribute, None), property), attribute
 
 
 def test_settable_value_count():
