@@ -17,10 +17,12 @@ descendant that could improve on it.  One relaxation LP serves the whole
 search: each node carries its flow upper bounds, which a pop copies into
 the LP in one write, and every child LP is warm-started from its parent's
 optimal basis and factor.  Every solved node is appended to the trace,
-which later becomes classifier training data, so the records carry the
-full relaxation point and the bound that was active at pop time; a node
-dropped at pop time costs no LP, has no trace row, and is counted only as
-unsolved.
+which later becomes classifier training data, so the records keep the
+node's relaxation solution and the bound that was active at pop time.  A
+record's indicators and splits are built from that solution's flows only
+when read (by the trace writer, the dataset, a gate and the incumbent),
+so the search itself pays for none of them; a node dropped at pop time
+costs no LP, has no trace row, and is counted only as unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -118,7 +120,10 @@ class Node:
 class NodeRecord:
     """Trace row: node attributes plus the processing outcome.  ``fixed`` is
     the node's own fixing vector, not a copy (nothing writes it after
-    :func:`branch`); neither the trace CSV nor the dataset writes it."""
+    :func:`branch`); neither the trace CSV nor the dataset writes it.
+    ``solution`` is the node's relaxation solution, None when infeasible;
+    ``x`` and ``split_bits`` read its arrays, built on first read, and an
+    infeasible record reads two zero arrays of its own."""
 
     node_id: int
     depth: int
@@ -126,9 +131,23 @@ class NodeRecord:
     action: NodeAction            # PRUNED_INFEASIBLE iff the relaxation was infeasible
     psi: float                    # nan when infeasible
     zub_at_pop: float             # incumbent bound when the node was popped
-    x: np.ndarray                 # (S*K,) zeros when infeasible
-    split_bits: np.ndarray        # (S*K,) zeros when infeasible
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
+    solution: RelaxationSolution | None
+
+    def __post_init__(self) -> None:
+        if self.solution is None:
+            n = self.fixed.size
+            self._zeros = (np.zeros(n), np.zeros(n))
+
+    @property
+    def x(self) -> np.ndarray:
+        """(S*K,) indicator values; zeros when infeasible."""
+        return self._zeros[0] if self.solution is None else self.solution.x
+
+    @property
+    def split_bits(self) -> np.ndarray:
+        """(S*K,) splits in bits; zeros when infeasible."""
+        return self._zeros[1] if self.solution is None else self.solution.split_bits
 
 
 @dataclass
@@ -258,7 +277,7 @@ def solve_bnb(
             trace.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id,
                 NodeAction.PRUNED_INFEASIBLE, float("nan"), zub_at_pop,
-                np.zeros(n), np.zeros(n), node.fixed,
+                node.fixed, None,
             ))
             continue
 
@@ -266,11 +285,11 @@ def solve_bnb(
         if root_psi is None:
             root_psi = sol.psi
         # The gate sees the record as it would be kept if branched.  The
-        # record takes the arrays extract_solution made for this node, and
-        # the node's fixing vector.
+        # record takes the node's fixing vector and its solution, whose
+        # arrays nothing here reads.
         record = NodeRecord(
             node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
-            sol.psi, zub_at_pop, sol.x, sol.split_bits, node.fixed,
+            sol.psi, zub_at_pop, node.fixed, sol,
         )
         if sol.first_fractional is None:
             if sol.psi < z_ub:

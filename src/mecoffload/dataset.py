@@ -87,20 +87,24 @@ def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.
 
     ``root_psi`` is the root relaxation value of the same search pass;
     splitting it out keeps every feature computable at node-pop time.
+    ``task_bits`` holds the task size of each device (S,), or of each flow's
+    device (S*K, in flow order), which a caller featurizing many records of
+    one frame makes once.
     """
     if not root_psi > 0:
         raise ValueError(f"root_psi must be positive, got {root_psi!r}")
-    task_bits = np.asarray(task_bits, dtype=float)
-    n = record.x.size
-    k_n = n // task_bits.size
-    features = np.zeros(feature_length(task_bits.size, k_n))
+    n = record.fixed.size
+    tasks = np.asarray(task_bits, dtype=float)
+    if tasks.size != n:
+        tasks = tasks.repeat(n // tasks.size)
+    features = np.zeros(4 + 2 * n)
     features[0] = np.log2(1.0 + record.node_id) / n
     features[1] = record.depth / n
     if record.action is not NodeAction.PRUNED_INFEASIBLE:
         features[2] = 1.0
         features[3] = record.psi / root_psi
         features[4:4 + n] = record.x
-        features[4 + n:] = record.split_bits / task_bits.repeat(k_n)
+        features[4 + n:] = record.split_bits / tasks
     else:
         features[3] = PSI_SENTINEL
     return features
@@ -128,7 +132,8 @@ def label_trace(report: SolveReport, scenario: Scenario) -> tuple[np.ndarray, np
         chain.add(cursor)
         cursor = parents[cursor]
 
-    features = np.array([featurize(rec, root_psi, scenario.task_bits) for rec in records])
+    tasks = scenario.task_bits.repeat(scenario.num_channels)
+    features = np.array([featurize(rec, root_psi, tasks) for rec in records])
     labels = np.array([int(rec.node_id in chain) for rec in records])
     return features, labels
 

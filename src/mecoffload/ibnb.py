@@ -81,10 +81,12 @@ def solve_ibnb(
             f"model expects {model.num_features} features, scenario needs {expected_m}"
         )
 
+    tasks = scenario.task_bits.repeat(scenario.num_channels)   # per flow, made once
+
     def model_gate(record: NodeRecord, root_psi: float) -> bool:
         # Branch only on a score strictly above the threshold of the pass
         # it is called from.
-        return forward(model, featurize(record, root_psi, scenario.task_bits)) > theta
+        return forward(model, featurize(record, root_psi, tasks)) > theta
 
     t0 = time.perf_counter()
     theta = policy.theta0

@@ -23,6 +23,9 @@ A node point is a leaf when every channel carries flow from at most one
 device: its x is that support, a feasible channel map, and the LP value
 is that map's cost.  Elsewhere x is read off as y/L clipped to [0, 1], and
 the search branches on the first index carrying flow on a shared channel.
+The search reads only the value, the leaf test and that index, so
+extraction finds just these; a node's x and splits are built from its
+flows on first read, which only traces, features and the incumbent make.
 
 Once x is binary the split problem needs no LP.  :func:`solve_split`, the
 leaf oracle of the exhaustive search, fills each device's channels fastest
@@ -33,7 +36,7 @@ frame time tau by costing each of its breakpoints.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,14 +58,51 @@ __all__ = [
 INTEGRALITY_TOL = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class RelaxationSolution:
-    """Point recovered from a node LP: indicators, splits and the bound."""
+    """Point recovered from a node LP: the bound, the branching index, and
+    the flows its indicators and splits are read from.
 
-    x: np.ndarray            # (S*K,) indicator values in [0, 1], binary at a leaf
-    split_bits: np.ndarray   # (S*K,) recovered splits, bits
+    ``x`` and ``split_bits`` are built together on the first read of
+    either, then kept: x is the support at a leaf and the shares clipped
+    to [0, 1] elsewhere, 1 wherever ``fixed`` holds a 1, and the splits
+    are the counted flows in bits, 0 elsewhere.
+    """
+
     psi: float               # relaxation objective value
     first_fractional: int | None  # smallest index on a shared channel, None at a leaf
+    y: np.ndarray            # (S*K,) flows, in units of the largest task
+    share: np.ndarray        # (S, K) flows over their device's task
+    support: np.ndarray      # (S, K) bool: the counted flows
+    fixed: np.ndarray        # (S*K,) the node's fixing vector
+    scale: float             # bits per flow unit
+    _x: np.ndarray | None = field(default=None, init=False, repr=False)
+    _split_bits: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def x(self) -> np.ndarray:
+        """(S*K,) indicator values in [0, 1], binary at a leaf."""
+        if self._x is None:
+            self._build()
+        return self._x
+
+    @property
+    def split_bits(self) -> np.ndarray:
+        """(S*K,) recovered splits, bits."""
+        if self._split_bits is None:
+            self._build()
+        return self._split_bits
+
+    def _build(self) -> None:
+        support = self.support.ravel()
+        if self.first_fractional is None:
+            x = support.astype(float)
+        else:
+            x = self.share.ravel().clip(0.0, 1.0)
+        x[self.fixed == 1] = 1.0
+        split_bits = self.y * self.scale
+        split_bits[~support] = 0.0
+        self._x, self._split_bits = x, split_bits
 
 
 @dataclass
@@ -133,38 +173,36 @@ def pinned_flows(index: int, value: int, num_channels: int, num_flows: int) -> n
 def extract_solution(
     scenario: Scenario, lp_result: LpResult, fixed: np.ndarray,
 ) -> RelaxationSolution:
-    """Map the optimal LP of the node with fixing vector ``fixed`` (S*K
-    entries: -1 free, 0 or 1 fixed) back to (x, l, psi).
+    """Read the optimal LP of the node with fixing vector ``fixed`` (S*K
+    entries: -1 free, 0 or 1 fixed) as a :class:`RelaxationSolution`.
 
     A flow counts when it exceeds :data:`INTEGRALITY_TOL` of its device's
     task, and only counted flows become splits.  A point whose channels
-    each carry counted flow from at most one device is a leaf, and x is
-    that support; otherwise x = y/L clipped to [0, 1], and the first fractional
-    index is the smallest one with counted flow on a channel that two or
-    more devices share.  An indicator that ``fixed`` sets to 1 reads 1.
+    each carry counted flow from at most one device is a leaf; otherwise
+    the first fractional index is the smallest one with counted flow on a
+    channel that two or more devices share.  Only psi, the leaf test and
+    that index are computed here; x and the splits are built from the
+    kept flows when first read.
     """
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    scale = scenario.task_scale
     y = lp_result.x[:s_n * k_n]
     # Support and sharing are found once, on the (S, K) view of the flows;
-    # the rest reads their flat views.
+    # the lazy arrays read their flat views.
     share = y.reshape(s_n, k_n) / scenario.scaled_tasks[:, None]
     support = share > INTEGRALITY_TOL
     contested = support.sum(axis=0) > 1
     integral = not contested[contested.argmax()]
     first = None if integral else int((support & contested).argmax())
-    support = support.ravel()
-    x = support.astype(float) if integral else share.ravel().clip(0.0, 1.0)
-    x[fixed == 1] = 1.0
-    split_bits = y * scale
-    split_bits[~support] = 0.0
     return RelaxationSolution(
-        x=x,
-        split_bits=split_bits,
         psi=float(lp_result.value),
         first_fractional=first,
+        y=y,
+        share=share,
+        support=support,
+        fixed=fixed,
+        scale=scenario.task_scale,
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mecoffload.lp as lp_module
+from mecoffload.relax import INTEGRALITY_TOL
 from mecoffload.scenario import Scenario, ScenarioConfig, generate_frame, rate
 
 # Answers are checked by the benchmark's oracle, which shares no code with
@@ -55,6 +56,34 @@ def node_upper(fixed, s_n, k_n) -> np.ndarray:
             if other != s:
                 upper[other, k] = 0.0
     return upper
+
+
+def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """A trace record's indicators and splits, rebuilt here from its LP
+    flows, its fixing vector and the frame's task sizes alone: x is the
+    counted support at a leaf and the shares clipped to [0, 1] elsewhere,
+    1 wherever a fixing holds a 1, and the splits are the counted flows in
+    bits.  Zeros for an infeasible record."""
+    s_n, k_n = frame.num_mds, frame.num_channels
+    if record.solution is None:
+        return np.zeros(s_n * k_n), np.zeros(s_n * k_n)
+    scale = float(frame.task_bits.max())
+    y = record.solution.y
+    share = y.reshape(s_n, k_n) / (frame.task_bits / scale)[:, None]
+    support = share > INTEGRALITY_TOL
+    leaf = support.sum(axis=0).max() <= 1
+    assert leaf == (record.solution.first_fractional is None)
+    support = support.ravel()
+    x = support.astype(float) if leaf else share.ravel().clip(0.0, 1.0)
+    x[record.fixed == 1] = 1.0
+    split_bits = y * scale
+    split_bits[~support] = 0.0
+    return x, split_bits
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal arrays, bit for bit: same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def covering_maps(num_mds, num_channels):

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -17,17 +18,26 @@ from mecoffload.bnb import (
     solve_exhaustive,
     write_trace_csv,
 )
-from mecoffload.lp import _REFACTOR_EVERY, FEASIBILITY_TOL, pinned_bounds, solve_lp
-from mecoffload.relax import solve_split
+from mecoffload.lp import (
+    _REFACTOR_EVERY,
+    FEASIBILITY_TOL,
+    LpResult,
+    LpStatus,
+    pinned_bounds,
+    solve_lp,
+)
+from mecoffload.relax import RelaxationSolution, solve_split
 from oracle import OBJECTIVE_RTOL, assignment_faults, milp_optimum, recompute_objective
 
 from conftest import (
     covering_maps,
+    eager_node_arrays,
     first_pivot_objective,
     frame_args,
     make_frame,
     make_uniform_frame,
     node_upper,
+    same_bits,
 )
 
 
@@ -425,18 +435,67 @@ class TestTraceInvariants:
             assert ra.psi == rb.psi or (np.isnan(ra.psi) and np.isnan(rb.psi))
             assert np.array_equal(ra.x, rb.x)
 
-    def test_records_own_their_arrays(self):
-        # A record keeps the arrays extraction made for its node and the
+    def test_records_own_their_arrays(self, monkeypatch):
+        # A record reads the arrays its node's solution builds and the
         # node's fixing vector, with no second copy, so no two records, and
-        # no record and the returned incumbent, may share a buffer.
+        # no record and the returned incumbent, may share a buffer.  No
+        # generated frame yields an infeasible node, so two children are
+        # reported infeasible, and their records' zero arrays join the check.
+        solves = itertools.count()
+
+        def solve_lp_failing_two(lp, start=None):
+            if next(solves) in (50, 100):
+                return LpResult(LpStatus.INFEASIBLE)
+            return solve_lp(lp, start)
+
+        monkeypatch.setattr(bnb_module, "solve_lp", solve_lp_failing_two)
         report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=203))
         assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 100
+        infeasible = [rec for rec in report.trace
+                      if rec.action is NodeAction.PRUNED_INFEASIBLE]
+        assert len(infeasible) == 2
+        for rec in infeasible:
+            assert rec.solution is None
+            assert not rec.x.any() and not rec.split_bits.any()
         arrays = [a for rec in report.trace for a in (rec.x, rec.split_bits, rec.fixed)]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, report.best_x)
             assert not np.shares_memory(a, report.best_split)
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+class TestLazyArrays:
+    # A record's x and split_bits are built from its node's flows when
+    # first read, never by the search itself, and then kept.
+    FRAME = make_frame(num_mds=4, num_channels=6, seed=203)
+
+    def test_arrays_equal_an_eager_rebuild_and_are_kept(self):
+        frame = self.FRAME
+        report = solve_bnb(frame)
+        assert len(report.trace) > 100
+        for rec in report.trace:
+            x, split_bits = eager_node_arrays(rec, frame)
+            first = rec.x, rec.split_bits
+            assert same_bits(first[0], x) and same_bits(first[1], split_bits)
+            assert rec.x is first[0] and rec.split_bits is first[1]
+            assert rec.solution.x is first[0]
+
+    def test_exact_search_builds_the_incumbents_arrays_only(self, monkeypatch):
+        built = []
+        build = RelaxationSolution._build
+
+        def counting_build(sol):
+            built.append(sol)
+            build(sol)
+
+        monkeypatch.setattr(RelaxationSolution, "_build", counting_build)
+        report = solve_bnb(self.FRAME)
+        incumbents = [rec.solution for rec in report.trace
+                      if rec.action is NodeAction.NEW_INCUMBENT]
+        assert len(report.trace) > 100 and len(incumbents) == 2
+        assert len(built) == 1 and built[0] is incumbents[-1]
+        assert np.array_equal(report.best_x.ravel(), built[0].x)
 
 
 class TestOracleGate:

@@ -12,6 +12,7 @@ from mecoffload.dataset import (
     read_dataset,
     write_dataset,
 )
+from mecoffload.relax import RelaxationSolution
 
 from conftest import make_frame
 
@@ -29,12 +30,21 @@ def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
 
 
 class TestFeaturize:
-    def _record(self, **overrides):
+    def _record(self, x=None, split_bits=None, **overrides):
+        # A record whose solution reads back the given x and split_bits: off
+        # a leaf and with nothing fixed, x is the shares clipped to [0, 1],
+        # and the splits are the flows times the scale on the support.
+        fixed = np.full(6, -1, dtype=np.int8)
+        solution = RelaxationSolution(
+            psi=2.0, first_fractional=0,
+            y=np.full(6, 1e6) if split_bits is None else np.asarray(split_bits, dtype=float),
+            share=np.full((2, 3), 0.5) if x is None else np.reshape(x, (2, 3)),
+            support=np.ones((2, 3), dtype=bool), fixed=fixed, scale=1.0,
+        )
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
-            x=np.full(6, 0.5), split_bits=np.full(6, 1e6),
-            fixed=np.full(6, -1, dtype=np.int8),
+            fixed=fixed, solution=solution,
         )
         defaults.update(overrides)
         return NodeRecord(**defaults)
@@ -50,7 +60,7 @@ class TestFeaturize:
 
     def test_infeasible_sentinel(self):
         rec = self._record(action=NodeAction.PRUNED_INFEASIBLE, psi=float("nan"),
-                           x=np.zeros(6), split_bits=np.zeros(6))
+                           solution=None)
         f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]))
         assert f[2] == 0.0
         assert f[3] == PSI_SENTINEL

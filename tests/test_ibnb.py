@@ -9,7 +9,7 @@ from mecoffload.ibnb import THETA_MIN, ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
 from oracle import assignment_faults, milp_optimum
 
-from conftest import frame_args, make_frame, make_uniform_frame
+from conftest import eager_node_arrays, frame_args, make_frame, make_uniform_frame, same_bits
 
 
 def constant_model(num_features: int, p: float) -> MlpModel:
@@ -62,6 +62,22 @@ class TestGate:
         assert [rec.action for rec in report.trace] == [rec.action for rec in exact.trace]
         assert sum(rec.action is NodeAction.BRANCHED for rec in report.trace) > 1
         assert report.best_psi == exact.best_psi
+
+
+class TestLazyArrays:
+    def test_restarted_trace_arrays_equal_an_eager_rebuild_and_are_kept(self):
+        # The first pass's gate reads the root's arrays and prunes it; the
+        # second pass's gate reads those of every node it branches, and the
+        # rest are built here, on first read.
+        frame = make_frame(num_mds=4, num_channels=6, seed=203)
+        model = model_for(frame, 0.5)
+        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)))
+        assert report.restarts == 1 and len(report.trace) > 100
+        for rec in report.trace:
+            x, split_bits = eager_node_arrays(rec, frame)
+            first = rec.x, rec.split_bits
+            assert same_bits(first[0], x) and same_bits(first[1], split_bits)
+            assert rec.x is first[0] and rec.split_bits is first[1]
 
 
 class TestPolicy:
