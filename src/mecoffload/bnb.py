@@ -31,7 +31,8 @@ solver (``ibnb``) runs each of its passes through it with a gate built
 from its classifier.
 
 An exhaustive enumerator over full channel-to-device maps provides the
-ground-truth optimum for desk-scale instances.
+ground-truth optimum for desk-scale instances; it prices every map with the
+closed-form split's core and builds only the winner's split.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 from .lp import Basis, LpStatus, pinned_bounds, solve_lp
 from .relax import (
     RelaxationSolution,
+    _price_map,
     build_relaxation,
     extract_solution,
     pinned_flows,
@@ -343,11 +345,15 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     Maps that leave a channel idle are never priced: an assigned channel
     costs nothing until it carries bits, so giving an idle channel to any
     device never raises the optimal cost.  Maps are priced in lexicographic
-    order of their owners, and the first of least cost wins.
-    ``nodes_searched`` counts the priced maps (a tree search's passes have
-    no analogue here, so there are none).  A frame with more devices than
-    channels is infeasible, with no map priced; any other frame with more
-    than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
+    order of their owners, and the first of least cost wins.  Each map is
+    priced by the closed-form core of :func:`relax.solve_split` alone, with
+    no checks, indicator matrix or split; only the winner goes through
+    :func:`relax.solve_split`, which builds its split and prices it the
+    same way.  ``nodes_searched`` counts the priced maps (a tree search's
+    passes have no analogue here, so there are none).  A frame with more
+    devices than channels is infeasible, with no map priced; any other
+    frame with more than :data:`ENUM_BUDGET` maps raises
+    :class:`BudgetExceededError`.
     """
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
@@ -360,26 +366,33 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     else:
         maps = itertools.product(range(s_n), repeat=k_n)
 
+    # The maps are binary and exclusive by construction, and the covering
+    # test below stands in for solve_split's empty-device check.
+    devices = np.arange(s_n)[:, None]
     best_psi = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
+    winner: tuple[int, ...] | None = None
     evaluated = 0
     for owners in maps:
         if len(set(owners)) < s_n:
             continue  # some device got no channel
-        x = np.zeros((s_n, k_n), dtype=int)
-        x[owners, range(k_n)] = 1
-        split = solve_split(scenario, x)
+        owned = devices == owners
+        psi = _price_map(scenario, owned, np.add.reduce(owned, axis=1))[0]
         evaluated += 1
-        if split.psi < best_psi:
-            best_psi = split.psi
-            best = (x, split.split_bits)
+        if psi < best_psi:
+            best_psi = psi
+            winner = owners
 
-    status = SolveStatus.OPTIMAL if best is not None else SolveStatus.INFEASIBLE
+    best_x = best_split = None
+    if winner is not None:
+        best_x = np.zeros((s_n, k_n), dtype=int)
+        best_x[winner, range(k_n)] = 1
+        split = solve_split(scenario, best_x)
+        best_split, best_psi = split.split_bits, split.psi
     return SolveReport(
-        status=status,
-        best_x=best[0] if best else None,
-        best_split=best[1] if best else None,
-        best_psi=best_psi if best is not None else None,
+        status=SolveStatus.INFEASIBLE if winner is None else SolveStatus.OPTIMAL,
+        best_x=best_x,
+        best_split=best_split,
+        best_psi=None if winner is None else best_psi,
         nodes_searched=evaluated,
         nodes_unsolved=0,
         passes=[],

@@ -24,13 +24,17 @@ device: its x is that support, a feasible channel map, and the LP value
 is that map's cost.  Elsewhere x is read off as y/L clipped to [0, 1], and
 the search branches on the first index carrying flow on a shared channel.
 The search reads only the value, the leaf test and that index, so
-extraction finds just these; a node's x and splits are built from its
-flows on first read, which only traces, features and the incumbent make.
+extraction finds just these and keeps a copy of the node's flows; a node's
+x and splits are built from those flows on first read, which only traces,
+features and the incumbent make.
 
-Once x is binary the split problem needs no LP.  :func:`solve_split`, the
-leaf oracle of the exhaustive search, fills each device's channels fastest
-first and minimises the resulting convex, piecewise linear cost over the
-frame time tau by costing each of its breakpoints.
+Once x is binary the split problem needs no LP.  One closed-form core
+fills each device's channels fastest first and minimises the resulting
+convex, piecewise linear cost over the frame time tau by costing each of
+its breakpoints.  :func:`solve_split` checks its indicator matrix, runs
+the core and builds the split.  The exhaustive oracle, whose maps are
+valid by construction, runs the core alone on every map and
+:func:`solve_split` only on the winner.
 """
 
 from __future__ import annotations
@@ -64,16 +68,17 @@ class RelaxationSolution:
     the flows its indicators and splits are read from.
 
     ``x`` and ``split_bits`` are built together on the first read of
-    either, then kept: x is the support at a leaf and the shares clipped
-    to [0, 1] elsewhere, 1 wherever ``fixed`` holds a 1, and the splits
-    are the counted flows in bits, 0 elsewhere.
+    either, then kept: the flows' shares of their device's task and the
+    counted support are found again from ``y`` and ``tasks``, x is that
+    support at a leaf and the shares clipped to [0, 1] elsewhere, 1
+    wherever ``fixed`` holds a 1, and the splits are the counted flows in
+    bits, 0 elsewhere.
     """
 
     psi: float               # relaxation objective value
     first_fractional: int | None  # smallest index on a shared channel, None at a leaf
-    y: np.ndarray            # (S*K,) flows, in units of the largest task
-    share: np.ndarray        # (S, K) flows over their device's task
-    support: np.ndarray      # (S, K) bool: the counted flows
+    y: np.ndarray            # (S*K,) a copy of the node's flows, in units of the largest task
+    tasks: np.ndarray        # (S*K,) each flow's task size in the same units, shared
     fixed: np.ndarray        # (S*K,) the node's fixing vector
     scale: float             # bits per flow unit
     _x: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -94,11 +99,12 @@ class RelaxationSolution:
         return self._split_bits
 
     def _build(self) -> None:
-        support = self.support.ravel()
+        share = self.y / self.tasks
+        support = share > INTEGRALITY_TOL
         if self.first_fractional is None:
             x = support.astype(float)
         else:
-            x = self.share.ravel().clip(0.0, 1.0)
+            x = share.clip(0.0, 1.0)
         x[self.fixed == 1] = 1.0
         split_bits = self.y * self.scale
         split_bits[~support] = 0.0
@@ -187,11 +193,12 @@ def extract_solution(
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    y = lp_result.x[:s_n * k_n]
-    # Support and sharing are found once, on the (S, K) view of the flows;
-    # the lazy arrays read their flat views.
-    share = y.reshape(s_n, k_n) / scenario.scaled_tasks[:, None]
-    support = share > INTEGRALITY_TOL
+    # The solution keeps its own copy of the flows, not a view that would
+    # keep the simplex's whole point alive; sharing is found on the (S, K)
+    # view of their support, and only its verdict is kept.
+    y = lp_result.x[:s_n * k_n].copy()
+    tasks = scenario.scaled_flow_tasks
+    support = (y / tasks > INTEGRALITY_TOL).reshape(s_n, k_n)
     contested = support.sum(axis=0) > 1
     integral = not contested[contested.argmax()]
     first = None if integral else int((support & contested).argmax())
@@ -199,8 +206,7 @@ def extract_solution(
         psi=float(lp_result.value),
         first_fractional=first,
         y=y,
-        share=share,
-        support=support,
+        tasks=tasks,
         fixed=fixed,
         scale=scenario.task_scale,
     )
@@ -210,8 +216,12 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | Non
     """Best splits for a fixed feasible indicator matrix; None if a device
     has no active channel.
 
-    The leaf oracle, solved in closed form rather than as an LP, and never
-    through the product reformulation of the node relaxations.
+    Solved in closed form rather than as an LP, and never through the
+    product reformulation of the node relaxations.  This public path
+    checks the matrix (shape, binary, one device per channel, a channel
+    for every device) and builds the split; the cost itself comes from the
+    unchecked core that the exhaustive oracle runs on every map, so both
+    price a map to the same bit.
 
     Fix the frame time tau.  Energy per bit on channel k is p_s / R_sk, so
     each device fills its active channels fastest first: with its active
@@ -241,30 +251,48 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | Non
     if np.any(held == 0):
         return None
 
+    psi, tau, partial, part, r, order = _price_map(scenario, x == 1, held)
     rows = np.arange(s_n)
+    sorted_split = np.where(np.arange(k_n) < partial[:, None], tau * r, 0.0)
+    sorted_split[rows, partial] = part
+    split_bits = np.zeros((s_n, k_n))
+    split_bits[rows[:, None], order] = sorted_split
+    return SplitSolution(split_bits=split_bits, psi=float(psi))
+
+
+def _price_map(scenario: Scenario, owned: np.ndarray, held: np.ndarray) -> tuple:
+    """The closed-form core of :func:`solve_split`, unchecked: the least
+    cost of the map whose (S, K) bool mask ``owned`` gives device s its
+    ``held[s]`` >= 1 channels, no channel to two devices.
+
+    Returns ``(psi, tau, partial, part, r, order)`` at the least-cost
+    breakpoint tau: each device's partly filled channel ``partial`` (from
+    0, in fill order) and the bits ``part`` it carries there, and the
+    devices' rates ``r`` in fill order with the channel ``order`` that
+    sorts them, which is all the split is built from.  The reductions are
+    numpy's ufunc and array methods, the same arithmetic as their
+    wrappers without their Python overhead, since the exhaustive oracle
+    calls this once per map.
+    """
+    rows = np.arange(held.size)
     # Row s lists device s's channels fastest first, its idle ones (rate 0)
     # after them; a stable sort keeps ties in channel order.
-    rates = np.where(x == 1, scenario.rates_bps, 0.0)
-    order = np.argsort(-rates, axis=1, kind="stable")
+    rates = np.where(owned, scenario.rates_bps, 0.0)
+    order = (-rates).argsort(axis=1, kind="stable")
     r = rates[rows[:, None], order]
     c = r.cumsum(axis=1)                           # C_j, constant past m
     tasks = scenario.task_bits
 
     kinks = tasks[:, None] / c                     # past m: repeats of L_s/C_m
-    tau = np.sort(kinks[kinks >= kinks[:, -1].max()])
+    tau = kinks[kinks >= np.maximum.reduce(kinks[:, -1])]
+    tau.sort()
     # j (from 0) of every device at every candidate tau: its partly filled
     # channel.  Capped at m-1 in case tau_min*C_m rounds below L_s.
-    j = np.minimum((tau[:, None, None] * c < tasks[:, None]).sum(axis=2), held - 1)
+    j = np.minimum(np.add.reduce(tau[:, None, None] * c < tasks[:, None], axis=2), held - 1)
     c_before = np.where(j > 0, c[rows, j - 1], 0.0)
     part = tasks - tau[:, None] * c_before
     energy = scenario.powers_w * (j * tau[:, None] + part / r[rows, j])
     cfg = scenario.config
-    psi = cfg.lambda_t * tau + cfg.lambda_e * energy.sum(axis=1)
-    best = int(np.argmin(psi))
-
-    partial = j[best]
-    sorted_split = np.where(np.arange(k_n) < partial[:, None], tau[best] * r, 0.0)
-    sorted_split[rows, partial] = part[best]
-    split_bits = np.zeros((s_n, k_n))
-    split_bits[rows[:, None], order] = sorted_split
-    return SplitSolution(split_bits=split_bits, psi=float(psi[best]))
+    psi = cfg.lambda_t * tau + cfg.lambda_e * np.add.reduce(energy, axis=1)
+    best = psi.argmin()
+    return psi[best], tau[best], j[best], part[best], r, order

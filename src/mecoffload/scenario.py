@@ -128,6 +128,14 @@ class Scenario:
         tasks.setflags(write=False)
         return tasks
 
+    @functools.cached_property
+    def scaled_flow_tasks(self) -> np.ndarray:
+        """(S*K,) :attr:`scaled_tasks` repeated per channel: each flow's
+        device's task, in the flow order s*K + k of :mod:`relax`, read-only."""
+        tasks = self.scaled_tasks.repeat(self.num_channels)
+        tasks.setflags(write=False)
+        return tasks
+
 
 def generate_frame(config: ScenarioConfig) -> Scenario:
     """Draw one frame. Deterministic function of ``config.rng_seed``.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mecoffload import bnb as bnb_module
+from mecoffload import relax as relax_module
 from mecoffload.bnb import (
     BudgetExceededError,
     Node,
@@ -481,6 +482,18 @@ class TestLazyArrays:
             assert rec.x is first[0] and rec.split_bits is first[1]
             assert rec.solution.x is first[0]
 
+    def test_solutions_own_their_flows(self):
+        # A record keeps a copy of its node's flows, not a view that would
+        # keep the simplex's whole point alive, and shares the frame's task
+        # sizes per flow.
+        frame = self.FRAME
+        report = solve_bnb(frame)
+        solutions = [rec.solution for rec in report.trace if rec.solution is not None]
+        assert len(solutions) > 100
+        for sol in solutions:
+            assert sol.y.base is None and sol.y.shape == (frame.num_mds * frame.num_channels,)
+            assert sol.tasks is frame.scaled_flow_tasks
+
     def test_exact_search_builds_the_incumbents_arrays_only(self, monkeypatch):
         built = []
         build = RelaxationSolution._build
@@ -590,6 +603,41 @@ class TestSolveExhaustive:
         assert report.best_psi == pytest.approx(milp_optimum(*args), rel=OBJECTIVE_RTOL)
         assert assignment_faults(*args, report.best_x, report.best_split,
                                  report.best_psi) == []
+
+    @pytest.mark.parametrize("frame", ORACLE_FRAMES)
+    def test_prices_every_map_as_solve_split_does(self, frame):
+        # One pricing path: the unchecked core, fed each full map's owner
+        # mask as the oracle builds it, gives solve_split's cost to the
+        # last bit, and so does the oracle's answer.
+        s_n, k_n = frame.num_mds, frame.num_channels
+        devices = np.arange(s_n)[:, None]
+        priced = 0
+        for owners in itertools.product(range(s_n), repeat=k_n):
+            if len(set(owners)) < s_n:
+                continue
+            owned = devices == owners
+            x = owned.astype(int)
+            psi = relax_module._price_map(frame, owned, owned.sum(axis=1))[0]
+            assert psi == solve_split(frame, x).psi
+            priced += 1
+        report = solve_exhaustive(frame)
+        assert report.nodes_searched == priced
+        assert report.best_psi == solve_split(frame, report.best_x).psi
+
+    def test_builds_only_the_winners_split(self, monkeypatch):
+        # The 150 maps of a 3x5 frame are priced by the core alone; the one
+        # split built is the winner's, through the checked public path.
+        calls = []
+
+        def counting_solve_split(scenario, x_binary):
+            calls.append(np.array(x_binary))
+            return solve_split(scenario, x_binary)
+
+        monkeypatch.setattr(bnb_module, "solve_split", counting_solve_split)
+        frame = make_frame(num_mds=3, num_channels=5, seed=8)
+        report = solve_exhaustive(frame)
+        assert report.status is SolveStatus.OPTIMAL and report.nodes_searched == 150
+        assert len(calls) == 1 and np.array_equal(calls[0], report.best_x)
 
     @pytest.mark.parametrize("frame", ORACLE_FRAMES)
     def test_giving_an_idle_channel_away_never_raises_the_cost(self, frame):

@@ -30,16 +30,16 @@ def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
 
 
 class TestFeaturize:
-    def _record(self, x=None, split_bits=None, **overrides):
-        # A record whose solution reads back the given x and split_bits: off
-        # a leaf and with nothing fixed, x is the shares clipped to [0, 1],
-        # and the splits are the flows times the scale on the support.
+    def _record(self, split_bits=None, **overrides):
+        # A record whose solution reads back the given split_bits: off a
+        # leaf and with nothing fixed, the splits are the flows times the
+        # scale wherever they count (every nonzero flow over these task
+        # sizes), and x is the flows' shares of their task clipped to [0, 1].
         fixed = np.full(6, -1, dtype=np.int8)
         solution = RelaxationSolution(
             psi=2.0, first_fractional=0,
             y=np.full(6, 1e6) if split_bits is None else np.asarray(split_bits, dtype=float),
-            share=np.full((2, 3), 0.5) if x is None else np.reshape(x, (2, 3)),
-            support=np.ones((2, 3), dtype=bool), fixed=fixed, scale=1.0,
+            tasks=np.full(6, 2e6), fixed=fixed, scale=1.0,
         )
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
@@ -67,8 +67,7 @@ class TestFeaturize:
         assert np.all(f[4:] == 0.0)
 
     def test_splits_normalized_per_device(self):
-        rec = self._record(x=np.ones(6), split_bits=np.array(
-            [1e6, 1e6, 0.0, 4e6, 0.0, 0.0]))
+        rec = self._record(split_bits=np.array([1e6, 1e6, 0.0, 4e6, 0.0, 0.0]))
         f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]))
         assert np.allclose(f[10:], [0.5, 0.5, 0.0, 1.0, 0.0, 0.0])
 

@@ -86,6 +86,11 @@ class TestGenerateFrame:
         assert frame.scaled_tasks is tasks
         with pytest.raises(ValueError):
             tasks[0] = 2.0
+        flow_tasks = frame.scaled_flow_tasks
+        assert flow_tasks.tobytes() == tasks.repeat(frame.num_channels).tobytes()
+        assert frame.scaled_flow_tasks is flow_tasks
+        with pytest.raises(ValueError):
+            flow_tasks[0] = 2.0
 
 
 class TestRate:
