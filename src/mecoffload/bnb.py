@@ -27,8 +27,10 @@ costs no LP, has no trace row, and is counted only as unsolved.
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
 branch it; without a gate the search is exact, and the learned-pruning
-solver (``ibnb``) runs each of its passes through it with a gate built
-from its classifier.
+solver (``ibnb``) runs it once with a gate built from its classifier.  A
+gated search that drains its heap with no incumbent branches every node
+the gate rejected and goes on without the gate, so it returns an answer
+whenever the frame has one, and then the exact optimum.
 
 An exhaustive enumerator over full channel-to-device maps provides the
 ground-truth optimum for desk-scale instances; it prices every map with the
@@ -46,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import Basis, LpStatus, pinned_bounds, solve_lp
+from .lp import Basis, LpResult, LpStatus, pinned_bounds, solve_lp
 from .relax import (
     RelaxationSolution,
     _price_map,
@@ -64,7 +66,6 @@ __all__ = [
     "NodeAction",
     "Node",
     "NodeRecord",
-    "SearchPass",
     "SolveReport",
     "BudgetExceededError",
     "branch",
@@ -74,7 +75,7 @@ __all__ = [
 ]
 
 
-#: Default node budget of a search: solved nodes, over every pass of ``ibnb``.
+#: Default node budget of a search, in solved nodes.
 MAX_NODES = 500_000
 #: Largest number of full channel-to-device maps (S**K) :func:`solve_exhaustive`
 #: enumerates.
@@ -153,20 +154,12 @@ class NodeRecord:
 
 
 @dataclass
-class SearchPass:
-    """One search of the tree: the pruning threshold its gate used (None
-    for an exact search) and the record of every node it solved."""
-
-    theta: float | None
-    records: list[NodeRecord]
-
-
-@dataclass
 class SolveReport:
-    """The answer of every solver.  ``passes`` holds one exact pass for
-    :func:`solve_bnb`, none for :func:`solve_exhaustive`, and one pass per
-    threshold for ``ibnb``, the last one exact if it fell back.  The
-    incumbent is the last pass's; a spent budget keeps it, unproven."""
+    """The answer of every solver.  ``trace`` holds the record of every node
+    a tree search solved, in order, and is empty for
+    :func:`solve_exhaustive`.  ``fell_back_to_exact`` is True iff a gated
+    search drained with no incumbent and reopened the nodes its gate
+    rejected.  A spent budget keeps the incumbent found by then, unproven."""
 
     status: SolveStatus
     best_x: np.ndarray | None     # (S, K) binary, present iff an incumbent was found
@@ -174,26 +167,11 @@ class SolveReport:
     best_psi: float | None
     nodes_searched: int
     nodes_unsolved: int           # nodes made but never solved: dropped or left open
-    passes: list[SearchPass]
+    trace: list[NodeRecord]
+    fell_back_to_exact: bool
     wall_time: float
     lp_pivots: int                # dual simplex pivots over every node LP
     lp_refactors: int             # basis inversions over every node LP
-
-    @property
-    def trace(self) -> list[NodeRecord]:
-        return [rec for p in self.passes for rec in p.records]
-
-    @property
-    def thresholds_tried(self) -> list[float]:
-        return [p.theta for p in self.passes if p.theta is not None]
-
-    @property
-    def restarts(self) -> int:
-        return max(0, len(self.thresholds_tried) - 1)
-
-    @property
-    def fell_back_to_exact(self) -> bool:
-        return len(self.passes) > 1 and self.passes[-1].theta is None
 
 
 def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Node, Node]:
@@ -238,9 +216,12 @@ def solve_bnb(
     infeasible status.  A ``gate(record, root_psi)`` is asked about every
     fractional node that survives the bound check; a node it rejects is
     recorded as model-pruned instead of branched, so the search may miss
-    the optimum or end with no incumbent.  Solving more than ``max_nodes``
-    nodes (at least 1) is reported explicitly, never as optimal; the report
-    keeps the incumbent found by then, if any.
+    the optimum.  If the heap drains with no incumbent, every rejected node
+    is branched after all, its record turned to ``Branched``, and the search
+    goes on without the gate: no node is solved twice, and the answer is
+    then the exact optimum.  Solving more than ``max_nodes`` nodes (at
+    least 1) is reported explicitly, never as optimal; the report keeps the
+    incumbent found by then, if any.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -259,10 +240,37 @@ def solve_bnb(
     best: RelaxationSolution | None = None   # the incumbent leaf's solution
     root_psi: float | None = None
     trace: list[NodeRecord] = []
+    # The gate's rejects, each with what branching it later needs.
+    deferred: list[tuple[Node, LpResult, NodeRecord]] = []
+    reopened = False
     lp_pivots = lp_refactors = 0
     exhausted = False
 
-    while queue:
+    def open_children(node: Node, result: LpResult, index: int) -> None:
+        """Branch ``node`` on ``index`` and push both children, keyed by the
+        bounds read off its optimal LP, which the LP's bounds must match."""
+        nonlocal next_id
+        down, up = branch(node, index, next_id, k_n)
+        next_id += 2
+        key_down, key_up = pinned_bounds(lp, result, (
+            pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)))
+        down.start = up.start = result.basis
+        heapq.heappush(queue, (key_down, down.node_id, down))
+        heapq.heappush(queue, (key_up, up.node_id, up))
+
+    while True:
+        if not queue:
+            if best is not None or not deferred:
+                break
+            # The gated search drained with no incumbent: branch what the
+            # gate rejected, and search on exactly.
+            for node, result, record in deferred:
+                np.copyto(flow_upper, node.upper)
+                open_children(node, result, record.solution.first_fractional)
+                record.action = NodeAction.BRANCHED
+            deferred.clear()
+            gate = None
+            reopened = True
         key, _, node = heapq.heappop(queue)
         if key >= z_ub:
             break  # every open bound has reached the incumbent
@@ -305,15 +313,9 @@ def solve_bnb(
             record.action = NodeAction.PRUNED_BY_BOUND
         elif gate is not None and not gate(record, root_psi):
             record.action = NodeAction.PRUNED_BY_MODEL
+            deferred.append((node, result, record))
         else:
-            index = sol.first_fractional
-            down, up = branch(node, index, next_id, k_n)
-            next_id += 2
-            key_down, key_up = pinned_bounds(lp, result, (
-                pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)))
-            down.start = up.start = result.basis
-            heapq.heappush(queue, (key_down, down.node_id, down))
-            heapq.heappush(queue, (key_up, up.node_id, up))
+            open_children(node, result, sol.first_fractional)
         trace.append(record)
 
     if exhausted:
@@ -330,7 +332,8 @@ def solve_bnb(
         best_psi=None if best is None else best.psi,
         nodes_searched=len(trace),
         nodes_unsolved=next_id - len(trace),
-        passes=[SearchPass(None, trace)],
+        trace=trace,
+        fell_back_to_exact=reopened,
         wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,
         lp_refactors=lp_refactors,
@@ -349,11 +352,10 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     priced by the closed-form core of :func:`relax.solve_split` alone, with
     no checks, indicator matrix or split; only the winner goes through
     :func:`relax.solve_split`, which builds its split and prices it the
-    same way.  ``nodes_searched`` counts the priced maps (a tree search's
-    passes have no analogue here, so there are none).  A frame with more
-    devices than channels is infeasible, with no map priced; any other
-    frame with more than :data:`ENUM_BUDGET` maps raises
-    :class:`BudgetExceededError`.
+    same way.  ``nodes_searched`` counts the priced maps, and the trace is
+    empty, since no tree is searched.  A frame with more devices than
+    channels is infeasible, with no map priced; any other frame with more
+    than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
     """
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
@@ -395,7 +397,8 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
         best_psi=None if winner is None else best_psi,
         nodes_searched=evaluated,
         nodes_unsolved=0,
-        passes=[],
+        trace=[],
+        fell_back_to_exact=False,
         wall_time=time.perf_counter() - t0,
         lp_pivots=0,
         lp_refactors=0,
@@ -408,30 +411,21 @@ def csv_float(value: float) -> str:
 
 
 def write_trace_csv(path, report: SolveReport, num_indicators: int) -> None:
-    """Write the records of every pass of ``report`` as versioned CSV.
-
-    When the report tried pruning thresholds, each pass is headed by its
-    threshold (0 for the exact fallback) and its index as the restart.
-    """
+    """Write the trace of ``report`` as versioned CSV, one row per record."""
     cols = ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
     cols += [f"x{i}" for i in range(num_indicators)]
     cols += [f"l{i}" for i in range(num_indicators)]
     lines = ["# trace-v1", ",".join(cols)]
-    heads = bool(report.thresholds_tried)
-    for restart, search in enumerate(report.passes):
-        if heads:
-            theta = 0.0 if search.theta is None else search.theta
-            lines.append(f"# theta={csv_float(theta)} restart={restart}")
-        for rec in search.records:
-            parent = -1 if rec.parent_id is None else rec.parent_id
-            row = [
-                str(rec.node_id), str(rec.depth), str(parent),
-                "0" if rec.action is NodeAction.PRUNED_INFEASIBLE else "1",
-                rec.action.value,
-                csv_float(rec.psi), csv_float(rec.zub_at_pop),
-            ]
-            row += [csv_float(v) for v in rec.x]
-            row += [csv_float(v) for v in rec.split_bits]
-            lines.append(",".join(row))
+    for rec in report.trace:
+        parent = -1 if rec.parent_id is None else rec.parent_id
+        row = [
+            str(rec.node_id), str(rec.depth), str(parent),
+            "0" if rec.action is NodeAction.PRUNED_INFEASIBLE else "1",
+            rec.action.value,
+            csv_float(rec.psi), csv_float(rec.zub_at_pop),
+        ]
+        row += [csv_float(v) for v in rec.x]
+        row += [csv_float(v) for v in rec.split_bits]
+        lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -36,7 +36,7 @@ from .bnb import (
     write_trace_csv,
 )
 from .dataset import Dataset, label_trace, read_dataset, write_dataset
-from .ibnb import DELTA_THETA, ThresholdPolicy, solve_ibnb
+from .ibnb import ThresholdPolicy, solve_ibnb
 from .mlp import (
     VALIDATION_FRACTION,
     TrainConfig,
@@ -225,10 +225,7 @@ def cmd_train(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-_REPORT_HEADER = (
-    "solver,status,psi,nodes_searched,restarts,fell_back_to_exact,"
-    "thresholds_tried,model_id"
-)
+_REPORT_HEADER = "solver,status,psi,nodes_searched,fell_back_to_exact,model_id"
 
 
 def _report_row(solver: str, report: SolveReport, extra: str) -> str:
@@ -263,12 +260,11 @@ def cmd_solve(args) -> int:
         ("command", "solve"), *_config_pairs(cfg),
         ("solver", args.solver), ("frame_seed", seed),
         ("theta0", csv_float(policy.theta0)),
-        ("delta_theta", csv_float(DELTA_THETA)),
         ("model", args.model or ""),
     ])
     frame = generate_frame(replace(cfg, rng_seed=seed))
 
-    extra = ",,,"
+    extra = ","
     if args.solver == "bnb":
         report = solve_bnb(frame)
     elif args.solver == "exhaustive":
@@ -276,9 +272,7 @@ def cmd_solve(args) -> int:
     else:
         model = load_model(args.model)
         report = solve_ibnb(frame, model, policy)
-        thetas = ";".join(csv_float(t) for t in report.thresholds_tried)
-        extra = (f"{report.restarts},{int(report.fell_back_to_exact)},"
-                 f"{thetas},{model_fingerprint(model)}")
+        extra = f"{int(report.fell_back_to_exact)},{model_fingerprint(model)}"
 
     n = cfg.num_mds * cfg.num_channels
     os.makedirs(args.out, exist_ok=True)
@@ -312,7 +306,6 @@ def cmd_bench(args) -> int:
         ("command", "bench"), *_config_pairs(cfg),
         ("frames", args.frames), ("seed_base", seed_base),
         ("thetas", ";".join(csv_float(t) for t in thetas)),
-        ("delta_theta", csv_float(DELTA_THETA)),
         ("model", args.model),
     ])
     model = load_model(args.model)

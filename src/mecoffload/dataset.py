@@ -85,18 +85,14 @@ def feature_length(num_mds: int, num_channels: int) -> int:
 def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.ndarray:
     """Feature vector of one node record.
 
-    ``root_psi`` is the root relaxation value of the same search pass;
+    ``root_psi`` is the root relaxation value of the same search;
     splitting it out keeps every feature computable at node-pop time.
-    ``task_bits`` holds the task size of each device (S,), or of each flow's
-    device (S*K, in flow order), which a caller featurizing many records of
-    one frame makes once.
+    ``task_bits`` holds the task size of each flow's device (S*K, in flow
+    order), which a caller featurizing many records of one frame makes once.
     """
     if not root_psi > 0:
         raise ValueError(f"root_psi must be positive, got {root_psi!r}")
     n = record.fixed.size
-    tasks = np.asarray(task_bits, dtype=float)
-    if tasks.size != n:
-        tasks = tasks.repeat(n // tasks.size)
     features = np.zeros(4 + 2 * n)
     features[0] = np.log2(1.0 + record.node_id) / n
     features[1] = record.depth / n
@@ -104,7 +100,7 @@ def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.
         features[2] = 1.0
         features[3] = record.psi / root_psi
         features[4:4 + n] = record.x
-        features[4 + n:] = record.split_bits / tasks
+        features[4 + n:] = record.split_bits / task_bits
     else:
         features[3] = PSI_SENTINEL
     return features

@@ -12,7 +12,6 @@ from mecoffload.bnb import (
     BudgetExceededError,
     Node,
     NodeAction,
-    SearchPass,
     SolveStatus,
     branch,
     solve_bnb,
@@ -131,6 +130,17 @@ class TestSolveBnb:
         report = solve_bnb(make_frame(num_mds=2, num_channels=1, seed=4))
         assert report.status is SolveStatus.INFEASIBLE
         assert report.best_x is None
+
+    def test_more_devices_than_channels_infeasible_with_no_gate_call(self):
+        # The root relaxation is infeasible, so no node reaches the gate and
+        # there is nothing to reopen.
+        calls = []
+        report = solve_bnb(make_frame(num_mds=3, num_channels=2, seed=44),
+                           gate=lambda rec, root_psi: calls.append(rec) or False)
+        assert report.status is SolveStatus.INFEASIBLE
+        assert calls == []
+        assert [rec.action for rec in report.trace] == [NodeAction.PRUNED_INFEASIBLE]
+        assert not report.fell_back_to_exact
 
     @pytest.mark.parametrize("frame", [
         *(pytest.param(random_small_frame(case), id=str(case)) for case in range(30)),
@@ -527,6 +537,7 @@ class TestOracleGate:
             assert oracle.status is SolveStatus.OPTIMAL
             assert oracle.best_psi == pytest.approx(exact.best_psi, rel=1e-12)
             assert oracle.nodes_searched <= exact.nodes_searched
+            assert not oracle.fell_back_to_exact
             fewer.append(oracle.nodes_searched < exact.nodes_searched)
         assert any(fewer)
 
@@ -672,32 +683,84 @@ class TestTraceCsv:
         assert first[0] == "0" and first[2] == "-1"
         float(first[5])  # psi parses
 
-    def test_pass_annotations(self, tmp_path):
-        frame = make_frame(num_mds=2, num_channels=3, seed=19)
-        report = solve_bnb(frame)
-        path = tmp_path / "trace.csv"
-        passes = [SearchPass(1e-7, report.trace), SearchPass(1e-12, report.trace)]
-        write_trace_csv(path, replace(report, passes=passes), 6)
-        text = path.read_text()
-        assert "# theta=9.9999999999999995e-08 restart=0" in text
-        assert "restart=1" in text
+
+
+class TestReopen:
+    # A gated search that drains with no incumbent branches the nodes its
+    # gate rejected and searches on without the gate.
+    @pytest.mark.parametrize("frame", [
+        *(pytest.param(random_small_frame(case), id=str(case)) for case in range(10)),
+        *(pytest.param(make_uniform_frame(s_n, k_n, gain=gain), id=f"uniform-{s_n}x{k_n}")
+          for s_n, k_n, gain in TIE_FRAMES),
+        pytest.param(make_frame(num_mds=4, num_channels=6, seed=1030), id="4x6-30"),
+    ])
+    def test_prune_all_gate_replays_the_exact_search(self, frame):
+        exact = solve_bnb(frame)
+        calls = []
+        report = solve_bnb(frame, gate=lambda rec, _: calls.append(rec.node_id) or False)
+        gated = exact.trace[0].action is NodeAction.BRANCHED
+        # Only the root is asked: after the reopen no gate runs.
+        assert calls == ([0] if gated else [])
+        assert report.fell_back_to_exact is gated
+        assert report.status is exact.status
+        assert len(report.trace) == len(exact.trace)
+        for mine, ref in zip(report.trace, exact.trace):
+            assert (mine.node_id, mine.depth, mine.parent_id, mine.action) == \
+                   (ref.node_id, ref.depth, ref.parent_id, ref.action)
+            assert same_bits(np.array([mine.psi, mine.zub_at_pop]),
+                             np.array([ref.psi, ref.zub_at_pop]))
+        assert (report.nodes_searched, report.nodes_unsolved, report.lp_pivots,
+                report.lp_refactors) == (exact.nodes_searched, exact.nodes_unsolved,
+                                         exact.lp_pivots, exact.lp_refactors)
+        assert report.best_psi == exact.best_psi
+        assert np.array_equal(report.best_x, exact.best_x)
+
+    def test_reopened_nodes_branch_in_the_order_they_were_pruned(self):
+        # The gate admits the root only.  Its children are solved, the up
+        # child first, and both are pruned; the reopen branches them in that
+        # order, so ids 3 and 4 go to node 2 and ids 5 and 6 to node 1.
+        frame = make_frame(num_mds=3, num_channels=5, seed=201)
+        exact = solve_bnb(frame)
+        report = solve_bnb(frame, gate=lambda rec, _: rec.node_id == 0)
+        assert report.fell_back_to_exact
+        assert [rec.node_id for rec in report.trace[:3]] == [0, 2, 1]
+        parents = {rec.node_id: rec.parent_id for rec in report.trace}
+        assert {parents[i] for i in (3, 4) if i in parents} == {2}
+        assert {parents[i] for i in (5, 6) if i in parents} == {1}
+        # Each node keeps the one record it was given, now branched.
+        assert len(parents) == len(report.trace) == report.nodes_searched
+        assert not any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
+        assert report.best_psi == exact.best_psi
+
+    @pytest.mark.parametrize("seed", range(201, 233, 2))
+    def test_a_search_with_an_incumbent_keeps_its_model_pruned_nodes(self, seed):
+        # The oracle gate rejects every node off the optimum's chain; the
+        # chain yields the incumbent, so nothing is reopened, whether the
+        # heap drains or its least key reaches the incumbent.
+        frame = make_frame(num_mds=3, num_channels=5, seed=seed)
+        target = solve_bnb(frame).best_x.ravel()
+        rejected = []
+
+        def gate(rec, _):
+            keep = np.all((rec.fixed < 0) | (rec.fixed == target))
+            return keep or rejected.append(rec)
+
+        report = solve_bnb(frame, gate=gate)
+        assert report.status is SolveStatus.OPTIMAL
+        assert not report.fell_back_to_exact
+        assert rejected
+        assert all(rec.action is NodeAction.PRUNED_BY_MODEL for rec in rejected)
 
 
 class TestReportShape:
-    def test_bnb_reports_one_exact_pass(self):
+    def test_bnb_reports_its_trace_and_no_fallback(self):
         report = solve_bnb(make_frame(num_mds=2, num_channels=3, seed=19))
-        [search] = report.passes
-        assert search.theta is None
-        assert report.trace == search.records
-        assert report.thresholds_tried == []
-        assert report.restarts == 0
+        assert len(report.trace) == report.nodes_searched > 1
         assert not report.fell_back_to_exact
 
-    def test_exhaustive_reports_no_pass(self, tmp_path):
+    def test_exhaustive_reports_no_trace(self, tmp_path):
         report = solve_exhaustive(make_frame(num_mds=2, num_channels=3, seed=19))
-        assert report.passes == []
         assert report.trace == []
-        assert report.restarts == 0
         assert not report.fell_back_to_exact
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report, 6)

@@ -51,7 +51,7 @@ class TestFeaturize:
 
     def test_root_normalizes_to_unit(self):
         rec = self._record()
-        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]))
+        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
         assert f[0] == 0.0   # log2(1 + 0)
         assert f[1] == 0.0
         assert f[2] == 1.0
@@ -61,26 +61,26 @@ class TestFeaturize:
     def test_infeasible_sentinel(self):
         rec = self._record(action=NodeAction.PRUNED_INFEASIBLE, psi=float("nan"),
                            solution=None)
-        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]))
+        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
         assert f[2] == 0.0
         assert f[3] == PSI_SENTINEL
         assert np.all(f[4:] == 0.0)
 
     def test_splits_normalized_per_device(self):
         rec = self._record(split_bits=np.array([1e6, 1e6, 0.0, 4e6, 0.0, 0.0]))
-        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]))
+        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
         assert np.allclose(f[10:], [0.5, 0.5, 0.0, 1.0, 0.0, 0.0])
 
     def test_rejects_nonpositive_root(self):
         with pytest.raises(ValueError):
-            featurize(self._record(), root_psi=0.0, task_bits=np.array([1e6, 1e6]))
+            featurize(self._record(), root_psi=0.0, task_bits=np.full(6, 1e6))
 
     def test_cost_ratio_dominates_root_bound_corpus_wide(self):
         frames, reports, _ = build_corpus(num_frames=5)
         for frame, report in zip(frames, reports):
             root_psi = report.trace[0].psi
             for rec in report.trace:
-                f = featurize(rec, root_psi, frame.task_bits)
+                f = featurize(rec, root_psi, frame.task_bits.repeat(frame.num_channels))
                 if rec.action is not NodeAction.PRUNED_INFEASIBLE:
                     assert f[3] >= 1.0 - 1e-9
 
@@ -101,7 +101,8 @@ class TestLabelTrace:
             assert features.shape == (len(report.trace), feature_length(2, 3))
             assert labels.shape == (len(report.trace),)
             for row, rec in zip(features, report.trace):
-                assert np.array_equal(row, featurize(rec, root_psi, frame.task_bits))
+                assert np.array_equal(row, featurize(
+                    rec, root_psi, frame.task_bits.repeat(frame.num_channels)))
 
     def test_chain_length_matches_incumbent_depth(self):
         frames, reports, _ = build_corpus(num_frames=6)

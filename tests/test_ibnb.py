@@ -5,7 +5,7 @@ import pytest
 
 from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
-from mecoffload.ibnb import THETA_MIN, ThresholdPolicy, solve_ibnb
+from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
 from oracle import assignment_faults, milp_optimum
 
@@ -34,21 +34,29 @@ class TestGate:
     # The gate branches a node only on a score strictly above the threshold.
     FRAME = make_frame(num_mds=3, num_channels=5, seed=217)
 
-    def test_score_at_the_threshold_prunes_every_gated_node(self):
+    def test_score_at_the_threshold_reopens_into_the_exact_search(self):
+        # The gate prunes the root, the only node it is asked about; the
+        # heap drains with no incumbent, so the root is branched after all
+        # and the rest of the search is exact, record for record.
         frame = self.FRAME
         exact = solve_bnb(frame)
         assert exact.trace[0].action is NodeAction.BRANCHED   # the root is gated
         model = model_for(frame, 0.5)
-        theta = constant_score(model)
-        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=theta))
-        first = report.passes[0]
-        assert first.theta == theta
-        assert [rec.action for rec in first.records] == [NodeAction.PRUNED_BY_MODEL]
-        # The next threshold is below the score, and that pass is exact.
-        assert report.restarts == 1
-        assert [rec.action for rec in report.passes[1].records] == \
-               [rec.action for rec in exact.trace]
+        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.fell_back_to_exact and not exact.fell_back_to_exact
+        assert len(report.trace) == len(exact.trace) == report.nodes_searched
+        for mine, ref in zip(report.trace, exact.trace):
+            assert (mine.node_id, mine.depth, mine.parent_id, mine.action) == \
+                   (ref.node_id, ref.depth, ref.parent_id, ref.action)
+            assert mine.psi == ref.psi or (np.isnan(mine.psi) and np.isnan(ref.psi))
+            assert mine.zub_at_pop == ref.zub_at_pop
+        assert report.trace[0].action is NodeAction.BRANCHED
+        assert report.nodes_unsolved == exact.nodes_unsolved
+        assert report.lp_pivots == exact.lp_pivots
+        assert report.lp_refactors == exact.lp_refactors
         assert report.best_psi == exact.best_psi
+        assert np.array_equal(report.best_x, exact.best_x)
 
     def test_score_just_above_the_threshold_replays_the_exact_search(self):
         frame = self.FRAME
@@ -58,21 +66,20 @@ class TestGate:
         theta = float(np.nextafter(score, 0.0))
         assert score == np.nextafter(theta, 1.0)
         report = solve_ibnb(frame, model, ThresholdPolicy(theta0=theta))
-        assert report.thresholds_tried == [theta]
+        assert not report.fell_back_to_exact
         assert [rec.action for rec in report.trace] == [rec.action for rec in exact.trace]
         assert sum(rec.action is NodeAction.BRANCHED for rec in report.trace) > 1
         assert report.best_psi == exact.best_psi
 
 
 class TestLazyArrays:
-    def test_restarted_trace_arrays_equal_an_eager_rebuild_and_are_kept(self):
-        # The first pass's gate reads the root's arrays and prunes it; the
-        # second pass's gate reads those of every node it branches, and the
-        # rest are built here, on first read.
+    def test_reopened_trace_arrays_equal_an_eager_rebuild_and_are_kept(self):
+        # The gate reads the root's arrays and prunes it; after the reopen
+        # no gate reads any, and the rest are built here, on first read.
         frame = make_frame(num_mds=4, num_channels=6, seed=203)
         model = model_for(frame, 0.5)
         report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)))
-        assert report.restarts == 1 and len(report.trace) > 100
+        assert report.fell_back_to_exact and len(report.trace) > 100
         for rec in report.trace:
             x, split_bits = eager_node_arrays(rec, frame)
             first = rec.x, rec.split_bits
@@ -81,11 +88,13 @@ class TestLazyArrays:
 
 
 class TestPolicy:
-    def test_invalid_policies_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdPolicy(theta0=1.5)
-        with pytest.raises(ValueError):
-            ThresholdPolicy(theta0=1e-31)   # below the floor THETA_MIN
+    @pytest.mark.parametrize("theta0", [1.5, 1.0, 0.0, -1e-7])
+    def test_invalid_policies_rejected(self, theta0):
+        with pytest.raises(ValueError, match="0 < theta0 < 1"):
+            ThresholdPolicy(theta0=theta0)
+
+    def test_any_threshold_inside_the_unit_interval_is_accepted(self):
+        assert ThresholdPolicy(theta0=1e-31).theta0 == 1e-31
 
 
 class TestDegenerateModels:
@@ -112,7 +121,7 @@ class TestDegenerateModels:
         report = solve_ibnb(frame, model_for(frame, 0.99),
                             ThresholdPolicy(theta0=1e-7))
         assert report.status is SolveStatus.OPTIMAL
-        assert report.restarts == 0
+        assert not report.fell_back_to_exact
         assert report.best_psi == exact.best_psi
         assert report.nodes_unsolved == exact.nodes_unsolved
         assert report.lp_pivots == exact.lp_pivots
@@ -123,58 +132,40 @@ class TestDegenerateModels:
                    (ref.node_id, ref.depth, ref.parent_id, ref.action)
             assert mine.psi == ref.psi or (np.isnan(mine.psi) and np.isnan(ref.psi))
 
-    def test_overpruning_model_recovers_by_restarting(self):
+    def test_overpruning_model_recovers_by_reopening(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=41)
         report = solve_ibnb(frame, model_for(frame, 0.5),
                             ThresholdPolicy(theta0=0.9))
         assert report.status is SolveStatus.OPTIMAL
-        assert report.restarts >= 1
-        assert report.thresholds_tried[0] == 0.9
-        assert all(b < a for a, b in zip(report.thresholds_tried,
-                                         report.thresholds_tried[1:]))
-        # First pass prunes the fractional root and nothing else.
-        first = report.passes[0].records
-        assert len(first) == 1
-        assert first[0].action is NodeAction.PRUNED_BY_MODEL
+        assert report.fell_back_to_exact
+        # The gate pruned the fractional root, which the reopen branched.
+        assert report.trace[0].action is NodeAction.BRANCHED
+        assert not any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
+        assert report.best_psi == solve_bnb(frame).best_psi
         assert assignment_faults(*frame_args(frame), report.best_x, report.best_split,
                                  report.best_psi) == []
 
-    def test_node_count_includes_model_pruned_pops(self):
+    def test_node_count_includes_model_pruned_pops_once(self):
+        # The root is popped, scored 1e-9 <= 1e-7 and pruned; the reopen
+        # branches it without solving it again.
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
         report = solve_ibnb(frame, model_for(frame, 1e-9),
                             ThresholdPolicy(theta0=1e-7))
-        # Pass 1: the root is popped, scored 1e-9 <= 1e-7, pruned.  Pass 2
-        # runs at 1e-12 where 1e-9 clears the bar.
-        assert report.thresholds_tried == [1e-7, 1e-7 * 1e-5]
-        assert report.restarts == 1
-        assert report.nodes_searched == 1 + len(report.passes[1].records)
-        assert report.nodes_searched == len(report.trace)
-        # Each pass ran to its end: it made the root and two children per
-        # branched node, and solved the rest.
-        assert report.nodes_unsolved == sum(
-            1 + 2 * sum(rec.action is NodeAction.BRANCHED for rec in p.records)
-            - len(p.records) for p in report.passes)
-
-    def test_fallback_to_exact_search(self):
-        # A model scoring below the floor prunes the root at every threshold
-        # down to it, and then the exact search takes over.
-        frame = make_frame(num_mds=2, num_channels=3, seed=43)
-        policy = ThresholdPolicy(theta0=0.9)
-        report = solve_ibnb(frame, model_for(frame, 1e-35), policy)
-        assert report.fell_back_to_exact
-        assert report.thresholds_tried[-1] >= THETA_MIN > report.thresholds_tried[-1] * 1e-5
-        assert report.status is SolveStatus.OPTIMAL
-        assert report.passes[-1].theta is None
         exact = solve_bnb(frame)
-        assert report.best_psi == exact.best_psi
+        assert report.fell_back_to_exact
+        assert report.nodes_searched == len(report.trace) == exact.nodes_searched
+        # The search ran to its end: it made the root and two children per
+        # branched node, and solved the rest.
+        branched = sum(rec.action is NodeAction.BRANCHED for rec in report.trace)
+        assert report.nodes_unsolved == 1 + 2 * branched - len(report.trace)
 
-    def test_infeasible_instance_detected_without_restarts(self):
+    def test_infeasible_instance_detected_without_a_reopen(self):
         frame = make_frame(num_mds=3, num_channels=2, seed=44)
-        report = solve_ibnb(frame, model_for(frame, 0.99))
+        report = solve_ibnb(frame, model_for(frame, 1e-9))
         assert report.status is SolveStatus.INFEASIBLE
-        # The only pass pops the infeasible root; the model never fires, so
-        # no threshold decay can change the outcome.
-        assert report.restarts == 0
+        # The infeasible root is the only node; the model never fires, so
+        # there is nothing to reopen.
+        assert [rec.action for rec in report.trace] == [NodeAction.PRUNED_INFEASIBLE]
         assert not report.fell_back_to_exact
 
     def test_feature_width_mismatch_rejected(self):
@@ -237,8 +228,9 @@ class TestSoundness:
             [rng.normal(0, 0.1, size=dims[i + 1]) for i in range(len(dims) - 1)],
         )
         root_psi = exact.trace[0].psi
+        tasks = frame.task_bits.repeat(frame.num_channels)
         scores = [
-            forward(model, featurize(rec, root_psi, frame.task_bits))
+            forward(model, featurize(rec, root_psi, tasks))
             for rec in exact.trace
             if rec.action is not NodeAction.PRUNED_INFEASIBLE
         ]
@@ -249,53 +241,30 @@ class TestSoundness:
 
 
 class TestReportShape:
-    def test_trace_flattens_passes(self):
+    def test_reopened_trace_csv_has_one_row_per_record_and_no_heads(self, tmp_path):
         frame = make_frame(num_mds=2, num_channels=3, seed=61)
         report = solve_ibnb(frame, model_for(frame, 0.5),
                             ThresholdPolicy(theta0=0.9))
-        assert len(report.trace) == sum(len(p.records) for p in report.passes)
-        assert report.nodes_searched == len(report.trace)
-
-    def test_trace_csv_annotates_passes(self, tmp_path):
-        frame = make_frame(num_mds=2, num_channels=3, seed=61)
-        report = solve_ibnb(frame, model_for(frame, 0.5),
-                            ThresholdPolicy(theta0=0.9))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, 6)
-        text = path.read_text()
-        assert text.count("# theta=") == len(report.passes)
-        assert "PrunedByModel" in text
-
-    def test_prune_everything_falls_back_on_a_last_exact_pass(self, tmp_path):
-        # From the default 1e-7, five thresholds reach the floor; each pass
-        # prunes the root, and the sixth, exact, pass heads as theta 0.
-        frame = make_frame(num_mds=2, num_channels=3, seed=43)
-        report = solve_ibnb(frame, model_for(frame, 1e-35))
-        assert report.passes[-1].theta is None
         assert report.fell_back_to_exact
-        assert report.restarts == len(report.passes) - 2 == 4
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report, 6)
-        heads = [line for line in path.read_text().splitlines() if line.startswith("# theta=")]
-        assert heads == [
-            "# theta=9.9999999999999995e-08 restart=0",
-            "# theta=9.9999999999999998e-13 restart=1",
-            "# theta=1.0000000000000001e-17 restart=2",
-            "# theta=1.0000000000000002e-22 restart=3",
-            "# theta=1.0000000000000002e-27 restart=4",
-            "# theta=0 restart=5",
-        ]
+        lines = path.read_text().splitlines()
+        assert [l for l in lines if l.startswith("#")] == ["# trace-v1"]
+        rows = [l.split(",") for l in lines[2:]]
+        assert [int(r[0]) for r in rows] == [rec.node_id for rec in report.trace]
+        assert rows[0][4] == "Branched"
 
-    def test_budget_spent_before_fallback_is_not_exceeded(self):
-        # The only pass prunes the root and uses the whole budget; the exact
-        # fallback must not pop another node.
+    def test_budget_spent_before_the_reopen_is_not_exceeded(self):
+        # The gate prunes the root and the budget is spent on it; the
+        # reopened children stay unsolved.
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
-        # At 1e-26 the next threshold, 1e-31, is below the floor THETA_MIN.
-        report = solve_ibnb(frame, model_for(frame, 1e-28),
-                            ThresholdPolicy(theta0=1e-26),
+        model = model_for(frame, 0.5)
+        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)),
                             max_nodes=1)
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 1
+        assert report.nodes_unsolved == 2
+        assert report.fell_back_to_exact
         assert report.best_x is None
 
     def test_budget_exhaustion_is_explicit(self):
