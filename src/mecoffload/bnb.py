@@ -313,6 +313,7 @@ def solve_bnb(
             record.action = NodeAction.PRUNED_BY_BOUND
         elif gate is not None and not gate(record, root_psi):
             record.action = NodeAction.PRUNED_BY_MODEL
+            node.start = None   # a reopen branches it without solving it again
             deferred.append((node, result, record))
         else:
             open_children(node, result, sol.first_fractional)

@@ -126,18 +126,15 @@ class TestSolveBnb:
         assert report.best_psi == pytest.approx(expected, rel=1e-9)
         assert max(rec.depth for rec in report.trace) <= 1
 
-    def test_more_devices_than_channels_infeasible(self):
-        report = solve_bnb(make_frame(num_mds=2, num_channels=1, seed=4))
-        assert report.status is SolveStatus.INFEASIBLE
-        assert report.best_x is None
-
-    def test_more_devices_than_channels_infeasible_with_no_gate_call(self):
-        # The root relaxation is infeasible, so no node reaches the gate and
+    @pytest.mark.parametrize("gated", [False, True], ids=["exact", "gated"])
+    def test_more_devices_than_channels_infeasible(self, gated):
+        # The root relaxation is infeasible, so no node reaches a gate and
         # there is nothing to reopen.
         calls = []
-        report = solve_bnb(make_frame(num_mds=3, num_channels=2, seed=44),
-                           gate=lambda rec, root_psi: calls.append(rec) or False)
+        gate = (lambda rec, _: calls.append(rec) or False) if gated else None
+        report = solve_bnb(make_frame(num_mds=2, num_channels=1, seed=4), gate=gate)
         assert report.status is SolveStatus.INFEASIBLE
+        assert report.best_x is None
         assert calls == []
         assert [rec.action for rec in report.trace] == [NodeAction.PRUNED_INFEASIBLE]
         assert not report.fell_back_to_exact
@@ -733,10 +730,11 @@ class TestReopen:
         assert report.best_psi == exact.best_psi
 
     @pytest.mark.parametrize("seed", range(201, 233, 2))
-    def test_a_search_with_an_incumbent_keeps_its_model_pruned_nodes(self, seed):
+    def test_a_search_with_an_incumbent_keeps_its_model_pruned_nodes(self, seed, tmp_path):
         # The oracle gate rejects every node off the optimum's chain; the
         # chain yields the incumbent, so nothing is reopened, whether the
-        # heap drains or its least key reaches the incumbent.
+        # heap drains or its least key reaches the incumbent.  The rejects
+        # keep their action in trace.csv, where the dataset labels read it.
         frame = make_frame(num_mds=3, num_channels=5, seed=seed)
         target = solve_bnb(frame).best_x.ravel()
         rejected = []
@@ -750,6 +748,11 @@ class TestReopen:
         assert not report.fell_back_to_exact
         assert rejected
         assert all(rec.action is NodeAction.PRUNED_BY_MODEL for rec in rejected)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, report, 15)
+        actions = [line.split(",")[4] for line in path.read_text().splitlines()[2:]]
+        assert actions.count("PrunedByModel") == len(rejected) == sum(
+            rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
 
 
 class TestReportShape:
