@@ -36,9 +36,7 @@ def run(argv) -> int:
         ["gen-data", "--config", args.config, "--frames", str(args.frames),
          "--out", data_dir, "--seed", str(args.seed)],
         ["train", "--dataset", os.path.join(data_dir, "dataset.csv"),
-         "--out", model_dir, "--epochs", str(args.epochs),
-         "--batch-size", "512", "--learning-rate", "2e-3",
-         "--pos-weight", "5.0", "--seed", str(args.seed)],
+         "--out", model_dir, "--epochs", str(args.epochs), "--seed", str(args.seed)],
         ["bench", "--config", args.config, "--model",
          os.path.join(model_dir, "model.txt"), "--frames", str(args.frames),
          "--out", bench_dir, "--seed", str(args.seed)],

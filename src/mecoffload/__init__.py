@@ -3,7 +3,6 @@
 from .scenario import Scenario, ScenarioConfig, generate_frame, rate
 from .lp import LinearProgram, LpResult, LpStatus, solve_lp
 from .relax import (
-    RelaxationSolution,
     build_relaxation,
     extract_solution,
     solve_split,

@@ -16,13 +16,14 @@ bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
 search: each node carries its flow upper bounds, which a pop copies into
 the LP in one write, and every child LP is warm-started from its parent's
-optimal basis and factor.  Every solved node is appended to the trace,
-which later becomes classifier training data, so the records keep the
-node's relaxation solution and the bound that was active at pop time.  A
-record's indicators and splits are built from that solution's flows only
-when read (by the trace writer, the dataset, a gate and the incumbent),
-so the search itself pays for none of them; a node dropped at pop time
-costs no LP, has no trace row, and is counted only as unsolved.
+optimal basis and factor.  A solved node makes one :class:`NodeRecord`,
+appended to the trace, which later becomes classifier training data: it
+keeps the node's relaxation value, branching index and flows, and the
+bound that was active at pop time.  A record's indicators and splits are
+built from its flows only when read (by the trace writer, the dataset, a
+gate and the incumbent), so the search itself pays for none of them; a
+node dropped at pop time costs no LP, has no trace row, and is counted
+only as unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -43,17 +44,17 @@ import heapq
 import itertools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .lp import Basis, LpResult, LpStatus, pinned_bounds, solve_lp
 from .relax import (
-    RelaxationSolution,
     _price_map,
     build_relaxation,
     extract_solution,
+    node_arrays,
     pinned_flows,
     solve_split,
 )
@@ -75,7 +76,7 @@ __all__ = [
 ]
 
 
-#: Default node budget of a search, in solved nodes.
+#: Node budget of a search, in solved nodes.
 MAX_NODES = 500_000
 #: Largest number of full channel-to-device maps (S**K) :func:`solve_exhaustive`
 #: enumerates.
@@ -119,13 +120,15 @@ class Node:
     start: Basis | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
-    """Trace row: node attributes plus the processing outcome.  ``fixed`` is
-    the node's own fixing vector, not a copy (nothing writes it after
-    :func:`branch`); neither the trace CSV nor the dataset writes it.
-    ``solution`` is the node's relaxation solution, None when infeasible;
-    ``x`` and ``split_bits`` read its arrays, built on first read, and an
+    """The one object a solved node makes: its trace row, the record a gate
+    reads, and the incumbent when it is one.  ``fixed`` is the node's own
+    fixing vector, not a copy (nothing writes it after :func:`branch`);
+    neither the trace CSV nor the dataset writes it.  ``flows`` is the copy
+    of the node's LP flows :func:`relax.extract_solution` made, None when
+    infeasible.  ``x`` and ``split_bits`` are built together from them by
+    :func:`relax.node_arrays` on the first read of either, then kept; an
     infeasible record reads two zero arrays of its own."""
 
     node_id: int
@@ -135,22 +138,30 @@ class NodeRecord:
     psi: float                    # nan when infeasible
     zub_at_pop: float             # incumbent bound when the node was popped
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
-    solution: RelaxationSolution | None
-
-    def __post_init__(self) -> None:
-        if self.solution is None:
-            n = self.fixed.size
-            self._zeros = (np.zeros(n), np.zeros(n))
+    first_fractional: int | None  # the index to branch on; None at a leaf or when infeasible
+    flows: np.ndarray | None      # (S*K,) in units of the largest task; None when infeasible
+    scenario: Scenario
+    _arrays: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @property
     def x(self) -> np.ndarray:
-        """(S*K,) indicator values; zeros when infeasible."""
-        return self._zeros[0] if self.solution is None else self.solution.x
+        """(S*K,) indicator values in [0, 1], binary at a leaf; zeros when infeasible."""
+        return self._built()[0]
 
     @property
     def split_bits(self) -> np.ndarray:
         """(S*K,) splits in bits; zeros when infeasible."""
-        return self._zeros[1] if self.solution is None else self.solution.split_bits
+        return self._built()[1]
+
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            if self.flows is None:
+                n = self.fixed.size
+                self._arrays = (np.zeros(n), np.zeros(n))
+            else:
+                self._arrays = node_arrays(self.scenario, self.flows, self.fixed,
+                                           self.first_fractional is None)
+        return self._arrays
 
 
 @dataclass
@@ -206,8 +217,6 @@ def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Nod
 def solve_bnb(
     scenario: Scenario,
     gate: Callable[[NodeRecord, float], bool] | None = None,
-    *,
-    max_nodes: int = MAX_NODES,
 ) -> SolveReport:
     """Branch-and-bound search for the optimal offloading assignment.
 
@@ -219,12 +228,10 @@ def solve_bnb(
     the optimum.  If the heap drains with no incumbent, every rejected node
     is branched after all, its record turned to ``Branched``, and the search
     goes on without the gate: no node is solved twice, and the answer is
-    then the exact optimum.  Solving more than ``max_nodes`` nodes (at
-    least 1) is reported explicitly, never as optimal; the report keeps the
-    incumbent found by then, if any.
+    then the exact optimum.  Solving more than :data:`MAX_NODES` nodes is
+    reported explicitly, never as optimal; the report keeps the incumbent
+    found by then, if any.
     """
-    if max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
@@ -237,7 +244,7 @@ def solve_bnb(
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
     next_id = 1
     z_ub = np.inf
-    best: RelaxationSolution | None = None   # the incumbent leaf's solution
+    best: NodeRecord | None = None   # the incumbent leaf's record
     root_psi: float | None = None
     trace: list[NodeRecord] = []
     # The gate's rejects, each with what branching it later needs.
@@ -266,7 +273,7 @@ def solve_bnb(
             # gate rejected, and search on exactly.
             for node, result, record in deferred:
                 np.copyto(flow_upper, node.upper)
-                open_children(node, result, record.solution.first_fractional)
+                open_children(node, result, record.first_fractional)
                 record.action = NodeAction.BRANCHED
             deferred.clear()
             gate = None
@@ -274,7 +281,7 @@ def solve_bnb(
         key, _, node = heapq.heappop(queue)
         if key >= z_ub:
             break  # every open bound has reached the incumbent
-        if len(trace) >= max_nodes:
+        if len(trace) >= MAX_NODES:
             exhausted = True
             break
         zub_at_pop = z_ub
@@ -287,28 +294,28 @@ def solve_bnb(
             trace.append(NodeRecord(
                 node.node_id, node.depth, node.parent_id,
                 NodeAction.PRUNED_INFEASIBLE, float("nan"), zub_at_pop,
-                node.fixed, None,
+                node.fixed, None, None, scenario,
             ))
             continue
 
-        sol = extract_solution(scenario, result, node.fixed)
+        psi, first, flows = extract_solution(scenario, result)
         if root_psi is None:
-            root_psi = sol.psi
+            root_psi = psi
         # The gate sees the record as it would be kept if branched.  The
-        # record takes the node's fixing vector and its solution, whose
-        # arrays nothing here reads.
+        # record takes the node's fixing vector and its flows, and builds
+        # no array until one is read, which nothing here does.
         record = NodeRecord(
             node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
-            sol.psi, zub_at_pop, node.fixed, sol,
+            psi, zub_at_pop, node.fixed, first, flows, scenario,
         )
-        if sol.first_fractional is None:
-            if sol.psi < z_ub:
-                z_ub = sol.psi
-                best = sol
+        if first is None:
+            if psi < z_ub:
+                z_ub = psi
+                best = record
                 record.action = NodeAction.NEW_INCUMBENT
             else:
                 record.action = NodeAction.PRUNED_BY_BOUND
-        elif sol.psi >= z_ub:
+        elif psi >= z_ub:
             # No descendant of a tied node can strictly improve the incumbent.
             record.action = NodeAction.PRUNED_BY_BOUND
         elif gate is not None and not gate(record, root_psi):
@@ -316,7 +323,7 @@ def solve_bnb(
             node.start = None   # a reopen branches it without solving it again
             deferred.append((node, result, record))
         else:
-            open_children(node, result, sol.first_fractional)
+            open_children(node, result, first)
         trace.append(record)
 
     if exhausted:
@@ -327,7 +334,7 @@ def solve_bnb(
         status = SolveStatus.OPTIMAL
     return SolveReport(
         status=status,
-        # Copies: the trace record of the incumbent holds the same arrays.
+        # Copies: the incumbent's trace record keeps its own arrays.
         best_x=None if best is None else best.x.astype(int).reshape(s_n, k_n),
         best_split=None if best is None else best.split_bits.reshape(s_n, k_n).copy(),
         best_psi=None if best is None else best.psi,

@@ -197,8 +197,7 @@ def cmd_train(args) -> int:
         ("learning_rate", csv_float(tc.learning_rate)),
         ("epochs", tc.epochs),
         ("batch_size", tc.batch_size),
-        ("positive_class_weight", "auto" if tc.positive_class_weight is None
-         else csv_float(tc.positive_class_weight)),
+        ("positive_class_weight", csv_float(tc.positive_class_weight)),
         ("validation_fraction", csv_float(VALIDATION_FRACTION)),
         ("seed", tc.rng_seed),
     ])
@@ -409,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the pruning classifier")
     common(p)
     p.add_argument("--dataset", required=True, help="dataset CSV path")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--pos-weight", type=float, default=None)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--pos-weight", type=float, default=TrainConfig.positive_class_weight)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="solve one frame and dump report + trace")

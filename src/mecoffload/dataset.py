@@ -112,6 +112,8 @@ def label_trace(report: SolveReport, scenario: Scenario) -> tuple[np.ndarray, np
     if report.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"can only label optimal traces, got {report.status}")
     records = report.trace
+    if not records:
+        raise ValueError("can only label the trace of a tree search, got an empty trace")
     root_psi = records[0].psi
 
     incumbent_id = None

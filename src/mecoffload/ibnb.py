@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bnb import MAX_NODES, NodeRecord, SolveReport, solve_bnb
+from .bnb import NodeRecord, SolveReport, solve_bnb
 from .dataset import feature_length, featurize
 from .mlp import MlpModel, forward
 from .scenario import Scenario
@@ -43,8 +43,6 @@ def solve_ibnb(
     scenario: Scenario,
     model: MlpModel,
     policy: ThresholdPolicy | None = None,
-    *,
-    max_nodes: int = MAX_NODES,
 ) -> SolveReport:
     """Learned-pruning search: ``solve_bnb`` gated by ``model`` at the
     policy's threshold.
@@ -66,4 +64,4 @@ def solve_ibnb(
         # Branch only on a score strictly above the threshold.
         return forward(model, featurize(record, root_psi, tasks)) > theta
 
-    return solve_bnb(scenario, model_gate, max_nodes=max_nodes)
+    return solve_bnb(scenario, model_gate)

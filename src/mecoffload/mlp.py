@@ -107,10 +107,12 @@ class MlpModel:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
+    """Training settings; the defaults are the values every caller trains with."""
+
+    learning_rate: float = 2e-3
     epochs: int = 100
-    batch_size: int = 128
-    positive_class_weight: float | None = None  # None: negatives/positives
+    batch_size: int = 512
+    positive_class_weight: float = 5.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,7 +122,7 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.positive_class_weight is not None and self.positive_class_weight <= 0:
+        if self.positive_class_weight <= 0:
             raise ValueError("positive_class_weight must be positive")
 
 
@@ -279,13 +281,6 @@ def train(
     x_val, y_val = x[val_idx], y[val_idx]
 
     weight = cfg.positive_class_weight
-    if weight is None:
-        positives = float(y_train.sum())
-        negatives = float(y_train.size - positives)
-        if positives == 0 or negatives == 0:
-            raise ValueError("training split lost one class; reshuffle or reweight")
-        weight = negatives / positives
-
     out = MlpModel(
         model.layer_dims,
         [p.copy() for p in model.weights],

@@ -24,9 +24,10 @@ device: its x is that support, a feasible channel map, and the LP value
 is that map's cost.  Elsewhere x is read off as y/L clipped to [0, 1], and
 the search branches on the first index carrying flow on a shared channel.
 The search reads only the value, the leaf test and that index, so
-extraction finds just these and keeps a copy of the node's flows; a node's
-x and splits are built from those flows on first read, which only traces,
-features and the incumbent make.
+:func:`extract_solution` finds just these and a copy of the node's flows;
+:func:`node_arrays` builds the node's x and splits from those flows, which
+a search record does on first read, made only by traces, features and the
+incumbent.
 
 Once x is binary the split problem needs no LP.  One closed-form core
 fills each device's channels fastest first and minimises the resulting
@@ -40,7 +41,7 @@ valid by construction, runs the core alone on every map and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +50,10 @@ from .scenario import Scenario
 
 __all__ = [
     "INTEGRALITY_TOL",
-    "RelaxationSolution",
     "SplitSolution",
     "build_relaxation",
     "extract_solution",
+    "node_arrays",
     "pinned_flows",
     "solve_split",
 ]
@@ -60,55 +61,6 @@ __all__ = [
 #: A flow above this share of its device's task counts as carried, and an
 #: indicator within this distance of 0/1 counts as integral.
 INTEGRALITY_TOL = 1e-6
-
-
-@dataclass(slots=True)
-class RelaxationSolution:
-    """Point recovered from a node LP: the bound, the branching index, and
-    the flows its indicators and splits are read from.
-
-    ``x`` and ``split_bits`` are built together on the first read of
-    either, then kept: the flows' shares of their device's task and the
-    counted support are found again from ``y`` and ``tasks``, x is that
-    support at a leaf and the shares clipped to [0, 1] elsewhere, 1
-    wherever ``fixed`` holds a 1, and the splits are the counted flows in
-    bits, 0 elsewhere.
-    """
-
-    psi: float               # relaxation objective value
-    first_fractional: int | None  # smallest index on a shared channel, None at a leaf
-    y: np.ndarray            # (S*K,) a copy of the node's flows, in units of the largest task
-    tasks: np.ndarray        # (S*K,) each flow's task size in the same units, shared
-    fixed: np.ndarray        # (S*K,) the node's fixing vector
-    scale: float             # bits per flow unit
-    _x: np.ndarray | None = field(default=None, init=False, repr=False)
-    _split_bits: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def x(self) -> np.ndarray:
-        """(S*K,) indicator values in [0, 1], binary at a leaf."""
-        if self._x is None:
-            self._build()
-        return self._x
-
-    @property
-    def split_bits(self) -> np.ndarray:
-        """(S*K,) recovered splits, bits."""
-        if self._split_bits is None:
-            self._build()
-        return self._split_bits
-
-    def _build(self) -> None:
-        share = self.y / self.tasks
-        support = share > INTEGRALITY_TOL
-        if self.first_fractional is None:
-            x = support.astype(float)
-        else:
-            x = share.clip(0.0, 1.0)
-        x[self.fixed == 1] = 1.0
-        split_bits = self.y * self.scale
-        split_bits[~support] = 0.0
-        self._x, self._split_bits = x, split_bits
 
 
 @dataclass
@@ -177,39 +129,55 @@ def pinned_flows(index: int, value: int, num_channels: int, num_flows: int) -> n
 
 
 def extract_solution(
-    scenario: Scenario, lp_result: LpResult, fixed: np.ndarray,
-) -> RelaxationSolution:
-    """Read the optimal LP of the node with fixing vector ``fixed`` (S*K
-    entries: -1 free, 0 or 1 fixed) as a :class:`RelaxationSolution`.
+    scenario: Scenario, lp_result: LpResult,
+) -> tuple[float, int | None, np.ndarray]:
+    """Read a node's optimal LP as ``(psi, first_fractional, flows)``: the
+    relaxation value, the index to branch on (None at a leaf) and a copy
+    of the (S*K,) flows, in units of the largest task.
 
     A flow counts when it exceeds :data:`INTEGRALITY_TOL` of its device's
-    task, and only counted flows become splits.  A point whose channels
-    each carry counted flow from at most one device is a leaf; otherwise
-    the first fractional index is the smallest one with counted flow on a
-    channel that two or more devices share.  Only psi, the leaf test and
-    that index are computed here; x and the splits are built from the
-    kept flows when first read.
+    task.  A point whose channels each carry counted flow from at most one
+    device is a leaf; otherwise the first fractional index is the smallest
+    one with counted flow on a channel that two or more devices share.
+    Only psi, the leaf test and that index are computed here;
+    :func:`node_arrays` builds x and the splits from the flows.
     """
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
     s_n, k_n = scenario.num_mds, scenario.num_channels
-    # The solution keeps its own copy of the flows, not a view that would
-    # keep the simplex's whole point alive; sharing is found on the (S, K)
-    # view of their support, and only its verdict is kept.
+    # A copy of the flows, not a view that would keep the simplex's whole
+    # point alive; sharing is found on the (S, K) view of their support,
+    # and only its verdict is kept.
     y = lp_result.x[:s_n * k_n].copy()
-    tasks = scenario.scaled_flow_tasks
-    support = (y / tasks > INTEGRALITY_TOL).reshape(s_n, k_n)
+    support = (y / scenario.scaled_flow_tasks > INTEGRALITY_TOL).reshape(s_n, k_n)
     contested = support.sum(axis=0) > 1
     integral = not contested[contested.argmax()]
     first = None if integral else int((support & contested).argmax())
-    return RelaxationSolution(
-        psi=float(lp_result.value),
-        first_fractional=first,
-        y=y,
-        tasks=tasks,
-        fixed=fixed,
-        scale=scenario.task_scale,
-    )
+    return float(lp_result.value), first, y
+
+
+def node_arrays(
+    scenario: Scenario, flows: np.ndarray, fixed: np.ndarray, leaf: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A node's ``(x, split_bits)``, each (S*K,), built from the flows
+    :func:`extract_solution` kept and the node's fixing vector ``fixed``
+    (-1 free, 0 or 1 fixed).
+
+    The flows' shares of their device's task and the counted support are
+    found again: x is that support at a ``leaf`` and the shares clipped to
+    [0, 1] elsewhere, 1 wherever ``fixed`` holds a 1, and the splits are
+    the counted flows in bits, 0 elsewhere.
+    """
+    share = flows / scenario.scaled_flow_tasks
+    support = share > INTEGRALITY_TOL
+    if leaf:
+        x = support.astype(float)
+    else:
+        x = share.clip(0.0, 1.0)
+    x[fixed == 1] = 1.0
+    split_bits = flows * scenario.task_scale
+    split_bits[~support] = 0.0
+    return x, split_bits
 
 
 def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | None:

@@ -65,14 +65,14 @@ def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray]:
     1 wherever a fixing holds a 1, and the splits are the counted flows in
     bits.  Zeros for an infeasible record."""
     s_n, k_n = frame.num_mds, frame.num_channels
-    if record.solution is None:
+    if record.flows is None:
         return np.zeros(s_n * k_n), np.zeros(s_n * k_n)
     scale = float(frame.task_bits.max())
-    y = record.solution.y
+    y = record.flows
     share = y.reshape(s_n, k_n) / (frame.task_bits / scale)[:, None]
     support = share > INTEGRALITY_TOL
     leaf = support.sum(axis=0).max() <= 1
-    assert leaf == (record.solution.first_fractional is None)
+    assert leaf == (record.first_fractional is None)
     support = support.ravel()
     x = support.astype(float) if leaf else share.ravel().clip(0.0, 1.0)
     x[record.fixed == 1] = 1.0

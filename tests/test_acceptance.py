@@ -57,8 +57,7 @@ def run_pipeline(workdir: Path) -> None:
         ["gen-data", "--config", "desk.cfg", "--frames", str(TRAIN_FRAMES),
          "--out", "data", "--seed", str(SEED_BASE)],
         ["train", "--dataset", "data/dataset.csv", "--out", "model",
-         "--epochs", str(EPOCHS), "--batch-size", "512", "--learning-rate", "2e-3",
-         "--pos-weight", "5.0", "--seed", str(SEED_BASE)],
+         "--epochs", str(EPOCHS), "--seed", str(SEED_BASE)],
     ]
     for seed in held_out_seeds():
         for solver in SOLVERS:

@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -6,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mecoffload import cli
-from mecoffload.bnb import ENUM_BUDGET, solve_bnb
+from mecoffload import bnb
+from mecoffload.bnb import ENUM_BUDGET
 from mecoffload.cli import WEIGHT_SWEEP, eval_seed, main
 from mecoffload.dataset import read_dataset
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
@@ -354,7 +353,7 @@ class TestBench:
 
     def test_budget_exhausted_exit_code(self, tmp_path, config_path, model_path, capsys,
                                         monkeypatch):
-        monkeypatch.setattr(cli, "solve_bnb", functools.partial(solve_bnb, max_nodes=1))
+        monkeypatch.setattr(bnb, "MAX_NODES", 1)
         out = tmp_path / "bench"
         rc = main(["bench", "--config", config_path, "--model", model_path,
                    "--frames", "1", "--out", str(out)])

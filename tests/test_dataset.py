@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecoffload.bnb import NodeAction, NodeRecord, solve_bnb
+from mecoffload.bnb import NodeAction, NodeRecord, SolveStatus, solve_bnb, solve_exhaustive
 from mecoffload.dataset import (
     PSI_SENTINEL,
     Dataset,
@@ -12,9 +12,8 @@ from mecoffload.dataset import (
     read_dataset,
     write_dataset,
 )
-from mecoffload.relax import RelaxationSolution
 
-from conftest import make_frame
+from conftest import make_frame, make_uniform_frame
 
 
 def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
@@ -30,21 +29,20 @@ def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
 
 
 class TestFeaturize:
+    #: Two devices with tasks of 2e6 and 4e6 bits, on three channels.
+    FRAME = make_uniform_frame(2, 3, task=np.array([2e6, 4e6]))
+
     def _record(self, split_bits=None, **overrides):
-        # A record whose solution reads back the given split_bits: off a
-        # leaf and with nothing fixed, the splits are the flows times the
-        # scale wherever they count (every nonzero flow over these task
-        # sizes), and x is the flows' shares of their task clipped to [0, 1].
-        fixed = np.full(6, -1, dtype=np.int8)
-        solution = RelaxationSolution(
-            psi=2.0, first_fractional=0,
-            y=np.full(6, 1e6) if split_bits is None else np.asarray(split_bits, dtype=float),
-            tasks=np.full(6, 2e6), fixed=fixed, scale=1.0,
-        )
+        # A record that reads back the given split_bits: off a leaf and with
+        # nothing fixed, the splits are the flows, in units of the larger
+        # task, times that task wherever they count (every nonzero flow
+        # here), and x is the flows' shares of their task clipped to [0, 1].
+        split_bits = np.full(6, 1e6) if split_bits is None else np.asarray(split_bits)
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
-            fixed=fixed, solution=solution,
+            fixed=np.full(6, -1, dtype=np.int8), first_fractional=0,
+            flows=split_bits / self.FRAME.task_scale, scenario=self.FRAME,
         )
         defaults.update(overrides)
         return NodeRecord(**defaults)
@@ -60,7 +58,7 @@ class TestFeaturize:
 
     def test_infeasible_sentinel(self):
         rec = self._record(action=NodeAction.PRUNED_INFEASIBLE, psi=float("nan"),
-                           solution=None)
+                           first_fractional=None, flows=None)
         f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
         assert f[2] == 0.0
         assert f[3] == PSI_SENTINEL
@@ -154,6 +152,14 @@ class TestLabelTrace:
         with pytest.raises(ValueError):
             label_trace(report, frame)
 
+    def test_requires_a_search_trace(self):
+        # The exhaustive oracle's answer is optimal but has no trace.
+        frame = make_frame(num_mds=2, num_channels=3, seed=404)
+        report = solve_exhaustive(frame)
+        assert report.status is SolveStatus.OPTIMAL and report.trace == []
+        with pytest.raises(ValueError, match="empty trace"):
+            label_trace(report, frame)
+
 
 def dataset(n=50, num_mds=2, num_channels=3, **overrides) -> Dataset:
     rng = np.random.default_rng(0)
@@ -240,10 +246,22 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=":6: could not convert"):
             read_dataset(path)
 
-    def test_header_mismatch_rejected(self, tmp_path):
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self._rewrite_line(tmp_path, 4, lambda line: line + "\n")
+        assert "\n\n" in path.read_text()
+        loaded, written = read_dataset(path), dataset(5)
+        for column in ("features", "labels", "frame_ids", "node_ids"):
+            assert np.array_equal(getattr(loaded, column), getattr(written, column))
+
+    @pytest.mark.parametrize("text, match", [
+        ("# dataset-v1 m=5 S=2 K=3\nframe_id,node_id,label\n", ":1: m=5 inconsistent"),
+        ("# dataset-v1 m=16 S=2\nframe_id,node_id,label\n", ":1: header lacks 'K'"),
+        ("# dataset-v1 m=16 S=2 K=3\n", ":2: missing column header"),
+    ], ids=["inconsistent", "lacks-key", "no-column-header"])
+    def test_header_mismatch_rejected(self, tmp_path, text, match):
         path = tmp_path / "ds.csv"
-        path.write_text("# dataset-v1 m=5 S=2 K=3\nframe_id,node_id,label\n")
-        with pytest.raises(DatasetFormatError, match="inconsistent"):
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=match):
             read_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):

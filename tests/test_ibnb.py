@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mecoffload import bnb
 from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
 from mecoffload.dataset import featurize
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
@@ -242,37 +243,36 @@ class TestReportShape:
         assert [int(r[0]) for r in rows] == [rec.node_id for rec in report.trace]
         assert rows[0][4] == "Branched"
 
-    def test_budget_spent_before_the_reopen_is_not_exceeded(self):
+    def test_budget_spent_before_the_reopen_is_not_exceeded(self, monkeypatch):
         # The gate prunes the root and the budget is spent on it; the
         # reopened children stay unsolved.
         frame = make_frame(num_mds=2, num_channels=3, seed=42)
         model = model_for(frame, 0.5)
-        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)),
-                            max_nodes=1)
+        monkeypatch.setattr(bnb, "MAX_NODES", 1)
+        report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)))
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 1
         assert report.nodes_unsolved == 2
         assert report.fell_back_to_exact
         assert report.best_x is None
 
-    def test_budget_exhaustion_is_explicit(self):
+    def test_budget_exhaustion_is_explicit(self, monkeypatch):
         frame = make_frame(num_mds=3, num_channels=4, seed=62)
-        report = solve_ibnb(frame, model_for(frame, 0.99), max_nodes=3)
+        monkeypatch.setattr(bnb, "MAX_NODES", 3)
+        report = solve_ibnb(frame, model_for(frame, 0.99))
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.nodes_searched == 3
-        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
-            solve_ibnb(frame, model_for(frame, 0.99), max_nodes=0)
 
-    def test_spent_budget_keeps_the_last_incumbent(self):
+    def test_spent_budget_keeps_the_last_incumbent(self, monkeypatch):
         # Both solvers stop at the budget with the incumbent found so far,
         # a feasible assignment above the optimum.  The command line never
         # gets here: its budget is MAX_NODES.
         frame = make_frame(num_mds=3, num_channels=5, seed=3)
         args = frame_args(frame)
         optimum = milp_optimum(*args)
-        exact = solve_bnb(frame, max_nodes=26)
-        learned = solve_ibnb(frame, model_for(frame, 0.99), ThresholdPolicy(theta0=1e-7),
-                             max_nodes=26)
+        monkeypatch.setattr(bnb, "MAX_NODES", 26)
+        exact = solve_bnb(frame)
+        learned = solve_ibnb(frame, model_for(frame, 0.99), ThresholdPolicy(theta0=1e-7))
         for report in (exact, learned):
             assert report.status is SolveStatus.BUDGET_EXHAUSTED
             assert report.nodes_searched == 26

@@ -133,15 +133,19 @@ class TestBasics:
 
 
 class TestConstruction:
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LinearProgram(np.array([1.0, 2.0]), a_eq=np.array([[1.0]]),
-                          b_eq=np.array([1.0]))
-
-    def test_rhs_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LinearProgram(np.array([1.0]), a_ub=np.array([[1.0]]),
-                          b_ub=np.array([1.0, 2.0]))
+    @pytest.mark.parametrize("data, match", [
+        (dict(a_eq=[[1.0]], b_eq=[1.0]), "a_eq column count"),
+        (dict(a_ub=[[1.0]], b_ub=[1.0]), "a_ub column count"),
+        (dict(a_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0]), "b_eq length"),
+        (dict(a_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0]), "b_ub length"),
+        (dict(lower=[0.0]), "bound vectors"),
+        (dict(upper=[1.0, 1.0, 1.0]), "bound vectors"),
+    ], ids=["a_eq-columns", "a_ub-columns", "b_eq-rows", "b_ub-rows", "lower-length",
+            "upper-length"])
+    def test_dimension_mismatch_rejected(self, data, match):
+        # Every array must agree with the two costs and with its rows.
+        with pytest.raises(ValueError, match=match):
+            LinearProgram(np.array([1.0, 2.0]), **{k: np.array(v) for k, v in data.items()})
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,19 @@ def relative_errors(analytic, numeric):
     return np.abs(analytic - numeric) / scale
 
 
+class TestParameters:
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d, w, b: (d[:-1], w, b), "must end in 1"),
+        (lambda d, w, b: (d, w[:-1], b), "one weight matrix and bias vector per layer"),
+        (lambda d, w, b: (d, [w[0].T, *w[1:]], b), r"weights\[0\] has shape \(3, 128\)"),
+        (lambda d, w, b: (d, w, [*b[:-1], np.zeros(2)]), r"biases\[4\] has shape \(2,\)"),
+    ], ids=["dims-end", "layer-count", "weight-shape", "bias-shape"])
+    def test_inconsistent_parameters_rejected(self, edit, match):
+        model = init_model(3, rng_seed=0)
+        with pytest.raises(ValueError, match=match):
+            MlpModel(*edit(model.layer_dims, model.weights, model.biases))
+
+
 class TestForward:
     def test_zero_model_outputs_half(self):
         model = zero_model(3)
@@ -107,6 +120,8 @@ class TestForward:
         for bad in (np.zeros(3), np.zeros(5), np.zeros((1, 4)), np.zeros((2, 4))):
             with pytest.raises(ValueError, match="model input"):
                 forward(model, bad)
+        with pytest.raises(ValueError, match="feature length 3 != model input 4"):
+            forward_batch(model, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("num_features, seed, last_gain, width", [
         # The benchmark's shape, 34 -> HIDDEN_WIDTH x 4 -> 1.
@@ -234,10 +249,14 @@ class TestBackward:
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-18)
 
-    def test_empty_batch_rejected(self):
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.zeros((0, 2)), np.zeros(0), "must be non-empty"),
+        (np.zeros((3, 2)), np.array([0.0, 1.0]), "disagree on batch size"),
+    ], ids=["empty", "label-count"])
+    def test_malformed_batch_rejected(self, features, labels, match):
         model = init_model(2, rng_seed=1)
-        with pytest.raises(ValueError):
-            backward(model, np.zeros((0, 2)), np.zeros(0))
+        with pytest.raises(ValueError, match=match):
+            backward(model, features, labels)
 
 
 def separable_toy_set(n=200, seed=0):
@@ -323,16 +342,16 @@ class TestTrain:
         assert bits(trained.weights + trained.biases) == bits(params)
         assert bits(trained.weights + trained.biases) != bits(base.weights + base.biases)
 
-    def test_single_class_rejected(self):
-        x = np.zeros((10, 2))
-        y = np.ones(10)
-        with pytest.raises(ValueError, match="both classes"):
-            train(init_model(2, rng_seed=0), x, y, TrainConfig(epochs=1))
-
-    def test_empty_labels_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
-            train(init_model(2, rng_seed=0), np.zeros((0, 2)), np.zeros(0),
-                  TrainConfig(epochs=1))
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.zeros((10, 2)), np.ones(10), "both classes"),
+        (np.zeros((0, 2)), np.zeros(0), "both classes"),
+        (np.zeros(4), np.array([0.0, 1.0, 0.0, 1.0]), "one label per row"),
+        (np.zeros((4, 2)), np.array([0.0, 1.0, 0.0]), "one label per row"),
+        (np.zeros((4, 3)), np.array([0.0, 1.0, 0.0, 1.0]), "feature length 3 != model input 2"),
+    ], ids=["single-class", "empty", "one-dimensional", "label-count", "feature-width"])
+    def test_malformed_training_set_rejected(self, features, labels, match):
+        with pytest.raises(ValueError, match=match):
+            train(init_model(2, rng_seed=0), features, labels, TrainConfig(epochs=1))
 
     def test_training_imports_no_masked_arrays(self):
         # numpy.ma costs a fresh train process tens of milliseconds to import.
@@ -350,10 +369,12 @@ class TestTrain:
                               env={**os.environ, "PYTHONPATH": path}, check=True)
         assert done.stdout.strip() == "False"
 
-    def test_feature_width_mismatch_rejected(self):
-        x, y = separable_toy_set(20)
-        with pytest.raises(ValueError):
-            train(init_model(3, rng_seed=0), x, y, TrainConfig(epochs=1))
+    def test_empty_validation_split_reads_nan(self):
+        # A tenth of four samples rounds to none held out.
+        x, y = np.eye(4, 2), np.array([0.0, 1.0, 0.0, 1.0])
+        _, history = train(init_model(2, rng_seed=0), x, y, TrainConfig(epochs=2))
+        assert len(history.train_loss) == 2
+        assert len(history.val_loss) == 2 and all(math.isnan(v) for v in history.val_loss)
 
 
 class TestPersistence:

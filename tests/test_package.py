@@ -75,5 +75,5 @@ def test_settable_value_count():
     keywords = {name for solve in (solve_bnb, solve_ibnb)
                 for name, p in inspect.signature(solve).parameters.items()
                 if p.kind is inspect.Parameter.KEYWORD_ONLY}
-    assert keywords == {"max_nodes"}
-    assert (len(flags), len(fields), len(keywords)) == (23, 6, 1)
+    assert keywords == set()
+    assert (len(flags), len(fields), len(keywords)) == (23, 6, 0)

@@ -3,7 +3,7 @@ import pytest
 
 from mecoffload.bnb import NodeAction, solve_bnb, solve_exhaustive
 from mecoffload.lp import LpResult, LpStatus, solve_lp
-from mecoffload.relax import build_relaxation, extract_solution, solve_split
+from mecoffload.relax import build_relaxation, extract_solution, node_arrays, solve_split
 from oracle import recompute_objective
 
 from conftest import frame_args, make_frame, make_uniform_frame, node_upper
@@ -18,6 +18,14 @@ def closed_form_single_pair(frame):
 def free_node(n):
     """The fixing vector of the root: all ``n`` indicators free."""
     return np.full(n, -1, dtype=np.int8)
+
+
+def read_point(frame, result, fixed):
+    """``(first_fractional, x, split_bits)`` of the node with fixing vector
+    ``fixed`` whose optimal LP is ``result``: what extract_solution finds
+    and what node_arrays builds from the flows it keeps."""
+    _, first, flows = extract_solution(frame, result)
+    return (first, *node_arrays(frame, flows, fixed, first is None))
 
 
 def set_node(lp, frame, fixed):
@@ -177,9 +185,9 @@ class TestBuildRelaxation:
         result = solve_lp(lp)
         assert result.status is LpStatus.OPTIMAL
         assert result.value == pytest.approx(closed_form_single_pair(frame), rel=1e-9)
-        sol = extract_solution(frame, result, free_node(1))
-        assert sol.first_fractional is None
-        assert sol.split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
+        first, _, split_bits = read_point(frame, result, free_node(1))
+        assert first is None
+        assert split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
 
     @pytest.mark.parametrize("frame, map_seed", split_cases())
     def test_fixed_binary_matches_split_oracle(self, frame, map_seed):
@@ -276,7 +284,7 @@ class TestAgainstLiftedLp:
 class TestExtractSolution:
     def test_requires_optimal_status(self, small_frame):
         with pytest.raises(ValueError):
-            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE), free_node(6))
+            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE))
 
     @staticmethod
     def point(frame, shares):
@@ -291,9 +299,9 @@ class TestExtractSolution:
         # the first device with flow on channel 1 is branched.
         shares = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
         v = self.point(small_frame, shares)
-        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
-        assert sol.first_fractional == 1
-        assert np.allclose(sol.x, np.ravel(shares), rtol=1e-12)
+        first, x, _ = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
+        assert first == 1
+        assert np.allclose(x, np.ravel(shares), rtol=1e-12)
 
     def test_single_owner_channels_are_a_leaf(self, small_frame):
         # Device 0 splits its task over channels 0 and 1, device 1 sends all
@@ -301,10 +309,11 @@ class TestExtractSolution:
         # a leaf whose indicators are its support.
         shares = [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
         v = self.point(small_frame, shares)
-        sol = extract_solution(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
-        assert sol.first_fractional is None
-        assert np.array_equal(sol.x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
-        assert np.allclose(sol.split_bits.reshape(2, 3).sum(axis=1),
+        first, x, split_bits = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5),
+                                          free_node(6))
+        assert first is None
+        assert np.array_equal(x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+        assert np.allclose(split_bits.reshape(2, 3).sum(axis=1),
                            small_frame.task_bits, rtol=1e-12)
 
     def test_up_fixed_indicator_reads_one(self):
@@ -313,14 +322,14 @@ class TestExtractSolution:
         fixed = free_node(8)
         fixed[7] = 1
         leaf = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), fixed)
-        assert sol.first_fractional is None
-        assert np.array_equal(sol.x, [1, 1, 0, 0, 0, 0, 1, 1])
+        first, x, _ = read_point(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), fixed)
+        assert first is None
+        assert np.array_equal(x, [1, 1, 0, 0, 0, 0, 1, 1])
         # Off a leaf too: channel 0 is shared, device 1 holds channel 3.
         inner = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
-        sol = extract_solution(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), fixed)
-        assert sol.first_fractional == 0
-        assert sol.x[7] == 1.0
+        first, x, _ = read_point(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), fixed)
+        assert first == 0
+        assert x[7] == 1.0
 
     def test_root_bound_below_exhaustive_optimum(self):
         for seed in range(5):
@@ -382,6 +391,8 @@ class TestSolveSplit:
             solve_split(frame, shared)
         with pytest.raises(ValueError):
             solve_split(frame, np.full((2, 3), 0.5))
+        with pytest.raises(ValueError, match=r"shape \(3, 2\) does not match \(2, 3\)"):
+            solve_split(frame, shared.T)
 
 
 class TestTreeBoundProperties:

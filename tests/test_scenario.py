@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,23 @@ class TestGenerateFrame:
         draws = rng.exponential(1.0, size=n)
         assert abs(draws.mean() - 1.0) < 3.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("name, edit, match", [
+        ("gains", lambda a: a[:, :-1], "gain/rate arrays must have shape"),
+        ("rates_bps", lambda a: a.T, "gain/rate arrays must have shape"),
+        ("powers_w", lambda a: a[:-1], "powers_w and task_bits must have shape"),
+        ("task_bits", lambda a: a[:, None], "powers_w and task_bits must have shape"),
+        ("gains", lambda a: np.where(a == a.max(), 0.0, a), "gains and rates must be positive"),
+        ("task_bits", lambda a: -a, "task sizes must be positive"),
+        ("rates_bps", lambda a: a * (1 + 1e-9), "disagree with the rate equation"),
+    ], ids=["gain-shape", "rate-shape", "power-shape", "task-shape", "zero-gain",
+            "negative-task", "rates-off-equation"])
+    def test_inconsistent_arrays_rejected(self, name, edit, match):
+        # A frame built from arrays, as the benchmark builds its perturbed
+        # frames, is checked against its config and the rate equation.
+        frame = make_frame(num_mds=2, num_channels=3, seed=1)
+        with pytest.raises(ValueError, match=match):
+            replace(frame, **{name: edit(getattr(frame, name))})
+
     def test_more_devices_than_channels_still_generates(self):
         frame = make_frame(num_mds=4, num_channels=2, seed=5)
         assert frame.gains.shape == (4, 2)
@@ -147,6 +165,12 @@ seed = 7
         path = tmp_path / "frame.cfg"
         path.write_text("num_mds = 2\n")
         with pytest.raises(ValueError, match="missing keys"):
+            read_config_file(path)
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "frame.cfg"
+        path.write_text(self.CONFIG_TEXT + "seed 9\n")
+        with pytest.raises(ValueError, match=":14: expected 'key = value'"):
             read_config_file(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
