@@ -10,7 +10,6 @@ from .relax import (
 from .bnb import (
     Node,
     NodeAction,
-    NodeRecord,
     SolveReport,
     SolveStatus,
     branch,

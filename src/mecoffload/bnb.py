@@ -16,14 +16,14 @@ bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
 search: each node carries its flow upper bounds, which a pop copies into
 the LP in one write, and every child LP is warm-started from its parent's
-optimal basis and factor.  A solved node makes one :class:`NodeRecord`,
-appended to the trace, which later becomes classifier training data: it
-keeps the node's relaxation value, branching index and flows, and the
-bound that was active at pop time.  A record's indicators and splits are
-built from its flows only when read (by the trace writer, the dataset, a
-gate and the incumbent), so the search itself pays for none of them; a
-node dropped at pop time costs no LP, has no trace row, and is counted
-only as unsolved.
+optimal basis and factor.  One :class:`Node` object serves a node from
+branch to trace: a solved node is appended to the trace, which later
+becomes classifier training data, keeping its relaxation value, branching
+index and flows, and the bound that was active at pop time, and dropping
+its warm start and bounds.  A node's indicators and splits are built from
+its flows only when read (by the trace writer, the dataset, a gate and the
+incumbent), so the search itself pays for none of them; a node dropped at
+pop time costs no LP, has no trace row, and is counted only as unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,7 +65,6 @@ __all__ = [
     "SolveStatus",
     "NodeAction",
     "Node",
-    "NodeRecord",
     "SolveReport",
     "BudgetExceededError",
     "branch",
@@ -101,46 +99,37 @@ class BudgetExceededError(RuntimeError):
     """Raised when the exhaustive enumeration would exceed its budget."""
 
 
-@dataclass
-class Node:
-    """One search-tree node.  ``fixed`` is its fixing vector over the S*K
-    indicators (int8: -1 free, 0 or 1 fixed), and ``upper`` the upper bounds
-    of its S*K flows, in the same order: 0 where a fixing pins the flow
-    (:func:`relax.pinned_flows`), inf elsewhere, kept so that a pop writes
-    the LP's bounds in one copy.  ``start`` is its parent's optimal LP basis
-    with its factor, the warm start of its own relaxation (None at the root,
-    which starts from the all-slack basis).  Its heap key is not kept here:
-    it is the bound :func:`lp.pinned_bounds` reads off the parent's LP."""
-
-    node_id: int
-    depth: int
-    parent_id: int | None
-    fixed: np.ndarray
-    upper: np.ndarray
-    start: Basis | None = None
-
-
 @dataclass(slots=True)
-class NodeRecord:
-    """The one object a solved node makes: its trace row, the record a gate
-    reads, and the incumbent when it is one.  ``fixed`` is the node's own
-    fixing vector, not a copy (nothing writes it after :func:`branch`);
-    neither the trace CSV nor the dataset writes it.  ``flows`` is the copy
-    of the node's LP flows :func:`relax.extract_solution` made, None when
-    infeasible.  ``x`` and ``split_bits`` are built together from them by
-    :func:`relax.node_arrays` on the first read of either, then kept; an
-    infeasible record reads two zero arrays of its own."""
+class Node:
+    """One search-tree node, from the heap to the trace: once solved, it is
+    its trace row, what a gate reads, and the incumbent when it is one.
+    ``fixed`` is its fixing vector over the S*K indicators (int8: -1 free, 0
+    or 1 fixed); nothing writes it after :func:`branch`.  ``upper`` holds
+    its S*K flow upper bounds: 0 where a fixing pins the flow
+    (:func:`relax.pinned_flows`), inf elsewhere, so that a pop writes the
+    LP's bounds in one copy.  ``start`` is its parent's optimal LP basis and
+    factor, its warm start (None at the root, which starts from the
+    all-slack basis).  Its heap key is the bound :func:`lp.pinned_bounds`
+    reads off the parent's LP.  The solve fills in the rest and drops
+    ``start``, and ``upper`` too unless the gate rejected the node.
+    ``flows`` is the copy of the node's LP flows
+    :func:`relax.extract_solution` made, None when infeasible.  ``x`` and
+    ``split_bits`` are built together from them by :func:`relax.node_arrays`
+    on the first read of either, then kept; an infeasible node reads two
+    zero arrays of its own."""
 
     node_id: int
     depth: int
     parent_id: int | None
-    action: NodeAction            # PRUNED_INFEASIBLE iff the relaxation was infeasible
-    psi: float                    # nan when infeasible
-    zub_at_pop: float             # incumbent bound when the node was popped
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
-    first_fractional: int | None  # the index to branch on; None at a leaf or when infeasible
-    flows: np.ndarray | None      # (S*K,) in units of the largest task; None when infeasible
+    upper: np.ndarray | None      # (S*K,) flow upper bounds; None once solved, but on a reject
     scenario: Scenario
+    start: Basis | None = None
+    action: NodeAction | None = None  # None until solved; PRUNED_INFEASIBLE iff infeasible
+    psi: float = float("nan")     # nan when infeasible
+    zub_at_pop: float = float("nan")  # incumbent bound when the node was popped
+    first_fractional: int | None = None  # index to branch on; None at a leaf or when infeasible
+    flows: np.ndarray | None = None  # (S*K,) in units of the largest task; None when infeasible
     _arrays: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -166,28 +155,33 @@ class NodeRecord:
 
 @dataclass
 class SolveReport:
-    """The answer of every solver.  ``trace`` holds the record of every node
-    a tree search solved, in order, and is empty for
-    :func:`solve_exhaustive`.  ``fell_back_to_exact`` is True iff a gated
-    search drained with no incumbent and reopened the nodes its gate
-    rejected.  A spent budget keeps the incumbent found by then, unproven."""
+    """The answer of every solver.  ``trace`` holds every node a tree search
+    solved, in order, and is empty for :func:`solve_exhaustive`.
+    ``fell_back_to_exact`` is True iff a gated search drained with no
+    incumbent and reopened the nodes its gate rejected.  A spent budget
+    keeps the incumbent found by then, unproven.
+
+    ``gap_bound`` bounds the answer's relative distance to the optimum,
+    (psi - LB) / psi, where LB is the least of psi and the relaxation values
+    of the nodes the gate rejected: no map below one of those nodes costs
+    less than its relaxation.  It is 0 for an exact search and for a gated
+    one that reopened, and None unless the status is optimal."""
 
     status: SolveStatus
     best_x: np.ndarray | None     # (S, K) binary, present iff an incumbent was found
     best_split: np.ndarray | None  # (S, K) bits
     best_psi: float | None
+    gap_bound: float | None
     nodes_searched: int
     nodes_unsolved: int           # nodes made but never solved: dropped or left open
-    trace: list[NodeRecord]
+    trace: list[Node]
     fell_back_to_exact: bool
-    wall_time: float
     lp_pivots: int                # dual simplex pivots over every node LP
     lp_refactors: int             # basis inversions over every node LP
 
 
-def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Node, Node]:
-    """Split a node on binary indicator ``index`` = s*K + k of a frame with
-    ``k_n`` = K channels.
+def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
+    """Split a node on binary indicator ``index`` = s*K + k of its frame.
 
     The down child fixes it to 0 and the up child to 1.  Each child gets a
     copy of its parent's fixing vector with ``index`` set, and its parent's
@@ -195,7 +189,7 @@ def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Nod
     set to 0.  Branching on an index out of range, an index already fixed,
     or a channel another device already owns is a contract violation.
     """
-    n = parent.upper.size
+    n, k_n = parent.upper.size, parent.scenario.num_channels
     if not 0 <= index < n:
         raise ValueError(f"indicator {index} out of range [0, {n})")
     existing = parent.fixed[index]
@@ -209,46 +203,45 @@ def branch(parent: Node, index: int, first_child_id: int, k_n: int) -> tuple[Nod
     down_upper, up_upper = parent.upper.copy(), parent.upper.copy()
     down_upper[pinned_flows(index, 0, k_n, n)] = 0.0
     up_upper[pinned_flows(index, 1, k_n, n)] = 0.0
-    depth = parent.depth + 1
-    return (Node(first_child_id, depth, parent.node_id, down, down_upper),
-            Node(first_child_id + 1, depth, parent.node_id, up, up_upper))
+    depth, frame = parent.depth + 1, parent.scenario
+    return (Node(first_child_id, depth, parent.node_id, down, down_upper, frame),
+            Node(first_child_id + 1, depth, parent.node_id, up, up_upper, frame))
 
 
 def solve_bnb(
     scenario: Scenario,
-    gate: Callable[[NodeRecord, float], bool] | None = None,
+    gate: Callable[[Node, float], bool] | None = None,
 ) -> SolveReport:
     """Branch-and-bound search for the optimal offloading assignment.
 
     Without a ``gate`` the search is exact: it returns the global optimum
     whenever one exists (enough channels for the devices), otherwise the
-    infeasible status.  A ``gate(record, root_psi)`` is asked about every
+    infeasible status.  A ``gate(node, root_psi)`` is asked about every
     fractional node that survives the bound check; a node it rejects is
     recorded as model-pruned instead of branched, so the search may miss
     the optimum.  If the heap drains with no incumbent, every rejected node
-    is branched after all, its record turned to ``Branched``, and the search
+    is branched after all, its action turned to ``Branched``, and the search
     goes on without the gate: no node is solved twice, and the answer is
     then the exact optimum.  Solving more than :data:`MAX_NODES` nodes is
     reported explicitly, never as optimal; the report keeps the incumbent
     found by then, if any.
     """
-    t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
     flow_upper = lp.upper[:n]   # a view: writes reach the LP
-    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.full(n, np.inf))
-    # Open nodes keyed (bound, node_id); popped nodes are dropped with their
-    # bases, and only the trace keeps rows.
+    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.full(n, np.inf), scenario)
+    # Open nodes keyed (bound, node_id); a popped node drops its basis and
+    # its bounds when solved, and stays in the trace.
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
     next_id = 1
     z_ub = np.inf
-    best: NodeRecord | None = None   # the incumbent leaf's record
+    best: Node | None = None   # the incumbent leaf
     root_psi: float | None = None
-    trace: list[NodeRecord] = []
-    # The gate's rejects, each with what branching it later needs.
-    deferred: list[tuple[Node, LpResult, NodeRecord]] = []
+    trace: list[Node] = []
+    # The gate's rejects, each with the optimal LP its branching reads.
+    deferred: list[tuple[Node, LpResult]] = []
     reopened = False
     lp_pivots = lp_refactors = 0
     exhausted = False
@@ -257,7 +250,7 @@ def solve_bnb(
         """Branch ``node`` on ``index`` and push both children, keyed by the
         bounds read off its optimal LP, which the LP's bounds must match."""
         nonlocal next_id
-        down, up = branch(node, index, next_id, k_n)
+        down, up = branch(node, index, next_id)
         next_id += 2
         key_down, key_up = pinned_bounds(lp, result, (
             pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)))
@@ -271,10 +264,10 @@ def solve_bnb(
                 break
             # The gated search drained with no incumbent: branch what the
             # gate rejected, and search on exactly.
-            for node, result, record in deferred:
+            for node, result in deferred:
                 np.copyto(flow_upper, node.upper)
-                open_children(node, result, record.first_fractional)
-                record.action = NodeAction.BRANCHED
+                open_children(node, result, node.first_fractional)
+                node.action, node.upper = NodeAction.BRANCHED, None
             deferred.clear()
             gate = None
             reopened = True
@@ -284,47 +277,43 @@ def solve_bnb(
         if len(trace) >= MAX_NODES:
             exhausted = True
             break
-        zub_at_pop = z_ub
+        trace.append(node)
+        node.zub_at_pop = z_ub
 
         np.copyto(flow_upper, node.upper)
         result = solve_lp(lp, node.start)
+        node.start = None
         lp_pivots += result.pivots
         lp_refactors += result.refactors
         if result.status is not LpStatus.OPTIMAL:
-            trace.append(NodeRecord(
-                node.node_id, node.depth, node.parent_id,
-                NodeAction.PRUNED_INFEASIBLE, float("nan"), zub_at_pop,
-                node.fixed, None, None, scenario,
-            ))
+            node.action, node.upper = NodeAction.PRUNED_INFEASIBLE, None
             continue
 
-        psi, first, flows = extract_solution(scenario, result)
+        psi, first, node.flows = extract_solution(scenario, result)
+        node.psi, node.first_fractional = psi, first
         if root_psi is None:
             root_psi = psi
-        # The gate sees the record as it would be kept if branched.  The
-        # record takes the node's fixing vector and its flows, and builds
-        # no array until one is read, which nothing here does.
-        record = NodeRecord(
-            node.node_id, node.depth, node.parent_id, NodeAction.BRANCHED,
-            psi, zub_at_pop, node.fixed, first, flows, scenario,
-        )
+        # The gate sees the node as it would be kept if branched.  It holds
+        # its fixing vector and its flows, and builds no array until one is
+        # read, which nothing here does.
+        node.action = NodeAction.BRANCHED
         if first is None:
             if psi < z_ub:
                 z_ub = psi
-                best = record
-                record.action = NodeAction.NEW_INCUMBENT
+                best = node
+                node.action = NodeAction.NEW_INCUMBENT
             else:
-                record.action = NodeAction.PRUNED_BY_BOUND
+                node.action = NodeAction.PRUNED_BY_BOUND
         elif psi >= z_ub:
             # No descendant of a tied node can strictly improve the incumbent.
-            record.action = NodeAction.PRUNED_BY_BOUND
-        elif gate is not None and not gate(record, root_psi):
-            record.action = NodeAction.PRUNED_BY_MODEL
-            node.start = None   # a reopen branches it without solving it again
-            deferred.append((node, result, record))
+            node.action = NodeAction.PRUNED_BY_BOUND
+        elif gate is not None and not gate(node, root_psi):
+            node.action = NodeAction.PRUNED_BY_MODEL
+            deferred.append((node, result))
+            continue   # keeps its bounds: a reopen branches it unsolved
         else:
             open_children(node, result, first)
-        trace.append(record)
+        node.upper = None
 
     if exhausted:
         status = SolveStatus.BUDGET_EXHAUSTED
@@ -332,17 +321,21 @@ def solve_bnb(
         status = SolveStatus.INFEASIBLE
     else:
         status = SolveStatus.OPTIMAL
+    gap_bound = None
+    if status is SolveStatus.OPTIMAL:
+        lower = min([best.psi, *(node.psi for node, _ in deferred)])
+        gap_bound = (best.psi - lower) / best.psi
     return SolveReport(
         status=status,
-        # Copies: the incumbent's trace record keeps its own arrays.
+        # Copies: the incumbent's trace node keeps its own arrays.
         best_x=None if best is None else best.x.astype(int).reshape(s_n, k_n),
         best_split=None if best is None else best.split_bits.reshape(s_n, k_n).copy(),
         best_psi=None if best is None else best.psi,
+        gap_bound=gap_bound,
         nodes_searched=len(trace),
         nodes_unsolved=next_id - len(trace),
         trace=trace,
         fell_back_to_exact=reopened,
-        wall_time=time.perf_counter() - t0,
         lp_pivots=lp_pivots,
         lp_refactors=lp_refactors,
     )
@@ -365,7 +358,6 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     channels is infeasible, with no map priced; any other frame with more
     than :data:`ENUM_BUDGET` maps raises :class:`BudgetExceededError`.
     """
-    t0 = time.perf_counter()
     s_n, k_n = scenario.num_mds, scenario.num_channels
     if s_n > k_n:
         maps = ()   # no map covers every device
@@ -403,11 +395,11 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
         best_x=best_x,
         best_split=best_split,
         best_psi=None if winner is None else best_psi,
+        gap_bound=None if winner is None else 0.0,
         nodes_searched=evaluated,
         nodes_unsolved=0,
         trace=[],
         fell_back_to_exact=False,
-        wall_time=time.perf_counter() - t0,
         lp_pivots=0,
         lp_refactors=0,
     )

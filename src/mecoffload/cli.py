@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import os
 import sys
+import time
 from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
@@ -224,12 +225,13 @@ def cmd_train(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-_REPORT_HEADER = "solver,status,psi,nodes_searched,fell_back_to_exact,model_id"
+_REPORT_HEADER = "solver,status,psi,gap_bound,nodes_searched,fell_back_to_exact,model_id"
 
 
 def _report_row(solver: str, report: SolveReport, extra: str) -> str:
-    psi = "" if report.best_psi is None else csv_float(report.best_psi)
-    return f"{solver},{report.status.value},{psi},{report.nodes_searched},{extra}"
+    psi, gap = ("" if value is None else csv_float(value)
+                for value in (report.best_psi, report.gap_bound))
+    return f"{solver},{report.status.value},{psi},{gap},{report.nodes_searched},{extra}"
 
 
 def _solution_columns(report) -> str:
@@ -263,14 +265,17 @@ def cmd_solve(args) -> int:
     ])
     frame = generate_frame(replace(cfg, rng_seed=seed))
 
-    extra = ","
+    model = load_model(args.model) if args.solver == "ibnb" else None
+    start = time.perf_counter()
     if args.solver == "bnb":
         report = solve_bnb(frame)
     elif args.solver == "exhaustive":
         report = solve_exhaustive(frame)
     else:
-        model = load_model(args.model)
         report = solve_ibnb(frame, model, policy)
+    wall_time = time.perf_counter() - start
+    extra = ","
+    if model is not None:
         extra = f"{int(report.fell_back_to_exact)},{model_fingerprint(model)}"
 
     n = cfg.num_mds * cfg.num_channels
@@ -281,10 +286,11 @@ def cmd_solve(args) -> int:
     row = _report_row(args.solver, report, extra) + "," + _solution_columns(report)
     _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])
     print(f"status={report.status.value} psi={report.best_psi} "
+          f"gap_bound={report.gap_bound} "
           f"nodes={report.nodes_searched} nodes_unsolved={report.nodes_unsolved} "
           f"lp_pivots={report.lp_pivots} "
           f"lp_refactors={report.lp_refactors} "
-          f"wall_time_s={report.wall_time:.3f}")
+          f"wall_time_s={wall_time:.3f}")
     print(f"wrote {os.path.join(args.out, 'report.csv')}")
     _require_optimal(report, frame)
     return EXIT_OK

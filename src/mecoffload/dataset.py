@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import NodeAction, NodeRecord, SolveReport, SolveStatus, csv_float
+from .bnb import Node, NodeAction, SolveReport, SolveStatus, csv_float
 from .scenario import Scenario
 
 __all__ = [
@@ -82,25 +82,25 @@ def feature_length(num_mds: int, num_channels: int) -> int:
     return 4 + 2 * num_mds * num_channels
 
 
-def featurize(record: NodeRecord, root_psi: float, task_bits: np.ndarray) -> np.ndarray:
-    """Feature vector of one node record.
+def featurize(node: Node, root_psi: float, task_bits: np.ndarray) -> np.ndarray:
+    """Feature vector of one solved node.
 
     ``root_psi`` is the root relaxation value of the same search;
     splitting it out keeps every feature computable at node-pop time.
     ``task_bits`` holds the task size of each flow's device (S*K, in flow
-    order), which a caller featurizing many records of one frame makes once.
+    order), which a caller featurizing many nodes of one frame makes once.
     """
     if not root_psi > 0:
         raise ValueError(f"root_psi must be positive, got {root_psi!r}")
-    n = record.fixed.size
+    n = node.fixed.size
     features = np.zeros(4 + 2 * n)
-    features[0] = np.log2(1.0 + record.node_id) / n
-    features[1] = record.depth / n
-    if record.action is not NodeAction.PRUNED_INFEASIBLE:
+    features[0] = np.log2(1.0 + node.node_id) / n
+    features[1] = node.depth / n
+    if node.action is not NodeAction.PRUNED_INFEASIBLE:
         features[2] = 1.0
-        features[3] = record.psi / root_psi
-        features[4:4 + n] = record.x
-        features[4 + n:] = record.split_bits / task_bits
+        features[3] = node.psi / root_psi
+        features[4:4 + n] = node.x
+        features[4 + n:] = node.split_bits / task_bits
     else:
         features[3] = PSI_SENTINEL
     return features

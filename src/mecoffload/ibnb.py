@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bnb import NodeRecord, SolveReport, solve_bnb
+from .bnb import Node, SolveReport, solve_bnb
 from .dataset import feature_length, featurize
 from .mlp import MlpModel, forward
 from .scenario import Scenario
@@ -60,8 +60,8 @@ def solve_ibnb(
 
     tasks = scenario.task_bits.repeat(scenario.num_channels)   # per flow, made once
 
-    def model_gate(record: NodeRecord, root_psi: float) -> bool:
+    def model_gate(node: Node, root_psi: float) -> bool:
         # Branch only on a score strictly above the threshold.
-        return forward(model, featurize(record, root_psi, tasks)) > theta
+        return forward(model, featurize(node, root_psi, tasks)) > theta
 
     return solve_bnb(scenario, model_gate)

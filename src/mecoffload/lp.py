@@ -447,10 +447,11 @@ class _BoundedSimplex:
             idx = (signed > _PIVOT_TOL if to_upper else signed < -_PIVOT_TOL).nonzero()[0]
             if not idx.size:
                 # The row proves infeasibility only if it is a row of
-                # B^-1 A, which is the unit vector on the basic columns.
+                # B^-1 A, which is the unit vector on the basic columns; a
+                # row holding NaN proves nothing.
                 unit = alpha[basis]
                 unit[pos] -= 1.0
-                if np.abs(unit).max() > FEASIBILITY_TOL:
+                if not np.abs(unit).max() <= FEASIBILITY_TOL:
                     raise ArithmeticError("basis inverse does not invert the basis")
                 return False
 

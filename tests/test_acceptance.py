@@ -113,6 +113,20 @@ def test_ibnb_answers_are_feasible_and_never_beat_the_optimum(runs):
               f"nodes ibnb {report['nodes_searched']} against bnb {bnb_nodes}")
 
 
+def test_gap_bound_covers_the_gap_to_the_optimum(runs):
+    # Exact answers certify a zero gap; a learned one's bound is at least
+    # its relative distance to the optimum.
+    run, _ = runs
+    for seed in held_out_seeds():
+        optimum = float(read_report(run / f"solve/exhaustive-{seed}/report.csv")["psi"])
+        for solver in SOLVERS:
+            report = read_report(run / f"solve/{solver}-{seed}/report.csv")
+            psi, bound = float(report["psi"]), float(report["gap_bound"])
+            assert bound >= (psi - optimum) / psi - 1e-12
+            if solver != "ibnb":
+                assert bound == 0.0
+
+
 def test_identically_seeded_runs_write_identical_bytes(runs):
     first, second = runs
     files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())

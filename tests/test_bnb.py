@@ -44,10 +44,11 @@ from conftest import (
 class TestBranch:
     def _root(self, s_n=3, k_n=4):
         return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8),
-                    np.full(s_n * k_n, np.inf))
+                    np.full(s_n * k_n, np.inf),
+                    make_frame(num_mds=s_n, num_channels=k_n, seed=1))
 
     def test_fractional_value_splits_to_unit_bounds(self):
-        down, up = branch(self._root(), 3, first_child_id=1, k_n=4)
+        down, up = branch(self._root(), 3, first_child_id=1)
         assert down.fixed.dtype == up.fixed.dtype == np.int8
         assert down.fixed.tolist() == [-1, -1, -1, 0] + [-1] * 8
         assert up.fixed.tolist() == [-1, -1, -1, 1] + [-1] * 8
@@ -56,24 +57,24 @@ class TestBranch:
         assert down.parent_id == up.parent_id == 0
 
     def test_fixed_index_rejected(self):
-        for parent in branch(self._root(), 2, first_child_id=1, k_n=4):
+        for parent in branch(self._root(), 2, first_child_id=1):
             with pytest.raises(ValueError, match="already fixed"):
-                branch(parent, 2, first_child_id=9, k_n=4)
+                branch(parent, 2, first_child_id=9)
 
     def test_owned_channel_rejected(self):
         # Device 0 holds channel 1, so device 2 may not branch on it.
-        _, up = branch(self._root(), 1, first_child_id=1, k_n=4)
+        _, up = branch(self._root(), 1, first_child_id=1)
         with pytest.raises(ValueError, match="channel 1 of indicator 9 is already owned"):
-            branch(up, 2 * 4 + 1, first_child_id=3, k_n=4)
+            branch(up, 2 * 4 + 1, first_child_id=3)
 
     def test_out_of_range_index_rejected(self):
         for index in (-1, 12):
             with pytest.raises(ValueError, match="out of range"):
-                branch(self._root(), index, first_child_id=1, k_n=4)
+                branch(self._root(), index, first_child_id=1)
 
     def test_children_extend_parent_by_one_override(self):
-        parent, _ = branch(self._root(), 0, first_child_id=1, k_n=4)
-        down, up = branch(parent, 4, first_child_id=5, k_n=4)
+        parent, _ = branch(self._root(), 0, first_child_id=1)
+        down, up = branch(parent, 4, first_child_id=5)
         assert parent.fixed.tolist() == [0] + [-1] * 11
         for child, value in ((down, 0), (up, 1)):
             assert np.flatnonzero(child.fixed != parent.fixed).tolist() == [4]
@@ -93,7 +94,7 @@ class TestBranch:
             if not free:
                 break
             upper, fixed = node.upper.copy(), node.fixed.copy()
-            children = branch(node, int(rng.choice(free)), next_id, k_n)
+            children = branch(node, int(rng.choice(free)), next_id)
             assert np.array_equal(node.upper, upper)
             assert np.array_equal(node.fixed, fixed)
             next_id += 2
@@ -387,9 +388,9 @@ class TestTraceInvariants:
             self, frame, monkeypatch):
         branched_on = {}
 
-        def recording_branch(parent, index, first_child_id, k_n):
+        def recording_branch(parent, index, first_child_id):
             branched_on[parent.node_id] = index
-            return branch(parent, index, first_child_id, k_n)
+            return branch(parent, index, first_child_id)
 
         monkeypatch.setattr(bnb_module, "branch", recording_branch)
         report = solve_bnb(frame)
@@ -754,6 +755,101 @@ class TestReopen:
         actions = [line.split(",")[4] for line in path.read_text().splitlines()[2:]]
         assert actions.count("PrunedByModel") == len(rejected) == sum(
             rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
+
+
+class TestSolvedNodes:
+    # A solved node is its own trace row: it drops its warm start, and its
+    # bounds too unless its gate rejected it, which a reopen would branch.
+    @staticmethod
+    def check_dropped(report):
+        assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 20
+        s_n, k_n = report.best_x.shape
+        for node in report.trace:
+            assert not hasattr(node, "__dict__")
+            assert node.start is None
+            if node.action is NodeAction.PRUNED_BY_MODEL:
+                assert np.array_equal(node.upper, node_upper(node.fixed, s_n, k_n).ravel())
+            else:
+                assert node.upper is None
+
+    def test_exact_search_keeps_no_start_or_bounds(self, monkeypatch):
+        frame = make_frame(num_mds=4, num_channels=6, seed=203)
+        self.check_dropped(solve_bnb(frame))
+        # Two children reported infeasible drop theirs too.
+        solves = itertools.count()
+
+        def solve_lp_failing_two(lp, start=None):
+            if next(solves) in (50, 100):
+                return LpResult(LpStatus.INFEASIBLE)
+            return solve_lp(lp, start)
+
+        monkeypatch.setattr(bnb_module, "solve_lp", solve_lp_failing_two)
+        report = solve_bnb(frame)
+        assert sum(node.action is NodeAction.PRUNED_INFEASIBLE for node in report.trace) == 2
+        self.check_dropped(report)
+
+    def test_gated_search_keeps_the_bounds_of_its_rejects_only(self):
+        frame = make_frame(num_mds=4, num_channels=6, seed=203)
+        target = solve_bnb(frame).best_x.ravel()
+        report = solve_bnb(
+            frame, gate=lambda node, _: np.all((node.fixed < 0) | (node.fixed == target)))
+        assert not report.fell_back_to_exact
+        assert any(node.action is NodeAction.PRUNED_BY_MODEL for node in report.trace)
+        self.check_dropped(report)
+        # A reopen branches the rejects, which then drop their bounds.
+        report = solve_bnb(frame, gate=lambda node, _: False)
+        assert report.fell_back_to_exact
+        self.check_dropped(report)
+
+
+class TestGapBound:
+    # A gated answer is at most gap_bound above the optimum, relative to
+    # the answer: the rejected nodes bound what the gate cut off.
+    RTOL = 1e-12
+
+    def test_exact_answers_have_a_zero_bound(self):
+        frame = make_frame(num_mds=3, num_channels=5, seed=14)
+        assert solve_bnb(frame).gap_bound == 0.0
+        assert solve_exhaustive(frame).gap_bound == 0.0
+        reopened = solve_bnb(frame, gate=lambda node, _: False)
+        assert reopened.fell_back_to_exact and reopened.gap_bound == 0.0
+
+    def test_no_bound_without_an_optimal_answer(self, monkeypatch):
+        crowded = make_frame(num_mds=3, num_channels=2, seed=5)
+        assert solve_bnb(crowded).gap_bound is None
+        assert solve_exhaustive(crowded).gap_bound is None
+        monkeypatch.setattr(bnb_module, "MAX_NODES", 3)
+        spent = solve_bnb(make_frame(num_mds=3, num_channels=5, seed=14))
+        assert spent.status is SolveStatus.BUDGET_EXHAUSTED
+        assert spent.gap_bound is None
+
+    def test_bound_covers_the_true_gap_under_rejecting_gates(self):
+        # Two gates on 24 fresh 3x5 frames: one rejects each node but the
+        # root on a coin flip; the other rejects every node but the root
+        # whose fixings agree with the optimal map, so the answer misses
+        # the optimum.
+        missed = 0
+        for seed in range(5000, 5024):
+            frame = make_frame(num_mds=3, num_channels=5, seed=seed)
+            optimum = solve_exhaustive(frame).best_psi
+            target = solve_bnb(frame).best_x.ravel()
+            coin = np.random.default_rng(seed)
+            gates = (
+                lambda node, _: node.node_id == 0 or coin.random() < 0.5,
+                lambda node, _: node.node_id == 0 or not np.all(
+                    (node.fixed < 0) | (node.fixed == target)),
+            )
+            for gate in gates:
+                report = solve_bnb(frame, gate=gate)
+                assert report.status is SolveStatus.OPTIMAL
+                gap = (report.best_psi - optimum) / report.best_psi
+                assert report.gap_bound >= gap - self.RTOL
+                rejected = [node.psi for node in report.trace
+                            if node.action is NodeAction.PRUNED_BY_MODEL]
+                assert (report.gap_bound > 0.0) == (min(rejected, default=np.inf)
+                                                    < report.best_psi)
+                missed += gap > self.RTOL
+        assert missed >= 24
 
 
 class TestReportShape:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mecoffload.bnb import NodeAction, NodeRecord, SolveStatus, solve_bnb, solve_exhaustive
+from mecoffload.bnb import Node, NodeAction, SolveStatus, solve_bnb, solve_exhaustive
 from mecoffload.dataset import (
     PSI_SENTINEL,
     Dataset,
@@ -41,11 +43,11 @@ class TestFeaturize:
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
-            fixed=np.full(6, -1, dtype=np.int8), first_fractional=0,
+            fixed=np.full(6, -1, dtype=np.int8), upper=None, first_fractional=0,
             flows=split_bits / self.FRAME.task_scale, scenario=self.FRAME,
         )
         defaults.update(overrides)
-        return NodeRecord(**defaults)
+        return Node(**defaults)
 
     def test_root_normalizes_to_unit(self):
         rec = self._record()
@@ -159,6 +161,16 @@ class TestLabelTrace:
         assert report.status is SolveStatus.OPTIMAL and report.trace == []
         with pytest.raises(ValueError, match="empty trace"):
             label_trace(report, frame)
+
+    def test_requires_an_incumbent_in_the_trace(self):
+        # An optimal report whose trace holds only its branched root names
+        # no node to label the chain from.
+        frame = make_frame(num_mds=2, num_channels=3, seed=404)
+        report = solve_bnb(frame)
+        root = report.trace[0]
+        assert report.status is SolveStatus.OPTIMAL and root.action is NodeAction.BRANCHED
+        with pytest.raises(ValueError, match="no incumbent record"):
+            label_trace(replace(report, trace=[root]), frame)
 
 
 def dataset(n=50, num_mds=2, num_channels=3, **overrides) -> Dataset:

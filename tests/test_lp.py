@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from mecoffload.lp import (
     pinned_bounds,
     solve_lp,
 )
+from mecoffload.relax import build_relaxation
+from mecoffload.scenario import generate_frame, read_config_file
 
 from conftest import first_pivot_objective
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "desk_config.txt"
 
 
 def enumerate_vertices(lp: LinearProgram) -> list[np.ndarray]:
@@ -535,6 +540,24 @@ class TestCarriedFactor:
                     basis.binv + 0.1 * np.outer(rng.normal(size=m), v),
                     basis.reduced_costs, basis.updates)
         with pytest.raises(ArithmeticError, match="price"):
+            solve_lp(lp, start=bad)
+
+    def test_factor_with_a_nan_row_is_an_error(self):
+        # A NaN row of the inverse makes the largest violation NaN, and its
+        # row admits no entering column; it proves nothing, so the solve
+        # must not call the program infeasible.  So on the seed-21 desk
+        # frame's relaxation from its own optimal basis, and with one
+        # carried flow pinned, as a child's would be.
+        cfg = dataclasses.replace(read_config_file(DESK_CONFIG), rng_seed=21)
+        lp = build_relaxation(generate_frame(cfg))
+        res = solve_lp(lp)
+        binv = res.basis.binv.copy()
+        binv[0] = np.nan
+        bad = dataclasses.replace(res.basis, binv=binv)
+        with pytest.raises(ArithmeticError, match="invert"):
+            solve_lp(lp, start=bad)
+        lp.upper[int(np.flatnonzero(res.x > FEASIBILITY_TOL)[0])] = 0.0
+        with pytest.raises(ArithmeticError, match="invert"):
             solve_lp(lp, start=bad)
 
     def test_factor_of_other_dimensions_is_rejected(self):
