@@ -14,16 +14,17 @@ flow on a channel two devices share), and it is pruned by bound against
 the incumbent.  Both bound tests are strict: a node is kept only if its
 bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
-search: each node carries its flow upper bounds, which a pop copies into
-the LP in one write, and every child LP is warm-started from its parent's
-optimal basis and factor.  One :class:`Node` object serves a node from
-branch to trace: a solved node is appended to the trace, which later
-becomes classifier training data, keeping its relaxation value, branching
-index and flows, and the bound that was active at pop time, and dropping
-its warm start and bounds.  A node's indicators and splits are built from
-its flows only when read (by the trace writer, the dataset, a gate and the
-incumbent), so the search itself pays for none of them; a node dropped at
-pop time costs no LP, has no trace row, and is counted only as unsolved.
+search: each node carries the mask of the flows its fixings pin at zero,
+which a pop copies into the LP in one write, and every child LP is
+warm-started from its parent's optimal basis and factor.  One
+:class:`Node` object serves a node from branch to trace: a solved node is
+appended to the trace, which later becomes classifier training data,
+keeping its relaxation value, branching index and flows, and the bound
+that was active at pop time, and dropping its warm start and pins.  A
+node's indicators and splits are built from its flows only when read (by
+the trace writer, the dataset, a gate and the incumbent), so the search
+itself pays for none of them; a node dropped at pop time costs no LP, has
+no trace row, and is counted only as unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -104,14 +105,15 @@ class Node:
     """One search-tree node, from the heap to the trace: once solved, it is
     its trace row, what a gate reads, and the incumbent when it is one.
     ``fixed`` is its fixing vector over the S*K indicators (int8: -1 free, 0
-    or 1 fixed); nothing writes it after :func:`branch`.  ``upper`` holds
-    its S*K flow upper bounds: 0 where a fixing pins the flow
-    (:func:`relax.pinned_flows`), inf elsewhere, so that a pop writes the
-    LP's bounds in one copy.  ``start`` is its parent's optimal LP basis and
-    factor, its warm start (None at the root, which starts from the
-    all-slack basis).  Its heap key is the bound :func:`lp.pinned_bounds`
-    reads off the parent's LP.  The solve fills in the rest and drops
-    ``start``, and ``upper`` too unless the gate rejected the node.
+    or 1 fixed); nothing writes it after :func:`branch`.  ``pinned`` is
+    the bool mask of its S*K flows, True where a fixing pins the flow at
+    zero (:func:`relax.pinned_flows`), so that a pop writes the LP's pins
+    (:attr:`lp.LinearProgram.pinned`) in one copy.  ``start`` is its
+    parent's optimal LP basis and factor, its warm start (None at the root,
+    which starts from the all-slack basis).  Its heap key is the bound
+    :func:`lp.pinned_bounds` reads off the parent's LP.  The solve fills in
+    the rest and drops ``start``, and ``pinned`` too unless the gate
+    rejected the node.
     ``flows`` is the copy of the node's LP flows
     :func:`relax.extract_solution` made, None when infeasible.  ``x`` and
     ``split_bits`` are built together from them by :func:`relax.node_arrays`
@@ -122,7 +124,7 @@ class Node:
     depth: int
     parent_id: int | None
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
-    upper: np.ndarray | None      # (S*K,) flow upper bounds; None once solved, but on a reject
+    pinned: np.ndarray | None     # (S*K,) bool flow pins; None once solved, but on a reject
     scenario: Scenario
     start: Basis | None = None
     action: NodeAction | None = None  # None until solved; PRUNED_INFEASIBLE iff infeasible
@@ -185,27 +187,27 @@ def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
 
     The down child fixes it to 0 and the up child to 1.  Each child gets a
     copy of its parent's fixing vector with ``index`` set, and its parent's
-    flow bounds with the flows that fixing pins (:func:`relax.pinned_flows`)
-    set to 0.  Branching on an index out of range, an index already fixed,
+    flow pins with those of that fixing (:func:`relax.pinned_flows`)
+    added.  Branching on an index out of range, an index already fixed,
     or a channel another device already owns is a contract violation.
     """
-    n, k_n = parent.upper.size, parent.scenario.num_channels
+    n, k_n = parent.pinned.size, parent.scenario.num_channels
     if not 0 <= index < n:
         raise ValueError(f"indicator {index} out of range [0, {n})")
     existing = parent.fixed[index]
     if existing >= 0:
         raise ValueError(f"indicator {index} is already fixed to {existing}")
-    if parent.upper[index] == 0.0:
+    if parent.pinned[index]:
         # Unfixed yet pinned: another device was given its channel.
         raise ValueError(f"channel {index % k_n} of indicator {index} is already owned")
     down, up = parent.fixed.copy(), parent.fixed.copy()
     down[index], up[index] = 0, 1
-    down_upper, up_upper = parent.upper.copy(), parent.upper.copy()
-    down_upper[pinned_flows(index, 0, k_n, n)] = 0.0
-    up_upper[pinned_flows(index, 1, k_n, n)] = 0.0
+    down_pinned, up_pinned = parent.pinned.copy(), parent.pinned.copy()
+    down_pinned[pinned_flows(index, 0, k_n, n)] = True
+    up_pinned[pinned_flows(index, 1, k_n, n)] = True
     depth, frame = parent.depth + 1, parent.scenario
-    return (Node(first_child_id, depth, parent.node_id, down, down_upper, frame),
-            Node(first_child_id + 1, depth, parent.node_id, up, up_upper, frame))
+    return (Node(first_child_id, depth, parent.node_id, down, down_pinned, frame),
+            Node(first_child_id + 1, depth, parent.node_id, up, up_pinned, frame))
 
 
 def solve_bnb(
@@ -230,10 +232,10 @@ def solve_bnb(
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
-    flow_upper = lp.upper[:n]   # a view: writes reach the LP
-    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.full(n, np.inf), scenario)
+    flow_pinned = lp.pinned[:n]   # a view: writes reach the LP
+    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.zeros(n, dtype=bool), scenario)
     # Open nodes keyed (bound, node_id); a popped node drops its basis and
-    # its bounds when solved, and stays in the trace.
+    # its pins when solved, and stays in the trace.
     queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
     next_id = 1
     z_ub = np.inf
@@ -248,7 +250,7 @@ def solve_bnb(
 
     def open_children(node: Node, result: LpResult, index: int) -> None:
         """Branch ``node`` on ``index`` and push both children, keyed by the
-        bounds read off its optimal LP, which the LP's bounds must match."""
+        bounds read off its optimal LP, which the LP's pins must match."""
         nonlocal next_id
         down, up = branch(node, index, next_id)
         next_id += 2
@@ -265,9 +267,9 @@ def solve_bnb(
             # The gated search drained with no incumbent: branch what the
             # gate rejected, and search on exactly.
             for node, result in deferred:
-                np.copyto(flow_upper, node.upper)
+                np.copyto(flow_pinned, node.pinned)
                 open_children(node, result, node.first_fractional)
-                node.action, node.upper = NodeAction.BRANCHED, None
+                node.action, node.pinned = NodeAction.BRANCHED, None
             deferred.clear()
             gate = None
             reopened = True
@@ -280,13 +282,13 @@ def solve_bnb(
         trace.append(node)
         node.zub_at_pop = z_ub
 
-        np.copyto(flow_upper, node.upper)
+        np.copyto(flow_pinned, node.pinned)
         result = solve_lp(lp, node.start)
         node.start = None
         lp_pivots += result.pivots
         lp_refactors += result.refactors
         if result.status is not LpStatus.OPTIMAL:
-            node.action, node.upper = NodeAction.PRUNED_INFEASIBLE, None
+            node.action, node.pinned = NodeAction.PRUNED_INFEASIBLE, None
             continue
 
         psi, first, node.flows = extract_solution(scenario, result)
@@ -310,10 +312,10 @@ def solve_bnb(
         elif gate is not None and not gate(node, root_psi):
             node.action = NodeAction.PRUNED_BY_MODEL
             deferred.append((node, result))
-            continue   # keeps its bounds: a reopen branches it unsolved
+            continue   # keeps its pins: a reopen branches it unsolved
         else:
             open_children(node, result, first)
-        node.upper = None
+        node.pinned = None
 
     if exhausted:
         status = SolveStatus.BUDGET_EXHAUSTED

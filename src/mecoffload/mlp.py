@@ -116,14 +116,17 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        # Written so that NaN fails too.
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and nonnegative, "
+                             f"got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.positive_class_weight <= 0:
-            raise ValueError("positive_class_weight must be positive")
+        if not 0 < self.positive_class_weight < np.inf:
+            raise ValueError("positive_class_weight must be finite and positive, "
+                             f"got {self.positive_class_weight}")
 
 
 @dataclass

@@ -7,10 +7,11 @@ y = x*l, which is exact whenever x is binary.  The indicators then carry no
 cost, so at a node optimum they sit at the smallest value y allows,
 x = y/L, and they are projected out of the LP: channel exclusivity
 sum_s x_sk <= 1 becomes sum_s y_sk / L_s <= 1, and a branching fixing
-becomes an upper bound on flows, x_sk = 0 as y_sk <= 0 and x_sk = 1 as
-y_s'k <= 0 for every other device s'.  Every node bound is unchanged by
-the projection, and children still differ from their parent only in
-bounds.
+pins flows at zero, x_sk = 0 as y_sk = 0 and x_sk = 1 as y_s'k = 0 for
+every other device s'.  Every node bound is unchanged by the projection,
+and children still differ from their parent only in which flows are
+pinned, the one kind of change :class:`lp.LinearProgram` takes between
+solves.
 
 LP variables are ordered [y (S*K), tau], flat index i = s*K + k, the same
 index as a node's fixing vector (:attr:`bnb.Node.fixed`).  Internally the bit
@@ -76,10 +77,10 @@ def build_relaxation(scenario: Scenario) -> LinearProgram:
 
     Constraints: per-device flow conservation sum_k y_sk = L_s, per-channel
     exclusivity sum_s y_sk / L_s <= 1, and the epigraph rows that pin tau
-    above every channel's transmission time.  Every flow is free above
-    zero.  A node's fixings only pin flows at zero (:func:`pinned_flows`),
-    so a search builds this once and moves between nodes by rewriting the
-    flow upper bounds alone.
+    above every channel's transmission time.  Every variable is
+    nonnegative and none is pinned.  A node's fixings only pin flows at
+    zero (:func:`pinned_flows`), so a search builds this once and moves
+    between nodes by rewriting the flow pins alone.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
@@ -110,7 +111,7 @@ def build_relaxation(scenario: Scenario) -> LinearProgram:
         a_ub[k_n + k, -1] = -1.0
         b_ub[k] = 1.0
 
-    return LinearProgram(c, a_eq, b_eq, a_ub, b_ub, np.zeros(n + 1), np.full(n + 1, np.inf))
+    return LinearProgram(c, a_eq, b_eq, a_ub, b_ub)
 
 
 @functools.lru_cache(maxsize=None)

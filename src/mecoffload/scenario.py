@@ -61,21 +61,23 @@ class ScenarioConfig:
             raise ValueError(f"num_mds must be >= 1, got {self.num_mds}")
         if self.num_channels < 1:
             raise ValueError(f"num_channels must be >= 1, got {self.num_channels}")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if not self.noise_power_w > 0:
-            raise ValueError("noise_power_w must be positive")
-        for name, (lo, hi) in (
-            ("power_range_w", self.power_range_w),
-            ("task_size_range_bits", self.task_size_range_bits),
-        ):
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 < min <= max, got {(lo, hi)}")
-        if not self.mean_channel_gain > 0:
-            raise ValueError("mean_channel_gain must be positive")
-        if self.lambda_t < 0 or self.lambda_e < 0 or self.lambda_t + self.lambda_e <= 0:
+        # Every float setting is finite; each test is written so that NaN
+        # fails it too.
+        for name in ("bandwidth_hz", "noise_power_w", "mean_channel_gain"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("power_range_w", "task_size_range_bits"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < np.inf:
+                raise ValueError(f"{name} must satisfy 0 < min <= max < inf, got {(lo, hi)}")
+        for name in ("lambda_t", "lambda_e"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if self.lambda_t + self.lambda_e <= 0:
             raise ValueError(
-                "weights must be nonnegative with lambda_t + lambda_e > 0, "
+                "weights need lambda_t + lambda_e > 0, "
                 f"got ({self.lambda_t}, {self.lambda_e})"
             )
 

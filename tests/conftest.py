@@ -42,20 +42,26 @@ def make_uniform_frame(num_mds, num_channels, gain=1.0, power=1.2, task=4.0e6,
     return Scenario(cfg, gains, powers, tasks, rates)
 
 
-def node_upper(fixed, s_n, k_n) -> np.ndarray:
-    """The flow upper bounds of the node with fixing vector ``fixed`` (-1
-    free, 0 or 1 fixed), written from the model's definition: x_sk = 0 pins
-    y_sk, and x_sk = 1 pins y_s'k for every other device s'.  An (S, K)
-    array, 0 where a flow is pinned and inf elsewhere."""
+def node_pinned(fixed, s_n, k_n) -> np.ndarray:
+    """The flow pins of the node with fixing vector ``fixed`` (-1 free, 0 or
+    1 fixed), written from the model's definition: x_sk = 0 pins y_sk, and
+    x_sk = 1 pins y_s'k for every other device s'.  An (S, K) bool array,
+    True where a flow is pinned at zero."""
     x = np.asarray(fixed).reshape(s_n, k_n)
-    upper = np.full((s_n, k_n), np.inf)
+    pinned = np.zeros((s_n, k_n), dtype=bool)
     for s, k in zip(*np.nonzero(x == 0)):
-        upper[s, k] = 0.0
+        pinned[s, k] = True
     for s, k in zip(*np.nonzero(x == 1)):
         for other in range(s_n):
             if other != s:
-                upper[other, k] = 0.0
-    return upper
+                pinned[other, k] = True
+    return pinned
+
+
+def highs_bounds(lp: lp_module.LinearProgram) -> list[tuple[float, float | None]]:
+    """The variable bounds of ``lp`` as scipy's ``linprog`` takes them:
+    (0, 0) on a pinned variable and (0, None) on a free one."""
+    return [(0.0, 0.0) if pin else (0.0, None) for pin in lp.pinned]
 
 
 def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -104,16 +110,17 @@ def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,
                           monkeypatch) -> float:
     """The objective of ``lp``'s dual simplex from ``start`` after one
     pivot.  The basic values are solved afresh from the basis the pivot
-    reached: those the pivots maintain drift, by up to ~1.6e-12 (relative)
-    in the objective on the 4x6 search frames of the tests."""
-    sim = lp_module._BoundedSimplex(lp, start)
+    reached, every nonbasic variable at zero: those the pivots maintain
+    drift, by up to ~1.6e-12 (relative) in the objective on the 4x6 search
+    frames of the tests."""
+    sim = lp_module._DualSimplex(lp, start)
     with monkeypatch.context() as m:
         m.setattr(lp_module, "_pivot_cap", lambda rows, cols: 0)
         with pytest.raises(ArithmeticError, match="iteration limit"):
             sim.dual()
     assert sim.pivots == 1
-    x = sim.x.copy()
-    x[sim.basis] = np.linalg.solve(sim.a[:, sim.basis], sim.b - sim.a.dot(x))
+    x = np.zeros(sim.num_cols)
+    x[sim.basis] = np.linalg.solve(sim.a[:, sim.basis], sim.b)
     return float(sim.c.dot(x))
 
 

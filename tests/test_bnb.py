@@ -36,7 +36,7 @@ from conftest import (
     frame_args,
     make_frame,
     make_uniform_frame,
-    node_upper,
+    node_pinned,
     same_bits,
 )
 
@@ -44,7 +44,7 @@ from conftest import (
 class TestBranch:
     def _root(self, s_n=3, k_n=4):
         return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8),
-                    np.full(s_n * k_n, np.inf),
+                    np.zeros(s_n * k_n, dtype=bool),
                     make_frame(num_mds=s_n, num_channels=k_n, seed=1))
 
     def test_fractional_value_splits_to_unit_bounds(self):
@@ -82,24 +82,24 @@ class TestBranch:
             assert not np.shares_memory(child.fixed, parent.fixed)
 
     @pytest.mark.parametrize("s_n, k_n, seed", [(2, 3, 3), (3, 5, 14), (4, 6, 203)])
-    def test_child_bounds_match_node_upper(self, s_n, k_n, seed):
-        # Bounds carried down a random path equal those the model's
+    def test_child_pins_match_node_pinned(self, s_n, k_n, seed):
+        # Pins carried down a random path equal those the model's
         # definition gives the path's fixings, and the parent's are
         # untouched.
         rng = np.random.default_rng(seed)
         node, next_id = self._root(s_n, k_n), 1
         while True:
             free = [i for i in range(s_n * k_n)
-                    if node.fixed[i] < 0 and node.upper[i] != 0.0]
+                    if node.fixed[i] < 0 and not node.pinned[i]]
             if not free:
                 break
-            upper, fixed = node.upper.copy(), node.fixed.copy()
+            pinned, fixed = node.pinned.copy(), node.fixed.copy()
             children = branch(node, int(rng.choice(free)), next_id)
-            assert np.array_equal(node.upper, upper)
+            assert np.array_equal(node.pinned, pinned)
             assert np.array_equal(node.fixed, fixed)
             next_id += 2
             for child in children:
-                assert np.array_equal(child.upper, node_upper(child.fixed, s_n, k_n).ravel())
+                assert same_bits(child.pinned, node_pinned(child.fixed, s_n, k_n).ravel())
             node = children[int(rng.integers(2))]
         assert next_id > 3
 
@@ -355,18 +355,18 @@ class TestTraceInvariants:
     def test_single_cut_row_key_is_the_first_pivot_objective(self, frame, monkeypatch):
         # When a child's fixing cuts off one basic flow, its key is the
         # objective of its own dual simplex after the first pivot.  The
-        # search's own bounds are replaced for the check and put back.
+        # search's own pins are replaced for the check and put back.
         checked = []
 
         def checking_bounds(lp, result, pin_sets):
             keys = pinned_bounds(lp, result, pin_sets)
-            upper = lp.col_upper.copy()
+            mask = lp.col_pinned.copy()
             for key, pinned in zip(keys, pin_sets):
                 if np.count_nonzero(result.x[pinned] > FEASIBILITY_TOL) != 1:
                     continue
-                lp.col_upper[pinned] = 0.0
+                lp.col_pinned[pinned] = True
                 objective = first_pivot_objective(lp, result.basis, monkeypatch)
-                lp.col_upper[:] = upper
+                lp.col_pinned[:] = mask
                 assert key == pytest.approx(objective, rel=1e-12, abs=0.0)
                 checked.append(key > result.value)
             return keys
@@ -759,7 +759,7 @@ class TestReopen:
 
 class TestSolvedNodes:
     # A solved node is its own trace row: it drops its warm start, and its
-    # bounds too unless its gate rejected it, which a reopen would branch.
+    # pins too unless its gate rejected it, which a reopen would branch.
     @staticmethod
     def check_dropped(report):
         assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 20
@@ -768,11 +768,11 @@ class TestSolvedNodes:
             assert not hasattr(node, "__dict__")
             assert node.start is None
             if node.action is NodeAction.PRUNED_BY_MODEL:
-                assert np.array_equal(node.upper, node_upper(node.fixed, s_n, k_n).ravel())
+                assert same_bits(node.pinned, node_pinned(node.fixed, s_n, k_n).ravel())
             else:
-                assert node.upper is None
+                assert node.pinned is None
 
-    def test_exact_search_keeps_no_start_or_bounds(self, monkeypatch):
+    def test_exact_search_keeps_no_start_or_pins(self, monkeypatch):
         frame = make_frame(num_mds=4, num_channels=6, seed=203)
         self.check_dropped(solve_bnb(frame))
         # Two children reported infeasible drop theirs too.
@@ -788,7 +788,7 @@ class TestSolvedNodes:
         assert sum(node.action is NodeAction.PRUNED_INFEASIBLE for node in report.trace) == 2
         self.check_dropped(report)
 
-    def test_gated_search_keeps_the_bounds_of_its_rejects_only(self):
+    def test_gated_search_keeps_the_pins_of_its_rejects_only(self):
         frame = make_frame(num_mds=4, num_channels=6, seed=203)
         target = solve_bnb(frame).best_x.ravel()
         report = solve_bnb(
@@ -796,7 +796,7 @@ class TestSolvedNodes:
         assert not report.fell_back_to_exact
         assert any(node.action is NodeAction.PRUNED_BY_MODEL for node in report.trace)
         self.check_dropped(report)
-        # A reopen branches the rejects, which then drop their bounds.
+        # A reopen branches the rejects, which then drop their pins.
         report = solve_bnb(frame, gate=lambda node, _: False)
         assert report.fell_back_to_exact
         self.check_dropped(report)

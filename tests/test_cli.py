@@ -372,16 +372,20 @@ class TestBench:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A config, a dataset and a model file that every command accepts."""
+    """A config, a dataset and a model file that every command accepts, and
+    two configs with a weight that is not finite."""
     root = tmp_path_factory.mktemp("inputs")
     config = root / "frame.cfg"
     config.write_text(CONFIG)
+    (root / "nan.cfg").write_text(CONFIG.replace("lambda_t = 1.0", "lambda_t = nan"))
+    (root / "inf.cfg").write_text(CONFIG.replace("lambda_e = 0.25", "lambda_e = inf"))
     assert main(["gen-data", "--config", str(config), "--frames", "2",
                  "--out", str(root / "data")]) == 0
     write_constant_model(root / "model.txt")
     write_constant_model(root / "narrow.txt", num_features=5)
     return {"config": str(config), "dataset": str(root / "data" / "dataset.csv"),
-            "model": str(root / "model.txt"), "narrow_model": str(root / "narrow.txt")}
+            "model": str(root / "model.txt"), "narrow_model": str(root / "narrow.txt"),
+            "nan_config": str(root / "nan.cfg"), "inf_config": str(root / "inf.cfg")}
 
 
 SOLVE = ["solve", "--config", "{config}"]
@@ -401,6 +405,14 @@ TRAIN = ["train", "--dataset", "{dataset}"]
     pytest.param([*TRAIN, "--epochs", "-1"], "epochs", id="train-epochs-negative"),
     pytest.param([*TRAIN, "--learning-rate", "-1"], "learning_rate",
                  id="train-learning-rate-negative"),
+    pytest.param([*TRAIN, "--learning-rate", "nan"], "learning_rate",
+                 id="train-learning-rate-nan"),
+    pytest.param([*TRAIN, "--pos-weight", "inf"], "positive_class_weight",
+                 id="train-pos-weight-inf"),
+    pytest.param(["solve", "--config", "{nan_config}", "--solver", "exhaustive"], "lambda_t",
+                 id="solve-lambda-t-nan"),
+    pytest.param(["solve", "--config", "{inf_config}", "--solver", "bnb"], "lambda_e",
+                 id="solve-lambda-e-inf"),
     pytest.param([*TRAIN, "--max-nodes", "5"], "--max-nodes", id="train-takes-no-max-nodes"),
     pytest.param([*SOLVE, "--solver", "ibnb", "--model", "{model}",
                   "--theta", "1e-3", "--theta", "1e-5"], "--theta", id="solve-takes-one-theta"),

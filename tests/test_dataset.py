@@ -43,7 +43,7 @@ class TestFeaturize:
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
-            fixed=np.full(6, -1, dtype=np.int8), upper=None, first_fractional=0,
+            fixed=np.full(6, -1, dtype=np.int8), pinned=None, first_fractional=0,
             flows=split_bits / self.FRAME.task_scale, scenario=self.FRAME,
         )
         defaults.update(overrides)

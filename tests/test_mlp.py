@@ -268,6 +268,18 @@ def separable_toy_set(n=200, seed=0):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", -1.0), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", -math.inf), ("positive_class_weight", 0.0),
+        ("positive_class_weight", math.nan), ("positive_class_weight", math.inf),
+        ("positive_class_weight", -math.inf), ("epochs", -1), ("batch_size", 0),
+    ])
+    def test_invalid_settings_rejected_by_name(self, name, value):
+        # NaN compares false with everything, so ``x < 0`` alone lets it
+        # through, and a NaN step would train a model no file may hold.
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
     def test_separable_set_learned(self):
         x, y = separable_toy_set()
         # Full-batch steps keep the descent strictly monotone.

@@ -6,7 +6,7 @@ from mecoffload.lp import LpResult, LpStatus, solve_lp
 from mecoffload.relax import build_relaxation, extract_solution, node_arrays, solve_split
 from oracle import recompute_objective
 
-from conftest import frame_args, make_frame, make_uniform_frame, node_upper
+from conftest import frame_args, highs_bounds, make_frame, make_uniform_frame, node_pinned
 
 
 def closed_form_single_pair(frame):
@@ -30,8 +30,8 @@ def read_point(frame, result, fixed):
 
 def set_node(lp, frame, fixed):
     """Give ``lp``, a relaxation of ``frame`` from :func:`build_relaxation`,
-    the flow bounds of the node with fixing vector ``fixed``; returns it."""
-    lp.upper[:-1] = node_upper(fixed, frame.num_mds, frame.num_channels).ravel()
+    the flow pins of the node with fixing vector ``fixed``; returns it."""
+    lp.pinned[:-1] = node_pinned(fixed, frame.num_mds, frame.num_channels).ravel()
     return lp
 
 
@@ -56,8 +56,7 @@ def highs_lp(lp):
     from scipy.optimize import linprog
 
     ref = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                  bounds=list(zip(lp.lower, np.where(np.isfinite(lp.upper),
-                                                     lp.upper, None))),
+                  bounds=highs_bounds(lp),
                   method="highs")
     assert ref.status in (0, 2)
     return ref.fun if ref.status == 0 else None

@@ -35,6 +35,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(**overrides)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, setting", [
+        ("bandwidth_hz", lambda v: {"bandwidth_hz": v}),
+        ("noise_power_w", lambda v: {"noise_power_w": v}),
+        ("power_range_w", lambda v: {"power_range_w": (1.0, v)}),
+        ("power_range_w", lambda v: {"power_range_w": (v, 1.5)}),
+        ("task_size_range_bits", lambda v: {"task_size_range_bits": (2.0e6, v)}),
+        ("mean_channel_gain", lambda v: {"mean_channel_gain": v}),
+        ("lambda_t", lambda v: {"lambda_t": v}),
+        ("lambda_e", lambda v: {"lambda_e": v}),
+    ], ids=["bandwidth", "noise", "power-max", "power-min", "task-max", "gain", "lambda_t",
+            "lambda_e"])
+    def test_nonfinite_setting_rejected_by_name(self, name, setting, value):
+        # NaN compares false with everything, so a test like ``x < 0`` lets
+        # it through; every float setting is checked to be finite.
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**setting(value))
+
     def test_noise_floor_conversion(self):
         assert dbm_to_watts(-110.0) == pytest.approx(1e-14, rel=1e-12)
         assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
@@ -154,6 +172,23 @@ seed = 7
         assert cfg.noise_power_w == pytest.approx(1e-14, rel=1e-12)
         assert cfg.power_range_w == (1.0, 1.5)
         assert cfg.rng_seed == 7
+
+    @pytest.mark.parametrize("key, text, named", [
+        ("lambda_t", "nan", "lambda_t"),
+        ("lambda_e", "inf", "lambda_e"),
+        ("bandwidth_hz", "inf", "bandwidth_hz"),
+        ("noise_dbm", "inf", "noise_power_w"),
+        ("power_max_w", "inf", "power_range_w"),
+        ("task_max_bits", "nan", "task_size_range_bits"),
+        ("mean_gain", "inf", "mean_channel_gain"),
+    ])
+    def test_nonfinite_value_rejected_by_name(self, tmp_path, key, text, named):
+        path = tmp_path / "frame.cfg"
+        lines = [f"{key} = {text}" if line.startswith(f"{key} =") else line
+                 for line in self.CONFIG_TEXT.splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=named):
+            read_config_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "frame.cfg"
