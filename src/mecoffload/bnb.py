@@ -14,17 +14,16 @@ flow on a channel two devices share), and it is pruned by bound against
 the incumbent.  Both bound tests are strict: a node is kept only if its
 bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
-search: each node carries the mask of the flows its fixings pin at zero,
-which a pop copies into the LP in one write, and every child LP is
-warm-started from its parent's optimal basis and factor.  One
-:class:`Node` object serves a node from branch to trace: a solved node is
-appended to the trace, which later becomes classifier training data,
-keeping its relaxation value, branching index and flows, and the bound
-that was active at pop time, and dropping its warm start and pins.  A
-node's indicators and splits are built from its flows only when read (by
-the trace writer, the dataset, a gate and the incumbent), so the search
-itself pays for none of them; a node dropped at pop time costs no LP, has
-no trace row, and is counted only as unsolved.
+search: an open node's heap entry carries the mask of the flows its
+fixings pin at zero, which a pop copies into the LP in one write, and its
+parent's optimal basis and factor, from which its LP is warm-started.  A
+:class:`Node` is only its trace row: a solved node is appended to the
+trace, which later becomes classifier training data, with its relaxation
+value, branching index and flows, and the bound that was active at pop
+time.  A node's indicators and splits are built from its flows only when
+read (by the trace writer, the dataset, a gate and the incumbent), so the
+search itself pays for none of them; a node dropped at pop time costs no
+LP, has no trace row, and is counted only as unsolved.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -102,19 +101,13 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(slots=True)
 class Node:
-    """One search-tree node, from the heap to the trace: once solved, it is
-    its trace row, what a gate reads, and the incumbent when it is one.
+    """One search-tree node: once solved, it is its trace row, what a gate
+    reads, and the incumbent when it is one.  What only an open node needs,
+    its flow pins and warm start, rides in its heap entry instead.
     ``fixed`` is its fixing vector over the S*K indicators (int8: -1 free, 0
-    or 1 fixed); nothing writes it after :func:`branch`.  ``pinned`` is
-    the bool mask of its S*K flows, True where a fixing pins the flow at
-    zero (:func:`relax.pinned_flows`), so that a pop writes the LP's pins
-    (:attr:`lp.LinearProgram.pinned`) in one copy.  ``start`` is its
-    parent's optimal LP basis and factor, its warm start (None at the root,
-    which starts from the all-slack basis).  Its heap key is the bound
-    :func:`lp.pinned_bounds` reads off the parent's LP.  The solve fills in
-    the rest and drops ``start``, and ``pinned`` too unless the gate
-    rejected the node.
-    ``flows`` is the copy of the node's LP flows
+    or 1 fixed); nothing writes it after :func:`branch`.  The solve fills in
+    the rest and clears nothing; a reopen turns a model-pruned node's action
+    to ``Branched``.  ``flows`` is the copy of the node's LP flows
     :func:`relax.extract_solution` made, None when infeasible.  ``x`` and
     ``split_bits`` are built together from them by :func:`relax.node_arrays`
     on the first read of either, then kept; an infeasible node reads two
@@ -124,9 +117,7 @@ class Node:
     depth: int
     parent_id: int | None
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
-    pinned: np.ndarray | None     # (S*K,) bool flow pins; None once solved, but on a reject
     scenario: Scenario
-    start: Basis | None = None
     action: NodeAction | None = None  # None until solved; PRUNED_INFEASIBLE iff infeasible
     psi: float = float("nan")     # nan when infeasible
     zub_at_pop: float = float("nan")  # incumbent bound when the node was popped
@@ -186,28 +177,24 @@ def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
     """Split a node on binary indicator ``index`` = s*K + k of its frame.
 
     The down child fixes it to 0 and the up child to 1.  Each child gets a
-    copy of its parent's fixing vector with ``index`` set, and its parent's
-    flow pins with those of that fixing (:func:`relax.pinned_flows`)
-    added.  Branching on an index out of range, an index already fixed,
-    or a channel another device already owns is a contract violation.
+    copy of its parent's fixing vector with ``index`` set, and nothing
+    else.  Branching on an index out of range, an index already fixed, or
+    a channel another device already owns is a contract violation.
     """
-    n, k_n = parent.pinned.size, parent.scenario.num_channels
+    n, k_n = parent.fixed.size, parent.scenario.num_channels
     if not 0 <= index < n:
         raise ValueError(f"indicator {index} out of range [0, {n})")
     existing = parent.fixed[index]
     if existing >= 0:
         raise ValueError(f"indicator {index} is already fixed to {existing}")
-    if parent.pinned[index]:
-        # Unfixed yet pinned: another device was given its channel.
+    if 1 in parent.fixed[index % k_n::k_n].tolist():
+        # Unfixed, so the 1 on its channel is another device's.
         raise ValueError(f"channel {index % k_n} of indicator {index} is already owned")
     down, up = parent.fixed.copy(), parent.fixed.copy()
     down[index], up[index] = 0, 1
-    down_pinned, up_pinned = parent.pinned.copy(), parent.pinned.copy()
-    down_pinned[pinned_flows(index, 0, k_n, n)] = True
-    up_pinned[pinned_flows(index, 1, k_n, n)] = True
     depth, frame = parent.depth + 1, parent.scenario
-    return (Node(first_child_id, depth, parent.node_id, down, down_pinned, frame),
-            Node(first_child_id + 1, depth, parent.node_id, up, up_pinned, frame))
+    return (Node(first_child_id, depth, parent.node_id, down, frame),
+            Node(first_child_id + 1, depth, parent.node_id, up, frame))
 
 
 def solve_bnb(
@@ -233,32 +220,36 @@ def solve_bnb(
 
     lp = build_relaxation(scenario)
     flow_pinned = lp.pinned[:n]   # a view: writes reach the LP
-    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), np.zeros(n, dtype=bool), scenario)
-    # Open nodes keyed (bound, node_id); a popped node drops its basis and
-    # its pins when solved, and stays in the trace.
-    queue: list[tuple[float, int, Node]] = [(-np.inf, 0, root)]
+    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), scenario)
+    # Open nodes as (bound, node_id, node, flow pins, warm start: the
+    # parent's optimal basis); the unique id keeps nodes from being compared.
+    queue: list[tuple[float, int, Node, np.ndarray, Basis | None]] = [
+        (-np.inf, 0, root, np.zeros(n, dtype=bool), None)]
     next_id = 1
     z_ub = np.inf
     best: Node | None = None   # the incumbent leaf
-    root_psi: float | None = None
     trace: list[Node] = []
-    # The gate's rejects, each with the optimal LP its branching reads.
-    deferred: list[tuple[Node, LpResult]] = []
+    # The gate's rejects, each with its pins and the optimal LP its
+    # branching reads.
+    deferred: list[tuple[Node, np.ndarray, LpResult]] = []
     reopened = False
     lp_pivots = lp_refactors = 0
     exhausted = False
 
-    def open_children(node: Node, result: LpResult, index: int) -> None:
-        """Branch ``node`` on ``index`` and push both children, keyed by the
-        bounds read off its optimal LP, which the LP's pins must match."""
+    def open_children(node: Node, pins: np.ndarray, result: LpResult, index: int) -> None:
+        """Branch ``node``, solved under ``pins`` to ``result``, on ``index``,
+        and push both children with their pins, keyed by the bounds read off
+        ``result``."""
         nonlocal next_id
         down, up = branch(node, index, next_id)
         next_id += 2
-        key_down, key_up = pinned_bounds(lp, result, (
-            pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)))
-        down.start = up.start = result.basis
-        heapq.heappush(queue, (key_down, down.node_id, down))
-        heapq.heappush(queue, (key_up, up.node_id, up))
+        added_down, added_up = pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)
+        key_down, key_up = pinned_bounds(lp, result, (added_down, added_up))
+        down_pins, up_pins = pins.copy(), pins.copy()
+        down_pins[added_down] = True
+        up_pins[added_up] = True
+        heapq.heappush(queue, (key_down, down.node_id, down, down_pins, result.basis))
+        heapq.heappush(queue, (key_up, up.node_id, up, up_pins, result.basis))
 
     while True:
         if not queue:
@@ -266,14 +257,13 @@ def solve_bnb(
                 break
             # The gated search drained with no incumbent: branch what the
             # gate rejected, and search on exactly.
-            for node, result in deferred:
-                np.copyto(flow_pinned, node.pinned)
-                open_children(node, result, node.first_fractional)
-                node.action, node.pinned = NodeAction.BRANCHED, None
+            for node, pins, result in deferred:
+                open_children(node, pins, result, node.first_fractional)
+                node.action = NodeAction.BRANCHED
             deferred.clear()
             gate = None
             reopened = True
-        key, _, node = heapq.heappop(queue)
+        key, _, node, pins, start = heapq.heappop(queue)
         if key >= z_ub:
             break  # every open bound has reached the incumbent
         if len(trace) >= MAX_NODES:
@@ -282,19 +272,16 @@ def solve_bnb(
         trace.append(node)
         node.zub_at_pop = z_ub
 
-        np.copyto(flow_pinned, node.pinned)
-        result = solve_lp(lp, node.start)
-        node.start = None
+        np.copyto(flow_pinned, pins)
+        result = solve_lp(lp, start)
         lp_pivots += result.pivots
         lp_refactors += result.refactors
         if result.status is not LpStatus.OPTIMAL:
-            node.action, node.pinned = NodeAction.PRUNED_INFEASIBLE, None
+            node.action = NodeAction.PRUNED_INFEASIBLE
             continue
 
         psi, first, node.flows = extract_solution(scenario, result)
         node.psi, node.first_fractional = psi, first
-        if root_psi is None:
-            root_psi = psi
         # The gate sees the node as it would be kept if branched.  It holds
         # its fixing vector and its flows, and builds no array until one is
         # read, which nothing here does.
@@ -309,13 +296,11 @@ def solve_bnb(
         elif psi >= z_ub:
             # No descendant of a tied node can strictly improve the incumbent.
             node.action = NodeAction.PRUNED_BY_BOUND
-        elif gate is not None and not gate(node, root_psi):
+        elif gate is not None and not gate(node, trace[0].psi):
             node.action = NodeAction.PRUNED_BY_MODEL
-            deferred.append((node, result))
-            continue   # keeps its pins: a reopen branches it unsolved
+            deferred.append((node, pins, result))
         else:
-            open_children(node, result, first)
-        node.pinned = None
+            open_children(node, pins, result, first)
 
     if exhausted:
         status = SolveStatus.BUDGET_EXHAUSTED
@@ -325,7 +310,7 @@ def solve_bnb(
         status = SolveStatus.OPTIMAL
     gap_bound = None
     if status is SolveStatus.OPTIMAL:
-        lower = min([best.psi, *(node.psi for node, _ in deferred)])
+        lower = min([best.psi, *(node.psi for node, _, _ in deferred)])
         gap_bound = (best.psi - lower) / best.psi
     return SolveReport(
         status=status,

@@ -166,12 +166,14 @@ def read_dataset(path) -> Dataset:
     fields = dict(
         token.split("=", 1) for token in lines[0].split()[2:] if "=" in token
     )
-    try:
-        m = int(fields["m"])
-        s_n = int(fields["S"])
-        k_n = int(fields["K"])
-    except KeyError as exc:
-        raise DatasetFormatError(f"{path}:1: header lacks {exc.args[0]!r}") from None
+    sizes = []
+    for key in ("m", "S", "K"):
+        if key not in fields:
+            raise DatasetFormatError(f"{path}:1: header lacks {key!r}")
+        if not fields[key].isdecimal() or int(fields[key]) < 1:
+            raise DatasetFormatError(f"{path}:1: {key}={fields[key]} is not an integer >= 1")
+        sizes.append(int(fields[key]))
+    m, s_n, k_n = sizes
     if m != feature_length(s_n, k_n):
         raise DatasetFormatError(
             f"{path}:1: m={m} inconsistent with S={s_n}, K={k_n}"

@@ -244,10 +244,11 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
 def pinned_bounds(lp: LinearProgram, result: LpResult,
                   pin_sets: Sequence[np.ndarray]) -> list[float]:
     """For each integer array of structural columns in ``pin_sets``, a lower
-    bound on the value of ``lp`` once those columns are pinned too, read
-    off its optimal ``result`` without a solve.
+    bound on the value of the program ``result`` solved, once those columns
+    are pinned too, read off that optimal ``result`` without a solve.
 
-    ``lp`` must still hold the pins ``result`` was solved under.  Every
+    Only ``lp.rows`` and ``result`` are read: the pins ``result`` was solved
+    under are in its slack signs, whatever ``lp``'s mask holds now.  Every
     nonbasic column rests at zero, so pinning it moves nothing, and each
     pinned column more than :data:`FEASIBILITY_TOL` above zero is basic:
     the optimal basis stays dual feasible, and its row is cut off.  On each

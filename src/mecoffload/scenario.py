@@ -183,9 +183,10 @@ CONFIG_KEYS = (
 def read_config_file(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` config file (``#`` starts a comment).
 
-    All keys in :data:`CONFIG_KEYS` are required exactly once; the noise
-    floor is given in dBm and converted to watts here so everything
-    downstream is in SI units.
+    All keys in :data:`CONFIG_KEYS` are required exactly once, each with a
+    value of its type (a ValueError names the key if not); the noise floor
+    is given in dBm and converted to watts here so everything downstream is
+    in SI units.
     """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -204,15 +205,23 @@ def read_config_file(path) -> ScenarioConfig:
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
+
+    def parsed(key: str, kind: type = float):
+        try:
+            return kind(values[key])
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: {key} = {values[key]!r} is not {expected}") from None
+
     return ScenarioConfig(
-        num_mds=int(values["num_mds"]),
-        num_channels=int(values["num_channels"]),
-        bandwidth_hz=float(values["bandwidth_hz"]),
-        noise_power_w=dbm_to_watts(float(values["noise_dbm"])),
-        power_range_w=(float(values["power_min_w"]), float(values["power_max_w"])),
-        task_size_range_bits=(float(values["task_min_bits"]), float(values["task_max_bits"])),
-        mean_channel_gain=float(values["mean_gain"]),
-        lambda_t=float(values["lambda_t"]),
-        lambda_e=float(values["lambda_e"]),
-        rng_seed=int(values["seed"]),
+        num_mds=parsed("num_mds", int),
+        num_channels=parsed("num_channels", int),
+        bandwidth_hz=parsed("bandwidth_hz"),
+        noise_power_w=dbm_to_watts(parsed("noise_dbm")),
+        power_range_w=(parsed("power_min_w"), parsed("power_max_w")),
+        task_size_range_bits=(parsed("task_min_bits"), parsed("task_max_bits")),
+        mean_channel_gain=parsed("mean_gain"),
+        lambda_t=parsed("lambda_t"),
+        lambda_e=parsed("lambda_e"),
+        rng_seed=parsed("seed", int),
     )

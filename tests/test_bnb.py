@@ -44,7 +44,6 @@ from conftest import (
 class TestBranch:
     def _root(self, s_n=3, k_n=4):
         return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8),
-                    np.zeros(s_n * k_n, dtype=bool),
                     make_frame(num_mds=s_n, num_channels=k_n, seed=1))
 
     def test_fractional_value_splits_to_unit_bounds(self):
@@ -80,28 +79,6 @@ class TestBranch:
             assert np.flatnonzero(child.fixed != parent.fixed).tolist() == [4]
             assert child.fixed[4] == value
             assert not np.shares_memory(child.fixed, parent.fixed)
-
-    @pytest.mark.parametrize("s_n, k_n, seed", [(2, 3, 3), (3, 5, 14), (4, 6, 203)])
-    def test_child_pins_match_node_pinned(self, s_n, k_n, seed):
-        # Pins carried down a random path equal those the model's
-        # definition gives the path's fixings, and the parent's are
-        # untouched.
-        rng = np.random.default_rng(seed)
-        node, next_id = self._root(s_n, k_n), 1
-        while True:
-            free = [i for i in range(s_n * k_n)
-                    if node.fixed[i] < 0 and not node.pinned[i]]
-            if not free:
-                break
-            pinned, fixed = node.pinned.copy(), node.fixed.copy()
-            children = branch(node, int(rng.choice(free)), next_id)
-            assert np.array_equal(node.pinned, pinned)
-            assert np.array_equal(node.fixed, fixed)
-            next_id += 2
-            for child in children:
-                assert same_bits(child.pinned, node_pinned(child.fixed, s_n, k_n).ravel())
-            node = children[int(rng.integers(2))]
-        assert next_id > 3
 
 
 #: Sizes and gains of frames whose devices and channels are all identical:
@@ -757,49 +734,54 @@ class TestReopen:
             rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
 
 
-class TestSolvedNodes:
-    # A solved node is its own trace row: it drops its warm start, and its
-    # pins too unless its gate rejected it, which a reopen would branch.
-    @staticmethod
-    def check_dropped(report):
-        assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 20
-        s_n, k_n = report.best_x.shape
-        for node in report.trace:
-            assert not hasattr(node, "__dict__")
-            assert node.start is None
-            if node.action is NodeAction.PRUNED_BY_MODEL:
-                assert same_bits(node.pinned, node_pinned(node.fixed, s_n, k_n).ravel())
-            else:
-                assert node.pinned is None
-
-    def test_exact_search_keeps_no_start_or_pins(self, monkeypatch):
+class TestHeapState:
+    # An open node's flow pins and warm start ride in its heap entry, and a
+    # solved node is only its trace row.  The k-th LP solve of a search
+    # solves the k-th trace node, so it must run under the pins of that
+    # node's fixings, started from the very basis its parent's solve
+    # returned (the root from none), through branching, gating and a reopen.
+    @pytest.mark.parametrize("search", ["exact", "oracle-gated", "reject-all",
+                                        "reject-below-root"])
+    def test_each_solve_runs_under_its_nodes_pins_from_its_parents_basis(
+            self, search, monkeypatch):
         frame = make_frame(num_mds=4, num_channels=6, seed=203)
-        self.check_dropped(solve_bnb(frame))
-        # Two children reported infeasible drop theirs too.
-        solves = itertools.count()
-
-        def solve_lp_failing_two(lp, start=None):
-            if next(solves) in (50, 100):
-                return LpResult(LpStatus.INFEASIBLE)
-            return solve_lp(lp, start)
-
-        monkeypatch.setattr(bnb_module, "solve_lp", solve_lp_failing_two)
-        report = solve_bnb(frame)
-        assert sum(node.action is NodeAction.PRUNED_INFEASIBLE for node in report.trace) == 2
-        self.check_dropped(report)
-
-    def test_gated_search_keeps_the_pins_of_its_rejects_only(self):
-        frame = make_frame(num_mds=4, num_channels=6, seed=203)
+        s_n, k_n = frame.num_mds, frame.num_channels
         target = solve_bnb(frame).best_x.ravel()
-        report = solve_bnb(
-            frame, gate=lambda node, _: np.all((node.fixed < 0) | (node.fixed == target)))
-        assert not report.fell_back_to_exact
-        assert any(node.action is NodeAction.PRUNED_BY_MODEL for node in report.trace)
-        self.check_dropped(report)
-        # A reopen branches the rejects, which then drop their pins.
-        report = solve_bnb(frame, gate=lambda node, _: False)
-        assert report.fell_back_to_exact
-        self.check_dropped(report)
+        gate = {
+            "exact": None,
+            "oracle-gated": lambda node, _: np.all((node.fixed < 0) | (node.fixed == target)),
+            "reject-all": lambda node, _: False,
+            # The root's children are both rejected, so the reopen branches
+            # two nodes with pins of their own.
+            "reject-below-root": lambda node, _: node.node_id == 0,
+        }[search]
+        calls = []
+
+        def recording_solve_lp(lp, start=None):
+            result = solve_lp(lp, start)
+            calls.append((lp.pinned.copy(), start, result.basis))
+            return result
+
+        monkeypatch.setattr(bnb_module, "solve_lp", recording_solve_lp)
+        report = solve_bnb(frame, gate=gate)
+        assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 20
+        assert report.fell_back_to_exact == search.startswith("reject")
+        model_pruned = sum(node.action is NodeAction.PRUNED_BY_MODEL for node in report.trace)
+        assert (model_pruned > 0) == (search == "oracle-gated")
+        assert len(calls) == len(report.trace)
+        basis_of = {}
+        for node, (pinned, start, basis) in zip(report.trace, calls):
+            assert not hasattr(node, "__dict__")
+            assert same_bits(pinned[:-1], node_pinned(node.fixed, s_n, k_n).ravel())
+            assert not pinned[-1]   # tau
+            if node.parent_id is None:
+                assert start is None
+            else:
+                assert start is not None and start is basis_of[node.parent_id]
+            basis_of[node.node_id] = basis
+        if search == "reject-below-root":
+            assert [node.parent_id for node in report.trace[1:3]] == [0, 0]
+            assert {node.parent_id for node in report.trace[3:]} >= {1, 2}
 
 
 class TestGapBound:

@@ -239,6 +239,18 @@ class TestSolve:
         assert "budget exhausted" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, bad", [("num_mds = 2", "num_mds = 2.5"),
+                                           ("lambda_t = 1.0", "lambda_t = abc")],
+                             ids=["int", "float"])
+    def test_unparsable_config_value_names_its_key(self, tmp_path, capsys, line, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace(line, bad))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: {bad.split()[0]} = " in err
+        assert not (tmp_path / "o").exists()
+
     def test_ibnb_without_model_is_usage_error(self, tmp_path, config_path):
         rc = main(["solve", "--config", config_path, "--solver", "ibnb",
                    "--out", str(tmp_path / "o")])

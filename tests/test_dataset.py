@@ -43,7 +43,7 @@ class TestFeaturize:
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
-            fixed=np.full(6, -1, dtype=np.int8), pinned=None, first_fractional=0,
+            fixed=np.full(6, -1, dtype=np.int8), first_fractional=0,
             flows=split_bits / self.FRAME.task_scale, scenario=self.FRAME,
         )
         defaults.update(overrides)
@@ -274,6 +274,19 @@ class TestPersistence:
         path = tmp_path / "ds.csv"
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match=match):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("header, match", [
+        ("m=x S=2 K=3", "m=x is not"),
+        ("m=16 S=2.0 K=3", "S=2.0 is not"),
+        ("m=16 S=2 K=0", "K=0 is not"),
+        ("m=16 S=-2 K=3", "S=-2 is not"),
+        ("m=16 S= K=3", "S= is not"),
+    ], ids=["m-letter", "S-float", "K-zero", "S-negative", "S-empty"])
+    def test_header_size_not_a_positive_integer_rejected(self, tmp_path, header, match):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"# dataset-v1 {header}\nframe_id,node_id,label\n")
+        with pytest.raises(DatasetFormatError, match=f"ds.csv:1: {match} an integer >= 1$"):
             read_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):

@@ -18,7 +18,7 @@ from mecoffload.lp import (
     pinned_bounds,
     solve_lp,
 )
-from mecoffload.relax import build_relaxation
+from mecoffload.relax import build_relaxation, pinned_flows
 from mecoffload.scenario import generate_frame, read_config_file
 
 from conftest import first_pivot_objective, highs_bounds
@@ -709,6 +709,23 @@ class TestPinnedBounds:
         skewed = dataclasses.replace(res, basis=dataclasses.replace(res.basis,
                                                                     reduced_costs=reduced))
         assert pinned_bounds(lp, skewed, [np.array([j])]) == [res.value]
+
+    def test_bounds_read_no_pin_mask(self):
+        # The bounds read the rows and the result alone, whose slack signs
+        # hold the pins it was solved under: on a 4x6 search root, the
+        # bound of every single fixing stays put when the mask is rewritten.
+        config = read_config_file(DESK_CONFIG)
+        frame = generate_frame(dataclasses.replace(config, num_mds=4, num_channels=6,
+                                                   rng_seed=1))
+        lp = build_relaxation(frame)
+        res = solve_lp(lp)
+        n, k_n = 24, 6
+        sets = [pinned_flows(i, v, k_n, n) for i in range(n) for v in (0, 1)]
+        bounds = pinned_bounds(lp, res, sets)
+        assert sum(bound > res.value for bound in bounds) >= 10
+        for mask in (False, True):
+            lp.pinned[:] = mask
+            assert pinned_bounds(lp, res, sets) == bounds
 
     def test_set_that_cuts_nothing_keeps_the_value(self):
         lp = interior_lp(3)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -77,3 +78,19 @@ def test_settable_value_count():
                 if p.kind is inspect.Parameter.KEYWORD_ONLY}
     assert keywords == set()
     assert (len(flags), len(fields), len(keywords)) == (23, 6, 0)
+
+
+def test_trace_digest_script_runs_without_a_model(capsys):
+    # Byte identity of the search is checked with scripts/trace_digest.py,
+    # which reads the report's and the trace nodes' fields: a field it
+    # reads that goes away must fail here first.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
+    spec = importlib.util.spec_from_file_location("trace_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--frames", "1"]) == 0
+    counts, digest = capsys.readouterr().out.splitlines()
+    solves, nodes = re.fullmatch(r"solves=(\d+) trace_nodes=(\d+)", counts).groups()
+    assert int(solves) == 2 * len(script.SIZES)   # bnb and exhaustive per frame
+    assert int(nodes) > int(solves)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)

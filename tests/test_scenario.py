@@ -190,6 +190,21 @@ seed = 7
         with pytest.raises(ValueError, match=named):
             read_config_file(path)
 
+    @pytest.mark.parametrize("key, text, kind", [
+        ("num_mds", "2.5", "an integer"),
+        ("seed", "x", "an integer"),
+        ("lambda_t", "abc", "a number"),
+        ("noise_dbm", "-110 dBm", "a number"),
+    ], ids=["num_mds", "seed", "lambda_t", "noise_dbm"])
+    def test_unparsable_value_names_file_and_key(self, tmp_path, key, text, kind):
+        path = tmp_path / "frame.cfg"
+        lines = [f"{key} = {text}" if line.startswith(f"{key} =") else line
+                 for line in self.CONFIG_TEXT.splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_config_file(path)
+        assert str(info.value) == f"{path}: {key} = {text!r} is not {kind}"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "frame.cfg"
         path.write_text(self.CONFIG_TEXT + "bogus = 1\n")
