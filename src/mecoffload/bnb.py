@@ -107,11 +107,13 @@ class Node:
     ``fixed`` is its fixing vector over the S*K indicators (int8: -1 free, 0
     or 1 fixed); nothing writes it after :func:`branch`.  The solve fills in
     the rest and clears nothing; a reopen turns a model-pruned node's action
-    to ``Branched``.  ``flows`` is the copy of the node's LP flows
-    :func:`relax.extract_solution` made, None when infeasible.  ``x`` and
-    ``split_bits`` are built together from them by :func:`relax.node_arrays`
-    on the first read of either, then kept; an infeasible node reads two
-    zero arrays of its own."""
+    to ``Branched``.  ``flows`` is the copy of the node's LP flows, each its
+    share of its device's task, that :func:`relax.extract_solution` made,
+    None when infeasible.  ``x`` and ``shares`` are built together from
+    them by :func:`relax.node_arrays` on the first read of either, then
+    kept; an infeasible node reads two zero arrays of its own.
+    ``split_bits`` is built from the shares and the task sizes on each
+    read."""
 
     node_id: int
     depth: int
@@ -122,7 +124,7 @@ class Node:
     psi: float = float("nan")     # nan when infeasible
     zub_at_pop: float = float("nan")  # incumbent bound when the node was popped
     first_fractional: int | None = None  # index to branch on; None at a leaf or when infeasible
-    flows: np.ndarray | None = None  # (S*K,) in units of the largest task; None when infeasible
+    flows: np.ndarray | None = None  # (S*K,) shares of each device's task; None when infeasible
     _arrays: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -131,9 +133,15 @@ class Node:
         return self._built()[0]
 
     @property
-    def split_bits(self) -> np.ndarray:
-        """(S*K,) splits in bits; zeros when infeasible."""
+    def shares(self) -> np.ndarray:
+        """(S*K,) counted flows, each a share of its device's task in [0, 1];
+        zeros when infeasible."""
         return self._built()[1]
+
+    @property
+    def split_bits(self) -> np.ndarray:
+        """(S*K,) splits in bits, a new array; zeros when infeasible."""
+        return self.shares * self.scenario.task_bits.repeat(self.scenario.num_channels)
 
     def _built(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
@@ -141,8 +149,7 @@ class Node:
                 n = self.fixed.size
                 self._arrays = (np.zeros(n), np.zeros(n))
             else:
-                self._arrays = node_arrays(self.scenario, self.flows, self.fixed,
-                                           self.first_fractional is None)
+                self._arrays = node_arrays(self.flows, self.fixed, self.first_fractional is None)
         return self._arrays
 
 
@@ -314,9 +321,9 @@ def solve_bnb(
         gap_bound = (best.psi - lower) / best.psi
     return SolveReport(
         status=status,
-        # Copies: the incumbent's trace node keeps its own arrays.
+        # Arrays of their own: the incumbent's trace node keeps its x.
         best_x=None if best is None else best.x.astype(int).reshape(s_n, k_n),
-        best_split=None if best is None else best.split_bits.reshape(s_n, k_n).copy(),
+        best_split=None if best is None else best.split_bits.reshape(s_n, k_n),
         best_psi=None if best is None else best.psi,
         gap_bound=gap_bound,
         nodes_searched=len(trace),

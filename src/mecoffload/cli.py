@@ -157,7 +157,7 @@ def cmd_gen_data(args) -> int:
         seed = train_seed(seed_base, i)
         frame = generate_frame(replace(cfg, rng_seed=seed))
         report = _require_optimal(solve_bnb(frame), frame)
-        features, labels = label_trace(report, frame)
+        features, labels = label_trace(report)
         blocks.append((features, labels, np.full(labels.size, i),
                        [rec.node_id for rec in report.trace]))
 

@@ -8,11 +8,13 @@ that a network with saturating activations can digest them:
 
   [log2(1+j)/(S*K), g/(S*K), f, psi/root_psi, x (S*K), l/L_s (S*K)]
 
-The x entries are the indicators the relaxation reads off its flows: at a
-leaf the binary channel map, elsewhere the flow share min(l/L_s, 1), and 1
-wherever the node's fixing vector holds a 1.  Away from leaves and such
-fixings they duplicate the l/L_s entries, but for shares too small to
-count as carried flow, which x keeps and l drops.
+The node relaxation's flows are the shares l/L_s themselves, and the l/L_s
+entries are the counted ones, :attr:`bnb.Node.shares`: a share too small
+to count as carried flow reads 0.  The x entries are the indicators the
+relaxation reads off its flows: at a leaf the binary channel map,
+elsewhere the share min(l/L_s, 1), and 1 wherever the node's fixing vector
+holds a 1.  Away from leaves and such fixings they duplicate the l/L_s
+entries, but for shares too small to count, which x keeps and l drops.
 
 Infeasible nodes keep f=0, a fixed sentinel in place of the cost ratio, and
 zeroed solution entries.
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import Node, NodeAction, SolveReport, SolveStatus, csv_float
-from .scenario import Scenario
 
 __all__ = [
     "PSI_SENTINEL",
@@ -82,13 +83,11 @@ def feature_length(num_mds: int, num_channels: int) -> int:
     return 4 + 2 * num_mds * num_channels
 
 
-def featurize(node: Node, root_psi: float, task_bits: np.ndarray) -> np.ndarray:
+def featurize(node: Node, root_psi: float) -> np.ndarray:
     """Feature vector of one solved node.
 
     ``root_psi`` is the root relaxation value of the same search;
     splitting it out keeps every feature computable at node-pop time.
-    ``task_bits`` holds the task size of each flow's device (S*K, in flow
-    order), which a caller featurizing many nodes of one frame makes once.
     """
     if not root_psi > 0:
         raise ValueError(f"root_psi must be positive, got {root_psi!r}")
@@ -100,13 +99,13 @@ def featurize(node: Node, root_psi: float, task_bits: np.ndarray) -> np.ndarray:
         features[2] = 1.0
         features[3] = node.psi / root_psi
         features[4:4 + n] = node.x
-        features[4 + n:] = node.split_bits / task_bits
+        features[4 + n:] = node.shares
     else:
         features[3] = PSI_SENTINEL
     return features
 
 
-def label_trace(report: SolveReport, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+def label_trace(report: SolveReport) -> tuple[np.ndarray, np.ndarray]:
     """Features (one row per trace node) and labels: 1 on the incumbent's
     ancestor chain, else 0."""
     if report.status is not SolveStatus.OPTIMAL:
@@ -130,8 +129,7 @@ def label_trace(report: SolveReport, scenario: Scenario) -> tuple[np.ndarray, np
         chain.add(cursor)
         cursor = parents[cursor]
 
-    tasks = scenario.task_bits.repeat(scenario.num_channels)
-    features = np.array([featurize(rec, root_psi, tasks) for rec in records])
+    features = np.array([featurize(rec, root_psi) for rec in records])
     labels = np.array([int(rec.node_id in chain) for rec in records])
     return features, labels
 

@@ -58,10 +58,8 @@ def solve_ibnb(
             f"model expects {model.num_features} features, scenario needs {expected_m}"
         )
 
-    tasks = scenario.task_bits.repeat(scenario.num_channels)   # per flow, made once
-
     def model_gate(node: Node, root_psi: float) -> bool:
         # Branch only on a score strictly above the threshold.
-        return forward(model, featurize(node, root_psi, tasks)) > theta
+        return forward(model, featurize(node, root_psi)) > theta
 
     return solve_bnb(scenario, model_gate)

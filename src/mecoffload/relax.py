@@ -2,33 +2,36 @@
 closed-form optimal split of a fixed channel map.
 
 The objective couples the binary indicators x with the continuous splits l
-through products x*l.  Each product is replaced by a flow variable
-y = x*l, which is exact whenever x is binary.  The indicators then carry no
-cost, so at a node optimum they sit at the smallest value y allows,
-x = y/L, and they are projected out of the LP: channel exclusivity
-sum_s x_sk <= 1 becomes sum_s y_sk / L_s <= 1, and a branching fixing
-pins flows at zero, x_sk = 0 as y_sk = 0 and x_sk = 1 as y_s'k = 0 for
-every other device s'.  Every node bound is unchanged by the projection,
-and children still differ from their parent only in which flows are
-pinned, the one kind of change :class:`lp.LinearProgram` takes between
-solves.
+through products x*l.  Each product is replaced by a flow variable, the
+share z = x*l/L of its device's task, which is exact whenever x is binary.
+The indicators then carry no cost, so at a node optimum they sit at the
+smallest value z allows, x = z, and they are projected out of the LP:
+channel exclusivity sum_s x_sk <= 1 becomes sum_s z_sk <= 1, and a
+branching fixing pins flows at zero, x_sk = 0 as z_sk = 0 and x_sk = 1 as
+z_s'k = 0 for every other device s'.  Every node bound is unchanged by the
+projection, and children still differ from their parent only in which
+flows are pinned, the one kind of change :class:`lp.LinearProgram` takes
+between solves.
 
-LP variables are ordered [y (S*K), tau], flat index i = s*K + k, the same
-index as a node's fixing vector (:attr:`bnb.Node.fixed`).  Internally the bit
-quantities are rescaled by the largest task size
-(:attr:`Scenario.task_scale`, cached on the frame) so the constraint matrix
-stays O(1); the optimal value is unaffected and the splits are mapped back
-to bits on extraction.
+LP variables are ordered [z (S*K), tau], flat index i = s*K + k, the same
+index as a node's fixing vector (:attr:`bnb.Node.fixed`).  The frame time
+tau is counted in units of the largest task's time on the fastest channel,
+so the epigraph coefficients and tau itself are O(1) at any time scale, as
+the shares are.  Counted in seconds, they shrink with the frame's time
+scale beside O(1) entries, and the dual simplex's absolute tolerances fail
+on frames of a few microseconds.  Only :func:`build_relaxation` knows these
+units: the optimal value is psi itself, and the flows are the shares that
+the search, the features and the incumbent read.
 
 A node point is a leaf when every channel carries flow from at most one
 device: its x is that support, a feasible channel map, and the LP value
-is that map's cost.  Elsewhere x is read off as y/L clipped to [0, 1], and
-the search branches on the first index carrying flow on a shared channel.
+is that map's cost.  Elsewhere x is the shares clipped to [0, 1], and the
+search branches on the first index carrying flow on a shared channel.
 The search reads only the value, the leaf test and that index, so
 :func:`extract_solution` finds just these and a copy of the node's flows;
-:func:`node_arrays` builds the node's x and splits from those flows, which
-a search record does on first read, made only by traces, features and the
-incumbent.
+:func:`node_arrays` builds the node's x and counted shares from those
+flows, which a search node does on first read, made only by traces,
+features and the incumbent.
 
 Once x is binary the split problem needs no LP.  One closed-form core
 fills each device's channels fastest first and minimises the resulting
@@ -73,41 +76,43 @@ class SplitSolution:
 
 
 def build_relaxation(scenario: Scenario) -> LinearProgram:
-    """Assemble the LP of the root node, over the flows y and tau.
+    """Assemble the LP of the root node, over the shares z and tau.
 
-    Constraints: per-device flow conservation sum_k y_sk = L_s, per-channel
-    exclusivity sum_s y_sk / L_s <= 1, and the epigraph rows that pin tau
-    above every channel's transmission time.  Every variable is
-    nonnegative and none is pinned.  A node's fixings only pin flows at
-    zero (:func:`pinned_flows`), so a search builds this once and moves
-    between nodes by rewriting the flow pins alone.
+    Constraints: per-device flow conservation sum_k z_sk = 1, per-channel
+    exclusivity sum_s z_sk <= 1, and the epigraph rows
+    (L_s / R_sk / unit) * z_sk <= tau that pin tau above every channel's
+    transmission time, with ``unit = max_s L_s / max_sk R_sk`` seconds.
+    Share z_sk costs lambda_e * p_s * L_s / R_sk, its energy, and tau costs
+    lambda_t * unit, so the LP value is psi.  Every variable is nonnegative
+    and none is pinned.  A node's fixings only pin flows at zero
+    (:func:`pinned_flows`), so a search builds this once and moves between
+    nodes by rewriting the flow pins alone.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
 
-    scale = scenario.task_scale
-    tasks = scenario.scaled_tasks                 # (S,)
-    rates = scenario.rates_bps / scale            # (S, K) in bits-per-scale
-    inv_rates = 1.0 / rates
+    tasks = scenario.task_bits
+    times = tasks[:, None] / scenario.rates_bps     # (S, K) s to send task s on channel k
+    unit = tasks.max() / scenario.rates_bps.max()   # s per unit of tau
 
     cfg = scenario.config
     c = np.zeros(n + 1)
-    c[:n] = (cfg.lambda_e * scenario.powers_w[:, None] * inv_rates).ravel()
-    c[-1] = cfg.lambda_t
+    c[:n] = (cfg.lambda_e * scenario.powers_w[:, None] * times).ravel()
+    c[-1] = cfg.lambda_t * unit
 
-    # Flow conservation: sum_k y[s,k] = L_s.
+    # Flow conservation: sum_k z[s,k] = 1.
     a_eq = np.zeros((s_n, n + 1))
     for s in range(s_n):
         a_eq[s, s * k_n:(s + 1) * k_n] = 1.0
-    b_eq = tasks.copy()
+    b_eq = np.ones(s_n)
 
     # Channel exclusivity, then epigraph rows.
     a_ub = np.zeros((2 * k_n, n + 1))
     b_ub = np.zeros(2 * k_n)
     for k in range(k_n):
         for s in range(s_n):
-            a_ub[k, s * k_n + k] = 1.0 / tasks[s]
-            a_ub[k_n + k, s * k_n + k] = inv_rates[s, k]
+            a_ub[k, s * k_n + k] = 1.0
+            a_ub[k_n + k, s * k_n + k] = times[s, k] / unit
         a_ub[k_n + k, -1] = -1.0
         b_ub[k] = 1.0
 
@@ -117,8 +122,8 @@ def build_relaxation(scenario: Scenario) -> LinearProgram:
 @functools.lru_cache(maxsize=None)
 def pinned_flows(index: int, value: int, num_channels: int, num_flows: int) -> np.ndarray:
     """Flat indices of the flows that fixing indicator ``index`` to
-    ``value`` pins at zero, in increasing order: x_sk = 0 pins y_sk, and
-    x_sk = 1 pins y_s'k for every other device s'.  The array is shared
+    ``value`` pins at zero, in increasing order: x_sk = 0 pins z_sk, and
+    x_sk = 1 pins z_s'k for every other device s'.  The array is shared
     between calls and read-only."""
     if value == 0:
         flows = np.array([index])
@@ -134,14 +139,14 @@ def extract_solution(
 ) -> tuple[float, int | None, np.ndarray]:
     """Read a node's optimal LP as ``(psi, first_fractional, flows)``: the
     relaxation value, the index to branch on (None at a leaf) and a copy
-    of the (S*K,) flows, in units of the largest task.
+    of the (S*K,) flows, each its share of its device's task.
 
-    A flow counts when it exceeds :data:`INTEGRALITY_TOL` of its device's
-    task.  A point whose channels each carry counted flow from at most one
-    device is a leaf; otherwise the first fractional index is the smallest
-    one with counted flow on a channel that two or more devices share.
-    Only psi, the leaf test and that index are computed here;
-    :func:`node_arrays` builds x and the splits from the flows.
+    A flow counts when it exceeds :data:`INTEGRALITY_TOL`.  A point whose
+    channels each carry counted flow from at most one device is a leaf;
+    otherwise the first fractional index is the smallest one with counted
+    flow on a channel that two or more devices share.  Only psi, the leaf
+    test and that index are computed here; :func:`node_arrays` builds x
+    and the counted shares from the flows.
     """
     if lp_result.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a solution from status {lp_result.status}")
@@ -149,36 +154,32 @@ def extract_solution(
     # A copy of the flows, not a view that would keep the simplex's whole
     # point alive; sharing is found on the (S, K) view of their support,
     # and only its verdict is kept.
-    y = lp_result.x[:s_n * k_n].copy()
-    support = (y / scenario.scaled_flow_tasks > INTEGRALITY_TOL).reshape(s_n, k_n)
+    z = lp_result.x[:s_n * k_n].copy()
+    support = (z > INTEGRALITY_TOL).reshape(s_n, k_n)
     contested = support.sum(axis=0) > 1
     integral = not contested[contested.argmax()]
     first = None if integral else int((support & contested).argmax())
-    return float(lp_result.value), first, y
+    return float(lp_result.value), first, z
 
 
 def node_arrays(
-    scenario: Scenario, flows: np.ndarray, fixed: np.ndarray, leaf: bool,
+    flows: np.ndarray, fixed: np.ndarray, leaf: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A node's ``(x, split_bits)``, each (S*K,), built from the flows
+    """A node's ``(x, shares)``, each (S*K,), built from the flows
     :func:`extract_solution` kept and the node's fixing vector ``fixed``
     (-1 free, 0 or 1 fixed).
 
-    The flows' shares of their device's task and the counted support are
-    found again: x is that support at a ``leaf`` and the shares clipped to
-    [0, 1] elsewhere, 1 wherever ``fixed`` holds a 1, and the splits are
-    the counted flows in bits, 0 elsewhere.
+    The counted support is found again: x is that support at a ``leaf``
+    and the flows clipped to [0, 1] elsewhere, 1 wherever ``fixed`` holds
+    a 1, and the shares are the counted flows, 0 elsewhere.
     """
-    share = flows / scenario.scaled_flow_tasks
-    support = share > INTEGRALITY_TOL
+    support = flows > INTEGRALITY_TOL
     if leaf:
         x = support.astype(float)
     else:
-        x = share.clip(0.0, 1.0)
+        x = flows.clip(0.0, 1.0)
     x[fixed == 1] = 1.0
-    split_bits = flows * scenario.task_scale
-    split_bits[~support] = 0.0
-    return x, split_bits
+    return x, np.where(support, flows, 0.0)
 
 
 def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | None:

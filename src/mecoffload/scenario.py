@@ -12,7 +12,6 @@ arrays and shares no code with this package.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,27 +115,6 @@ class Scenario:
     @property
     def num_channels(self) -> int:
         return self.config.num_channels
-
-    @functools.cached_property
-    def task_scale(self) -> float:
-        """The largest task size in bits, the unit in which the node
-        relaxations of :mod:`relax` count bits."""
-        return float(self.task_bits.max())
-
-    @functools.cached_property
-    def scaled_tasks(self) -> np.ndarray:
-        """Each task size over :attr:`task_scale`, read-only."""
-        tasks = self.task_bits / self.task_scale
-        tasks.setflags(write=False)
-        return tasks
-
-    @functools.cached_property
-    def scaled_flow_tasks(self) -> np.ndarray:
-        """(S*K,) :attr:`scaled_tasks` repeated per channel: each flow's
-        device's task, in the flow order s*K + k of :mod:`relax`, read-only."""
-        tasks = self.scaled_tasks.repeat(self.num_channels)
-        tasks.setflags(write=False)
-        return tasks
 
 
 def generate_frame(config: ScenarioConfig) -> Scenario:

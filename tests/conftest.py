@@ -44,8 +44,8 @@ def make_uniform_frame(num_mds, num_channels, gain=1.0, power=1.2, task=4.0e6,
 
 def node_pinned(fixed, s_n, k_n) -> np.ndarray:
     """The flow pins of the node with fixing vector ``fixed`` (-1 free, 0 or
-    1 fixed), written from the model's definition: x_sk = 0 pins y_sk, and
-    x_sk = 1 pins y_s'k for every other device s'.  An (S, K) bool array,
+    1 fixed), written from the model's definition: x_sk = 0 pins z_sk, and
+    x_sk = 1 pins z_s'k for every other device s'.  An (S, K) bool array,
     True where a flow is pinned at zero."""
     x = np.asarray(fixed).reshape(s_n, k_n)
     pinned = np.zeros((s_n, k_n), dtype=bool)
@@ -64,27 +64,25 @@ def highs_bounds(lp: lp_module.LinearProgram) -> list[tuple[float, float | None]
     return [(0.0, 0.0) if pin else (0.0, None) for pin in lp.pinned]
 
 
-def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """A trace record's indicators and splits, rebuilt here from its LP
-    flows, its fixing vector and the frame's task sizes alone: x is the
-    counted support at a leaf and the shares clipped to [0, 1] elsewhere,
-    1 wherever a fixing holds a 1, and the splits are the counted flows in
+def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A trace record's indicators, counted shares and splits, rebuilt here
+    from its LP flows (each its share of its device's task), its fixing
+    vector and the frame's task sizes alone: x is the counted support at a
+    leaf and the shares clipped to [0, 1] elsewhere, 1 wherever a fixing
+    holds a 1, the counted shares are the shares above the integrality
+    tolerance, 0 elsewhere, and the splits are those shares of each task in
     bits.  Zeros for an infeasible record."""
     s_n, k_n = frame.num_mds, frame.num_channels
     if record.flows is None:
-        return np.zeros(s_n * k_n), np.zeros(s_n * k_n)
-    scale = float(frame.task_bits.max())
-    y = record.flows
-    share = y.reshape(s_n, k_n) / (frame.task_bits / scale)[:, None]
+        return np.zeros(s_n * k_n), np.zeros(s_n * k_n), np.zeros(s_n * k_n)
+    share = record.flows.reshape(s_n, k_n)
     support = share > INTEGRALITY_TOL
     leaf = support.sum(axis=0).max() <= 1
     assert leaf == (record.first_fractional is None)
-    support = support.ravel()
-    x = support.astype(float) if leaf else share.ravel().clip(0.0, 1.0)
+    x = (support.astype(float) if leaf else share.clip(0.0, 1.0)).ravel()
     x[record.fixed == 1] = 1.0
-    split_bits = y * scale
-    split_bits[~support] = 0.0
-    return x, split_bits
+    counted = np.where(support, share, 0.0)
+    return x, counted.ravel(), (counted * frame.task_bits[:, None]).ravel()
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

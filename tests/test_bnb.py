@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecoffload import bnb as bnb_module
 from mecoffload import relax as relax_module
@@ -27,6 +29,7 @@ from mecoffload.lp import (
     solve_lp,
 )
 from mecoffload.relax import node_arrays, solve_split
+from mecoffload.scenario import Scenario, ScenarioConfig, rate
 from oracle import OBJECTIVE_RTOL, assignment_faults, milp_optimum, recompute_objective
 
 from conftest import (
@@ -153,12 +156,13 @@ class TestSolveBnb:
                                  report.best_psi) == []
 
     def test_warm_children_need_few_pivots(self, monkeypatch):
-        # A node solve from the slack basis takes about 35 pivots at 4x6; a
+        # The root's solve from the slack basis takes 33 pivots at 4x8; a
         # child started from its parent's basis should take a handful.  The
         # children resume from the parent's factor, so the basis is inverted
         # only when the updates carried down a path reach the refactoring
-        # period: on this deep tree (861 nodes) some dozens of times, far
-        # fewer than there are solves.
+        # period: on this deep tree (2 716 nodes, depth 17) a few times, far
+        # fewer than there are solves.  Shallower trees, such as 4x6 ones,
+        # may invert never.
         calls = []
 
         def recording_solve_lp(lp, start=None):
@@ -169,7 +173,7 @@ class TestSolveBnb:
             return result
 
         monkeypatch.setattr(bnb_module, "solve_lp", recording_solve_lp)
-        report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=1030))
+        report = solve_bnb(make_frame(num_mds=4, num_channels=8, seed=1))
         warm = [pivots for started, pivots, _ in calls if started]
         assert len(calls) == report.nodes_searched
         assert len(warm) == report.nodes_searched - 1
@@ -195,6 +199,66 @@ class TestSolveBnb:
         assert report.status is SolveStatus.OPTIMAL
         assert report.best_psi == full.best_psi
         assert report.nodes_searched == full.nodes_searched
+
+
+def scaled_frame(frame, task_factor, gain_factor):
+    """``frame`` with every task size multiplied by ``task_factor`` and
+    every gain by ``gain_factor``, and its rates recomputed."""
+    cfg, gains = frame.config, frame.gains * gain_factor
+    rates = rate(frame.powers_w[:, None], gains, cfg.bandwidth_hz, cfg.noise_power_w)
+    return Scenario(cfg, gains, frame.powers_w, frame.task_bits * task_factor, rates)
+
+
+class TestTimeScale:
+    # The node LP counts the frame time in units of the largest task's time
+    # on the fastest channel.  Counted in seconds, its epigraph rows and the
+    # frame time shrink with the frame's time scale beside O(1) entries, and
+    # the dual simplex's tolerances fail: on frames of a few microseconds
+    # the search raised, or answered below the cost of its own map.
+
+    def test_tied_frame_answers_its_maps_cost(self):
+        cfg = ScenarioConfig(num_mds=3, num_channels=4, lambda_t=1.0, lambda_e=0.25)
+        gains = np.full((3, 4), 0.01)
+        powers = np.array([1.4522785240794251, 1.451379502743874, 0.2816637703703986])
+        rates = rate(powers[:, None], gains, cfg.bandwidth_hz, cfg.noise_power_w)
+        frame = Scenario(cfg, gains, powers, np.full(3, 1e4), rates)
+        report = solve_bnb(frame)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.best_psi == pytest.approx(solve_exhaustive(frame).best_psi,
+                                                rel=OBJECTIVE_RTOL)
+        assert report.best_psi == pytest.approx(solve_split(frame, report.best_x).psi,
+                                                rel=OBJECTIVE_RTOL)
+
+    @pytest.mark.parametrize("seed", range(1000, 1060))
+    def test_latency_only_microsecond_frames_match_exhaustive(self, seed):
+        # Desk frames with tasks of 2e3-8e3 bits, whose frame times are a
+        # few microseconds, weighing latency alone.
+        frame = make_frame(num_mds=3, num_channels=5, seed=seed,
+                           task_size_range_bits=(2.0e3, 8.0e3), lambda_e=0.0)
+        report = solve_bnb(frame)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.best_psi == pytest.approx(solve_exhaustive(frame).best_psi,
+                                                rel=OBJECTIVE_RTOL)
+
+    @given(seed=st.integers(0, 99), task_exp=st.integers(-4, 3), gain_exp=st.integers(-8, 4),
+           lambda_e=st.sampled_from([0.0, 0.25]))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_at_every_common_scale(self, seed, task_exp, gain_exp, lambda_e):
+        # Tasks of 2e2 to 8e9 bits.  The gains move the rates only through
+        # the logarithm of the SNR: from ~2e8 to ~6e8 bit/s in the median.
+        # Tasks of tens of bits or fewer are not covered: with lambda_e > 0
+        # the LP's costs, of the order of the weights times the time unit,
+        # then near the simplex's absolute optimality tolerance, and the
+        # search can still raise or answer above the optimum there.
+        frame = scaled_frame(make_frame(num_mds=3, num_channels=5, seed=seed,
+                                        lambda_e=lambda_e),
+                             10.0 ** task_exp, 10.0 ** gain_exp)
+        report = solve_bnb(frame)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.best_psi == pytest.approx(solve_exhaustive(frame).best_psi,
+                                                rel=OBJECTIVE_RTOL)
+        assert assignment_faults(*frame_args(frame), report.best_x, report.best_split,
+                                 report.best_psi) == []
 
 
 #: Frames of the sizes the benchmark solves, with deep enough trees.
@@ -444,8 +508,9 @@ class TestTraceInvariants:
         assert len(infeasible) == 2
         for rec in infeasible:
             assert rec.flows is None
-            assert not rec.x.any() and not rec.split_bits.any()
-        arrays = [a for rec in report.trace for a in (rec.x, rec.split_bits, rec.fixed)]
+            assert not rec.x.any() and not rec.shares.any() and not rec.split_bits.any()
+        arrays = [a for rec in report.trace
+                  for a in (rec.x, rec.shares, rec.split_bits, rec.fixed)]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, report.best_x)
             assert not np.shares_memory(a, report.best_split)
@@ -454,8 +519,9 @@ class TestTraceInvariants:
 
 
 class TestLazyArrays:
-    # A record's x and split_bits are built from its node's flows when
-    # first read, never by the search itself, and then kept.
+    # A record's x and shares are built from its node's flows when first
+    # read, never by the search itself, and then kept; its split_bits are
+    # built from the shares on every read.
     FRAME = make_frame(num_mds=4, num_channels=6, seed=203)
 
     def test_arrays_equal_an_eager_rebuild_and_are_kept(self):
@@ -463,10 +529,11 @@ class TestLazyArrays:
         report = solve_bnb(frame)
         assert len(report.trace) > 100
         for rec in report.trace:
-            x, split_bits = eager_node_arrays(rec, frame)
-            first = rec.x, rec.split_bits
-            assert same_bits(first[0], x) and same_bits(first[1], split_bits)
-            assert rec.x is first[0] and rec.split_bits is first[1]
+            x, shares, split_bits = eager_node_arrays(rec, frame)
+            first = rec.x, rec.shares
+            assert same_bits(first[0], x) and same_bits(first[1], shares)
+            assert same_bits(rec.split_bits, split_bits)
+            assert rec.x is first[0] and rec.shares is first[1]
 
     def test_records_own_their_flows(self):
         # A record keeps a copy of its node's flows, not a view that would
@@ -483,8 +550,8 @@ class TestLazyArrays:
     def test_exact_search_builds_the_incumbents_arrays_only(self, monkeypatch):
         built = []
 
-        def counting_node_arrays(scenario, flows, fixed, leaf):
-            arrays = node_arrays(scenario, flows, fixed, leaf)
+        def counting_node_arrays(flows, fixed, leaf):
+            arrays = node_arrays(flows, fixed, leaf)
             built.append((flows, arrays))
             return arrays
 

@@ -19,39 +19,37 @@ from conftest import make_frame, make_uniform_frame
 
 
 def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
-    frames, reports, labels = [], [], []
+    reports, labels = [], []
     for i in range(num_frames):
         frame = make_frame(num_mds=num_mds, num_channels=num_channels,
                            seed=seed0 + 2 * i)
         report = solve_bnb(frame)
-        frames.append(frame)
         reports.append(report)
-        labels.append(label_trace(report, frame)[1])
-    return frames, reports, np.concatenate(labels)
+        labels.append(label_trace(report)[1])
+    return reports, np.concatenate(labels)
 
 
 class TestFeaturize:
     #: Two devices with tasks of 2e6 and 4e6 bits, on three channels.
     FRAME = make_uniform_frame(2, 3, task=np.array([2e6, 4e6]))
 
-    def _record(self, split_bits=None, **overrides):
-        # A record that reads back the given split_bits: off a leaf and with
-        # nothing fixed, the splits are the flows, in units of the larger
-        # task, times that task wherever they count (every nonzero flow
-        # here), and x is the flows' shares of their task clipped to [0, 1].
-        split_bits = np.full(6, 1e6) if split_bits is None else np.asarray(split_bits)
+    def _record(self, flows=None, **overrides):
+        # A record off a leaf with nothing fixed: x is its flows, each a
+        # share of its device's task, clipped to [0, 1], and its counted
+        # shares are those above the integrality tolerance.
+        flows = np.full(6, 0.5) if flows is None else np.asarray(flows)
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
             fixed=np.full(6, -1, dtype=np.int8), first_fractional=0,
-            flows=split_bits / self.FRAME.task_scale, scenario=self.FRAME,
+            flows=flows, scenario=self.FRAME,
         )
         defaults.update(overrides)
         return Node(**defaults)
 
     def test_root_normalizes_to_unit(self):
         rec = self._record()
-        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
+        f = featurize(rec, root_psi=2.0)
         assert f[0] == 0.0   # log2(1 + 0)
         assert f[1] == 0.0
         assert f[2] == 1.0
@@ -61,26 +59,29 @@ class TestFeaturize:
     def test_infeasible_sentinel(self):
         rec = self._record(action=NodeAction.PRUNED_INFEASIBLE, psi=float("nan"),
                            first_fractional=None, flows=None)
-        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
+        f = featurize(rec, root_psi=2.0)
         assert f[2] == 0.0
         assert f[3] == PSI_SENTINEL
         assert np.all(f[4:] == 0.0)
 
-    def test_splits_normalized_per_device(self):
-        rec = self._record(split_bits=np.array([1e6, 1e6, 0.0, 4e6, 0.0, 0.0]))
-        f = featurize(rec, root_psi=2.0, task_bits=np.array([2e6, 4e6]).repeat(3))
-        assert np.allclose(f[10:], [0.5, 0.5, 0.0, 1.0, 0.0, 0.0])
+    def test_split_block_is_the_counted_shares(self):
+        # A share too small to count as carried flow stays in x and reads 0
+        # in the l/L_s block.
+        flows = [0.5, 0.5 - 5e-7, 5e-7, 1.0, 0.0, 0.0]
+        f = featurize(self._record(flows=flows), root_psi=2.0)
+        assert f[4:10].tolist() == flows
+        assert f[10:].tolist() == [0.5, 0.5 - 5e-7, 0.0, 1.0, 0.0, 0.0]
 
     def test_rejects_nonpositive_root(self):
         with pytest.raises(ValueError):
-            featurize(self._record(), root_psi=0.0, task_bits=np.full(6, 1e6))
+            featurize(self._record(), root_psi=0.0)
 
     def test_cost_ratio_dominates_root_bound_corpus_wide(self):
-        frames, reports, _ = build_corpus(num_frames=5)
-        for frame, report in zip(frames, reports):
+        reports, _ = build_corpus(num_frames=5)
+        for report in reports:
             root_psi = report.trace[0].psi
             for rec in report.trace:
-                f = featurize(rec, root_psi, frame.task_bits.repeat(frame.num_channels))
+                f = featurize(rec, root_psi)
                 if rec.action is not NodeAction.PRUNED_INFEASIBLE:
                     assert f[3] >= 1.0 - 1e-9
 
@@ -89,32 +90,31 @@ class TestLabelTrace:
     def test_root_only_trace(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=5)
         report = solve_bnb(frame)
-        features, labels = label_trace(report, frame)
+        features, labels = label_trace(report)
         assert features.shape == (len(report.trace), feature_length(1, 1))
         assert labels.tolist() == [1] * len(report.trace)
 
     def test_rows_are_the_featurized_trace(self):
-        frames, reports, _ = build_corpus(num_frames=3)
-        for frame, report in zip(frames, reports):
-            features, labels = label_trace(report, frame)
+        reports, _ = build_corpus(num_frames=3)
+        for report in reports:
+            features, labels = label_trace(report)
             root_psi = report.trace[0].psi
             assert features.shape == (len(report.trace), feature_length(2, 3))
             assert labels.shape == (len(report.trace),)
             for row, rec in zip(features, report.trace):
-                assert np.array_equal(row, featurize(
-                    rec, root_psi, frame.task_bits.repeat(frame.num_channels)))
+                assert np.array_equal(row, featurize(rec, root_psi))
 
     def test_chain_length_matches_incumbent_depth(self):
-        frames, reports, _ = build_corpus(num_frames=6)
-        for frame, report in zip(frames, reports):
+        reports, _ = build_corpus(num_frames=6)
+        for report in reports:
             incumbent = [r for r in report.trace
                          if r.action is NodeAction.NEW_INCUMBENT][-1]
-            assert label_trace(report, frame)[1].sum() == incumbent.depth + 1
+            assert label_trace(report)[1].sum() == incumbent.depth + 1
 
     def test_positives_form_single_root_anchored_path(self):
-        frames, reports, _ = build_corpus(num_frames=6)
-        for frame, report in zip(frames, reports):
-            labels = label_trace(report, frame)[1]
+        reports, _ = build_corpus(num_frames=6)
+        for report in reports:
+            labels = label_trace(report)[1]
             positive_ids = {r.node_id for r, label in zip(report.trace, labels) if label}
             parents = {r.node_id: r.parent_id for r in report.trace}
             assert 0 in positive_ids  # root anchored
@@ -128,9 +128,9 @@ class TestLabelTrace:
             assert all(c <= 1 for c in child_count.values())
 
     def test_infeasible_nodes_never_positive(self):
-        frames, reports, _ = build_corpus(num_frames=6)
-        for frame, report in zip(frames, reports):
-            for label, rec in zip(label_trace(report, frame)[1], report.trace):
+        reports, _ = build_corpus(num_frames=6)
+        for report in reports:
+            for label, rec in zip(label_trace(report)[1], report.trace):
                 if rec.action is NodeAction.PRUNED_INFEASIBLE:
                     assert label == 0
 
@@ -139,20 +139,20 @@ class TestLabelTrace:
         # solves about five nodes per frame, and once children whose key
         # reaches the incumbent go unsolved and untraced, the incumbent's
         # chain is most of them.
-        _, _, labels = build_corpus(num_frames=10, num_mds=3, num_channels=5)
+        _, labels = build_corpus(num_frames=10, num_mds=3, num_channels=5)
         assert 0 < labels.sum() < 0.5 * labels.size
 
     def test_label_determinism(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=404)
         report = solve_bnb(frame)
-        a, b = label_trace(report, frame), label_trace(report, frame)
+        a, b = label_trace(report), label_trace(report)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_requires_optimal_report(self):
         frame = make_frame(num_mds=2, num_channels=1, seed=6)
         report = solve_bnb(frame)
         with pytest.raises(ValueError):
-            label_trace(report, frame)
+            label_trace(report)
 
     def test_requires_a_search_trace(self):
         # The exhaustive oracle's answer is optimal but has no trace.
@@ -160,7 +160,7 @@ class TestLabelTrace:
         report = solve_exhaustive(frame)
         assert report.status is SolveStatus.OPTIMAL and report.trace == []
         with pytest.raises(ValueError, match="empty trace"):
-            label_trace(report, frame)
+            label_trace(report)
 
     def test_requires_an_incumbent_in_the_trace(self):
         # An optimal report whose trace holds only its branched root names
@@ -170,7 +170,7 @@ class TestLabelTrace:
         root = report.trace[0]
         assert report.status is SolveStatus.OPTIMAL and root.action is NodeAction.BRANCHED
         with pytest.raises(ValueError, match="no incumbent record"):
-            label_trace(replace(report, trace=[root]), frame)
+            label_trace(replace(report, trace=[root]))
 
 
 def dataset(n=50, num_mds=2, num_channels=3, **overrides) -> Dataset:

@@ -70,10 +70,11 @@ class TestLazyArrays:
         report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)))
         assert report.fell_back_to_exact and len(report.trace) > 100
         for rec in report.trace:
-            x, split_bits = eager_node_arrays(rec, frame)
-            first = rec.x, rec.split_bits
-            assert same_bits(first[0], x) and same_bits(first[1], split_bits)
-            assert rec.x is first[0] and rec.split_bits is first[1]
+            x, shares, split_bits = eager_node_arrays(rec, frame)
+            first = rec.x, rec.shares
+            assert same_bits(first[0], x) and same_bits(first[1], shares)
+            assert same_bits(rec.split_bits, split_bits)
+            assert rec.x is first[0] and rec.shares is first[1]
 
 
 class TestPolicy:
@@ -217,9 +218,8 @@ class TestSoundness:
             [rng.normal(0, 0.1, size=dims[i + 1]) for i in range(len(dims) - 1)],
         )
         root_psi = exact.trace[0].psi
-        tasks = frame.task_bits.repeat(frame.num_channels)
         scores = [
-            forward(model, featurize(rec, root_psi, tasks))
+            forward(model, featurize(rec, root_psi))
             for rec in exact.trace
             if rec.action is not NodeAction.PRUNED_INFEASIBLE
         ]

@@ -21,11 +21,11 @@ def free_node(n):
 
 
 def read_point(frame, result, fixed):
-    """``(first_fractional, x, split_bits)`` of the node with fixing vector
+    """``(first_fractional, x, shares)`` of the node with fixing vector
     ``fixed`` whose optimal LP is ``result``: what extract_solution finds
     and what node_arrays builds from the flows it keeps."""
     _, first, flows = extract_solution(frame, result)
-    return (first, *node_arrays(frame, flows, fixed, first is None))
+    return (first, *node_arrays(flows, fixed, first is None))
 
 
 def set_node(lp, frame, fixed):
@@ -184,9 +184,9 @@ class TestBuildRelaxation:
         result = solve_lp(lp)
         assert result.status is LpStatus.OPTIMAL
         assert result.value == pytest.approx(closed_form_single_pair(frame), rel=1e-9)
-        first, _, split_bits = read_point(frame, result, free_node(1))
+        first, _, shares = read_point(frame, result, free_node(1))
         assert first is None
-        assert split_bits[0] == pytest.approx(frame.task_bits[0], rel=1e-9)
+        assert shares[0] == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("frame, map_seed", split_cases())
     def test_fixed_binary_matches_split_oracle(self, frame, map_seed):
@@ -286,18 +286,17 @@ class TestExtractSolution:
             extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE))
 
     @staticmethod
-    def point(frame, shares):
-        """An LP point [y, tau] whose flows send the given shares of each
-        device's task, in the LP's units (the largest task is 1)."""
-        tasks = frame.task_bits / frame.task_bits.max()
-        return np.append((np.asarray(shares) * tasks[:, None]).ravel(), 0.0)
+    def point(shares):
+        """An LP point [z, tau] whose flows are the given (S, K) shares of
+        each device's task."""
+        return np.append(np.ravel(shares), 0.0)
 
     def test_first_fractional_is_smallest_index(self, small_frame):
         # Channel 0 is device 0's alone, channel 1 carries both devices and
         # channel 2 device 1 alone: index 0 is fractional but private, so
         # the first device with flow on channel 1 is branched.
         shares = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
-        v = self.point(small_frame, shares)
+        v = self.point(shares)
         first, x, _ = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
         assert first == 1
         assert np.allclose(x, np.ravel(shares), rtol=1e-12)
@@ -307,25 +306,24 @@ class TestExtractSolution:
         # of its task on channel 2: no channel is shared, so the point is
         # a leaf whose indicators are its support.
         shares = [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
-        v = self.point(small_frame, shares)
-        first, x, split_bits = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5),
-                                          free_node(6))
+        v = self.point(shares)
+        first, x, counted = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5),
+                                       free_node(6))
         assert first is None
         assert np.array_equal(x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
-        assert np.allclose(split_bits.reshape(2, 3).sum(axis=1),
-                           small_frame.task_bits, rtol=1e-12)
+        assert np.array_equal(counted, np.ravel(shares))
 
     def test_up_fixed_indicator_reads_one(self):
         # Device 1 holds channel 3 by a fixing but sends nothing on it.
         frame = make_frame(num_mds=2, num_channels=4, seed=11)
         fixed = free_node(8)
         fixed[7] = 1
-        leaf = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        leaf = self.point([[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         first, x, _ = read_point(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), fixed)
         assert first is None
         assert np.array_equal(x, [1, 1, 0, 0, 0, 0, 1, 1])
         # Off a leaf too: channel 0 is shared, device 1 holds channel 3.
-        inner = self.point(frame, [[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
+        inner = self.point([[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
         first, x, _ = read_point(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), fixed)
         assert first == 0
         assert x[7] == 1.0

@@ -114,20 +114,6 @@ class TestGenerateFrame:
         frame = make_frame(num_mds=4, num_channels=2, seed=5)
         assert frame.gains.shape == (4, 2)
 
-    def test_task_scale_is_the_largest_task_and_cached_read_only(self):
-        frame = make_frame(num_mds=4, num_channels=6, seed=7)
-        assert frame.task_scale == float(frame.task_bits[frame.task_bits.argmax()])
-        tasks = frame.scaled_tasks
-        assert tasks.tobytes() == (frame.task_bits / frame.task_scale).tobytes()
-        assert frame.scaled_tasks is tasks
-        with pytest.raises(ValueError):
-            tasks[0] = 2.0
-        flow_tasks = frame.scaled_flow_tasks
-        assert flow_tasks.tobytes() == tasks.repeat(frame.num_channels).tobytes()
-        assert frame.scaled_flow_tasks is flow_tasks
-        with pytest.raises(ValueError):
-            flow_tasks[0] = 2.0
-
 
 class TestRate:
     def test_zero_gain(self):
