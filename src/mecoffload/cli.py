@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--model", default=None, help="trained model file")
     p.add_argument("--theta", type=float, action="append",
-                   help="initial pruning threshold (once)")
+                   help="pruning threshold (once)")
     common(p)
     p.add_argument("--solver", default="bnb", choices=("bnb", "ibnb", "exhaustive"))
     p.set_defaults(func=cmd_solve)
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--theta", type=float, action="append",
-                   help="initial pruning threshold (repeatable)")
+                   help="pruning threshold (repeatable)")
     common(p, frames=True)
     p.set_defaults(func=cmd_bench)
     return parser

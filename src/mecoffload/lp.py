@@ -16,6 +16,13 @@ requires; then the all-slack basis, with every structural variable at zero,
 is dual feasible, and a solve from scratch starts there with the identity
 as its inverse and the costs as its reduced costs.
 
+The simplex prices in a cost unit, a power of two that puts the largest
+cost in [0.5, 1).  Scaling by a power of two is exact, so the point, the
+value and every bound are those of the costs as given, while the absolute
+tolerances on reduced costs and ratios hold at any cost scale: in the
+costs as given, a program whose costs are all near the optimality
+tolerance would be declared optimal, or not, by round-off.
+
 Every nonbasic variable, pinned or free, rests at zero, so the basic values
 are ``B^-1 b``.  A free basic variable is infeasible below zero and a
 pinned one anywhere but at zero; a pinned column never enters the basis.
@@ -88,7 +95,7 @@ __all__ = [
 
 #: Absolute tolerance on constraint residuals.
 FEASIBILITY_TOL = 1e-9
-#: Tolerance on reduced costs when declaring optimality.
+#: Tolerance on reduced costs, in the cost unit, when declaring optimality.
 OPTIMALITY_TOL = 1e-9
 #: Entries of a pivot column smaller than this are treated as zero.
 _PIVOT_TOL = 1e-10
@@ -115,12 +122,12 @@ class LinearProgram:
     Dimension mismatches are construction-time errors.  The costs and rows
     are read once, at construction, into the simplex form: ``rows`` is
     ``[A | I]`` (equality rows first, one slack column per row), ``rhs`` its
-    right-hand side and ``costs`` the costs padded with zeros for the
-    slacks.  Only the pins may change afterwards, written in place:
-    ``pinned`` is a bool view of the first ``num_vars`` entries of
-    ``col_pinned``, the mask of every column (an equality row's slack is
-    pinned), so a solve reads it without copying.  The view cannot be
-    replaced by assignment.
+    right-hand side and ``costs`` the costs times ``cost_scale``, padded
+    with zeros for the slacks.  Only the pins may change afterwards,
+    written in place: ``pinned`` is a bool view of the first ``num_vars``
+    entries of ``col_pinned``, the mask of every column (an equality row's
+    slack is pinned), so a solve reads it without copying.  The view cannot
+    be replaced by assignment.
     """
 
     def __init__(self, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, pinned=None) -> None:
@@ -158,7 +165,10 @@ class LinearProgram:
         m_eq, m = self.a_eq.shape[0], self.a_eq.shape[0] + self.a_ub.shape[0]
         self.rows = np.hstack([np.vstack([self.a_eq, self.a_ub]), np.eye(m)])
         self.rhs = np.concatenate([self.b_eq, self.b_ub])
-        self.costs = np.concatenate([self.c, np.zeros(m)])
+        #: The power of two that puts the largest |c| times it in [0.5, 1):
+        #: the cost unit the simplex prices in.
+        self.cost_scale = math.ldexp(1.0, -math.frexp(np.abs(self.c).max(initial=0.0))[1])
+        self.costs = np.concatenate([self.c * self.cost_scale, np.zeros(m)])
         #: :func:`solve_lp` refuses a negative cost; the costs are read once.
         self.nonnegative_costs = not np.any(self.c < 0.0)
         self.col_pinned = np.concatenate([pinned, np.ones(m_eq, dtype=bool),
@@ -247,20 +257,21 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
     bound on the value of the program ``result`` solved, once those columns
     are pinned too, read off that optimal ``result`` without a solve.
 
-    Only ``lp.rows`` and ``result`` are read: the pins ``result`` was solved
-    under are in its slack signs, whatever ``lp``'s mask holds now.  Every
-    nonbasic column rests at zero, so pinning it moves nothing, and each
-    pinned column more than :data:`FEASIBILITY_TOL` above zero is basic:
-    the optimal basis stays dual feasible, and its row is cut off.  On each
-    cut-off row, the dual ratio test of :meth:`_DualSimplex.dual`, with the
-    set's pinned columns barred from entering, gives the longest dual step
-    that keeps the basis dual feasible.  The dual objective after it is
-    ``result.value`` plus the row's violation times the least ratio (none
-    below zero), a lower bound on the pinned program's value.  A set's bound
-    is the largest of these, and ``result.value`` when it cuts off no row.
-    A row no column can enter adds nothing: it proves the pinned program
-    infeasible, which is left to its own solve.  The rows of every set are
-    priced together.
+    Only ``lp.rows``, ``lp.cost_scale`` and ``result`` are read: the pins
+    ``result`` was solved under are in its slack signs, whatever ``lp``'s
+    mask holds now.  Every nonbasic column rests at zero, so pinning it
+    moves nothing, and each pinned column more than
+    :data:`FEASIBILITY_TOL` above zero is basic: the optimal basis stays
+    dual feasible, and its row is cut off.  On each cut-off row, the dual
+    ratio test of :meth:`_DualSimplex.dual`, with the set's pinned columns
+    barred from entering, gives the longest dual step that keeps the basis
+    dual feasible.  The dual objective after it is ``result.value`` plus
+    the row's violation times the least ratio (none below zero), read back
+    from the cost unit, a lower bound on the pinned program's value.  A
+    set's bound is the largest of these, and ``result.value`` when it cuts
+    off no row.  A row no column can enter adds nothing: it proves the
+    pinned program infeasible, which is left to its own solve.  The rows of
+    every set are priced together.
     """
     basis = result.basis
     sign = result.slack_signs
@@ -281,8 +292,6 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
                 # At rest and free to move: barred from this set's rows.
                 barred.append(j)
         spans.append((first, len(rows), barred))
-    if not rows:
-        return [result.value] * len(spans)
     # Every row falls to zero from above, so a free column may enter when
     # its entry is positive; its ratio is then d_q / alpha_q.
     alpha = basis.binv.take(rows, axis=0).dot(lp.rows)
@@ -301,7 +310,7 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
         for v, t in zip(violations[first:last], steps[first:last]):
             if 0.0 < t < math.inf and v * t > gain:
                 gain = v * t
-        bounds.append(result.value + gain)
+        bounds.append(result.value + gain / lp.cost_scale)
     return bounds
 
 

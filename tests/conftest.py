@@ -110,7 +110,8 @@ def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,
     pivot.  The basic values are solved afresh from the basis the pivot
     reached, every nonbasic variable at zero: those the pivots maintain
     drift, by up to ~1.6e-12 (relative) in the objective on the 4x6 search
-    frames of the tests."""
+    frames of the tests.  The simplex prices in ``lp.cost_scale`` units,
+    so the objective is read back from them."""
     sim = lp_module._DualSimplex(lp, start)
     with monkeypatch.context() as m:
         m.setattr(lp_module, "_pivot_cap", lambda rows, cols: 0)
@@ -119,7 +120,7 @@ def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,
     assert sim.pivots == 1
     x = np.zeros(sim.num_cols)
     x[sim.basis] = np.linalg.solve(sim.a[:, sim.basis], sim.b)
-    return float(sim.c.dot(x))
+    return float(sim.c.dot(x)) / lp.cost_scale
 
 
 @pytest.fixture

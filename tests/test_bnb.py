@@ -214,7 +214,9 @@ class TestTimeScale:
     # on the fastest channel.  Counted in seconds, its epigraph rows and the
     # frame time shrink with the frame's time scale beside O(1) entries, and
     # the dual simplex's tolerances fail: on frames of a few microseconds
-    # the search raised, or answered below the cost of its own map.
+    # the search raised, or answered below the cost of its own map.  The
+    # costs scale with the time unit too, and the simplex prices them in a
+    # power-of-two unit of their own.
 
     def test_tied_frame_answers_its_maps_cost(self):
         cfg = ScenarioConfig(num_mds=3, num_channels=4, lambda_t=1.0, lambda_e=0.25)
@@ -240,16 +242,27 @@ class TestTimeScale:
         assert report.best_psi == pytest.approx(solve_exhaustive(frame).best_psi,
                                                 rel=OBJECTIVE_RTOL)
 
-    @given(seed=st.integers(0, 99), task_exp=st.integers(-4, 3), gain_exp=st.integers(-8, 4),
+    @pytest.mark.parametrize("seed, task_min_bits", [(36, 2.0), (93, 0.2), (161, 0.02)])
+    def test_tiny_task_frames_match_exhaustive(self, seed, task_min_bits):
+        # Desk frames with tasks of a few bits or fewer, energy weighed too.
+        # The LP's costs, of the order of the weights times the time unit,
+        # are then 1e-8 to 1e-10: priced as they are, they near the
+        # simplex's absolute optimality tolerance, and the search answered
+        # 0.074% (seed 36) and 0.43% (seed 93) above the optimum, or raised
+        # (seed 161).
+        frame = make_frame(num_mds=3, num_channels=5, seed=seed,
+                           task_size_range_bits=(task_min_bits, 4.0 * task_min_bits))
+        report = solve_bnb(frame)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.best_psi == pytest.approx(solve_exhaustive(frame).best_psi,
+                                                rel=OBJECTIVE_RTOL)
+
+    @given(seed=st.integers(0, 99), task_exp=st.integers(-9, 3), gain_exp=st.integers(-8, 4),
            lambda_e=st.sampled_from([0.0, 0.25]))
     @settings(max_examples=40, deadline=None)
     def test_exact_at_every_common_scale(self, seed, task_exp, gain_exp, lambda_e):
-        # Tasks of 2e2 to 8e9 bits.  The gains move the rates only through
+        # Tasks of 2e-3 to 8e9 bits.  The gains move the rates only through
         # the logarithm of the SNR: from ~2e8 to ~6e8 bit/s in the median.
-        # Tasks of tens of bits or fewer are not covered: with lambda_e > 0
-        # the LP's costs, of the order of the weights times the time unit,
-        # then near the simplex's absolute optimality tolerance, and the
-        # search can still raise or answer above the optimum there.
         frame = scaled_frame(make_frame(num_mds=3, num_channels=5, seed=seed,
                                         lambda_e=lambda_e),
                              10.0 ** task_exp, 10.0 ** gain_exp)

@@ -200,6 +200,23 @@ class TestProperties:
         assert a.value == b.value
         assert np.array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("exponent", [-60, -20, 20])
+    def test_costs_a_power_of_two_apart_solve_alike(self, exponent):
+        # The simplex prices in a power-of-two cost unit, so programs whose
+        # costs are a power of two apart pivot alike, to the last bit, and
+        # their values and bounds are that power apart.  Priced as given,
+        # costs near 2**-60 would all sit below the optimality tolerance.
+        lp = interior_lp(3)
+        scaled = LinearProgram(np.ldexp(lp.c, exponent), lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub)
+        assert np.array_equal(scaled.costs, lp.costs)
+        assert 0.5 <= np.abs(lp.costs).max() < 1.0
+        res, res_s = solve_lp(lp), solve_lp(scaled)
+        assert result_bytes(res_s) == [*result_bytes(res)[:2], np.ldexp(res.value, exponent),
+                                       *result_bytes(res)[3:]]
+        sets = [np.array([j]) for j in range(lp.num_vars)]
+        assert pinned_bounds(scaled, res_s, sets) == [
+            np.ldexp(bound, exponent) for bound in pinned_bounds(lp, res, sets)]
+
 
 class TestDegenerate:
     """Termination and correctness on cycling-prone instances."""
