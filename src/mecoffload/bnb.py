@@ -25,6 +25,11 @@ read (by the trace writer, the dataset, a gate and the incumbent), so the
 search itself pays for none of them; a node dropped at pop time costs no
 LP, has no trace row, and is counted only as unsolved.
 
+A frame with more devices than channels, the only infeasible kind, is
+answered up front with no node solved.  Every node of any other frame is
+feasible (Hall's theorem), so a node LP that comes back infeasible is a
+numerical fault, and the search raises.
+
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
 branch it; without a gate the search is exact, and the learned-pruning
@@ -90,7 +95,6 @@ class SolveStatus(Enum):
 class NodeAction(Enum):
     BRANCHED = "Branched"
     PRUNED_BY_BOUND = "PrunedByBound"
-    PRUNED_INFEASIBLE = "PrunedInfeasible"
     PRUNED_BY_MODEL = "PrunedByModel"
     NEW_INCUMBENT = "NewIncumbent"
 
@@ -108,10 +112,9 @@ class Node:
     or 1 fixed); nothing writes it after :func:`branch`.  The solve fills in
     the rest and clears nothing; a reopen turns a model-pruned node's action
     to ``Branched``.  ``flows`` is the copy of the node's LP flows, each its
-    share of its device's task, that :func:`relax.extract_solution` made,
-    None when infeasible.  ``x`` and ``shares`` are built together from
-    them by :func:`relax.node_arrays` on the first read of either, then
-    kept; an infeasible node reads two zero arrays of its own.
+    share of its device's task, that :func:`relax.extract_solution` made.
+    ``x`` and ``shares`` are built together from them by
+    :func:`relax.node_arrays` on the first read of either, then kept.
     ``split_bits`` is built from the shares and the task sizes on each
     read."""
 
@@ -120,36 +123,31 @@ class Node:
     parent_id: int | None
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
     scenario: Scenario
-    action: NodeAction | None = None  # None until solved; PRUNED_INFEASIBLE iff infeasible
-    psi: float = float("nan")     # nan when infeasible
+    action: NodeAction | None = None  # None until solved
+    psi: float = float("nan")     # nan until solved
     zub_at_pop: float = float("nan")  # incumbent bound when the node was popped
-    first_fractional: int | None = None  # index to branch on; None at a leaf or when infeasible
-    flows: np.ndarray | None = None  # (S*K,) shares of each device's task; None when infeasible
+    first_fractional: int | None = None  # index to branch on; None at a leaf
+    flows: np.ndarray | None = None  # (S*K,) shares of each device's task; None until solved
     _arrays: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     @property
     def x(self) -> np.ndarray:
-        """(S*K,) indicator values in [0, 1], binary at a leaf; zeros when infeasible."""
+        """(S*K,) indicator values in [0, 1], binary at a leaf."""
         return self._built()[0]
 
     @property
     def shares(self) -> np.ndarray:
-        """(S*K,) counted flows, each a share of its device's task in [0, 1];
-        zeros when infeasible."""
+        """(S*K,) counted flows, each a share of its device's task in [0, 1]."""
         return self._built()[1]
 
     @property
     def split_bits(self) -> np.ndarray:
-        """(S*K,) splits in bits, a new array; zeros when infeasible."""
+        """(S*K,) splits in bits, a new array."""
         return self.shares * self.scenario.task_bits.repeat(self.scenario.num_channels)
 
     def _built(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
-            if self.flows is None:
-                n = self.fixed.size
-                self._arrays = (np.zeros(n), np.zeros(n))
-            else:
-                self._arrays = node_arrays(self.flows, self.fixed, self.first_fractional is None)
+            self._arrays = node_arrays(self.flows, self.fixed, self.first_fractional is None)
         return self._arrays
 
 
@@ -165,19 +163,21 @@ class SolveReport:
     (psi - LB) / psi, where LB is the least of psi and the relaxation values
     of the nodes the gate rejected: no map below one of those nodes costs
     less than its relaxation.  It is 0 for an exact search and for a gated
-    one that reopened, and None unless the status is optimal."""
+    one that reopened, and None unless the status is optimal.  Left out, a
+    field reads as nothing found and nothing done: a frame with more
+    devices than channels is answered ``SolveReport(SolveStatus.INFEASIBLE)``."""
 
     status: SolveStatus
-    best_x: np.ndarray | None     # (S, K) binary, present iff an incumbent was found
-    best_split: np.ndarray | None  # (S, K) bits
-    best_psi: float | None
-    gap_bound: float | None
-    nodes_searched: int
-    nodes_unsolved: int           # nodes made but never solved: dropped or left open
-    trace: list[Node]
-    fell_back_to_exact: bool
-    lp_pivots: int                # dual simplex pivots over every node LP
-    lp_refactors: int             # basis inversions over every node LP
+    best_x: np.ndarray | None = None     # (S, K) binary, present iff an incumbent was found
+    best_split: np.ndarray | None = None  # (S, K) bits
+    best_psi: float | None = None
+    gap_bound: float | None = None
+    nodes_searched: int = 0
+    nodes_unsolved: int = 0       # nodes made but never solved: dropped or left open
+    trace: list[Node] = field(default_factory=list)
+    fell_back_to_exact: bool = False
+    lp_pivots: int = 0            # dual simplex pivots over every node LP
+    lp_refactors: int = 0         # basis inversions over every node LP
 
 
 def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
@@ -210,9 +210,10 @@ def solve_bnb(
 ) -> SolveReport:
     """Branch-and-bound search for the optimal offloading assignment.
 
-    Without a ``gate`` the search is exact: it returns the global optimum
-    whenever one exists (enough channels for the devices), otherwise the
-    infeasible status.  A ``gate(node, root_psi)`` is asked about every
+    A frame with more devices than channels is reported infeasible up
+    front: an empty trace, no LP solved and no gate asked.  On every other
+    frame a search without a ``gate`` is exact: it returns the global
+    optimum.  A ``gate(node, root_psi)`` is asked about every
     fractional node that survives the bound check; a node it rejects is
     recorded as model-pruned instead of branched, so the search may miss
     the optimum.  If the heap drains with no incumbent, every rejected node
@@ -223,6 +224,8 @@ def solve_bnb(
     found by then, if any.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
+    if s_n > k_n:
+        return SolveReport(SolveStatus.INFEASIBLE)
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
@@ -284,8 +287,10 @@ def solve_bnb(
         lp_pivots += result.pivots
         lp_refactors += result.refactors
         if result.status is not LpStatus.OPTIMAL:
-            node.action = NodeAction.PRUNED_INFEASIBLE
-            continue
+            # The root of a frame with S <= K is feasible, and so is each
+            # child of a feasible node (Hall's theorem): its fixing cuts a
+            # device off a channel only where another one carries flow.
+            raise ArithmeticError(f"node {node.node_id} of a feasible frame is infeasible")
 
         psi, first, node.flows = extract_solution(scenario, result)
         node.psi, node.first_fractional = psi, first
@@ -309,12 +314,9 @@ def solve_bnb(
         else:
             open_children(node, pins, result, first)
 
-    if exhausted:
-        status = SolveStatus.BUDGET_EXHAUSTED
-    elif best is None:
-        status = SolveStatus.INFEASIBLE
-    else:
-        status = SolveStatus.OPTIMAL
+    # An exact search of a feasible root ends at a leaf, so only a spent
+    # budget leaves no incumbent.
+    status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.OPTIMAL
     gap_bound = None
     if status is SolveStatus.OPTIMAL:
         lower = min([best.psi, *(node.psi for node, _, _ in deferred)])
@@ -354,21 +356,19 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     if s_n > k_n:
-        maps = ()   # no map covers every device
-    elif s_n ** k_n > ENUM_BUDGET:
+        return SolveReport(SolveStatus.INFEASIBLE)
+    if s_n ** k_n > ENUM_BUDGET:
         raise BudgetExceededError(
             f"enumeration of {s_n ** k_n} maps exceeds budget {ENUM_BUDGET}"
         )
-    else:
-        maps = itertools.product(range(s_n), repeat=k_n)
 
     # The maps are binary and exclusive by construction, and the covering
     # test below stands in for solve_split's empty-device check.
     devices = np.arange(s_n)[:, None]
     best_psi = np.inf
-    winner: tuple[int, ...] | None = None
+    winner: tuple[int, ...] = ()
     evaluated = 0
-    for owners in maps:
+    for owners in itertools.product(range(s_n), repeat=k_n):
         if len(set(owners)) < s_n:
             continue  # some device got no channel
         owned = devices == owners
@@ -378,24 +378,17 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
             best_psi = psi
             winner = owners
 
-    best_x = best_split = None
-    if winner is not None:
-        best_x = np.zeros((s_n, k_n), dtype=int)
-        best_x[winner, range(k_n)] = 1
-        split = solve_split(scenario, best_x)
-        best_split, best_psi = split.split_bits, split.psi
+    # S <= K, so some map covers every device, and its cost is finite.
+    best_x = np.zeros((s_n, k_n), dtype=int)
+    best_x[winner, range(k_n)] = 1
+    split = solve_split(scenario, best_x)
     return SolveReport(
-        status=SolveStatus.INFEASIBLE if winner is None else SolveStatus.OPTIMAL,
+        status=SolveStatus.OPTIMAL,
         best_x=best_x,
-        best_split=best_split,
-        best_psi=None if winner is None else best_psi,
-        gap_bound=None if winner is None else 0.0,
+        best_split=split.split_bits,
+        best_psi=split.psi,
+        gap_bound=0.0,
         nodes_searched=evaluated,
-        nodes_unsolved=0,
-        trace=[],
-        fell_back_to_exact=False,
-        lp_pivots=0,
-        lp_refactors=0,
     )
 
 
@@ -405,7 +398,8 @@ def csv_float(value: float) -> str:
 
 
 def write_trace_csv(path, report: SolveReport, num_indicators: int) -> None:
-    """Write the trace of ``report`` as versioned CSV, one row per record."""
+    """Write the trace of ``report`` as versioned CSV, one row per record.
+    Column ``f``, the record's feasibility, always reads 1."""
     cols = ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
     cols += [f"x{i}" for i in range(num_indicators)]
     cols += [f"l{i}" for i in range(num_indicators)]
@@ -413,9 +407,7 @@ def write_trace_csv(path, report: SolveReport, num_indicators: int) -> None:
     for rec in report.trace:
         parent = -1 if rec.parent_id is None else rec.parent_id
         row = [
-            str(rec.node_id), str(rec.depth), str(parent),
-            "0" if rec.action is NodeAction.PRUNED_INFEASIBLE else "1",
-            rec.action.value,
+            str(rec.node_id), str(rec.depth), str(parent), "1", rec.action.value,
             csv_float(rec.psi), csv_float(rec.zub_at_pop),
         ]
         row += [csv_float(v) for v in rec.x]

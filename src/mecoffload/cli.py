@@ -143,10 +143,6 @@ def _require_optimal(report: SolveReport, frame: Scenario) -> SolveReport:
 def cmd_gen_data(args) -> int:
     cfg = read_config_file(args.config)
     seed_base = args.seed if args.seed is not None else cfg.rng_seed
-    if cfg.num_channels < cfg.num_mds:
-        raise InfeasibleInstanceError(
-            f"config has {cfg.num_mds} devices but only {cfg.num_channels} channels"
-        )
     pairs = [("command", "gen-data"), *_config_pairs(cfg),
              ("frames", args.frames), ("seed_base", seed_base)]
     meta = _echo(pairs)

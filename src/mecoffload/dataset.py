@@ -16,8 +16,10 @@ elsewhere the share min(l/L_s, 1), and 1 wherever the node's fixing vector
 holds a 1.  Away from leaves and such fixings they duplicate the l/L_s
 entries, but for shares too small to count, which x keeps and l drops.
 
-Infeasible nodes keep f=0, a fixed sentinel in place of the cost ratio, and
-zeroed solution entries.
+Every solved node is feasible: a frame with more devices than channels,
+the only infeasible kind, is answered with no node solved.  So f, the
+node's feasibility, always reads 1; it is kept so that the feature layout
+stays that of ``dataset-v1``.
 
 A :class:`Dataset` holds the samples of many frames as columns, the arrays
 training reads: one feature row per node, its label, frame id and node id.
@@ -32,7 +34,6 @@ import numpy as np
 from .bnb import Node, NodeAction, SolveReport, SolveStatus, csv_float
 
 __all__ = [
-    "PSI_SENTINEL",
     "Dataset",
     "DatasetFormatError",
     "feature_length",
@@ -41,9 +42,6 @@ __all__ = [
     "write_dataset",
     "read_dataset",
 ]
-
-#: Stand-in cost ratio for nodes whose relaxation was infeasible.
-PSI_SENTINEL = 10.0
 
 
 @dataclass
@@ -95,13 +93,10 @@ def featurize(node: Node, root_psi: float) -> np.ndarray:
     features = np.zeros(4 + 2 * n)
     features[0] = np.log2(1.0 + node.node_id) / n
     features[1] = node.depth / n
-    if node.action is not NodeAction.PRUNED_INFEASIBLE:
-        features[2] = 1.0
-        features[3] = node.psi / root_psi
-        features[4:4 + n] = node.x
-        features[4 + n:] = node.shares
-    else:
-        features[3] = PSI_SENTINEL
+    features[2] = 1.0
+    features[3] = node.psi / root_psi
+    features[4:4 + n] = node.x
+    features[4 + n:] = node.shares
     return features
 
 

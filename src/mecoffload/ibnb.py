@@ -4,9 +4,11 @@ The search is one ``bnb.solve_bnb`` with a gate: a fractional node that
 survives the (strict) bound check is branched only if the classifier's
 score exceeds the threshold; otherwise it is recorded as model-pruned.  If
 the gate over-prunes and the heap drains with no incumbent, ``solve_bnb``
-branches the nodes it rejected and searches on without it, so a feasible
-instance always yields a solution no matter how badly the model behaves;
-the report then says ``fell_back_to_exact``.
+branches the nodes it rejected and searches on without it, so every frame
+with a channel for each device yields a solution no matter how badly the
+model behaves; the report then says ``fell_back_to_exact``.  A frame with
+more devices than channels, the only infeasible kind, is answered with no
+node solved and the model never asked.
 
 Node counts include model-pruned pops (each one still costs a relaxation
 solve plus a classifier evaluation); a reopened node is not solved again,
@@ -47,9 +49,9 @@ def solve_ibnb(
     """Learned-pruning search: ``solve_bnb`` gated by ``model`` at the
     policy's threshold.
 
-    Whenever the instance admits a solution, one is returned: either the
-    gated search finds an incumbent, or it reopens what the gate pruned and
-    ends at the exact optimum.
+    Whenever the frame has a channel for each device, a solution is
+    returned: either the gated search finds an incumbent, or it reopens
+    what the gate pruned and ends at the exact optimum.
     """
     theta = (policy or ThresholdPolicy()).theta0
     expected_m = feature_length(scenario.num_mds, scenario.num_channels)

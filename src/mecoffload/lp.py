@@ -97,8 +97,11 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 #: Tolerance on reduced costs, in the cost unit, when declaring optimality.
 OPTIMALITY_TOL = 1e-9
-#: Entries of a pivot column smaller than this are treated as zero.
-_PIVOT_TOL = 1e-10
+#: Entries of a pivot row smaller than this are treated as zero, so their
+#: columns never enter the basis.  Dividing the product-form update by a
+#: noise entry of ~1e-9 beside O(1) ones leaves a basis inverse that no
+#: longer inverts its basis, and a later solve fails its row check.
+_PIVOT_TOL = 1e-7
 #: Recompute the basis inverse after this many product-form updates, counted
 #: across warm starts, to cap drift.
 _REFACTOR_EVERY = 64

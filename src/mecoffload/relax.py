@@ -62,8 +62,7 @@ __all__ = [
     "solve_split",
 ]
 
-#: A flow above this share of its device's task counts as carried, and an
-#: indicator within this distance of 0/1 counts as integral.
+#: A flow above this share of its device's task counts as carried.
 INTEGRALITY_TOL = 1e-6
 
 

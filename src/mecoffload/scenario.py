@@ -97,10 +97,11 @@ class Scenario:
             raise ValueError("gain/rate arrays must have shape (num_mds, num_channels)")
         if self.powers_w.shape != (s,) or self.task_bits.shape != (s,):
             raise ValueError("powers_w and task_bits must have shape (num_mds,)")
-        if not (np.all(self.gains > 0) and np.all(self.rates_bps > 0)):
-            raise ValueError("all gains and rates must be positive")
-        if not np.all(self.task_bits > 0):
-            raise ValueError("all task sizes must be positive")
+        # Written so that NaN fails it too.
+        for name in ("gains", "powers_w", "task_bits", "rates_bps"):
+            values = getattr(self, name)
+            if not np.all((values > 0) & (values < np.inf)):
+                raise ValueError(f"every entry of {name} must be finite and positive")
         expected = rate(
             self.powers_w[:, None], self.gains,
             self.config.bandwidth_hz, self.config.noise_power_w,

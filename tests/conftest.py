@@ -71,10 +71,8 @@ def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray, 
     leaf and the shares clipped to [0, 1] elsewhere, 1 wherever a fixing
     holds a 1, the counted shares are the shares above the integrality
     tolerance, 0 elsewhere, and the splits are those shares of each task in
-    bits.  Zeros for an infeasible record."""
+    bits."""
     s_n, k_n = frame.num_mds, frame.num_channels
-    if record.flows is None:
-        return np.zeros(s_n * k_n), np.zeros(s_n * k_n), np.zeros(s_n * k_n)
     share = record.flows.reshape(s_n, k_n)
     support = share > INTEGRALITY_TOL
     leaf = support.sum(axis=0).max() <= 1

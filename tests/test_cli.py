@@ -210,10 +210,8 @@ class TestSolve:
 
     # 8 devices on 7 channels have 8**7 full maps, more than ENUM_BUDGET:
     # the exhaustive solver finds the frame infeasible before it counts them.
-    @pytest.mark.parametrize("solver, s_n, k_n, nodes", [("bnb", 4, 3, "1"),
-                                                         ("exhaustive", 8, 7, "0")])
-    def test_infeasible_exit_code_and_message(self, tmp_path, capsys, solver, s_n, k_n,
-                                              nodes):
+    @pytest.mark.parametrize("solver, s_n, k_n", [("bnb", 4, 3), ("exhaustive", 8, 7)])
+    def test_infeasible_exit_code_and_message(self, tmp_path, capsys, solver, s_n, k_n):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CONFIG.replace("num_mds = 2", f"num_mds = {s_n}")
                        .replace("num_channels = 3", f"num_channels = {k_n}"))
@@ -224,8 +222,9 @@ class TestSolve:
         assert "infeasible" in err.lower()
         assert f"({s_n} devices, {k_n} channels)" in err
         report = read_report(tmp_path / "o" / "report.csv")
+        # Neither solver solves or prices anything on such a frame.
         assert report["status"] == "Infeasible"
-        assert report["nodes_searched"] == nodes
+        assert report["nodes_searched"] == "0"
 
     def test_budget_exit_code(self, tmp_path, capsys):
         # 4 devices on 10 channels: 4**10 full maps, more than ENUM_BUDGET.

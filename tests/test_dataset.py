@@ -5,7 +5,6 @@ import pytest
 
 from mecoffload.bnb import Node, NodeAction, SolveStatus, solve_bnb, solve_exhaustive
 from mecoffload.dataset import (
-    PSI_SENTINEL,
     Dataset,
     DatasetFormatError,
     feature_length,
@@ -56,13 +55,14 @@ class TestFeaturize:
         assert f[3] == 1.0
         assert f.size == feature_length(2, 3)
 
-    def test_infeasible_sentinel(self):
-        rec = self._record(action=NodeAction.PRUNED_INFEASIBLE, psi=float("nan"),
-                           first_fractional=None, flows=None)
-        f = featurize(rec, root_psi=2.0)
-        assert f[2] == 0.0
-        assert f[3] == PSI_SENTINEL
-        assert np.all(f[4:] == 0.0)
+    def test_feasibility_feature_is_always_set(self):
+        # Every traced node is feasible, so f reads 1 and the cost ratio
+        # is finite on every row of a corpus.
+        reports, _ = build_corpus(num_frames=5)
+        for report in reports:
+            features, _ = label_trace(report)
+            assert np.all(features[:, 2] == 1.0)
+            assert np.all(np.isfinite(features))
 
     def test_split_block_is_the_counted_shares(self):
         # A share too small to count as carried flow stays in x and reads 0
@@ -81,9 +81,7 @@ class TestFeaturize:
         for report in reports:
             root_psi = report.trace[0].psi
             for rec in report.trace:
-                f = featurize(rec, root_psi)
-                if rec.action is not NodeAction.PRUNED_INFEASIBLE:
-                    assert f[3] >= 1.0 - 1e-9
+                assert featurize(rec, root_psi)[3] >= 1.0 - 1e-9
 
 
 class TestLabelTrace:
@@ -127,12 +125,14 @@ class TestLabelTrace:
                     child_count[p] += 1
             assert all(c <= 1 for c in child_count.values())
 
-    def test_infeasible_nodes_never_positive(self):
+    def test_positives_are_branched_nodes_and_the_incumbent(self):
+        # A node pruned by bound has no descendant, so it is positive only
+        # if it is the incumbent leaf itself.
         reports, _ = build_corpus(num_frames=6)
         for report in reports:
             for label, rec in zip(label_trace(report)[1], report.trace):
-                if rec.action is NodeAction.PRUNED_INFEASIBLE:
-                    assert label == 0
+                if label:
+                    assert rec.action in (NodeAction.BRANCHED, NodeAction.NEW_INCUMBENT)
 
     def test_minority_positive_class(self):
         # At the desk size that gen-data trains on.  At 2x3 the search

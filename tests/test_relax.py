@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecoffload.bnb import NodeAction, solve_bnb, solve_exhaustive
+from mecoffload.bnb import solve_bnb, solve_exhaustive
 from mecoffload.lp import LpResult, LpStatus, solve_lp
 from mecoffload.relax import build_relaxation, extract_solution, node_arrays, solve_split
 from oracle import recompute_objective
@@ -237,9 +237,8 @@ class TestWarmStart:
                     assert warm.value == pytest.approx(ref, rel=1e-9)
 
     def test_device_with_all_channels_off_is_infeasible_from_root_basis(self):
-        # The search itself rarely meets an infeasible child, so this is
-        # where the dual simplex's infeasibility exit is exercised on a
-        # node LP.
+        # The search itself never meets an infeasible node LP, so this is
+        # where the dual simplex's infeasibility exit is exercised on one.
         frame = make_frame(num_mds=3, num_channels=4, seed=4)
         lp = build_relaxation(frame)
         root = solve_lp(lp)
@@ -399,7 +398,7 @@ class TestTreeBoundProperties:
         report = solve_bnb(frame)
         by_id = {rec.node_id: rec for rec in report.trace}
         for rec in report.trace:
-            if rec.parent_id is None or rec.action is NodeAction.PRUNED_INFEASIBLE:
+            if rec.parent_id is None:
                 continue
             parent = by_id[rec.parent_id]
             assert rec.psi >= parent.psi - 1e-9

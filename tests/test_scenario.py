@@ -98,11 +98,17 @@ class TestGenerateFrame:
         ("rates_bps", lambda a: a.T, "gain/rate arrays must have shape"),
         ("powers_w", lambda a: a[:-1], "powers_w and task_bits must have shape"),
         ("task_bits", lambda a: a[:, None], "powers_w and task_bits must have shape"),
-        ("gains", lambda a: np.where(a == a.max(), 0.0, a), "gains and rates must be positive"),
-        ("task_bits", lambda a: -a, "task sizes must be positive"),
+        ("gains", lambda a: np.where(a == a.max(), 0.0, a), "gains must be finite and positive"),
+        ("task_bits", lambda a: -a, "task_bits must be finite and positive"),
         ("rates_bps", lambda a: a * (1 + 1e-9), "disagree with the rate equation"),
+        # One infinite entry: the exhaustive oracle answered such frames,
+        # optimal or infeasible, and the search failed inside its LP.
+        ("gains", lambda a: np.where(a == a.max(), np.inf, a), "gains must be finite"),
+        ("powers_w", lambda a: np.where(a == a.max(), np.inf, a), "powers_w must be finite"),
+        ("task_bits", lambda a: np.where(a == a.max(), np.inf, a), "task_bits must be finite"),
     ], ids=["gain-shape", "rate-shape", "power-shape", "task-shape", "zero-gain",
-            "negative-task", "rates-off-equation"])
+            "negative-task", "rates-off-equation", "infinite-gain", "infinite-power",
+            "infinite-task"])
     def test_inconsistent_arrays_rejected(self, name, edit, match):
         # A frame built from arrays, as the benchmark builds its perturbed
         # frames, is checked against its config and the rate equation.
