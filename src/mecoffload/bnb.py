@@ -14,9 +14,9 @@ flow on a channel two devices share), and it is pruned by bound against
 the incumbent.  Both bound tests are strict: a node is kept only if its
 bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
-search: an open node's heap entry carries the mask of the flows its
-fixings pin at zero, which a pop copies into the LP in one write, and its
-parent's optimal basis and factor, from which its LP is warm-started.  A
+search: an open node's heap entry carries the mask of the LP variables its
+fixings pin at zero, which its pop passes to the solve, and its parent's
+optimal basis and factor, from which its LP is warm-started.  A
 :class:`Node` is only its trace row: a solved node is appended to the
 trace, which later becomes classifier training data, with its relaxation
 value, branching index and flows, and the bound that was active at pop
@@ -27,8 +27,8 @@ LP, has no trace row, and is counted only as unsolved.
 
 A frame with more devices than channels, the only infeasible kind, is
 answered up front with no node solved.  Every node of any other frame is
-feasible (Hall's theorem), so a node LP that comes back infeasible is a
-numerical fault, and the search raises.
+feasible by Hall's theorem (a fixing cuts a device off a channel only where
+another one carries flow), so a node LP solve that raises is a fault.
 
 This is the only search loop.  It takes an optional pruning gate that is
 asked, for every fractional node surviving the bound test, whether to
@@ -53,7 +53,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import Basis, LpResult, LpStatus, pinned_bounds, solve_lp
+from .lp import Basis, LpResult, pinned_bounds, solve_lp
 from .relax import (
     _price_map,
     build_relaxation,
@@ -229,12 +229,11 @@ def solve_bnb(
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
-    flow_pinned = lp.pinned[:n]   # a view: writes reach the LP
     root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), scenario)
-    # Open nodes as (bound, node_id, node, flow pins, warm start: the
-    # parent's optimal basis); the unique id keeps nodes from being compared.
+    # Open nodes as (bound, node_id, node, LP pins, warm start: the parent's
+    # optimal basis); the unique id keeps nodes from being compared.
     queue: list[tuple[float, int, Node, np.ndarray, Basis | None]] = [
-        (-np.inf, 0, root, np.zeros(n, dtype=bool), None)]
+        (-np.inf, 0, root, np.zeros(n + 1, dtype=bool), None)]
     next_id = 1
     z_ub = np.inf
     best: Node | None = None   # the incumbent leaf
@@ -282,15 +281,9 @@ def solve_bnb(
         trace.append(node)
         node.zub_at_pop = z_ub
 
-        np.copyto(flow_pinned, pins)
-        result = solve_lp(lp, start)
+        result = solve_lp(lp, pins, start)
         lp_pivots += result.pivots
         lp_refactors += result.refactors
-        if result.status is not LpStatus.OPTIMAL:
-            # The root of a frame with S <= K is feasible, and so is each
-            # child of a feasible node (Hall's theorem): its fixing cuts a
-            # device off a channel only where another one carries flow.
-            raise ArithmeticError(f"node {node.node_id} of a feasible frame is infeasible")
 
         psi, first, node.flows = extract_solution(scenario, result)
         node.psi, node.first_fractional = psi, first

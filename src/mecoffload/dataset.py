@@ -27,6 +27,7 @@ training reads: one feature row per node, its label, frame id and node id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,10 @@ def read_dataset(path) -> Dataset:
             raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
         if labels[-1] not in (0, 1):
             raise DatasetFormatError(f"{path}:{lineno}: label must be 0/1, got {labels[-1]!r}")
+        if not all(map(math.isfinite, features[-1])):
+            i = next(i for i, v in enumerate(features[-1]) if not math.isfinite(v))
+            raise DatasetFormatError(
+                f"{path}:{lineno}: feature f{i + 1} is {features[-1][i]!r}, not finite")
     return Dataset(np.array(features, dtype=float).reshape(-1, m),
                    *(np.array(column, dtype=int) for column in (labels, frame_ids, node_ids)),
                    s_n, k_n, fields.get("cfg", ""))

@@ -5,16 +5,16 @@ Node relaxations in the tree search are small (a few dozen variables), so a
 dense tableau-free simplex with an explicitly maintained basis inverse is
 both simple and fast enough.  Every variable of a node relaxation is
 nonnegative, and a branching fixing only pins some of them at zero, so a
-program holds its pins in one writable mask and the constraint matrix never
+solve takes its pins as a mask argument and the constraint matrix never
 grows.
 
 Every row gets a slack column, pinned on an equality row.  The
 slack-augmented rows ``[A | I]``, their right-hand side and the padded costs
-are built once per :class:`LinearProgram`; only its pins may change between
-solves.  Node relaxations have nonnegative costs, which :func:`solve_lp`
-requires; then the all-slack basis, with every structural variable at zero,
-is dual feasible, and a solve from scratch starts there with the identity
-as its inverse and the costs as its reduced costs.
+are built once per :class:`LinearProgram`, which holds no pins.  Node
+relaxations have nonnegative costs, which :func:`solve_lp` requires; then
+the all-slack basis, with every structural variable at zero, is dual
+feasible, and a solve from scratch starts there with the identity as its
+inverse and the costs as its reduced costs.
 
 The simplex prices in a cost unit, a power of two that puts the largest
 cost in [0.5, 1).  Scaling by a power of two is exact, so the point, the
@@ -47,14 +47,15 @@ would make there.
 
 Dual pivots keep the basis dual feasible, so the first primal feasible
 basis is optimal; the final point must satisfy the rows, and one pricing
-pass from scratch over the final basis certifies it.  An infeasible verdict
-rests on a row checked to be a row of ``B^-1 A``.  A solve that fails a
-check, such as one started from a stale or foreign factor, is an error.
+pass from scratch over the final basis certifies it.  A program with no
+feasible point is an error, as is a solve that fails a check, such as one
+started from a stale or foreign factor.
 
 A solve reuses what does not change between the nodes of a search and
 re-checks what could be wrong.  It reads the program's rows, right-hand
-side, padded costs and pin mask in place, and the cost sign test made at
-construction.  It never writes into its start: the basis is copied, and
+side and padded costs in place, and the cost sign test made at
+construction.  It never writes into its pins or its start: the pins are
+copied into a mask over every column, the basis is copied, and
 each pivot replaces the inverse and the reduced costs instead of updating
 them in place, so both children of a node resume from one
 ``result.basis``.  Within a solve, a pivot writes the few entries it
@@ -115,25 +116,21 @@ def _pivot_cap(num_rows: int, num_cols: int) -> int:
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
 
 
 class LinearProgram:
-    """min c.v  s.t.  a_eq.v = b_eq,  a_ub.v <= b_ub,  v >= 0,  v_j = 0 where
-    ``pinned[j]``.
+    """min c.v  s.t.  a_eq.v = b_eq,  a_ub.v <= b_ub,  v >= 0, and v_j = 0
+    wherever the ``pinned`` mask a solve is given holds True.
 
     Dimension mismatches are construction-time errors.  The costs and rows
     are read once, at construction, into the simplex form: ``rows`` is
     ``[A | I]`` (equality rows first, one slack column per row), ``rhs`` its
     right-hand side and ``costs`` the costs times ``cost_scale``, padded
-    with zeros for the slacks.  Only the pins may change afterwards,
-    written in place: ``pinned`` is a bool view of the first ``num_vars``
-    entries of ``col_pinned``, the mask of every column (an equality row's
-    slack is pinned), so a solve reads it without copying.  The view cannot
-    be replaced by assignment.
+    with zeros for the slacks.  ``slack_pinned`` marks the slacks every
+    solve pins, the equality rows'.  Nothing changes afterwards.
     """
 
-    def __init__(self, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, pinned=None) -> None:
+    def __init__(self, c, a_eq=None, b_eq=None, a_ub=None, b_ub=None) -> None:
         self.c = np.asarray(c, dtype=float).ravel()
         n = self.c.size
         if a_eq is None:
@@ -144,7 +141,6 @@ class LinearProgram:
         self.a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
         self.b_eq = np.asarray(b_eq, dtype=float).ravel()
         self.b_ub = np.asarray(b_ub, dtype=float).ravel()
-        pinned = np.zeros(n, dtype=bool) if pinned is None else np.asarray(pinned, bool).ravel()
         if self.a_eq.shape[1] != n and self.a_eq.shape[0] > 0:
             raise ValueError("a_eq column count does not match c")
         if self.a_ub.shape[1] != n and self.a_ub.shape[0] > 0:
@@ -157,8 +153,6 @@ class LinearProgram:
             raise ValueError("b_eq length does not match a_eq rows")
         if self.b_ub.size != self.a_ub.shape[0]:
             raise ValueError("b_ub length does not match a_ub rows")
-        if pinned.size != n:
-            raise ValueError("pinned mask must match c in length")
         if not (np.all(np.isfinite(self.c))
                 and np.all(np.isfinite(self.a_eq))
                 and np.all(np.isfinite(self.a_ub))
@@ -174,14 +168,7 @@ class LinearProgram:
         self.costs = np.concatenate([self.c * self.cost_scale, np.zeros(m)])
         #: :func:`solve_lp` refuses a negative cost; the costs are read once.
         self.nonnegative_costs = not np.any(self.c < 0.0)
-        self.col_pinned = np.concatenate([pinned, np.ones(m_eq, dtype=bool),
-                                          np.zeros(m - m_eq, dtype=bool)])
-        self._pinned = self.col_pinned[:n]
-
-    @property
-    def pinned(self) -> np.ndarray:
-        """Which structural variables are pinned at zero, a view of ``col_pinned``."""
-        return self._pinned
+        self.slack_pinned = np.arange(m) < m_eq
 
     @property
     def num_vars(self) -> int:
@@ -211,43 +198,50 @@ class Basis:
 
 @dataclass
 class LpResult:
+    #: Always OPTIMAL: a solve that finds no optimum raises.
     status: LpStatus
-    x: np.ndarray | None = None
-    value: float | None = None
-    #: Optimal basis with its factor; None unless OPTIMAL.
-    basis: Basis | None = None
+    x: np.ndarray
+    value: float
+    #: Optimal basis with its factor.
+    basis: Basis
     #: Dual simplex basis changes of this solve.
-    pivots: int = 0
+    pivots: int
     #: Basis inversions of this solve.
-    refactors: int = 0
+    refactors: int
     #: The sign of each column's dual slack at the optimum: 1 on a free
-    #: nonbasic column, 0 on a basic or pinned one.  None unless OPTIMAL.
-    slack_signs: np.ndarray | None = None
+    #: nonbasic column, 0 on a basic or pinned one.
+    slack_signs: np.ndarray
 
 
-def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
-    """Solve ``lp`` to a vertex optimum; infeasibility is a status.
+def solve_lp(lp: LinearProgram, pinned: np.ndarray | None = None,
+             start: Basis | None = None) -> LpResult:
+    """Solve ``lp``, with each variable pinned at zero where the bool mask
+    ``pinned`` (over ``lp.num_vars``; None pins none) holds True, to a
+    vertex optimum.
 
     ``lp`` must have nonnegative costs, as every node relaxation does; it
     is then bounded below, and its all-slack basis with every structural
     variable at zero is dual feasible.  Without ``start`` the dual simplex
     begins there.  ``start`` may instead be an optimal basis
-    (``LpResult.basis``) of a program with the same objective and rows that
-    pins no column ``lp`` leaves free, such as a parent node's.  A
+    (``LpResult.basis``) of a solve of a program with the same objective
+    and rows under pins that ``pinned`` includes, such as a parent node's.
+    A program with no feasible point ends in ``ArithmeticError``.  So may a
     ``start`` that breaks this contract, or whose factor is not that of its
-    basis in ``lp``, may end in ``ArithmeticError``, as do an exhausted
-    iteration cap and a singular pivot; it never yields OPTIMAL.
+    basis in ``lp``, as do an exhausted iteration cap and a singular pivot;
+    none of them yields a result.  A mask of the wrong shape is a
+    ``ValueError``; ``pinned`` is never written.
     """
     if not lp.nonnegative_costs:
         raise ValueError("solve_lp needs nonnegative costs")
     n, m = lp.num_vars, lp.rhs.size
+    pinned = np.zeros(n, dtype=bool) if pinned is None else np.asarray(pinned, dtype=bool)
+    if pinned.shape != (n,):
+        raise ValueError(f"pinned mask of shape {pinned.shape} does not match ({n},)")
     if start is None:
         start = Basis(n + np.arange(m), np.eye(m), lp.costs)
 
-    sim = _DualSimplex(lp, start)
-    if not sim.dual():
-        return LpResult(LpStatus.INFEASIBLE, pivots=sim.pivots,
-                        refactors=sim.refactors)
+    sim = _DualSimplex(lp, np.concatenate((pinned, lp.slack_pinned)), start)
+    sim.dual()
     x = sim.check_optimal()
     return LpResult(LpStatus.OPTIMAL, x[:n], float(lp.c.dot(x[:n])),
                     Basis(sim.basis, sim.binv, sim.reduced, sim.updates),
@@ -261,8 +255,7 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
     are pinned too, read off that optimal ``result`` without a solve.
 
     Only ``lp.rows``, ``lp.cost_scale`` and ``result`` are read: the pins
-    ``result`` was solved under are in its slack signs, whatever ``lp``'s
-    mask holds now.  Every nonbasic column rests at zero, so pinning it
+    ``result`` was solved under are in its slack signs.  Every nonbasic column rests at zero, so pinning it
     moves nothing, and each pinned column more than
     :data:`FEASIBILITY_TOL` above zero is basic: the optimal basis stays
     dual feasible, and its row is cut off.  On each cut-off row, the dual
@@ -272,9 +265,9 @@ def pinned_bounds(lp: LinearProgram, result: LpResult,
     the row's violation times the least ratio (none below zero), read back
     from the cost unit, a lower bound on the pinned program's value.  A
     set's bound is the largest of these, and ``result.value`` when it cuts
-    off no row.  A row no column can enter adds nothing: it proves the
-    pinned program infeasible, which is left to its own solve.  The rows of
-    every set are priced together.
+    off no row.  A row no column can enter adds nothing: the pinned program
+    is then infeasible, and its own solve raises.  The rows of every set are
+    priced together.
     """
     basis = result.basis
     sign = result.slack_signs
@@ -325,8 +318,9 @@ class _DualSimplex:
     and the reduced costs are maintained incrementally and recomputed after
     :data:`_REFACTOR_EVERY` updates.
 
-    A solve reads the program's arrays (``rows``, ``rhs``, ``costs`` and the
-    pin mask) without copying them, and it never writes into the start's
+    A solve reads the program's arrays (``rows``, ``rhs`` and ``costs``)
+    without copying them, ``pinned`` is its own mask over every column, and
+    it never writes into the start's
     arrays: the basis is copied, and the inverse and reduced costs are
     replaced, not updated in place, so a start can serve several solves.
     What a pivot changes in the rest of the state (the sign of each
@@ -338,10 +332,10 @@ class _DualSimplex:
     ones the pivots maintained.
     """
 
-    def __init__(self, lp: LinearProgram, start: Basis) -> None:
+    def __init__(self, lp: LinearProgram, pinned: np.ndarray, start: Basis) -> None:
         self.a, self.b, self.c = lp.rows, lp.rhs, lp.costs
         self.m, self.num_cols = m, num_cols = self.a.shape
-        self.pinned = lp.col_pinned
+        self.pinned = pinned
         basis = np.array(start.indices, dtype=int)
         binv = np.asarray(start.binv, dtype=float)
         reduced = np.asarray(start.reduced_costs, dtype=float)
@@ -390,20 +384,22 @@ class _DualSimplex:
 
     # -- dual simplex -----------------------------------------------------
 
-    def dual(self) -> bool:
-        """Dual simplex from a dual feasible basis; True once the basis is
-        primal feasible, False iff the program is infeasible.
+    def dual(self) -> None:
+        """Dual simplex from a dual feasible basis, until the basis is
+        primal feasible.
 
         Leaves on the row with the largest violation (smallest row on
         ties): ``-x_B`` for a free basic variable, ``|x_B|`` for a pinned
         one.  The entering column is the dual ratio test's minimum over the
         free columns that move the leaving variable toward zero; ties go to
         the largest pivot magnitude, then the smallest column.  When no
-        column qualifies, the leaving variable cannot reach zero anywhere
-        in the orthant of the free nonbasic variables.
+        column qualifies, either the leaving variable cannot reach zero
+        anywhere in the orthant of the free nonbasic variables, so the
+        program has no feasible point, or the factor is wrong; both raise
+        ``ArithmeticError``.
         """
         if not self.m:
-            return True
+            return
         a, basis, sign = self.a, self.basis, self.sign
         # Which basic variables are pinned, kept in step with the basis.  A
         # pinned column never enters, so a pivot only clears an entry.
@@ -416,7 +412,7 @@ class _DualSimplex:
             np.absolute(xb, out=violation, where=pinned_b)
             pos = int(violation.argmax())
             if violation[pos] <= FEASIBILITY_TOL:
-                return True
+                return
             # Only a pinned variable can violate from above.
             above = bool(xb[pos] > 0.0)
 
@@ -427,14 +423,8 @@ class _DualSimplex:
             signed = alpha * sign
             idx = (signed > _PIVOT_TOL if above else signed < -_PIVOT_TOL).nonzero()[0]
             if not idx.size:
-                # The row proves infeasibility only if it is a row of
-                # B^-1 A, which is the unit vector on the basic columns; a
-                # row holding NaN proves nothing.
-                unit = alpha[basis]
-                unit[pos] -= 1.0
-                if not np.abs(unit).max() <= FEASIBILITY_TOL:
-                    raise ArithmeticError("basis inverse does not invert the basis")
-                return False
+                raise ArithmeticError(
+                    f"no column can enter row {pos}: no feasible point, or a wrong factor")
 
             # Nearly every choice has one candidate or a unique minimum
             # ratio; both skip the steps that only break a tie.
@@ -489,7 +479,7 @@ class _DualSimplex:
         """The final point, once it is shown to satisfy the rows and the
         basis is shown optimal; raise ``ArithmeticError`` otherwise.
 
-        Run after :meth:`dual` returns True.  The reduced costs are priced
+        Run after :meth:`dual` returns.  The reduced costs are priced
         afresh from the inverse, not read from the ones :meth:`dual`
         maintains: every basic column must price to zero, which holds only
         if the inverse is that of the basis, and no free nonbasic column

@@ -10,8 +10,8 @@ channel exclusivity sum_s x_sk <= 1 becomes sum_s z_sk <= 1, and a
 branching fixing pins flows at zero, x_sk = 0 as z_sk = 0 and x_sk = 1 as
 z_s'k = 0 for every other device s'.  Every node bound is unchanged by the
 projection, and children still differ from their parent only in which
-flows are pinned, the one kind of change :class:`lp.LinearProgram` takes
-between solves.
+flows are pinned, the one thing the solves of one
+:class:`lp.LinearProgram` may differ in.
 
 LP variables are ordered [z (S*K), tau], flat index i = s*K + k, the same
 index as a node's fixing vector (:attr:`bnb.Node.fixed`).  The frame time
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpResult, LpStatus
+from .lp import LinearProgram, LpResult
 from .scenario import Scenario
 
 __all__ = [
@@ -82,10 +82,9 @@ def build_relaxation(scenario: Scenario) -> LinearProgram:
     (L_s / R_sk / unit) * z_sk <= tau that pin tau above every channel's
     transmission time, with ``unit = max_s L_s / max_sk R_sk`` seconds.
     Share z_sk costs lambda_e * p_s * L_s / R_sk, its energy, and tau costs
-    lambda_t * unit, so the LP value is psi.  Every variable is nonnegative
-    and none is pinned.  A node's fixings only pin flows at zero
-    (:func:`pinned_flows`), so a search builds this once and moves between
-    nodes by rewriting the flow pins alone.
+    lambda_t * unit, so the LP value is psi.  Every variable is nonnegative.
+    A node's fixings only pin flows at zero (:func:`pinned_flows`), so a
+    search builds this once and solves each node under its own pins.
     """
     s_n, k_n = scenario.num_mds, scenario.num_channels
     n = s_n * k_n
@@ -147,8 +146,6 @@ def extract_solution(
     test and that index are computed here; :func:`node_arrays` builds x
     and the counted shares from the flows.
     """
-    if lp_result.status is not LpStatus.OPTIMAL:
-        raise ValueError(f"cannot extract a solution from status {lp_result.status}")
     s_n, k_n = scenario.num_mds, scenario.num_channels
     # A copy of the flows, not a view that would keep the simplex's whole
     # point alive; sharing is found on the (S, K) view of their support,
@@ -181,9 +178,8 @@ def node_arrays(
     return x, np.where(support, flows, 0.0)
 
 
-def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | None:
-    """Best splits for a fixed feasible indicator matrix; None if a device
-    has no active channel.
+def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution:
+    """Best splits for a fixed feasible indicator matrix.
 
     Solved in closed form rather than as an LP, and never through the
     product reformulation of the node relaxations.  This public path
@@ -218,7 +214,7 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution | Non
         raise ValueError("indicator matrix assigns a channel to several devices")
     held = x.sum(axis=1).astype(int)
     if np.any(held == 0):
-        return None
+        raise ValueError("indicator matrix leaves a device without a channel")
 
     psi, tau, partial, part, r, order = _price_map(scenario, x == 1, held)
     rows = np.arange(s_n)

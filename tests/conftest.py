@@ -58,10 +58,11 @@ def node_pinned(fixed, s_n, k_n) -> np.ndarray:
     return pinned
 
 
-def highs_bounds(lp: lp_module.LinearProgram) -> list[tuple[float, float | None]]:
-    """The variable bounds of ``lp`` as scipy's ``linprog`` takes them:
-    (0, 0) on a pinned variable and (0, None) on a free one."""
-    return [(0.0, 0.0) if pin else (0.0, None) for pin in lp.pinned]
+def highs_bounds(pinned: np.ndarray) -> list[tuple[float, float | None]]:
+    """The variable bounds under the pin mask ``pinned`` as scipy's
+    ``linprog`` takes them: (0, 0) on a pinned variable and (0, None) on a
+    free one."""
+    return [(0.0, 0.0) if pin else (0.0, None) for pin in pinned]
 
 
 def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,15 +103,15 @@ def covering_maps(num_mds, num_channels):
         yield x
 
 
-def first_pivot_objective(lp: lp_module.LinearProgram, start: lp_module.Basis,
-                          monkeypatch) -> float:
-    """The objective of ``lp``'s dual simplex from ``start`` after one
-    pivot.  The basic values are solved afresh from the basis the pivot
+def first_pivot_objective(lp: lp_module.LinearProgram, pinned: np.ndarray,
+                          start: lp_module.Basis, monkeypatch) -> float:
+    """The objective of ``lp``'s dual simplex under the pin mask ``pinned``
+    from ``start`` after one pivot.  The basic values are solved afresh from the basis the pivot
     reached, every nonbasic variable at zero: those the pivots maintain
     drift, by up to ~1.6e-12 (relative) in the objective on the 4x6 search
     frames of the tests.  The simplex prices in ``lp.cost_scale`` units,
     so the objective is read back from them."""
-    sim = lp_module._DualSimplex(lp, start)
+    sim = lp_module._DualSimplex(lp, np.concatenate((pinned, lp.slack_pinned)), start)
     with monkeypatch.context() as m:
         m.setattr(lp_module, "_pivot_cap", lambda rows, cols: 0)
         with pytest.raises(ArithmeticError, match="iteration limit"):

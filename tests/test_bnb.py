@@ -23,8 +23,6 @@ from mecoffload.bnb import (
 from mecoffload.lp import (
     _REFACTOR_EVERY,
     FEASIBILITY_TOL,
-    LpResult,
-    LpStatus,
     pinned_bounds,
     solve_lp,
 )
@@ -115,7 +113,7 @@ class TestSolveBnb:
         calls = []
         gate = (lambda rec, _: calls.append(rec) or False) if gated else None
         monkeypatch.setattr(bnb_module, "solve_lp",
-                            lambda lp, start=None: calls.append(lp))
+                            lambda lp, pinned=None, start=None: calls.append(lp))
         report = solve_bnb(make_frame(num_mds=s_n, num_channels=k_n, seed=4), gate=gate)
         assert report.status is SolveStatus.INFEASIBLE
         assert report.best_x is None and report.best_psi is None
@@ -146,20 +144,6 @@ class TestSolveBnb:
                                   NodeAction.NEW_INCUMBENT)
         assert report.best_psi == pytest.approx(solve_exhaustive(frame).best_psi,
                                                 rel=OBJECTIVE_RTOL)
-
-    def test_infeasible_node_lp_is_a_fault(self, monkeypatch):
-        # A node LP reported infeasible inside a search cannot be a fact of
-        # the frame, so the search raises rather than prune the subtree.
-        solves = itertools.count()
-
-        def solve_lp_failing_a_child(lp, start=None):
-            if next(solves) == 3:
-                return LpResult(LpStatus.INFEASIBLE)
-            return solve_lp(lp, start)
-
-        monkeypatch.setattr(bnb_module, "solve_lp", solve_lp_failing_a_child)
-        with pytest.raises(ArithmeticError, match=r"node [1-9]\d* of a feasible frame"):
-            solve_bnb(make_frame(num_mds=3, num_channels=5, seed=14))
 
     @pytest.mark.parametrize("frame", [
         *(pytest.param(random_small_frame(case), id=str(case)) for case in range(30)),
@@ -206,8 +190,8 @@ class TestSolveBnb:
         # may invert never.
         calls = []
 
-        def recording_solve_lp(lp, start=None):
-            result = solve_lp(lp, start)
+        def recording_solve_lp(lp, pinned=None, start=None):
+            result = solve_lp(lp, pinned, start)
             carried = 0 if start is None else start.updates
             assert result.refactors == (carried + result.pivots) // _REFACTOR_EVERY
             calls.append((start is not None, result.pivots, result.refactors))
@@ -460,23 +444,30 @@ class TestTraceInvariants:
     @pytest.mark.parametrize("frame", SEARCH_FRAMES)
     def test_single_cut_row_key_is_the_first_pivot_objective(self, frame, monkeypatch):
         # When a child's fixing cuts off one basic flow, its key is the
-        # objective of its own dual simplex after the first pivot.  The
-        # search's own pins are replaced for the check and put back.
+        # objective of its own dual simplex after the first pivot, under its
+        # parent's pins and the fixing's.
         checked = []
+        solved = {}   # id of each result: the result and the pins it was solved under
+
+        def recording_solve_lp(lp, pinned=None, start=None):
+            result = solve_lp(lp, pinned, start)
+            solved[id(result)] = result, pinned
+            return result
 
         def checking_bounds(lp, result, pin_sets):
             keys = pinned_bounds(lp, result, pin_sets)
-            mask = lp.col_pinned.copy()
+            parent_pins = solved[id(result)][1]
             for key, pinned in zip(keys, pin_sets):
                 if np.count_nonzero(result.x[pinned] > FEASIBILITY_TOL) != 1:
                     continue
-                lp.col_pinned[pinned] = True
-                objective = first_pivot_objective(lp, result.basis, monkeypatch)
-                lp.col_pinned[:] = mask
+                child_pins = parent_pins.copy()
+                child_pins[pinned] = True
+                objective = first_pivot_objective(lp, child_pins, result.basis, monkeypatch)
                 assert key == pytest.approx(objective, rel=1e-12, abs=0.0)
                 checked.append(key > result.value)
             return keys
 
+        monkeypatch.setattr(bnb_module, "solve_lp", recording_solve_lp)
         monkeypatch.setattr(bnb_module, "pinned_bounds", checking_bounds)
         assert solve_bnb(frame).status is SolveStatus.OPTIMAL
         assert len(checked) >= 10 and any(checked)
@@ -849,7 +840,7 @@ class TestReopen:
 
 
 class TestHeapState:
-    # An open node's flow pins and warm start ride in its heap entry, and a
+    # An open node's LP pins and warm start ride in its heap entry, and a
     # solved node is only its trace row.  The k-th LP solve of a search
     # solves the k-th trace node, so it must run under the pins of that
     # node's fixings, started from the very basis its parent's solve
@@ -871,9 +862,9 @@ class TestHeapState:
         }[search]
         calls = []
 
-        def recording_solve_lp(lp, start=None):
-            result = solve_lp(lp, start)
-            calls.append((lp.pinned.copy(), start, result.basis))
+        def recording_solve_lp(lp, pinned=None, start=None):
+            result = solve_lp(lp, pinned, start)
+            calls.append((pinned, pinned.copy(), start, result.basis))
             return result
 
         monkeypatch.setattr(bnb_module, "solve_lp", recording_solve_lp)
@@ -884,8 +875,10 @@ class TestHeapState:
         assert (model_pruned > 0) == (search == "oracle-gated")
         assert len(calls) == len(report.trace)
         basis_of = {}
-        for node, (pinned, start, basis) in zip(report.trace, calls):
+        for node, (pinned, at_solve, start, basis) in zip(report.trace, calls):
             assert not hasattr(node, "__dict__")
+            # Nothing wrote into the mask once it was given to the solve.
+            assert same_bits(pinned, at_solve)
             assert same_bits(pinned[:-1], node_pinned(node.fixed, s_n, k_n).ravel())
             assert not pinned[-1]   # tau
             if node.parent_id is None:

@@ -258,6 +258,13 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=":6: could not convert"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_feature_names_line(self, tmp_path, value):
+        # Python parses both, and training on them writes a NaN model.
+        path = self._rewrite_line(tmp_path, 6, lambda line: line[:line.rindex(",")] + f",{value}")
+        with pytest.raises(DatasetFormatError, match=f":6: feature f\\d+ is {value}, not finite$"):
+            read_dataset(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = self._rewrite_line(tmp_path, 4, lambda line: line + "\n")
         assert "\n\n" in path.read_text()

@@ -10,12 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mecoffload
 from mecoffload.bnb import SolveReport, solve_bnb
 from mecoffload.cli import build_parser
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
+from mecoffload.lp import LinearProgram, solve_lp
 from mecoffload.mlp import TrainConfig
 
 #: Every module of the package but ``__main__``, which runs the command line.
@@ -67,6 +69,11 @@ def test_labels_the_traced_benchmark_reads_name_listed_functions():
     # It reads fell_back_to_exact through getattr with a default, so a
     # report of every solver must carry it.
     assert "fell_back_to_exact" in {f.name for f in dataclasses.fields(SolveReport)}
+    # Its tracer tags every solve_lp call by the result's status, read as
+    # "optimal" on a solve that returns.
+    from tracer import TAGS
+
+    assert TAGS["lp.solve_lp"](solve_lp(LinearProgram(np.array([1.0])))) == "optimal"
 
 
 def test_settable_value_count():

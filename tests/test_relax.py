@@ -28,11 +28,11 @@ def read_point(frame, result, fixed):
     return (first, *node_arrays(flows, fixed, first is None))
 
 
-def set_node(lp, frame, fixed):
-    """Give ``lp``, a relaxation of ``frame`` from :func:`build_relaxation`,
-    the flow pins of the node with fixing vector ``fixed``; returns it."""
-    lp.pinned[:-1] = node_pinned(fixed, frame.num_mds, frame.num_channels).ravel()
-    return lp
+def node_mask(frame, fixed):
+    """The pins, over the variables of ``frame``'s relaxation from
+    :func:`build_relaxation`, of the node with fixing vector ``fixed``:
+    its flow pins, and tau free."""
+    return np.append(node_pinned(fixed, frame.num_mds, frame.num_channels).ravel(), False)
 
 
 def random_feasible_indicator(frame, rng):
@@ -50,13 +50,14 @@ def random_feasible_indicator(frame, rng):
     return x
 
 
-def highs_lp(lp):
-    """The optimal value of a :class:`LinearProgram` by HiGHS, or None if it
-    is infeasible: an oracle independent of the hand-written simplex."""
+def highs_lp(lp, pins):
+    """The optimal value of a :class:`LinearProgram` under the pin mask
+    ``pins`` by HiGHS, or None if it is infeasible: an oracle independent of
+    the hand-written simplex."""
     from scipy.optimize import linprog
 
     ref = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                  bounds=highs_bounds(lp),
+                  bounds=highs_bounds(pins),
                   method="highs")
     assert ref.status in (0, 2)
     return ref.fun if ref.status == 0 else None
@@ -196,7 +197,7 @@ class TestBuildRelaxation:
         for _ in range(4):
             x = random_feasible_indicator(frame, rng)
             fixed = x.ravel().astype(np.int8)
-            lp_value = solve_lp(set_node(build_relaxation(frame), frame, fixed)).value
+            lp_value = solve_lp(build_relaxation(frame), node_mask(frame, fixed)).value
             oracle = solve_split(frame, x)
             assert lp_value == pytest.approx(oracle.psi, rel=1e-9)
             assert highs_split_psi(frame, x) == pytest.approx(oracle.psi, rel=1e-9)
@@ -205,15 +206,16 @@ class TestBuildRelaxation:
     def test_device_with_all_channels_off_is_infeasible(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=4)
         fixed = np.array([0, 0, 0, -1, -1, -1], dtype=np.int8)  # device 0 fully disabled
-        lp = set_node(build_relaxation(frame), frame, fixed)
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        with pytest.raises(ArithmeticError, match="no column can enter"):
+            solve_lp(build_relaxation(frame), node_mask(frame, fixed))
 
     def test_root_feasibility_matches_pigeonhole(self):
         # Feasible iff there are at least as many channels as devices.
         feasible = make_frame(num_mds=3, num_channels=3, seed=5)
         infeasible = make_frame(num_mds=3, num_channels=2, seed=5)
         assert solve_lp(build_relaxation(feasible)).status is LpStatus.OPTIMAL
-        assert solve_lp(build_relaxation(infeasible)).status is LpStatus.INFEASIBLE
+        with pytest.raises(ArithmeticError, match="no column can enter"):
+            solve_lp(build_relaxation(infeasible))
 
 
 class TestWarmStart:
@@ -227,28 +229,25 @@ class TestWarmStart:
             for value in (0, 1):
                 fixed = free_node(12)
                 fixed[i] = value
-                warm = solve_lp(set_node(lp, frame, fixed), start=root.basis)
-                cold = solve_lp(set_node(build_relaxation(frame), frame, fixed))
-                ref = highs_lp(lp)
-                assert warm.status is cold.status
-                assert (ref is None) == (warm.status is LpStatus.INFEASIBLE)
-                if cold.status is LpStatus.OPTIMAL:
-                    assert warm.value == pytest.approx(cold.value, rel=1e-9)
-                    assert warm.value == pytest.approx(ref, rel=1e-9)
+                pins = node_mask(frame, fixed)
+                warm = solve_lp(lp, pins, root.basis)
+                cold = solve_lp(build_relaxation(frame), pins)
+                assert warm.value == pytest.approx(cold.value, rel=1e-9)
+                assert warm.value == pytest.approx(highs_lp(lp, pins), rel=1e-9)
 
     def test_device_with_all_channels_off_is_infeasible_from_root_basis(self):
         # The search itself never meets an infeasible node LP, so this is
-        # where the dual simplex's infeasibility exit is exercised on one.
+        # where the dual simplex's no-entering-column fault is exercised on
+        # one.
         frame = make_frame(num_mds=3, num_channels=4, seed=4)
         lp = build_relaxation(frame)
         root = solve_lp(lp)
         fixed = free_node(12)
         fixed[:4] = 0  # device 0 fully disabled
-        set_node(lp, frame, fixed)
-        warm = solve_lp(lp, start=root.basis)
-        assert warm.status is LpStatus.INFEASIBLE
-        assert warm.pivots > 0
-        assert highs_lp(lp) is None
+        pins = node_mask(frame, fixed)
+        with pytest.raises(ArithmeticError, match="no column can enter"):
+            solve_lp(lp, pins, root.basis)
+        assert highs_lp(lp, pins) is None
 
 
 class TestAgainstLiftedLp:
@@ -266,37 +265,35 @@ class TestAgainstLiftedLp:
         infeasible = 0
         for _ in range(40):
             fixed = random_node(rng, s_n, k_n)
-            set_node(lp, frame, fixed)
-            cold, warm = solve_lp(lp), solve_lp(lp, start=root.basis)
+            pins = node_mask(frame, fixed)
             ref = highs_lifted_psi(frame, fixed)
-            assert cold.status is warm.status
-            assert (ref is None) == (cold.status is LpStatus.INFEASIBLE)
             if ref is None:
+                for start in (None, root.basis):
+                    with pytest.raises(ArithmeticError, match="no column can enter"):
+                        solve_lp(lp, pins, start)
                 infeasible += 1
-            else:
-                assert cold.value == pytest.approx(ref, rel=1e-9)
-                assert warm.value == pytest.approx(ref, rel=1e-9)
+                continue
+            cold, warm = solve_lp(lp, pins), solve_lp(lp, pins, root.basis)
+            assert cold.value == pytest.approx(ref, rel=1e-9)
+            assert warm.value == pytest.approx(ref, rel=1e-9)
         assert 0 < infeasible < 40
 
 
 class TestExtractSolution:
-    def test_requires_optimal_status(self, small_frame):
-        with pytest.raises(ValueError):
-            extract_solution(small_frame, LpResult(LpStatus.INFEASIBLE))
-
     @staticmethod
     def point(shares):
-        """An LP point [z, tau] whose flows are the given (S, K) shares of
-        each device's task."""
-        return np.append(np.ravel(shares), 0.0)
+        """An optimal LP result, of value 0.5, at the point [z, tau] whose
+        flows are the given (S, K) shares of each device's task; only the
+        point and the value are read."""
+        return LpResult(LpStatus.OPTIMAL, np.append(np.ravel(shares), 0.0), 0.5,
+                        None, 0, 0, None)
 
     def test_first_fractional_is_smallest_index(self, small_frame):
         # Channel 0 is device 0's alone, channel 1 carries both devices and
         # channel 2 device 1 alone: index 0 is fractional but private, so
         # the first device with flow on channel 1 is branched.
         shares = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]]
-        v = self.point(shares)
-        first, x, _ = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5), free_node(6))
+        first, x, _ = read_point(small_frame, self.point(shares), free_node(6))
         assert first == 1
         assert np.allclose(x, np.ravel(shares), rtol=1e-12)
 
@@ -305,9 +302,7 @@ class TestExtractSolution:
         # of its task on channel 2: no channel is shared, so the point is
         # a leaf whose indicators are its support.
         shares = [[0.3, 0.7, 0.0], [0.0, 0.0, 1.0]]
-        v = self.point(shares)
-        first, x, counted = read_point(small_frame, LpResult(LpStatus.OPTIMAL, v, 0.5),
-                                       free_node(6))
+        first, x, counted = read_point(small_frame, self.point(shares), free_node(6))
         assert first is None
         assert np.array_equal(x, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
         assert np.array_equal(counted, np.ravel(shares))
@@ -318,12 +313,12 @@ class TestExtractSolution:
         fixed = free_node(8)
         fixed[7] = 1
         leaf = self.point([[0.4, 0.6, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        first, x, _ = read_point(frame, LpResult(LpStatus.OPTIMAL, leaf, 0.5), fixed)
+        first, x, _ = read_point(frame, leaf, fixed)
         assert first is None
         assert np.array_equal(x, [1, 1, 0, 0, 0, 0, 1, 1])
         # Off a leaf too: channel 0 is shared, device 1 holds channel 3.
         inner = self.point([[0.4, 0.6, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5]])
-        first, x, _ = read_point(frame, LpResult(LpStatus.OPTIMAL, inner, 0.5), fixed)
+        first, x, _ = read_point(frame, inner, fixed)
         assert first == 0
         assert x[7] == 1.0
 
@@ -362,7 +357,8 @@ class TestSolveSplit:
         frame = make_frame(num_mds=2, num_channels=3, seed=8)
         x = np.zeros((2, 3), dtype=int)
         x[0, 0] = 1
-        assert solve_split(frame, x) is None
+        with pytest.raises(ValueError, match="without a channel"):
+            solve_split(frame, x)
 
     def test_private_channels_have_no_freedom(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=9)
