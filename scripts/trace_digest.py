@@ -42,8 +42,10 @@ def array_bytes(array) -> bytes:
     return b"-" if array is None else array.tobytes()
 
 
-def hash_report(digest, report) -> int:
-    """Feed ``report`` to ``digest``; return its number of trace nodes."""
+def hash_report(digest, report, frame) -> int:
+    """Feed ``report`` on ``frame`` to ``digest``; return its number of
+    trace nodes."""
+    task_bits = frame.task_bits.repeat(frame.num_channels)
     for part in (
         report.status.value.encode(), float_bits(report.best_psi),
         float_bits(report.gap_bound),
@@ -54,10 +56,11 @@ def hash_report(digest, report) -> int:
         digest.update(part)
     for node in report.trace:
         parent = -1 if node.parent_id is None else node.parent_id
+        x, shares = node.arrays()
         for part in (
             struct.pack("<2q", node.node_id, parent), node.action.value.encode(),
             float_bits(node.psi), float_bits(node.zub_at_pop),
-            node.x.tobytes(), node.split_bits.tobytes(),
+            x.tobytes(), (shares * task_bits).tobytes(),
         ):
             digest.update(part)
     return len(report.trace)
@@ -88,7 +91,7 @@ def main(argv=None) -> int:
                          for theta in THETAS]
             for name, solve in runs:
                 digest.update(f"{s_n}x{k_n}/{seed}/{name}".encode())
-                nodes += hash_report(digest, solve())
+                nodes += hash_report(digest, solve(), frame)
                 solves += 1
     print(f"solves={solves} trace_nodes={nodes}")
     print(digest.hexdigest())

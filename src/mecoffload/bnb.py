@@ -20,10 +20,11 @@ optimal basis and factor, from which its LP is warm-started.  A
 :class:`Node` is only its trace row: a solved node is appended to the
 trace, which later becomes classifier training data, with its relaxation
 value, branching index and flows, and the bound that was active at pop
-time.  A node's indicators and splits are built from its flows only when
-read (by the trace writer, the dataset, a gate and the incumbent), so the
-search itself pays for none of them; a node dropped at pop time costs no
-LP, has no trace row, and is counted only as unsolved.
+time.  It holds no frame and keeps no array: each reader (the trace
+writer, the dataset, a gate and the incumbent) builds a node's indicators
+and shares with :meth:`Node.arrays`, so the search pays for none of them;
+a node dropped at pop time costs no LP, has no trace row, and is counted
+only as unsolved.
 
 A frame with more devices than channels, the only infeasible kind, is
 answered up front with no node solved.  Every node of any other frame is
@@ -55,11 +56,11 @@ import numpy as np
 
 from .lp import Basis, LpResult, pinned_bounds, solve_lp
 from .relax import (
-    _price_map,
     build_relaxation,
     extract_solution,
     node_arrays,
     pinned_flows,
+    price_map,
     solve_split,
 )
 from .scenario import Scenario
@@ -106,49 +107,31 @@ class BudgetExceededError(RuntimeError):
 @dataclass(slots=True)
 class Node:
     """One search-tree node: once solved, it is its trace row, what a gate
-    reads, and the incumbent when it is one.  What only an open node needs,
-    its flow pins and warm start, rides in its heap entry instead.
-    ``fixed`` is its fixing vector over the S*K indicators (int8: -1 free, 0
-    or 1 fixed); nothing writes it after :func:`branch`.  The solve fills in
-    the rest and clears nothing; a reopen turns a model-pruned node's action
-    to ``Branched``.  ``flows`` is the copy of the node's LP flows, each its
-    share of its device's task, that :func:`relax.extract_solution` made.
-    ``x`` and ``shares`` are built together from them by
-    :func:`relax.node_arrays` on the first read of either, then kept.
-    ``split_bits`` is built from the shares and the task sizes on each
-    read."""
+    reads, and the incumbent when it is one.  It holds only what the search
+    writes: no frame, and what only an open node needs, its flow pins and
+    warm start, rides in its heap entry.  ``fixed`` is its fixing vector
+    over the S*K indicators (int8: -1 free, 0 or 1 fixed); nothing writes
+    it after :func:`branch`.  The solve fills in the rest and clears
+    nothing; a reopen turns a model-pruned node's action to ``Branched``.
+    ``flows`` is the copy of the node's LP flows, each its share of its
+    device's task, that :func:`relax.extract_solution` made."""
 
     node_id: int
     depth: int
     parent_id: int | None
     fixed: np.ndarray             # (S*K,) int8: -1 free, 0 or 1 fixed
-    scenario: Scenario
     action: NodeAction | None = None  # None until solved
     psi: float = float("nan")     # nan until solved
     zub_at_pop: float = float("nan")  # incumbent bound when the node was popped
     first_fractional: int | None = None  # index to branch on; None at a leaf
     flows: np.ndarray | None = None  # (S*K,) shares of each device's task; None until solved
-    _arrays: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
-    @property
-    def x(self) -> np.ndarray:
-        """(S*K,) indicator values in [0, 1], binary at a leaf."""
-        return self._built()[0]
-
-    @property
-    def shares(self) -> np.ndarray:
-        """(S*K,) counted flows, each a share of its device's task in [0, 1]."""
-        return self._built()[1]
-
-    @property
-    def split_bits(self) -> np.ndarray:
-        """(S*K,) splits in bits, a new array."""
-        return self.shares * self.scenario.task_bits.repeat(self.scenario.num_channels)
-
-    def _built(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            self._arrays = node_arrays(self.flows, self.fixed, self.first_fractional is None)
-        return self._arrays
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """New (S*K,) arrays ``(x, shares)`` built by :func:`relax.node_arrays`
+        from the flows and kept nowhere: x in [0, 1], binary at a leaf, and
+        the counted flows; the shares times the frame's
+        ``task_bits.repeat(K)`` are the splits in bits."""
+        return node_arrays(self.flows, self.fixed, self.first_fractional is None)
 
 
 @dataclass
@@ -180,15 +163,16 @@ class SolveReport:
     lp_refactors: int = 0         # basis inversions over every node LP
 
 
-def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
-    """Split a node on binary indicator ``index`` = s*K + k of its frame.
+def branch(parent: Node, index: int, first_child_id: int, num_channels: int) -> tuple[Node, Node]:
+    """Split a node on binary indicator ``index`` = s*K + k of its frame of
+    K = ``num_channels`` channels.
 
     The down child fixes it to 0 and the up child to 1.  Each child gets a
     copy of its parent's fixing vector with ``index`` set, and nothing
     else.  Branching on an index out of range, an index already fixed, or
     a channel another device already owns is a contract violation.
     """
-    n, k_n = parent.fixed.size, parent.scenario.num_channels
+    n, k_n = parent.fixed.size, num_channels
     if not 0 <= index < n:
         raise ValueError(f"indicator {index} out of range [0, {n})")
     existing = parent.fixed[index]
@@ -199,9 +183,9 @@ def branch(parent: Node, index: int, first_child_id: int) -> tuple[Node, Node]:
         raise ValueError(f"channel {index % k_n} of indicator {index} is already owned")
     down, up = parent.fixed.copy(), parent.fixed.copy()
     down[index], up[index] = 0, 1
-    depth, frame = parent.depth + 1, parent.scenario
-    return (Node(first_child_id, depth, parent.node_id, down, frame),
-            Node(first_child_id + 1, depth, parent.node_id, up, frame))
+    depth = parent.depth + 1
+    return (Node(first_child_id, depth, parent.node_id, down),
+            Node(first_child_id + 1, depth, parent.node_id, up))
 
 
 def solve_bnb(
@@ -229,7 +213,7 @@ def solve_bnb(
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
-    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8), scenario)
+    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8))
     # Open nodes as (bound, node_id, node, LP pins, warm start: the parent's
     # optimal basis); the unique id keeps nodes from being compared.
     queue: list[tuple[float, int, Node, np.ndarray, Basis | None]] = [
@@ -250,7 +234,7 @@ def solve_bnb(
         and push both children with their pins, keyed by the bounds read off
         ``result``."""
         nonlocal next_id
-        down, up = branch(node, index, next_id)
+        down, up = branch(node, index, next_id, k_n)
         next_id += 2
         added_down, added_up = pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)
         key_down, key_up = pinned_bounds(lp, result, (added_down, added_up))
@@ -287,9 +271,8 @@ def solve_bnb(
 
         psi, first, node.flows = extract_solution(scenario, result)
         node.psi, node.first_fractional = psi, first
-        # The gate sees the node as it would be kept if branched.  It holds
-        # its fixing vector and its flows, and builds no array until one is
-        # read, which nothing here does.
+        # The gate sees the node as it would be kept if branched: its fixing
+        # vector and its flows, from which it builds whatever arrays it reads.
         node.action = NodeAction.BRANCHED
         if first is None:
             if psi < z_ub:
@@ -310,15 +293,18 @@ def solve_bnb(
     # An exact search of a feasible root ends at a leaf, so only a spent
     # budget leaves no incumbent.
     status = SolveStatus.BUDGET_EXHAUSTED if exhausted else SolveStatus.OPTIMAL
-    gap_bound = None
+    gap_bound = best_x = best_split = None
     if status is SolveStatus.OPTIMAL:
         lower = min([best.psi, *(node.psi for node, _, _ in deferred)])
         gap_bound = (best.psi - lower) / best.psi
+    if best is not None:
+        x, shares = best.arrays()
+        best_x = x.astype(int).reshape(s_n, k_n)
+        best_split = shares.reshape(s_n, k_n) * scenario.task_bits[:, None]
     return SolveReport(
         status=status,
-        # Arrays of their own: the incumbent's trace node keeps its x.
-        best_x=None if best is None else best.x.astype(int).reshape(s_n, k_n),
-        best_split=None if best is None else best.split_bits.reshape(s_n, k_n),
+        best_x=best_x,
+        best_split=best_split,
         best_psi=None if best is None else best.psi,
         gap_bound=gap_bound,
         nodes_searched=len(trace),
@@ -339,8 +325,9 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
     costs nothing until it carries bits, so giving an idle channel to any
     device never raises the optimal cost.  Maps are priced in lexicographic
     order of their owners, and the first of least cost wins.  Each map is
-    priced by the closed-form core of :func:`relax.solve_split` alone, with
-    no checks, indicator matrix or split; only the winner goes through
+    priced by :func:`relax.price_map`, the closed-form core of
+    :func:`relax.solve_split`, alone, with no checks, indicator matrix or
+    split; only the winner goes through
     :func:`relax.solve_split`, which builds its split and prices it the
     same way.  ``nodes_searched`` counts the priced maps, and the trace is
     empty, since no tree is searched.  A frame with more devices than
@@ -365,7 +352,7 @@ def solve_exhaustive(scenario: Scenario) -> SolveReport:
         if len(set(owners)) < s_n:
             continue  # some device got no channel
         owned = devices == owners
-        psi = _price_map(scenario, owned, np.add.reduce(owned, axis=1))[0]
+        psi = price_map(scenario, owned, np.add.reduce(owned, axis=1))[0]
         evaluated += 1
         if psi < best_psi:
             best_psi = psi
@@ -390,12 +377,13 @@ def csv_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_trace_csv(path, report: SolveReport, num_indicators: int) -> None:
-    """Write the trace of ``report`` as versioned CSV, one row per record.
-    Column ``f``, the record's feasibility, always reads 1."""
+def write_trace_csv(path, report: SolveReport, scenario: Scenario) -> None:
+    """Write the trace of ``report`` on frame ``scenario`` as versioned CSV,
+    one row per node.  Column ``f``, the node's feasibility, always reads 1."""
+    task_bits = scenario.task_bits.repeat(scenario.num_channels)
     cols = ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
-    cols += [f"x{i}" for i in range(num_indicators)]
-    cols += [f"l{i}" for i in range(num_indicators)]
+    cols += [f"x{i}" for i in range(task_bits.size)]
+    cols += [f"l{i}" for i in range(task_bits.size)]
     lines = ["# trace-v1", ",".join(cols)]
     for rec in report.trace:
         parent = -1 if rec.parent_id is None else rec.parent_id
@@ -403,8 +391,9 @@ def write_trace_csv(path, report: SolveReport, num_indicators: int) -> None:
             str(rec.node_id), str(rec.depth), str(parent), "1", rec.action.value,
             csv_float(rec.psi), csv_float(rec.zub_at_pop),
         ]
-        row += [csv_float(v) for v in rec.x]
-        row += [csv_float(v) for v in rec.split_bits]
+        x, shares = rec.arrays()
+        row += [csv_float(v) for v in x]
+        row += [csv_float(v) for v in shares * task_bits]
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -274,10 +274,9 @@ def cmd_solve(args) -> int:
     if model is not None:
         extra = f"{int(report.fell_back_to_exact)},{model_fingerprint(model)}"
 
-    n = cfg.num_mds * cfg.num_channels
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "trace.csv"),
-                  lambda tmp: write_trace_csv(tmp, report, n))
+                  lambda tmp: write_trace_csv(tmp, report, frame))
     header = _REPORT_HEADER + ",x,l"
     row = _report_row(args.solver, report, extra) + "," + _solution_columns(report)
     _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])

@@ -9,12 +9,13 @@ that a network with saturating activations can digest them:
   [log2(1+j)/(S*K), g/(S*K), f, psi/root_psi, x (S*K), l/L_s (S*K)]
 
 The node relaxation's flows are the shares l/L_s themselves, and the l/L_s
-entries are the counted ones, :attr:`bnb.Node.shares`: a share too small
-to count as carried flow reads 0.  The x entries are the indicators the
-relaxation reads off its flows: at a leaf the binary channel map,
-elsewhere the share min(l/L_s, 1), and 1 wherever the node's fixing vector
-holds a 1.  Away from leaves and such fixings they duplicate the l/L_s
-entries, but for shares too small to count, which x keeps and l drops.
+entries are the counted ones that :meth:`bnb.Node.arrays` builds with x,
+once per node: a share too small to count as carried flow reads 0.  The x
+entries are the indicators the relaxation reads off its flows: at a leaf
+the binary channel map, elsewhere the share min(l/L_s, 1), and 1 wherever
+the node's fixing vector holds a 1.  Away from leaves and such fixings
+they duplicate the l/L_s entries, but for shares too small to count,
+which x keeps and l drops.
 
 Every solved node is feasible: a frame with more devices than channels,
 the only infeasible kind, is answered with no node solved.  So f, the
@@ -96,8 +97,7 @@ def featurize(node: Node, root_psi: float) -> np.ndarray:
     features[1] = node.depth / n
     features[2] = 1.0
     features[3] = node.psi / root_psi
-    features[4:4 + n] = node.x
-    features[4 + n:] = node.shares
+    features[4:4 + n], features[4 + n:] = node.arrays()
     return features
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "init_model",
     "forward",
     "forward_batch",
-    "loss",
     "backward",
     "train",
     "save_model",
@@ -204,14 +203,8 @@ def forward(model: MlpModel, features: np.ndarray) -> float:
     return min(max(y.item(), _SIGMOID_FLOOR), _SIGMOID_CEIL)
 
 
-def loss(y_hat, label, positive_class_weight: float = 1.0) -> float:
-    """Class-weighted binary cross-entropy of one prediction."""
-    y_hat = min(max(float(y_hat), _LOSS_CLAMP), 1.0 - _LOSS_CLAMP)
-    y = float(label)
-    return -(positive_class_weight * y * np.log(y_hat) + (1.0 - y) * np.log1p(-y_hat))
-
-
 def _batch_loss(y_hat: np.ndarray, labels: np.ndarray, weight: float) -> float:
+    """Mean class-weighted binary cross-entropy of a batch of predictions."""
     clamped = np.clip(y_hat, _LOSS_CLAMP, 1.0 - _LOSS_CLAMP)
     terms = -(weight * labels * np.log(clamped)
               + (1.0 - labels) * np.log1p(-clamped))

@@ -30,16 +30,16 @@ search branches on the first index carrying flow on a shared channel.
 The search reads only the value, the leaf test and that index, so
 :func:`extract_solution` finds just these and a copy of the node's flows;
 :func:`node_arrays` builds the node's x and counted shares from those
-flows, which a search node does on first read, made only by traces,
-features and the incumbent.
+flows, anew on each call, for the traces, features and incumbent that
+read them.
 
 Once x is binary the split problem needs no LP.  One closed-form core
 fills each device's channels fastest first and minimises the resulting
 convex, piecewise linear cost over the frame time tau by costing each of
 its breakpoints.  :func:`solve_split` checks its indicator matrix, runs
-the core and builds the split.  The exhaustive oracle, whose maps are
-valid by construction, runs the core alone on every map and
-:func:`solve_split` only on the winner.
+the core, :func:`price_map`, and builds the split.  The exhaustive
+oracle, whose maps are valid by construction, runs :func:`price_map` alone
+on every map and :func:`solve_split` only on the winner.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ __all__ = [
     "extract_solution",
     "node_arrays",
     "pinned_flows",
+    "price_map",
     "solve_split",
 ]
 
@@ -161,9 +162,9 @@ def extract_solution(
 def node_arrays(
     flows: np.ndarray, fixed: np.ndarray, leaf: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A node's ``(x, shares)``, each (S*K,), built from the flows
-    :func:`extract_solution` kept and the node's fixing vector ``fixed``
-    (-1 free, 0 or 1 fixed).
+    """A node's ``(x, shares)``, each a new (S*K,) array, built from the
+    flows :func:`extract_solution` kept and the node's fixing vector
+    ``fixed`` (-1 free, 0 or 1 fixed) on each :meth:`bnb.Node.arrays`.
 
     The counted support is found again: x is that support at a ``leaf``
     and the flows clipped to [0, 1] elsewhere, 1 wherever ``fixed`` holds
@@ -216,7 +217,7 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution:
     if np.any(held == 0):
         raise ValueError("indicator matrix leaves a device without a channel")
 
-    psi, tau, partial, part, r, order = _price_map(scenario, x == 1, held)
+    psi, tau, partial, part, r, order = price_map(scenario, x == 1, held)
     rows = np.arange(s_n)
     sorted_split = np.where(np.arange(k_n) < partial[:, None], tau * r, 0.0)
     sorted_split[rows, partial] = part
@@ -225,7 +226,7 @@ def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution:
     return SplitSolution(split_bits=split_bits, psi=float(psi))
 
 
-def _price_map(scenario: Scenario, owned: np.ndarray, held: np.ndarray) -> tuple:
+def price_map(scenario: Scenario, owned: np.ndarray, held: np.ndarray) -> tuple:
     """The closed-form core of :func:`solve_split`, unchecked: the least
     cost of the map whose (S, K) bool mask ``owned`` gives device s its
     ``held[s]`` >= 1 channels, no channel to two devices.

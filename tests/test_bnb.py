@@ -1,6 +1,6 @@
 import heapq
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +20,7 @@ from mecoffload.bnb import (
     solve_exhaustive,
     write_trace_csv,
 )
+from mecoffload.dataset import label_trace
 from mecoffload.lp import (
     _REFACTOR_EVERY,
     FEASIBILITY_TOL,
@@ -43,12 +44,12 @@ from conftest import (
 
 
 class TestBranch:
+    # Nodes of a frame with 3 devices and K = 4 channels.
     def _root(self, s_n=3, k_n=4):
-        return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8),
-                    make_frame(num_mds=s_n, num_channels=k_n, seed=1))
+        return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8))
 
     def test_fractional_value_splits_to_unit_bounds(self):
-        down, up = branch(self._root(), 3, first_child_id=1)
+        down, up = branch(self._root(), 3, first_child_id=1, num_channels=4)
         assert down.fixed.dtype == up.fixed.dtype == np.int8
         assert down.fixed.tolist() == [-1, -1, -1, 0] + [-1] * 8
         assert up.fixed.tolist() == [-1, -1, -1, 1] + [-1] * 8
@@ -57,24 +58,24 @@ class TestBranch:
         assert down.parent_id == up.parent_id == 0
 
     def test_fixed_index_rejected(self):
-        for parent in branch(self._root(), 2, first_child_id=1):
+        for parent in branch(self._root(), 2, first_child_id=1, num_channels=4):
             with pytest.raises(ValueError, match="already fixed"):
-                branch(parent, 2, first_child_id=9)
+                branch(parent, 2, first_child_id=9, num_channels=4)
 
     def test_owned_channel_rejected(self):
         # Device 0 holds channel 1, so device 2 may not branch on it.
-        _, up = branch(self._root(), 1, first_child_id=1)
+        _, up = branch(self._root(), 1, first_child_id=1, num_channels=4)
         with pytest.raises(ValueError, match="channel 1 of indicator 9 is already owned"):
-            branch(up, 2 * 4 + 1, first_child_id=3)
+            branch(up, 2 * 4 + 1, first_child_id=3, num_channels=4)
 
     def test_out_of_range_index_rejected(self):
         for index in (-1, 12):
             with pytest.raises(ValueError, match="out of range"):
-                branch(self._root(), index, first_child_id=1)
+                branch(self._root(), index, first_child_id=1, num_channels=4)
 
     def test_children_extend_parent_by_one_override(self):
-        parent, _ = branch(self._root(), 0, first_child_id=1)
-        down, up = branch(parent, 4, first_child_id=5)
+        parent, _ = branch(self._root(), 0, first_child_id=1, num_channels=4)
+        down, up = branch(parent, 4, first_child_id=5, num_channels=4)
         assert parent.fixed.tolist() == [0] + [-1] * 11
         for child, value in ((down, 0), (up, 1)):
             assert np.flatnonzero(child.fixed != parent.fixed).tolist() == [4]
@@ -485,9 +486,9 @@ class TestTraceInvariants:
             self, frame, monkeypatch):
         branched_on = {}
 
-        def recording_branch(parent, index, first_child_id):
+        def recording_branch(parent, index, first_child_id, num_channels):
             branched_on[parent.node_id] = index
-            return branch(parent, index, first_child_id)
+            return branch(parent, index, first_child_id, num_channels)
 
         monkeypatch.setattr(bnb_module, "branch", recording_branch)
         report = solve_bnb(frame)
@@ -498,7 +499,8 @@ class TestTraceInvariants:
                       if rec.action is NodeAction.NEW_INCUMBENT]
         assert incumbents
         for rec in incumbents:
-            x, split = rec.x.reshape(shape), rec.split_bits.reshape(shape)
+            x, shares = (a.reshape(shape) for a in rec.arrays())
+            split = shares * frame.task_bits[:, None]
             assert np.all((x == 0) | (x == 1))
             assert np.all(x[split != 0] == 1)
             assert np.allclose(split.sum(axis=1), frame.task_bits, rtol=1e-12, atol=0.0)
@@ -509,7 +511,7 @@ class TestTraceInvariants:
         assert len(branched) == len(branched_on)
         for rec in branched:
             s, k = divmod(branched_on[rec.node_id], frame.num_channels)
-            carriers = rec.split_bits.reshape(shape)[:, k] > 0
+            carriers = rec.arrays()[1].reshape(shape)[:, k] > 0
             assert carriers[s] and carriers.sum() >= 2
 
     @pytest.mark.parametrize("frame", SEARCH_FRAMES)
@@ -530,7 +532,7 @@ class TestTraceInvariants:
             assert changed.size == 1
             assert parent[changed[0]] == -1 and rec.fixed[changed[0]] in (0, 1)
             assert np.count_nonzero(rec.fixed >= 0) == rec.depth
-            assert np.all(rec.x[rec.fixed == 1] == 1.0)
+            assert np.all(rec.arrays()[0][rec.fixed == 1] == 1.0)
 
     def test_deterministic_trace(self):
         frame = make_frame(num_mds=2, num_channels=4, seed=16)
@@ -540,16 +542,17 @@ class TestTraceInvariants:
             assert (ra.node_id, ra.depth, ra.parent_id, ra.action) == \
                    (rb.node_id, rb.depth, rb.parent_id, rb.action)
             assert ra.psi == rb.psi
-            assert np.array_equal(ra.x, rb.x)
+            assert np.array_equal(ra.arrays()[0], rb.arrays()[0])
 
     def test_records_own_their_arrays(self):
-        # A record holds the arrays it builds from its node's flows and the
-        # node's fixing vector, with no second copy, so no two records, and
-        # no record and the returned incumbent, may share a buffer.
+        # A record holds its fixing vector and a copy of its flows, and
+        # builds new arrays from them on each read, so no two records, no
+        # record and what it builds, and no record and the returned
+        # incumbent may share a buffer.
         report = solve_bnb(make_frame(num_mds=4, num_channels=6, seed=203))
         assert report.status is SolveStatus.OPTIMAL and len(report.trace) > 100
         arrays = [a for rec in report.trace
-                  for a in (rec.x, rec.shares, rec.split_bits, rec.fixed)]
+                  for a in (rec.fixed, rec.flows, *rec.arrays(), *rec.arrays())]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, report.best_x)
             assert not np.shares_memory(a, report.best_split)
@@ -557,33 +560,51 @@ class TestTraceInvariants:
                 assert not np.shares_memory(a, b)
 
 
-class TestLazyArrays:
-    # A record's x and shares are built from its node's flows when first
-    # read, never by the search itself, and then kept; its split_bits are
-    # built from the shares on every read.
+class TestNodeArrays:
+    # A record's x and shares are built from its node's flows on each read,
+    # never by the search itself, and kept nowhere; a reader that needs
+    # splits in bits scales the shares by the frame's task sizes.
     FRAME = make_frame(num_mds=4, num_channels=6, seed=203)
 
-    def test_arrays_equal_an_eager_rebuild_and_are_kept(self):
+    def test_arrays_equal_an_eager_rebuild(self):
         frame = self.FRAME
         report = solve_bnb(frame)
         assert len(report.trace) > 100
+        task_bits = frame.task_bits.repeat(frame.num_channels)
         for rec in report.trace:
             x, shares, split_bits = eager_node_arrays(rec, frame)
-            first = rec.x, rec.shares
-            assert same_bits(first[0], x) and same_bits(first[1], shares)
-            assert same_bits(rec.split_bits, split_bits)
-            assert rec.x is first[0] and rec.shares is first[1]
+            built = rec.arrays()
+            assert same_bits(built[0], x) and same_bits(built[1], shares)
+            assert same_bits(built[1] * task_bits, split_bits)
+            again = rec.arrays()
+            assert again[0] is not built[0] and again[1] is not built[1]
+
+    def test_a_read_keeps_nothing(self, tmp_path):
+        # Every reader builds a node's arrays and drops them: after arrays(),
+        # label_trace and write_trace_csv every record holds the very
+        # objects it held, each with the same bytes.
+        frame = self.FRAME
+        report = solve_bnb(frame)
+        assert set(Node.__slots__) == {f.name for f in fields(Node)}
+        held = [{name: getattr(rec, name) for name in Node.__slots__} for rec in report.trace]
+        data = [(rec.fixed.tobytes(), rec.flows.tobytes()) for rec in report.trace]
+        for rec in report.trace:
+            rec.arrays()
+        label_trace(report)
+        write_trace_csv(tmp_path / "trace.csv", report, frame)
+        for rec, before, arrays in zip(report.trace, held, data):
+            assert all(getattr(rec, name) is value for name, value in before.items())
+            assert (rec.fixed.tobytes(), rec.flows.tobytes()) == arrays
 
     def test_records_own_their_flows(self):
         # A record keeps a copy of its node's flows, not a view that would
-        # keep the simplex's whole point alive, and shares the frame.
+        # keep the simplex's whole point alive.
         frame = self.FRAME
         report = solve_bnb(frame)
         assert len(report.trace) > 100
         for rec in report.trace:
             assert rec.flows.base is None
             assert rec.flows.shape == (frame.num_mds * frame.num_channels,)
-            assert rec.scenario is frame
 
     def test_exact_search_builds_the_incumbents_arrays_only(self, monkeypatch):
         built = []
@@ -709,7 +730,7 @@ class TestSolveExhaustive:
                 continue
             owned = devices == owners
             x = owned.astype(int)
-            psi = relax_module._price_map(frame, owned, owned.sum(axis=1))[0]
+            psi = relax_module.price_map(frame, owned, owned.sum(axis=1))[0]
             assert psi == solve_split(frame, x).psi
             priced += 1
         report = solve_exhaustive(frame)
@@ -751,7 +772,7 @@ class TestTraceCsv:
         frame = make_frame(num_mds=2, num_channels=3, seed=19)
         report = solve_bnb(frame)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, 6)
+        write_trace_csv(path, report, frame)
         lines = path.read_text().splitlines()
         assert lines[0] == "# trace-v1"
         header = lines[1].split(",")
@@ -833,7 +854,7 @@ class TestReopen:
         assert rejected
         assert all(rec.action is NodeAction.PRUNED_BY_MODEL for rec in rejected)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, 15)
+        write_trace_csv(path, report, frame)
         actions = [line.split(",")[4] for line in path.read_text().splitlines()[2:]]
         assert actions.count("PrunedByModel") == len(rejected) == sum(
             rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
@@ -948,10 +969,11 @@ class TestReportShape:
         assert not report.fell_back_to_exact
 
     def test_exhaustive_reports_no_trace(self, tmp_path):
-        report = solve_exhaustive(make_frame(num_mds=2, num_channels=3, seed=19))
+        frame = make_frame(num_mds=2, num_channels=3, seed=19)
+        report = solve_exhaustive(frame)
         assert report.trace == []
         assert not report.fell_back_to_exact
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, 6)
+        write_trace_csv(path, report, frame)
         lines = path.read_text().splitlines()
         assert lines[0] == "# trace-v1" and len(lines) == 2   # the column header only

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -259,6 +262,21 @@ class TestSolve:
         rc = main(["solve", "--config", config_path, "--solver", "magic",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_module_entry_point_writes_what_main_writes(self, tmp_path):
+        # ``python -m mecoffload`` runs __main__.py, which nothing else here
+        # imports: it must exit 0 and write the bytes main() writes in-process.
+        root = Path(__file__).resolve().parents[1]
+        args = ["solve", "--config", str(root / "scripts" / "desk_config.txt"),
+                "--seed", "21"]
+        assert main([*args, "--out", str(tmp_path / "in")]) == 0
+        run = subprocess.run(
+            [sys.executable, "-m", "mecoffload", *args, "--out", str(tmp_path / "sub")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        for name in ("report.csv", "trace.csv"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
 
     def test_report_has_metadata_lines(self, tmp_path, config_path):
         out = tmp_path / "o"

@@ -14,7 +14,7 @@ from mecoffload.dataset import (
     write_dataset,
 )
 
-from conftest import make_frame, make_uniform_frame
+from conftest import make_frame
 
 
 def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
@@ -29,19 +29,17 @@ def build_corpus(num_frames=8, num_mds=2, num_channels=3, seed0=400):
 
 
 class TestFeaturize:
-    #: Two devices with tasks of 2e6 and 4e6 bits, on three channels.
-    FRAME = make_uniform_frame(2, 3, task=np.array([2e6, 4e6]))
-
     def _record(self, flows=None, **overrides):
-        # A record off a leaf with nothing fixed: x is its flows, each a
-        # share of its device's task, clipped to [0, 1], and its counted
-        # shares are those above the integrality tolerance.
+        # A record of two devices on three channels, off a leaf with nothing
+        # fixed: x is its flows, each a share of its device's task, clipped
+        # to [0, 1], and its counted shares are those above the integrality
+        # tolerance.
         flows = np.full(6, 0.5) if flows is None else np.asarray(flows)
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
             action=NodeAction.BRANCHED, psi=2.0, zub_at_pop=np.inf,
             fixed=np.full(6, -1, dtype=np.int8), first_fractional=0,
-            flows=flows, scenario=self.FRAME,
+            flows=flows,
         )
         defaults.update(overrides)
         return Node(**defaults)

@@ -61,20 +61,20 @@ class TestGate:
         assert report.best_psi == exact.best_psi
 
 
-class TestLazyArrays:
-    def test_reopened_trace_arrays_equal_an_eager_rebuild_and_are_kept(self):
+class TestNodeArrays:
+    def test_reopened_trace_arrays_equal_an_eager_rebuild(self):
         # The gate reads the root's arrays and prunes it; after the reopen
-        # no gate reads any, and the rest are built here, on first read.
+        # no gate reads any, and each is built here from the node's flows.
         frame = make_frame(num_mds=4, num_channels=6, seed=203)
         model = model_for(frame, 0.5)
         report = solve_ibnb(frame, model, ThresholdPolicy(theta0=constant_score(model)))
         assert report.fell_back_to_exact and len(report.trace) > 100
+        task_bits = frame.task_bits.repeat(frame.num_channels)
         for rec in report.trace:
             x, shares, split_bits = eager_node_arrays(rec, frame)
-            first = rec.x, rec.shares
-            assert same_bits(first[0], x) and same_bits(first[1], shares)
-            assert same_bits(rec.split_bits, split_bits)
-            assert rec.x is first[0] and rec.shares is first[1]
+            built = rec.arrays()
+            assert same_bits(built[0], x) and same_bits(built[1], shares)
+            assert same_bits(built[1] * task_bits, split_bits)
 
 
 class TestPolicy:
@@ -232,7 +232,7 @@ class TestReportShape:
                             ThresholdPolicy(theta0=0.9))
         assert report.fell_back_to_exact
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, 6)
+        write_trace_csv(path, report, frame)
         lines = path.read_text().splitlines()
         assert [l for l in lines if l.startswith("#")] == ["# trace-v1"]
         rows = [l.split(",") for l in lines[2:]]

@@ -23,7 +23,6 @@ from mecoffload.mlp import (
     forward_batch,
     init_model,
     load_model,
-    loss,
     model_fingerprint,
     save_model,
     train,
@@ -40,9 +39,11 @@ def zero_model(m: int) -> MlpModel:
 
 
 def batch_objective(model, x, y, weight):
-    """Mean weighted cross-entropy via the public forward pass only."""
+    """Mean weighted cross-entropy via the public forward pass only, each
+    sample's written out here: -(w*y*log p + (1-y)*log(1-p))."""
     preds = forward_batch(model, x)
-    return float(np.mean([loss(p, yi, weight) for p, yi in zip(preds, y)]))
+    return float(np.mean([-(weight * yi * math.log(p) + (1 - yi) * math.log1p(-p))
+                          for p, yi in zip(preds, y)]))
 
 
 def fd_gradient(model, x, y, weight, coords, h=1e-5):
@@ -154,24 +155,35 @@ class TestForward:
         assert min(scores) < 0.5 < max(scores)
 
 
+def constant_score_loss(logit, label, weight):
+    """The mean loss ``backward`` returns on a one-sample batch of ``label``
+    for a model that scores every input sigmoid(``logit``)."""
+    model = zero_model(2)
+    model.biases[-1][0] = logit
+    return backward(model, np.zeros((1, 2)), np.array([float(label)]), weight)[0]
+
+
 class TestLoss:
     def test_uninformative_prediction(self):
-        assert loss(0.5, 1, 1.0) == pytest.approx(math.log(2), rel=1e-12)
-        assert loss(0.5, 0, 17.0) == pytest.approx(math.log(2), rel=1e-12)
+        assert constant_score_loss(0.0, 1, 1.0) == pytest.approx(math.log(2), rel=1e-12)
+        assert constant_score_loss(0.0, 0, 17.0) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_confident_correct_prediction_vanishes(self):
-        values = [loss(y_hat, 1, 1.0) for y_hat in (0.9, 0.99, 0.999999, 1.0)]
+        values = [constant_score_loss(logit, 1, 1.0) for logit in (2.2, 4.6, 13.8, 50.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-11
 
     def test_positive_weight_scales_positive_term(self):
-        assert loss(0.3, 1, 4.0) == pytest.approx(4 * loss(0.3, 1, 1.0), rel=1e-12)
-        assert loss(0.3, 0, 4.0) == pytest.approx(loss(0.3, 0, 1.0), rel=1e-12)
+        logit = -0.85
+        assert constant_score_loss(logit, 1, 4.0) == \
+            pytest.approx(4 * constant_score_loss(logit, 1, 1.0), rel=1e-12)
+        assert constant_score_loss(logit, 0, 4.0) == \
+            pytest.approx(constant_score_loss(logit, 0, 1.0), rel=1e-12)
 
-    @given(st.floats(1e-9, 1 - 1e-9), st.integers(0, 1), st.floats(0.1, 50))
+    @given(st.floats(-20.0, 20.0), st.integers(0, 1), st.floats(0.1, 50))
     @settings(max_examples=50, deadline=None)
-    def test_loss_nonnegative_finite(self, y_hat, label, weight):
-        value = loss(y_hat, label, weight)
+    def test_loss_nonnegative_finite(self, logit, label, weight):
+        value = constant_score_loss(logit, label, weight)
         assert np.isfinite(value) and value >= 0
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -49,6 +50,19 @@ def test_a_leaf_layer_loads_no_other_layer(layer):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["mecoffload", f"mecoffload.{layer}"]
+
+
+@pytest.mark.parametrize("module", LAYERS, ids=lambda m: m.__name__)
+def test_no_layer_imports_another_layers_private_name(module):
+    # A layer's API is what it lists in __all__; a function another layer
+    # calls must be listed there, or tools that wrap listed functions, such
+    # as the traced benchmark, book its time to its caller.
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("mecoffload"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_labels_the_traced_benchmark_reads_name_listed_functions():
