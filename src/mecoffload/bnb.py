@@ -160,7 +160,7 @@ class SolveReport:
     trace: list[Node] = field(default_factory=list)
     fell_back_to_exact: bool = False
     lp_pivots: int = 0            # dual simplex pivots over every node LP
-    lp_refactors: int = 0         # basis inversions over every node LP
+    lp_refactors: int = 0         # node LPs repaired by a fresh basis inversion
 
 
 def branch(parent: Node, index: int, first_child_id: int, num_channels: int) -> tuple[Node, Node]:

@@ -28,16 +28,15 @@ are ``B^-1 b``.  A free basic variable is infeasible below zero and a
 pinned one anywhere but at zero; a pinned column never enters the basis.
 
 An optimal solve returns its basis together with the factor it ended on:
-the basis inverse, the reduced costs of every column and the number of
-product-form updates the inverse has taken since it was last inverted.  A
-child node differs from its parent only in pinning more columns, so the
-parent's optimal basis is still dual feasible for it: given as ``start``,
-the child resumes from that factor, recomputes the basic values without
-inverting, and re-optimises with a few dual pivots.  Each pivot updates the
-inverse in product form and the reduced costs from the pivot row.  The
-count of updates carries down the tree, and the inverse is recomputed from
-the basis columns (with the reduced costs and basic values) once it reaches
-:data:`_REFACTOR_EVERY`.
+the basis inverse and the reduced costs of every column.  A child node
+differs from its parent only in pinning more columns, so the parent's
+optimal basis is still dual feasible for it: given as ``start``, the child
+resumes from that factor, recomputes the basic values without inverting,
+and re-optimises with a few dual pivots.  Each pivot updates the inverse in
+product form and the reduced costs from the pivot row.  A node LP
+re-inverts only to repair a failed end check: the inverse is recomputed
+from the basis columns (with the reduced costs and basic values), the dual
+pivots run again from there, and the end checks run once more.
 
 An optimal result also carries the sign of each column's dual slack, and
 :func:`pinned_bounds` reads off it, without a solve, a lower bound on the
@@ -48,8 +47,8 @@ would make there.
 Dual pivots keep the basis dual feasible, so the first primal feasible
 basis is optimal; the final point must satisfy the rows, and one pricing
 pass from scratch over the final basis certifies it.  A program with no
-feasible point is an error, as is a solve that fails a check, such as one
-started from a stale or foreign factor.
+feasible point is an error, as is a solve that fails a check again after
+its repair.  A stale or foreign factor is thus either repaired or an error.
 
 A solve reuses what does not change between the nodes of a search and
 re-checks what could be wrong.  It reads the program's rows, right-hand
@@ -103,9 +102,6 @@ OPTIMALITY_TOL = 1e-9
 #: noise entry of ~1e-9 beside O(1) ones leaves a basis inverse that no
 #: longer inverts its basis, and a later solve fails its row check.
 _PIVOT_TOL = 1e-7
-#: Recompute the basis inverse after this many product-form updates, counted
-#: across warm starts, to cap drift.
-_REFACTOR_EVERY = 64
 
 
 def _pivot_cap(num_rows: int, num_cols: int) -> int:
@@ -182,18 +178,15 @@ class Basis:
 
     ``indices[i]`` is the column basic in row ``i`` (equality rows first);
     every other column rests at zero.  ``binv`` is the inverse of the basis
-    matrix, ``reduced_costs`` holds the reduced cost of every column, and
-    ``updates`` counts the product-form updates ``binv`` has taken since it
-    was last inverted.  A solve started here resumes from the factor and
-    inverts again only once ``updates`` reaches :data:`_REFACTOR_EVERY`.
-    The arrays are shared by every solve started from the basis and are
-    never written.
+    matrix and ``reduced_costs`` holds the reduced cost of every column.  A
+    solve started here resumes from the factor, and inverts the basis afresh
+    only to repair a failed end check.  The arrays are shared by every solve
+    started from the basis and are never written.
     """
 
     indices: np.ndarray
     binv: np.ndarray
     reduced_costs: np.ndarray
-    updates: int = 0
 
 
 @dataclass
@@ -206,7 +199,8 @@ class LpResult:
     basis: Basis
     #: Dual simplex basis changes of this solve.
     pivots: int
-    #: Basis inversions of this solve.
+    #: Basis inversions of this solve: 1 when its end checks failed once
+    #: and a fresh inverse repaired it, else 0.
     refactors: int
     #: The sign of each column's dual slack at the optimum: 1 on a free
     #: nonbasic column, 0 on a basic or pinned one.
@@ -225,11 +219,14 @@ def solve_lp(lp: LinearProgram, pinned: np.ndarray | None = None,
     begins there.  ``start`` may instead be an optimal basis
     (``LpResult.basis``) of a solve of a program with the same objective
     and rows under pins that ``pinned`` includes, such as a parent node's.
-    A program with no feasible point ends in ``ArithmeticError``.  So may a
-    ``start`` that breaks this contract, or whose factor is not that of its
-    basis in ``lp``, as do an exhausted iteration cap and a singular pivot;
-    none of them yields a result.  A mask of the wrong shape is a
-    ``ValueError``; ``pinned`` is never written.
+    A program with no feasible point ends in ``ArithmeticError``, as do an
+    exhausted iteration cap and a singular pivot.  A solve whose end checks
+    fail, as from a ``start`` that breaks this contract or whose factor is
+    not that of its basis in ``lp``, inverts its final basis afresh and
+    re-optimises once (``refactors`` is then 1); if the checks fail again,
+    it ends in ``ArithmeticError`` too.  None of these errors yields a
+    result.  A mask of the wrong shape is a ``ValueError``; ``pinned`` is
+    never written.
     """
     if not lp.nonnegative_costs:
         raise ValueError("solve_lp needs nonnegative costs")
@@ -242,9 +239,16 @@ def solve_lp(lp: LinearProgram, pinned: np.ndarray | None = None,
 
     sim = _DualSimplex(lp, np.concatenate((pinned, lp.slack_pinned)), start)
     sim.dual()
-    x = sim.check_optimal()
+    try:
+        x = sim.check_optimal()
+    except ArithmeticError:
+        # Repair once from a fresh inverse of the final basis; a second
+        # failure is the solve's.
+        sim._refresh()
+        sim.dual()
+        x = sim.check_optimal()
     return LpResult(LpStatus.OPTIMAL, x[:n], float(lp.c.dot(x[:n])),
-                    Basis(sim.basis, sim.binv, sim.reduced, sim.updates),
+                    Basis(sim.basis, sim.binv, sim.reduced),
                     sim.pivots, sim.refactors, sim.sign)
 
 
@@ -315,8 +319,9 @@ class _DualSimplex:
     variable nonnegative and some pinned at zero.
 
     Nonbasic variables rest at zero.  The basis inverse, the basic values
-    and the reduced costs are maintained incrementally and recomputed after
-    :data:`_REFACTOR_EVERY` updates.
+    and the reduced costs are maintained incrementally from the start's
+    factor, and recomputed from the basis columns only by :meth:`_refresh`,
+    which :func:`solve_lp` calls to repair a failed end check.
 
     A solve reads the program's arrays (``rows``, ``rhs`` and ``costs``)
     without copying them, ``pinned`` is its own mask over every column, and
@@ -358,11 +363,8 @@ class _DualSimplex:
         self.sign[basis] = 0.0
         self.pivots = 0
         self.refactors = 0
-        if start.updates < _REFACTOR_EVERY:
-            self.binv, self.reduced, self.updates = binv, reduced, start.updates
-            self._basic_values()
-        else:
-            self._refresh()
+        self.binv, self.reduced = binv, reduced
+        self._basic_values()
 
     # -- current point ----------------------------------------------------
 
@@ -375,7 +377,6 @@ class _DualSimplex:
         self.binv = np.linalg.inv(self.a[:, self.basis])
         self.reduced = self._price()
         self._basic_values()
-        self.updates = 0
         self.refactors += 1
 
     def _price(self) -> np.ndarray:
@@ -401,13 +402,12 @@ class _DualSimplex:
         if not self.m:
             return
         a, basis, sign = self.a, self.basis, self.sign
+        xb, binv, reduced = self.xb, self.binv, self.reduced
         # Which basic variables are pinned, kept in step with the basis.  A
         # pinned column never enters, so a pivot only clears an entry.
         pinned_b = self.pinned[basis]
         # One pass more than the cap, to see the point the last pivot left.
         for _ in range(_pivot_cap(self.m, self.num_cols) + 1):
-            # A refactorisation replaces these three.
-            xb, binv, reduced = self.xb, self.binv, self.reduced
             violation = np.negative(xb)
             np.absolute(xb, out=violation, where=pinned_b)
             pos = int(violation.argmax())
@@ -469,9 +469,6 @@ class _DualSimplex:
             binv[pos] = row
             self.binv = binv
             self.pivots += 1
-            self.updates += 1
-            if self.updates >= _REFACTOR_EVERY:
-                self._refresh()
 
         raise ArithmeticError("dual simplex iteration limit exceeded")
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoffload.lp import (
-    _REFACTOR_EVERY,
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     Basis,
@@ -425,6 +424,22 @@ def interior_lp(seed: int, n: int = 20, m_eq: int = 4, m_ub: int = 12):
                          a_ub, a_ub @ p + rng.uniform(0.5, 2.0, m_ub))
 
 
+def assert_repaired(lp: LinearProgram, pins: np.ndarray, start: Basis) -> None:
+    """A solve of ``lp`` under ``pins`` from the wrong factor ``start``
+    fails its end checks, which one fresh inversion repairs: the answer is
+    certified and equals the cold solve and HiGHS."""
+    res = solve_lp(lp, pins, start)
+    assert res.refactors == 1
+    assert_certified(lp, pins, res)
+    cold = solve_lp(lp, pins)
+    assert cold.refactors == 0
+    tol = 1e-9 * max(1.0, abs(cold.value))
+    assert res.value == pytest.approx(cold.value, abs=tol)
+    ref = highs(lp, pins)
+    assert ref.status == 0
+    assert res.value == pytest.approx(ref.fun, abs=1e-7 * max(1.0, abs(ref.fun)))
+
+
 class TestCarriedFactor:
     """Warm starts resume from the factor an optimal solve hands over."""
 
@@ -432,17 +447,17 @@ class TestCarriedFactor:
     def test_chain_of_warm_solves_matches_cold_and_highs(self, seed):
         # Each link pins the column farthest above zero at the previous
         # optimum, which cuts it off, and re-solves from its basis, as a
-        # path down the search tree does, until more than
-        # _REFACTOR_EVERY updates have been carried down the chain.  The
-        # update count wraps at _REFACTOR_EVERY, and the inverse is
-        # recomputed exactly once per wrap.  Each pin takes a column away,
-        # so the program is wide enough to stay feasible that long.
+        # path down the search tree does, until more than 74 product-form
+        # updates have been carried down the chain.  The inverse is never
+        # recomputed: no link needs its end checks repaired.  Each pin
+        # takes a column away, so the program is wide enough to stay
+        # feasible that long.
         lp = interior_lp(seed, n=40)
         pins = None
         res = solve_lp(lp)
-        assert res.refactors == res.pivots // _REFACTOR_EVERY
-        carried, refactors = res.pivots, res.refactors
-        while carried <= _REFACTOR_EVERY + 10:
+        assert res.refactors == 0
+        carried = res.pivots
+        while carried <= 74:
             child = pin_largest(pins, res.x)
             warm = solve_lp(lp, child, res.basis)
             cold = solve_lp(lp, child)
@@ -452,18 +467,13 @@ class TestCarriedFactor:
             assert ref.status == 0
             assert warm.value == pytest.approx(ref.fun, abs=tol)
             assert_certified(lp, child, warm)
-            total = res.basis.updates + warm.pivots
-            assert warm.refactors == total // _REFACTOR_EVERY
-            assert warm.basis.updates == total % _REFACTOR_EVERY
+            assert warm.refactors == 0
             carried += warm.pivots
-            refactors += warm.refactors
             pins, res = child, warm
-        assert refactors >= 1
 
     def test_root_and_warm_children_do_not_invert(self, monkeypatch):
         # The root starts from the identity; a child from its parent's
-        # factor.  Neither inverts while its update count stays below
-        # _REFACTOR_EVERY.
+        # factor.  Neither inverts: both pass their end checks.
         import mecoffload.lp as lp_module
 
         inversions = []
@@ -477,20 +487,19 @@ class TestCarriedFactor:
         lp = interior_lp(4)
         root = solve_lp(lp)
         child = solve_lp(lp, pin_largest(None, root.x), root.basis)
-        assert root.pivots + child.pivots < _REFACTOR_EVERY
         assert root.refactors == child.refactors == 0
         assert inversions == []
 
     def test_basis_without_factor_is_accepted(self):
-        # A start whose factor is due is inverted again from its columns
-        # before it is read, so a zeroed factor stands in for none.
+        # A zeroed factor puts every basic value at zero, so the final
+        # point misses the rows; the basis is then inverted afresh from its
+        # columns and re-optimised, so a zeroed factor stands in for none.
         lp = interior_lp(5)
         root = solve_lp(lp)
         child = pin_largest(None, root.x)
-        due = dataclasses.replace(root.basis, binv=np.zeros_like(root.basis.binv),
-                                  reduced_costs=np.zeros_like(root.basis.reduced_costs),
-                                  updates=_REFACTOR_EVERY)
-        bare = solve_lp(lp, child, due)
+        bare_start = dataclasses.replace(root.basis, binv=np.zeros_like(root.basis.binv),
+                                         reduced_costs=np.zeros_like(root.basis.reduced_costs))
+        bare = solve_lp(lp, child, bare_start)
         warm = solve_lp(lp, child, root.basis)
         assert bare.status is LpStatus.OPTIMAL
         assert bare.refactors == 1
@@ -498,10 +507,12 @@ class TestCarriedFactor:
         assert_certified(lp, child, bare)
 
     @pytest.mark.parametrize("corruption", ["scaled", "one-entry", "transposed", "foreign"])
-    def test_wrong_factor_is_an_error(self, corruption):
-        # The final point misses the rows.  Under pins that make the
-        # program infeasible, the right factor and a wrong one both end in
-        # an error.
+    def test_wrong_factor_is_repaired(self, corruption):
+        # The final point misses the rows, which the end check detects: the
+        # basis is inverted afresh, once, and the repaired answer is
+        # certified and equals the cold solve and HiGHS.  Under pins that
+        # make the program infeasible, the right factor and a wrong one
+        # both end in an error.
         lp = interior_lp(6)
         root = solve_lp(lp)
         basis = root.basis
@@ -519,19 +530,19 @@ class TestCarriedFactor:
             other = LinearProgram(lp.c, lp.a_eq, lp.b_eq, a_ub, lp.b_ub)
             binv = np.linalg.inv(other.rows[:, basis.indices])
         assert not np.allclose(binv, basis.binv)
-        bad = Basis(basis.indices, binv, basis.reduced_costs, basis.updates)
-        for pins in (None, pin_largest(None, root.x)):
-            with pytest.raises(ArithmeticError, match="rows"):
-                solve_lp(lp, pins, bad)
+        bad = Basis(basis.indices, binv, basis.reduced_costs)
+        for pins in (np.zeros(lp.num_vars, dtype=bool), pin_largest(None, root.x)):
+            assert_repaired(lp, pins, bad)
         # With every variable pinned at zero, A_eq x = A_eq p cannot hold.
         for start in (basis, bad):
             with pytest.raises(ArithmeticError):
                 solve_lp(lp, np.ones(lp.num_vars, dtype=bool), start)
 
-    def test_wrong_factor_that_keeps_the_point_is_an_error(self):
+    def test_wrong_factor_that_keeps_the_point_is_repaired(self):
         # Off by a term that vanishes on b, the inverse still gives the
         # right basic values, and no pivot is needed; the duals it gives do
-        # not price the basic columns to zero.
+        # not price the basic columns to zero, which the end check detects
+        # and a fresh inverse repairs.
         lp = interior_lp(6)
         basis = solve_lp(lp).basis
         m = lp.rhs.size
@@ -541,9 +552,8 @@ class TestCarriedFactor:
         v -= (v @ r) / (r @ r) * r
         bad = Basis(basis.indices,
                     basis.binv + 0.1 * np.outer(rng.normal(size=m), v),
-                    basis.reduced_costs, basis.updates)
-        with pytest.raises(ArithmeticError, match="price"):
-            solve_lp(lp, start=bad)
+                    basis.reduced_costs)
+        assert_repaired(lp, np.zeros(lp.num_vars, dtype=bool), bad)
 
     def test_factor_with_a_nan_row_is_an_error(self):
         # A NaN row of the inverse makes the largest violation NaN, and its
@@ -578,7 +588,7 @@ def basis_bytes(basis: Basis) -> list[bytes]:
 
 def result_bytes(res: LpResult) -> list:
     return [res.status, res.x.tobytes(), res.value, res.pivots,
-            res.basis.updates, res.slack_signs.tobytes(), *basis_bytes(res.basis)]
+            res.refactors, res.slack_signs.tobytes(), *basis_bytes(res.basis)]
 
 
 def children(pins: np.ndarray | None, x: np.ndarray):
