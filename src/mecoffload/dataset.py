@@ -10,12 +10,12 @@ that a network with saturating activations can digest them:
 
 The node relaxation's flows are the shares l/L_s themselves, and the l/L_s
 entries are the counted ones that :meth:`bnb.Node.arrays` builds with x,
-once per node: a share too small to count as carried flow reads 0.  The x
+once per node: a share too small to count, LP round-off, reads 0.  The x
 entries are the indicators the relaxation reads off its flows: at a leaf
 the binary channel map, elsewhere the share min(l/L_s, 1), and 1 wherever
 the node's fixing vector holds a 1.  Away from leaves and such fixings
-they duplicate the l/L_s entries, but for shares too small to count,
-which x keeps and l drops.
+they duplicate the l/L_s entries, but for that round-off, which x keeps
+and l drops.
 
 Every solved node is feasible: a frame with more devices than channels,
 the only infeasible kind, is answered with no node solved.  So f, the

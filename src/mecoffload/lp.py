@@ -102,6 +102,8 @@ OPTIMALITY_TOL = 1e-9
 #: noise entry of ~1e-9 beside O(1) ones leaves a basis inverse that no
 #: longer inverts its basis, and a later solve fails its row check.
 _PIVOT_TOL = 1e-7
+#: Entering ratios, reduced costs in the cost unit over pivot entries, tie within this.
+_RATIO_TIE_TOL = 1e-12
 
 
 def _pivot_cap(num_rows: int, num_cols: int) -> int:
@@ -437,7 +439,7 @@ class _DualSimplex:
                 ratios = reduced[idx] / magnitude
                 first = ratios.argmin()
                 least = ratios[first]
-                tie = ratios <= (least if least > 0.0 else 0.0) + 1e-12
+                tie = ratios <= (least if least > 0.0 else 0.0) + _RATIO_TIE_TOL
                 if np.count_nonzero(tie) == 1:
                     entering = int(idx[first])
                 else:

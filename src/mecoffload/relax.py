@@ -24,14 +24,15 @@ units: the optimal value is psi itself, and the flows are the shares that
 the search, the features and the incumbent read.
 
 A node point is a leaf when every channel carries flow from at most one
-device: its x is that support, a feasible channel map, and the LP value
-is that map's cost.  Elsewhere x is the shares clipped to [0, 1], and the
-search branches on the first index carrying flow on a shared channel.
-The search reads only the value, the leaf test and that index, so
-:func:`extract_solution` finds just these and a copy of the node's flows;
-:func:`node_arrays` builds the node's x and counted shares from those
-flows, anew on each call, for the traces, features and incumbent that
-read them.
+device, a flow counting above :data:`lp.FEASIBILITY_TOL`, the bound the
+simplex leaves every pinned flow within: its x is that support, a feasible
+channel map, and the LP value is that map's cost.  Elsewhere x is the
+shares clipped to [0, 1], and the search branches on the first index
+carrying flow on a shared channel.  The search reads only the value, the
+leaf test and that index, so :func:`extract_solution` finds just these and
+a copy of the node's flows; :func:`node_arrays` builds the node's x and
+counted shares from those flows, anew on each call, for the traces,
+features and incumbent that read them.
 
 Once x is binary the split problem needs no LP.  One closed-form core
 fills each device's channels fastest first and minimises the resulting
@@ -49,11 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpResult
+from .lp import FEASIBILITY_TOL, LinearProgram, LpResult
 from .scenario import Scenario
 
 __all__ = [
-    "INTEGRALITY_TOL",
     "SplitSolution",
     "build_relaxation",
     "extract_solution",
@@ -62,9 +62,6 @@ __all__ = [
     "price_map",
     "solve_split",
 ]
-
-#: A flow above this share of its device's task counts as carried.
-INTEGRALITY_TOL = 1e-6
 
 
 @dataclass
@@ -140,7 +137,7 @@ def extract_solution(
     relaxation value, the index to branch on (None at a leaf) and a copy
     of the (S*K,) flows, each its share of its device's task.
 
-    A flow counts when it exceeds :data:`INTEGRALITY_TOL`.  A point whose
+    A flow counts when it exceeds :data:`lp.FEASIBILITY_TOL`.  A point whose
     channels each carry counted flow from at most one device is a leaf;
     otherwise the first fractional index is the smallest one with counted
     flow on a channel that two or more devices share.  Only psi, the leaf
@@ -152,7 +149,7 @@ def extract_solution(
     # point alive; sharing is found on the (S, K) view of their support,
     # and only its verdict is kept.
     z = lp_result.x[:s_n * k_n].copy()
-    support = (z > INTEGRALITY_TOL).reshape(s_n, k_n)
+    support = (z > FEASIBILITY_TOL).reshape(s_n, k_n)
     contested = support.sum(axis=0) > 1
     integral = not contested[contested.argmax()]
     first = None if integral else int((support & contested).argmax())
@@ -166,11 +163,11 @@ def node_arrays(
     flows :func:`extract_solution` kept and the node's fixing vector
     ``fixed`` (-1 free, 0 or 1 fixed) on each :meth:`bnb.Node.arrays`.
 
-    The counted support is found again: x is that support at a ``leaf``
-    and the flows clipped to [0, 1] elsewhere, 1 wherever ``fixed`` holds
-    a 1, and the shares are the counted flows, 0 elsewhere.
+    At a ``leaf`` x is the support above :data:`lp.FEASIBILITY_TOL`,
+    elsewhere the flows clipped to [0, 1], and 1 wherever ``fixed`` holds a
+    1; the shares are the flows on that support, 0 elsewhere.
     """
-    support = flows > INTEGRALITY_TOL
+    support = flows > FEASIBILITY_TOL
     if leaf:
         x = support.astype(float)
     else:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import mecoffload.lp as lp_module
-from mecoffload.relax import INTEGRALITY_TOL
 from mecoffload.scenario import Scenario, ScenarioConfig, generate_frame, rate
 
 # Answers are checked by the benchmark's oracle, which shares no code with
@@ -70,12 +69,12 @@ def eager_node_arrays(record, frame: Scenario) -> tuple[np.ndarray, np.ndarray, 
     from its LP flows (each its share of its device's task), its fixing
     vector and the frame's task sizes alone: x is the counted support at a
     leaf and the shares clipped to [0, 1] elsewhere, 1 wherever a fixing
-    holds a 1, the counted shares are the shares above the integrality
-    tolerance, 0 elsewhere, and the splits are those shares of each task in
-    bits."""
+    holds a 1, the counted shares are the shares above the LP's
+    feasibility tolerance, 0 elsewhere, and the splits are those shares of
+    each task in bits."""
     s_n, k_n = frame.num_mds, frame.num_channels
     share = record.flows.reshape(s_n, k_n)
-    support = share > INTEGRALITY_TOL
+    support = share > lp_module.FEASIBILITY_TOL
     leaf = support.sum(axis=0).max() <= 1
     assert leaf == (record.first_fractional is None)
     x = (support.astype(float) if leaf else share.clip(0.0, 1.0)).ravel()

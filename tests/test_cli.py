@@ -16,6 +16,8 @@ from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, init_model, load_model, save_model
 from mecoffload.scenario import generate_frame, read_config_file
 
+from oracle import OBJECTIVE_RTOL
+
 CONFIG = """\
 num_mds = 2
 num_channels = 3
@@ -186,7 +188,7 @@ class TestSolve:
                      "--out", str(out_e), "--seed", "21"]) == 0
         psi_b = float(read_report(out_b / "report.csv")["psi"])
         psi_e = float(read_report(out_e / "report.csv")["psi"])
-        assert psi_b == pytest.approx(psi_e, rel=1e-6)
+        assert psi_b == pytest.approx(psi_e, rel=OBJECTIVE_RTOL, abs=0.0)
         trace = (out_b / "trace.csv").read_text().splitlines()
         assert trace[0] == "# trace-v1"
 

@@ -13,6 +13,7 @@ from mecoffload.dataset import (
     read_dataset,
     write_dataset,
 )
+from mecoffload.lp import FEASIBILITY_TOL
 
 from conftest import make_frame
 
@@ -63,12 +64,13 @@ class TestFeaturize:
             assert np.all(np.isfinite(features))
 
     def test_split_block_is_the_counted_shares(self):
-        # A share too small to count as carried flow stays in x and reads 0
-        # in the l/L_s block.
-        flows = [0.5, 0.5 - 5e-7, 5e-7, 1.0, 0.0, 0.0]
+        # A share too small to count as carried flow, at or below the LP's
+        # feasibility tolerance, stays in x and reads 0 in the l/L_s block.
+        flows = [0.5, 0.5 - 5e-10, 5e-10, 1.0, 0.0, 0.0]
+        assert 5e-10 <= FEASIBILITY_TOL
         f = featurize(self._record(flows=flows), root_psi=2.0)
         assert f[4:10].tolist() == flows
-        assert f[10:].tolist() == [0.5, 0.5 - 5e-7, 0.0, 1.0, 0.0, 0.0]
+        assert f[10:].tolist() == [0.5, 0.5 - 5e-10, 0.0, 1.0, 0.0, 0.0]
 
     def test_rejects_nonpositive_root(self):
         with pytest.raises(ValueError):

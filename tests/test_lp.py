@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoffload.lp import (
+    _RATIO_TIE_TOL,
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     Basis,
@@ -664,6 +665,24 @@ class TestIterationCap:
         res = solve_lp(lp)
         assert res.status is LpStatus.OPTIMAL
         assert res.pivots == needed
+
+
+class TestRatioTie:
+    # One equality row, v0 + 2 v1 = 1, leaves the all-slack start through
+    # its pinned slack, and both columns may enter.  Their ratios, cost
+    # over pivot entry, are 0.25 for v0 and 0.25 + gap for v1; the costs
+    # are already in the cost unit, their largest in [0.5, 1).
+    @pytest.mark.parametrize("gap, entering", [
+        (_RATIO_TIE_TOL / 4, 1),   # a tie: the larger pivot entry enters
+        (_RATIO_TIE_TOL * 4, 0),   # no tie: the least ratio enters
+    ])
+    def test_a_tie_enters_the_larger_pivot_entry(self, gap, entering):
+        lp = LinearProgram(np.array([0.25, 0.5 + 2 * gap]), np.array([[1.0, 2.0]]), [1.0])
+        assert lp.cost_scale == 1.0
+        res = solve_lp(lp)
+        assert res.pivots == 1
+        assert list(res.basis.indices) == [entering]
+        assert res.x.tolist() == ([1.0, 0.0] if entering == 0 else [0.0, 0.5])
 
 
 def pins_of(lp: LinearProgram, columns) -> np.ndarray:
