@@ -16,16 +16,23 @@ import time
 
 from mecoffload.cli import main as cli
 
+#: The shipped recipe: the desk set-up, the training frame count (evaluation
+#: uses the same count), the training epochs, and the seed of both the frames
+#: and the training.  ``scripts/gate_front.py`` judges this recipe.
+CONFIG = os.path.join(os.path.dirname(__file__), "desk_config.txt")
+FRAMES = 100
+EPOCHS = 600
+SEED = 100
+
 
 def run(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", default=os.path.join(
-        os.path.dirname(__file__), "desk_config.txt"))
+    parser.add_argument("--config", default=CONFIG)
     parser.add_argument("--out", default="results")
-    parser.add_argument("--frames", type=int, default=100,
+    parser.add_argument("--frames", type=int, default=FRAMES,
                         help="training frames; evaluation uses the same count")
-    parser.add_argument("--epochs", type=int, default=600)
-    parser.add_argument("--seed", type=int, default=100)
+    parser.add_argument("--epochs", type=int, default=EPOCHS)
+    parser.add_argument("--seed", type=int, default=SEED)
     args = parser.parse_args(argv)
 
     data_dir = os.path.join(args.out, "data")

@@ -379,16 +379,16 @@ def csv_float(value: float) -> str:
 
 def write_trace_csv(path, report: SolveReport, scenario: Scenario) -> None:
     """Write the trace of ``report`` on frame ``scenario`` as versioned CSV,
-    one row per node.  Column ``f``, the node's feasibility, always reads 1."""
+    one row per node: its indicators x and its splits l in bits."""
     task_bits = scenario.task_bits.repeat(scenario.num_channels)
-    cols = ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
+    cols = ["j", "g", "parent", "action", "psi", "zub_at_pop"]
     cols += [f"x{i}" for i in range(task_bits.size)]
     cols += [f"l{i}" for i in range(task_bits.size)]
-    lines = ["# trace-v1", ",".join(cols)]
+    lines = ["# trace-v2", ",".join(cols)]
     for rec in report.trace:
         parent = -1 if rec.parent_id is None else rec.parent_id
         row = [
-            str(rec.node_id), str(rec.depth), str(parent), "1", rec.action.value,
+            str(rec.node_id), str(rec.depth), str(parent), rec.action.value,
             csv_float(rec.psi), csv_float(rec.zub_at_pop),
         ]
         x, shares = rec.arrays()

@@ -6,21 +6,15 @@ have kept it.  Features are the node attributes the pruning classifier will
 see during a live search (never anything about descendants), normalized so
 that a network with saturating activations can digest them:
 
-  [log2(1+j)/(S*K), g/(S*K), f, psi/root_psi, x (S*K), l/L_s (S*K)]
+  [g/(S*K), psi/root_psi, x (S*K)]
 
-The node relaxation's flows are the shares l/L_s themselves, and the l/L_s
-entries are the counted ones that :meth:`bnb.Node.arrays` builds with x,
-once per node: a share too small to count, LP round-off, reads 0.  The x
-entries are the indicators the relaxation reads off its flows: at a leaf
-the binary channel map, elsewhere the share min(l/L_s, 1), and 1 wherever
-the node's fixing vector holds a 1.  Away from leaves and such fixings
-they duplicate the l/L_s entries, but for that round-off, which x keeps
-and l drops.
-
-Every solved node is feasible: a frame with more devices than channels,
-the only infeasible kind, is answered with no node solved.  So f, the
-node's feasibility, always reads 1; it is kept so that the feature layout
-stays that of ``dataset-v1``.
+The x entries are the indicators the relaxation reads off the node's
+flows, built by :meth:`bnb.Node.arrays`: at a leaf the binary channel map,
+elsewhere the share min(l/L_s, 1), and 1 wherever the node's fixing vector
+holds a 1.  The shares l/L_s themselves are no feature: every node a gate
+scores is a non-leaf, where they equal x but on the channels its fixings
+give to a device and on LP round-off, which x keeps and the shares drop.
+A ``dataset-v1`` file, of the earlier 4 + 2*S*K layout, is refused.
 
 A :class:`Dataset` holds the samples of many frames as columns, the arrays
 training reads: one feature row per node, its label, frame id and node id.
@@ -80,7 +74,7 @@ class Dataset:
 
 
 def feature_length(num_mds: int, num_channels: int) -> int:
-    return 4 + 2 * num_mds * num_channels
+    return 2 + num_mds * num_channels
 
 
 def featurize(node: Node, root_psi: float) -> np.ndarray:
@@ -92,13 +86,7 @@ def featurize(node: Node, root_psi: float) -> np.ndarray:
     if not root_psi > 0:
         raise ValueError(f"root_psi must be positive, got {root_psi!r}")
     n = node.fixed.size
-    features = np.zeros(4 + 2 * n)
-    features[0] = np.log2(1.0 + node.node_id) / n
-    features[1] = node.depth / n
-    features[2] = 1.0
-    features[3] = node.psi / root_psi
-    features[4:4 + n], features[4 + n:] = node.arrays()
-    return features
+    return np.concatenate(([node.depth / n, node.psi / root_psi], node.arrays()[0]))
 
 
 def label_trace(report: SolveReport) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +129,7 @@ class DatasetFormatError(ValueError):
 
 def write_dataset(ds: Dataset, path) -> None:
     m = ds.feature_len
-    header = f"# dataset-v1 m={m} S={ds.num_mds} K={ds.num_channels}"
+    header = f"# dataset-v2 m={m} S={ds.num_mds} K={ds.num_channels}"
     if ds.config_hash:
         header += f" cfg={ds.config_hash}"
     columns = "frame_id,node_id,label," + ",".join(f"f{i + 1}" for i in range(m))
@@ -155,8 +143,10 @@ def write_dataset(ds: Dataset, path) -> None:
 def read_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# dataset-v1"):
-        raise DatasetFormatError(f"{path}:1: missing '# dataset-v1' header")
+    if lines and lines[0].startswith("# dataset-v1"):
+        raise DatasetFormatError(f"{path}:1: '# dataset-v1' is an old layout; rerun gen-data")
+    if not lines or not lines[0].startswith("# dataset-v2"):
+        raise DatasetFormatError(f"{path}:1: missing '# dataset-v2' header")
     fields = dict(
         token.split("=", 1) for token in lines[0].split()[2:] if "=" in token
     )

@@ -856,16 +856,16 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report, frame)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# trace-v1"
+        assert lines[0] == "# trace-v2"
         header = lines[1].split(",")
-        assert header[:7] == ["j", "g", "parent", "f", "action", "psi", "zub_at_pop"]
-        assert len(header) == 7 + 2 * 6
+        assert header[:6] == ["j", "g", "parent", "action", "psi", "zub_at_pop"]
+        assert header[6:] == [f"x{i}" for i in range(6)] + [f"l{i}" for i in range(6)]
         data = lines[2:]
         assert not any(l.startswith("#") for l in data)   # an exact pass has no head
         assert len(data) == len(report.trace)
         first = data[0].split(",")
         assert first[0] == "0" and first[2] == "-1"
-        float(first[5])  # psi parses
+        assert float(first[4]) == report.trace[0].psi
 
 
 
@@ -937,7 +937,7 @@ class TestReopen:
         assert all(rec.action is NodeAction.PRUNED_BY_MODEL for rec in rejected)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report, frame)
-        actions = [line.split(",")[4] for line in path.read_text().splitlines()[2:]]
+        actions = [line.split(",")[3] for line in path.read_text().splitlines()[2:]]
         assert actions.count("PrunedByModel") == len(rejected) == sum(
             rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
 
@@ -1058,4 +1058,4 @@ class TestReportShape:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report, frame)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# trace-v1" and len(lines) == 2   # the column header only
+        assert lines[0] == "# trace-v2" and len(lines) == 2   # the column header only

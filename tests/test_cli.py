@@ -11,7 +11,7 @@ import pytest
 from mecoffload import bnb
 from mecoffload.bnb import ENUM_BUDGET
 from mecoffload.cli import WEIGHT_SWEEP, eval_seed, main
-from mecoffload.dataset import read_dataset
+from mecoffload.dataset import feature_length, read_dataset
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, init_model, load_model, save_model
 from mecoffload.scenario import generate_frame, read_config_file
@@ -34,6 +34,8 @@ seed = 3
 """
 
 INFEASIBLE_CONFIG = CONFIG.replace("num_mds = 2", "num_mds = 4")
+#: Feature length of a CONFIG frame: depth, relative bound and 2x3 indicators.
+M = feature_length(2, 3)
 
 
 @pytest.fixture
@@ -43,7 +45,7 @@ def config_path(tmp_path):
     return str(path)
 
 
-def write_constant_model(path, num_features=16, p=0.99):
+def write_constant_model(path, num_features=M, p=0.99):
     dims = default_dims(num_features)
     weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
@@ -51,14 +53,14 @@ def write_constant_model(path, num_features=16, p=0.99):
     save_model(MlpModel(dims, weights, biases), path)
 
 
-def write_depth_model(path, num_features=16):
+def write_depth_model(path, num_features=M):
     """A stub whose score falls with the node's depth feature: about 0.88 at
     the root and 0.49 one level down, so a threshold of 0.75 prunes every
     node below the root and one of 1e-3 prunes none."""
     dims = default_dims(num_features)
     weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    weights[0][0, 1] = 6.0          # feature 1 is depth / (S*K)
+    weights[0][0, 0] = 6.0          # feature 0 is depth / (S*K)
     for w in weights[1:-1]:
         w[0, 0] = 1.0
     weights[-1][0, 0] = -4.0
@@ -79,6 +81,8 @@ class TestGenData:
         rc = main(["gen-data", "--config", config_path, "--frames", "2",
                    "--out", str(out)])
         assert rc == 0
+        header = (out / "dataset.csv").read_text().splitlines()[0]
+        assert header.startswith(f"# dataset-v2 m={M} S=2 K=3 cfg=")
         ds = read_dataset(out / "dataset.csv")
         assert ds.labels.size > 0
         assert ds.config_hash
@@ -133,10 +137,10 @@ class TestTrain:
                    "--epochs", "2", "--seed", "5"])
         assert rc == 0
         model = load_model(out / "model.txt")
-        assert model.layer_dims == default_dims(16)
+        assert model.layer_dims == default_dims(M)
         lines = (out / "history.csv").read_text().splitlines()
         # The net's shape is echoed with the other parameters.
-        assert f"# dims={','.join(map(str, default_dims(16)))}" in lines
+        assert f"# dims={','.join(map(str, default_dims(M)))}" in lines
         history = [l for l in lines if not l.startswith("#")]
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) == 1 + 2
@@ -147,7 +151,7 @@ class TestTrain:
                    "--epochs", "0", "--seed", "5"])
         assert rc == 0
         trained = load_model(out / "model.txt")
-        reference = init_model(16, 5)
+        reference = init_model(M, 5)
         for a, b in zip(trained.weights + trained.biases,
                         reference.weights + reference.biases):
             assert np.array_equal(a, b)
@@ -190,7 +194,7 @@ class TestSolve:
         psi_e = float(read_report(out_e / "report.csv")["psi"])
         assert psi_b == pytest.approx(psi_e, rel=OBJECTIVE_RTOL, abs=0.0)
         trace = (out_b / "trace.csv").read_text().splitlines()
-        assert trace[0] == "# trace-v1"
+        assert trace[0] == "# trace-v2"
 
     def test_confident_stub_model_matches_bnb_node_count(self, tmp_path, config_path,
                                                          capsys):

@@ -33,8 +33,7 @@ class TestFeaturize:
     def _record(self, flows=None, **overrides):
         # A record of two devices on three channels, off a leaf with nothing
         # fixed: x is its flows, each a share of its device's task, clipped
-        # to [0, 1], and its counted shares are those above the integrality
-        # tolerance.
+        # to [0, 1].
         flows = np.full(6, 0.5) if flows is None else np.asarray(flows)
         defaults = dict(
             node_id=0, depth=0, parent_id=None,
@@ -48,29 +47,36 @@ class TestFeaturize:
     def test_root_normalizes_to_unit(self):
         rec = self._record()
         f = featurize(rec, root_psi=2.0)
-        assert f[0] == 0.0   # log2(1 + 0)
-        assert f[1] == 0.0
-        assert f[2] == 1.0
-        assert f[3] == 1.0
+        assert f[0] == 0.0   # depth 0
+        assert f[1] == 1.0
         assert f.size == feature_length(2, 3)
 
-    def test_feasibility_feature_is_always_set(self):
-        # Every traced node is feasible, so f reads 1 and the cost ratio
-        # is finite on every row of a corpus.
+    def test_length_is_two_scalars_and_the_indicators(self):
+        assert feature_length(3, 5) == 17
+        assert feature_length(4, 6) == 26
+
+    def test_layout_is_depth_bound_and_indicators(self):
+        # [g/(S*K), psi/root_psi, x]: a share too small to count as carried
+        # flow, at or below the LP's feasibility tolerance, stays in x but
+        # reads 0 in the counted shares the trace writes as l, and a fixing
+        # to 1 reads 1 whatever its flow.  No share block follows.
+        flows = [0.5, 0.5 - 5e-10, 5e-10, 0.0, 0.25, 0.75]
+        assert 5e-10 <= FEASIBILITY_TOL
+        fixed = np.array([-1, -1, -1, 0, -1, 1], dtype=np.int8)
+        rec = self._record(flows=flows, depth=2, psi=3.0, fixed=fixed)
+        f = featurize(rec, root_psi=2.0)
+        assert f.tolist() == [2 / 6, 1.5, 0.5, 0.5 - 5e-10, 5e-10, 0.0, 0.25, 1.0]
+        x, counted = rec.arrays()
+        assert np.array_equal(f[2:], x)
+        assert counted.tolist() == [0.5, 0.5 - 5e-10, 0.0, 0.0, 0.25, 0.75]
+
+    def test_every_corpus_row_is_finite(self):
+        # Every traced node is feasible, so the cost ratio is finite on
+        # every row of a corpus.
         reports, _ = build_corpus(num_frames=5)
         for report in reports:
             features, _ = label_trace(report)
-            assert np.all(features[:, 2] == 1.0)
             assert np.all(np.isfinite(features))
-
-    def test_split_block_is_the_counted_shares(self):
-        # A share too small to count as carried flow, at or below the LP's
-        # feasibility tolerance, stays in x and reads 0 in the l/L_s block.
-        flows = [0.5, 0.5 - 5e-10, 5e-10, 1.0, 0.0, 0.0]
-        assert 5e-10 <= FEASIBILITY_TOL
-        f = featurize(self._record(flows=flows), root_psi=2.0)
-        assert f[4:10].tolist() == flows
-        assert f[10:].tolist() == [0.5, 0.5 - 5e-10, 0.0, 1.0, 0.0, 0.0]
 
     def test_rejects_nonpositive_root(self):
         with pytest.raises(ValueError):
@@ -81,7 +87,7 @@ class TestFeaturize:
         for report in reports:
             root_psi = report.trace[0].psi
             for rec in report.trace:
-                assert featurize(rec, root_psi)[3] >= 1.0 - 1e-9
+                assert featurize(rec, root_psi)[1] >= 1.0 - 1e-9
 
 
 class TestLabelTrace:
@@ -273,9 +279,9 @@ class TestPersistence:
             assert np.array_equal(getattr(loaded, column), getattr(written, column))
 
     @pytest.mark.parametrize("text, match", [
-        ("# dataset-v1 m=5 S=2 K=3\nframe_id,node_id,label\n", ":1: m=5 inconsistent"),
-        ("# dataset-v1 m=16 S=2\nframe_id,node_id,label\n", ":1: header lacks 'K'"),
-        ("# dataset-v1 m=16 S=2 K=3\n", ":2: missing column header"),
+        ("# dataset-v2 m=5 S=2 K=3\nframe_id,node_id,label\n", ":1: m=5 inconsistent"),
+        ("# dataset-v2 m=8 S=2\nframe_id,node_id,label\n", ":1: header lacks 'K'"),
+        ("# dataset-v2 m=8 S=2 K=3\n", ":2: missing column header"),
     ], ids=["inconsistent", "lacks-key", "no-column-header"])
     def test_header_mismatch_rejected(self, tmp_path, text, match):
         path = tmp_path / "ds.csv"
@@ -285,19 +291,30 @@ class TestPersistence:
 
     @pytest.mark.parametrize("header, match", [
         ("m=x S=2 K=3", "m=x is not"),
-        ("m=16 S=2.0 K=3", "S=2.0 is not"),
-        ("m=16 S=2 K=0", "K=0 is not"),
-        ("m=16 S=-2 K=3", "S=-2 is not"),
-        ("m=16 S= K=3", "S= is not"),
+        ("m=8 S=2.0 K=3", "S=2.0 is not"),
+        ("m=8 S=2 K=0", "K=0 is not"),
+        ("m=8 S=-2 K=3", "S=-2 is not"),
+        ("m=8 S= K=3", "S= is not"),
     ], ids=["m-letter", "S-float", "K-zero", "S-negative", "S-empty"])
     def test_header_size_not_a_positive_integer_rejected(self, tmp_path, header, match):
         path = tmp_path / "ds.csv"
-        path.write_text(f"# dataset-v1 {header}\nframe_id,node_id,label\n")
+        path.write_text(f"# dataset-v2 {header}\nframe_id,node_id,label\n")
         with pytest.raises(DatasetFormatError, match=f"ds.csv:1: {match} an integer >= 1$"):
             read_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("frame_id,node_id,label\n")
-        with pytest.raises(DatasetFormatError, match="dataset-v1"):
+        with pytest.raises(DatasetFormatError, match="ds.csv:1: missing '# dataset-v2' header"):
+            read_dataset(path)
+
+    def test_dataset_v1_is_refused_by_name(self, tmp_path):
+        # A well-formed file of the old layout, 4 + 2*S*K features a row,
+        # is refused on its header line, not read with shifted columns.
+        path = tmp_path / "ds.csv"
+        row = ",".join(["0", "0", "1", *["0.5"] * 16])
+        columns = ",".join(["frame_id", "node_id", "label", *(f"f{i + 1}" for i in range(16))])
+        path.write_text(f"# dataset-v1 m=16 S=2 K=3 cfg=abc123\n{columns}\n{row}\n")
+        with pytest.raises(DatasetFormatError,
+                           match="ds.csv:1: '# dataset-v1' is an old layout; rerun gen-data$"):
             read_dataset(path)

@@ -5,7 +5,7 @@ import pytest
 
 from mecoffload import bnb
 from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
-from mecoffload.dataset import featurize
+from mecoffload.dataset import feature_length, featurize
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
 from oracle import assignment_faults, milp_optimum
@@ -23,7 +23,7 @@ def constant_model(num_features: int, p: float) -> MlpModel:
 
 
 def model_for(frame, p):
-    return constant_model(4 + 2 * frame.num_mds * frame.num_channels, p)
+    return constant_model(feature_length(frame.num_mds, frame.num_channels), p)
 
 
 def constant_score(model: MlpModel) -> float:
@@ -163,6 +163,13 @@ class TestDegenerateModels:
         with pytest.raises(ValueError):
             solve_ibnb(frame, constant_model(99, 0.9))
 
+    def test_dataset_v1_model_fails_the_size_check(self):
+        # A net trained on dataset-v1, 4 + 2*S*K = 34 inputs at 3x5, does
+        # not gate a 3x5 frame, whose nodes now give 2 + S*K = 17 features.
+        frame = make_frame(num_mds=3, num_channels=5, seed=45)
+        with pytest.raises(ValueError, match="model expects 34 features, scenario needs 17"):
+            solve_ibnb(frame, constant_model(34, 0.9))
+
 
 class TestSoundness:
     @pytest.mark.parametrize("seed", [51, 52, 53, 54])
@@ -170,7 +177,7 @@ class TestSoundness:
         frame = make_frame(num_mds=2, num_channels=3, seed=seed)
         exact = solve_bnb(frame)
         rng = np.random.default_rng(seed)
-        dims = default_dims(4 + 2 * 6)
+        dims = default_dims(feature_length(2, 3))
         model = MlpModel(
             dims,
             [rng.normal(0, 0.4, size=(dims[i + 1], dims[i]))
@@ -187,8 +194,8 @@ class TestSoundness:
         # A 4 x 256 model file, the default width before 128, still gates a
         # 3x5 frame: neither loading nor the gate assumes a width.
         frame = make_frame(num_mds=3, num_channels=5, seed=62)
-        dims = (34, 256, 256, 256, 256, 1)
-        assert dims != default_dims(34)
+        dims = (17, 256, 256, 256, 256, 1)
+        assert dims != default_dims(17)
         rng = np.random.default_rng(62)
         path = tmp_path / "model.txt"
         save_model(MlpModel(
@@ -197,7 +204,8 @@ class TestSoundness:
              for i in range(len(dims) - 1)],
             [rng.normal(0, 0.1, size=dims[i + 1]) for i in range(len(dims) - 1)],
         ), path)
-        report = solve_ibnb(frame, load_model(path), ThresholdPolicy(theta0=0.5))
+        # The root scores 0.494, so 0.45 keeps it and prunes below it.
+        report = solve_ibnb(frame, load_model(path), ThresholdPolicy(theta0=0.45))
         assert report.status is SolveStatus.OPTIMAL
         assert not report.fell_back_to_exact
         assert any(rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
@@ -210,7 +218,7 @@ class TestSoundness:
         frame = make_frame(num_mds=2, num_channels=3, seed=55)
         exact = solve_bnb(frame)
         rng = np.random.default_rng(55)
-        dims = default_dims(16)
+        dims = default_dims(feature_length(2, 3))
         model = MlpModel(
             dims,
             [rng.normal(0, 0.5, size=(dims[i + 1], dims[i]))
@@ -234,10 +242,10 @@ class TestReportShape:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, report, frame)
         lines = path.read_text().splitlines()
-        assert [l for l in lines if l.startswith("#")] == ["# trace-v1"]
+        assert [l for l in lines if l.startswith("#")] == ["# trace-v2"]
         rows = [l.split(",") for l in lines[2:]]
         assert [int(r[0]) for r in rows] == [rec.node_id for rec in report.trace]
-        assert rows[0][4] == "Branched"
+        assert rows[0][3] == "Branched"
 
     def test_budget_spent_before_the_reopen_is_not_exceeded(self, monkeypatch):
         # The gate prunes the root and the budget is spent on it; the

@@ -125,14 +125,14 @@ class TestForward:
             forward_batch(model, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("num_features, seed, last_gain, width", [
-        # The benchmark's shape, 34 -> HIDDEN_WIDTH x 4 -> 1.
-        pytest.param(34, 0, 1.0, None, id="34-0-1.0"),
-        pytest.param(34, 5, 1.0, None, id="34-5-1.0"),
+        # The benchmark's shape, 17 -> HIDDEN_WIDTH x 4 -> 1.
+        pytest.param(17, 0, 1.0, None, id="17-0-1.0"),
+        pytest.param(17, 5, 1.0, None, id="17-5-1.0"),
         # Logits far past the sigmoid's clamps.
-        pytest.param(34, 2, 1e3, None, id="34-2-1000.0"),
-        # The former default width, 34 -> 256 x 4 -> 1, built explicitly.
-        pytest.param(34, 4, 1.0, 256, id="34x256-4-1.0"),
-        pytest.param(34, 6, 1e3, 256, id="34x256-6-1000.0"),
+        pytest.param(17, 2, 1e3, None, id="17-2-1000.0"),
+        # The former default width, 17 -> 256 x 4 -> 1, built explicitly.
+        pytest.param(17, 4, 1.0, 256, id="17x256-4-1.0"),
+        pytest.param(17, 6, 1e3, 256, id="17x256-6-1000.0"),
         pytest.param(3, 7, 1.0, None, id="3-7-1.0"),
         pytest.param(3, 8, 1e3, None, id="3-8-1000.0"),
     ])

@@ -109,17 +109,36 @@ def test_settable_value_count():
     assert (len(flags), len(fields), len(keywords)) == (23, 6, 0)
 
 
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_trace_digest_script_runs_without_a_model(capsys):
     # Byte identity of the search is checked with scripts/trace_digest.py,
     # which reads the report's and the trace nodes' fields: a field it
     # reads that goes away must fail here first.
-    path = Path(__file__).resolve().parents[1] / "scripts" / "trace_digest.py"
-    spec = importlib.util.spec_from_file_location("trace_digest", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("trace_digest")
     assert script.main(["--frames", "1"]) == 0
     counts, digest = capsys.readouterr().out.splitlines()
     solves, nodes = re.fullmatch(r"solves=(\d+) trace_nodes=(\d+)", counts).groups()
     assert int(solves) == 2 * len(script.SIZES)   # bnb and exhaustive per frame
     assert int(nodes) > int(solves)
     assert re.fullmatch(r"[0-9a-f]{64}", digest)
+
+
+def test_gate_front_script_smoke_run():
+    # scripts/gate_front.py at its smallest: 2 training frames, 2 epochs,
+    # one training seed and 2 held-out frames, one point per threshold.
+    script = load_script("gate_front")
+    assert script.TRAIN_SEEDS[0] == script.recipe.SEED
+    points = script.front(script.recipe.CONFIG, 2, 2, [100], 2)
+    assert [p["theta0"] for p in points] == list(script.THETAS)
+    for p in points:
+        assert p["train_seed"] == 100 and p["node_ratio"] > 0
+        assert 0 <= p["above_psi_star"] <= 2
+        # A gated answer is never below the exact optimum.
+        assert -script.ABOVE_RTOL <= p["mean_gap"] <= p["max_gap"]
