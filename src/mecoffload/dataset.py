@@ -9,11 +9,12 @@ that a network with saturating activations can digest them:
   [g/(S*K), psi/root_psi, x (S*K)]
 
 The x entries are the indicators the relaxation reads off the node's
-flows, built by :meth:`bnb.Node.arrays`: at a leaf the binary channel map,
-elsewhere the share min(l/L_s, 1), and 1 wherever the node's fixing vector
-holds a 1.  The shares l/L_s themselves are no feature: every node a gate
-scores is a non-leaf, where they equal x but on the channels its fixings
-give to a device and on LP round-off, which x keeps and the shares drop.
+flows, by the rule of :func:`relax.node_x`: at a leaf the binary channel
+map, elsewhere the share min(l/L_s, 1), and 1 wherever the node's fixing
+vector holds a 1.  The shares l/L_s themselves are no feature: every node
+a gate scores is a non-leaf, where they equal x but on the channels its
+fixings give to a device and on LP round-off, which x keeps and the
+shares drop.
 A ``dataset-v1`` file, of the earlier 4 + 2*S*K layout, is refused.
 
 A :class:`Dataset` holds the samples of many frames as columns, the arrays
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import Node, NodeAction, SolveReport, SolveStatus, csv_float
+from .relax import node_x
 
 __all__ = [
     "Dataset",
@@ -78,7 +80,10 @@ def feature_length(num_mds: int, num_channels: int) -> int:
 
 
 def featurize(node: Node, root_psi: float) -> np.ndarray:
-    """Feature vector of one solved node.
+    """Feature vector of one solved node, ``[g/(S*K), psi/root_psi, x]``,
+    written into one new float64 array: x by :func:`relax.node_x` in place,
+    so the vector equals ``np.concatenate(([g/(S*K), psi/root_psi],
+    node.arrays()[0]))`` bit for bit, leaves included.
 
     ``root_psi`` is the root relaxation value of the same search;
     splitting it out keeps every feature computable at node-pop time.
@@ -86,7 +91,11 @@ def featurize(node: Node, root_psi: float) -> np.ndarray:
     if not root_psi > 0:
         raise ValueError(f"root_psi must be positive, got {root_psi!r}")
     n = node.fixed.size
-    return np.concatenate(([node.depth / n, node.psi / root_psi], node.arrays()[0]))
+    features = np.empty(2 + n)
+    features[0] = node.depth / n
+    features[1] = node.psi / root_psi
+    node_x(node.flows, node.fixed, node.first_fractional is None, features[2:])
+    return features
 
 
 def label_trace(report: SolveReport) -> tuple[np.ndarray, np.ndarray]:

@@ -180,9 +180,13 @@ def forward(model: MlpModel, features: np.ndarray) -> float:
     """Single-sample prediction, strictly inside (0, 1).
 
     The 1-D form of :func:`forward_batch`, which a search calls once per
-    gated node: one matrix-vector product per layer and :func:`_sigmoid`'s
-    arithmetic on the one logit, with no 2-D reshape and no mask, so the
-    score equals ``forward_batch(model, features[None, :])[0]`` bit for bit.
+    gated node.  It builds one new vector per layer, a matrix-vector
+    product that the bias and tanh then update in place, and runs
+    :func:`_sigmoid`'s arithmetic on the one logit: the exponential on its
+    1-element array, as the batch pass does, and the sum, quotient and
+    clamp on Python floats, which round as numpy's do.  With no 2-D
+    reshape and no mask the score equals
+    ``forward_batch(model, features[None, :])[0]`` bit for bit.
     ``features`` must be a vector of the model's input length.
     """
     h = np.asarray(features, dtype=float)
@@ -190,18 +194,20 @@ def forward(model: MlpModel, features: np.ndarray) -> float:
         raise ValueError(
             f"feature vector of shape {h.shape} != model input ({model.num_features},)"
         )
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = w.dot(h)
-        h += b
+    weights, biases = model.weights, model.biases
+    last = len(weights) - 1
+    for i in range(last):
+        h = weights[i].dot(h)
+        h += biases[i]
         np.tanh(h, out=h)
-    z = model.weights[-1].dot(h)
-    z += model.biases[-1]
+    z = weights[last].dot(h)
+    z += biases[last]
     if z[0] >= 0:
-        y = 1.0 / (1.0 + np.exp(-z))
+        y = 1.0 / (1.0 + np.exp(-z).item())
     else:
-        ez = np.exp(z)
+        ez = np.exp(z).item()
         y = ez / (1.0 + ez)
-    return min(max(y.item(), _SIGMOID_FLOOR), _SIGMOID_CEIL)
+    return min(max(y, _SIGMOID_FLOOR), _SIGMOID_CEIL)
 
 
 def _batch_loss(y_hat: np.ndarray, labels: np.ndarray, weight: float) -> float:

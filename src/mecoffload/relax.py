@@ -30,9 +30,10 @@ channel map, and the LP value is that map's cost.  Elsewhere x is the
 shares clipped to [0, 1], and the search branches on the first index
 carrying flow on a shared channel.  The search reads only the value, the
 leaf test and that index, so :func:`extract_solution` finds just these and
-a copy of the node's flows; :func:`node_arrays` builds the node's x and
-counted shares from those flows, anew on each call, for the traces,
-features and incumbent that read them.
+a copy of the node's flows.  :func:`node_x` writes the node's x from
+those flows into an array its caller gives, the gate's feature vector
+among them, and :func:`node_arrays` builds x and the counted shares anew
+on each call, for the traces and incumbent that read them.
 
 Once x is binary the split problem needs no LP.  One closed-form core
 fills each device's channels fastest first and minimises the resulting
@@ -58,6 +59,7 @@ __all__ = [
     "build_relaxation",
     "extract_solution",
     "node_arrays",
+    "node_x",
     "pinned_flows",
     "price_map",
     "solve_split",
@@ -156,24 +158,32 @@ def extract_solution(
     return float(lp_result.value), first, z
 
 
-def node_arrays(
-    flows: np.ndarray, fixed: np.ndarray, leaf: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A node's ``(x, shares)``, each a new (S*K,) array, built from the
-    flows :func:`extract_solution` kept and the node's fixing vector
-    ``fixed`` (-1 free, 0 or 1 fixed) on each :meth:`bnb.Node.arrays`.
+def node_x(flows: np.ndarray, fixed: np.ndarray, leaf: bool, out: np.ndarray) -> np.ndarray:
+    """Write a node's x into the (S*K,) float64 array ``out`` and return
+    it, from the flows :func:`extract_solution` kept and the node's fixing
+    vector ``fixed`` (-1 free, 0 or 1 fixed).
 
     At a ``leaf`` x is the support above :data:`lp.FEASIBILITY_TOL`,
     elsewhere the flows clipped to [0, 1], and 1 wherever ``fixed`` holds a
-    1; the shares are the flows on that support, 0 elsewhere.
+    1.  ``out`` may be a view, such as the x block of a feature vector.
     """
-    support = flows > FEASIBILITY_TOL
     if leaf:
-        x = support.astype(float)
+        np.greater(flows, FEASIBILITY_TOL, out=out)
     else:
-        x = flows.clip(0.0, 1.0)
-    x[fixed == 1] = 1.0
-    return x, np.where(support, flows, 0.0)
+        flows.clip(0.0, 1.0, out=out)
+    out[fixed == 1] = 1.0
+    return out
+
+
+def node_arrays(
+    flows: np.ndarray, fixed: np.ndarray, leaf: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A node's ``(x, shares)``, each a new (S*K,) array, on each
+    :meth:`bnb.Node.arrays`: x as :func:`node_x` writes it, and the shares,
+    the flows above :data:`lp.FEASIBILITY_TOL`, 0 elsewhere.
+    """
+    x = node_x(flows, fixed, leaf, np.empty(flows.size))
+    return x, np.where(flows > FEASIBILITY_TOL, flows, 0.0)
 
 
 def solve_split(scenario: Scenario, x_binary: np.ndarray) -> SplitSolution:

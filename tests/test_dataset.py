@@ -70,6 +70,18 @@ class TestFeaturize:
         assert np.array_equal(f[2:], x)
         assert counted.tolist() == [0.5, 0.5 - 5e-10, 0.0, 0.0, 0.25, 0.75]
 
+        # The same layout, bit for bit, on every node of exact traces,
+        # leaves included: the gate scores only fractional nodes, and
+        # label_trace reads leaves too.
+        for num_mds, num_channels, seed in ((3, 5, 1), (3, 5, 2), (4, 6, 1), (4, 6, 2)):
+            report = solve_bnb(make_frame(num_mds=num_mds, num_channels=num_channels,
+                                          seed=seed))
+            root_psi, n = report.trace[0].psi, num_mds * num_channels
+            for rec in report.trace:
+                layout = np.concatenate(([rec.depth / n, rec.psi / root_psi], rec.arrays()[0]))
+                assert featurize(rec, root_psi).tobytes() == layout.tobytes()
+            assert any(rec.first_fractional is None for rec in report.trace)
+
     def test_every_corpus_row_is_finite(self):
         # Every traced node is feasible, so the cost ratio is finite on
         # every row of a corpus.

@@ -124,7 +124,7 @@ class TestForward:
         with pytest.raises(ValueError, match="feature length 3 != model input 4"):
             forward_batch(model, np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("num_features, seed, last_gain, width", [
+    @pytest.mark.parametrize("num_features, seed, last_gain, source", [
         # The benchmark's shape, 17 -> HIDDEN_WIDTH x 4 -> 1.
         pytest.param(17, 0, 1.0, None, id="17-0-1.0"),
         pytest.param(17, 5, 1.0, None, id="17-5-1.0"),
@@ -135,13 +135,28 @@ class TestForward:
         pytest.param(17, 6, 1e3, 256, id="17x256-6-1000.0"),
         pytest.param(3, 7, 1.0, None, id="3-7-1.0"),
         pytest.param(3, 8, 1e3, None, id="3-8-1000.0"),
+        # A model whose weights Adam updated in place, and one read back
+        # from its file: a view of the layers kept per model would go stale.
+        pytest.param(17, 9, 1.0, "trained", id="17-9-1.0-trained"),
+        pytest.param(17, 10, 1.0, "loaded", id="17-10-1.0-loaded"),
     ])
     def test_single_sample_equals_batch_of_one_bit_for_bit(self, num_features, seed,
-                                                          last_gain, width):
-        if width is None:
+                                                          last_gain, source, tmp_path):
+        # source: None for init_model, a width for narrow_model, or a
+        # model that train returned, as it is or saved and loaded.
+        if source is None:
             model = init_model(num_features, rng_seed=seed)
+        elif isinstance(source, int):
+            model = narrow_model(m=num_features, width=source, seed=seed)
         else:
-            model = narrow_model(m=num_features, width=width, seed=seed)
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(64, num_features))
+            model, _ = train(init_model(num_features, rng_seed=seed), x,
+                             (x[:, 0] > 0).astype(float),
+                             TrainConfig(epochs=3, batch_size=16, rng_seed=seed))
+            if source == "loaded":
+                save_model(model, tmp_path / "model.txt")
+                model = load_model(tmp_path / "model.txt")
         model.weights[-1] *= last_gain
         model.biases[-1] += 0.1 * seed - 0.3
         rng = np.random.default_rng(seed)
