@@ -14,17 +14,22 @@ flow on a channel two devices share), and it is pruned by bound against
 the incumbent.  Both bound tests are strict: a node is kept only if its
 bound is strictly below the incumbent, since a node tied with it has no
 descendant that could improve on it.  One relaxation LP serves the whole
-search: an open node's heap entry carries the mask of the LP variables its
-fixings pin at zero, which its pop passes to the solve, and its parent's
-optimal basis and factor, from which its LP is warm-started.  A
+search.  An open child is its heap entry: its parent, the index it fixes
+and the value (0 or 1), with its parent's pin mask (the LP variables the
+parent's fixings pin at zero) and its parent's optimal basis and factor,
+which both children share and neither writes.  A child is built when it
+is popped: the pop makes its fixing vector, its pin mask (its parent's
+and those its fixing adds), which it passes to the solve, and its
+:class:`Node`, and warm-starts its LP from the parent's basis.  A
 :class:`Node` is only its trace row: a solved node is appended to the
 trace, which later becomes classifier training data, with its relaxation
 value, branching index and flows, and the bound that was active at pop
 time.  It holds no frame and keeps no array: each reader (the trace
 writer, the dataset, a gate and the incumbent) builds a node's indicators
-and shares with :meth:`Node.arrays`, so the search pays for none of them;
-a node dropped at pop time costs no LP, has no trace row, and is counted
-only as unsolved.
+and shares with :meth:`Node.arrays`, so the search pays for none of them.
+A child that is pushed but never built, dropped at pop time or left open,
+costs only its heap entry and its key: no node, no LP and no trace row;
+it is counted only as unsolved.
 
 A frame with more devices than channels, the only infeasible kind, is
 answered up front with no node solved.  Every node of any other frame is
@@ -74,6 +79,7 @@ __all__ = [
     "SolveReport",
     "BudgetExceededError",
     "branch",
+    "child",
     "solve_bnb",
     "solve_exhaustive",
     "write_trace_csv",
@@ -111,7 +117,7 @@ class Node:
     writes: no frame, and what only an open node needs, its flow pins and
     warm start, rides in its heap entry.  ``fixed`` is its fixing vector
     over the S*K indicators (int8: -1 free, 0 or 1 fixed); nothing writes
-    it after :func:`branch`.  The solve fills in the rest and clears
+    it after :func:`child`.  The solve fills in the rest and clears
     nothing; a reopen turns a model-pruned node's action to ``Branched``.
     ``flows`` is the copy of the node's LP flows, each its share of its
     device's task, that :func:`relax.extract_solution` made."""
@@ -156,21 +162,22 @@ class SolveReport:
     best_psi: float | None = None
     gap_bound: float | None = None
     nodes_searched: int = 0
-    nodes_unsolved: int = 0       # nodes made but never solved: dropped or left open
+    nodes_unsolved: int = 0       # children pushed but never built: dropped or left open
     trace: list[Node] = field(default_factory=list)
     fell_back_to_exact: bool = False
     lp_pivots: int = 0            # dual simplex pivots over every node LP
     lp_refactors: int = 0         # node LPs repaired by a fresh basis inversion
 
 
-def branch(parent: Node, index: int, first_child_id: int, num_channels: int) -> tuple[Node, Node]:
-    """Split a node on binary indicator ``index`` = s*K + k of its frame of
-    K = ``num_channels`` channels.
+def branch(parent: Node, index: int, num_channels: int) -> None:
+    """Check that a node may split on binary indicator ``index`` = s*K + k
+    of its frame of K = ``num_channels`` channels; raise ``ValueError`` if not.
 
-    The down child fixes it to 0 and the up child to 1.  Each child gets a
-    copy of its parent's fixing vector with ``index`` set, and nothing
-    else.  Branching on an index out of range, an index already fixed, or
-    a channel another device already owns is a contract violation.
+    The down child fixes it to 0 and the up child to 1, and :func:`child`
+    builds either.  Branching on an index out of range, an index already
+    fixed, or a channel another device already owns is a contract
+    violation.  The search checks once per branched node, before it pushes
+    either child, and builds a child only when it pops it.
     """
     n, k_n = parent.fixed.size, num_channels
     if not 0 <= index < n:
@@ -181,11 +188,15 @@ def branch(parent: Node, index: int, first_child_id: int, num_channels: int) -> 
     if 1 in parent.fixed[index % k_n::k_n].tolist():
         # Unfixed, so the 1 on its channel is another device's.
         raise ValueError(f"channel {index % k_n} of indicator {index} is already owned")
-    down, up = parent.fixed.copy(), parent.fixed.copy()
-    down[index], up[index] = 0, 1
-    depth = parent.depth + 1
-    return (Node(first_child_id, depth, parent.node_id, down),
-            Node(first_child_id + 1, depth, parent.node_id, up))
+
+
+def child(parent: Node, index: int, value: int, node_id: int) -> Node:
+    """Child ``node_id`` of a node that :func:`branch` let split on
+    ``index``: a copy of its parent's fixing vector with ``index`` set to
+    ``value`` (0 down, 1 up), and nothing else."""
+    fixed = parent.fixed.copy()
+    fixed[index] = value
+    return Node(node_id, parent.depth + 1, parent.node_id, fixed)
 
 
 def solve_bnb(
@@ -213,11 +224,15 @@ def solve_bnb(
     n = s_n * k_n
 
     lp = build_relaxation(scenario)
-    root = Node(0, 0, None, np.full(n, -1, dtype=np.int8))
-    # Open nodes as (bound, node_id, node, LP pins, warm start: the parent's
-    # optimal basis); the unique id keeps nodes from being compared.
-    queue: list[tuple[float, int, Node, np.ndarray, Basis | None]] = [
-        (-np.inf, 0, root, np.zeros(n + 1, dtype=bool), None)]
+    # The flows each index's down and up child pin, built once per search.
+    pin_sets = [(pinned_flows(i, 0, k_n, n), pinned_flows(i, 1, k_n, n)) for i in range(n)]
+    # Open children as (bound, node_id, parent, index, value, the parent's
+    # pins, warm start: the parent's optimal basis); both children of a
+    # node share its pins and basis and never write them.  The root is the
+    # entry with no parent.  The unique id keeps entries from being
+    # compared.
+    queue: list[tuple[float, int, Node | None, int, int, np.ndarray, Basis | None]] = [
+        (-np.inf, 0, None, -1, -1, np.zeros(n + 1, dtype=bool), None)]
     next_id = 1
     z_ub = np.inf
     best: Node | None = None   # the incumbent leaf
@@ -231,18 +246,14 @@ def solve_bnb(
 
     def open_children(node: Node, pins: np.ndarray, result: LpResult, index: int) -> None:
         """Branch ``node``, solved under ``pins`` to ``result``, on ``index``,
-        and push both children with their pins, keyed by the bounds read off
+        and push both children unbuilt, keyed by the bounds read off
         ``result``."""
         nonlocal next_id
-        down, up = branch(node, index, next_id, k_n)
+        branch(node, index, k_n)
+        key_down, key_up = pinned_bounds(lp, result, pin_sets[index])
+        heapq.heappush(queue, (key_down, next_id, node, index, 0, pins, result.basis))
+        heapq.heappush(queue, (key_up, next_id + 1, node, index, 1, pins, result.basis))
         next_id += 2
-        added_down, added_up = pinned_flows(index, 0, k_n, n), pinned_flows(index, 1, k_n, n)
-        key_down, key_up = pinned_bounds(lp, result, (added_down, added_up))
-        down_pins, up_pins = pins.copy(), pins.copy()
-        down_pins[added_down] = True
-        up_pins[added_up] = True
-        heapq.heappush(queue, (key_down, down.node_id, down, down_pins, result.basis))
-        heapq.heappush(queue, (key_up, up.node_id, up, up_pins, result.basis))
 
     while True:
         if not queue:
@@ -256,12 +267,18 @@ def solve_bnb(
             deferred.clear()
             gate = None
             reopened = True
-        key, _, node, pins, start = heapq.heappop(queue)
+        key, node_id, parent, index, value, pins, start = heapq.heappop(queue)
         if key >= z_ub:
             break  # every open bound has reached the incumbent
         if len(trace) >= MAX_NODES:
             exhausted = True
             break
+        if parent is None:
+            node = Node(0, 0, None, np.full(n, -1, dtype=np.int8))
+        else:
+            node = child(parent, index, value, node_id)
+            pins = pins.copy()
+            pins[pin_sets[index][value]] = True
         trace.append(node)
         node.zub_at_pop = z_ub
 

@@ -64,7 +64,12 @@ start's shapes, index range and repeated columns, the rows at the final
 point, and a fresh pricing of the final basis.  On arrays this small the
 cost of a NumPy call, not its arithmetic, is what a node pays, so the hot
 paths use array methods (``ndarray.dot``, ``argmax``, ``nonzero``) and as
-few calls as the same arithmetic allows.
+few calls as the same arithmetic allows.  They read each scalar they test
+or divide by (a pivot, a step, a violation, an extreme entry) as a Python
+float with ``ndarray.item``, which rounds every operation exactly as a
+NumPy float64 scalar does, at a fraction of its cost; and a dual solve
+counts its pinned basic variables once, so that once none is left its
+pivots skip the pass that reads a pinned one's violation as ``|x_B|``.
 
 The solver is deterministic.  The dual pivots leave on the row of largest
 violation (smallest row on ties) and enter by the dual ratio test (ties to
@@ -332,11 +337,11 @@ class _DualSimplex:
     replaced, not updated in place, so a start can serve several solves.
     What a pivot changes in the rest of the state (the sign of each
     column's dual slack, and in :meth:`dual` which basic variables are
-    pinned) is written entry by entry rather than rebuilt.  The start
-    itself is checked afresh on every solve (shapes, range, no repeated
-    column), and so is the end: the final point must satisfy the rows, and
-    the reduced costs are priced again from the inverse, not read from the
-    ones the pivots maintained.
+    pinned, and how many) is written entry by entry rather than rebuilt.
+    The start itself is checked afresh on every solve (shapes, range, no
+    repeated column), and so is the end: the final point must satisfy the
+    rows, and the reduced costs are priced again from the inverse, not read
+    from the ones the pivots maintained.
     """
 
     def __init__(self, lp: LinearProgram, pinned: np.ndarray, start: Basis) -> None:
@@ -405,18 +410,21 @@ class _DualSimplex:
             return
         a, basis, sign = self.a, self.basis, self.sign
         xb, binv, reduced = self.xb, self.binv, self.reduced
-        # Which basic variables are pinned, kept in step with the basis.  A
-        # pinned column never enters, so a pivot only clears an entry.
+        # Which basic variables are pinned, and how many, kept in step with
+        # the basis.  A pinned column never enters, so a pivot only clears
+        # an entry, and once none is left no violation needs |x_B|.
         pinned_b = self.pinned[basis]
+        pinned_left = np.count_nonzero(pinned_b)
         # One pass more than the cap, to see the point the last pivot left.
         for _ in range(_pivot_cap(self.m, self.num_cols) + 1):
             violation = np.negative(xb)
-            np.absolute(xb, out=violation, where=pinned_b)
+            if pinned_left:
+                np.absolute(xb, out=violation, where=pinned_b)
             pos = int(violation.argmax())
-            if violation[pos] <= FEASIBILITY_TOL:
+            if violation.item(pos) <= FEASIBILITY_TOL:
                 return
             # Only a pinned variable can violate from above.
-            above = bool(xb[pos] > 0.0)
+            above = xb.item(pos) > 0.0
 
             # Row ``pos`` reads x_B = beta - alpha.x_N: a free column helps
             # when raising it moves x_B toward zero, that is when its entry
@@ -431,14 +439,14 @@ class _DualSimplex:
             # Nearly every choice has one candidate or a unique minimum
             # ratio; both skip the steps that only break a tie.
             if idx.size == 1:
-                entering = int(idx[0])
+                entering = idx.item(0)
             else:
                 # Ratios below zero, from dual slacks a round-off below
                 # zero, count as zero.
                 magnitude = np.abs(alpha[idx])
                 ratios = reduced[idx] / magnitude
                 first = ratios.argmin()
-                least = ratios[first]
+                least = ratios.item(first)
                 tie = ratios <= (least if least > 0.0 else 0.0) + _RATIO_TIE_TOL
                 if np.count_nonzero(tie) == 1:
                     entering = int(idx[first])
@@ -446,22 +454,24 @@ class _DualSimplex:
                     entering = int(idx[(magnitude * tie).argmax()])
 
             w = binv.dot(a[:, entering])
-            pivot = w[pos]
+            pivot = w.item(pos)
             if abs(pivot) < _PIVOT_TOL:
                 raise ArithmeticError("numerically singular pivot")
-            step = xb[pos] / pivot
+            step = xb.item(pos) / pivot
             xb -= step * w
             # The leaving variable lands exactly on zero, and the entering
             # one, raised from zero, takes its row at the step.
             xb[pos] = step
             # The pivot row prices the new basis: d <- d - (d_q / alpha_q) alpha.
-            reduced = reduced - (reduced[entering] / alpha[entering]) * alpha
+            reduced = reduced - (reduced.item(entering) / alpha.item(entering)) * alpha
             reduced[entering] = 0.0
             self.reduced = reduced
 
-            if not pinned_b[pos]:
-                sign[basis[pos]] = 1.0
-            pinned_b[pos] = False
+            if pinned_b.item(pos):
+                pinned_b[pos] = False
+                pinned_left -= 1
+            else:
+                sign[basis.item(pos)] = 1.0
             basis[pos] = entering
             sign[entering] = 0.0
             # Product-form update of the inverse, into a new array: the
@@ -490,13 +500,13 @@ class _DualSimplex:
         x[self.basis] = self.xb
         # Each test reads the extreme entry, found by one arg-reduction.
         residual = np.abs(self.a.dot(x) - self.b)
-        if self.m and residual[residual.argmax()] > FEASIBILITY_TOL:
+        if self.m and residual.item(residual.argmax()) > FEASIBILITY_TOL:
             raise ArithmeticError("final point does not satisfy the rows")
         reduced = self._price()
         basic = np.abs(reduced[self.basis])
-        if self.m and basic[basic.argmax()] > OPTIMALITY_TOL:
+        if self.m and basic.item(basic.argmax()) > OPTIMALITY_TOL:
             raise ArithmeticError("basis inverse does not price the basis")
         slack = reduced * self.sign
-        if self.num_cols and slack[slack.argmin()] < -OPTIMALITY_TOL:
+        if self.num_cols and slack.item(slack.argmin()) < -OPTIMALITY_TOL:
             raise ArithmeticError("final basis is not dual feasible")
         return x

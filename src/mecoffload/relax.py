@@ -152,7 +152,7 @@ def extract_solution(
     # and only its verdict is kept.
     z = lp_result.x[:s_n * k_n].copy()
     support = (z > FEASIBILITY_TOL).reshape(s_n, k_n)
-    contested = support.sum(axis=0) > 1
+    contested = np.add.reduce(support, axis=0) > 1
     integral = not contested[contested.argmax()]
     first = None if integral else int((support & contested).argmax())
     return float(lp_result.value), first, z

@@ -16,6 +16,7 @@ from mecoffload.bnb import (
     NodeAction,
     SolveStatus,
     branch,
+    child,
     solve_bnb,
     solve_exhaustive,
     write_trace_csv,
@@ -43,43 +44,50 @@ from conftest import (
 
 
 class TestBranch:
-    # Nodes of a frame with 3 devices and K = 4 channels.
+    # Nodes of a frame with 3 devices and K = 4 channels.  ``branch`` checks
+    # a split once, when the search pushes both children; ``child`` builds
+    # the one the search pops.
     def _root(self, s_n=3, k_n=4):
         return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8))
 
     def test_fractional_value_splits_to_unit_bounds(self):
-        down, up = branch(self._root(), 3, first_child_id=1, num_channels=4)
+        root = self._root()
+        assert branch(root, 3, num_channels=4) is None
+        down, up = child(root, 3, 0, node_id=1), child(root, 3, 1, node_id=2)
         assert down.fixed.dtype == up.fixed.dtype == np.int8
         assert down.fixed.tolist() == [-1, -1, -1, 0] + [-1] * 8
         assert up.fixed.tolist() == [-1, -1, -1, 1] + [-1] * 8
         assert down.depth == up.depth == 1
         assert (down.node_id, up.node_id) == (1, 2)
         assert down.parent_id == up.parent_id == 0
+        assert root.fixed.tolist() == [-1] * 12
 
     def test_fixed_index_rejected(self):
-        for parent in branch(self._root(), 2, first_child_id=1, num_channels=4):
+        for value in (0, 1):
+            parent = child(self._root(), 2, value, node_id=1)
             with pytest.raises(ValueError, match="already fixed"):
-                branch(parent, 2, first_child_id=9, num_channels=4)
+                branch(parent, 2, num_channels=4)
 
     def test_owned_channel_rejected(self):
         # Device 0 holds channel 1, so device 2 may not branch on it.
-        _, up = branch(self._root(), 1, first_child_id=1, num_channels=4)
+        up = child(self._root(), 1, 1, node_id=2)
         with pytest.raises(ValueError, match="channel 1 of indicator 9 is already owned"):
-            branch(up, 2 * 4 + 1, first_child_id=3, num_channels=4)
+            branch(up, 2 * 4 + 1, num_channels=4)
 
     def test_out_of_range_index_rejected(self):
         for index in (-1, 12):
             with pytest.raises(ValueError, match="out of range"):
-                branch(self._root(), index, first_child_id=1, num_channels=4)
+                branch(self._root(), index, num_channels=4)
 
     def test_children_extend_parent_by_one_override(self):
-        parent, _ = branch(self._root(), 0, first_child_id=1, num_channels=4)
-        down, up = branch(parent, 4, first_child_id=5, num_channels=4)
+        parent = child(self._root(), 0, 0, node_id=1)
+        branch(parent, 4, num_channels=4)
+        down, up = child(parent, 4, 0, node_id=5), child(parent, 4, 1, node_id=6)
         assert parent.fixed.tolist() == [0] + [-1] * 11
-        for child, value in ((down, 0), (up, 1)):
-            assert np.flatnonzero(child.fixed != parent.fixed).tolist() == [4]
-            assert child.fixed[4] == value
-            assert not np.shares_memory(child.fixed, parent.fixed)
+        for node, value in ((down, 0), (up, 1)):
+            assert np.flatnonzero(node.fixed != parent.fixed).tolist() == [4]
+            assert node.fixed[4] == value
+            assert not np.shares_memory(node.fixed, parent.fixed)
 
 
 #: Sizes and gains of frames whose devices and channels are all identical:
@@ -568,9 +576,9 @@ class TestTraceInvariants:
             self, frame, monkeypatch):
         branched_on = {}
 
-        def recording_branch(parent, index, first_child_id, num_channels):
+        def recording_branch(parent, index, num_channels):
             branched_on[parent.node_id] = index
-            return branch(parent, index, first_child_id, num_channels)
+            return branch(parent, index, num_channels)
 
         monkeypatch.setattr(bnb_module, "branch", recording_branch)
         report = solve_bnb(frame)
@@ -943,8 +951,9 @@ class TestReopen:
 
 
 class TestHeapState:
-    # An open node's LP pins and warm start ride in its heap entry, and a
-    # solved node is only its trace row.  The k-th LP solve of a search
+    # An open child is its heap entry: its parent, index and value, with the
+    # parent's LP pins and warm start.  The pop builds its node and pins,
+    # and a solved node is only its trace row.  The k-th LP solve of a search
     # solves the k-th trace node, so it must run under the pins of that
     # node's fixings, started from the very basis its parent's solve
     # returned (the root from none), through branching, gating and a reopen.
@@ -992,6 +1001,34 @@ class TestHeapState:
         if search == "reject-below-root":
             assert [node.parent_id for node in report.trace[1:3]] == [0, 0]
             assert {node.parent_id for node in report.trace[3:]} >= {1, 2}
+
+
+    @pytest.mark.parametrize("frame, gate", [
+        *(pytest.param(*param.values, None, id=param.id) for param in SEARCH_FRAMES),
+        # The gate rejects the root, so the search drains and reopens it.
+        pytest.param(make_frame(num_mds=3, num_channels=5, seed=201),
+                     lambda node, _: False, id="3x5-201-reopen"),
+    ])
+    def test_a_child_is_built_when_it_is_popped(self, frame, gate, monkeypatch):
+        # The search builds one Node per solved node, the very trace rows,
+        # and none for a child dropped at pop time or left open; building
+        # both children at branch time would make 1 + 2 * branched.
+        built = []
+
+        def counting_node(*args, **kwargs):
+            node = Node(*args, **kwargs)
+            built.append(node)
+            return node
+
+        monkeypatch.setattr(bnb_module, "Node", counting_node)
+        report = solve_bnb(frame, gate=gate)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.fell_back_to_exact == (gate is not None)
+        branched = sum(node.action is NodeAction.BRANCHED for node in report.trace)
+        assert report.nodes_unsolved > 0
+        assert report.nodes_searched + report.nodes_unsolved == 1 + 2 * branched
+        assert len(built) == report.nodes_searched == len(report.trace)
+        assert all(node is row for node, row in zip(built, report.trace))
 
 
 class TestGapBound:

@@ -18,10 +18,10 @@ from mecoffload.lp import (
     pinned_bounds,
     solve_lp,
 )
-from mecoffload.relax import build_relaxation
+from mecoffload.relax import build_relaxation, pinned_flows
 from mecoffload.scenario import generate_frame, read_config_file
 
-from conftest import first_pivot_objective, highs_bounds
+from conftest import first_pivot_objective, highs_bounds, make_frame
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "desk_config.txt"
 
@@ -648,6 +648,49 @@ class TestSharedStart:
             mixed[1].append(result_bytes(b))
         assert mixed == alone
 
+
+class TestPinnedRows:
+    """A warm start whose pins cut off several basic columns at once, as an
+    up child's do, leaves with every one of them, not only the first.  The
+    solver's own end checks do not test that pinned columns rest at zero,
+    so these answers are held to their basis, the cold solve and HiGHS."""
+
+    @staticmethod
+    def assert_matches(lp, pins, start):
+        warm = solve_lp(lp, pins, start)
+        assert warm.refactors == 0
+        assert_certified(lp, pins, warm)
+        assert np.all(warm.x[pins] == 0.0)
+        cold = solve_lp(lp, pins)
+        tol = 1e-7 * max(1.0, abs(cold.value))
+        assert warm.value == pytest.approx(cold.value, abs=tol)
+        ref = highs(lp, pins)
+        assert ref.status == 0
+        assert warm.value == pytest.approx(ref.fun, abs=tol)
+
+    @pytest.mark.parametrize("seed, cut", [(3, 2), (7, 3), (8, 2), (9, 4)])
+    def test_several_columns_cut_off_at_once(self, seed, cut):
+        lp = interior_lp(seed)
+        parent = solve_lp(lp)
+        pins = np.zeros(lp.num_vars, dtype=bool)
+        pins[np.argsort(-parent.x, kind="stable")[:cut]] = True
+        assert np.count_nonzero(parent.x[pins] > FEASIBILITY_TOL) == cut
+        self.assert_matches(lp, pins, parent.basis)
+
+    @pytest.mark.parametrize("s_n, k_n, seed", [(3, 5, 201), (4, 6, 203), (4, 6, 1)])
+    def test_up_children_of_a_node_relaxation(self, s_n, k_n, seed):
+        # Every up child of the root whose pins cut off two or more basic
+        # flows, each from the root's basis.
+        lp = build_relaxation(make_frame(num_mds=s_n, num_channels=k_n, seed=seed))
+        root = solve_lp(lp)
+        checked = 0
+        for index in range(s_n * k_n):
+            pins = np.zeros(lp.num_vars, dtype=bool)
+            pins[pinned_flows(index, 1, k_n, s_n * k_n)] = True
+            if np.count_nonzero(root.x[pins] > FEASIBILITY_TOL) >= 2:
+                self.assert_matches(lp, pins, root.basis)
+                checked += 1
+        assert checked
 
 
 class TestIterationCap:
