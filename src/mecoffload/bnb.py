@@ -11,13 +11,16 @@ incumbent is dropped unsolved, and so is everything still open, since no
 key in the heap is lower.  Otherwise the node relaxation is solved, the
 node branches on its first fractional indicator (the first index carrying
 flow on a channel two devices share), and it is pruned by bound against
-the incumbent.  Both bound tests are strict: a node is kept only if its
-bound is strictly below the incumbent, since a node tied with it has no
-descendant that could improve on it.  One relaxation LP serves the whole
-search.  An open child is its heap entry: its parent, the index it fixes
-and the value (0 or 1), with its parent's pin mask (the LP variables the
-parent's fixings pin at zero) and its parent's optimal basis and factor,
-which both children share and neither writes.  A child is built when it
+the incumbent.  That index is free and its channel unowned, with no check
+of its own: the node LP certifies every flow its fixings pin within
+:data:`lp.FEASIBILITY_TOL` of zero, and a flow counts only above it.  Both
+bound tests are strict: a node is kept only if its bound is strictly below
+the incumbent, since a node tied with it has no descendant that could
+improve on it.  One relaxation LP serves the whole search.  An open
+child is its heap entry: its parent, the index it fixes and the value (0
+or 1), with its parent's pin mask (the LP variables the parent's fixings
+pin at zero) and its parent's optimal basis and factor, which both
+children share and neither writes.  A child is built when it
 is popped: the pop makes its fixing vector, its pin mask (its parent's
 and those its fixing adds), which it passes to the solve, and its
 :class:`Node`, and warm-starts its LP from the parent's basis.  A
@@ -78,7 +81,6 @@ __all__ = [
     "Node",
     "SolveReport",
     "BudgetExceededError",
-    "branch",
     "child",
     "solve_bnb",
     "solve_exhaustive",
@@ -169,31 +171,12 @@ class SolveReport:
     lp_refactors: int = 0         # node LPs repaired by a fresh basis inversion
 
 
-def branch(parent: Node, index: int, num_channels: int) -> None:
-    """Check that a node may split on binary indicator ``index`` = s*K + k
-    of its frame of K = ``num_channels`` channels; raise ``ValueError`` if not.
-
-    The down child fixes it to 0 and the up child to 1, and :func:`child`
-    builds either.  Branching on an index out of range, an index already
-    fixed, or a channel another device already owns is a contract
-    violation.  The search checks once per branched node, before it pushes
-    either child, and builds a child only when it pops it.
-    """
-    n, k_n = parent.fixed.size, num_channels
-    if not 0 <= index < n:
-        raise ValueError(f"indicator {index} out of range [0, {n})")
-    existing = parent.fixed[index]
-    if existing >= 0:
-        raise ValueError(f"indicator {index} is already fixed to {existing}")
-    if 1 in parent.fixed[index % k_n::k_n].tolist():
-        # Unfixed, so the 1 on its channel is another device's.
-        raise ValueError(f"channel {index % k_n} of indicator {index} is already owned")
-
-
 def child(parent: Node, index: int, value: int, node_id: int) -> Node:
-    """Child ``node_id`` of a node that :func:`branch` let split on
+    """Child ``node_id`` of a node split on its first fractional index
     ``index``: a copy of its parent's fixing vector with ``index`` set to
-    ``value`` (0 down, 1 up), and nothing else."""
+    ``value`` (0 down, 1 up), and nothing else.  The index is free and its
+    channel unowned, since the node LP certifies every pinned flow within
+    :data:`lp.FEASIBILITY_TOL` of zero and the index carries flow above it."""
     fixed = parent.fixed.copy()
     fixed[index] = value
     return Node(node_id, parent.depth + 1, parent.node_id, fixed)
@@ -249,7 +232,6 @@ def solve_bnb(
         and push both children unbuilt, keyed by the bounds read off
         ``result``."""
         nonlocal next_id
-        branch(node, index, k_n)
         key_down, key_up = pinned_bounds(lp, result, pin_sets[index])
         heapq.heappush(queue, (key_down, next_id, node, index, 0, pins, result.basis))
         heapq.heappush(queue, (key_up, next_id + 1, node, index, 1, pins, result.basis))

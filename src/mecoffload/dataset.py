@@ -1,10 +1,11 @@
 """Search traces to labeled training samples.
 
-Each solved node becomes one sample whose label says whether the node lies
-on the ancestor chain of the final incumbent, i.e. whether an oracle would
-have kept it.  Features are the node attributes the pruning classifier will
-see during a live search (never anything about descendants), normalized so
-that a network with saturating activations can digest them:
+Each solved node becomes one sample whose label says whether the node's
+fixings agree with the answer's channel map, that is whether it lies on the
+ancestor chain of the final incumbent, where an oracle would have kept it.
+Features are the node attributes the pruning classifier will see during a
+live search (never anything about descendants), normalized so that a
+network with saturating activations can digest them:
 
   [g/(S*K), psi/root_psi, x (S*K)]
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnb import Node, NodeAction, SolveReport, SolveStatus, csv_float
+from .bnb import Node, SolveReport, SolveStatus, csv_float
 from .relax import node_x
 
 __all__ = [
@@ -99,31 +100,22 @@ def featurize(node: Node, root_psi: float) -> np.ndarray:
 
 
 def label_trace(report: SolveReport) -> tuple[np.ndarray, np.ndarray]:
-    """Features (one row per trace node) and labels: 1 on the incumbent's
-    ancestor chain, else 0."""
+    """Features (one row per trace node) and labels: 1 where the node's
+    fixings agree with the answer's map ``report.best_x``, else 0.
+
+    Two nodes whose fixings agree with one map lie on one root path, since
+    their lowest common ancestor's children fix its index apart, and the
+    incumbent leaf agrees with the map read off it, so the positives are
+    the incumbent's ancestor chain."""
     if report.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"can only label optimal traces, got {report.status}")
     records = report.trace
     if not records:
         raise ValueError("can only label the trace of a tree search, got an empty trace")
     root_psi = records[0].psi
-
-    incumbent_id = None
-    for rec in records:
-        if rec.action is NodeAction.NEW_INCUMBENT:
-            incumbent_id = rec.node_id
-    if incumbent_id is None:
-        raise ValueError("optimal report has no incumbent record")
-
-    parents = {rec.node_id: rec.parent_id for rec in records}
-    chain: set[int] = set()
-    cursor: int | None = incumbent_id
-    while cursor is not None:
-        chain.add(cursor)
-        cursor = parents[cursor]
-
     features = np.array([featurize(rec, root_psi) for rec in records])
-    labels = np.array([int(rec.node_id in chain) for rec in records])
+    fixed = np.array([rec.fixed for rec in records])
+    labels = np.all((fixed < 0) | (fixed == report.best_x.ravel()), axis=1).astype(int)
     return features, labels
 
 

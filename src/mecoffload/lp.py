@@ -1,5 +1,5 @@
 """Dense linear programming over nonnegative variables, some pinned at zero:
-one dual simplex to a feasible basis, then row and optimality checks.
+one dual simplex to a feasible basis, then row, pin and optimality checks.
 
 Node relaxations in the tree search are small (a few dozen variables), so a
 dense tableau-free simplex with an explicitly maintained basis inverse is
@@ -45,8 +45,10 @@ ratio test on a row the pins cut off, the first pivot the child's own solve
 would make there.
 
 Dual pivots keep the basis dual feasible, so the first primal feasible
-basis is optimal; the final point must satisfy the rows, and one pricing
-pass from scratch over the final basis certifies it.  A program with no
+basis is optimal; the final point must satisfy the rows and rest within
+:data:`FEASIBILITY_TOL` of zero on every pin (so a reader may count a
+value only above it without testing the pins again), and one pricing pass
+from scratch over the final basis certifies it.  A program with no
 feasible point is an error, as is a solve that fails a check again after
 its repair.  A stale or foreign factor is thus either repaired or an error.
 
@@ -60,16 +62,17 @@ them in place, so both children of a node resume from one
 ``result.basis``.  Within a solve, a pivot writes the few entries it
 changes (the sign of each column's dual slack and which basic variables
 are pinned) rather than rebuilding them.  Every solve re-checks the
-start's shapes, index range and repeated columns, the rows at the final
-point, and a fresh pricing of the final basis.  On arrays this small the
-cost of a NumPy call, not its arithmetic, is what a node pays, so the hot
-paths use array methods (``ndarray.dot``, ``argmax``, ``nonzero``) and as
-few calls as the same arithmetic allows.  They read each scalar they test
-or divide by (a pivot, a step, a violation, an extreme entry) as a Python
-float with ``ndarray.item``, which rounds every operation exactly as a
-NumPy float64 scalar does, at a fraction of its cost; and a dual solve
-counts its pinned basic variables once, so that once none is left its
-pivots skip the pass that reads a pinned one's violation as ``|x_B|``.
+start's shapes, index range and repeated columns, the rows and the pins
+at the final point, and a fresh pricing of the final basis.  On arrays
+this small the cost of a NumPy call, not its arithmetic, is what a node
+pays, so the hot paths use array methods (``ndarray.dot``, ``argmax``,
+``nonzero``) and as few calls as the same arithmetic allows.  They read
+each scalar they test or divide by (a pivot, a step, a violation, an
+extreme entry) as a Python float with ``ndarray.item``, which rounds every
+operation exactly as a NumPy float64 scalar does, at a fraction of its
+cost; and a dual solve counts its pinned basic variables once, so that
+once none is left its pivots skip the pass that reads a pinned one's
+violation as ``|x_B|``.
 
 The solver is deterministic.  The dual pivots leave on the row of largest
 violation (smallest row on ties) and enter by the dual ratio test (ties to
@@ -227,13 +230,16 @@ def solve_lp(lp: LinearProgram, pinned: np.ndarray | None = None,
     (``LpResult.basis``) of a solve of a program with the same objective
     and rows under pins that ``pinned`` includes, such as a parent node's.
     A program with no feasible point ends in ``ArithmeticError``, as do an
-    exhausted iteration cap and a singular pivot.  A solve whose end checks
-    fail, as from a ``start`` that breaks this contract or whose factor is
-    not that of its basis in ``lp``, inverts its final basis afresh and
-    re-optimises once (``refactors`` is then 1); if the checks fail again,
-    it ends in ``ArithmeticError`` too.  None of these errors yields a
-    result.  A mask of the wrong shape is a ``ValueError``; ``pinned`` is
-    never written.
+    exhausted iteration cap and a singular pivot.  Four end checks certify
+    the result (:meth:`_DualSimplex.check_optimal`): the point satisfies
+    the rows, every pinned variable rests within :data:`FEASIBILITY_TOL` of
+    zero, the inverse prices the basis, and the basis is dual feasible.  A
+    solve whose end checks fail, as from a ``start`` that breaks this
+    contract or whose factor is not that of its basis in ``lp``, inverts
+    its final basis afresh and re-optimises once (``refactors`` is then 1);
+    if the checks fail again, it ends in ``ArithmeticError`` too.  None of
+    these errors yields a result.  A mask of the wrong shape is a
+    ``ValueError``; ``pinned`` is never written.
     """
     if not lp.nonnegative_costs:
         raise ValueError("solve_lp needs nonnegative costs")
@@ -340,8 +346,8 @@ class _DualSimplex:
     pinned, and how many) is written entry by entry rather than rebuilt.
     The start itself is checked afresh on every solve (shapes, range, no
     repeated column), and so is the end: the final point must satisfy the
-    rows, and the reduced costs are priced again from the inverse, not read
-    from the ones the pivots maintained.
+    rows and rest at zero on its pins, and the reduced costs are priced
+    again from the inverse, not read from the ones the pivots maintained.
     """
 
     def __init__(self, lp: LinearProgram, pinned: np.ndarray, start: Basis) -> None:
@@ -485,23 +491,34 @@ class _DualSimplex:
         raise ArithmeticError("dual simplex iteration limit exceeded")
 
     def check_optimal(self) -> np.ndarray:
-        """The final point, once it is shown to satisfy the rows and the
-        basis is shown optimal; raise ``ArithmeticError`` otherwise.
+        """The final point, once it is shown to satisfy the rows and its
+        pins and the basis is shown optimal; raise ``ArithmeticError``
+        otherwise.
 
-        Run after :meth:`dual` returns.  The reduced costs are priced
-        afresh from the inverse, not read from the ones :meth:`dual`
-        maintains: every basic column must price to zero, which holds only
-        if the inverse is that of the basis, and no free nonbasic column
-        may have a reduced cost below zero, beyond :data:`OPTIMALITY_TOL`.
-        The basis is then primal and dual feasible, hence optimal.  This
-        fails when the start basis was not dual feasible.
+        Run after :meth:`dual` returns.  Four checks, each on the extreme
+        entry: the point must satisfy the rows, and every pinned variable
+        must rest at zero, both within :data:`FEASIBILITY_TOL`; only a
+        pinned basic variable can miss its pin.  The reduced costs
+        are priced afresh from the inverse, not read from the ones
+        :meth:`dual` maintains: every basic column must price to zero,
+        which holds only if the inverse is that of the basis, and no free
+        nonbasic column may have a reduced cost below zero, beyond
+        :data:`OPTIMALITY_TOL`.  The basis is then primal and dual
+        feasible, hence optimal.  This fails when the start basis was not
+        dual feasible, and when the pivots stopped with a pinned basic
+        variable off zero.
         """
         x = np.zeros(self.num_cols)
         x[self.basis] = self.xb
-        # Each test reads the extreme entry, found by one arg-reduction.
+        # Each test reads the extreme entry, found by one reduction.
         residual = np.abs(self.a.dot(x) - self.b)
         if self.m and residual.item(residual.argmax()) > FEASIBILITY_TOL:
             raise ArithmeticError("final point does not satisfy the rows")
+        # A nonbasic variable rests at zero, so only a pinned basic one can
+        # be off its pin.
+        drift = np.abs(self.xb[self.pinned.take(self.basis)])
+        if drift.size and drift.item(drift.argmax()) > FEASIBILITY_TOL:
+            raise ArithmeticError("pinned variable is not at zero")
         reduced = self._price()
         basic = np.abs(reduced[self.basis])
         if self.m and basic.item(basic.argmax()) > OPTIMALITY_TOL:

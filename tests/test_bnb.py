@@ -1,6 +1,7 @@
 import heapq
 import itertools
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from mecoffload.bnb import (
     Node,
     NodeAction,
     SolveStatus,
-    branch,
     child,
     solve_bnb,
     solve_exhaustive,
@@ -28,7 +28,7 @@ from mecoffload.lp import (
     solve_lp,
 )
 from mecoffload.relax import node_arrays, solve_split
-from mecoffload.scenario import Scenario, ScenarioConfig, rate
+from mecoffload.scenario import Scenario, ScenarioConfig, generate_frame, rate, read_config_file
 from oracle import OBJECTIVE_RTOL, assignment_faults, milp_optimum, recompute_objective
 
 from conftest import (
@@ -42,17 +42,17 @@ from conftest import (
     same_bits,
 )
 
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "desk_config.txt"
+
 
 class TestBranch:
-    # Nodes of a frame with 3 devices and K = 4 channels.  ``branch`` checks
-    # a split once, when the search pushes both children; ``child`` builds
-    # the one the search pops.
+    # Nodes of a frame with 3 devices and K = 4 channels.  ``child`` builds
+    # the child the search pops, from its parent's fixing vector.
     def _root(self, s_n=3, k_n=4):
         return Node(0, 0, None, np.full(s_n * k_n, -1, dtype=np.int8))
 
     def test_fractional_value_splits_to_unit_bounds(self):
         root = self._root()
-        assert branch(root, 3, num_channels=4) is None
         down, up = child(root, 3, 0, node_id=1), child(root, 3, 1, node_id=2)
         assert down.fixed.dtype == up.fixed.dtype == np.int8
         assert down.fixed.tolist() == [-1, -1, -1, 0] + [-1] * 8
@@ -62,31 +62,14 @@ class TestBranch:
         assert down.parent_id == up.parent_id == 0
         assert root.fixed.tolist() == [-1] * 12
 
-    def test_fixed_index_rejected(self):
-        for value in (0, 1):
-            parent = child(self._root(), 2, value, node_id=1)
-            with pytest.raises(ValueError, match="already fixed"):
-                branch(parent, 2, num_channels=4)
-
-    def test_owned_channel_rejected(self):
-        # Device 0 holds channel 1, so device 2 may not branch on it.
-        up = child(self._root(), 1, 1, node_id=2)
-        with pytest.raises(ValueError, match="channel 1 of indicator 9 is already owned"):
-            branch(up, 2 * 4 + 1, num_channels=4)
-
-    def test_out_of_range_index_rejected(self):
-        for index in (-1, 12):
-            with pytest.raises(ValueError, match="out of range"):
-                branch(self._root(), index, num_channels=4)
-
     def test_children_extend_parent_by_one_override(self):
         parent = child(self._root(), 0, 0, node_id=1)
-        branch(parent, 4, num_channels=4)
         down, up = child(parent, 4, 0, node_id=5), child(parent, 4, 1, node_id=6)
         assert parent.fixed.tolist() == [0] + [-1] * 11
         for node, value in ((down, 0), (up, 1)):
             assert np.flatnonzero(node.fixed != parent.fixed).tolist() == [4]
             assert node.fixed[4] == value
+            assert node.depth == 2 and node.parent_id == 1
             assert not np.shares_memory(node.fixed, parent.fixed)
 
 
@@ -572,15 +555,7 @@ class TestTraceInvariants:
             assert report.nodes_searched + report.nodes_unsolved == 1 + 2 * branched
 
     @pytest.mark.parametrize("frame", SEARCH_FRAMES)
-    def test_incumbents_are_leaves_and_branching_splits_a_shared_channel(
-            self, frame, monkeypatch):
-        branched_on = {}
-
-        def recording_branch(parent, index, num_channels):
-            branched_on[parent.node_id] = index
-            return branch(parent, index, num_channels)
-
-        monkeypatch.setattr(bnb_module, "branch", recording_branch)
+    def test_incumbents_are_leaves_and_branching_splits_a_shared_channel(self, frame):
         report = solve_bnb(frame)
         shape = (frame.num_mds, frame.num_channels)
         args = frame_args(frame)
@@ -598,11 +573,24 @@ class TestTraceInvariants:
             assert recompute_objective(rates, powers, lambda_t, lambda_e, split) == \
                 pytest.approx(rec.psi, rel=1e-12)
         branched = [rec for rec in report.trace if rec.action is NodeAction.BRANCHED]
-        assert len(branched) == len(branched_on)
+        assert branched
         for rec in branched:
-            s, k = divmod(branched_on[rec.node_id], frame.num_channels)
+            # A branched node splits on its first fractional index: one it
+            # has not fixed, on a channel that no other device's fixing
+            # owns, where its own flow and another device's are counted.
+            index = rec.first_fractional
+            assert 0 <= index < rec.fixed.size and rec.fixed[index] == -1
+            s, k = divmod(index, frame.num_channels)
+            fixed = rec.fixed.reshape(shape)
+            assert not np.any(np.delete(fixed[:, k], s) == 1)
             carriers = rec.arrays()[1].reshape(shape)[:, k] > 0
             assert carriers[s] and carriers.sum() >= 2
+        # And every child in the trace fixes its parent's index.
+        by_id = {rec.node_id: rec for rec in report.trace}
+        for rec in report.trace[1:]:
+            parent = by_id[rec.parent_id]
+            assert np.flatnonzero(rec.fixed != parent.fixed).tolist() == \
+                [parent.first_fractional]
 
     @pytest.mark.parametrize("frame", SEARCH_FRAMES)
     def test_fixings_extend_the_parents_by_one(self, frame):
@@ -753,6 +741,22 @@ ORACLE_FRAMES = [
 ]
 
 
+def full_map_costs(frame: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Every full channel-to-device map that covers each device, in the
+    oracle's order, as ``(maps, costs)``: an (M, S*K) int8 array of owner
+    indicators and the (M,) costs :func:`relax.price_map` gives them."""
+    s_n, k_n = frame.num_mds, frame.num_channels
+    devices = np.arange(s_n)[:, None]
+    maps, costs = [], []
+    for owners in itertools.product(range(s_n), repeat=k_n):
+        if len(set(owners)) < s_n:
+            continue
+        owned = devices == owners
+        maps.append(owned.ravel())
+        costs.append(relax_module.price_map(frame, owned, np.add.reduce(owned, axis=1))[0])
+    return np.array(maps, dtype=np.int8), np.array(costs)
+
+
 class TestSolveExhaustive:
     def test_single_pair(self):
         frame = make_frame(num_mds=1, num_channels=1, seed=3)
@@ -812,19 +816,11 @@ class TestSolveExhaustive:
         # One pricing path: the unchecked core, fed each full map's owner
         # mask as the oracle builds it, gives solve_split's cost to the
         # last bit, and so does the oracle's answer.
-        s_n, k_n = frame.num_mds, frame.num_channels
-        devices = np.arange(s_n)[:, None]
-        priced = 0
-        for owners in itertools.product(range(s_n), repeat=k_n):
-            if len(set(owners)) < s_n:
-                continue
-            owned = devices == owners
-            x = owned.astype(int)
-            psi = relax_module.price_map(frame, owned, owned.sum(axis=1))[0]
-            assert psi == solve_split(frame, x).psi
-            priced += 1
+        maps, costs = full_map_costs(frame)
+        for x, psi in zip(maps, costs):
+            assert psi == solve_split(frame, x.reshape(frame.num_mds, -1)).psi
         report = solve_exhaustive(frame)
-        assert report.nodes_searched == priced
+        assert report.nodes_searched == len(maps)
         assert report.best_psi == solve_split(frame, report.best_x).psi
 
     def test_builds_only_the_winners_split(self, monkeypatch):
@@ -1079,6 +1075,27 @@ class TestGapBound:
                                                     < report.best_psi)
                 missed += gap > self.RTOL
         assert missed >= 24
+
+    # gap_bound takes a rejected node's relaxation value as a lower bound
+    # on every map below it: no full map that agrees with a node's fixings
+    # costs less than the node's psi.
+    PREMISE_FRAMES = [
+        *(pytest.param(generate_frame(replace(read_config_file(DESK_CONFIG), rng_seed=seed,
+                                              lambda_e=lambda_e)),
+                       id=f"desk-3x5-{seed}-{lambda_e}")
+          for seed in range(1, 21) for lambda_e in (0.25, 0.0)),
+        pytest.param(make_uniform_frame(3, 5), id="uniform-3x5"),
+    ]
+
+    @pytest.mark.parametrize("frame", PREMISE_FRAMES)
+    def test_no_agreeing_map_costs_less_than_a_node(self, frame):
+        maps, costs = full_map_costs(frame)
+        report = solve_bnb(frame)
+        assert report.best_psi == pytest.approx(costs.min(), rel=OBJECTIVE_RTOL, abs=0.0)
+        for rec in report.trace:
+            agree = np.all((rec.fixed < 0) | (maps == rec.fixed), axis=1)
+            assert agree.any()
+            assert rec.psi <= costs[agree].min() * (1 + OBJECTIVE_RTOL)
 
 
 class TestReportShape:

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import itertools
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mecoffload.lp as lp_module
 from mecoffload.lp import (
     _RATIO_TIE_TOL,
     FEASIBILITY_TOL,
@@ -649,11 +652,54 @@ class TestSharedStart:
         assert mixed == alone
 
 
+#: Warm starts whose pins cut off several basic columns at once: (seed of
+#: :func:`interior_lp`, how many of its parent's largest columns are pinned).
+INTERIOR_CUTS = [(3, 2), (7, 3), (8, 2), (9, 4)]
+#: Frames whose root's up children cut off two or more basic flows.
+UP_CHILD_FRAMES = [(3, 5, 201), (4, 6, 203), (4, 6, 1)]
+
+
+def interior_cut(seed, cut):
+    """``(lp, pins, start)``: the parent's basis of :func:`interior_lp`
+    ``seed``, with its ``cut`` largest columns pinned."""
+    lp = interior_lp(seed)
+    parent = solve_lp(lp)
+    pins = np.zeros(lp.num_vars, dtype=bool)
+    pins[np.argsort(-parent.x, kind="stable")[:cut]] = True
+    assert np.count_nonzero(parent.x[pins] > FEASIBILITY_TOL) == cut
+    return lp, pins, parent.basis
+
+
+def up_children(s_n, k_n, seed):
+    """``(lp, pins, start)`` for every up child of the root of the frame
+    whose pins cut off two or more basic flows, each from the root's basis."""
+    lp = build_relaxation(make_frame(num_mds=s_n, num_channels=k_n, seed=seed))
+    root = solve_lp(lp)
+    cases = []
+    for index in range(s_n * k_n):
+        pins = np.zeros(lp.num_vars, dtype=bool)
+        pins[pinned_flows(index, 1, k_n, s_n * k_n)] = True
+        if np.count_nonzero(root.x[pins] > FEASIBILITY_TOL) >= 2:
+            cases.append((lp, pins, root.basis))
+    assert cases
+    return cases
+
+
+def dual_that_loses_its_pins():
+    """A copy of ``_DualSimplex.dual`` that stops watching pinned basic rows
+    once the first of them leaves: it counts none left from then on."""
+    source = textwrap.dedent(inspect.getsource(lp_module._DualSimplex.dual))
+    assert source.count("pinned_left -= 1") == 1
+    namespace = {}
+    exec(source.replace("pinned_left -= 1", "pinned_left = 0"), vars(lp_module), namespace)
+    return namespace["dual"]
+
+
 class TestPinnedRows:
     """A warm start whose pins cut off several basic columns at once, as an
-    up child's do, leaves with every one of them, not only the first.  The
-    solver's own end checks do not test that pinned columns rest at zero,
-    so these answers are held to their basis, the cold solve and HiGHS."""
+    up child's do, leaves with every one of them, not only the first.
+    These answers are held to their basis, the cold solve and HiGHS, and a
+    dual that forgets its pinned rows is refused by the solve itself."""
 
     @staticmethod
     def assert_matches(lp, pins, start):
@@ -668,29 +714,45 @@ class TestPinnedRows:
         assert ref.status == 0
         assert warm.value == pytest.approx(ref.fun, abs=tol)
 
-    @pytest.mark.parametrize("seed, cut", [(3, 2), (7, 3), (8, 2), (9, 4)])
+    @pytest.mark.parametrize("seed, cut", INTERIOR_CUTS)
     def test_several_columns_cut_off_at_once(self, seed, cut):
-        lp = interior_lp(seed)
-        parent = solve_lp(lp)
-        pins = np.zeros(lp.num_vars, dtype=bool)
-        pins[np.argsort(-parent.x, kind="stable")[:cut]] = True
-        assert np.count_nonzero(parent.x[pins] > FEASIBILITY_TOL) == cut
-        self.assert_matches(lp, pins, parent.basis)
+        self.assert_matches(*interior_cut(seed, cut))
 
-    @pytest.mark.parametrize("s_n, k_n, seed", [(3, 5, 201), (4, 6, 203), (4, 6, 1)])
+    @pytest.mark.parametrize("s_n, k_n, seed", UP_CHILD_FRAMES)
     def test_up_children_of_a_node_relaxation(self, s_n, k_n, seed):
-        # Every up child of the root whose pins cut off two or more basic
-        # flows, each from the root's basis.
-        lp = build_relaxation(make_frame(num_mds=s_n, num_channels=k_n, seed=seed))
-        root = solve_lp(lp)
-        checked = 0
-        for index in range(s_n * k_n):
-            pins = np.zeros(lp.num_vars, dtype=bool)
-            pins[pinned_flows(index, 1, k_n, s_n * k_n)] = True
-            if np.count_nonzero(root.x[pins] > FEASIBILITY_TOL) >= 2:
-                self.assert_matches(lp, pins, root.basis)
-                checked += 1
-        assert checked
+        for case in up_children(s_n, k_n, seed):
+            self.assert_matches(*case)
+
+    def test_a_point_off_its_pins_is_refused(self, monkeypatch):
+        # Where the lossy dual stops with a pinned basic variable off zero,
+        # solve_lp's pin check refuses the point.  Its repair runs the
+        # lossy dual again from a fresh inverse, which counts the pinned
+        # rows anew: where one is left, that run mends it, and the solve
+        # returns the certified optimum with one refactor; where more are
+        # left, the solve raises.  It never returns the lossy point.
+        lossy = dual_that_loses_its_pins()
+        cases = [interior_cut(*args) for args in INTERIOR_CUTS]
+        cases += [case for args in UP_CHILD_FRAMES for case in up_children(*args)]
+        refused = raised = 0
+        for lp, pins, start in cases:
+            cold = solve_lp(lp, pins)
+            sim = lp_module._DualSimplex(lp, np.concatenate((pins, lp.slack_pinned)), start)
+            lossy(sim)
+            drift = np.abs(sim.xb[sim.pinned[sim.basis]]).max(initial=0.0)
+            with monkeypatch.context() as m:
+                m.setattr(lp_module._DualSimplex, "dual", lossy)
+                try:
+                    res = solve_lp(lp, pins, start)
+                except ArithmeticError:
+                    assert drift > FEASIBILITY_TOL
+                    raised += 1
+                    continue
+            assert res.refactors == (drift > FEASIBILITY_TOL)
+            refused += res.refactors
+            assert_certified(lp, pins, res)
+            assert np.all(res.x[pins] == 0.0)
+            assert res.value == pytest.approx(cold.value, rel=1e-9, abs=0.0)
+        assert refused >= 10 and raised >= 3
 
 
 class TestIterationCap:
