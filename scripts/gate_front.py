@@ -4,13 +4,14 @@
 Trains ``scripts/run_pipeline.py``'s recipe once per training seed in
 TRAIN_SEEDS: ``gen-data`` on its config and frame count from its seed base,
 then ``train`` for its epochs with that training seed (its own training
-seed is the first).  Each model then gates ``solve_ibnb`` at every
-threshold in THETAS on the recipe's held-out frames, and each answer is
-scored against ``solve_bnb``'s, psi*.  One point per training seed and
-threshold gives:
+seed is the first).  ``bench`` then gates each model at every threshold in
+THETAS on the recipe's held-out frames and scores each answer against the
+exact one, psi*, and its ``front.csv`` gives one point per training seed
+and threshold:
 
 - the node ratio: ibnb's nodes over bnb's, summed over the frames;
-- the frames whose answer lies more than ABOVE_RTOL (relative) above psi*;
+- the frames whose answer lies more than ``cli.ABOVE_RTOL`` (relative)
+  above psi*;
 - the mean and the max gap, psi / psi* - 1, over the frames.
 
     python scripts/gate_front.py --json out.json
@@ -20,26 +21,19 @@ Nothing printed or written depends on timing.
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
 import sys
 import tempfile
 
-from mecoffload.bnb import solve_bnb
-from mecoffload.cli import _require_optimal, eval_seed, main as cli
-from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
-from mecoffload.mlp import load_model
-from mecoffload.scenario import generate_frame, read_config_file
+from mecoffload.cli import main as cli
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import run_pipeline as recipe  # noqa: E402
 
 THETAS = (1e-7, 1e-3, 0.05)
 TRAIN_SEEDS = tuple(recipe.SEED + i for i in range(3))
-#: A gap at or below this is round-off, not a frame above psi*.
-ABOVE_RTOL = 1e-9
 
 
 def quiet_cli(argv) -> None:
@@ -51,32 +45,30 @@ def quiet_cli(argv) -> None:
 
 
 def front(config, frames, epochs, train_seeds, heldout) -> list[dict]:
-    cfg = read_config_file(config)
-    held = [generate_frame(dataclasses.replace(cfg, rng_seed=eval_seed(recipe.SEED, i)))
-            for i in range(heldout)]
-    exact = [_require_optimal(solve_bnb(frame), frame) for frame in held]
-    bnb_nodes = sum(r.nodes_searched for r in exact)
+    thetas = [arg for theta in THETAS for arg in ("--theta", repr(theta))]
     points = []
     with tempfile.TemporaryDirectory() as work:
         quiet_cli(["gen-data", "--config", config, "--frames", str(frames),
                    "--out", work, "--seed", str(recipe.SEED)])
         for train_seed in train_seeds:
             model_dir = os.path.join(work, f"model-{train_seed}")
+            bench_dir = os.path.join(work, f"bench-{train_seed}")
             quiet_cli(["train", "--dataset", os.path.join(work, "dataset.csv"),
                        "--out", model_dir, "--epochs", str(epochs),
                        "--seed", str(train_seed)])
-            model = load_model(os.path.join(model_dir, "model.txt"))
-            for theta in THETAS:
-                gated = [_require_optimal(solve_ibnb(frame, model, ThresholdPolicy(theta)), frame)
-                         for frame in held]
-                gaps = [g.best_psi / e.best_psi - 1.0 for g, e in zip(gated, exact)]
+            quiet_cli(["bench", "--config", config, "--model",
+                       os.path.join(model_dir, "model.txt"), "--frames", str(heldout),
+                       "--out", bench_dir, "--seed", str(recipe.SEED), *thetas])
+            with open(os.path.join(bench_dir, "front.csv"), encoding="utf-8") as fh:
+                rows = [line.split(",") for line in fh if not line.startswith("#")][1:]
+            for theta, ratio, above, mean_gap, max_gap in rows:
                 points.append({
                     "train_seed": train_seed,
-                    "theta0": theta,
-                    "node_ratio": sum(r.nodes_searched for r in gated) / bnb_nodes,
-                    "above_psi_star": sum(gap > ABOVE_RTOL for gap in gaps),
-                    "mean_gap": sum(gaps) / len(gaps),
-                    "max_gap": max(gaps),
+                    "theta0": float(theta),
+                    "node_ratio": float(ratio),
+                    "above_psi_star": int(above),
+                    "mean_gap": float(mean_gap),
+                    "max_gap": float(max_gap),
                 })
     return points
 

@@ -3,10 +3,11 @@
 benchmark the learned search against the exact one.
 
 Writes everything under results/ (dataset, model, training history, and the
-three benchmark CSVs).  Frame counts and epochs are sized so the whole run
-finishes in minutes on a laptop; pass --frames/--epochs to scale up.  Each
-step's wall time, and the whole pipeline's, go to stdout only, so the
-written files stay byte-identical between identically seeded runs.
+four benchmark CSVs, the learned gate's front.csv among them).  Frame counts
+and epochs are sized so the whole run finishes in minutes on a laptop; pass
+--frames/--epochs to scale up.  Each step's wall time, and the whole
+pipeline's, go to stdout only, so the written files stay byte-identical
+between identically seeded runs.
 """
 
 import argparse

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""One SHA-256 over the traces and answers of seeded desk frames.
+"""One SHA-256 over the answers and traces of seeded desk frames.
 
 Solves frames of the desk config at 3x5 and 4x6 (seeds 1..--frames) with
 ``bnb`` and ``exhaustive``, and, given ``--model``, with ``ibnb`` at each
 threshold in THETAS on the sizes whose feature length the model takes.
-Every solve feeds the hash its answer (status, psi, gap bound, nodes
-searched and unsolved, LP pivots and refactors, fell_back_to_exact, map
-and split) and every trace node (id, parent, action, psi and zub_at_pop
-bits, and the bytes of its x and splits).  Two trees that differ in any
-bit of any of these read different digests, so a change meant to leave
-the search untouched is checked by running this before and after it:
+Every solve feeds the hash the text ``mecoffload solve`` writes for it:
+its ``report.csv`` row (status, psi, gap bound, nodes searched and
+unsolved, LP pivots and refactors, fell_back_to_exact, model id, map and
+split) and its ``trace.csv`` (every node's id, depth, parent, action, psi,
+zub_at_pop, x and splits).  Each float in them reads back bit for bit, so
+two trees that differ in any bit of any of these read different digests,
+and a change meant to leave the search untouched is checked by running
+this before and after it:
 
     python scripts/trace_digest.py --model results/model/model.txt
 
@@ -21,10 +23,10 @@ import argparse
 import dataclasses
 import hashlib
 import os
-import struct
 import sys
 
-from mecoffload.bnb import solve_bnb, solve_exhaustive
+from mecoffload.bnb import solve_bnb, solve_exhaustive, trace_csv
+from mecoffload.cli import report_row
 from mecoffload.dataset import feature_length
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import load_model
@@ -32,38 +34,6 @@ from mecoffload.scenario import generate_frame, read_config_file
 
 SIZES = ((3, 5), (4, 6))
 THETAS = (1e-3, 0.05, 0.5)
-
-
-def float_bits(value) -> bytes:
-    return b"-" if value is None else struct.pack("<d", value)
-
-
-def array_bytes(array) -> bytes:
-    return b"-" if array is None else array.tobytes()
-
-
-def hash_report(digest, report, frame) -> int:
-    """Feed ``report`` on ``frame`` to ``digest``; return its number of
-    trace nodes."""
-    task_bits = frame.task_bits.repeat(frame.num_channels)
-    for part in (
-        report.status.value.encode(), float_bits(report.best_psi),
-        float_bits(report.gap_bound),
-        struct.pack("<5q", report.nodes_searched, report.nodes_unsolved,
-                    report.lp_pivots, report.lp_refactors, report.fell_back_to_exact),
-        array_bytes(report.best_x), array_bytes(report.best_split),
-    ):
-        digest.update(part)
-    for node in report.trace:
-        parent = -1 if node.parent_id is None else node.parent_id
-        x, shares = node.arrays()
-        for part in (
-            struct.pack("<2q", node.node_id, parent), node.action.value.encode(),
-            float_bits(node.psi), float_bits(node.zub_at_pop),
-            x.tobytes(), (shares * task_bits).tobytes(),
-        ):
-            digest.update(part)
-    return len(report.trace)
 
 
 def main(argv=None) -> int:
@@ -83,15 +53,17 @@ def main(argv=None) -> int:
         for seed in range(1, args.frames + 1):
             frame = generate_frame(dataclasses.replace(
                 base, num_mds=s_n, num_channels=k_n, rng_seed=seed))
-            runs = [("bnb", lambda: solve_bnb(frame)),
-                    ("exhaustive", lambda: solve_exhaustive(frame))]
+            runs = [("bnb", None, lambda: solve_bnb(frame)),
+                    ("exhaustive", None, lambda: solve_exhaustive(frame))]
             if gated:
-                runs += [(f"ibnb@{theta!r}",
+                runs += [(f"ibnb@{theta!r}", model,
                           lambda theta=theta: solve_ibnb(frame, model, ThresholdPolicy(theta)))
                          for theta in THETAS]
-            for name, solve in runs:
-                digest.update(f"{s_n}x{k_n}/{seed}/{name}".encode())
-                nodes += hash_report(digest, solve(), frame)
+            for name, gate_model, solve in runs:
+                report = solve()
+                digest.update(f"{s_n}x{k_n}/{seed}\n{report_row(name, report, gate_model)}\n"
+                              f"{trace_csv(report, frame)}".encode())
+                nodes += len(report.trace)
                 solves += 1
     print(f"solves={solves} trace_nodes={nodes}")
     print(digest.hexdigest())

@@ -27,8 +27,8 @@ and those its fixing adds), which it passes to the solve, and its
 :class:`Node` is only its trace row: a solved node is appended to the
 trace, which later becomes classifier training data, with its relaxation
 value, branching index and flows, and the bound that was active at pop
-time.  It holds no frame and keeps no array: each reader (the trace
-writer, the dataset, a gate and the incumbent) builds a node's indicators
+time.  It holds no frame and keeps no array: each reader (the trace's
+CSV text, the dataset, a gate and the incumbent) builds a node's indicators
 and shares with :meth:`Node.arrays`, so the search pays for none of them.
 A child that is pushed but never built, dropped at pop time or left open,
 costs only its heap entry and its key: no node, no LP and no trace row;
@@ -84,7 +84,7 @@ __all__ = [
     "child",
     "solve_bnb",
     "solve_exhaustive",
-    "write_trace_csv",
+    "trace_csv",
 ]
 
 
@@ -376,8 +376,8 @@ def csv_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_trace_csv(path, report: SolveReport, scenario: Scenario) -> None:
-    """Write the trace of ``report`` on frame ``scenario`` as versioned CSV,
+def trace_csv(report: SolveReport, scenario: Scenario) -> str:
+    """The trace of ``report`` on frame ``scenario`` as versioned CSV text,
     one row per node: its indicators x and its splits l in bits."""
     task_bits = scenario.task_bits.repeat(scenario.num_channels)
     cols = ["j", "g", "parent", "action", "psi", "zub_at_pop"]
@@ -394,5 +394,4 @@ def write_trace_csv(path, report: SolveReport, scenario: Scenario) -> None:
         row += [csv_float(v) for v in x]
         row += [csv_float(v) for v in shares * task_bits]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -34,12 +34,13 @@ from .bnb import (
     csv_float,
     solve_bnb,
     solve_exhaustive,
-    write_trace_csv,
+    trace_csv,
 )
 from .dataset import Dataset, label_trace, read_dataset, write_dataset
 from .ibnb import ThresholdPolicy, solve_ibnb
 from .mlp import (
     VALIDATION_FRACTION,
+    MlpModel,
     TrainConfig,
     init_model,
     load_model,
@@ -57,6 +58,7 @@ __all__ = [
     "cmd_train",
     "cmd_solve",
     "cmd_bench",
+    "report_row",
 ]
 
 EXIT_OK = 0
@@ -67,6 +69,9 @@ EXIT_BUDGET = 3
 DEFAULT_BENCH_THETAS = (ThresholdPolicy.theta0, 1e-12)
 #: Latency/energy weight pairs swept by the benchmark.
 WEIGHT_SWEEP = ((1.0, 0.0), (1.0, 0.25), (1.0, 0.5), (1.0, 0.75), (1.0, 1.0))
+#: A gap psi_ibnb / psi_bnb - 1 at or below this is round-off, not an answer
+#: above the exact optimum psi*.
+ABOVE_RTOL = 1e-9
 
 
 class UsageError(Exception):
@@ -221,21 +226,25 @@ def cmd_train(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-_REPORT_HEADER = "solver,status,psi,gap_bound,nodes_searched,fell_back_to_exact,model_id"
+REPORT_HEADER = ("solver,status,psi,gap_bound,nodes_searched,nodes_unsolved,lp_pivots,"
+                 "lp_refactors,fell_back_to_exact,model_id,x,l")
 
 
-def _report_row(solver: str, report: SolveReport, extra: str) -> str:
+def report_row(solver: str, report: SolveReport, model: MlpModel | None) -> str:
+    """The ``report.csv`` row, under :data:`REPORT_HEADER`, of ``report``
+    from ``solver``, gated by ``model`` (None for an ungated solver, whose
+    ``fell_back_to_exact`` and ``model_id`` are left empty)."""
     psi, gap = ("" if value is None else csv_float(value)
                 for value in (report.best_psi, report.gap_bound))
-    return f"{solver},{report.status.value},{psi},{gap},{report.nodes_searched},{extra}"
-
-
-def _solution_columns(report) -> str:
-    if report.best_x is None:
-        return ","
-    x = ";".join(str(int(v)) for v in report.best_x.ravel())
-    l = ";".join(csv_float(v) for v in report.best_split.ravel())
-    return f"{x},{l}"
+    gated = ("," if model is None
+             else f"{int(report.fell_back_to_exact)},{model_fingerprint(model)}")
+    x = l = ""
+    if report.best_x is not None:
+        x = ";".join(str(int(v)) for v in report.best_x.ravel())
+        l = ";".join(csv_float(v) for v in report.best_split.ravel())
+    return (f"{solver},{report.status.value},{psi},{gap},{report.nodes_searched},"
+            f"{report.nodes_unsolved},{report.lp_pivots},{report.lp_refactors},"
+            f"{gated},{x},{l}")
 
 
 def cmd_solve(args) -> int:
@@ -270,16 +279,13 @@ def cmd_solve(args) -> int:
     else:
         report = solve_ibnb(frame, model, policy)
     wall_time = time.perf_counter() - start
-    extra = ","
-    if model is not None:
-        extra = f"{int(report.fell_back_to_exact)},{model_fingerprint(model)}"
 
     os.makedirs(args.out, exist_ok=True)
+    text = trace_csv(report, frame)
     _atomic_write(os.path.join(args.out, "trace.csv"),
-                  lambda tmp: write_trace_csv(tmp, report, frame))
-    header = _REPORT_HEADER + ",x,l"
-    row = _report_row(args.solver, report, extra) + "," + _solution_columns(report)
-    _write_csv(os.path.join(args.out, "report.csv"), meta, header, [row])
+                  lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
+    _write_csv(os.path.join(args.out, "report.csv"), meta, REPORT_HEADER,
+               [report_row(args.solver, report, model)])
     print(f"status={report.status.value} psi={report.best_psi} "
           f"gap_bound={report.gap_bound} "
           f"nodes={report.nodes_searched} nodes_unsolved={report.nodes_unsolved} "
@@ -363,12 +369,23 @@ def cmd_bench(args) -> int:
     _write_csv(os.path.join(args.out, "weights_sweep.csv"), meta,
                "lambda_t,lambda_e,psi_bnb,psi_ibnb,ratio", sweep_rows)
 
-    mean_bnb = float(np.mean([counts[0] for counts in nodes]))
+    # The learned gate's front: per threshold, ibnb's nodes over bnb's,
+    # summed over the frames, and its gaps psi_ibnb / psi_bnb - 1.
+    bnb_nodes = sum(counts[0] for counts in nodes)
+    front_rows: list[str] = []
     for column, theta in enumerate(thetas, start=1):
-        mean_ibnb = float(np.mean([counts[column] for counts in nodes]))
-        print(f"theta={theta:g}: mean_nodes ibnb={mean_ibnb:.1f} "
-              f"bnb={mean_bnb:.1f} ratio={mean_ibnb / mean_bnb:.3f}")
-    print(f"wrote 3 CSVs under {args.out}")
+        ratio = sum(counts[column] for counts in nodes) / bnb_nodes
+        gaps = [row[column] / row[0] - 1.0 for row in psi]
+        above = sum(gap > ABOVE_RTOL for gap in gaps)
+        mean_gap, max_gap = sum(gaps) / len(gaps), max(gaps)
+        front_rows.append(",".join([*map(csv_float, (theta, ratio)), str(above),
+                                    *map(csv_float, (mean_gap, max_gap))]))
+        print(f"theta={theta:g}: node_ratio={ratio:.3f} "
+              f"above_psi_star={above}/{len(gaps)} "
+              f"mean_gap={mean_gap:.4%} max_gap={max_gap:.2%}")
+    _write_csv(os.path.join(args.out, "front.csv"), meta,
+               "theta,node_ratio,above_psi_star,mean_gap,max_gap", front_rows)
+    print(f"wrote 4 CSVs under {args.out}")
     return EXIT_OK
 
 

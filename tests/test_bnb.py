@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecoffload import bnb as bnb_module
@@ -17,9 +17,10 @@ from mecoffload.bnb import (
     NodeAction,
     SolveStatus,
     child,
+    csv_float,
     solve_bnb,
     solve_exhaustive,
-    write_trace_csv,
+    trace_csv,
 )
 from mecoffload.dataset import label_trace
 from mecoffload.lp import (
@@ -657,9 +658,9 @@ class TestNodeArrays:
             again = rec.arrays()
             assert again[0] is not built[0] and again[1] is not built[1]
 
-    def test_a_read_keeps_nothing(self, tmp_path):
+    def test_a_read_keeps_nothing(self):
         # Every reader builds a node's arrays and drops them: after arrays(),
-        # label_trace and write_trace_csv every record holds the very
+        # label_trace and trace_csv every record holds the very
         # objects it held, each with the same bytes.
         frame = self.FRAME
         report = solve_bnb(frame)
@@ -669,7 +670,7 @@ class TestNodeArrays:
         for rec in report.trace:
             rec.arrays()
         label_trace(report)
-        write_trace_csv(tmp_path / "trace.csv", report, frame)
+        trace_csv(report, frame)
         for rec, before, arrays in zip(report.trace, held, data):
             assert all(getattr(rec, name) is value for name, value in before.items())
             assert (rec.fixed.tobytes(), rec.flows.tobytes()) == arrays
@@ -854,12 +855,10 @@ class TestSolveExhaustive:
 
 
 class TestTraceCsv:
-    def test_format(self, tmp_path):
+    def test_format(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=19)
         report = solve_bnb(frame)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, frame)
-        lines = path.read_text().splitlines()
+        lines = trace_csv(report, frame).splitlines()
         assert lines[0] == "# trace-v2"
         header = lines[1].split(",")
         assert header[:6] == ["j", "g", "parent", "action", "psi", "zub_at_pop"]
@@ -871,6 +870,20 @@ class TestTraceCsv:
         assert first[0] == "0" and first[2] == "-1"
         assert float(first[4]) == report.trace[0].psi
 
+    # Every CSV the package writes, trace.csv, dataset.csv, report.csv and
+    # front.csv, and so the trace digest over them, holds its floats as
+    # csv_float text, which must read back to the very float.
+    @given(st.floats(allow_nan=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(5e-324)                    # the least subnormal
+    @example(2.225073858507201e-308)    # the greatest subnormal
+    @example(1.7976931348623157e308)
+    @example(0.1)
+    def test_csv_float_reads_back_bit_for_bit(self, value):
+        assert same_bits(np.array([float(csv_float(value))]), np.array([value]))
 
 
 class TestReopen:
@@ -921,7 +934,7 @@ class TestReopen:
         assert report.best_psi == exact.best_psi
 
     @pytest.mark.parametrize("seed", range(201, 233, 2))
-    def test_a_search_with_an_incumbent_keeps_its_model_pruned_nodes(self, seed, tmp_path):
+    def test_a_search_with_an_incumbent_keeps_its_model_pruned_nodes(self, seed):
         # The oracle gate rejects every node off the optimum's chain; the
         # chain yields the incumbent, so nothing is reopened, whether the
         # heap drains or its least key reaches the incumbent.  The rejects
@@ -939,9 +952,7 @@ class TestReopen:
         assert not report.fell_back_to_exact
         assert rejected
         assert all(rec.action is NodeAction.PRUNED_BY_MODEL for rec in rejected)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, frame)
-        actions = [line.split(",")[3] for line in path.read_text().splitlines()[2:]]
+        actions = [line.split(",")[3] for line in trace_csv(report, frame).splitlines()[2:]]
         assert actions.count("PrunedByModel") == len(rejected) == sum(
             rec.action is NodeAction.PRUNED_BY_MODEL for rec in report.trace)
 
@@ -1104,12 +1115,10 @@ class TestReportShape:
         assert len(report.trace) == report.nodes_searched > 1
         assert not report.fell_back_to_exact
 
-    def test_exhaustive_reports_no_trace(self, tmp_path):
+    def test_exhaustive_reports_no_trace(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=19)
         report = solve_exhaustive(frame)
         assert report.trace == []
         assert not report.fell_back_to_exact
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, frame)
-        lines = path.read_text().splitlines()
+        lines = trace_csv(report, frame).splitlines()
         assert lines[0] == "# trace-v2" and len(lines) == 2   # the column header only

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from mecoffload import bnb
-from mecoffload.bnb import ENUM_BUDGET
-from mecoffload.cli import WEIGHT_SWEEP, eval_seed, main
+from mecoffload.bnb import ENUM_BUDGET, solve_bnb, solve_exhaustive
+from mecoffload.cli import ABOVE_RTOL, WEIGHT_SWEEP, eval_seed, main
 from mecoffload.dataset import feature_length, read_dataset
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, init_model, load_model, save_model
 from mecoffload.scenario import generate_frame, read_config_file
 
+from conftest import same_bits
 from oracle import OBJECTIVE_RTOL
 
 CONFIG = """\
@@ -284,6 +285,30 @@ class TestSolve:
         for name in ("report.csv", "trace.csv"):
             assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
 
+    @pytest.mark.parametrize("solver", ["bnb", "ibnb", "exhaustive"])
+    def test_report_counters_are_the_solves(self, tmp_path, config_path, solver):
+        # report.csv carries the solve's deterministic counters after
+        # nodes_searched: the oracle prices maps with no LP and no tree.
+        model_path = tmp_path / "depth.txt"
+        write_depth_model(model_path)
+        gate = ["--model", str(model_path), "--theta", "0.75"] if solver == "ibnb" else []
+        assert main(["solve", "--config", config_path, "--solver", solver, "--seed", "21",
+                     "--out", str(tmp_path / "o"), *gate]) == 0
+        frame = generate_frame(replace(read_config_file(config_path), rng_seed=21))
+        report = {
+            "bnb": lambda: solve_bnb(frame),
+            "ibnb": lambda: solve_ibnb(frame, load_model(model_path), ThresholdPolicy(0.75)),
+            "exhaustive": lambda: solve_exhaustive(frame),
+        }[solver]()
+        row = read_report(tmp_path / "o" / "report.csv")
+        counters = ["nodes_searched", "nodes_unsolved", "lp_pivots", "lp_refactors"]
+        assert list(row)[4:8] == counters
+        assert [int(row[c]) for c in counters] == [getattr(report, c) for c in counters]
+        if solver == "exhaustive":
+            assert [row[c] for c in counters[1:]] == ["0", "0", "0"]
+        else:
+            assert report.lp_pivots > 0
+
     def test_report_has_metadata_lines(self, tmp_path, config_path):
         out = tmp_path / "o"
         assert main(["solve", "--config", config_path, "--solver", "bnb",
@@ -332,6 +357,13 @@ class TestBench:
             ratio = float(line.split(",")[-1])
             assert ratio >= 1.0 - 1e-9
 
+        # A gate scoring every node 0.6 prunes nothing at either default
+        # threshold: the same nodes and the same answers as bnb.
+        front = [l for l in (out / "front.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert front[0] == "theta,node_ratio,above_psi_star,mean_gap,max_gap"
+        assert [l.split(",")[1:] for l in front[1:]] == [["1", "0", "0", "0"]] * 2
+
     def test_weights_outside_the_sweep_solve_every_sweep_pair(self, tmp_path, config_path,
                                                               model_path):
         # At lambda_e = 0.3 no sweep pair is the config's own, so each of the
@@ -379,6 +411,36 @@ class TestBench:
             [own] = [r for r in rows if (float(r[0]), float(r[1])) == (cfg.lambda_t, cfg.lambda_e)]
             assert float(own[3]) == pytest.approx(mean_psi[thetas[0]], rel=1e-12)
 
+    def test_front_is_a_recomputation_of_the_held_out_solves(self, tmp_path, config_path):
+        # Each front.csv row, in --theta order, reads back bit for bit as
+        # the node ratio and gaps of solve_ibnb against solve_bnb on the
+        # held-out frames.
+        model_path = tmp_path / "depth.txt"
+        write_depth_model(model_path)
+        model = load_model(model_path)
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", config_path, "--model", str(model_path),
+                     "--frames", "3", "--out", str(out), "--seed", "2",
+                     "--theta", "0.75", "--theta", "1e-3"]) == 0
+        cfg = read_config_file(config_path)
+        frames = [generate_frame(replace(cfg, rng_seed=eval_seed(2, i))) for i in range(3)]
+        exact = [solve_bnb(frame) for frame in frames]
+        expected = []
+        for theta in (0.75, 1e-3):
+            gated = [solve_ibnb(frame, model, ThresholdPolicy(theta0=theta)) for frame in frames]
+            gaps = [g.best_psi / e.best_psi - 1.0 for g, e in zip(gated, exact)]
+            expected.append([
+                theta,
+                sum(g.nodes_searched for g in gated) / sum(e.nodes_searched for e in exact),
+                sum(gap > ABOVE_RTOL for gap in gaps), sum(gaps) / len(gaps), max(gaps),
+            ])
+        # At 0.75 the gate prunes every node below the root and misses psi*.
+        assert expected[0][1] < 1.0 and expected[0][2] > 0
+        lines = [l for l in (out / "front.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert same_bits(np.array(rows), np.array(expected, dtype=float))
+
     def test_zero_frames_is_usage_error(self, tmp_path, config_path, model_path):
         out = tmp_path / "bench"
         rc = main(["bench", "--config", config_path, "--model", model_path,
@@ -401,7 +463,7 @@ class TestBench:
         for out in outs:
             assert main(["bench", "--config", config_path, "--model", model_path,
                          "--frames", "2", "--out", str(out), "--seed", "2"]) == 0
-        for name in ("nodes_per_frame.csv", "node_cdf.csv", "weights_sweep.csv"):
+        for name in ("nodes_per_frame.csv", "node_cdf.csv", "weights_sweep.csv", "front.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mecoffload import bnb
-from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, write_trace_csv
+from mecoffload.bnb import NodeAction, SolveStatus, solve_bnb, trace_csv
 from mecoffload.dataset import feature_length, featurize
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.mlp import MlpModel, default_dims, forward, load_model, save_model
@@ -234,14 +234,12 @@ class TestSoundness:
 
 
 class TestReportShape:
-    def test_reopened_trace_csv_has_one_row_per_record_and_no_heads(self, tmp_path):
+    def test_reopened_trace_csv_has_one_row_per_record_and_no_heads(self):
         frame = make_frame(num_mds=2, num_channels=3, seed=61)
         report = solve_ibnb(frame, model_for(frame, 0.5),
                             ThresholdPolicy(theta0=0.9))
         assert report.fell_back_to_exact
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, report, frame)
-        lines = path.read_text().splitlines()
+        lines = trace_csv(report, frame).splitlines()
         assert [l for l in lines if l.startswith("#")] == ["# trace-v2"]
         rows = [l.split(",") for l in lines[2:]]
         assert [int(r[0]) for r in rows] == [rec.node_id for rec in report.trace]

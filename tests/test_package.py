@@ -16,7 +16,7 @@ import pytest
 
 import mecoffload
 from mecoffload.bnb import SolveReport, solve_bnb
-from mecoffload.cli import build_parser
+from mecoffload.cli import ABOVE_RTOL, build_parser
 from mecoffload.ibnb import ThresholdPolicy, solve_ibnb
 from mecoffload.lp import LinearProgram, solve_lp
 from mecoffload.mlp import TrainConfig
@@ -130,6 +130,31 @@ def test_trace_digest_script_runs_without_a_model(capsys):
     assert re.fullmatch(r"[0-9a-f]{64}", digest)
 
 
+@pytest.mark.parametrize("nudge", ["zub_at_pop", "lp_pivots"])
+def test_trace_digest_moves_with_one_hashed_value(capsys, monkeypatch, nudge):
+    # The digest hashes the text solve writes for each answer and trace, so
+    # one trace node's zub_at_pop one ulp off, or one LP pivot more, in the
+    # 3x5 exact solve alone must move it.
+    script = load_script("trace_digest")
+
+    def digest():
+        assert script.main(["--frames", "1"]) == 0
+        return capsys.readouterr().out.splitlines()[-1]
+
+    def solve(frame):
+        report = solve_bnb(frame)
+        if frame.num_mds == 3 and nudge == "zub_at_pop":
+            node = report.trace[-1]
+            node.zub_at_pop = float(np.nextafter(node.zub_at_pop, 0.0))
+        elif frame.num_mds == 3:
+            report.lp_pivots += 1
+        return report
+
+    before = digest()
+    monkeypatch.setattr(script, "solve_bnb", solve)
+    assert digest() != before
+
+
 def test_gate_front_script_smoke_run():
     # scripts/gate_front.py at its smallest: 2 training frames, 2 epochs,
     # one training seed and 2 held-out frames, one point per threshold.
@@ -141,4 +166,4 @@ def test_gate_front_script_smoke_run():
         assert p["train_seed"] == 100 and p["node_ratio"] > 0
         assert 0 <= p["above_psi_star"] <= 2
         # A gated answer is never below the exact optimum.
-        assert -script.ABOVE_RTOL <= p["mean_gap"] <= p["max_gap"]
+        assert -ABOVE_RTOL <= p["mean_gap"] <= p["max_gap"]
